@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import BlowUpError, ParameterError, SwstabError, SwitchedSystem
+from .core import BlowUpError, ParameterError, SwstabError, SwitchedSystem, SwitchingSignal
 from .integrate import IntegratorConfig, simulate, simulate_with_covering
 from .lyapunov import IntegralBoundParams, check_decrease_along, check_integral_bound, check_sandwich
 from .limiting import wzsd_falsify
@@ -135,14 +135,15 @@ def cmd_simulate(manifest: dict) -> int:
             if horizon == 0.0:
                 from .core import active_index_set
                 mode = entry.policy(t0, x0, active_index_set(x0, entry.covering, tol=1e-9))
-                sigma = _const_signal(mode, t0)
+                sigma = SwitchingSignal.constant(mode, t0, t0 + 1.0)
                 traj = simulate(system, sigma, t0, x0, t0, cfg)
             else:
                 traj, sigma = simulate_with_covering(system, entry.covering, entry.policy,
                                                      t0, x0, tf, cfg)
         else:
             gen = _class_generator(entry, manifest)
-            sigma = gen((t0, tf), seed) if horizon > 0 else _const_signal(1, t0)
+            sigma = (gen((t0, tf), seed) if horizon > 0
+                     else SwitchingSignal.constant(1, t0, t0 + 1.0))
             traj = simulate(system, sigma, t0, x0, tf, cfg)
     except BlowUpError as err:
         if err.trajectory is not None:
@@ -154,12 +155,6 @@ def cmd_simulate(manifest: dict) -> int:
                   os.path.join(out, "signal.json"), params=entry.signal_class.params)
     print(f"wrote trajectory.csv ({len(traj.times)} rows) and signal.csv to {out}")
     return EXIT_PASS
-
-
-def _const_signal(mode: int, t0: float):
-    from .core import SwitchingSignal
-    return SwitchingSignal(breakpoints=np.array([t0]), modes=np.array([mode]),
-                           domain_start=t0, domain_end=t0 + 1.0)
 
 
 def cmd_certify(manifest: dict) -> int:
@@ -230,12 +225,8 @@ def _worker_entry(manifest_json: str):
     constant_mode = ecfg.get("constant_mode")
     if constant_mode is not None:
         # negative-control hook: drive with a constant mode instead of the class
-        from .core import SwitchingSignal
-
         def driver(t0, x0, tf, seed):
-            sigma = SwitchingSignal(breakpoints=np.array([t0]),
-                                    modes=np.array([int(constant_mode)]),
-                                    domain_start=t0, domain_end=tf)
+            sigma = SwitchingSignal.constant(int(constant_mode), t0, tf)
             return simulate(system, sigma, t0, x0, tf, run_cfg)
     elif entry.signal_class.kind == "policy":
         driver = make_driver(entry, run_cfg)
@@ -256,7 +247,7 @@ def _envelope_task(args):
     tau_grid = np.linspace(0.0, float(ecfg["horizon"]), int(ecfg["tau_count"]))
     rng = _trial_seed(int(manifest["seed"]), b, trial)
     vals, _ = _run_trial(entry.system.n, driver, lo, hi, float(ecfg["horizon"]),
-                         tau_grid, float(ecfg["offset_max"]), rng)
+                         tau_grid, (0.0, float(ecfg["offset_max"])), rng)
     return b, vals
 
 

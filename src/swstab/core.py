@@ -97,6 +97,12 @@ class SwitchingSignal:
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "modes", md)
 
+    @staticmethod
+    def constant(mode: int, t0: float, tf: float) -> "SwitchingSignal":
+        """The signal that holds ``mode`` on the whole domain [t0, tf]."""
+        return SwitchingSignal(breakpoints=np.array([t0]), modes=np.array([mode]),
+                               domain_start=t0, domain_end=tf)
+
     def mode_at(self, t: float) -> int:
         if t < self.domain_start - 1e-12 or t > self.domain_end + 1e-12:
             raise DomainError(f"t={t} outside signal domain [{self.domain_start}, {self.domain_end}]")
@@ -368,11 +374,6 @@ class Trajectory:
 
     def norms(self) -> np.ndarray:
         return np.linalg.norm(self.states, axis=1)
-
-    def state_at(self, t: float) -> np.ndarray:
-        """State at the grid node nearest to t (grids are dense; no interpolation)."""
-        k = int(np.argmin(np.abs(self.times - t)))
-        return self.states[k]
 
     def to_csv(self, path) -> None:
         """Write ``t,x1..xn,[mode|u1..uN],[y1..yp]`` rows at full double precision."""

@@ -53,16 +53,22 @@ class IntegratorConfig:
             raise ParameterError("event_bisection_tol must lie in (0, step)")
 
 
-def _rk4_step(f, t: float, x: np.ndarray, h: float) -> np.ndarray:
-    k1 = f(t, x)
-    k2 = f(t + 0.5 * h, x + (0.5 * h) * k1)
-    k3 = f(t + 0.5 * h, x + (0.5 * h) * k2)
-    k4 = f(t + h, x + h * k3)
-    return x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+def _rk4_step(f, t: float, x: np.ndarray, h: float, *args) -> np.ndarray:
+    """RK4 step of dx/dt = f(t, x, *args); the final sum runs on Python floats,
+    which round exactly as numpy's elementwise float64 operations do."""
+    hh = 0.5 * h
+    tm = t + hh
+    k1 = f(t, x, *args)
+    k2 = f(tm, x + hh * k1, *args)
+    k3 = f(tm, x + hh * k2, *args)
+    k4 = f(t + h, x + h * k3, *args)
+    h6 = h / 6.0
+    return np.array([a + h6 * (b1 + 2.0 * (b2 + b3) + b4) for a, b1, b2, b3, b4
+                     in zip(x.tolist(), k1.tolist(), k2.tolist(), k3.tolist(), k4.tolist())])
 
 
 def _check_state(x: np.ndarray, t: float, bound: float, partial=None) -> None:
-    s = float(x @ x)
+    s = sum([v * v for v in x.tolist()])
     if s != s:  # NaN
         raise DynamicsError(f"NaN state at t={t}")
     if s > bound * bound:
@@ -71,8 +77,8 @@ def _check_state(x: np.ndarray, t: float, bound: float, partial=None) -> None:
 
 def _integrate_interval(f, t0: float, x0: np.ndarray, t1: float, base_step: float,
                         bound: float, out_t: list, out_x: list,
-                        n_steps: int = 0) -> np.ndarray:
-    """March from (t0, x0) to t1 with equal sub-steps <= base_step, appending nodes."""
+                        n_steps: int = 0, args: tuple = ()) -> np.ndarray:
+    """March dx/dt = f(t, x, *args) to t1 in equal sub-steps <= base_step, appending nodes."""
     span = t1 - t0
     if span <= 0:
         return x0
@@ -81,7 +87,7 @@ def _integrate_interval(f, t0: float, x0: np.ndarray, t1: float, base_step: floa
     x = x0
     for k in range(1, n + 1):
         t = t0 + (k - 1) * h
-        x = _rk4_step(f, t, x, h)
+        x = _rk4_step(f, t, x, h, *args)
         tk = t1 if k == n else t0 + k * h
         _check_state(x, tk, bound)
         out_t.append(tk)
@@ -90,17 +96,17 @@ def _integrate_interval(f, t0: float, x0: np.ndarray, t1: float, base_step: floa
 
 
 def _mode_rhs(sys: SwitchedSystem, i: int):
+    """(f, args) such that f(t, x, *args) is the mode-i field."""
     if i < 1 or i > sys.N:
         raise ParameterError(f"mode {i} outside 1..{sys.N}")
-    f = sys.f
-    return lambda t, x: f(t, x, i)
+    return sys.f, (i,)
 
 
-def _fill_outputs_switched(sys: SwitchedSystem, times, states, sigma) -> np.ndarray:
+def _fill_outputs_switched(sys: SwitchedSystem, times, states, modes) -> np.ndarray:
     out = np.empty((len(times), sys.p))
-    modes = sigma.modes_at(np.asarray(times))
-    for k, (t, x, i) in enumerate(zip(times, states, modes)):
-        out[k] = np.atleast_1d(sys.h(t, x, int(i)))
+    h = sys.h
+    for k, (t, x, i) in enumerate(zip(times, states, modes.tolist())):
+        out[k] = h(t, x, i)
     return out
 
 
@@ -122,21 +128,21 @@ def simulate(sys: SwitchedSystem, sigma: SwitchingSignal, t0: float, x0: np.ndar
     if tf > t0:
         try:
             for a, b, i in sigma.segments(t0, tf):
-                x_last = _integrate_interval(_mode_rhs(sys, i), a, xs[-1], b,
-                                             cfg.step, cfg.divergence_bound, ts, xs)
+                f, args = _mode_rhs(sys, i)
+                _integrate_interval(f, a, xs[-1], b, cfg.step, cfg.divergence_bound,
+                                    ts, xs, args=args)
         except BlowUpError as err:
             partial = Trajectory(times=np.array(ts), states=np.array(xs[: len(ts)]),
                                  modes=sigma.modes_at(np.array(ts)))
             raise BlowUpError(str(err), time=err.time, trajectory=partial) from None
     times = np.array(ts)
-    states = np.array(xs)
-    return Trajectory(times=times, states=states,
-                      modes=sigma.modes_at(times).astype(np.int64),
-                      outputs=_fill_outputs_switched(sys, times, states, sigma))
+    modes = sigma.modes_at(times).astype(np.int64)
+    return Trajectory(times=times, states=np.array(xs), modes=modes,
+                      outputs=_fill_outputs_switched(sys, ts, xs, modes))
 
 
 def _mix_rhs(sys: SwitchedSystem, weights: np.ndarray):
-    """RHS for sum_i u_i f_i; one-hot weights collapse to the bare mode field."""
+    """(rhs, args) for sum_i u_i f_i; one-hot weights collapse to the bare mode field."""
     nz = [(i + 1, float(w)) for i, w in enumerate(weights) if w > 0.0]
     if len(nz) == 1 and nz[0][1] == 1.0:
         return _mode_rhs(sys, nz[0][0])
@@ -148,68 +154,80 @@ def _mix_rhs(sys: SwitchedSystem, weights: np.ndarray):
             acc = acc + w * f(t, x, i)
         return acc
 
-    return rhs
+    return rhs, ()
 
 
-def _mixed_output(sys: SwitchedSystem, t: float, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    acc = np.zeros(sys.p)
-    for i, w in enumerate(weights):
-        if w > 0.0:
-            acc = acc + w * np.abs(np.atleast_1d(sys.h(t, x, i + 1)))
-    return acc
+def _mixed_outputs(sys: SwitchedSystem, times: np.ndarray, states: np.ndarray,
+                   controls: np.ndarray) -> np.ndarray:
+    """Rows sum_i u_i |h_i(t, x)| at every node."""
+    out = np.zeros((len(times), sys.p))
+    h = sys.h
+    for k, (t, x, w) in enumerate(zip(times.tolist(), states, controls.tolist())):
+        for i, wi in enumerate(w, 1):
+            if wi > 0.0:
+                out[k] += wi * np.abs(h(t, x, i))
+    return out
 
 
-def simulate_relaxed(sys: SwitchedSystem, u: RelaxedControl, t0: float, x0: np.ndarray,
-                     tf: float, cfg: IntegratorConfig) -> Trajectory:
-    """Integrate dx/dt = sum_i u_i(t) f_i(t, x); outputs are sum_i u_i |h_i|.
+def _march(rhs_of_weights, u: RelaxedControl, t0: float, x0: np.ndarray, tf: float,
+           cfg: IntegratorConfig, n: int, n_modes: int):
+    """Cell-aligned RK4 march of dx/dt = rhs(t, x, *args) on [t0, tf], where
+    (rhs, args) = rhs_of_weights(u(t)).
 
-    Steps are aligned to the control's grid cells.  Node labels are
-    right-continuous: a node on a cell edge carries the incoming cell's value.
+    Runs of identical control cells are merged into one interval; cell edges
+    stay grid nodes because sub-step counts are chosen per cell.  Node labels
+    are right-continuous: a node on a cell edge carries the incoming cell's
+    value.  ``n`` and ``n_modes`` are the state dimension and mode count the
+    inputs are checked against.  Returns (times, states, controls).
     """
     if tf < t0:
         raise DomainError("tf must be >= t0")
     if t0 < u.t0 - 1e-12 or tf > u.tf + 1e-9 * max(1.0, abs(u.tf)):
         raise DomainError(f"[{t0}, {tf}] outside control grid [{u.t0}, {u.tf}]")
-    if u.n_modes != sys.N:
-        raise ParameterError(f"control has {u.n_modes} modes, system has {sys.N}")
+    if u.n_modes != n_modes:
+        raise ParameterError(f"control has {u.n_modes} modes, system has {n_modes}")
     x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (sys.n,):
-        raise ParameterError(f"x0 must have shape ({sys.n},)")
+    if x0.shape != (n,):
+        raise ParameterError(f"x0 must have shape ({n},)")
     _check_state(x0, t0, cfg.divergence_bound)
-    k0 = u.cell_of(t0)
+    per_cell = max(1, int(math.ceil((u.step / cfg.step) * (1.0 - 1e-9))))
+    k = u.cell_of(t0)
     ts: list = [t0]
     xs: list = [x0]
-    ctrl: list = [u.values[k0]]
-    k = k0
+    ctrl: list = [u.values[k]]
+    same_as_prev = [False] + np.all(u.values[1:] == u.values[:-1], axis=1).tolist()
     while tf > t0 and u.t0 + k * u.step < tf - 1e-12 and k < u.n_cells:
-        # merge the run of identical cells starting at k; cell edges stay
-        # grid nodes because sub-step counts are chosen per cell
         k_end = k + 1
         while (k_end < u.n_cells and u.t0 + k_end * u.step < tf - 1e-12
-               and np.array_equal(u.values[k_end], u.values[k])):
+               and same_as_prev[k_end]):
             k_end += 1
         a = max(t0, u.t0 + k * u.step)
         b = min(tf, u.t0 + k_end * u.step)
         w = u.values[k]
         ctrl[-1] = w  # node on the incoming cell's left edge takes its value
         n_before = len(ts)
-        per_cell = max(1, int(math.ceil((u.step / cfg.step) * (1.0 - 1e-9))))
-        n_steps = per_cell * (k_end - k)
+        rhs, args = rhs_of_weights(w)
         try:
-            _integrate_interval(_mix_rhs(sys, w), a, xs[-1], b,
-                                cfg.step, cfg.divergence_bound, ts, xs,
-                                n_steps=n_steps)
+            _integrate_interval(rhs, a, xs[-1], b, cfg.step, cfg.divergence_bound, ts, xs,
+                                n_steps=per_cell * (k_end - k), args=args)
         except BlowUpError as err:
             partial = Trajectory(times=np.array(ts), states=np.array(xs))
             raise BlowUpError(str(err), time=err.time, trajectory=partial) from None
         ctrl.extend([w] * (len(ts) - n_before))
         k = k_end
-    times = np.array(ts)
-    states = np.array(xs)
-    controls = np.array(ctrl)
-    outputs = np.array([_mixed_output(sys, t, x, w)
-                        for t, x, w in zip(times, states, controls)])
-    return Trajectory(times=times, states=states, controls=controls, outputs=outputs)
+    return np.array(ts), np.array(xs), np.array(ctrl)
+
+
+def simulate_relaxed(sys: SwitchedSystem, u: RelaxedControl, t0: float, x0: np.ndarray,
+                     tf: float, cfg: IntegratorConfig) -> Trajectory:
+    """Integrate dx/dt = sum_i u_i(t) f_i(t, x); outputs are sum_i u_i |h_i|.
+
+    Steps are aligned to the control's grid cells (see ``_march``).
+    """
+    times, states, controls = _march(lambda w: _mix_rhs(sys, w), u, t0, x0, tf, cfg,
+                                     sys.n, sys.N)
+    return Trajectory(times=times, states=states, controls=controls,
+                      outputs=_mixed_outputs(sys, times, states, controls))
 
 
 def simulate_with_covering(sys: SwitchedSystem, covering: Covering,
@@ -248,13 +266,13 @@ def simulate_with_covering(sys: SwitchedSystem, covering: Covering,
     suppress_until = -np.inf
     n_switches = 0
     t, x = t0, x0
-    rhs = _mode_rhs(sys, mode)
+    f, args = _mode_rhs(sys, mode)
 
     def switch_to(new_mode, at_t):
-        nonlocal mode, rhs, n_switches, suppress_until
+        nonlocal mode, args, n_switches, suppress_until
         if new_mode != mode:
             mode = new_mode
-            rhs = _mode_rhs(sys, mode)
+            args = (mode,)  # query() admits only modes of the active set
             if at_t <= bp[-1]:
                 bp_modes[-1] = mode  # re-decision at the same instant: overwrite
             else:
@@ -268,7 +286,7 @@ def simulate_with_covering(sys: SwitchedSystem, covering: Covering,
     bound2 = cfg.divergence_bound * cfg.divergence_bound
     while t < tf - 1e-12 * max(1.0, abs(tf)):
         h = min(cfg.step, tf - t)
-        x_new = _rk4_step(rhs, t, x, h)
+        x_new = _rk4_step(f, t, x, h, *args)
         s = float(x_new @ x_new)
         if s != s:
             raise DynamicsError(f"NaN state at t={t + h}")
@@ -295,7 +313,7 @@ def simulate_with_covering(sys: SwitchedSystem, covering: Covering,
         x_hi = x_new
         while hi - lo > cfg.event_bisection_tol:
             mid = 0.5 * (lo + hi)
-            x_mid = _rk4_step(rhs, t, x, mid)
+            x_mid = _rk4_step(f, t, x, mid, *args)
             if covering.margin(x_mid, mode) >= 0.0:
                 lo = mid
             else:

@@ -21,8 +21,10 @@ import numpy as np
 
 from .core import (
     BOUNDARY_TOL,
+    BlowUpError,
     Covering,
     DomainError,
+    DynamicsError,
     ParameterError,
     RelaxedControl,
     SwstabError,
@@ -30,8 +32,14 @@ from .core import (
     Trajectory,
     active_index_set,
 )
-from .integrate import IntegratorConfig, _check_state, _integrate_interval
-from .signals import TIE_TOL, PatternConstraint, PatternReport, pattern_cover_check
+from .integrate import IntegratorConfig, _integrate_interval, _march
+from .signals import (
+    TIE_TOL,
+    PatternConstraint,
+    PatternReport,
+    _window_min,
+    pattern_cover_check,
+)
 
 VERTEX_TOL = 1e-6  # a control cell counts as a vertex if within this of e_i (sup norm)
 
@@ -120,7 +128,8 @@ def build_reduced(sys: SwitchedSystem, covering: Covering,
             raise ParameterError("need one limiting function per mode")
 
     def Fhat(t, x):
-        return np.column_stack([f(t, x) for f in fg])
+        # copied to C order: a transposed view could change how matmul rounds
+        return np.array([f(t, x) for f in fg]).T.copy()
 
     def Hhat(t, x):
         return np.array([float(np.linalg.norm(np.atleast_1d(h(t, x)))) for h in hg])
@@ -132,37 +141,14 @@ def build_reduced(sys: SwitchedSystem, covering: Covering,
 
 def simulate_reduced(rls: ReducedLimitingSystem, u: RelaxedControl, t0: float,
                      x0: np.ndarray, tf: float, cfg: IntegratorConfig) -> Trajectory:
-    """Integrate the reduced dynamics under a relaxed control, cells aligned."""
-    if tf < t0:
-        raise DomainError("tf must be >= t0")
-    if t0 < u.t0 - 1e-12 or tf > u.tf + 1e-9 * max(1.0, abs(u.tf)):
-        raise DomainError("span outside control grid")
-    x0 = np.asarray(x0, dtype=float)
-    _check_state(x0, t0, cfg.divergence_bound)
+    """Integrate the reduced dynamics under a relaxed control, cells aligned.
+
+    The reduced system is the relaxed system with fields Fhat's columns, so
+    this is the march of ``simulate_relaxed`` with output Hhat . u.
+    """
     Fhat = rls.Fhat
-    ts: list = [t0]
-    xs: list = [x0]
-    ctrl: list = [u.values[u.cell_of(t0)]]
-    k = u.cell_of(t0)
-    while tf > t0 and u.t0 + k * u.step < tf - 1e-12 and k < u.n_cells:
-        k_end = k + 1
-        while (k_end < u.n_cells and u.t0 + k_end * u.step < tf - 1e-12
-               and np.array_equal(u.values[k_end], u.values[k])):
-            k_end += 1
-        a = max(t0, u.t0 + k * u.step)
-        b = min(tf, u.t0 + k_end * u.step)
-        w = u.values[k]
-        ctrl[-1] = w
-        n_before = len(ts)
-        per_cell = max(1, int(math.ceil((u.step / cfg.step) * (1.0 - 1e-9))))
-        _integrate_interval(lambda t, x: Fhat(t, x) @ w, a, xs[-1], b,
-                            cfg.step, cfg.divergence_bound, ts, xs,
-                            n_steps=per_cell * (k_end - k))
-        ctrl.extend([w] * (len(ts) - n_before))
-        k = k_end
-    times = np.array(ts)
-    states = np.array(xs)
-    controls = np.array(ctrl)
+    times, states, controls = _march(lambda w: (lambda t, x: Fhat(t, x) @ w, ()), u, t0, x0,
+                                     tf, cfg, rls.n, rls.N)
     outputs = np.array([[float(rls.Hhat(t, x) @ w)]
                         for t, x, w in zip(times, states, controls)])
     return Trajectory(times=times, states=states, controls=controls, outputs=outputs)
@@ -186,27 +172,6 @@ def output_residual(rls: ReducedLimitingSystem, traj: Trajectory,
 # ---------------------------------------------------------------------------
 # inherited-constraint checks on relaxed controls
 # ---------------------------------------------------------------------------
-
-
-def _sliding_integral_min(u: RelaxedControl, mode: int, window: float) -> tuple[float, float]:
-    """Exact min over anchors of int_t^{t+window} u_mode; returns (min, argmin)."""
-    span = u.tf - u.t0
-    if span < window - TIE_TOL:
-        raise DomainError("control must span at least one window")
-    w = u.values[:, mode - 1]
-    kinks = u.t0 + u.step * np.arange(u.n_cells + 1)
-    cum = np.concatenate(([0.0], np.cumsum(w * u.step)))
-
-    def cum_at(t):
-        t = np.asarray(t, dtype=float)
-        j = np.clip(np.searchsorted(kinks, t, side="right") - 1, 0, len(kinks) - 2)
-        return cum[j] + (cum[j + 1] - cum[j]) / u.step * (t - kinks[j])
-
-    lo, hi = u.t0, u.tf - window
-    anchors = np.unique(np.clip(np.concatenate((kinks, kinks - window, [lo, hi])), lo, hi))
-    vals = cum_at(anchors + window) - cum_at(anchors)
-    k = int(np.argmin(vals))
-    return float(vals[k]), float(anchors[k])
 
 
 def _vertex_cell_runs(u: RelaxedControl) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -240,7 +205,9 @@ def check_control_constraint(u: RelaxedControl, c: ControlClassConstraint) -> tu
     if c.kind == "integral_lower_bound":
         if u.n_modes < c.mode:
             raise ParameterError("constraint mode exceeds the control's mode count")
-        m, _ = _sliding_integral_min(u, c.mode, c.T0)
+        kinks = u.t0 + u.step * np.arange(u.n_cells + 1)
+        cum = np.concatenate(([0.0], np.cumsum(u.values[:, c.mode - 1] * u.step)))
+        m, _ = _window_min(kinks, cum, c.T0)
         return m >= c.delta0 - TIE_TOL, m - c.delta0
     starts, ends, modes = _vertex_cell_runs(u)
     pc = PatternConstraint(T=c.T, dm=c.dm, dM=c.dM)
@@ -413,55 +380,52 @@ class _Abort(Exception):
 
 
 def _rollout(rls: ReducedLimitingSystem, u_cells, x0, horizon, du, step, eps,
-             residual_tol, divergence_bound):
-    """Integrate cell by cell with early aborts; u_cells is an array or a callable.
+             residual_tol, divergence_bound) -> np.ndarray:
+    """Screen a candidate cell by cell; returns its cell weights or raises _Abort.
 
-    A callable u_cells(k, t, x) returns the cell weights or raises _Abort;
-    used by the face-random closed loop.
+    ``u_cells`` is an array of cell weights, or a callable u_cells(k, t, x)
+    that returns them or raises _Abort (the face-random closed loop).  Each
+    cell is marched by the integrator's RK4 in sub-steps no longer than
+    ``step``.  The norm floor is checked at cell ends only: this is a screen,
+    and _validate_candidate re-checks every node.
     """
     n_cells = int(round(horizon / du))
     x = np.asarray(x0, dtype=float)
     if float(np.linalg.norm(x)) < eps:
         raise _Abort("start below floor")
-    ts = [0.0]
-    xs = [x]
+    sub = max(1, int(math.ceil(du / step - 1e-12)))
+    Fhat, Hhat = rls.Fhat, rls.Hhat
     ws = []
     for k in range(n_cells):
         t = k * du
         w = u_cells(k, t, x) if callable(u_cells) else u_cells[k]
         ws.append(w)
-        if float(rls.Hhat(t, x) @ w) > residual_tol:
+        if float(Hhat(t, x) @ w) > residual_tol:
             raise _Abort("residual")
-        sub = max(1, int(math.ceil(du / step - 1e-12)))
-        h = du / sub
-        Fhat = rls.Fhat
-        for s in range(sub):
-            ta = t + s * h
-            x = x + _rk4_increment(Fhat, w, ta, x, h)
-            nrm2 = float(x @ x)
-            if nrm2 != nrm2 or nrm2 > divergence_bound * divergence_bound:
-                raise _Abort("diverged")
-            if nrm2 < eps * eps:
-                raise _Abort("norm floor")
-            ts.append(ta + h if s < sub - 1 else t + du)
-            xs.append(x)
-        if float(rls.Hhat(t + du, x) @ w) > residual_tol:
+        try:
+            x = _integrate_interval(lambda s, y: Fhat(s, y) @ w, t, x, t + du, step,
+                                    divergence_bound, [], [], n_steps=sub)
+        except (BlowUpError, DynamicsError):
+            raise _Abort("diverged") from None
+        if float(x @ x) < eps * eps:
+            raise _Abort("norm floor")
+        if float(Hhat(t + du, x) @ w) > residual_tol:
             raise _Abort("residual")
-    return np.array(ts), np.array(xs), np.array(ws)
+    return np.array(ws)
 
 
-def _rk4_increment(Fhat, w, t, x, h):
-    k1 = Fhat(t, x) @ w
-    k2 = Fhat(t + 0.5 * h, x + (0.5 * h) * k1) @ w
-    k3 = Fhat(t + 0.5 * h, x + (0.5 * h) * k2) @ w
-    k4 = Fhat(t + h, x + h * k3) @ w
-    return (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+def _meets_constraints(rls: ReducedLimitingSystem, u: RelaxedControl) -> bool:
+    return all(check_control_constraint(u, c)[0] for c in rls.constraints)
 
 
 def _validate_candidate(rls: ReducedLimitingSystem, u: RelaxedControl, x0: np.ndarray,
                         horizon: float, eps: float, residual_tol: float,
                         cfg: IntegratorConfig) -> Optional[ZeroingCandidate]:
-    """Independent re-simulation plus exact constraint checks; None if anything fails."""
+    """Re-simulate through simulate_reduced and re-check every node; None if anything fails.
+
+    The norm floor, the output residual and face feasibility are checked at
+    every grid node.  The inherited constraints are checked by the caller.
+    """
     try:
         traj = simulate_reduced(rls, u, 0.0, x0, horizon, cfg)
     except SwstabError:
@@ -476,10 +440,6 @@ def _validate_candidate(rls: ReducedLimitingSystem, u: RelaxedControl, x0: np.nd
         for i in range(1, rls.N + 1):
             if i not in allowed and w[i - 1] > 1e-12:
                 return None
-    for c in rls.constraints:
-        ok, _ = check_control_constraint(u, c)
-        if not ok:
-            return None
     return ZeroingCandidate(trajectory=traj, control=u, eps=float(traj.norms().min()),
                             output_sup=res, span=(0.0, horizon))
 
@@ -493,9 +453,11 @@ def wzsd_falsify(rls: ReducedLimitingSystem, eps: float, horizon: float,
     Candidate sources: a deterministic battery of constant-vertex controls
     from axis starts, face-random closed-loop controls (weights drawn on the
     face of U_x where the output can vanish, steered toward integral quotas),
-    and vertex-pattern schedules when a pattern constraint is present.  Every
-    returned counterexample has been re-simulated through the public
-    integrator and re-checked against all constraints.
+    and vertex-pattern schedules when a pattern constraint is present.  Each
+    candidate is checked against the inherited constraints once (before its
+    rollout when the control is open-loop), and every returned counterexample
+    has been re-simulated through simulate_reduced and re-checked at every
+    node.  ``budget_used`` is the index of the first success.
     """
     if eps <= 0 or horizon <= 0 or budget < 1:
         raise ParameterError("eps, horizon, budget must be positive")
@@ -511,61 +473,59 @@ def wzsd_falsify(rls: ReducedLimitingSystem, eps: float, horizon: float,
         raise ParameterError("du must tile the horizon")
     integral_cs = [c for c in rls.constraints if c.kind == "integral_lower_bound"]
     pattern_cs = [c for c in rls.constraints if c.kind == "pattern"]
-    used = 0
 
-    def finish(candidate):
+    def finish(candidate, used):
         return FalsifierVerdict(
             verdict="counterexample" if candidate else "no_counterexample_found",
             budget_used=used, seed=seed, eps=eps, residual_tol=residual_tol,
             horizon=horizon, du=du, counterexample=candidate,
             notes={"step": step, "n_cells": n_cells})
 
-    def try_open_loop(u_vals, x0):
-        nonlocal used
-        used += 1
+    def proposals():
+        """(u_cells, x0) per candidate, or None for a candidate that cannot be built."""
+        # stage 0: constant-vertex controls from the deterministic battery
+        battery = _seed_states(rls, eps)
+        for i in range(rls.N):
+            vals = np.zeros((n_cells, rls.N))
+            vals[:, i] = 1.0
+            for x0 in battery:
+                yield vals, x0
+        # alternating stages: face-random closed loop / vertex-pattern schedules
+        k_cand = 0
+        while True:
+            rng = _candidate_rng(seed, k_cand)
+            k_cand += 1
+            if pattern_cs and k_cand % 2 == 0:
+                yield _pattern_candidate(rls, pattern_cs[0], rng, n_cells, du, eps)
+            else:
+                yield _face_random_candidate(rls, integral_cs, rng, du, eps, residual_tol)
+
+    def admit(u_cells, x0):
+        """Constraints once, rollout, validation; open-loop cells are checked first."""
+        open_loop = not callable(u_cells)
+        if open_loop:
+            u = RelaxedControl(t0=0.0, step=du, values=u_cells)
+            if not _meets_constraints(rls, u):
+                return None
         try:
-            _rollout(rls, u_vals, x0, horizon, du, step, eps, residual_tol,
-                     divergence_bound)
+            ws = _rollout(rls, u_cells, x0, horizon, du, step, eps, residual_tol,
+                          divergence_bound)
         except _Abort:
             return None
-        u = RelaxedControl(t0=0.0, step=du, values=u_vals)
-        for c in rls.constraints:
-            ok, _ = check_control_constraint(u, c)
-            if not ok:
+        if not open_loop:
+            u = RelaxedControl(t0=0.0, step=du, values=ws)
+            if not _meets_constraints(rls, u):
                 return None
         return _validate_candidate(rls, u, x0, horizon, eps, residual_tol, cfg)
 
-    # stage 0: constant-vertex controls from the deterministic battery
-    battery = _seed_states(rls, eps)
-    for i in range(1, rls.N + 1):
-        vals = np.zeros((n_cells, rls.N))
-        vals[:, i - 1] = 1.0
-        for x0 in battery:
-            if used >= budget:
-                return finish(None)
-            cand = try_open_loop(vals, x0)
-            if cand is not None:
-                return finish(cand)
-
-    # alternating stages: face-random closed loop / vertex-pattern schedules
-    k_cand = 0
-    while used < budget:
-        rng = _candidate_rng(seed, k_cand)
-        k_cand += 1
-        if pattern_cs and k_cand % 2 == 0:
-            cand = _pattern_candidate(rls, pattern_cs[0], rng, n_cells, du, horizon,
-                                      eps, residual_tol, step, divergence_bound, cfg)
-        else:
-            cand = _face_random_candidate(rls, integral_cs, rng, n_cells, du, horizon,
-                                          eps, residual_tol, step, divergence_bound, cfg)
-        used += 1
-        if isinstance(cand, ZeroingCandidate):
-            return finish(cand)
-    return finish(None)
+    for used, proposal in zip(range(1, budget + 1), proposals()):
+        cand = None if proposal is None else admit(*proposal)
+        if cand is not None:
+            return finish(cand, used)
+    return finish(None, budget)
 
 
-def _face_random_candidate(rls, integral_cs, rng, n_cells, du, horizon, eps,
-                           residual_tol, step, divergence_bound, cfg):
+def _face_random_candidate(rls, integral_cs, rng, du, eps, residual_tol):
     """Closed-loop candidate: at each cell draw weights on the zero-output face."""
     x0 = _shell_state(rng, rls.n, eps, sparse=bool(rng.integers(0, 2)))
     accrued = {id(c): 0.0 for c in integral_cs}
@@ -593,21 +553,10 @@ def _face_random_candidate(rls, integral_cs, rng, n_cells, du, horizon, eps,
             accrued[id(c)] += w[c.mode - 1] * du
         return w
 
-    try:
-        _, _, ws = _rollout(rls, choose, x0, horizon, du, step, eps, residual_tol,
-                            divergence_bound)
-    except _Abort:
-        return None
-    u = RelaxedControl(t0=0.0, step=du, values=ws)
-    for c in rls.constraints:
-        ok, _ = check_control_constraint(u, c)
-        if not ok:
-            return None
-    return _validate_candidate(rls, u, x0, horizon, eps, residual_tol, cfg)
+    return choose, x0
 
 
-def _pattern_candidate(rls, c, rng, n_cells, du, horizon, eps, residual_tol,
-                       step, divergence_bound, cfg):
+def _pattern_candidate(rls, c, rng, n_cells, du, eps):
     """Open-loop candidate following a compliant 1-2-1 vertex schedule."""
     gmax = min(c.dM, (c.T - 2.0 * c.dm) / 4.0)
     k_lo = math.ceil(c.dm / du - TIE_TOL)
@@ -626,13 +575,4 @@ def _pattern_candidate(rls, c, rng, n_cells, du, horizon, eps, residual_tol,
     battery = _seed_states(rls, eps)
     x0 = battery[int(rng.integers(0, len(battery)))] if rng.integers(0, 2) else \
         _shell_state(rng, rls.n, eps, sparse=True)
-    try:
-        _rollout(rls, vals, x0, horizon, du, step, eps, residual_tol, divergence_bound)
-    except _Abort:
-        return None
-    u = RelaxedControl(t0=0.0, step=du, values=vals)
-    for cc in rls.constraints:
-        ok, _ = check_control_constraint(u, cc)
-        if not ok:
-            return None
-    return _validate_candidate(rls, u, x0, horizon, eps, residual_tol, cfg)
+    return vals, x0

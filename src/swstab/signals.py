@@ -224,23 +224,27 @@ def _cum_at(kinks: np.ndarray, cum: np.ndarray, t) -> np.ndarray:
     return left + slope * (t - kinks[j])
 
 
-def validate_measure(sigma: SwitchingSignal, c: MeasureConstraint) -> MeasureReport:
-    """Exact sliding-window activation infimum over [domain_start, domain_end - T0].
+def _window_min(kinks: np.ndarray, cum: np.ndarray, window: float) -> tuple[float, float]:
+    """Exact min over anchors t in [kinks[0], kinks[-1] - window] of cum(t + window) - cum(t).
 
-    The window measure is piecewise-linear in the anchor, so the infimum is
-    attained where the anchor or the window end aligns with a signal kink.
+    The window integral is piecewise-linear in the anchor, so the minimum is
+    attained where the anchor or the window end aligns with a kink.  Returns
+    (min, argmin).  Shared by the measure validator and the integral check on
+    relaxed controls.
     """
-    span = sigma.domain_end - sigma.domain_start
-    if span < c.T0 - TIE_TOL:
-        raise DomainError("signal must span at least one window")
-    kinks, cum = _activation_cum(sigma, c.mode)
-    lo, hi = sigma.domain_start, sigma.domain_end - c.T0
-    anchors = np.concatenate((kinks, kinks - c.T0, [lo, hi]))
-    anchors = np.unique(np.clip(anchors, lo, hi))
-    vals = _cum_at(kinks, cum, anchors + c.T0) - _cum_at(kinks, cum, anchors)
+    lo, hi = kinks[0], kinks[-1] - window
+    if hi < lo - TIE_TOL:
+        raise DomainError("span must cover at least one window")
+    anchors = np.unique(np.clip(np.concatenate((kinks, kinks - window, [lo, hi])), lo, hi))
+    vals = _cum_at(kinks, cum, anchors + window) - _cum_at(kinks, cum, anchors)
     k = int(np.argmin(vals))
-    m = float(vals[k])
-    return MeasureReport(ok=m >= c.delta0 - TIE_TOL, min_measure=m, worst_t=float(anchors[k]))
+    return float(vals[k]), float(anchors[k])
+
+
+def validate_measure(sigma: SwitchingSignal, c: MeasureConstraint) -> MeasureReport:
+    """Exact sliding-window activation infimum over [domain_start, domain_end - T0]."""
+    m, worst_t = _window_min(*_activation_cum(sigma, c.mode), c.T0)
+    return MeasureReport(ok=m >= c.delta0 - TIE_TOL, min_measure=m, worst_t=worst_t)
 
 
 @dataclass(frozen=True)

@@ -54,8 +54,7 @@ def _run_trial(n_dim, traj_factory, lo, hi, horizon, tau_grid, offsets, rng):
     direction = direction / nrm if nrm > 0 else np.eye(n_dim)[0]
     r0 = float(rng.uniform(lo, hi))
     x0 = r0 * direction
-    off_lo, off_hi = offsets if isinstance(offsets, tuple) else (0.0, offsets)
-    t0 = float(rng.uniform(off_lo, off_hi))
+    t0 = float(rng.uniform(*offsets))
     seed = int(rng.integers(0, 2**63 - 1))
     try:
         traj = traj_factory(t0, x0, t0 + horizon, seed)

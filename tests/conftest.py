@@ -1,7 +1,6 @@
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -48,8 +47,3 @@ def cfg_fine():
 def cfg_fast():
     return IntegratorConfig(step=1e-2)
 
-
-def const_signal(mode, t0, tf):
-    from swstab import SwitchingSignal
-    return SwitchingSignal(breakpoints=np.array([t0]), modes=np.array([mode]),
-                           domain_start=t0, domain_end=tf)

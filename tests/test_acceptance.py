@@ -15,6 +15,7 @@ from swstab import (
     MeasureConstraint,
     PatternConstraint,
     StabilityEnvelope,
+    SwitchingSignal,
     check_decrease_along,
     check_integral_bound,
     check_sandwich,
@@ -37,7 +38,6 @@ from swstab import (
     wzsd_falsify,
 )
 
-from conftest import const_signal
 from oracles import measure_oracle, pattern_oracle
 
 
@@ -75,7 +75,7 @@ def test_criterion_01_embedding_equivalence(all_entries):
 def test_criterion_02_conservation_oracle(motivating):
     """Mode 1 conserves |x| to 1e-6 over horizon 100 at step 1e-3."""
     cfg = IntegratorConfig(step=1e-3)
-    sigma = const_signal(1, 0.0, 100.0)
+    sigma = SwitchingSignal.constant(1, 0.0, 100.0)
     traj = simulate(motivating.system, sigma, 0.0, np.array([1.0, 0.0]), 100.0, cfg)
     drift = float(np.max(np.abs(traj.norms() - 1.0)))
     report(2, "conservation | |x(t)| - |x0| | <= 1e-6 under sigma == 1",
@@ -136,7 +136,7 @@ def test_criterion_04_motivating_guas_reproduction(motivating):
     cfg = IntegratorConfig(step=2e-2)
 
     def driver_const(t0, x0, tf, seed):
-        return simulate(motivating.system, const_signal(1, t0, tf), t0, x0, tf, cfg)
+        return simulate(motivating.system, SwitchingSignal.constant(1, t0, tf), t0, x0, tf, cfg)
 
     env_nc = estimate_envelope(2, driver_const, radii=[0.5, 1.0, 2.0], horizon=60.0,
                                trials=30, tau_count=7, master_seed=304)

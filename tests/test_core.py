@@ -20,8 +20,6 @@ from swstab import (
     trivial_covering,
 )
 
-from conftest import const_signal
-
 
 def halfplane_covering():
     return Covering(margin=lambda x, i: x[0] if i in (1, 2) else -x[0], N=3)
@@ -90,7 +88,7 @@ def test_signal_runs_merge_duplicates():
 
 def test_signal_to_control_constant():
     # constant signal maps to the matching vertex in every cell
-    sig = const_signal(1, 0.0, 1.0)
+    sig = SwitchingSignal.constant(1, 0.0, 1.0)
     u = signal_to_control(sig, 0.25, n_modes=2)
     assert u.n_cells == 4
     assert np.array_equal(u.values, np.tile([1.0, 0.0], (4, 1)))
@@ -105,7 +103,7 @@ def test_signal_to_control_direct_sampling():
 
 
 def test_signal_to_control_domain_error():
-    sig = const_signal(1, 0.0, 1.0)
+    sig = SwitchingSignal.constant(1, 0.0, 1.0)
     with pytest.raises(DomainError):
         signal_to_control(sig, 0.25, span=(0.0, 2.0))
 

@@ -10,6 +10,7 @@ from swstab import (
     IntegratorConfig,
     PolicyError,
     SwitchedSystem,
+    SwitchingSignal,
     gen_arbitrary,
     signal_to_control,
     simulate,
@@ -18,12 +19,10 @@ from swstab import (
 )
 from swstab.signals import validate_covering_invariance
 
-from conftest import const_signal
-
 
 def test_conservation_mode1(motivating, cfg_fine):
     # mode 1 is a pure rotation: |x| is a first integral
-    sig = const_signal(1, 0.0, 10.0)
+    sig = SwitchingSignal.constant(1, 0.0, 10.0)
     traj = simulate(motivating.system, sig, 0.0, np.array([1.0, 0.0]), 10.0, cfg_fine)
     assert abs(np.linalg.norm(traj.states[-1]) - 1.0) <= 1e-6
     assert np.max(np.abs(traj.norms() - 1.0)) <= 1e-6
@@ -40,7 +39,7 @@ def test_mode2_against_reference_step(motivating):
     # single-mode integration agrees with a 64x-finer reference; the odd cube
     # root caps the observable order near x1 = 0, measured error 4.6e-7 at
     # step 1e-3, asserted with a 20x margin
-    sig = const_signal(2, 0.0, 5.0)
+    sig = SwitchingSignal.constant(2, 0.0, 5.0)
     x0 = np.array([1.0, 0.0])
     coarse = simulate(motivating.system, sig, 0.0, x0, 5.0, IntegratorConfig(step=1e-3))
     ref = simulate(motivating.system, sig, 0.0, x0, 5.0,
@@ -60,7 +59,7 @@ def test_rhs_value_mode2(motivating_a2):
 
 
 def test_outputs_right_continuous_at_switch(motivating, cfg_fine):
-    sig = const_signal(1, 0.0, 1.0)
+    sig = SwitchingSignal.constant(1, 0.0, 1.0)
     sig2 = type(sig)(breakpoints=np.array([0.0, 0.5]), modes=np.array([1, 2]),
                      domain_start=0.0, domain_end=1.0)
     traj = simulate(motivating.system, sig2, 0.0, np.array([1.0, 0.0]), 1.0, cfg_fine)
@@ -92,7 +91,7 @@ def test_determinism_bit_identical(motivating, cfg_fast):
 def test_self_convergence_order(inverter):
     # smooth single-mode interval: halving the step shrinks the error against
     # a 64x-finer reference by >= 8x (order >= 3 away from events)
-    sig = const_signal(1, 0.0, 2.0)
+    sig = SwitchingSignal.constant(1, 0.0, 2.0)
     x0 = np.array([1.0, 0.5, -0.3, 0.8])
     ref = simulate(inverter.system, sig, 0.0, x0, 2.0,
                    IntegratorConfig(step=4e-2 / 64)).states[-1]
@@ -107,7 +106,7 @@ def test_self_convergence_order(inverter):
 
 
 def test_vertex_control_reproduces_switched(motivating, cfg_fine):
-    sig = const_signal(1, 0.0, 3.0)
+    sig = SwitchingSignal.constant(1, 0.0, 3.0)
     x0 = np.array([1.0, 0.0])
     a = simulate(motivating.system, sig, 0.0, x0, 3.0, cfg_fine)
     u = signal_to_control(sig, 1e-3, n_modes=2)
@@ -157,7 +156,7 @@ def test_control_grid_refinement_first_order(motivating):
 def test_blow_up_reported_with_partial():
     unstable = SwitchedSystem(n=1, N=1, f=lambda t, x, i: 3.0 * x,
                               h=lambda t, x, i: np.array([0.0]))
-    sig = const_signal(1, 0.0, 20.0)
+    sig = SwitchingSignal.constant(1, 0.0, 20.0)
     with pytest.raises(BlowUpError) as exc:
         simulate(unstable, sig, 0.0, np.array([1.0]), 20.0, IntegratorConfig(step=1e-2))
     assert exc.value.time <= 20.0
@@ -169,7 +168,7 @@ def test_nan_rhs_raises():
     from swstab import DynamicsError
     bad = SwitchedSystem(n=1, N=1, f=lambda t, x, i: np.array([np.nan]),
                          h=lambda t, x, i: np.array([0.0]))
-    sig = const_signal(1, 0.0, 1.0)
+    sig = SwitchingSignal.constant(1, 0.0, 1.0)
     with pytest.raises(DynamicsError):
         simulate(bad, sig, 0.0, np.array([1.0]), 1.0, IntegratorConfig(step=1e-2))
 

@@ -11,6 +11,7 @@ from swstab import (
     IntegratorConfig,
     ParameterError,
     RelaxedControl,
+    SwitchingSignal,
     build_reduced,
     check_control_constraint,
     gen_measure_constrained,
@@ -20,13 +21,13 @@ from swstab import (
     simulate,
     simulate_reduced,
     trivial_covering,
+    validate_measure,
     windowed_weak_average,
     wzsd_falsify,
 )
+from swstab import limiting
 from swstab.limiting import UnsupportedLimitError
 from swstab.signals import MeasureConstraint
-
-from conftest import const_signal
 
 
 # --- construction ------------------------------------------------------------
@@ -91,6 +92,17 @@ def test_residual_zero_state(motivating, cfg_fast):
     assert output_residual(motivating.reduced, traj) == 0.0
 
 
+@pytest.mark.parametrize("weights, x0", [
+    ([0.2, 0.3, 0.5], [1.0, 0.0]),   # three modes on a two-mode system
+    ([0.3, 0.7], [1.0, 0.0, 0.0]),   # state of the wrong dimension
+    ([0.3, 0.7], [1.0]),
+])
+def test_reduced_input_errors(motivating, cfg_fast, weights, x0):
+    u = RelaxedControl(t0=0.0, step=0.5, values=np.tile(weights, (4, 1)))
+    with pytest.raises(ParameterError):
+        simulate_reduced(motivating.reduced, u, 0.0, np.array(x0), 2.0, cfg_fast)
+
+
 # --- inherited constraints ---------------------------------------------------
 
 
@@ -123,6 +135,28 @@ def test_weak_limit_inherits_integral_constraint():
                               values=avg.values[100:-100])
     ok, margin = check_control_constraint(interior, cc)
     assert ok, margin
+
+
+@pytest.mark.parametrize("du", [1e-2, 5e-2])
+@pytest.mark.parametrize("seed", range(4))
+def test_integral_check_agrees_with_measure_validator(du, seed):
+    # a class signal at granularity du embeds exactly into cells of width du,
+    # so the control check and the signal validator see the same windows
+    rng = np.random.default_rng(seed)
+    T0 = float(rng.choice([0.5, 1.0, 1.5]))
+    mc = MeasureConstraint(T0=T0, delta0=float(rng.uniform(0.05, 0.5)) * T0, mode=2)
+    c = ControlClassConstraint(kind="integral_lower_bound", mode=2, T0=mc.T0,
+                               delta0=mc.delta0)
+    for k in range(3):
+        sig = gen_measure_constrained(mc, 2, (0.0, 6.0), 1000 * seed + k, granularity=du)
+        # shifted copy: fewer activation blocks than the constraint asks for
+        short = SwitchingSignal(breakpoints=sig.breakpoints, modes=3 - sig.modes,
+                                domain_start=0.0, domain_end=6.0)
+        for s in (sig, short):
+            rep = validate_measure(s, mc)
+            ok, margin = check_control_constraint(signal_to_control(s, du, n_modes=2), c)
+            assert ok == rep.ok
+            assert abs(margin - (rep.min_measure - mc.delta0)) <= 1e-12
 
 
 def test_pattern_constraint_on_controls(inverter):
@@ -183,7 +217,7 @@ def test_average_grid_mismatch_rejected():
 
 
 def test_scan_flags_conserved_zero_output(motivating, cfg_fast):
-    sig = const_signal(1, 0.0, 10.0)
+    sig = SwitchingSignal.constant(1, 0.0, 10.0)
     traj = simulate(motivating.system, sig, 0.0, np.array([1.0, 0.0]), 10.0, cfg_fast)
     found = scan_zeroing_sequences([(traj, sig)], eps=0.5, output_decay_tol=1e-9,
                                    min_duration=5.0)
@@ -204,7 +238,7 @@ def test_scan_clean_under_class_signals(motivating, cfg_fast):
 
 
 def test_scan_ignores_zero_trajectory(motivating, cfg_fast):
-    sig = const_signal(1, 0.0, 5.0)
+    sig = SwitchingSignal.constant(1, 0.0, 5.0)
     traj = simulate(motivating.system, sig, 0.0, np.zeros(2), 5.0, cfg_fast)
     assert scan_zeroing_sequences([(traj, sig)], eps=0.1, output_decay_tol=1.0,
                                   min_duration=1.0) == []
@@ -226,7 +260,7 @@ def test_falsifier_finds_rotation_counterexample(motivating):
 
 
 def test_falsifier_counterexample_revalidates(motivating, cfg_fast):
-    # independent re-simulation of the returned pair reproduces the claim
+    # re-simulating the returned pair through the public API reproduces the claim
     rls = replace(motivating.reduced, constraints=())
     v = wzsd_falsify(rls, eps=0.5, horizon=5.0, budget=50, seed=1)
     cx = v.counterexample
@@ -244,6 +278,39 @@ def test_falsifier_face_feasibility(motivating):
     for t, x, w in zip(cx.trajectory.times, cx.trajectory.states, cx.trajectory.controls):
         H = rls.Hhat(t, x)
         assert np.all(w[H > 1e-8] <= 1e-12)
+
+
+def _count_fhat(rls):
+    calls = [0]
+    fhat = rls.Fhat
+
+    def counted(t, x):
+        calls[0] += 1
+        return fhat(t, x)
+
+    return replace(rls, Fhat=counted), calls
+
+
+def test_open_loop_candidates_checked_before_rollout(inverter, motivating, monkeypatch):
+    # every constant-vertex control breaks inverter's pattern constraint, so
+    # its battery rolls nothing out
+    rls, calls = _count_fhat(inverter.reduced)
+    v = wzsd_falsify(rls, eps=0.5, horizon=12.0, budget=16)
+    assert v.budget_used == 16 and calls[0] == 0
+    # on motivating only the vertex-2 controls meet the integral constraint
+    rolled = []
+    rollout = limiting._rollout
+
+    def spy(rls, u_cells, *args):
+        rolled.append(np.array(u_cells[0]))
+        return rollout(rls, u_cells, *args)
+
+    monkeypatch.setattr(limiting, "_rollout", spy)
+    rls, calls = _count_fhat(motivating.reduced)
+    v = wzsd_falsify(rls, eps=0.5, horizon=5.0, budget=8)
+    assert v.verdict == "no_counterexample_found"
+    assert len(rolled) == 4 and all(np.array_equal(w, [0.0, 1.0]) for w in rolled)
+    assert 0 < calls[0]
 
 
 def test_falsifier_respects_integral_constraint(motivating):

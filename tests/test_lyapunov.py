@@ -6,13 +6,12 @@ from swstab import (
     IntegralBoundParams,
     LyapunovCertificate,
     SwitchedSystem,
+    SwitchingSignal,
     check_decrease_along,
     check_integral_bound,
     check_sandwich,
     simulate,
 )
-
-from conftest import const_signal
 
 
 def test_certificate_rejects_non_class_k():
@@ -95,7 +94,7 @@ def test_mode3_conserves_V3(example4, cfg_fine):
         x = rng.uniform(-3, 3, 2)
         grad = np.array([10 * x[0] - 6 * x[1], -6 * x[0] + 10 * x[1]])
         assert abs(grad @ example4.system.f(0.0, x, 3)) < 1e-12
-    sig = const_signal(3, 0.0, 0.7)
+    sig = SwitchingSignal.constant(3, 0.0, 0.7)
     traj = simulate(example4.system, sig, 0.0, np.array([-1.0, -0.5]), 0.7, cfg_fine)
     V3 = np.array([example4.certificate.V(t, x, 3)
                    for t, x in zip(traj.times, traj.states)])
@@ -119,7 +118,7 @@ def test_revisit_check_flags_regrowth(motivating):
     # synthetic trajectory where V rises between two mode-1 visits
     times = np.array([0.0, 1.0, 2.0, 3.0])
     states = np.array([[1.0, 0.0], [0.5, 0.0], [0.0, 0.0], [0.9, 0.0]])
-    sig = const_signal(1, 0.0, 3.0)
+    sig = SwitchingSignal.constant(1, 0.0, 3.0)
     traj_modes = np.array([1, 1, 1, 1])
     from swstab import Trajectory
     traj = Trajectory(times=times, states=states, modes=traj_modes)
@@ -152,7 +151,7 @@ def test_integral_bound_zero_trajectory(motivating, cfg_fast):
 def test_integral_bound_zero_budget_fails(motivating, cfg_fast):
     # M = mu = 0 cannot absorb a nontrivial mode-2 output
     x0 = np.array([1.0, 0.0])
-    sig = const_signal(2, 0.0, 5.0)
+    sig = SwitchingSignal.constant(2, 0.0, 5.0)
     traj = simulate(motivating.system, sig, 0.0, x0, 5.0, cfg_fast)
     params = IntegralBoundParams(alpha=motivating.alpha, M=0.0, mu=0.0)
     rep = check_integral_bound(traj, sig, motivating.system, params)

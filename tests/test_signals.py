@@ -21,7 +21,6 @@ from swstab import (
 )
 from swstab.signals import signal_from_csv, signal_to_csv
 
-from conftest import const_signal
 from oracles import measure_oracle, pattern_oracle
 
 
@@ -73,7 +72,7 @@ def test_measure_forced_full_activation():
 
 def test_measure_constant_wrong_mode_fails():
     c = MeasureConstraint(T0=1.0, delta0=0.2, mode=2)
-    rep = validate_measure(const_signal(1, 0.0, 10.0), c)
+    rep = validate_measure(SwitchingSignal.constant(1, 0.0, 10.0), c)
     assert not rep.ok and rep.min_measure == 0.0
 
 
@@ -88,7 +87,7 @@ def test_measure_periodic_closed_form():
 
 
 def test_measure_constant_target_mode():
-    rep = validate_measure(const_signal(2, 0.0, 5.0),
+    rep = validate_measure(SwitchingSignal.constant(2, 0.0, 5.0),
                            MeasureConstraint(T0=1.0, delta0=0.2, mode=2))
     assert abs(rep.min_measure - 1.0) < 1e-12
 
@@ -180,7 +179,7 @@ def test_invariance_trivial_always(motivating, cfg_fast):
 
 def test_invariance_forced_violation(example4, cfg_fast):
     # forcing mode 3 while x1 > 0 must be flagged at the first such node
-    sig = const_signal(3, 0.0, 2.0)
+    sig = SwitchingSignal.constant(3, 0.0, 2.0)
     traj = simulate(example4.system, sig, 0.0, np.array([1.0, 0.0]), 2.0, cfg_fast)
     rep = validate_covering_invariance(traj, sig, example4.covering)
     assert not rep.ok

@@ -6,14 +6,13 @@ from swstab import (
     IntegratorConfig,
     StabilityEnvelope,
     SwitchedSystem,
+    SwitchingSignal,
     check_us,
     classify,
     estimate_envelope,
     make_driver,
     simulate,
 )
-
-from conftest import const_signal
 
 
 def synthetic_env(table, taus=None):
@@ -85,7 +84,7 @@ def test_envelope_blowup_marks_inf():
                          h=lambda t, x, i: np.array([0.0]))
 
     def driver(t0, x0, tf, seed):
-        return simulate(sys, const_signal(1, t0, tf), t0, x0, tf,
+        return simulate(sys, SwitchingSignal.constant(1, t0, tf), t0, x0, tf,
                         IntegratorConfig(step=1e-2, divergence_bound=1e3))
 
     env = estimate_envelope(1, driver, radii=[1.0], horizon=30.0, trials=2,
@@ -121,7 +120,7 @@ def test_check_us_inverter_gain_bound(inverter, cfg_fast):
 
 
 def test_check_us_zero_ensemble(motivating, cfg_fast):
-    sig = const_signal(1, 0.0, 2.0)
+    sig = SwitchingSignal.constant(1, 0.0, 2.0)
     traj = simulate(motivating.system, sig, 0.0, np.zeros(2), 2.0, cfg_fast)
     rep = check_us([traj], radius_bins=[0.5, 1.0], margin=1e-6)
     assert rep.passed
@@ -131,7 +130,7 @@ def test_check_us_zero_ensemble(motivating, cfg_fast):
 def test_check_us_unstable_fails():
     sys = SwitchedSystem(n=1, N=1, f=lambda t, x, i: x.copy(),
                          h=lambda t, x, i: np.array([0.0]))
-    traj = simulate(sys, const_signal(1, 0.0, 8.0), 0.0, np.array([0.1]), 8.0,
+    traj = simulate(sys, SwitchingSignal.constant(1, 0.0, 8.0), 0.0, np.array([0.1]), 8.0,
                     IntegratorConfig(step=1e-2))
     rep = check_us([traj], radius_bins=[0.2, 1.0, 5.0], margin=0.5)
     assert not rep.passed
