@@ -246,9 +246,9 @@ def _envelope_task(args):
     ecfg = manifest["envelope"]
     tau_grid = np.linspace(0.0, float(ecfg["horizon"]), int(ecfg["tau_count"]))
     rng = _trial_seed(int(manifest["seed"]), b, trial)
-    vals, _ = _run_trial(entry.system.n, driver, lo, hi, float(ecfg["horizon"]),
-                         tau_grid, (0.0, float(ecfg["offset_max"])), rng)
-    return b, vals
+    vals, t0 = _run_trial(entry.system.n, driver, lo, hi, float(ecfg["horizon"]),
+                          tau_grid, (0.0, float(ecfg["offset_max"])), rng)
+    return b, vals, t0
 
 
 def run_envelope(manifest: dict, workers: int = 1) -> tuple[StabilityEnvelope, object]:
@@ -262,19 +262,21 @@ def run_envelope(manifest: dict, workers: int = 1) -> tuple[StabilityEnvelope, o
         lo = 0.0 if b == 0 else float(radii[b - 1])
         tasks.extend((manifest_json, b, lo, hi, k) for k in range(trials))
     table = np.zeros((len(radii), len(tau_grid)))
+    offsets = []
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for b, vals in pool.map(_envelope_task, tasks, chunksize=16):
-                np.maximum(table[b], vals, out=table[b])
+            results = list(pool.map(_envelope_task, tasks, chunksize=16))
     else:
-        for task in tasks:
-            b, vals = _envelope_task(task)
-            np.maximum(table[b], vals, out=table[b])
+        results = map(_envelope_task, tasks)
+    for b, vals, t0 in results:  # task order, whatever the worker count
+        np.maximum(table[b], vals, out=table[b])
+        offsets.append(t0)
     env = StabilityEnvelope(radius_bins=radii, tau_grid=tau_grid, beta_table=table,
                             trials_per_cell=trials,
                             meta={"master_seed": int(manifest["seed"]),
                                   "horizon": float(ecfg["horizon"]),
-                                  "offset_max": float(ecfg["offset_max"])})
+                                  "offset_max": float(ecfg["offset_max"]),
+                                  "offset_min": 0.0, "offsets": offsets})
     verdict = classify(env, decay_ratio=float(ecfg["decay_ratio"]),
                        tail_fraction=float(ecfg["tail_fraction"]),
                        uniform_bound=float(ecfg["uniform_bound"]))

@@ -132,11 +132,36 @@ def build_reduced(sys: SwitchedSystem, covering: Covering,
         return np.array([f(t, x) for f in fg]).T.copy()
 
     def Hhat(t, x):
-        return np.array([float(np.linalg.norm(np.atleast_1d(h(t, x)))) for h in hg])
+        # sqrt(v . v) is np.linalg.norm's arithmetic on a float64 vector, minus its overhead
+        out = []
+        for h in hg:
+            v = np.asarray(h(t, x), dtype=float)
+            out.append(math.sqrt(v.dot(v)))
+        return np.array(out)
 
     return ReducedLimitingSystem(n=sys.n, N=sys.N, Fhat=Fhat, Hhat=Hhat,
                                  covering=covering, constraints=tuple(constraints),
                                  name=name or sys.name)
+
+
+def _fhat_column(t, x, Fhat, i):
+    return Fhat(t, x)[:, i]
+
+
+def _fhat_mix(t, x, Fhat, w):
+    return Fhat(t, x) @ w
+
+
+def _reduced_rhs(Fhat, w: np.ndarray):
+    """(rhs, args) for dx/dt = Fhat(t, x) @ w; a vertex weight e_i reads column i.
+
+    The column equals the matmul up to the sign of a zero component, and a
+    non-finite entry of an unused column no longer turns into NaN via 0 * inf.
+    """
+    wl = w.tolist()
+    if wl.count(0.0) == len(wl) - 1 and 1.0 in wl:
+        return _fhat_column, (Fhat, wl.index(1.0))
+    return _fhat_mix, (Fhat, w)
 
 
 def simulate_reduced(rls: ReducedLimitingSystem, u: RelaxedControl, t0: float,
@@ -147,8 +172,8 @@ def simulate_reduced(rls: ReducedLimitingSystem, u: RelaxedControl, t0: float,
     this is the march of ``simulate_relaxed`` with output Hhat . u.
     """
     Fhat = rls.Fhat
-    times, states, controls = _march(lambda w: (lambda t, x: Fhat(t, x) @ w, ()), u, t0, x0,
-                                     tf, cfg, rls.n, rls.N)
+    times, states, controls = _march(lambda w: _reduced_rhs(Fhat, w), u, t0, x0, tf, cfg,
+                                     rls.n, rls.N)
     outputs = np.array([[float(rls.Hhat(t, x) @ w)]
                         for t, x, w in zip(times, states, controls)])
     return Trajectory(times=times, states=states, controls=controls, outputs=outputs)
@@ -375,41 +400,64 @@ def _integral_steering(c, t, accrued, w, allowed):
     return (1.0 - lam) * w + lam * v
 
 
+# Reasons a candidate is rejected, in the order FalsifierVerdict.notes["aborts"] lists them.
+ABORT_REASONS = ("start_below_floor", "residual", "norm_floor", "diverged", "empty_face",
+                 "window_quota_missed", "window_quota_unreachable", "constraint",
+                 "validation")
+
+
 class _Abort(Exception):
-    pass
+    """A candidate rejected by the screen; ``args[0]`` is one of ABORT_REASONS."""
+
+
+class _Tally:
+    """Rejected candidates per reason and cells marched by the screen, over one search."""
+
+    def __init__(self):
+        self.aborts = dict.fromkeys(ABORT_REASONS, 0)
+        self.cells = 0
 
 
 def _rollout(rls: ReducedLimitingSystem, u_cells, x0, horizon, du, step, eps,
-             residual_tol, divergence_bound) -> np.ndarray:
+             residual_tol, divergence_bound, tally: _Tally) -> np.ndarray:
     """Screen a candidate cell by cell; returns its cell weights or raises _Abort.
 
-    ``u_cells`` is an array of cell weights, or a callable u_cells(k, t, x)
-    that returns them or raises _Abort (the face-random closed loop).  Each
-    cell is marched by the integrator's RK4 in sub-steps no longer than
-    ``step``.  The norm floor is checked at cell ends only: this is a screen,
-    and _validate_candidate re-checks every node.
+    ``u_cells`` is an array of cell weights, or a callable u_cells(k, t, x, H)
+    that is handed H = Hhat(t, x) and returns them or raises _Abort (the
+    face-random closed loop).  Hhat is evaluated once per grid node: a cell's
+    end value is the next cell's start value when the two times are equal
+    floats.  Each cell is marched by the integrator's RK4 in sub-steps no
+    longer than ``step``.  The norm floor is checked at cell ends only: this
+    is a screen, and _validate_candidate re-checks every node.
     """
     n_cells = int(round(horizon / du))
     x = np.asarray(x0, dtype=float)
     if float(np.linalg.norm(x)) < eps:
-        raise _Abort("start below floor")
+        raise _Abort("start_below_floor")
     sub = max(1, int(math.ceil(du / step - 1e-12)))
     Fhat, Hhat = rls.Fhat, rls.Hhat
+    closed_loop = callable(u_cells)
     ws = []
+    t_end = H_end = None
     for k in range(n_cells):
         t = k * du
-        w = u_cells(k, t, x) if callable(u_cells) else u_cells[k]
+        H = H_end if t == t_end else Hhat(t, x)
+        w = u_cells(k, t, x, H) if closed_loop else u_cells[k]
         ws.append(w)
-        if float(Hhat(t, x) @ w) > residual_tol:
+        if float(H @ w) > residual_tol:
             raise _Abort("residual")
+        rhs, args = _reduced_rhs(Fhat, w)
+        t_end = t + du
+        tally.cells += 1
         try:
-            x = _integrate_interval(lambda s, y: Fhat(s, y) @ w, t, x, t + du, step,
-                                    divergence_bound, [], [], n_steps=sub)
+            x = _integrate_interval(rhs, t, x, t_end, step, divergence_bound, [], [],
+                                    n_steps=sub, args=args)
         except (BlowUpError, DynamicsError):
             raise _Abort("diverged") from None
         if float(x @ x) < eps * eps:
-            raise _Abort("norm floor")
-        if float(Hhat(t + du, x) @ w) > residual_tol:
+            raise _Abort("norm_floor")
+        H_end = Hhat(t_end, x)
+        if float(H_end @ w) > residual_tol:
             raise _Abort("residual")
     return np.array(ws)
 
@@ -474,12 +522,15 @@ def wzsd_falsify(rls: ReducedLimitingSystem, eps: float, horizon: float,
     integral_cs = [c for c in rls.constraints if c.kind == "integral_lower_bound"]
     pattern_cs = [c for c in rls.constraints if c.kind == "pattern"]
 
+    tally = _Tally()
+
     def finish(candidate, used):
         return FalsifierVerdict(
             verdict="counterexample" if candidate else "no_counterexample_found",
             budget_used=used, seed=seed, eps=eps, residual_tol=residual_tol,
             horizon=horizon, du=du, counterexample=candidate,
-            notes={"step": step, "n_cells": n_cells})
+            notes={"step": step, "n_cells": n_cells, "aborts": dict(tally.aborts),
+                   "cells_marched": tally.cells})
 
     def proposals():
         """(u_cells, x0) per candidate, or None for a candidate that cannot be built."""
@@ -498,59 +549,78 @@ def wzsd_falsify(rls: ReducedLimitingSystem, eps: float, horizon: float,
             if pattern_cs and k_cand % 2 == 0:
                 yield _pattern_candidate(rls, pattern_cs[0], rng, n_cells, du, eps)
             else:
-                yield _face_random_candidate(rls, integral_cs, rng, du, eps, residual_tol)
+                yield _face_random_candidate(rls, integral_cs, rng, n_cells, du, eps,
+                                             residual_tol)
 
     def admit(u_cells, x0):
-        """Constraints once, rollout, validation; open-loop cells are checked first."""
+        """Constraints once, rollout, validation; open-loop cells are checked first.
+
+        Returns the validated candidate or raises _Abort with the reason.
+        """
         open_loop = not callable(u_cells)
         if open_loop:
             u = RelaxedControl(t0=0.0, step=du, values=u_cells)
             if not _meets_constraints(rls, u):
-                return None
-        try:
-            ws = _rollout(rls, u_cells, x0, horizon, du, step, eps, residual_tol,
-                          divergence_bound)
-        except _Abort:
-            return None
+                raise _Abort("constraint")
+        ws = _rollout(rls, u_cells, x0, horizon, du, step, eps, residual_tol,
+                      divergence_bound, tally)
         if not open_loop:
             u = RelaxedControl(t0=0.0, step=du, values=ws)
             if not _meets_constraints(rls, u):
-                return None
-        return _validate_candidate(rls, u, x0, horizon, eps, residual_tol, cfg)
+                raise _Abort("constraint")
+        cand = _validate_candidate(rls, u, x0, horizon, eps, residual_tol, cfg)
+        if cand is None:
+            raise _Abort("validation")
+        return cand
 
     for used, proposal in zip(range(1, budget + 1), proposals()):
-        cand = None if proposal is None else admit(*proposal)
-        if cand is not None:
-            return finish(cand, used)
+        try:
+            if proposal is None:  # a schedule that cannot honor its constraint on this grid
+                raise _Abort("constraint")
+            return finish(admit(*proposal), used)
+        except _Abort as err:
+            tally.aborts[err.args[0]] += 1
     return finish(None, budget)
 
 
-def _face_random_candidate(rls, integral_cs, rng, du, eps, residual_tol):
-    """Closed-loop candidate: at each cell draw weights on the zero-output face."""
+def _face_random_candidate(rls, integral_cs, rng, n_cells, du, eps, residual_tol):
+    """Closed-loop candidate: at each cell draw weights on the zero-output face.
+
+    A window quota is given up as soon as the tile's remaining cells cannot
+    fill it: right after a cell's accrual the test the next cell would make
+    runs early, with the same numbers, so a doomed candidate stops before it
+    marches the cell that would have failed it.
+    """
     x0 = _shell_state(rng, rls.n, eps, sparse=bool(rng.integers(0, 2)))
     accrued = {id(c): 0.0 for c in integral_cs}
     tile_of = {id(c): 0 for c in integral_cs}
 
-    def choose(k, t, x):
-        Hv = rls.Hhat(t, x)
+    def unreachable(c, acc, t, tile):
+        return acc + ((tile + 1) * c.T0 - t) < c.delta0 - TIE_TOL
+
+    def choose(k, t, x, Hv):
         active = active_index_set(x, rls.covering, tol=BOUNDARY_TOL)
         allowed = [i for i in active if Hv[i - 1] <= residual_tol]
         if not allowed:
-            raise _Abort("empty face")
+            raise _Abort("empty_face")
         w = np.zeros(rls.N)
         w[np.array(allowed) - 1] = rng.dirichlet(np.ones(len(allowed)))
+        t_next = (k + 1) * du
         for c in integral_cs:
             tile = int(math.floor(t / c.T0 + 1e-12))
             if tile != tile_of[id(c)]:
                 if accrued[id(c)] < c.delta0 - TIE_TOL:
-                    raise _Abort("window quota missed")
+                    raise _Abort("window_quota_missed")
                 tile_of[id(c)] = tile
                 accrued[id(c)] = 0.0
+                # the previous cell's early test covered only cells of its own tile
+                if unreachable(c, 0.0, t, tile):
+                    raise _Abort("window_quota_unreachable")
             w = _integral_steering(c, t, accrued[id(c)], w, allowed)
-            tile_end = (tile + 1) * c.T0
-            if accrued[id(c)] + (tile_end - t) < c.delta0 - TIE_TOL:
-                raise _Abort("window quota unreachable")
             accrued[id(c)] += w[c.mode - 1] * du
+            if (k + 1 < n_cells and int(math.floor(t_next / c.T0 + 1e-12)) == tile
+                    and unreachable(c, accrued[id(c)], t_next, tile)):
+                raise _Abort("window_quota_unreachable")
         return w
 
     return choose, x0

@@ -8,6 +8,7 @@ import time
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from swstab import (
     IntegralBoundParams,
@@ -49,6 +50,7 @@ def report(num, desc, ok, detail=""):
     assert ok, line
 
 
+@pytest.mark.slow
 def test_criterion_01_embedding_equivalence(all_entries):
     """Switched vs relaxed-vertex simulation agree to 1e-8 on every registry system."""
     t_start = time.perf_counter()
@@ -82,6 +84,7 @@ def test_criterion_02_conservation_oracle(motivating):
            drift <= 1e-6, f"drift {drift:.2e}")
 
 
+@pytest.mark.slow
 def test_criterion_03_common_weak_lyapunov_monotonicity(motivating, inverter):
     """100 class signals each: per-step dV within calibrated slack, no hard violations."""
     cfg = IntegratorConfig(step=2e-3)
@@ -118,6 +121,7 @@ def _motivating_envelope(a, seed, trials=200):
     return classify(env, decay_ratio=0.05, tail_fraction=0.2), env
 
 
+@pytest.mark.slow
 def test_criterion_04_motivating_guas_reproduction(motivating):
     """a = 1 and a = 2: GUAS-consistent at tail ratio 0.05; sigma == 1 is US-only."""
     t_start = time.perf_counter()
@@ -147,6 +151,7 @@ def test_criterion_04_motivating_guas_reproduction(motivating):
            ok, f"verdicts {v1.verdict}/{v2.verdict}/{v_nc.verdict}, {elapsed:.0f} s")
 
 
+@pytest.mark.slow
 def test_criterion_05_falsifier_discrimination(motivating):
     """Integral constraint blocks counterexamples; removing it yields one fast."""
     rls = motivating.reduced
@@ -172,6 +177,7 @@ def test_criterion_05_falsifier_discrimination(motivating):
                f"min|x| {cx.eps:.3f}")
 
 
+@pytest.mark.slow
 def test_criterion_06_inverter_reproduction(inverter):
     """Pattern-constrained inverter: energy monotone, GUAS-consistent, WZSD holds."""
     cfg = IntegratorConfig(step=1e-2)
@@ -205,6 +211,7 @@ def test_criterion_06_inverter_reproduction(inverter):
                f"{v_with.budget_used}/{v_without.budget_used}")
 
 
+@pytest.mark.slow
 def test_criterion_07_example1_arbitrary_switching(example1):
     """GUAS under arbitrary switching with the certificate suite passing."""
     driver = make_driver(example1, IntegratorConfig(step=2e-2))

@@ -176,3 +176,20 @@ def test_reproduce_inverter_includes_falsifier(tmp_path):
 
 def test_reproduce_unknown_exit2(tmp_path):
     assert run(["reproduce", "zzz", "--out", tmp_path / "rep"]) == 2
+
+
+def test_envelope_meta_records_offsets():
+    from swstab import IntegratorConfig, estimate_envelope, get_entry, make_driver
+    from swstab.cli import DEFAULT_MANIFEST, _deep_merge, run_envelope
+    manifest = _deep_merge(DEFAULT_MANIFEST, {
+        "seed": 6,
+        "envelope": {"radii": [0.5, 1.0], "horizon": 4.0, "trials": 3, "tau_count": 3,
+                     "step": 2e-2, "offset_max": 7.0}})
+    env1, _ = run_envelope(manifest, workers=1)
+    env2, _ = run_envelope(manifest, workers=2)
+    driver = make_driver(get_entry("motivating"), IntegratorConfig(step=2e-2))
+    ref = estimate_envelope(2, driver, radii=[0.5, 1.0], horizon=4.0, trials=3,
+                            tau_count=3, master_seed=6, offset_max=7.0)
+    assert len(env1.meta["offsets"]) == 6
+    assert env1.meta["offsets"] == env2.meta["offsets"] == ref.meta["offsets"]
+    assert env1.meta["offset_min"] == env2.meta["offset_min"] == ref.meta["offset_min"] == 0.0

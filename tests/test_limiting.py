@@ -330,3 +330,145 @@ def test_falsifier_verdict_json(motivating):
     doc = v.to_dict()
     for key in ("verdict", "budget_used", "seed", "eps", "residual_tol"):
         assert key in doc
+
+
+# --- screen invariants ---------------------------------------------------------
+
+
+def _probe_states(n, rng):
+    states = [rng.uniform(-1.5, 1.5, n) for _ in range(6)]
+    for x in states[:3]:
+        x[rng.integers(0, n)] = 0.0
+    states[3][:] = 0.0
+    states[4][0] = -0.0
+    return states
+
+
+def test_vertex_rhs_reads_fhat_column(all_entries):
+    # a vertex weight reads Fhat's column: equal to the matmul, up to the sign
+    # of a zero component; any other weight keeps the matmul, bit for bit
+    rng = np.random.default_rng(31)
+    for entry in all_entries:
+        rls = entry.reduced
+        for t in (0.0, 0.3, 1.7):
+            for x in _probe_states(rls.n, rng):
+                F = rls.Fhat(t, x)
+                for i in range(rls.N):
+                    w = np.zeros(rls.N)
+                    w[i] = 1.0
+                    rhs, args = limiting._reduced_rhs(rls.Fhat, w)
+                    assert rhs is limiting._fhat_column
+                    assert np.array_equal(rhs(t, x, *args), F @ w)
+                near = np.zeros(rls.N)
+                near[0], near[-1] = 1.0 - 2.0 ** -53, 2.0 ** -53
+                for w in (rng.dirichlet(np.ones(rls.N)), near):
+                    rhs, args = limiting._reduced_rhs(rls.Fhat, w)
+                    assert rhs is limiting._fhat_mix
+                    assert rhs(t, x, *args).tobytes() == (F @ w).tobytes()
+
+
+def test_vertex_rhs_departures_from_matmul(motivating, cfg_fast):
+    # the two stated exceptions: a zero component keeps the column's sign, and
+    # a non-finite unused column no longer turns into NaN through 0 * inf
+    F = np.array([[-0.0, 0.0], [2.0, np.inf]])
+    rhs, args = limiting._reduced_rhs(lambda t, x: F, np.array([1.0, 0.0]))
+    col = rhs(0.0, None, *args)
+    assert col.tobytes() == np.array([-0.0, 2.0]).tobytes()
+    with np.errstate(invalid="ignore"):
+        assert np.isnan((F @ np.array([1.0, 0.0]))[1])
+    # a vertex-1 march ignores a non-finite second column entirely
+    fhat = motivating.reduced.Fhat
+
+    def with_column(value):
+        def Fhat(t, x):
+            out = fhat(t, x)
+            out[:, 1] = value
+            return out
+        return replace(motivating.reduced, Fhat=Fhat)
+
+    u = RelaxedControl(t0=0.0, step=0.5, values=np.tile([1.0, 0.0], (4, 1)))
+    x0 = np.array([1.0, 0.0])
+    a = simulate_reduced(with_column(np.inf), u, 0.0, x0, 2.0, cfg_fast)
+    b = simulate_reduced(with_column(0.0), u, 0.0, x0, 2.0, cfg_fast)
+    assert a.states.tobytes() == b.states.tobytes()
+
+
+def test_hhat_matches_linalg_norm():
+    # one- and two-component outputs through explicit limiting functions
+    from swstab import SwitchedSystem
+
+    fg = [lambda t, x: np.array((x[1], -x[0])), lambda t, x: np.array((x[0], 0.0))]
+    hg = [lambda t, x: np.array((np.sin(t) * x[0],)),
+          lambda t, x: np.array((x[0] * x[1], x[1] ** 3 - 0.1 * t))]
+    system = SwitchedSystem(n=2, N=2, f=lambda t, x, i: fg[i - 1](t, x),
+                            h=lambda t, x, i: hg[i - 1](t, x), p=2)
+    rls = build_reduced(system, trivial_covering(2), [], (fg, hg))
+    rng = np.random.default_rng(41)
+    states = _probe_states(2, rng) + [np.array([1e-170, 3e-160]), np.array([1e160, -2.0])]
+    with np.errstate(over="ignore"):
+        for t in (0.0, 0.4, 2.5):
+            for x in states:
+                ref = np.array([float(np.linalg.norm(np.atleast_1d(h(t, x)))) for h in hg])
+                assert rls.Hhat(t, x).tobytes() == ref.tobytes()
+
+
+def test_open_loop_rollout_evaluates_hhat_once_per_node(motivating):
+    rls = replace(motivating.reduced, constraints=())
+    calls = [0]
+    hhat = rls.Hhat
+
+    def counted(t, x):
+        calls[0] += 1
+        return hhat(t, x)
+
+    rls = replace(rls, Hhat=counted)
+    x0 = np.array([1.0, 0.0])
+    for du in (0.25, 0.05):
+        n_cells = int(round(5.0 / du))
+        vals = np.tile([1.0, 0.0], (n_cells, 1))
+        calls[0] = 0
+        tally = limiting._Tally()
+        ws = limiting._rollout(rls, vals, x0, 5.0, du, du / 5.0, 0.5, 1e-8, 1e9, tally)
+        assert np.array_equal(ws, vals) and tally.cells == n_cells
+        # a node is evaluated twice only where k*du + du and (k+1)*du round apart
+        apart = sum(k * du + du != (k + 1) * du for k in range(n_cells))
+        assert calls[0] == n_cells + 1 + apart
+        if du == 0.25:
+            assert apart == 0
+
+
+def test_falsifier_counts_aborts(motivating):
+    v = wzsd_falsify(motivating.reduced, eps=0.5, horizon=5.0, budget=400, seed=11)
+    assert v.verdict == "no_counterexample_found"
+    aborts = v.notes["aborts"]
+    assert tuple(aborts) == limiting.ABORT_REASONS
+    assert sum(aborts.values()) == 400
+    assert max(aborts, key=aborts.get) == "window_quota_unreachable"
+    assert 0 < v.notes["cells_marched"] < 400 * 100
+    doc = v.to_dict()
+    assert doc["aborts"] == aborts and doc["cells_marched"] == v.notes["cells_marched"]
+    # with a counterexample, every candidate before it was rejected for a reason
+    w = wzsd_falsify(replace(motivating.reduced, constraints=()), eps=0.5, horizon=5.0,
+                     budget=400, seed=11)
+    assert sum(w.notes["aborts"].values()) == w.budget_used - 1
+
+
+def test_quota_abort_before_the_doomed_cell(motivating):
+    # mode 2 off the face: the 0.2 s quota of a 1 s tile is out of reach once
+    # the tile has less than 0.2 s left after a cell, i.e. after cell 16 ends
+    # at t = 0.85; cell 16 is then refused before it is marched
+    rls = motivating.reduced
+    c = rls.constraints[0]
+    assert (c.T0, c.delta0, c.mode) == (1.0, 0.2, 2)
+    rng = np.random.default_rng(0)
+    choose, _ = limiting._face_random_candidate(rls, [c], rng, 100, 0.05, 0.5, 1e-8)
+    x = np.array([0.7, 0.1])
+    off_face = np.array([0.0, 1.0])
+    for k in range(16):
+        assert choose(k, k * 0.05, x, off_face)[1] == 0.0
+    with pytest.raises(limiting._Abort, match="window_quota_unreachable"):
+        choose(16, 16 * 0.05, x, off_face)
+    # with mode 2 on the face the steering fills every tile's quota
+    choose, _ = limiting._face_random_candidate(rls, [c], rng, 100, 0.05, 0.5, 1e-8)
+    for k in range(100):
+        choose(k, k * 0.05, x, np.zeros(2))
