@@ -11,9 +11,9 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from copy import deepcopy
-from functools import lru_cache
+from dataclasses import replace
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -22,8 +22,8 @@ from .integrate import IntegratorConfig, simulate, simulate_with_covering
 from .lyapunov import IntegralBoundParams, check_decrease_along, check_integral_bound, check_sandwich
 from .limiting import wzsd_falsify
 from .signals import signal_to_csv
-from .stability import StabilityEnvelope, _run_trial, _trial_seed, classify
-from .systems import get_entry, make_driver
+from .stability import StabilityEnvelope, classify, estimate_envelope
+from .systems import SignalClass, get_entry, make_driver
 
 EXIT_PASS = 0
 EXIT_ANALYSIS_FAIL = 1
@@ -83,13 +83,21 @@ def _load_manifest(path: str | None, overrides: dict) -> dict:
 
 
 def _build(manifest: dict):
+    """Registry entry and integrator settings of a manifest.
+
+    The entry's system is already flipped under ``flip_dynamics``, and its
+    class generator has the manifest's signal granularity bound.
+    """
     entry = get_entry(manifest["system"]["id"], **manifest["system"].get("params", {}))
-    system = entry.system
-    if manifest.get("flip_dynamics"):
-        system = _flip_system(system)
+    klass = entry.signal_class
+    if klass.generator is not None:
+        klass = replace(klass, generator=partial(
+            klass.generator, granularity=manifest["signal"].get("granularity", 1e-4)))
+    system = _flip_system(entry.system) if manifest.get("flip_dynamics") else entry.system
+    entry = replace(entry, system=system, signal_class=klass)
     cfg = IntegratorConfig(step=manifest["integrator"]["step"],
                            event_bisection_tol=manifest["integrator"]["event_bisection_tol"])
-    return entry, system, cfg
+    return entry, cfg
 
 
 def _outdir(manifest: dict) -> str:
@@ -98,14 +106,6 @@ def _outdir(manifest: dict) -> str:
     with open(os.path.join(out, "resolved_manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2)
     return out
-
-
-def _class_generator(entry, manifest):
-    gran = manifest["signal"].get("granularity", 1e-4)
-    gen = entry.signal_class.generator
-    if gen is None:
-        return None
-    return lambda span, seed: gen(span, seed, granularity=gran)
 
 
 def _default_x0(entry, manifest) -> np.ndarray:
@@ -123,7 +123,7 @@ def _default_x0(entry, manifest) -> np.ndarray:
 
 
 def cmd_simulate(manifest: dict) -> int:
-    entry, system, cfg = _build(manifest)
+    entry, cfg = _build(manifest)
     out = _outdir(manifest)
     t0 = float(manifest["simulate"]["t0"])
     horizon = float(manifest["simulate"]["horizon"])
@@ -136,15 +136,14 @@ def cmd_simulate(manifest: dict) -> int:
                 from .core import active_index_set
                 mode = entry.policy(t0, x0, active_index_set(x0, entry.covering, tol=1e-9))
                 sigma = SwitchingSignal.constant(mode, t0, t0 + 1.0)
-                traj = simulate(system, sigma, t0, x0, t0, cfg)
+                traj = simulate(entry.system, sigma, t0, x0, t0, cfg)
             else:
-                traj, sigma = simulate_with_covering(system, entry.covering, entry.policy,
+                traj, sigma = simulate_with_covering(entry.system, entry.covering, entry.policy,
                                                      t0, x0, tf, cfg)
         else:
-            gen = _class_generator(entry, manifest)
-            sigma = (gen((t0, tf), seed) if horizon > 0
+            sigma = (entry.signal_class.generator((t0, tf), seed) if horizon > 0
                      else SwitchingSignal.constant(1, t0, t0 + 1.0))
-            traj = simulate(system, sigma, t0, x0, tf, cfg)
+            traj = simulate(entry.system, sigma, t0, x0, tf, cfg)
     except BlowUpError as err:
         if err.trajectory is not None:
             err.trajectory.to_csv(os.path.join(out, "trajectory_partial.csv"))
@@ -158,7 +157,7 @@ def cmd_simulate(manifest: dict) -> int:
 
 
 def cmd_certify(manifest: dict) -> int:
-    entry, system, cfg = _build(manifest)
+    entry, cfg = _build(manifest)
     out = _outdir(manifest)
     ccfg = manifest["certify"]
     trials = int(ccfg["trials"])
@@ -171,11 +170,11 @@ def cmd_certify(manifest: dict) -> int:
     run_cfg = IntegratorConfig(step=step, event_bisection_tol=cfg.event_bisection_tol)
     seed = int(manifest["seed"])
     rng = np.random.default_rng(seed)
-    gen = _class_generator(entry, manifest)
+    gen = entry.signal_class.generator
 
     reports = {"sandwich": None, "trials": [], "pass": True}
-    sw = check_sandwich(entry.certificate, -box * np.ones(system.n),
-                        box * np.ones(system.n), entry.covering,
+    sw = check_sandwich(entry.certificate, -box * np.ones(entry.system.n),
+                        box * np.ones(entry.system.n), entry.covering,
                         density=int(ccfg["density"]))
     reports["sandwich"] = sw.to_dict()
     reports["pass"] = sw.passed
@@ -183,23 +182,25 @@ def cmd_certify(manifest: dict) -> int:
     # chattering approximation of boundary sliding in closed-loop runs
     # produces sawtooth artifacts the exact family does not have
     gate_revisit = entry.signal_class.kind != "policy"
+    # the checks need each trial's signal, and only open-loop trials draw a
+    # signal seed, so this loop does not go through make_driver
     for k in range(trials):
-        x0 = rng.uniform(-box, box, size=system.n)
+        x0 = rng.uniform(-box, box, size=entry.system.n)
         t0 = float(rng.uniform(0.0, 5.0))
         tf = t0 + horizon
         try:
             if entry.signal_class.kind == "policy":
-                traj, sigma = simulate_with_covering(system, entry.covering, entry.policy,
+                traj, sigma = simulate_with_covering(entry.system, entry.covering, entry.policy,
                                                      t0, x0, tf, run_cfg)
             else:
                 sigma = gen((t0, tf), int(rng.integers(0, 2**62)))
-                traj = simulate(system, sigma, t0, x0, tf, run_cfg)
+                traj = simulate(entry.system, sigma, t0, x0, tf, run_cfg)
         except BlowUpError:
             reports["trials"].append({"trial": k, "blow_up": True})
             reports["pass"] = False
             continue
         dec = check_decrease_along(entry.certificate, traj, sigma)
-        ib = check_integral_bound(traj, sigma, system,
+        ib = check_integral_bound(traj, sigma, entry.system,
                                   IntegralBoundParams(alpha=entry.alpha,
                                                       M=entry.integral_M(x0), mu=0.0))
         ok = dec.slope.passed and ib.passed and (dec.revisit.passed or not gate_revisit)
@@ -216,67 +217,33 @@ def cmd_certify(manifest: dict) -> int:
 
 
 @lru_cache(maxsize=4)
-def _worker_entry(manifest_json: str):
+def _envelope_driver(manifest_json: str):
+    """The envelope's trajectory factory, built once per process and manifest."""
     manifest = json.loads(manifest_json)
-    entry, system, _ = _build(manifest)
+    entry, cfg = _build(manifest)
     ecfg = manifest["envelope"]
     run_cfg = IntegratorConfig(step=float(ecfg.get("step", 1e-2)),
-                               event_bisection_tol=manifest["integrator"]["event_bisection_tol"])
+                               event_bisection_tol=cfg.event_bisection_tol)
     constant_mode = ecfg.get("constant_mode")
     if constant_mode is not None:
-        # negative-control hook: drive with a constant mode instead of the class
-        def driver(t0, x0, tf, seed):
-            sigma = SwitchingSignal.constant(int(constant_mode), t0, tf)
-            return simulate(system, sigma, t0, x0, tf, run_cfg)
-    elif entry.signal_class.kind == "policy":
-        driver = make_driver(entry, run_cfg)
-    else:
-        gen = _class_generator(entry, manifest)
-
-        def driver(t0, x0, tf, seed):
-            sigma = gen((t0, tf), seed)
-            return simulate(system, sigma, t0, x0, tf, run_cfg)
-    return entry, driver
+        # negative-control hook: an open-loop class holding one constant signal
+        entry = replace(entry, signal_class=SignalClass("arbitrary", {}, lambda span, seed:
+                        SwitchingSignal.constant(int(constant_mode), *span)))
+    return make_driver(entry, run_cfg)
 
 
-def _envelope_task(args):
-    manifest_json, b, lo, hi, trial = args
-    manifest = json.loads(manifest_json)
-    entry, driver = _worker_entry(manifest_json)
-    ecfg = manifest["envelope"]
-    tau_grid = np.linspace(0.0, float(ecfg["horizon"]), int(ecfg["tau_count"]))
-    rng = _trial_seed(int(manifest["seed"]), b, trial)
-    vals, t0 = _run_trial(entry.system.n, driver, lo, hi, float(ecfg["horizon"]),
-                          tau_grid, (0.0, float(ecfg["offset_max"])), rng)
-    return b, vals, t0
+def _drive(manifest_json: str, t0, x0, tf, seed):
+    return _envelope_driver(manifest_json)(t0, x0, tf, seed)
 
 
 def run_envelope(manifest: dict, workers: int = 1) -> tuple[StabilityEnvelope, object]:
     ecfg = manifest["envelope"]
-    radii = np.asarray(sorted(ecfg["radii"]), dtype=float)
-    trials = int(ecfg["trials"])
-    tau_grid = np.linspace(0.0, float(ecfg["horizon"]), int(ecfg["tau_count"]))
-    manifest_json = json.dumps(manifest, sort_keys=True)
-    tasks = []
-    for b, hi in enumerate(radii):
-        lo = 0.0 if b == 0 else float(radii[b - 1])
-        tasks.extend((manifest_json, b, lo, hi, k) for k in range(trials))
-    table = np.zeros((len(radii), len(tau_grid)))
-    offsets = []
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_envelope_task, tasks, chunksize=16))
-    else:
-        results = map(_envelope_task, tasks)
-    for b, vals, t0 in results:  # task order, whatever the worker count
-        np.maximum(table[b], vals, out=table[b])
-        offsets.append(t0)
-    env = StabilityEnvelope(radius_bins=radii, tau_grid=tau_grid, beta_table=table,
-                            trials_per_cell=trials,
-                            meta={"master_seed": int(manifest["seed"]),
-                                  "horizon": float(ecfg["horizon"]),
-                                  "offset_max": float(ecfg["offset_max"]),
-                                  "offset_min": 0.0, "offsets": offsets})
+    entry, _ = _build(manifest)
+    env = estimate_envelope(entry.system.n, partial(_drive, json.dumps(manifest, sort_keys=True)),
+                            radii=ecfg["radii"], horizon=float(ecfg["horizon"]),
+                            trials=int(ecfg["trials"]), tau_count=int(ecfg["tau_count"]),
+                            master_seed=int(manifest["seed"]),
+                            offset_max=float(ecfg["offset_max"]), workers=workers)
     verdict = classify(env, decay_ratio=float(ecfg["decay_ratio"]),
                        tail_fraction=float(ecfg["tail_fraction"]),
                        uniform_bound=float(ecfg["uniform_bound"]))
@@ -294,12 +261,11 @@ def cmd_envelope(manifest: dict, workers: int = 1) -> int:
 
 
 def cmd_falsify(manifest: dict) -> int:
-    entry, _system, _cfg = _build(manifest)
+    entry, _ = _build(manifest)
     out = _outdir(manifest)
     fcfg = manifest["falsify"]
     rls = entry.reduced
     if not fcfg.get("use_constraints", True):
-        from dataclasses import replace
         rls = replace(rls, constraints=())
     verdict = wzsd_falsify(rls, eps=float(fcfg["eps"]), horizon=float(fcfg["horizon"]),
                            residual_tol=float(fcfg["residual_tol"]),
@@ -339,7 +305,7 @@ def cmd_reproduce(example_id: str, manifest: dict, workers: int = 1,
     if env_overrides:
         manifest = _deep_merge(manifest, {"envelope": env_overrides})
     out = _outdir(manifest)
-    entry, _, _ = _build(manifest)
+    entry, _ = _build(manifest)
     lines = [f"reproduction report: {example_id}"]
     rc_env = cmd_envelope(manifest, workers=workers)
     with open(os.path.join(out, "envelope_verdict.json")) as fh:
@@ -363,22 +329,27 @@ def cmd_reproduce(example_id: str, manifest: dict, workers: int = 1,
 # ---------------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--manifest", type=str, default=None)
+    common.add_argument("--seed", type=int, default=None)
+    common.add_argument("--out", type=str, default=None)
+    common.add_argument("--workers", type=_positive_int,
+                        default=max(1, min(4, os.cpu_count() or 1)))
     p = argparse.ArgumentParser(prog="swstab",
                                 description="switched-system stability toolkit")
     sub = p.add_subparsers(dest="command", required=True)
     for name in ("simulate", "certify", "envelope", "falsify"):
-        sp = sub.add_parser(name)
-        sp.add_argument("--manifest", type=str, default=None)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--out", type=str, default=None)
-        sp.add_argument("--workers", type=int, default=max(1, min(4, os.cpu_count() or 1)))
-    rp = sub.add_parser("reproduce")
+        sub.add_parser(name, parents=[common])
+    rp = sub.add_parser("reproduce", parents=[common])
     rp.add_argument("example_id", type=str)
-    rp.add_argument("--manifest", type=str, default=None)
-    rp.add_argument("--seed", type=int, default=None)
-    rp.add_argument("--out", type=str, default=None)
-    rp.add_argument("--workers", type=int, default=max(1, min(4, os.cpu_count() or 1)))
     rp.add_argument("--trials", type=int, default=None)
     rp.add_argument("--horizon", type=float, default=None)
     return p

@@ -181,7 +181,7 @@ def simulate_reduced(rls: ReducedLimitingSystem, u: RelaxedControl, t0: float,
 
 def output_residual(rls: ReducedLimitingSystem, traj: Trajectory,
                     u: Optional[RelaxedControl] = None) -> float:
-    """Max over grid nodes of Hhat(t, x(t)) . u(t); zero means output-zero holds."""
+    """Max over grid nodes of Hhat(t, x(t)) . u(t), NaN if any is; zero means output-zero holds."""
     if traj.controls is not None:
         weights = traj.controls
     elif u is not None:
@@ -190,7 +190,10 @@ def output_residual(rls: ReducedLimitingSystem, traj: Trajectory,
         raise ParameterError("trajectory carries no control and none was given")
     worst = 0.0
     for t, x, w in zip(traj.times, traj.states, weights):
-        worst = max(worst, float(rls.Hhat(t, x) @ w))
+        r = float(rls.Hhat(t, x) @ w)
+        if math.isnan(r):  # max() would drop it
+            return r
+        worst = max(worst, r)
     return worst
 
 
@@ -481,7 +484,7 @@ def _validate_candidate(rls: ReducedLimitingSystem, u: RelaxedControl, x0: np.nd
     if float(traj.norms().min()) < eps:
         return None
     res = output_residual(rls, traj)
-    if res > residual_tol:
+    if not res <= residual_tol:
         return None
     for t, x, w in zip(traj.times, traj.states, traj.controls):
         allowed = active_index_set(x, rls.covering, tol=BOUNDARY_TOL)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -48,11 +49,14 @@ def _trial_seed(master_seed: int, bin_idx: int, trial: int) -> np.random.Generat
         np.random.SeedSequence(entropy=master_seed, spawn_key=(bin_idx, trial)))
 
 
-def _run_trial(n_dim, traj_factory, lo, hi, horizon, tau_grid, offsets, rng):
+def _run_trial(n_dim, traj_factory, radii, horizon, tau_grid, offsets, master_seed, task):
+    """One trial of ``task = (bin, trial)``: its norms on ``t0 + tau_grid`` and its t0."""
+    b, trial = task
+    rng = _trial_seed(master_seed, b, trial)
     direction = rng.standard_normal(n_dim)
     nrm = float(np.linalg.norm(direction))
     direction = direction / nrm if nrm > 0 else np.eye(n_dim)[0]
-    r0 = float(rng.uniform(lo, hi))
+    r0 = float(rng.uniform(0.0 if b == 0 else radii[b - 1], radii[b]))
     x0 = r0 * direction
     t0 = float(rng.uniform(*offsets))
     seed = int(rng.integers(0, 2**63 - 1))
@@ -75,7 +79,7 @@ def _run_trial(n_dim, traj_factory, lo, hi, horizon, tau_grid, offsets, rng):
 def estimate_envelope(n_dim: int, traj_factory: Callable, radii: Sequence[float],
                       horizon: float, trials: int, tau_count: int = 21,
                       master_seed: int = 0, offset_max: float = 10.0,
-                      offset_min: float = 0.0) -> StabilityEnvelope:
+                      offset_min: float = 0.0, workers: int = 1) -> StabilityEnvelope:
     """Worst-norm table over random starts, signals, and start-time offsets.
 
     ``traj_factory(t0, x0, tf, seed)`` must return a Trajectory; it owns
@@ -83,22 +87,29 @@ def estimate_envelope(n_dim: int, traj_factory: Callable, radii: Sequence[float]
     initial norms drawn from (radii[k-1], radii[k]] (from 0 for the first
     bin).  Start times are drawn from [offset_min, offset_max], probing
     uniformity over the anchor time.  Integration blow-up marks the remaining
-    cells +inf.
+    cells +inf.  With ``workers > 1`` trials run in that many processes, so
+    ``traj_factory`` must be picklable (a module-level function or a
+    ``functools.partial`` of one); the table and ``meta["offsets"]`` are
+    reduced in trial order and do not depend on the worker count.
     """
     radii = np.asarray(sorted(radii), dtype=float)
     if trials < 1:
         raise ParameterError("need at least one trial")
     tau_grid = np.linspace(0.0, horizon, tau_count)
+    tasks = [(b, k) for b in range(len(radii)) for k in range(trials)]
+    run = partial(_run_trial, n_dim, traj_factory, radii, horizon, tau_grid,
+                  (offset_min, offset_max), master_seed)
     table = np.zeros((len(radii), tau_count))
     offsets_seen = []
-    for b, hi in enumerate(radii):
-        lo = 0.0 if b == 0 else float(radii[b - 1])
-        for k in range(trials):
-            rng = _trial_seed(master_seed, b, k)
-            vals, t0 = _run_trial(n_dim, traj_factory, lo, hi, horizon, tau_grid,
-                                  (offset_min, offset_max), rng)
-            np.maximum(table[b], vals, out=table[b])
-            offsets_seen.append(t0)
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # ~18 ms to import: only here
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(run, tasks, chunksize=16))
+    else:
+        results = map(run, tasks)
+    for (b, _), (vals, t0) in zip(tasks, results):
+        np.maximum(table[b], vals, out=table[b])
+        offsets_seen.append(t0)
     return StabilityEnvelope(radius_bins=radii, tau_grid=tau_grid, beta_table=table,
                              trials_per_cell=trials,
                              meta={"master_seed": master_seed, "horizon": horizon,

@@ -9,6 +9,7 @@ hypotheses with margin; overrides are re-checked by sampling at construction.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -436,6 +437,9 @@ REGISTRY = {"motivating": motivating, "example1": example1,
 def get_entry(name: str, **params) -> RegistryEntry:
     if name not in REGISTRY:
         raise ParameterError(f"unknown system {name!r}; known: {sorted(REGISTRY)}")
+    unknown = sorted(set(params) - set(inspect.signature(REGISTRY[name]).parameters))
+    if unknown:
+        raise ParameterError(f"unknown parameters {unknown} for system {name!r}")
     return REGISTRY[name](**params)
 
 

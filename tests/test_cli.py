@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from swstab import Trajectory
@@ -68,6 +72,24 @@ def test_unknown_system_exit2(tmp_path):
     assert run(["simulate", "--manifest", m, "--out", tmp_path / "o"]) == 2
 
 
+def test_unknown_system_parameter_exit2(tmp_path, capsys):
+    m = manifest_file(tmp_path, {"system": {"id": "motivating", "params": {"zz": 1}}})
+    assert run(["simulate", "--manifest", m, "--out", tmp_path / "o"]) == 2
+    assert "zz" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_workers_below_one_exit2(tmp_path, capsys, workers):
+    # a tiny envelope, so that a regression returns quickly instead of raising
+    m = manifest_file(tmp_path, {"envelope": {"radii": [0.5], "horizon": 1.0, "trials": 1,
+                                              "tau_count": 2, "step": 0.1}})
+    with pytest.raises(SystemExit) as exc:
+        run(["envelope", "--manifest", m, "--out", tmp_path / "o", "--workers", workers])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_certify_motivating_passes(tmp_path):
     m = manifest_file(tmp_path, {
         "system": {"id": "motivating"},
@@ -95,6 +117,13 @@ def test_certify_empty_batch_exit2(tmp_path):
     m = manifest_file(tmp_path, {"system": {"id": "motivating"},
                                  "certify": {"trials": 0}})
     assert run(["certify", "--manifest", m, "--out", tmp_path / "o"]) == 2
+
+
+def test_envelope_empty_batch_exit2(tmp_path):
+    # an envelope of zero trials is an all-zero table, which read GUAS-consistent
+    m = manifest_file(tmp_path, {"system": {"id": "motivating"},
+                                 "envelope": {"radii": [0.5], "trials": 0}})
+    assert run(["envelope", "--manifest", m, "--out", tmp_path / "o", "--workers", 1]) == 2
 
 
 def test_envelope_negative_control_us_only(tmp_path):
@@ -193,3 +222,35 @@ def test_envelope_meta_records_offsets():
     assert len(env1.meta["offsets"]) == 6
     assert env1.meta["offsets"] == env2.meta["offsets"] == ref.meta["offsets"]
     assert env1.meta["offset_min"] == env2.meta["offset_min"] == ref.meta["offset_min"] == 0.0
+    assert env1.beta_table.tobytes() == env2.beta_table.tobytes() == ref.beta_table.tobytes()
+
+
+def test_flip_dynamics_reaches_policy_class_envelope():
+    from dataclasses import replace
+    from swstab import IntegratorConfig, estimate_envelope, get_entry, make_driver
+    from swstab.cli import DEFAULT_MANIFEST, _deep_merge, _flip_system, run_envelope
+    plain = _deep_merge(DEFAULT_MANIFEST, {
+        "system": {"id": "example4"}, "seed": 3,
+        "envelope": {"radii": [1.0], "horizon": 6.0, "trials": 2, "tau_count": 4,
+                     "step": 2e-2, "offset_max": 2.0}})
+    flipped = _deep_merge(plain, {"flip_dynamics": True})
+    env, _ = run_envelope(plain)
+    env_flip, _ = run_envelope(flipped)
+    assert not np.array_equal(env.beta_table, env_flip.beta_table)
+    entry = get_entry("example4")
+    entry = replace(entry, system=_flip_system(entry.system))
+    ref = estimate_envelope(2, make_driver(entry, IntegratorConfig(step=2e-2)), radii=[1.0],
+                            horizon=6.0, trials=2, tau_count=4, master_seed=3, offset_max=2.0)
+    assert env_flip.beta_table.tobytes() == ref.beta_table.tobytes()
+
+
+def test_package_import_leaves_process_pool_unloaded():
+    # the pool is imported only when an envelope runs on several workers
+    import swstab
+    code = ("import sys, swstab; "
+            "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
+            "if m in sys.modules))")
+    src = os.path.dirname(os.path.dirname(swstab.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "[]"

@@ -92,6 +92,24 @@ def test_residual_zero_state(motivating, cfg_fast):
     assert output_residual(motivating.reduced, traj) == 0.0
 
 
+def test_residual_nan_at_one_node_is_nan(motivating, cfg_fast):
+    # max(0.0, nan) is 0.0, so a running max alone would read a NaN output as zero
+    rls = motivating.reduced
+    nan_at_one = replace(rls, Hhat=lambda t, x: rls.Hhat(t, x) * (np.nan if t == 1.0 else 1.0))
+    u = RelaxedControl(t0=0.0, step=0.5, values=np.tile([1.0, 0.0], (4, 1)))
+    traj = simulate_reduced(rls, u, 0.0, np.array([1.0, 0.0]), 2.0, cfg_fast)
+    assert output_residual(rls, traj) == 0.0
+    assert np.isnan(output_residual(nan_at_one, traj))
+
+
+def test_falsifier_rejects_nan_output(motivating):
+    rls = replace(motivating.reduced, constraints=(),
+                  Hhat=lambda t, x: np.full(motivating.reduced.N, np.nan))
+    v = wzsd_falsify(rls, eps=0.5, horizon=5.0, budget=20, seed=0)
+    assert v.verdict == "no_counterexample_found"
+    assert v.counterexample is None
+
+
 @pytest.mark.parametrize("weights, x0", [
     ([0.2, 0.3, 0.5], [1.0, 0.0]),   # three modes on a two-mode system
     ([0.3, 0.7], [1.0, 0.0, 0.0]),   # state of the wrong dimension
