@@ -284,8 +284,11 @@ def simulate_with_covering(sys: SwitchedSystem, covering: Covering,
         suppress_until = at_t + cfg.step
 
     bound2 = cfg.divergence_bound * cfg.divergence_bound
-    while t < tf - 1e-12 * max(1.0, abs(tf)):
-        h = min(cfg.step, tf - t)
+    t_stop = tf - 1e-12 * max(1.0, abs(tf))
+    step = cfg.step
+    margin = covering.margin
+    while t < t_stop:
+        h = min(step, tf - t)
         x_new = _rk4_step(f, t, x, h, *args)
         s = float(x_new @ x_new)
         if s != s:
@@ -294,7 +297,7 @@ def simulate_with_covering(sys: SwitchedSystem, covering: Covering,
             raise BlowUpError(f"state norm exceeded {cfg.divergence_bound:.3g} at t={t + h}",
                               time=t + h,
                               trajectory=Trajectory(times=np.array(ts), states=np.array(xs)))
-        if covering.margin(x_new, mode) >= -BOUNDARY_TOL:
+        if margin(x_new, mode) >= -BOUNDARY_TOL:
             t, x = t + h, x_new
             ts.append(t)
             xs.append(x)
@@ -314,7 +317,7 @@ def simulate_with_covering(sys: SwitchedSystem, covering: Covering,
         while hi - lo > cfg.event_bisection_tol:
             mid = 0.5 * (lo + hi)
             x_mid = _rk4_step(f, t, x, mid, *args)
-            if covering.margin(x_mid, mode) >= 0.0:
+            if margin(x_mid, mode) >= 0.0:
                 lo = mid
             else:
                 hi, x_hi = mid, x_mid
@@ -329,12 +332,9 @@ def simulate_with_covering(sys: SwitchedSystem, covering: Covering,
         switch_to(query(t, x), t)
         node_modes.append(mode)
 
-    times = np.array(ts)
-    states = np.array(xs)
     sigma = SwitchingSignal(breakpoints=np.array(bp), modes=np.array(bp_modes, dtype=np.int64),
                             domain_start=t0, domain_end=tf)
-    outputs = np.array([np.atleast_1d(sys.h(tk, xk, int(mk)))
-                        for tk, xk, mk in zip(times, states, node_modes)])
-    traj = Trajectory(times=times, states=states,
-                      modes=np.array(node_modes, dtype=np.int64), outputs=outputs)
+    modes = np.array(node_modes, dtype=np.int64)
+    traj = Trajectory(times=np.array(ts), states=np.array(xs), modes=modes,
+                      outputs=_fill_outputs_switched(sys, ts, xs, modes))
     return traj, sigma

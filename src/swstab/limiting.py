@@ -447,7 +447,7 @@ def _rollout(rls: ReducedLimitingSystem, u_cells, x0, horizon, du, step, eps,
         H = H_end if t == t_end else Hhat(t, x)
         w = u_cells(k, t, x, H) if closed_loop else u_cells[k]
         ws.append(w)
-        if float(H @ w) > residual_tol:
+        if not float(H @ w) <= residual_tol:  # a NaN residual fails too
             raise _Abort("residual")
         rhs, args = _reduced_rhs(Fhat, w)
         t_end = t + du
@@ -460,7 +460,7 @@ def _rollout(rls: ReducedLimitingSystem, u_cells, x0, horizon, du, step, eps,
         if float(x @ x) < eps * eps:
             raise _Abort("norm_floor")
         H_end = Hhat(t_end, x)
-        if float(H_end @ w) > residual_tol:
+        if not float(H_end @ w) <= residual_tol:
             raise _Abort("residual")
     return np.array(ws)
 

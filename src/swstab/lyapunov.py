@@ -11,6 +11,7 @@ verdict carries the slack that separated it from discretization noise.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -128,18 +129,25 @@ class DecreaseReport:
                 "slope": self.slope.to_dict(), "revisit": self.revisit.to_dict()}
 
 
-def _segment_bounds(traj: Trajectory, sigma: SwitchingSignal) -> list[tuple[int, int, int]]:
-    """(first node, last node, mode) per sigma-constancy stretch of the grid."""
-    modes = traj.modes if traj.modes is not None else sigma.modes_at(traj.times)
-    segs = []
-    start = 0
-    for k in range(1, len(traj.times)):
-        if modes[k] != modes[start]:
-            segs.append((start, k, int(modes[start])))
-            start = k
-    if start < len(traj.times) - 1:
-        segs.append((start, len(traj.times) - 1, int(modes[start])))
-    return segs
+def _node_modes(traj: Trajectory, sigma: SwitchingSignal) -> np.ndarray:
+    return traj.modes if traj.modes is not None else sigma.modes_at(traj.times)
+
+
+def _switch_nodes(modes: np.ndarray) -> np.ndarray:
+    """Nodes k >= 1 whose mode differs from node k-1's."""
+    return np.flatnonzero(modes[1:] != modes[:-1]) + 1
+
+
+def _segment_bounds(modes: np.ndarray) -> list[tuple[int, int, int]]:
+    """(first node, last node, mode) per constancy stretch of the node modes.
+
+    A stretch ends on the next switch node (evaluated under the outgoing
+    mode) or on the last node; a last node alone in its mode starts none.
+    """
+    last = len(modes) - 1
+    starts = [0] + _switch_nodes(modes).tolist()
+    ends = starts[1:] + [last]
+    return [(a, b, int(modes[a])) for a, b in zip(starts, ends) if a < last]
 
 
 def check_decrease_along(cert: LyapunovCertificate, traj: Trajectory,
@@ -154,63 +162,109 @@ def check_decrease_along(cert: LyapunovCertificate, traj: Trajectory,
 
     Revisit part: for each mode i, V_i sampled at the grid times where i is
     active must never rise above its running minimum by more than revisit_tol.
+
+    V and eta are evaluated once per node under the node's mode and once more
+    at each switch node under the outgoing mode; eta once more per step at
+    its midpoint.  A NaN in V, in eta or in the slack fails the part that
+    reads it, which then reports a NaN worst margin at the first NaN step
+    (slope) or node (revisit).
     """
     if traj.t0 < sigma.domain_start - 1e-9 or traj.tf > sigma.domain_end + 1e-9:
         raise ParameterError("trajectory span not covered by the signal")
-    segs = _segment_bounds(traj, sigma)
+    modes = _node_modes(traj, sigma)
+    segs = _segment_bounds(modes)
     t = traj.times
     x = traj.states
+    V_of, eta_of = cert.V, cert.eta
 
     # first pass: calibrate one slack for the whole trajectory from the
     # observed second differences of V and of the gauge (the discretization
     # error scale of the slope and of the step-mean gauge estimate)
     per_seg = []
-    d2v_max = 0.0
-    d2e_max = 0.0
+    d2v = [0.0]
+    d2e = [0.0]
     for a, b, mode in segs:
-        if b - a < 1:
-            continue
-        V = np.array([cert.V(t[k], x[k], mode) for k in range(a, b + 1)])
-        etas = np.array([cert.eta(t[k], x[k], mode) for k in range(a, b + 1)])
+        ts, xs = t[a:b + 1], x[a:b + 1]
+        V = np.array([V_of(tk, xk, mode) for tk, xk in zip(ts, xs)])
+        etas = np.array([eta_of(tk, xk, mode) for tk, xk in zip(ts, xs)])
         per_seg.append((a, b, mode, V, etas))
         if len(V) >= 3:
-            d2v_max = max(d2v_max, float(np.max(np.abs(np.diff(V, n=2)))))
-            d2e_max = max(d2e_max, float(np.max(np.abs(np.diff(etas, n=2)))))
-    slack = max(SLACK_FLOOR, SLACK_CURVATURE_FACTOR * d2v_max, 0.5 * d2e_max)
+            d2v.append(float(np.max(np.abs(np.diff(V, n=2)))))
+            d2e.append(float(np.max(np.abs(np.diff(etas, n=2)))))
+    # np.max keeps a NaN that the builtin max would drop
+    slack = float(np.max([SLACK_FLOOR, SLACK_CURVATURE_FACTOR * np.max(d2v),
+                          0.5 * np.max(d2e)]))
 
+    pre, eta_mean, step_node, step_mode = [], [], [], []
+    for a, b, mode, V, etas in per_seg:
+        slopes = np.diff(V) / np.diff(t[a:b + 1])
+        t_mid = 0.5 * (t[a:b] + t[a + 1:b + 1])
+        x_mid = 0.5 * (x[a:b] + x[a + 1:b + 1])
+        eta_mid = np.array([float(eta_of(tm, xm, mode)) for tm, xm in zip(t_mid, x_mid)])
+        mean = 0.5 * (etas[:-1] + etas[1:])
+        # min(eta_mid, mean) as the builtin picks it: the first unless the second is less
+        pre.append(slopes + np.where(mean < eta_mid, mean, eta_mid))
+        eta_mean.append(mean)
+        step_node.append(np.arange(a, b))
+        step_mode.append(np.full(b - a, mode))
     worst_slope = -np.inf
     slope_where = (0.0, 0)
-    for a, b, mode, V, etas in per_seg:
-        h = np.diff(t[a:b + 1])
-        slopes = np.diff(V) / h
-        for k in range(len(slopes)):
-            tm = 0.5 * (t[a + k] + t[a + k + 1])
-            xm = 0.5 * (x[a + k] + x[a + k + 1])
-            eta_step = min(float(cert.eta(tm, xm, mode)),
-                           0.5 * float(etas[k] + etas[k + 1]))
-            margin = float(slopes[k]) + eta_step - slack
-            if margin > worst_slope:
-                worst_slope, slope_where = margin, (float(t[a + k]), mode)
+    if per_seg:
+        pre = np.concatenate(pre)
+        margins = pre - slack
+        nan = np.isnan(pre) | np.isnan(np.concatenate(eta_mean))
+        if slack == slack:
+            nan |= np.isnan(margins)
+        k = None
+        if nan.any() or slack != slack:
+            k = int(np.argmax(nan))  # the first NaN step; the first step if only the slack is NaN
+            worst_slope = np.nan
+        elif margins.max() > worst_slope:
+            k = int(np.argmax(margins))  # the first maximum
+            worst_slope = float(margins[k])
+        if k is not None:
+            slope_where = (float(t[np.concatenate(step_node)[k]]),
+                           int(np.concatenate(step_mode)[k]))
     slope_report = CheckReport(check="decrease_slope", passed=worst_slope <= 0.0,
                                worst_margin=worst_slope, worst_location=slope_where,
                                slack=slack)
 
-    modes = traj.modes if traj.modes is not None else sigma.modes_at(traj.times)
+    # revisit part: V_i at every node under the node's own mode, read from
+    # the segment pass; only a last node alone in its mode needs a new call
+    last = len(t) - 1
+    node_v = np.empty(len(t))
+    for a, b, _, V, _ in per_seg:
+        node_v[a:b] = V[:-1]
+    if per_seg and int(modes[last]) == per_seg[-1][2]:
+        node_v[last] = per_seg[-1][3][-1]
+    else:
+        node_v[last] = float(V_of(t[last], x[last], int(modes[last])))
+    vals = node_v.tolist()
     worst_rev = -np.inf
     rev_where = (0.0, 0)
-    for i in np.unique(modes):
-        idx = np.nonzero(modes == i)[0]
+    nan_k = None
+    for i in np.unique(modes).tolist():
         running = np.inf
-        for k in idx:
-            v = float(cert.V(t[k], x[k], int(i)))
+        for k in np.flatnonzero(modes == i).tolist():
+            v = vals[k]
             margin = v - running - revisit_tol
             if margin > worst_rev:
                 worst_rev, rev_where = margin, (float(t[k]), int(i))
+            elif margin != margin and (nan_k is None or k < nan_k):
+                nan_k = k
             running = min(running, v)
+    if nan_k is not None:
+        worst_rev, rev_where = np.nan, (float(t[nan_k]), int(modes[nan_k]))
     revisit_report = CheckReport(check="mode_revisit", passed=worst_rev <= 0.0,
                                  worst_margin=worst_rev, worst_location=rev_where,
                                  slack=revisit_tol)
     return DecreaseReport(slope=slope_report, revisit=revisit_report)
+
+
+def _output_gauge(h, alpha, t, x, i) -> float:
+    """alpha(|h(t, x, i)|); sqrt(v . v) is np.linalg.norm's arithmetic on a float64 vector."""
+    v = np.asarray(h(t, x, i), dtype=float).ravel()
+    return alpha(math.sqrt(v.dot(v)))
 
 
 def check_integral_bound(traj: Trajectory, sigma: SwitchingSignal, sys: SwitchedSystem,
@@ -221,23 +275,27 @@ def check_integral_bound(traj: Trajectory, sigma: SwitchingSignal, sys: Switched
     The integrand on each step uses the step's active mode at both endpoints
     (outputs are right-continuous at switches, the integrand is not).  The
     quadrature slack quad_coeff * h^2 * (t - s) is folded into the running
-    comparison; the all-pairs sweep reduces to a running minimum.
+    comparison; the all-pairs sweep reduces to a running minimum.  ``sys.h``
+    is called once per node under the node's mode and once more at each
+    switch node under the outgoing mode.
     """
     t = traj.times
     x = traj.states
     if len(t) < 2:
         return CheckReport(check="integral_bound", passed=True, worst_margin=-params.M,
                            worst_location=(traj.t0, traj.t0), slack=0.0)
-    modes = traj.modes if traj.modes is not None else sigma.modes_at(t)
+    modes = np.asarray(_node_modes(traj, sigma), dtype=np.int64)
+    mode_list = modes.tolist()
+    h, alpha = sys.h, params.alpha
     h_steps = np.diff(t)
     h_max = float(h_steps.max())
-    cum = np.empty(len(t))
-    cum[0] = 0.0
-    for k in range(len(t) - 1):
-        i = int(modes[k])
-        ga = params.alpha(float(np.linalg.norm(np.atleast_1d(sys.h(t[k], x[k], i)))))
-        gb = params.alpha(float(np.linalg.norm(np.atleast_1d(sys.h(t[k + 1], x[k + 1], i)))))
-        cum[k + 1] = cum[k] + 0.5 * (ga + gb) * h_steps[k]
+    g_start = np.array([_output_gauge(h, alpha, tk, xk, i)
+                        for tk, xk, i in zip(t, x, mode_list)])
+    g_end = g_start[1:].copy()
+    for k in _switch_nodes(modes).tolist():
+        g_end[k - 1] = _output_gauge(h, alpha, t[k], x[k], mode_list[k - 1])
+    # cumsum accumulates left to right, so it rounds as a running sum does
+    cum = np.cumsum(np.concatenate(([0.0], 0.5 * (g_start[:-1] + g_end) * h_steps)))
     rate = params.mu + quad_coeff * h_max * h_max
     g = cum - rate * (t - t[0])
     run_min = np.minimum.accumulate(g)

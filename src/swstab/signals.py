@@ -325,9 +325,10 @@ def validate_covering_invariance(traj: Trajectory, sigma: SwitchingSignal,
                                  covering: Covering, tol: float = BOUNDARY_TOL) -> InvarianceReport:
     """Check sigma(t) in I_{x(t)} at every grid time, with boundary tolerance."""
     modes = traj.modes if traj.modes is not None else sigma.modes_at(traj.times)
-    for t, x, m in zip(traj.times, traj.states, modes):
-        if not covering.membership(x, int(m), tol=tol):
-            return InvarianceReport(ok=False, first_violation=(float(t), int(m)))
+    margin = covering.margin
+    for t, x, m in zip(traj.times, traj.states, np.asarray(modes, dtype=np.int64).tolist()):
+        if not margin(x, m) >= -tol:  # Covering.membership, inlined
+            return InvarianceReport(ok=False, first_violation=(float(t), m))
     return InvarianceReport(ok=True, first_violation=None)
 
 

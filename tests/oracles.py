@@ -3,12 +3,16 @@
 These deliberately avoid the validators' breakpoint arithmetic: the signal is
 sampled onto a dense 1e-4 s grid (the generators' storage granularity, so
 sampling is exact for on-grid breakpoints) and window quantities are computed
-from cumulative sums over that grid.
+from cumulative sums over that grid.  The weak-Lyapunov checkers have
+per-node reference loops at the end of the file.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from swstab.lyapunov import (REVISIT_TOL, SLACK_CURVATURE_FACTOR, SLACK_FLOOR, CheckReport,
+                             DecreaseReport)
 
 DENSE = 1e-4
 TIE = 1e-9
@@ -72,3 +76,108 @@ def pattern_oracle(sigma, T: float, dm: float, dM: float) -> bool:
             continue
         good |= (anchors >= q + dm - T - TIE) & (anchors <= p - dm + TIE)
     return bool(good.all())
+
+
+# ---------------------------------------------------------------------------
+# per-node reference checkers
+# ---------------------------------------------------------------------------
+# The weak-Lyapunov checkers as straight per-node loops, evaluating V, eta
+# and h wherever a node needs them.  swstab.lyapunov computes each quantity
+# once per node; its reports must equal these bit for bit.
+
+
+def _segment_bounds_reference(traj, sigma):
+    """(first node, last node, mode) per sigma-constancy stretch of the grid."""
+    modes = traj.modes if traj.modes is not None else sigma.modes_at(traj.times)
+    segs = []
+    start = 0
+    for k in range(1, len(traj.times)):
+        if modes[k] != modes[start]:
+            segs.append((start, k, int(modes[start])))
+            start = k
+    if start < len(traj.times) - 1:
+        segs.append((start, len(traj.times) - 1, int(modes[start])))
+    return segs
+
+
+def check_decrease_along_reference(cert, traj, sigma, revisit_tol=REVISIT_TOL):
+    segs = _segment_bounds_reference(traj, sigma)
+    t = traj.times
+    x = traj.states
+
+    per_seg = []
+    d2v_max = 0.0
+    d2e_max = 0.0
+    for a, b, mode in segs:
+        if b - a < 1:
+            continue
+        V = np.array([cert.V(t[k], x[k], mode) for k in range(a, b + 1)])
+        etas = np.array([cert.eta(t[k], x[k], mode) for k in range(a, b + 1)])
+        per_seg.append((a, b, mode, V, etas))
+        if len(V) >= 3:
+            d2v_max = max(d2v_max, float(np.max(np.abs(np.diff(V, n=2)))))
+            d2e_max = max(d2e_max, float(np.max(np.abs(np.diff(etas, n=2)))))
+    slack = max(SLACK_FLOOR, SLACK_CURVATURE_FACTOR * d2v_max, 0.5 * d2e_max)
+
+    worst_slope = -np.inf
+    slope_where = (0.0, 0)
+    for a, b, mode, V, etas in per_seg:
+        h = np.diff(t[a:b + 1])
+        slopes = np.diff(V) / h
+        for k in range(len(slopes)):
+            tm = 0.5 * (t[a + k] + t[a + k + 1])
+            xm = 0.5 * (x[a + k] + x[a + k + 1])
+            eta_step = min(float(cert.eta(tm, xm, mode)),
+                           0.5 * float(etas[k] + etas[k + 1]))
+            margin = float(slopes[k]) + eta_step - slack
+            if margin > worst_slope:
+                worst_slope, slope_where = margin, (float(t[a + k]), mode)
+    slope_report = CheckReport(check="decrease_slope", passed=worst_slope <= 0.0,
+                               worst_margin=worst_slope, worst_location=slope_where,
+                               slack=slack)
+
+    modes = traj.modes if traj.modes is not None else sigma.modes_at(traj.times)
+    worst_rev = -np.inf
+    rev_where = (0.0, 0)
+    for i in np.unique(modes):
+        idx = np.nonzero(modes == i)[0]
+        running = np.inf
+        for k in idx:
+            v = float(cert.V(t[k], x[k], int(i)))
+            margin = v - running - revisit_tol
+            if margin > worst_rev:
+                worst_rev, rev_where = margin, (float(t[k]), int(i))
+            running = min(running, v)
+    revisit_report = CheckReport(check="mode_revisit", passed=worst_rev <= 0.0,
+                                 worst_margin=worst_rev, worst_location=rev_where,
+                                 slack=revisit_tol)
+    return DecreaseReport(slope=slope_report, revisit=revisit_report)
+
+
+def check_integral_bound_reference(traj, sigma, sys, params, quad_coeff=10.0):
+    t = traj.times
+    x = traj.states
+    if len(t) < 2:
+        return CheckReport(check="integral_bound", passed=True, worst_margin=-params.M,
+                           worst_location=(traj.t0, traj.t0), slack=0.0)
+    modes = traj.modes if traj.modes is not None else sigma.modes_at(t)
+    h_steps = np.diff(t)
+    h_max = float(h_steps.max())
+    cum = np.empty(len(t))
+    cum[0] = 0.0
+    for k in range(len(t) - 1):
+        i = int(modes[k])
+        ga = params.alpha(float(np.linalg.norm(np.atleast_1d(sys.h(t[k], x[k], i)))))
+        gb = params.alpha(float(np.linalg.norm(np.atleast_1d(sys.h(t[k + 1], x[k + 1], i)))))
+        cum[k + 1] = cum[k] + 0.5 * (ga + gb) * h_steps[k]
+    rate = params.mu + quad_coeff * h_max * h_max
+    g = cum - rate * (t - t[0])
+    run_min = np.minimum.accumulate(g)
+    margins = g - run_min - params.M
+    k = int(np.argmax(margins))
+    j = int(np.argmin(g[: k + 1]))
+    return CheckReport(check="integral_bound", passed=float(margins[k]) <= 0.0,
+                       worst_margin=float(margins[k]),
+                       worst_location=(float(t[j]), float(t[k])),
+                       slack=quad_coeff * h_max * h_max * float(t[k] - t[j]),
+                       extra={"M": params.M, "mu": params.mu})

@@ -110,6 +110,17 @@ def test_falsifier_rejects_nan_output(motivating):
     assert v.counterexample is None
 
 
+def test_rollout_screen_stops_nan_residual(motivating):
+    # a NaN output residual fails the screen at the first cell, so no such
+    # candidate is marched to the end and left for the validation
+    rls = replace(motivating.reduced, constraints=(),
+                  Hhat=lambda t, x: np.full(motivating.reduced.N, np.nan))
+    v = wzsd_falsify(rls, eps=0.5, horizon=5.0, budget=20, seed=0)
+    assert v.notes["aborts"]["validation"] == 0
+    assert v.notes["aborts"]["residual"] == 8
+    assert v.notes["cells_marched"] == 0
+
+
 @pytest.mark.parametrize("weights, x0", [
     ([0.2, 0.3, 0.5], [1.0, 0.0]),   # three modes on a two-mode system
     ([0.3, 0.7], [1.0, 0.0, 0.0]),   # state of the wrong dimension

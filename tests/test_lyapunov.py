@@ -1,16 +1,24 @@
 """Certification checks: sandwich, decrease along trajectories, integral bound."""
 
-import numpy as np
+import json
+from dataclasses import replace
 
+import numpy as np
+import pytest
+
+from oracles import check_decrease_along_reference, check_integral_bound_reference
 from swstab import (
     IntegralBoundParams,
+    IntegratorConfig,
     LyapunovCertificate,
     SwitchedSystem,
     SwitchingSignal,
+    Trajectory,
     check_decrease_along,
     check_integral_bound,
     check_sandwich,
     simulate,
+    simulate_with_covering,
 )
 
 
@@ -177,3 +185,197 @@ def test_gradient_consistency(all_entries):
                 fd[j] = (cert.V(0.0, dp, i) - cert.V(0.0, dm, i)) / (2 * eps)
             denom = max(np.linalg.norm(g), 1e-6)
             assert np.linalg.norm(fd - g) / denom < 1e-5
+
+
+# --- one evaluation per node, against the per-node reference -----------------
+
+
+def _closed_loop(entry, x0, t0, horizon, step=1e-2):
+    return simulate_with_covering(entry.system, entry.covering, entry.policy, t0,
+                                  np.asarray(x0, dtype=float), t0 + horizon,
+                                  IntegratorConfig(step=step))
+
+
+def _without_modes(traj):
+    return Trajectory(times=traj.times, states=traj.states)
+
+
+def _ending_alone(traj):
+    """traj cut at its last switch node, which is then alone in its mode."""
+    j = int(np.flatnonzero(np.diff(traj.modes))[-1]) + 1
+    return Trajectory(times=traj.times[:j + 1], states=traj.states[:j + 1],
+                      modes=traj.modes[:j + 1])
+
+
+def _doubled_output(sys):
+    return SwitchedSystem(n=sys.n, N=sys.N, f=sys.f, p=sys.p,
+                          h=lambda t, x, i: 2.0 * sys.h(t, x, i))
+
+
+def _assert_matches_reference(entry, traj, sigma, sys=None, cert=None):
+    sys = sys or entry.system
+    cert = cert or entry.certificate
+    params = IntegralBoundParams(alpha=entry.alpha, M=entry.integral_M(traj.states[0]), mu=0.0)
+    got = check_decrease_along(cert, traj, sigma)
+    want = check_decrease_along_reference(cert, traj, sigma)
+    assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+    got = check_integral_bound(traj, sigma, sys, params)
+    want = check_integral_bound_reference(traj, sigma, sys, params)
+    assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+
+
+def _switches(modes) -> int:
+    return int(np.count_nonzero(np.diff(modes)))
+
+
+def test_checkers_match_reference_closed_loop(example4):
+    for x0, t0 in (([1.5, -0.7], 0.0), ([-1.2, 1.9], 3.3), ([0.4, 0.3], 7.1)):
+        traj, sigma = _closed_loop(example4, x0, t0, 20.0)
+        assert _switches(traj.modes) > 0
+        _assert_matches_reference(example4, traj, sigma)
+        _assert_matches_reference(example4, _without_modes(traj), sigma)
+        _assert_matches_reference(example4, traj, sigma, _doubled_output(example4.system))
+
+
+@pytest.mark.parametrize("name", ["motivating", "example1", "inverter"])
+def test_checkers_match_reference_open_loop(all_entries, cfg_fast, name):
+    entry = next(e for e in all_entries if e.name == name)
+    rng = np.random.default_rng(12)
+    for k in range(2):
+        x0 = rng.uniform(-1.5, 1.5, entry.system.n)
+        sig = entry.signal_class.generator((0.0, 8.0), 30 + k)
+        traj = simulate(entry.system, sig, 0.0, x0, 8.0, cfg_fast)
+        assert _switches(traj.modes) > 0
+        _assert_matches_reference(entry, traj, sig)
+        _assert_matches_reference(entry, _without_modes(traj), sig)
+        _assert_matches_reference(entry, _ending_alone(traj), sig)
+        _assert_matches_reference(entry, traj, sig, _doubled_output(entry.system))
+        # failing verdicts too: the same signal under reversed dynamics
+        flipped = SwitchedSystem(n=entry.system.n, N=entry.system.N, p=entry.system.p,
+                                 f=lambda t, x, i: -entry.system.f(t, x, i),
+                                 h=entry.system.h)
+        _assert_matches_reference(entry, simulate(flipped, sig, 0.0, 0.3 * x0, 3.0, cfg_fast),
+                                  sig)
+
+
+def test_checkers_match_reference_synthetic(motivating):
+    sig = SwitchingSignal.constant(1, 0.0, 3.0)
+    times = np.array([0.0, 1.0, 2.0, 3.0])
+    states = np.array([[1.0, 0.0], [0.5, 0.0], [0.0, 0.0], [0.9, 0.0]])
+    # V = t and V = 1 tie every slope and every revisit margin: the first maximum is reported
+    ties = [replace(motivating.certificate, V=lambda t, x, i: t, eta=lambda t, x, i: 0.0),
+            replace(motivating.certificate, V=lambda t, x, i: 1.0, eta=lambda t, x, i: 1.0)]
+    for modes in ([1, 1, 1, 1], [1, 1, 1, 2], [2, 1, 1, 2], [1, 2, 1, 2], [1, 1, 2, 2]):
+        traj = Trajectory(times=times, states=states, modes=np.array(modes))
+        for cert in [motivating.certificate] + ties:
+            _assert_matches_reference(motivating, traj, sig, cert=cert)
+    one = Trajectory(times=times[:1], states=states[:1], modes=np.array([2]))
+    _assert_matches_reference(motivating, one, sig)
+
+
+class _Counted:
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.fn(*args)
+
+
+def test_checkers_evaluate_once_per_node(motivating, example4, cfg_fast):
+    sig = motivating.signal_class.generator((0.0, 8.0), 31)
+    open_loop = simulate(motivating.system, sig, 0.0, np.array([1.0, -0.4]), 8.0, cfg_fast)
+    closed, sigma = _closed_loop(example4, [1.5, -0.7], 0.0, 10.0)
+    single = Trajectory(times=open_loop.times[:40], states=open_loop.states[:40],
+                        modes=np.full(40, 2))
+    cases = [(motivating, open_loop, sig), (motivating, _ending_alone(open_loop), sig),
+             (motivating, single, sig), (example4, closed, sigma)]
+    for entry, traj, sigma in cases:
+        m, n_switch = len(traj.times), _switches(traj.modes)
+        V = _Counted(entry.certificate.V)
+        check_decrease_along(replace(entry.certificate, V=V), traj, sigma)
+        assert V.calls == m + n_switch
+        h = _Counted(entry.system.h)
+        sys = SwitchedSystem(n=entry.system.n, N=entry.system.N, f=entry.system.f, h=h,
+                             p=entry.system.p)
+        check_integral_bound(traj, sigma, sys, IntegralBoundParams(alpha=entry.alpha, M=1.0,
+                                                                   mu=0.0))
+        assert h.calls == m + n_switch
+    # the single-mode run has no switch node; a last node alone has one
+    assert _switches(single.modes) == 0
+    assert _switches(_ending_alone(open_loop).modes) >= 1
+
+
+# --- NaN fails the part that reads it ----------------------------------------
+
+
+def _nan_probe_run(motivating, cfg_fast):
+    sig = motivating.signal_class.generator((0.0, 5.0), 3)
+    return simulate(motivating.system, sig, 0.0, np.array([1.0, 0.2]), 5.0, cfg_fast), sig
+
+
+def test_decrease_fails_on_nan_V(motivating, cfg_fast):
+    traj, sig = _nan_probe_run(motivating, cfg_fast)
+    V = motivating.certificate.V
+    cert = replace(motivating.certificate,
+                   V=lambda t, x, i: np.nan if t > 2.0 else V(t, x, i))
+    rep = check_decrease_along(cert, traj, sig)
+    first = int(np.argmax(traj.times > 2.0))  # first node with a NaN V
+    assert not rep.slope.passed and np.isnan(rep.slope.worst_margin)
+    assert rep.slope.worst_location[0] == traj.times[first - 1]
+    assert not rep.revisit.passed and np.isnan(rep.revisit.worst_margin)
+    assert rep.revisit.worst_location == (traj.times[first], int(traj.modes[first]))
+    assert np.isnan(rep.slope.slack)
+
+
+def test_decrease_fails_on_nan_eta(motivating, cfg_fast):
+    traj, sig = _nan_probe_run(motivating, cfg_fast)
+    cert = replace(motivating.certificate, eta=lambda t, x, i: np.nan)
+    rep = check_decrease_along(cert, traj, sig)
+    assert not rep.slope.passed and np.isnan(rep.slope.worst_margin)
+    assert rep.slope.worst_location == (0.0, int(traj.modes[0]))
+    # the revisit part reads V only
+    assert rep.revisit.passed
+    want = check_decrease_along_reference(motivating.certificate, traj, sig).revisit
+    assert json.dumps(rep.revisit.to_dict()) == json.dumps(want.to_dict())
+    # NaN at one node only: the step-mean gauge reads it, the midpoint gauge does not
+    j = len(traj.times) // 2
+    eta = motivating.certificate.eta
+    cert = replace(motivating.certificate,
+                   eta=lambda t, x, i: np.nan if t == traj.times[j] else eta(t, x, i))
+    rep = check_decrease_along(cert, traj, sig)
+    assert not rep.slope.passed and np.isnan(rep.slope.worst_margin)
+    assert rep.slope.worst_location[0] == traj.times[j - 1]
+
+
+# --- mutation controls: a larger gauge must flip the slope verdict ------------
+
+
+def _scaled_eta(cert, c):
+    return replace(cert, eta=lambda t, x, i: c * cert.eta(t, x, i))
+
+
+@pytest.mark.parametrize("name", ["motivating", "example1", "inverter"])
+def test_decrease_flags_inflated_gauge(all_entries, cfg_fast, name):
+    # the registry gauges sit within a few percent of -dV/dt: 1.5 eta must fail
+    entry = next(e for e in all_entries if e.name == name)
+    rng = np.random.default_rng(13)
+    for k in range(2):
+        x0 = rng.uniform(-1.5, 1.5, entry.system.n)
+        sig = entry.signal_class.generator((0.0, 20.0), 60 + k)
+        traj = simulate(entry.system, sig, 0.0, x0, 20.0, cfg_fast)
+        assert check_decrease_along(entry.certificate, traj, sig).slope.passed
+        assert not check_decrease_along(_scaled_eta(entry.certificate, 1.5), traj,
+                                        sig).slope.passed
+
+
+def test_decrease_flags_inflated_gauge_closed_loop(example4):
+    # modes 1 and 2 have grad(V).f = -10 x_j^2 against eta = x_j^2, so eta
+    # may grow tenfold before the decrease fails; twentyfold must fail
+    for x0, t0 in (([1.5, -0.7], 0.0), ([-1.2, 1.9], 3.3)):
+        traj, sigma = _closed_loop(example4, x0, t0, 20.0)
+        assert check_decrease_along(example4.certificate, traj, sigma).slope.passed
+        assert check_decrease_along(_scaled_eta(example4.certificate, 2.0), traj,
+                                    sigma).slope.passed
+        assert not check_decrease_along(_scaled_eta(example4.certificate, 20.0), traj,
+                                        sigma).slope.passed
