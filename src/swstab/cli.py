@@ -59,15 +59,32 @@ def _deep_merge(base: dict, override: dict) -> dict:
 
 
 def _flip_system(sys: SwitchedSystem) -> SwitchedSystem:
-    """Negated-dynamics wrapper; a self-test hook for the certification path."""
-    return SwitchedSystem(
-        n=sys.n, N=sys.N,
-        f=lambda t, x, i: -sys.f(t, x, i),
-        h=sys.h, p=sys.p,
-        fhat=None if sys.fhat is None else (lambda t, x, i: -sys.fhat(t, x, i)),
-        dferr=None if sys.dferr is None else (lambda t, x, i: -sys.dferr(t, x, i)),
-        time_invariant_limits=sys.time_invariant_limits,
-        name=sys.name + "-flipped")
+    """Negated-dynamics wrapper (elementwise, as a field may return any sequence of
+    floats); a self-test hook for the certification path."""
+    def neg(field):
+        return None if field is None else (lambda t, x, i: [-v for v in field(t, x, i)])
+
+    return SwitchedSystem(n=sys.n, N=sys.N, f=neg(sys.f), h=sys.h, p=sys.p,
+                          fhat=neg(sys.fhat), dferr=neg(sys.dferr), name=sys.name + "-flipped",
+                          time_invariant_limits=sys.time_invariant_limits)
+
+
+_floats = partial(np.array, dtype=float, ndmin=1)  # the ``kind`` of a list field
+
+
+def _number(manifest: dict, path: str, kind=float):
+    """The manifest field at a dotted path such as ``"simulate.horizon"``, read as
+    ``kind``; ParameterError naming the field unless it holds finite numbers."""
+    value = manifest
+    try:
+        for key in path.split("."):
+            value = value[key]
+        number = kind(value)
+        if np.isfinite(np.asarray(number, dtype=float)).all():
+            return number
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError):
+        pass
+    raise ParameterError(f"manifest field {path} must hold finite numbers, got {value!r}")
 
 
 def _load_manifest(path: str | None, overrides: dict) -> dict:
@@ -92,11 +109,11 @@ def _build(manifest: dict):
     klass = entry.signal_class
     if klass.generator is not None:
         klass = replace(klass, generator=partial(
-            klass.generator, granularity=manifest["signal"].get("granularity", 1e-4)))
+            klass.generator, granularity=_number(manifest, "signal.granularity")))
     system = _flip_system(entry.system) if manifest.get("flip_dynamics") else entry.system
     entry = replace(entry, system=system, signal_class=klass)
-    cfg = IntegratorConfig(step=manifest["integrator"]["step"],
-                           event_bisection_tol=manifest["integrator"]["event_bisection_tol"])
+    cfg = IntegratorConfig(step=_number(manifest, "integrator.step"),
+                           event_bisection_tol=_number(manifest, "integrator.event_bisection_tol"))
     return entry, cfg
 
 
@@ -108,15 +125,6 @@ def _outdir(manifest: dict) -> str:
     return out
 
 
-def _default_x0(entry, manifest) -> np.ndarray:
-    x0 = manifest["simulate"].get("x0")
-    if x0 is not None:
-        return np.asarray(x0, dtype=float)
-    v = np.zeros(entry.system.n)
-    v[0] = 1.0
-    return v
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -125,10 +133,10 @@ def _default_x0(entry, manifest) -> np.ndarray:
 def cmd_simulate(manifest: dict) -> int:
     entry, cfg = _build(manifest)
     out = _outdir(manifest)
-    t0 = float(manifest["simulate"]["t0"])
-    horizon = float(manifest["simulate"]["horizon"])
-    x0 = _default_x0(entry, manifest)
-    seed = int(manifest["seed"])
+    num = partial(_number, manifest)
+    t0, horizon, seed = num("simulate.t0"), num("simulate.horizon"), num("seed", int)
+    x0 = (num("simulate.x0", _floats) if manifest["simulate"].get("x0") is not None
+          else np.eye(entry.system.n)[0])
     tf = t0 + horizon
     try:
         if entry.signal_class.kind == "policy":
@@ -159,23 +167,21 @@ def cmd_simulate(manifest: dict) -> int:
 def cmd_certify(manifest: dict) -> int:
     entry, cfg = _build(manifest)
     out = _outdir(manifest)
-    ccfg = manifest["certify"]
-    trials = int(ccfg["trials"])
+    num = partial(_number, manifest)
+    trials = num("certify.trials", int)
     if trials < 1:
         print("certify needs at least one trial", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    horizon = float(ccfg["horizon"])
-    box = float(ccfg["box"])
-    step = float(ccfg.get("step", cfg.step))
-    run_cfg = IntegratorConfig(step=step, event_bisection_tol=cfg.event_bisection_tol)
-    seed = int(manifest["seed"])
+    horizon, box, density = num("certify.horizon"), num("certify.box"), num("certify.density", int)
+    run_cfg = IntegratorConfig(step=num("certify.step"),
+                               event_bisection_tol=cfg.event_bisection_tol)
+    seed = num("seed", int)
     rng = np.random.default_rng(seed)
     gen = entry.signal_class.generator
 
     reports = {"sandwich": None, "trials": [], "pass": True}
     sw = check_sandwich(entry.certificate, -box * np.ones(entry.system.n),
-                        box * np.ones(entry.system.n), entry.covering,
-                        density=int(ccfg["density"]))
+                        box * np.ones(entry.system.n), entry.covering, density=density)
     reports["sandwich"] = sw.to_dict()
     reports["pass"] = sw.passed
     # the revisit inequality is gated only for open-loop classes: the
@@ -221,14 +227,13 @@ def _envelope_driver(manifest_json: str):
     """The envelope's trajectory factory, built once per process and manifest."""
     manifest = json.loads(manifest_json)
     entry, cfg = _build(manifest)
-    ecfg = manifest["envelope"]
-    run_cfg = IntegratorConfig(step=float(ecfg.get("step", 1e-2)),
+    run_cfg = IntegratorConfig(step=_number(manifest, "envelope.step"),
                                event_bisection_tol=cfg.event_bisection_tol)
-    constant_mode = ecfg.get("constant_mode")
-    if constant_mode is not None:
+    if manifest["envelope"].get("constant_mode") is not None:
         # negative-control hook: an open-loop class holding one constant signal
+        mode = _number(manifest, "envelope.constant_mode", int)
         entry = replace(entry, signal_class=SignalClass("arbitrary", {}, lambda span, seed:
-                        SwitchingSignal.constant(int(constant_mode), *span)))
+                        SwitchingSignal.constant(mode, *span)))
     return make_driver(entry, run_cfg)
 
 
@@ -237,16 +242,16 @@ def _drive(manifest_json: str, t0, x0, tf, seed):
 
 
 def run_envelope(manifest: dict, workers: int = 1) -> tuple[StabilityEnvelope, object]:
-    ecfg = manifest["envelope"]
     entry, _ = _build(manifest)
+    num = partial(_number, manifest)
     env = estimate_envelope(entry.system.n, partial(_drive, json.dumps(manifest, sort_keys=True)),
-                            radii=ecfg["radii"], horizon=float(ecfg["horizon"]),
-                            trials=int(ecfg["trials"]), tau_count=int(ecfg["tau_count"]),
-                            master_seed=int(manifest["seed"]),
-                            offset_max=float(ecfg["offset_max"]), workers=workers)
-    verdict = classify(env, decay_ratio=float(ecfg["decay_ratio"]),
-                       tail_fraction=float(ecfg["tail_fraction"]),
-                       uniform_bound=float(ecfg["uniform_bound"]))
+                            radii=num("envelope.radii", _floats), horizon=num("envelope.horizon"),
+                            trials=num("envelope.trials", int),
+                            tau_count=num("envelope.tau_count", int), master_seed=num("seed", int),
+                            offset_max=num("envelope.offset_max"), workers=workers)
+    verdict = classify(env, decay_ratio=num("envelope.decay_ratio"),
+                       tail_fraction=num("envelope.tail_fraction"),
+                       uniform_bound=num("envelope.uniform_bound"))
     return env, verdict
 
 
@@ -263,14 +268,14 @@ def cmd_envelope(manifest: dict, workers: int = 1) -> int:
 def cmd_falsify(manifest: dict) -> int:
     entry, _ = _build(manifest)
     out = _outdir(manifest)
-    fcfg = manifest["falsify"]
     rls = entry.reduced
-    if not fcfg.get("use_constraints", True):
+    if not manifest["falsify"].get("use_constraints", True):
         rls = replace(rls, constraints=())
-    verdict = wzsd_falsify(rls, eps=float(fcfg["eps"]), horizon=float(fcfg["horizon"]),
-                           residual_tol=float(fcfg["residual_tol"]),
-                           budget=int(fcfg["budget"]), seed=int(manifest["seed"]),
-                           du=float(fcfg["du"]))
+    num = partial(_number, manifest)
+    verdict = wzsd_falsify(rls, eps=num("falsify.eps"), horizon=num("falsify.horizon"),
+                           residual_tol=num("falsify.residual_tol"),
+                           budget=num("falsify.budget", int), seed=num("seed", int),
+                           du=num("falsify.du"))
     doc = verdict.to_dict()
     if verdict.counterexample is not None:
         cx_path = os.path.join(out, "counterexample.csv")
@@ -378,7 +383,7 @@ def main(argv=None) -> int:
     except BlowUpError as err:
         print(f"blow-up at t={err.time}", file=sys.stderr)
         return EXIT_BLOWUP
-    except (ParameterError, KeyError, FileNotFoundError, json.JSONDecodeError) as err:
+    except (ParameterError, FileNotFoundError, json.JSONDecodeError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except SwstabError as err:

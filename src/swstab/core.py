@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -241,15 +241,19 @@ class SwitchedSystem:
     f = fhat + dferr wherever dferr is supplied.  ``time_invariant_limits``
     marks systems whose fhat/h do not depend on t, for which the reduced
     limiting system is unique and directly constructible.
+
+    Field protocol: f, h, fhat and dferr take the state as any sequence of n
+    floats and return a sequence of n (h: p) floats, a tuple, list or 1-D
+    ndarray; array arithmetic on a result needs ``np.asarray``.
     """
 
     n: int
     N: int
-    f: Callable[[float, np.ndarray, int], np.ndarray]
-    h: Callable[[float, np.ndarray, int], np.ndarray]
+    f: Callable[[float, Sequence[float], int], Sequence[float]]
+    h: Callable[[float, Sequence[float], int], Sequence[float]]
     p: int = 1
-    fhat: Optional[Callable[[float, np.ndarray, int], np.ndarray]] = None
-    dferr: Optional[Callable[[float, np.ndarray, int], np.ndarray]] = None
+    fhat: Optional[Callable[[float, Sequence[float], int], Sequence[float]]] = None
+    dferr: Optional[Callable[[float, Sequence[float], int], Sequence[float]]] = None
     time_invariant_limits: bool = False
     name: str = ""
 
@@ -267,7 +271,7 @@ class SwitchedSystem:
             t = float(rng.uniform(0.0, t_max))
             x = rng.uniform(-box, box, size=self.n)
             i = int(rng.integers(1, self.N + 1))
-            r = self.f(t, x, i) - (self.fhat(t, x, i) + self.dferr(t, x, i))
+            r = np.subtract(self.f(t, x, i), np.add(self.fhat(t, x, i), self.dferr(t, x, i)))
             worst = max(worst, float(np.max(np.abs(r))))
         if worst > tol:
             raise ParameterError(f"decomposition residual {worst:.3e} exceeds {tol:.1e}")
@@ -318,10 +322,6 @@ class AdmissibleSet:
 
     indices: tuple[int, ...]
     n_modes: int
-
-    @property
-    def vertices(self) -> list[np.ndarray]:
-        return [SimplexPoint.vertex(i, self.n_modes).weights for i in self.indices]
 
     def contains(self, point, tol: float = SIMPLEX_TOL) -> bool:
         w = point.weights if isinstance(point, SimplexPoint) else np.asarray(point, dtype=float)

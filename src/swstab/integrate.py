@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -53,32 +53,44 @@ class IntegratorConfig:
             raise ParameterError("event_bisection_tol must lie in (0, step)")
 
 
-def _rk4_step(f, t: float, x: np.ndarray, h: float, *args) -> np.ndarray:
-    """RK4 step of dx/dt = f(t, x, *args); the final sum runs on Python floats,
-    which round exactly as numpy's elementwise float64 operations do."""
+def _rk4_step(f, t: float, x: list, h: float, *args) -> list:
+    """RK4 step of dx/dt = f(t, x, *args) over a list of floats, zipping whatever sequence
+    f returns; floats round as numpy's float64 arrays do, so ndarray RK4 agrees bit for bit."""
     hh = 0.5 * h
     tm = t + hh
     k1 = f(t, x, *args)
-    k2 = f(tm, x + hh * k1, *args)
-    k3 = f(tm, x + hh * k2, *args)
-    k4 = f(t + h, x + h * k3, *args)
+    k2 = f(tm, [a + hh * b for a, b in zip(x, k1)], *args)
+    k3 = f(tm, [a + hh * b for a, b in zip(x, k2)], *args)
+    k4 = f(t + h, [a + h * b for a, b in zip(x, k3)], *args)
     h6 = h / 6.0
-    return np.array([a + h6 * (b1 + 2.0 * (b2 + b3) + b4) for a, b1, b2, b3, b4
-                     in zip(x.tolist(), k1.tolist(), k2.tolist(), k3.tolist(), k4.tolist())])
+    return [a + h6 * (b1 + 2.0 * (b2 + b3) + b4)
+            for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
 
 
-def _check_state(x: np.ndarray, t: float, bound: float, partial=None) -> None:
-    s = sum([v * v for v in x.tolist()])
+def _check_state(x, t: float, bound: float) -> None:
+    s = sum([v * v for v in x])
     if s != s:  # NaN
         raise DynamicsError(f"NaN state at t={t}")
     if s > bound * bound:
-        raise BlowUpError(f"state norm exceeded {bound:.3g} at t={t}", time=t, trajectory=partial)
+        raise BlowUpError(f"state norm exceeded {bound:.3g} at t={t}", time=t)
 
 
-def _integrate_interval(f, t0: float, x0: np.ndarray, t1: float, base_step: float,
+def _rows(nodes: list, n: int) -> np.ndarray:
+    """(m, n) array of m nodes stored one after another in a flat list."""
+    return np.array(nodes, dtype=float).reshape(-1, n)
+
+
+def _blown_up(err: BlowUpError, ts: list, xs: list, n: int, **drive) -> BlowUpError:
+    """``err`` re-raised with the partial trajectory of the nodes recorded so far."""
+    partial = Trajectory(times=np.array(ts), states=_rows(xs, n), **drive)
+    return BlowUpError(str(err), time=err.time, trajectory=partial)
+
+
+def _integrate_interval(f, t0: float, x0: list, t1: float, base_step: float,
                         bound: float, out_t: list, out_x: list,
-                        n_steps: int = 0, args: tuple = ()) -> np.ndarray:
-    """March dx/dt = f(t, x, *args) to t1 in equal sub-steps <= base_step, appending nodes."""
+                        n_steps: int = 0, args: tuple = ()) -> list:
+    """March dx/dt = f(t, x, *args) to t1 in equal sub-steps <= base_step; each node's
+    time is appended to ``out_t``, its state extends the flat ``out_x``; returns the last."""
     span = t1 - t0
     if span <= 0:
         return x0
@@ -91,7 +103,7 @@ def _integrate_interval(f, t0: float, x0: np.ndarray, t1: float, base_step: floa
         tk = t1 if k == n else t0 + k * h
         _check_state(x, tk, bound)
         out_t.append(tk)
-        out_x.append(x)
+        out_x.extend(x)
     return x
 
 
@@ -102,12 +114,20 @@ def _mode_rhs(sys: SwitchedSystem, i: int):
     return sys.f, (i,)
 
 
-def _fill_outputs_switched(sys: SwitchedSystem, times, states, modes) -> np.ndarray:
-    out = np.empty((len(times), sys.p))
-    h = sys.h
-    for k, (t, x, i) in enumerate(zip(times, states, modes.tolist())):
-        out[k] = h(t, x, i)
-    return out
+def _start_state(x0, n: int, t0: float, cfg: IntegratorConfig) -> list:
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (n,):
+        raise ParameterError(f"x0 must have shape ({n},)")
+    x = x0.tolist()
+    _check_state(x, t0, cfg.divergence_bound)
+    return x
+
+
+def _switched_outputs(sys: SwitchedSystem, times: list, xs: list, modes: list) -> np.ndarray:
+    """Rows h_i(t, x) at every node, i the node's mode."""
+    h, n = sys.h, sys.n
+    return _rows([v for k, (t, i) in enumerate(zip(times, modes))
+                  for v in h(t, xs[k * n:k * n + n], i)], sys.p)
 
 
 def simulate(sys: SwitchedSystem, sigma: SwitchingSignal, t0: float, x0: np.ndarray,
@@ -119,26 +139,21 @@ def simulate(sys: SwitchedSystem, sigma: SwitchingSignal, t0: float, x0: np.ndar
     """
     if tf < t0:
         raise DomainError("tf must be >= t0")
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (sys.n,):
-        raise ParameterError(f"x0 must have shape ({sys.n},)")
-    _check_state(x0, t0, cfg.divergence_bound)
+    x = _start_state(x0, sys.n, t0, cfg)
     ts: list = [t0]
-    xs: list = [x0]
+    xs: list = list(x)
     if tf > t0:
         try:
             for a, b, i in sigma.segments(t0, tf):
                 f, args = _mode_rhs(sys, i)
-                _integrate_interval(f, a, xs[-1], b, cfg.step, cfg.divergence_bound,
-                                    ts, xs, args=args)
+                x = _integrate_interval(f, a, x, b, cfg.step, cfg.divergence_bound,
+                                        ts, xs, args=args)
         except BlowUpError as err:
-            partial = Trajectory(times=np.array(ts), states=np.array(xs[: len(ts)]),
-                                 modes=sigma.modes_at(np.array(ts)))
-            raise BlowUpError(str(err), time=err.time, trajectory=partial) from None
+            raise _blown_up(err, ts, xs, sys.n, modes=sigma.modes_at(np.array(ts))) from None
     times = np.array(ts)
     modes = sigma.modes_at(times).astype(np.int64)
-    return Trajectory(times=times, states=np.array(xs), modes=modes,
-                      outputs=_fill_outputs_switched(sys, ts, xs, modes))
+    return Trajectory(times=times, states=_rows(xs, sys.n), modes=modes,
+                      outputs=_switched_outputs(sys, ts, xs, modes.tolist()))
 
 
 def _mix_rhs(sys: SwitchedSystem, weights: np.ndarray):
@@ -147,25 +162,26 @@ def _mix_rhs(sys: SwitchedSystem, weights: np.ndarray):
     if len(nz) == 1 and nz[0][1] == 1.0:
         return _mode_rhs(sys, nz[0][0])
     f = sys.f
+    (i0, w0), rest = nz[0], nz[1:]
 
     def rhs(t, x):
-        acc = nz[0][1] * f(t, x, nz[0][0])
-        for i, w in nz[1:]:
-            acc = acc + w * f(t, x, i)
+        acc = [w0 * v for v in f(t, x, i0)]
+        for i, w in rest:
+            acc = [a + w * v for a, v in zip(acc, f(t, x, i))]
         return acc
 
     return rhs, ()
 
 
-def _mixed_outputs(sys: SwitchedSystem, times: np.ndarray, states: np.ndarray,
+def _mixed_outputs(sys: SwitchedSystem, times: list, xs: list,
                    controls: np.ndarray) -> np.ndarray:
-    """Rows sum_i u_i |h_i(t, x)| at every node."""
+    """Rows sum_i u_i |h_i(t, x)| at every node, summed over the modes in order."""
+    h, n = sys.h, sys.n
     out = np.zeros((len(times), sys.p))
-    h = sys.h
-    for k, (t, x, w) in enumerate(zip(times.tolist(), states, controls.tolist())):
-        for i, wi in enumerate(w, 1):
-            if wi > 0.0:
-                out[k] += wi * np.abs(h(t, x, i))
+    for i in range(1, sys.N + 1):
+        ks = np.flatnonzero(controls[:, i - 1] > 0.0).tolist()
+        hk = _rows([v for k in ks for v in h(times[k], xs[k * n:k * n + n], i)], sys.p)
+        out[ks] += controls[ks, i - 1:i] * np.abs(hk)
     return out
 
 
@@ -178,7 +194,7 @@ def _march(rhs_of_weights, u: RelaxedControl, t0: float, x0: np.ndarray, tf: flo
     stay grid nodes because sub-step counts are chosen per cell.  Node labels
     are right-continuous: a node on a cell edge carries the incoming cell's
     value.  ``n`` and ``n_modes`` are the state dimension and mode count the
-    inputs are checked against.  Returns (times, states, controls).
+    inputs are checked against.  Returns (times, flat states, cell of each node).
     """
     if tf < t0:
         raise DomainError("tf must be >= t0")
@@ -186,15 +202,12 @@ def _march(rhs_of_weights, u: RelaxedControl, t0: float, x0: np.ndarray, tf: flo
         raise DomainError(f"[{t0}, {tf}] outside control grid [{u.t0}, {u.tf}]")
     if u.n_modes != n_modes:
         raise ParameterError(f"control has {u.n_modes} modes, system has {n_modes}")
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (n,):
-        raise ParameterError(f"x0 must have shape ({n},)")
-    _check_state(x0, t0, cfg.divergence_bound)
+    x = _start_state(x0, n, t0, cfg)
     per_cell = max(1, int(math.ceil((u.step / cfg.step) * (1.0 - 1e-9))))
     k = u.cell_of(t0)
     ts: list = [t0]
-    xs: list = [x0]
-    ctrl: list = [u.values[k]]
+    xs: list = list(x)
+    cells: list = [k]
     same_as_prev = [False] + np.all(u.values[1:] == u.values[:-1], axis=1).tolist()
     while tf > t0 and u.t0 + k * u.step < tf - 1e-12 and k < u.n_cells:
         k_end = k + 1
@@ -203,19 +216,17 @@ def _march(rhs_of_weights, u: RelaxedControl, t0: float, x0: np.ndarray, tf: flo
             k_end += 1
         a = max(t0, u.t0 + k * u.step)
         b = min(tf, u.t0 + k_end * u.step)
-        w = u.values[k]
-        ctrl[-1] = w  # node on the incoming cell's left edge takes its value
+        cells[-1] = k  # node on the incoming cell's left edge takes its value
         n_before = len(ts)
-        rhs, args = rhs_of_weights(w)
+        rhs, args = rhs_of_weights(u.values[k])
         try:
-            _integrate_interval(rhs, a, xs[-1], b, cfg.step, cfg.divergence_bound, ts, xs,
-                                n_steps=per_cell * (k_end - k), args=args)
+            x = _integrate_interval(rhs, a, x, b, cfg.step, cfg.divergence_bound, ts, xs,
+                                    n_steps=per_cell * (k_end - k), args=args)
         except BlowUpError as err:
-            partial = Trajectory(times=np.array(ts), states=np.array(xs))
-            raise BlowUpError(str(err), time=err.time, trajectory=partial) from None
-        ctrl.extend([w] * (len(ts) - n_before))
+            raise _blown_up(err, ts, xs, n) from None
+        cells.extend([k] * (len(ts) - n_before))
         k = k_end
-    return np.array(ts), np.array(xs), np.array(ctrl)
+    return ts, xs, cells
 
 
 def simulate_relaxed(sys: SwitchedSystem, u: RelaxedControl, t0: float, x0: np.ndarray,
@@ -224,14 +235,14 @@ def simulate_relaxed(sys: SwitchedSystem, u: RelaxedControl, t0: float, x0: np.n
 
     Steps are aligned to the control's grid cells (see ``_march``).
     """
-    times, states, controls = _march(lambda w: _mix_rhs(sys, w), u, t0, x0, tf, cfg,
-                                     sys.n, sys.N)
-    return Trajectory(times=times, states=states, controls=controls,
-                      outputs=_mixed_outputs(sys, times, states, controls))
+    ts, xs, cells = _march(lambda w: _mix_rhs(sys, w), u, t0, x0, tf, cfg, sys.n, sys.N)
+    controls = u.values[cells]
+    return Trajectory(times=np.array(ts), states=_rows(xs, sys.n), controls=controls,
+                      outputs=_mixed_outputs(sys, ts, xs, controls))
 
 
 def simulate_with_covering(sys: SwitchedSystem, covering: Covering,
-                           policy: Callable[[float, np.ndarray, tuple[int, ...]], int],
+                           policy: Callable[[float, Sequence[float], tuple[int, ...]], int],
                            t0: float, x0: np.ndarray, tf: float,
                            cfg: IntegratorConfig) -> tuple[Trajectory, SwitchingSignal]:
     """Closed-loop run keeping sigma(t) in the active index set of x(t).
@@ -241,14 +252,14 @@ def simulate_with_covering(sys: SwitchedSystem, covering: Covering,
     switch the new mode is granted one full base step before bisection
     re-arms, so grazing/sliding configurations make progress: the state may
     overshoot the boundary inside such a step, but every recorded grid node
-    is labeled with a mode whose piece contains it (within tolerance).
+    is labeled with a mode whose piece contains it (within tolerance).  The
+    policy and the covering's margins are handed the state as a list of floats.
     """
     if tf <= t0:
         raise DomainError("tf must exceed t0")
-    x0 = np.asarray(x0, dtype=float)
     if covering.N != sys.N:
         raise ParameterError("covering and system mode counts differ")
-    _check_state(x0, t0, cfg.divergence_bound)
+    x = _start_state(x0, sys.n, t0, cfg)
 
     def query(t, x):
         active = active_index_set(x, covering, tol=BOUNDARY_TOL)
@@ -257,15 +268,15 @@ def simulate_with_covering(sys: SwitchedSystem, covering: Covering,
             raise PolicyError(f"policy returned mode {m} outside active set {active} at t={t}")
         return m
 
-    mode = query(t0, x0)
+    mode = query(t0, x)
     ts = [t0]
-    xs = [x0]
+    xs = list(x)
     bp = [t0]
     bp_modes = [mode]
     node_modes = [mode]
     suppress_until = -np.inf
     n_switches = 0
-    t, x = t0, x0
+    t = t0
     f, args = _mode_rhs(sys, mode)
 
     def switch_to(new_mode, at_t):
@@ -283,58 +294,44 @@ def simulate_with_covering(sys: SwitchedSystem, covering: Covering,
                 raise ChatteringError(f"more than {cfg.max_switches} switches by t={at_t}")
         suppress_until = at_t + cfg.step
 
-    bound2 = cfg.divergence_bound * cfg.divergence_bound
     t_stop = tf - 1e-12 * max(1.0, abs(tf))
     step = cfg.step
     margin = covering.margin
     while t < t_stop:
         h = min(step, tf - t)
         x_new = _rk4_step(f, t, x, h, *args)
-        s = float(x_new @ x_new)
-        if s != s:
-            raise DynamicsError(f"NaN state at t={t + h}")
-        if s > bound2:
-            raise BlowUpError(f"state norm exceeded {cfg.divergence_bound:.3g} at t={t + h}",
-                              time=t + h,
-                              trajectory=Trajectory(times=np.array(ts), states=np.array(xs)))
-        if margin(x_new, mode) >= -BOUNDARY_TOL:
-            t, x = t + h, x_new
-            ts.append(t)
-            xs.append(x)
-            node_modes.append(mode)
-            continue
-        if t < suppress_until:
-            # grace step after a switch: accept and re-decide at the endpoint
-            t, x = t + h, x_new
-            ts.append(t)
-            xs.append(x)
-            switch_to(query(t, x), t)
-            node_modes.append(mode)
-            continue
-        # locate the crossing: margin(mode, .) changes sign inside (0, h]
-        lo, hi = 0.0, h
-        x_hi = x_new
-        while hi - lo > cfg.event_bisection_tol:
-            mid = 0.5 * (lo + hi)
-            x_mid = _rk4_step(f, t, x, mid, *args)
-            if margin(x_mid, mode) >= 0.0:
-                lo = mid
-            else:
-                hi, x_hi = mid, x_mid
-        if hi <= cfg.event_bisection_tol:
-            # crossing at the very start: switch in place and take a grace step
-            switch_to(query(t, x), t)
-            node_modes[-1] = mode
-            continue
-        t, x = t + hi, x_hi
+        try:
+            _check_state(x_new, t + h, cfg.divergence_bound)
+        except BlowUpError as err:
+            raise _blown_up(err, ts, xs, sys.n) from None
+        # a step that leaves the piece ends in a re-decision: at the endpoint of
+        # a grace step right after a switch, else at the bisected crossing
+        leaves = margin(x_new, mode) < -BOUNDARY_TOL
+        if leaves and t >= suppress_until:
+            # locate the crossing: margin(mode, .) changes sign inside (0, h]
+            lo = 0.0
+            while h - lo > cfg.event_bisection_tol:
+                mid = 0.5 * (lo + h)
+                x_mid = _rk4_step(f, t, x, mid, *args)
+                if margin(x_mid, mode) >= 0.0:
+                    lo = mid
+                else:
+                    h, x_new = mid, x_mid
+            if h <= cfg.event_bisection_tol:
+                # crossing at the very start: switch in place and take a grace step
+                switch_to(query(t, x), t)
+                node_modes[-1] = mode
+                continue
+        t, x = t + h, x_new
         ts.append(t)
-        xs.append(x)
-        switch_to(query(t, x), t)
+        xs.extend(x)
+        if leaves:
+            switch_to(query(t, x), t)
         node_modes.append(mode)
 
     sigma = SwitchingSignal(breakpoints=np.array(bp), modes=np.array(bp_modes, dtype=np.int64),
                             domain_start=t0, domain_end=tf)
-    modes = np.array(node_modes, dtype=np.int64)
-    traj = Trajectory(times=np.array(ts), states=np.array(xs), modes=modes,
-                      outputs=_fill_outputs_switched(sys, ts, xs, modes))
+    traj = Trajectory(times=np.array(ts), states=_rows(xs, sys.n),
+                      modes=np.array(node_modes, dtype=np.int64),
+                      outputs=_switched_outputs(sys, ts, xs, node_modes))
     return traj, sigma

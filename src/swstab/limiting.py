@@ -32,7 +32,7 @@ from .core import (
     Trajectory,
     active_index_set,
 )
-from .integrate import IntegratorConfig, _integrate_interval, _march
+from .integrate import IntegratorConfig, _integrate_interval, _march, _rows
 from .signals import (
     TIE_TOL,
     PatternConstraint,
@@ -96,8 +96,8 @@ class ReducedLimitingSystem:
 
     n: int
     N: int
-    Fhat: Callable[[float, np.ndarray], np.ndarray]   # (n, N)
-    Hhat: Callable[[float, np.ndarray], np.ndarray]   # (N,)
+    Fhat: Callable[[float, Sequence[float]], np.ndarray]   # (n, N)
+    Hhat: Callable[[float, Sequence[float]], np.ndarray]   # (N,)
     covering: Covering
     constraints: tuple[ControlClassConstraint, ...] = ()
     name: str = ""
@@ -145,11 +145,11 @@ def build_reduced(sys: SwitchedSystem, covering: Covering,
 
 
 def _fhat_column(t, x, Fhat, i):
-    return Fhat(t, x)[:, i]
+    return Fhat(t, x)[:, i].tolist()
 
 
 def _fhat_mix(t, x, Fhat, w):
-    return Fhat(t, x) @ w
+    return (Fhat(t, x) @ w).tolist()
 
 
 def _reduced_rhs(Fhat, w: np.ndarray):
@@ -171,12 +171,11 @@ def simulate_reduced(rls: ReducedLimitingSystem, u: RelaxedControl, t0: float,
     The reduced system is the relaxed system with fields Fhat's columns, so
     this is the march of ``simulate_relaxed`` with output Hhat . u.
     """
-    Fhat = rls.Fhat
-    times, states, controls = _march(lambda w: _reduced_rhs(Fhat, w), u, t0, x0, tf, cfg,
-                                     rls.n, rls.N)
-    outputs = np.array([[float(rls.Hhat(t, x) @ w)]
-                        for t, x, w in zip(times, states, controls)])
-    return Trajectory(times=times, states=states, controls=controls, outputs=outputs)
+    Fhat, Hhat = rls.Fhat, rls.Hhat
+    ts, xs, cells = _march(lambda w: _reduced_rhs(Fhat, w), u, t0, x0, tf, cfg, rls.n, rls.N)
+    states, controls = _rows(xs, rls.n), u.values[cells]
+    outputs = np.array([[float(Hhat(t, x) @ w)] for t, x, w in zip(ts, states, controls)])
+    return Trajectory(times=np.array(ts), states=states, controls=controls, outputs=outputs)
 
 
 def output_residual(rls: ReducedLimitingSystem, traj: Trajectory,
@@ -430,13 +429,14 @@ def _rollout(rls: ReducedLimitingSystem, u_cells, x0, horizon, du, step, eps,
     face-random closed loop).  Hhat is evaluated once per grid node: a cell's
     end value is the next cell's start value when the two times are equal
     floats.  Each cell is marched by the integrator's RK4 in sub-steps no
-    longer than ``step``.  The norm floor is checked at cell ends only: this
-    is a screen, and _validate_candidate re-checks every node.
+    longer than ``step``.  The norm floor (a sum of squares of the float-list
+    state) is checked at cell ends only: _validate_candidate re-checks every node.
     """
     n_cells = int(round(horizon / du))
     x = np.asarray(x0, dtype=float)
     if float(np.linalg.norm(x)) < eps:
         raise _Abort("start_below_floor")
+    x = x.tolist()
     sub = max(1, int(math.ceil(du / step - 1e-12)))
     Fhat, Hhat = rls.Fhat, rls.Hhat
     closed_loop = callable(u_cells)
@@ -457,7 +457,7 @@ def _rollout(rls: ReducedLimitingSystem, u_cells, x0, horizon, du, step, eps,
                                     n_steps=sub, args=args)
         except (BlowUpError, DynamicsError):
             raise _Abort("diverged") from None
-        if float(x @ x) < eps * eps:
+        if sum([v * v for v in x]) < eps * eps:
             raise _Abort("norm_floor")
         H_end = Hhat(t_end, x)
         if not float(H_end @ w) <= residual_tol:

@@ -93,21 +93,21 @@ def motivating(a: float = 1.0, T0: float = 1.0, delta0: float = 0.2) -> Registry
 
     def f(t, x, i):
         if i == 1:
-            return np.array((x[1], -x[0]))
-        return np.array((-signed_cbrt(x[0]) + a * x[1], -a * x[0]))
+            return (x[1], -x[0])
+        return (-signed_cbrt(x[0]) + a * x[1], -a * x[0])
 
     def h(t, x, i):
-        return np.array((0.0,)) if i == 1 else np.array((abs(x[0]),))
+        return (0.0,) if i == 1 else (abs(x[0]),)
 
     def fhat(t, x, i):
         if i == 1:
-            return np.array((x[1], -x[0]))
-        return np.array((a * x[1], 0.0))
+            return (x[1], -x[0])
+        return (a * x[1], 0.0)
 
     def dferr(t, x, i):
         if i == 1:
-            return np.zeros(2)
-        return np.array((-signed_cbrt(x[0]), -a * x[0]))
+            return (0.0, 0.0)
+        return (-signed_cbrt(x[0]), -a * x[0])
 
     system = SwitchedSystem(n=2, N=2, f=f, h=h, p=1, fhat=fhat, dferr=dferr,
                             time_invariant_limits=True, name="motivating")
@@ -170,29 +170,29 @@ def example1(g1: Optional[Callable] = None, g2: Optional[Callable] = None,
     def f(t, x, i):
         if i == 1:
             g = g1(t, x)
-            return np.array((-g * x[1], g * x[0] - x[1]))
+            return (-g * x[1], g * x[0] - x[1])
         g = g2(t, x) * (1.0 if i == 2 else 2.0)
-        return np.array((g * x[1] - x[0], -g * x[0]))
+        return (g * x[1] - x[0], -g * x[0])
 
     def h(t, x, i):
-        return np.array((x[1] * x[1],)) if i == 1 else np.array((x[0] * x[0],))
+        return (x[1] * x[1],) if i == 1 else (x[0] * x[0],)
 
     def fhat(t, x, i):
         if i == 1:
-            return np.array((0.0, ghat1(t, x[0]) * x[0]))
+            return (0.0, ghat1(t, x[0]) * x[0])
         scale = 1.0 if i == 2 else 2.0
-        return np.array((scale * ghat2(t, x[1]) * x[1], 0.0))
+        return (scale * ghat2(t, x[1]) * x[1], 0.0)
 
     def dferr(t, x, i):
         # absorbs the damping terms and the off-axis part of g_i; vanishes
         # where the respective output gauge does
         if i == 1:
             g = g1(t, x)
-            return np.array((-g * x[1], g * x[0] - x[1] - ghat1(t, x[0]) * x[0]))
+            return (-g * x[1], g * x[0] - x[1] - ghat1(t, x[0]) * x[0])
         scale = 1.0 if i == 2 else 2.0
         g = scale * g2(t, x)
         gh = scale * ghat2(t, x[1])
-        return np.array((g * x[1] - x[0] - gh * x[1], -g * x[0]))
+        return (g * x[1] - x[0] - gh * x[1], -g * x[0])
 
     system = SwitchedSystem(n=2, N=3, f=f, h=h, p=1, fhat=fhat, dferr=dferr,
                             time_invariant_limits=False, name="example1")
@@ -207,12 +207,12 @@ def example1(g1: Optional[Callable] = None, g2: Optional[Callable] = None,
     # constant-shift surrogate limiting functions (shift 0 along a period-aligned
     # sequence); the limiting functions of general precompact maps are not
     # mechanically computable
-    fg = [lambda t, x: np.array((0.0, ghat1(t, x[0]) * x[0])),
-          lambda t, x: np.array((ghat2(t, x[1]) * x[1], 0.0)),
-          lambda t, x: np.array((2.0 * ghat2(t, x[1]) * x[1], 0.0))]
-    hg = [lambda t, x: np.array((x[1] * x[1],)),
-          lambda t, x: np.array((x[0] * x[0],)),
-          lambda t, x: np.array((x[0] * x[0],))]
+    fg = [lambda t, x: (0.0, ghat1(t, x[0]) * x[0]),
+          lambda t, x: (ghat2(t, x[1]) * x[1], 0.0),
+          lambda t, x: (2.0 * ghat2(t, x[1]) * x[1], 0.0)]
+    hg = [lambda t, x: (x[1] * x[1],),
+          lambda t, x: (x[0] * x[0],),
+          lambda t, x: (x[0] * x[0],)]
     reduced = build_reduced(system, covering, [], (fg, hg), name="example1")
     klass = SignalClass(
         kind="arbitrary", params={"mean_dwell": mean_dwell},
@@ -276,10 +276,10 @@ def example4(b1: Optional[Callable] = None, b2: Optional[Callable] = None,
 
     def h(t, x, i):
         if i == 1:
-            return np.array((rho1(x[1]),))
+            return (rho1(x[1]),)
         if i == 2:
-            return np.array((rho2(x[0]),))
-        return np.array((0.0,))
+            return (rho2(x[0]),)
+        return (0.0,)
 
     def fhat(t, x, i):
         if i == 1:
@@ -325,9 +325,9 @@ def example4(b1: Optional[Callable] = None, b2: Optional[Callable] = None,
     fg = [lambda t, x: np.array((0.0, -b1(t) * x[0])),
           lambda t, x: np.array((-b2(t) * x[1], 0.0)),
           lambda t, x: A3 @ x]
-    hg = [lambda t, x: np.array((rho1(x[1]),)),
-          lambda t, x: np.array((rho2(x[0]),)),
-          lambda t, x: np.array((0.0,))]
+    hg = [lambda t, x: (rho1(x[1]),),
+          lambda t, x: (rho2(x[0]),),
+          lambda t, x: (0.0,)]
     reduced = build_reduced(system, covering, [], (fg, hg), name="example4")
     klass = SignalClass(kind="policy", params={})
     return RegistryEntry(
@@ -340,10 +340,6 @@ def example4(b1: Optional[Callable] = None, b2: Optional[Callable] = None,
 # ---------------------------------------------------------------------------
 # switched power inverter with nonlinear time-varying resistive load
 # ---------------------------------------------------------------------------
-
-_RAW1 = np.array([[0, 0, 0, 0], [0, 0, 1, 1], [0, -1, 0, 0], [0, -1, 0, 0]], dtype=float)
-_RAW2 = np.array([[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]], dtype=float)
-
 
 def inverter(L1: float = 1.0, L2: float = 1.0, C1: float = 1.0, C2: float = 1.0,
              g1: Optional[Callable] = None, g2: Optional[Callable] = None,
@@ -380,29 +376,28 @@ def inverter(L1: float = 1.0, L2: float = 1.0, C1: float = 1.0, C2: float = 1.0,
             _sample_check(not bad, f"ell{nm}(v) <= v*g{nm}(t,v) fails at {bad[:1]}")
 
     P = np.diag([L1, L2, C1, C2])
-    Pinv = np.diag([1.0 / L1, 1.0 / L2, 1.0 / C1, 1.0 / C2])
-    A = (Pinv @ _RAW1, Pinv @ _RAW2)
-    raw_hat1, raw_hat2 = _RAW1.copy(), _RAW2.copy()
-    raw_hat1[1, 3] = 0.0
-    raw_hat2[1, 3] = 0.0
-    Ahat = (Pinv @ raw_hat1, Pinv @ raw_hat2)
-    e4 = np.array((0.0, 0.0, 0.0, 1.0))
-    loads = (g1, g2)
     ells = (ell1, ell2)
+    l1, l2, c1, c2 = 1.0 / L1, 1.0 / L2, 1.0 / C1, 1.0 / C2   # the entries of P^-1
 
     def f(t, x, i):
-        return A[i - 1] @ x - e4 * loads[i - 1](t, x[3])
+        # (P^-1 RAW_i) x - g_i(t, x4) e4 by its nonzero terms, RAW_1 rows 0, e3 + e4,
+        # -e2, -e2 and RAW_2 rows -e3, e4, e1, -e2: the matmul's values bit for bit
+        if i == 1:
+            return (0.0, l2 * x[2] + l2 * x[3], -c1 * x[1], -c2 * x[1] - g1(t, x[3]))
+        return (-l1 * x[2], l2 * x[3], c1 * x[0], -c2 * x[1] - g2(t, x[3]))
 
     def h(t, x, i):
-        return np.array((C2 * ells[i - 1](x[3]),))
+        return (C2 * ells[i - 1](x[3]),)
 
     def fhat(t, x, i):
-        return Ahat[i - 1] @ x
+        # f without the load and without the (2,4) coupling of each RAW_i
+        return (0.0, l2 * x[2], -c1 * x[1], -c2 * x[1]) if i == 1 else \
+            (-l1 * x[2], 0.0, c1 * x[0], -c2 * x[1])
 
     def dferr(t, x, i):
-        # the (2,4) coupling moved out of Ahat is a zeroing part: it vanishes
+        # the (2,4) coupling moved out of fhat is a zeroing part: it vanishes
         # with x4, exactly where the output does
-        return np.array((0.0, x[3] / L2, 0.0, 0.0)) - e4 * loads[i - 1](t, x[3])
+        return (0.0, x[3] / L2, 0.0, -(g1 if i == 1 else g2)(t, x[3]))
 
     system = SwitchedSystem(n=4, N=2, f=f, h=h, p=1, fhat=fhat, dferr=dferr,
                             time_invariant_limits=True, name="inverter")

@@ -4,13 +4,17 @@ These deliberately avoid the validators' breakpoint arithmetic: the signal is
 sampled onto a dense 1e-4 s grid (the generators' storage granularity, so
 sampling is exact for on-grid breakpoints) and window quantities are computed
 from cumulative sums over that grid.  The weak-Lyapunov checkers have
-per-node reference loops at the end of the file.
+per-node reference loops, and the integrators the ndarray RK4 kernel that
+the float-list kernel replaced, at the end of the file.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from swstab.core import BlowUpError, DynamicsError
 from swstab.lyapunov import (REVISIT_TOL, SLACK_CURVATURE_FACTOR, SLACK_FLOOR, CheckReport,
                              DecreaseReport)
 
@@ -181,3 +185,77 @@ def check_integral_bound_reference(traj, sigma, sys, params, quad_coeff=10.0):
                        worst_location=(float(t[j]), float(t[k])),
                        slack=quad_coeff * h_max * h_max * float(t[k] - t[j]),
                        extra={"M": params.M, "mu": params.mu})
+
+
+# ---------------------------------------------------------------------------
+# ndarray RK4 kernel
+# ---------------------------------------------------------------------------
+# The RK4 step and interval march as they ran on float64 arrays.  Installed
+# in place of swstab.integrate's ``_rk4_step`` and ``_integrate_interval``
+# (and limiting's import of the latter), they take and give states the way
+# the integrators now hold them: a sequence of floats in, the flat node list
+# extended.  Trajectories must come out equal bit for bit.
+
+
+def rk4_step_reference(f, t, x, h, *args):
+    """RK4 step with float64 array stages; the field's result is read as an array.
+
+    The last sum runs on Python floats, which round as the array expression does."""
+    x = np.asarray(x, dtype=float)
+
+    def k(tk, xk):
+        return np.asarray(f(tk, xk, *args), dtype=float)
+
+    hh = 0.5 * h
+    tm = t + hh
+    k1 = k(t, x)
+    k2 = k(tm, x + hh * k1)
+    k3 = k(tm, x + hh * k2)
+    k4 = k(t + h, x + h * k3)
+    h6 = h / 6.0
+    return [a + h6 * (b1 + 2.0 * (b2 + b3) + b4) for a, b1, b2, b3, b4
+            in zip(x.tolist(), k1.tolist(), k2.tolist(), k3.tolist(), k4.tolist())]
+
+
+def _check_state_reference(x, t, bound):
+    s = sum([v * v for v in x])
+    if s != s:  # NaN
+        raise DynamicsError(f"NaN state at t={t}")
+    if s > bound * bound:
+        raise BlowUpError(f"state norm exceeded {bound:.3g} at t={t}", time=t)
+
+
+def integrate_interval_reference(f, t0, x0, t1, base_step, bound, out_t, out_x,
+                                 n_steps=0, args=()):
+    span = t1 - t0
+    if span <= 0:
+        return x0
+    n = n_steps if n_steps > 0 else max(1, int(math.ceil((span / base_step) * (1.0 - 1e-9))))
+    h = span / n
+    x = x0
+    for k in range(1, n + 1):
+        t = t0 + (k - 1) * h
+        x = rk4_step_reference(f, t, x, h, *args)
+        tk = t1 if k == n else t0 + k * h
+        _check_state_reference(x, tk, bound)
+        out_t.append(tk)
+        out_x.extend(x)
+    return x
+
+
+def switched_outputs_reference(sys, traj):
+    """Rows h_i(t, x) filled node by node, i the node's mode."""
+    out = np.empty((len(traj.times), sys.p))
+    for k, (t, x, i) in enumerate(zip(traj.times.tolist(), traj.states, traj.modes.tolist())):
+        out[k] = sys.h(t, x, i)
+    return out
+
+
+def mixed_outputs_reference(sys, traj):
+    """Rows sum_i u_i |h_i(t, x)| accumulated node by node from zero."""
+    out = np.zeros((len(traj.times), sys.p))
+    for k, (t, x, w) in enumerate(zip(traj.times.tolist(), traj.states, traj.controls.tolist())):
+        for i, wi in enumerate(w, 1):
+            if wi > 0.0:
+                out[k] += wi * np.abs(sys.h(t, x, i))
+    return out

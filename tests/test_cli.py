@@ -78,6 +78,31 @@ def test_unknown_system_parameter_exit2(tmp_path, capsys):
     assert "zz" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, doc, key", [
+    ("simulate", {"simulate": {"horizon": "abc"}}, "simulate.horizon"),
+    ("envelope", {"envelope": {"trials": [3]}}, "envelope.trials"),
+    ("simulate", {"integrator": {"step": None}}, "integrator.step"),
+    ("simulate", {"simulate": {"x0": [1.0, "x"]}}, "simulate.x0"),
+    ("falsify", {"falsify": {"eps": float("inf")}}, "falsify.eps"),
+])
+def test_bad_manifest_number_exit2(tmp_path, capsys, command, doc, key):
+    m = manifest_file(tmp_path, doc)
+    assert run([command, "--manifest", m, "--out", tmp_path / "o", "--workers", 1]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_internal_key_error_is_not_an_input_error(tmp_path, monkeypatch):
+    # a KeyError raised inside a command is a bug, not bad input: it propagates
+    import swstab.cli as cli
+
+    def broken(manifest):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "cmd_simulate", broken)
+    with pytest.raises(KeyError):
+        run(["simulate", "--out", tmp_path / "o"])
+
+
 @pytest.mark.parametrize("workers", [0, -1])
 def test_workers_below_one_exit2(tmp_path, capsys, workers):
     # a tiny envelope, so that a regression returns quickly instead of raising
@@ -242,6 +267,32 @@ def test_flip_dynamics_reaches_policy_class_envelope():
     ref = estimate_envelope(2, make_driver(entry, IntegratorConfig(step=2e-2)), radii=[1.0],
                             horizon=6.0, trials=2, tau_count=4, master_seed=3, offset_max=2.0)
     assert env_flip.beta_table.tobytes() == ref.beta_table.tobytes()
+
+
+def test_flip_dynamics_reverses_simulate_derivative(all_entries):
+    # the flip negates f, fhat and dferr elementwise, whatever sequence they
+    # return, so a one-step simulate of the flipped system moves the other way
+    from swstab import IntegratorConfig, SwitchingSignal, simulate
+    from swstab.cli import _flip_system
+    rng = np.random.default_rng(17)
+    h = 1e-6
+    for entry in all_entries:
+        system = entry.system
+        flipped = _flip_system(system)
+        for i in range(1, system.N + 1):
+            x0, t0 = rng.uniform(-1.5, 1.5, system.n), float(rng.uniform(0.0, 5.0))
+            for name in ("f", "fhat", "dferr"):
+                want = -np.asarray(getattr(system, name)(t0, x0.tolist(), i), dtype=float)
+                got = np.asarray(getattr(flipped, name)(t0, x0.tolist(), i), dtype=float)
+                assert got.tobytes() == want.tobytes(), (entry.name, name, i)
+            sig = SwitchingSignal.constant(i, t0, t0 + h)
+            cfg = IntegratorConfig(step=h, event_bisection_tol=1e-12)
+            ahead = simulate(system, sig, t0, x0, t0 + h, cfg).states[1] - x0
+            back = simulate(flipped, sig, t0, x0, t0 + h, cfg).states[1] - x0
+            f = np.asarray(system.f(t0, x0.tolist(), i), dtype=float)
+            # one RK4 step departs from x0 + h f by O(h^2)
+            np.testing.assert_allclose(ahead / h, f, rtol=0.0, atol=1e-5)
+            np.testing.assert_allclose(back / h, -f, rtol=0.0, atol=1e-5)
 
 
 def test_package_import_leaves_process_pool_unloaded():

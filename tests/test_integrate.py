@@ -102,6 +102,91 @@ def test_self_convergence_order(inverter):
     assert e2 <= e1 / 8.0
 
 
+def _observed_orders(system, sig, x0, tf, h0):
+    """Pointwise and fitted orders of the sup node error as the step halves three times.
+
+    The error of each run is its largest departure, over the nodes of the
+    coarsest grid, from a run at h0 / 256; every grid holds those nodes.
+    """
+    ref = simulate(system, sig, 0.0, x0, tf, IntegratorConfig(step=h0 / 256))
+    steps = [h0 / 2 ** k for k in range(4)]
+    errs = []
+    for k, h in enumerate(steps):
+        run = simulate(system, sig, 0.0, x0, tf, IntegratorConfig(step=h))
+        assert np.array_equal(run.times[::2 ** k], ref.times[::256])
+        errs.append(float(np.max(np.linalg.norm(run.states[::2 ** k] - ref.states[::256],
+                                                axis=1))))
+    pointwise = [np.log2(errs[k] / errs[k + 1]) for k in range(3)]
+    fitted = np.polyfit(np.log2(steps), np.log2(errs), 1)[0]
+    return pointwise, fitted
+
+
+def test_observed_order_four_on_smooth_modes(motivating, inverter):
+    from swstab import PatternConstraint, gen_pattern
+
+    x0 = np.array([1.0, 0.5, -0.3, 0.8])
+    cases = [(motivating.system, SwitchingSignal.constant(1, 0.0, 10.0), x0[:2], 10.0, 0.2),
+             (inverter.system, SwitchingSignal.constant(1, 0.0, 4.0), x0, 4.0, 0.2),
+             (inverter.system, SwitchingSignal.constant(2, 0.0, 4.0), x0, 4.0, 0.2),
+             # switch times on the coarsest grid, so every step stays inside one mode
+             (inverter.system, gen_pattern(PatternConstraint(T=10.0, dm=0.5, dM=2.0),
+                                           (0.0, 10.0), 3, granularity=0.1), x0, 10.0, 0.1)]
+    for case in cases:
+        pointwise, fitted = _observed_orders(*case)
+        assert all(abs(p - 4.0) < 0.1 for p in pointwise), pointwise
+        assert abs(fitted - 4.0) < 0.05
+
+
+def test_observed_order_on_cube_root_mode(motivating):
+    # mode 2 is -x1^(1/3) + x2, not Lipschitz at x1 = 0, which the run crosses:
+    # the sup error at steps 0.1 .. 0.0125 is 4.6e-3, 3.6e-4, 5.7e-4, 2.5e-4,
+    # pointwise orders 3.65, -0.66, 1.20 and a fitted order of 1.19 (measured)
+    pointwise, fitted = _observed_orders(motivating.system, SwitchingSignal.constant(2, 0.0, 5.0),
+                                         np.array([1.0, 0.0]), 5.0, 0.1)
+    assert np.allclose(pointwise, [3.65, -0.66, 1.20], atol=0.01)
+    assert abs(fitted - 1.19) < 0.01
+
+
+def test_evaluation_counts_per_step_and_node(all_entries, cfg_fast):
+    # each RK4 step evaluates the field 4 times; each node evaluates the output
+    # once (a relaxed node once per mode of positive weight)
+    from dataclasses import replace
+
+    from swstab import RelaxedControl
+
+    rng = np.random.default_rng(63)
+    for entry in all_entries:
+        calls = {"f": 0, "h": 0}
+        f, h = entry.system.f, entry.system.h
+
+        def counted_f(t, x, i):
+            calls["f"] += 1
+            return f(t, x, i)
+
+        def counted_h(t, x, i):
+            calls["h"] += 1
+            return h(t, x, i)
+
+        system = replace(entry.system, f=counted_f, h=counted_h)
+        N = system.N
+        x0 = rng.uniform(-1.0, 1.0, system.n)
+        sig = gen_arbitrary(N, (0.0, 4.0), 0.4, 5, granularity=1e-2)
+        traj = simulate(system, sig, 0.0, x0, 4.0, cfg_fast)
+        assert calls == {"f": 4 * (len(traj.times) - 1), "h": len(traj.times)}
+        calls.update(f=0, h=0)
+        u = signal_to_control(sig, 1e-2, span=(0.0, 4.0), n_modes=N)
+        traj = simulate_relaxed(system, u, 0.0, x0, 4.0, cfg_fast)
+        assert calls == {"f": 4 * (len(traj.times) - 1), "h": len(traj.times)}
+        calls.update(f=0, h=0)
+        values = np.full((8, N), 1.0 / N)
+        values[::2] = np.eye(N)[0]
+        traj = simulate_relaxed(system, RelaxedControl(t0=0.0, step=0.5, values=values),
+                                0.0, x0, 4.0, cfg_fast)
+        # a step is taken in the cell its start node carries
+        active = (traj.controls > 0.0).sum(axis=1)
+        assert calls == {"f": 4 * int(active[:-1].sum()), "h": int(active.sum())}
+
+
 # --- relaxed -----------------------------------------------------------------
 
 
@@ -154,7 +239,7 @@ def test_control_grid_refinement_first_order(motivating):
 
 
 def test_blow_up_reported_with_partial():
-    unstable = SwitchedSystem(n=1, N=1, f=lambda t, x, i: 3.0 * x,
+    unstable = SwitchedSystem(n=1, N=1, f=lambda t, x, i: [3.0 * v for v in x],
                               h=lambda t, x, i: np.array([0.0]))
     sig = SwitchingSignal.constant(1, 0.0, 20.0)
     with pytest.raises(BlowUpError) as exc:
@@ -243,3 +328,134 @@ def test_chattering_guard():
     with pytest.raises(ChatteringError):
         simulate_with_covering(sys, chi, lambda t, x, active: active[0],
                                0.0, np.array([0.0]), 10.0, cfg)
+
+
+# --- float-list kernel against the ndarray kernel -----------------------------
+
+
+def _on_both_kernels(monkeypatch, run):
+    """run() on the float-list RK4 kernel, then on the ndarray one of oracles.py."""
+    from swstab import integrate, limiting
+    from oracles import integrate_interval_reference, rk4_step_reference
+
+    got = run()
+    with monkeypatch.context() as m:
+        m.setattr(integrate, "_rk4_step", rk4_step_reference)
+        m.setattr(integrate, "_integrate_interval", integrate_interval_reference)
+        m.setattr(limiting, "_integrate_interval", integrate_interval_reference)
+        want = run()
+    return got, want
+
+
+def _assert_same_bits(a, b):
+    for name in ("times", "states", "modes", "controls", "outputs"):
+        u, v = getattr(a, name), getattr(b, name)
+        assert (u is None) == (v is None), name
+        if u is not None:
+            assert u.dtype == v.dtype and u.shape == v.shape, name
+            assert u.tobytes() == v.tobytes(), name
+
+
+def _flipped(system):
+    f = system.f
+    return SwitchedSystem(n=system.n, N=system.N, p=system.p, h=system.h,
+                          f=lambda t, x, i: [-v for v in f(t, x, i)])
+
+
+def _assert_outputs_match_node_loop(system, traj):
+    from oracles import mixed_outputs_reference, switched_outputs_reference
+
+    loop = mixed_outputs_reference if traj.modes is None else switched_outputs_reference
+    assert traj.outputs.tobytes() == loop(system, traj).tobytes()
+
+
+def test_kernel_matches_ndarray_kernel_open_loop(all_entries, monkeypatch):
+    from swstab import RelaxedControl
+    from swstab.limiting import simulate_reduced
+
+    rng = np.random.default_rng(61)
+    for entry in all_entries:
+        system, n, N = entry.system, entry.system.n, entry.system.N
+        for step in (1e-2, 3e-2):
+            cfg = IntegratorConfig(step=step)
+            x0 = rng.uniform(-1.5, 1.5, n)
+            sig = gen_arbitrary(N, (0.0, 6.0), 0.4, int(rng.integers(0, 2**62)),
+                                granularity=1e-2)
+            vertex = signal_to_control(sig, 1e-2, span=(0.0, 6.0), n_modes=N)
+            values = rng.dirichlet(np.ones(N), size=24)
+            values[::3] = np.eye(N)[rng.integers(0, N, size=8)]
+            mixed = RelaxedControl(t0=0.0, step=0.25, values=values)
+            runs = [lambda: simulate(system, sig, 0.0, x0, 6.0, cfg),
+                    lambda: simulate_relaxed(system, vertex, 0.0, x0, 6.0, cfg),
+                    lambda: simulate_relaxed(system, mixed, 0.0, x0, 6.0, cfg)]
+            if entry.signal_class.generator is not None:
+                cls = entry.signal_class.generator((1.5, 13.5), int(rng.integers(0, 2**62)))
+                runs.append(lambda: simulate(system, cls, 1.5, x0, 13.5, cfg))
+            for run in runs:
+                got, want = _on_both_kernels(monkeypatch, run)
+                _assert_same_bits(got, want)
+                _assert_outputs_match_node_loop(system, got)
+            for u in (mixed, vertex):
+                _assert_same_bits(*_on_both_kernels(monkeypatch, lambda: simulate_reduced(
+                    entry.reduced, u, 0.0, x0, 6.0, cfg)))
+
+
+def test_kernel_matches_ndarray_kernel_closed_loop(example4, monkeypatch):
+    rng = np.random.default_rng(62)
+    for step in (1e-2, 2e-2):
+        cfg = IntegratorConfig(step=step)
+        for _ in range(3):
+            x0, t0 = rng.uniform(-2.0, 2.0, 2), float(rng.uniform(0.0, 10.0))
+            (a, sa), (b, sb) = _on_both_kernels(monkeypatch, lambda: simulate_with_covering(
+                example4.system, example4.covering, example4.policy, t0, x0, t0 + 20.0, cfg))
+            _assert_same_bits(a, b)
+            _assert_outputs_match_node_loop(example4.system, a)
+            assert sa.breakpoints.tobytes() == sb.breakpoints.tobytes()
+            assert sa.modes.tobytes() == sb.modes.tobytes()
+
+
+def test_kernel_matches_ndarray_kernel_blow_up_partial(all_entries, example4, monkeypatch):
+    cfg = IntegratorConfig(step=1e-2, divergence_bound=2.5)
+
+    def blow_up(run):
+        with pytest.raises(BlowUpError) as exc:
+            run()
+        err = exc.value
+        return err.time, str(err), err.trajectory
+
+    for entry in all_entries:
+        system, n, N = _flipped(entry.system), entry.system.n, entry.system.N
+        x0 = 1.9 * np.ones(n) / np.sqrt(n)
+        sig = gen_arbitrary(N, (0.0, 10.0), 0.5, 3, granularity=1e-2)
+        u = signal_to_control(sig, 1e-2, span=(0.0, 10.0), n_modes=N)
+        for run in (lambda: simulate(system, sig, 0.0, x0, 10.0, cfg),
+                    lambda: simulate_relaxed(system, u, 0.0, x0, 10.0, cfg)):
+            (ta, ma, a), (tb, mb, b) = _on_both_kernels(monkeypatch, lambda: blow_up(run))
+            assert (ta, ma) == (tb, mb) and len(a.times) > 1
+            _assert_same_bits(a, b)
+    flipped4 = _flipped(example4.system)
+    (ta, ma, a), (tb, mb, b) = _on_both_kernels(monkeypatch, lambda: blow_up(
+        lambda: simulate_with_covering(flipped4, example4.covering, example4.policy, 0.0,
+                                       np.array([1.5, 1.0]), 30.0,
+                                       IntegratorConfig(step=1e-2, divergence_bound=3.0))))
+    assert (ta, ma) == (tb, mb) and len(a.times) > 1
+    _assert_same_bits(a, b)
+
+
+def test_kernel_matches_ndarray_kernel_falsifier(all_entries, monkeypatch):
+    from dataclasses import replace
+
+    from swstab import wzsd_falsify
+
+    for entry in all_entries:
+        horizon = 12.0 if entry.name == "inverter" else 5.0
+        for seed in (0, 3, 11):
+            a, b = _on_both_kernels(monkeypatch, lambda: wzsd_falsify(
+                entry.reduced, eps=0.5, horizon=horizon, budget=400, seed=seed))
+            assert (a.verdict, a.budget_used, a.notes) == (b.verdict, b.budget_used, b.notes)
+    # an unconstrained search stops at a validated counterexample
+    free = replace(all_entries[0].reduced, constraints=())
+    a, b = _on_both_kernels(monkeypatch, lambda: wzsd_falsify(free, eps=0.5, horizon=5.0,
+                                                              budget=20, seed=3))
+    assert a.verdict == "counterexample"
+    _assert_same_bits(a.counterexample.trajectory, b.counterexample.trajectory)

@@ -393,7 +393,7 @@ def test_vertex_rhs_reads_fhat_column(all_entries):
                 for w in (rng.dirichlet(np.ones(rls.N)), near):
                     rhs, args = limiting._reduced_rhs(rls.Fhat, w)
                     assert rhs is limiting._fhat_mix
-                    assert rhs(t, x, *args).tobytes() == (F @ w).tobytes()
+                    assert np.array(rhs(t, x, *args)).tobytes() == (F @ w).tobytes()
 
 
 def test_vertex_rhs_departures_from_matmul(motivating, cfg_fast):
@@ -402,7 +402,7 @@ def test_vertex_rhs_departures_from_matmul(motivating, cfg_fast):
     F = np.array([[-0.0, 0.0], [2.0, np.inf]])
     rhs, args = limiting._reduced_rhs(lambda t, x: F, np.array([1.0, 0.0]))
     col = rhs(0.0, None, *args)
-    assert col.tobytes() == np.array([-0.0, 2.0]).tobytes()
+    assert np.array(col).tobytes() == np.array([-0.0, 2.0]).tobytes()
     with np.errstate(invalid="ignore"):
         assert np.isnan((F @ np.array([1.0, 0.0]))[1])
     # a vertex-1 march ignores a non-finite second column entirely

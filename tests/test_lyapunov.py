@@ -113,7 +113,7 @@ def test_mode3_conserves_V3(example4, cfg_fine):
 
 def test_decrease_flipped_sign_fails(motivating, cfg_fast):
     flipped = SwitchedSystem(n=2, N=2,
-                             f=lambda t, x, i: -motivating.system.f(t, x, i),
+                             f=lambda t, x, i: [-v for v in motivating.system.f(t, x, i)],
                              h=motivating.system.h, p=1)
     sig = motivating.signal_class.generator((0.0, 8.0), 4)
     traj = simulate(flipped, sig, 0.0, np.array([0.8, 0.3]), 8.0, cfg_fast)
@@ -209,7 +209,7 @@ def _ending_alone(traj):
 
 def _doubled_output(sys):
     return SwitchedSystem(n=sys.n, N=sys.N, f=sys.f, p=sys.p,
-                          h=lambda t, x, i: 2.0 * sys.h(t, x, i))
+                          h=lambda t, x, i: [2.0 * v for v in sys.h(t, x, i)])
 
 
 def _assert_matches_reference(entry, traj, sigma, sys=None, cert=None):
@@ -252,7 +252,7 @@ def test_checkers_match_reference_open_loop(all_entries, cfg_fast, name):
         _assert_matches_reference(entry, traj, sig, _doubled_output(entry.system))
         # failing verdicts too: the same signal under reversed dynamics
         flipped = SwitchedSystem(n=entry.system.n, N=entry.system.N, p=entry.system.p,
-                                 f=lambda t, x, i: -entry.system.f(t, x, i),
+                                 f=lambda t, x, i: [-v for v in entry.system.f(t, x, i)],
                                  h=entry.system.h)
         _assert_matches_reference(entry, simulate(flipped, sig, 0.0, 0.3 * x0, 3.0, cfg_fast),
                                   sig)

@@ -80,7 +80,7 @@ def test_envelope_rows_start_in_bin(motivating, cfg_fast):
 
 
 def test_envelope_blowup_marks_inf():
-    sys = SwitchedSystem(n=1, N=1, f=lambda t, x, i: 2.0 * x,
+    sys = SwitchedSystem(n=1, N=1, f=lambda t, x, i: [2.0 * v for v in x],
                          h=lambda t, x, i: np.array([0.0]))
 
     def driver(t0, x0, tf, seed):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from swstab import ParameterError, get_entry, simulate, simulate_with_covering
+from swstab import IntegratorConfig, ParameterError, get_entry, simulate, simulate_with_covering
 from swstab.lyapunov import check_decrease_along, check_sandwich
 from swstab.systems import signed_cbrt
 
@@ -92,10 +92,46 @@ def test_inverter_rejects_bad_load():
 
 
 def test_decomposition_consistency(all_entries):
+    # fields return tuples, lists or arrays; the flip returns lists
+    from swstab.cli import _flip_system
     rng = np.random.default_rng(12)
     for entry in all_entries:
-        worst = entry.system.check_decomposition(rng, n_samples=1000)
-        assert worst <= 1e-10, entry.name
+        for system in (entry.system, _flip_system(entry.system)):
+            worst = system.check_decomposition(rng, n_samples=1000)
+            assert worst <= 1e-10, system.name
+
+
+@pytest.mark.parametrize("params", [{}, {"L1": 0.7, "L2": 1.3, "C1": 0.9, "C2": 1.1},
+                                    {"L1": 0.3, "L2": 2.7, "C1": 1.7, "C2": 0.45}])
+def test_inverter_field_is_the_matmul(params):
+    # the written-out field equals (Pinv @ RAW_i) @ x - e4 * g_i(t, x4) on every
+    # state (values compared, so a zero of either sign counts as equal), and a
+    # run of it equals a run of the matmul field bit for bit
+    from swstab import SwitchedSystem, gen_pattern, PatternConstraint
+    entry = get_entry("inverter", **params)
+    L1, L2, C1, C2 = (entry.params[k] for k in ("L1", "L2", "C1", "C2"))
+    Pinv = np.diag([1.0 / L1, 1.0 / L2, 1.0 / C1, 1.0 / C2])
+    A = (Pinv @ np.array([[0, 0, 0, 0], [0, 0, 1, 1], [0, -1, 0, 0], [0, -1, 0, 0]], dtype=float),
+         Pinv @ np.array([[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]], dtype=float))
+    e4 = np.array([0.0, 0.0, 0.0, 1.0])
+
+    def matmul_field(t, x, i):
+        return A[i - 1] @ x - e4 * x[3]   # default loads g_i(t, v) = v
+
+    rng = np.random.default_rng(41)
+    for _ in range(5000):
+        x = rng.uniform(-3.0, 3.0, 4) * 10.0 ** rng.uniform(-3.0, 3.0, 4)
+        t = float(rng.uniform(0.0, 20.0))
+        for i in (1, 2):
+            assert np.array_equal(np.asarray(entry.system.f(t, x.tolist(), i)),
+                                  matmul_field(t, x, i))
+    reference = SwitchedSystem(n=4, N=2, f=matmul_field, h=entry.system.h)
+    sig = gen_pattern(PatternConstraint(T=10.0, dm=0.5, dM=2.0), (0.0, 20.0), 5)
+    x0 = np.array([0.9, -0.4, 0.3, 0.7])
+    cfg = IntegratorConfig(step=1e-2)
+    a = simulate(entry.system, sig, 0.0, x0, 20.0, cfg)
+    b = simulate(reference, sig, 0.0, x0, 20.0, cfg)
+    assert a.states.tobytes() == b.states.tobytes()
 
 
 def test_registry_descriptor(all_entries):
