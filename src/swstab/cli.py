@@ -87,15 +87,31 @@ def _number(manifest: dict, path: str, kind=float):
     raise ParameterError(f"manifest field {path} must hold finite numbers, got {value!r}")
 
 
+def _check_sections(doc: dict, default: dict, prefix: str = "") -> None:
+    """ParameterError naming the first section of ``doc`` that is not an object
+    where ``default`` has one, such as ``"system": "x"``."""
+    for key, value in default.items():
+        if isinstance(value, dict):
+            if not isinstance(doc[key], dict):
+                raise ParameterError(f"manifest section {prefix}{key} must be an object, "
+                                     f"got {doc[key]!r}")
+            _check_sections(doc[key], value, f"{prefix}{key}.")
+
+
 def _load_manifest(path: str | None, overrides: dict) -> dict:
     doc = {}
     if path is not None:
         with open(path) as fh:
             doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ParameterError(f"manifest must be an object, got {doc!r}")
     doc = _deep_merge(DEFAULT_MANIFEST, doc)
     for k, v in overrides.items():
         if v is not None:
             doc[k] = v
+    _check_sections(doc, DEFAULT_MANIFEST)
+    if not isinstance(doc["out"], str):
+        raise ParameterError(f"manifest field out must be a path, got {doc['out']!r}")
     return doc
 
 
@@ -118,6 +134,8 @@ def _build(manifest: dict):
 
 
 def _outdir(manifest: dict) -> str:
+    """Create the output directory with its resolved manifest.  Commands read and
+    check every manifest field before calling this, so bad input leaves no files."""
     out = manifest["out"]
     os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, "resolved_manifest.json"), "w") as fh:
@@ -132,11 +150,15 @@ def _outdir(manifest: dict) -> str:
 
 def cmd_simulate(manifest: dict) -> int:
     entry, cfg = _build(manifest)
-    out = _outdir(manifest)
     num = partial(_number, manifest)
     t0, horizon, seed = num("simulate.t0"), num("simulate.horizon"), num("seed", int)
     x0 = (num("simulate.x0", _floats) if manifest["simulate"].get("x0") is not None
           else np.eye(entry.system.n)[0])
+    if x0.shape != (entry.system.n,):
+        raise ParameterError(f"manifest field simulate.x0 must hold {entry.system.n} numbers")
+    if horizon < 0:
+        raise ParameterError("manifest field simulate.horizon must not be negative")
+    out = _outdir(manifest)
     tf = t0 + horizon
     try:
         if entry.signal_class.kind == "policy":
@@ -166,7 +188,6 @@ def cmd_simulate(manifest: dict) -> int:
 
 def cmd_certify(manifest: dict) -> int:
     entry, cfg = _build(manifest)
-    out = _outdir(manifest)
     num = partial(_number, manifest)
     trials = num("certify.trials", int)
     if trials < 1:
@@ -176,6 +197,7 @@ def cmd_certify(manifest: dict) -> int:
     run_cfg = IntegratorConfig(step=num("certify.step"),
                                event_bisection_tol=cfg.event_bisection_tol)
     seed = num("seed", int)
+    out = _outdir(manifest)
     rng = np.random.default_rng(seed)
     gen = entry.signal_class.generator
 
@@ -244,20 +266,19 @@ def _drive(manifest_json: str, t0, x0, tf, seed):
 def run_envelope(manifest: dict, workers: int = 1) -> tuple[StabilityEnvelope, object]:
     entry, _ = _build(manifest)
     num = partial(_number, manifest)
+    judge = partial(classify, decay_ratio=num("envelope.decay_ratio"),
+                    tail_fraction=num("envelope.tail_fraction"),
+                    uniform_bound=num("envelope.uniform_bound"))
     env = estimate_envelope(entry.system.n, partial(_drive, json.dumps(manifest, sort_keys=True)),
                             radii=num("envelope.radii", _floats), horizon=num("envelope.horizon"),
                             trials=num("envelope.trials", int),
                             tau_count=num("envelope.tau_count", int), master_seed=num("seed", int),
                             offset_max=num("envelope.offset_max"), workers=workers)
-    verdict = classify(env, decay_ratio=num("envelope.decay_ratio"),
-                       tail_fraction=num("envelope.tail_fraction"),
-                       uniform_bound=num("envelope.uniform_bound"))
-    return env, verdict
+    return env, judge(env)
 
 
-def cmd_envelope(manifest: dict, workers: int = 1) -> int:
+def _write_envelope(manifest: dict, env: StabilityEnvelope, verdict) -> int:
     out = _outdir(manifest)
-    env, verdict = run_envelope(manifest, workers=workers)
     env.to_csv(os.path.join(out, "envelope.csv"))
     with open(os.path.join(out, "envelope_verdict.json"), "w") as fh:
         fh.write(verdict.to_json())
@@ -265,17 +286,25 @@ def cmd_envelope(manifest: dict, workers: int = 1) -> int:
     return EXIT_PASS if verdict.verdict == "GUAS-consistent" else EXIT_ANALYSIS_FAIL
 
 
-def cmd_falsify(manifest: dict) -> int:
+def cmd_envelope(manifest: dict, workers: int = 1) -> int:
+    return _write_envelope(manifest, *run_envelope(manifest, workers=workers))
+
+
+def _falsifier(manifest: dict):
+    """``wzsd_falsify`` bound to the manifest's reduced system and settings."""
     entry, _ = _build(manifest)
-    out = _outdir(manifest)
     rls = entry.reduced
     if not manifest["falsify"].get("use_constraints", True):
         rls = replace(rls, constraints=())
     num = partial(_number, manifest)
-    verdict = wzsd_falsify(rls, eps=num("falsify.eps"), horizon=num("falsify.horizon"),
-                           residual_tol=num("falsify.residual_tol"),
-                           budget=num("falsify.budget", int), seed=num("seed", int),
-                           du=num("falsify.du"))
+    return partial(wzsd_falsify, rls, eps=num("falsify.eps"), horizon=num("falsify.horizon"),
+                   residual_tol=num("falsify.residual_tol"),
+                   budget=num("falsify.budget", int), seed=num("seed", int),
+                   du=num("falsify.du"))
+
+
+def _write_falsify(manifest: dict, verdict) -> int:
+    out = _outdir(manifest)
     doc = verdict.to_dict()
     if verdict.counterexample is not None:
         cx_path = os.path.join(out, "counterexample.csv")
@@ -285,6 +314,10 @@ def cmd_falsify(manifest: dict) -> int:
         json.dump(doc, fh, indent=2)
     print(f"falsifier verdict: {verdict.verdict} (budget used {verdict.budget_used})")
     return EXIT_PASS if verdict.verdict == "no_counterexample_found" else EXIT_ANALYSIS_FAIL
+
+
+def cmd_falsify(manifest: dict) -> int:
+    return _write_falsify(manifest, _falsifier(manifest)())
 
 
 REPRODUCE_DEFAULTS = {
@@ -309,21 +342,24 @@ def cmd_reproduce(example_id: str, manifest: dict, workers: int = 1,
                                       "envelope": plan["envelope"]})
     if env_overrides:
         manifest = _deep_merge(manifest, {"envelope": env_overrides})
-    out = _outdir(manifest)
     entry, _ = _build(manifest)
-    lines = [f"reproduction report: {example_id}"]
-    rc_env = cmd_envelope(manifest, workers=workers)
-    with open(os.path.join(out, "envelope_verdict.json")) as fh:
-        verdict = json.load(fh)["verdict"]
-    lines.append(f"envelope verdict: {verdict} (expected {entry.expected_verdict})")
-    ok = verdict == entry.expected_verdict
     if plan["falsify"] is not None:
         manifest_f = _deep_merge(manifest, {"falsify": plan["falsify"]})
-        rc_f = cmd_falsify(manifest_f)
+        falsify = _falsifier(manifest_f)
+    # both analyses run before either writes, so bad input leaves no files
+    env, env_verdict = run_envelope(manifest, workers=workers)
+    if plan["falsify"] is not None:
+        falsified = falsify()
+    lines = [f"reproduction report: {example_id}"]
+    _write_envelope(manifest, env, env_verdict)
+    lines.append(f"envelope verdict: {env_verdict.verdict} (expected {entry.expected_verdict})")
+    ok = env_verdict.verdict == entry.expected_verdict
+    if plan["falsify"] is not None:
+        rc_f = _write_falsify(manifest_f, falsified)
         lines.append(f"falsifier: {'no counterexample' if rc_f == EXIT_PASS else 'counterexample found'}")
         ok = ok and rc_f == EXIT_PASS
     lines.append(f"result: {'PASS' if ok else 'FAIL'}")
-    with open(os.path.join(out, "summary.txt"), "w") as fh:
+    with open(os.path.join(manifest["out"], "summary.txt"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
     print("\n".join(lines))
     return EXIT_PASS if ok else EXIT_ANALYSIS_FAIL

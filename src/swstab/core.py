@@ -11,6 +11,7 @@ type; all mutation happens at construction time.
 from __future__ import annotations
 
 import csv
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -120,9 +121,15 @@ class SwitchingSignal:
             raise DomainError(f"[{t0}, {tf}] outside signal domain")
         if tf < t0:
             raise DomainError("tf < t0")
-        edges = [t0] + [float(b) for b in self.breakpoints if t0 < b < tf] + [tf]
-        for a, b in zip(edges[:-1], edges[1:]):
-            yield a, b, self.mode_at(a)
+        bp, modes = self.breakpoints.tolist(), self.modes.tolist()
+        k = bisect_right(bp, t0)  # first breakpoint after t0
+        a, mode = t0, modes[max(k - 1, 0)]
+        for b, next_mode in zip(bp[k:], modes[k:]):
+            if b >= tf:
+                break
+            yield a, b, mode
+            a, mode = b, next_mode
+        yield a, tf, mode
 
     def runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Merged constancy runs as (starts, ends, modes), adjacent duplicates folded."""
@@ -242,9 +249,11 @@ class SwitchedSystem:
     marks systems whose fhat/h do not depend on t, for which the reduced
     limiting system is unique and directly constructible.
 
-    Field protocol: f, h, fhat and dferr take the state as any sequence of n
-    floats and return a sequence of n (h: p) floats, a tuple, list or 1-D
-    ndarray; array arithmetic on a result needs ``np.asarray``.
+    Field protocol: f, h, fhat and dferr take the state as a sequence of n
+    floats, which the integrators pass as a list, and may return any sequence
+    of n (h: p) floats, a tuple, list or 1-D ndarray.  An ndarray makes each
+    RK4 step add numpy scalars, at about twice the cost.  Array arithmetic on
+    a result needs ``np.asarray``.
     """
 
     n: int

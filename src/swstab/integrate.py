@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -53,18 +54,71 @@ class IntegratorConfig:
             raise ParameterError("event_bisection_tol must lie in (0, step)")
 
 
-def _rk4_step(f, t: float, x: list, h: float, *args) -> list:
-    """RK4 step of dx/dt = f(t, x, *args) over a list of floats, zipping whatever sequence
-    f returns; floats round as numpy's float64 arrays do, so ndarray RK4 agrees bit for bit."""
+# One RK4 source, written out per state component and compiled once per state
+# dimension n.  ``step`` takes one step; ``march`` tiles [t0, t1] with equal
+# sub-steps, appending each node's time to ``out_t`` and its state to the flat
+# ``out_x``, and returns the last state.  Fields get the state as a list of n
+# floats and may return any length-n sequence.  Stage sums are grouped as the
+# float64-array RK4 groups them, so both agree bit for bit, and the march's
+# divergence check sums the squares in component order, as ``_check_state``.
+_RK4_TEMPLATE = """\
+def step(f, t, x, h, *args):
+    {a_} = x
     hh = 0.5 * h
     tm = t + hh
-    k1 = f(t, x, *args)
-    k2 = f(tm, [a + hh * b for a, b in zip(x, k1)], *args)
-    k3 = f(tm, [a + hh * b for a, b in zip(x, k2)], *args)
-    k4 = f(t + h, [a + h * b for a, b in zip(x, k3)], *args)
+    {p_} = f(t, [{a}], *args)
+    {q_} = f(tm, [{a_hh_p}], *args)
+    {r_} = f(tm, [{a_hh_q}], *args)
+    {s_} = f(t + h, [{a_h_r}], *args)
     h6 = h / 6.0
-    return [a + h6 * (b1 + 2.0 * (b2 + b3) + b4)
-            for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+    return [{a_next}]
+
+
+def march(f, t0, x0, t1, base_step, bound, out_t, out_x, n_steps=0, args=()):
+    span = t1 - t0
+    if span <= 0:
+        return x0
+    m = n_steps if n_steps > 0 else max(1, int(ceil((span / base_step) * (1.0 - 1e-9))))
+    h = span / m
+    hh = 0.5 * h
+    h6 = h / 6.0
+    bb = bound * bound
+    push_t, push_x = out_t.append, out_x.extend
+    {a_} = x0
+    t = t0 + 0.0  # t0 + 0 * h, as every later node time is t0 + k * h
+    for k in range(1, m + 1):
+        tm = t + hh
+        {p_} = f(t, [{a}], *args)
+        {q_} = f(tm, [{a_hh_p}], *args)
+        {r_} = f(tm, [{a_hh_q}], *args)
+        {s_} = f(t + h, [{a_h_r}], *args)
+        {a_} = {a_next},
+        t = t1 if k == m else t0 + k * h
+        if not {sum_sq} <= bb:  # NaN or beyond the bound
+            check_state([{a}], t, bound)
+        push_t(t)
+        push_x(({a},))
+    return [{a}]
+"""
+
+
+@cache
+def _rk4_kernels(n: int):
+    """(step, march) for states of n floats, compiled from ``_RK4_TEMPLATE`` on first use."""
+    def each(expr: str, sep: str = ", ") -> str:
+        return sep.join(expr.replace("#", str(j)) for j in range(n))
+
+    def targets(name: str) -> str:  # "a0, a1"; "a0," when n == 1
+        return each(name + "#") + ("," if n == 1 else "")
+
+    source = _RK4_TEMPLATE.format(
+        a=each("a#"), a_=targets("a"), p_=targets("p"), q_=targets("q"), r_=targets("r"),
+        s_=targets("s"), a_hh_p=each("a# + hh * p#"), a_hh_q=each("a# + hh * q#"),
+        a_h_r=each("a# + h * r#"), a_next=each("a# + h6 * (p# + 2.0 * (q# + r#) + s#)"),
+        sum_sq=each("a# * a#", " + "))
+    scope = {"ceil": math.ceil, "check_state": _check_state}
+    exec(compile(source, f"<rk4 kernels, n={n}>", "exec"), scope)
+    return scope["step"], scope["march"]
 
 
 def _check_state(x, t: float, bound: float) -> None:
@@ -84,27 +138,6 @@ def _blown_up(err: BlowUpError, ts: list, xs: list, n: int, **drive) -> BlowUpEr
     """``err`` re-raised with the partial trajectory of the nodes recorded so far."""
     partial = Trajectory(times=np.array(ts), states=_rows(xs, n), **drive)
     return BlowUpError(str(err), time=err.time, trajectory=partial)
-
-
-def _integrate_interval(f, t0: float, x0: list, t1: float, base_step: float,
-                        bound: float, out_t: list, out_x: list,
-                        n_steps: int = 0, args: tuple = ()) -> list:
-    """March dx/dt = f(t, x, *args) to t1 in equal sub-steps <= base_step; each node's
-    time is appended to ``out_t``, its state extends the flat ``out_x``; returns the last."""
-    span = t1 - t0
-    if span <= 0:
-        return x0
-    n = n_steps if n_steps > 0 else max(1, int(math.ceil((span / base_step) * (1.0 - 1e-9))))
-    h = span / n
-    x = x0
-    for k in range(1, n + 1):
-        t = t0 + (k - 1) * h
-        x = _rk4_step(f, t, x, h, *args)
-        tk = t1 if k == n else t0 + k * h
-        _check_state(x, tk, bound)
-        out_t.append(tk)
-        out_x.extend(x)
-    return x
 
 
 def _mode_rhs(sys: SwitchedSystem, i: int):
@@ -143,11 +176,11 @@ def simulate(sys: SwitchedSystem, sigma: SwitchingSignal, t0: float, x0: np.ndar
     ts: list = [t0]
     xs: list = list(x)
     if tf > t0:
+        march = _rk4_kernels(sys.n)[1]
         try:
             for a, b, i in sigma.segments(t0, tf):
                 f, args = _mode_rhs(sys, i)
-                x = _integrate_interval(f, a, x, b, cfg.step, cfg.divergence_bound,
-                                        ts, xs, args=args)
+                x = march(f, a, x, b, cfg.step, cfg.divergence_bound, ts, xs, args=args)
         except BlowUpError as err:
             raise _blown_up(err, ts, xs, sys.n, modes=sigma.modes_at(np.array(ts))) from None
     times = np.array(ts)
@@ -209,6 +242,7 @@ def _march(rhs_of_weights, u: RelaxedControl, t0: float, x0: np.ndarray, tf: flo
     xs: list = list(x)
     cells: list = [k]
     same_as_prev = [False] + np.all(u.values[1:] == u.values[:-1], axis=1).tolist()
+    march = _rk4_kernels(n)[1]
     while tf > t0 and u.t0 + k * u.step < tf - 1e-12 and k < u.n_cells:
         k_end = k + 1
         while (k_end < u.n_cells and u.t0 + k_end * u.step < tf - 1e-12
@@ -220,8 +254,8 @@ def _march(rhs_of_weights, u: RelaxedControl, t0: float, x0: np.ndarray, tf: flo
         n_before = len(ts)
         rhs, args = rhs_of_weights(u.values[k])
         try:
-            x = _integrate_interval(rhs, a, x, b, cfg.step, cfg.divergence_bound, ts, xs,
-                                    n_steps=per_cell * (k_end - k), args=args)
+            x = march(rhs, a, x, b, cfg.step, cfg.divergence_bound, ts, xs,
+                      n_steps=per_cell * (k_end - k), args=args)
         except BlowUpError as err:
             raise _blown_up(err, ts, xs, n) from None
         cells.extend([k] * (len(ts) - n_before))
@@ -297,9 +331,10 @@ def simulate_with_covering(sys: SwitchedSystem, covering: Covering,
     t_stop = tf - 1e-12 * max(1.0, abs(tf))
     step = cfg.step
     margin = covering.margin
+    rk4_step = _rk4_kernels(sys.n)[0]
     while t < t_stop:
         h = min(step, tf - t)
-        x_new = _rk4_step(f, t, x, h, *args)
+        x_new = rk4_step(f, t, x, h, *args)
         try:
             _check_state(x_new, t + h, cfg.divergence_bound)
         except BlowUpError as err:
@@ -312,7 +347,7 @@ def simulate_with_covering(sys: SwitchedSystem, covering: Covering,
             lo = 0.0
             while h - lo > cfg.event_bisection_tol:
                 mid = 0.5 * (lo + h)
-                x_mid = _rk4_step(f, t, x, mid, *args)
+                x_mid = rk4_step(f, t, x, mid, *args)
                 if margin(x_mid, mode) >= 0.0:
                     lo = mid
                 else:

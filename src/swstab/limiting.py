@@ -32,7 +32,7 @@ from .core import (
     Trajectory,
     active_index_set,
 )
-from .integrate import IntegratorConfig, _integrate_interval, _march, _rows
+from .integrate import IntegratorConfig, _march, _rk4_kernels, _rows
 from .signals import (
     TIE_TOL,
     PatternConstraint,
@@ -440,6 +440,7 @@ def _rollout(rls: ReducedLimitingSystem, u_cells, x0, horizon, du, step, eps,
     sub = max(1, int(math.ceil(du / step - 1e-12)))
     Fhat, Hhat = rls.Fhat, rls.Hhat
     closed_loop = callable(u_cells)
+    march = _rk4_kernels(len(x))[1]
     ws = []
     t_end = H_end = None
     for k in range(n_cells):
@@ -453,8 +454,7 @@ def _rollout(rls: ReducedLimitingSystem, u_cells, x0, horizon, du, step, eps,
         t_end = t + du
         tally.cells += 1
         try:
-            x = _integrate_interval(rhs, t, x, t_end, step, divergence_bound, [], [],
-                                    n_steps=sub, args=args)
+            x = march(rhs, t, x, t_end, step, divergence_bound, [], [], n_steps=sub, args=args)
         except (BlowUpError, DynamicsError):
             raise _Abort("diverged") from None
         if sum([v * v for v in x]) < eps * eps:

@@ -267,11 +267,15 @@ def example4(b1: Optional[Callable] = None, b2: Optional[Callable] = None,
 
     A3 = np.array([[-3.0, 5.0], [-5.0, 3.0]])
 
+    # Modes 1 and 2 return ndarrays, which callers may negate with unary minus;
+    # mode 3's A3 @ x is the only form equal to the matmul bit for bit.
     def f(t, x, i):
         if i == 1:
-            return np.array((b1(t) * x[1], -b1(t) * x[0] - alpha1(t, x[1])))
+            b = b1(t)
+            return np.array((b * x[1], -b * x[0] - alpha1(t, x[1])))
         if i == 2:
-            return np.array((-alpha2(t, x[0]) - b2(t) * x[1], b2(t) * x[0]))
+            b = b2(t)
+            return np.array((-alpha2(t, x[0]) - b * x[1], b * x[0]))
         return A3 @ x
 
     def h(t, x, i):

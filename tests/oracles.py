@@ -190,10 +190,10 @@ def check_integral_bound_reference(traj, sigma, sys, params, quad_coeff=10.0):
 # ---------------------------------------------------------------------------
 # ndarray RK4 kernel
 # ---------------------------------------------------------------------------
-# The RK4 step and interval march as they ran on float64 arrays.  Installed
-# in place of swstab.integrate's ``_rk4_step`` and ``_integrate_interval``
-# (and limiting's import of the latter), they take and give states the way
-# the integrators now hold them: a sequence of floats in, the flat node list
+# The RK4 step and interval march as they ran on float64 arrays.  Handed out
+# in place of the (step, march) pair of swstab.integrate's ``_rk4_kernels``
+# (and limiting's import of it), they take and give states the way the
+# integrators now hold them: a sequence of floats in, the flat node list
 # extended.  Trajectories must come out equal bit for bit.
 
 

@@ -84,11 +84,52 @@ def test_unknown_system_parameter_exit2(tmp_path, capsys):
     ("simulate", {"integrator": {"step": None}}, "integrator.step"),
     ("simulate", {"simulate": {"x0": [1.0, "x"]}}, "simulate.x0"),
     ("falsify", {"falsify": {"eps": float("inf")}}, "falsify.eps"),
+    ("certify", {"certify": {"box": "wide"}}, "certify.box"),
+    ("envelope", {"envelope": {"tail_fraction": None}}, "envelope.tail_fraction"),
+    ("falsify", {"falsify": {"du": "x"}}, "falsify.du"),
+    ("reproduce inverter", {"falsify": {"residual_tol": "x"}}, "falsify.residual_tol"),
+    ("reproduce motivating", {"envelope": {"decay_ratio": "x"}}, "envelope.decay_ratio"),
 ])
 def test_bad_manifest_number_exit2(tmp_path, capsys, command, doc, key):
+    # every field is read and checked before the output directory is made
     m = manifest_file(tmp_path, doc)
-    assert run([command, "--manifest", m, "--out", tmp_path / "o", "--workers", 1]) == 2
+    assert run(command.split() + ["--manifest", m, "--out", tmp_path / "o", "--workers", 1]) == 2
     assert key in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("simulate", {"simulate": {"x0": [1.0, 2.0, 3.0]}}),
+    ("simulate", {"simulate": {"horizon": -1.0}}),
+    ("falsify", {"falsify": {"du": 0.07}}),  # does not tile the horizon
+    ("reproduce inverter --trials 1 --horizon 2", {"falsify": {"du": 0.07}}),
+])
+def test_bad_manifest_value_exit2(tmp_path, command, doc):
+    m = manifest_file(tmp_path, doc)
+    assert run(command.split() + ["--manifest", m, "--out", tmp_path / "o", "--workers", 1]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, doc, section", [
+    ("simulate", {"system": "x"}, "system"),
+    ("simulate", {"simulate": 5}, "simulate"),
+    ("simulate", {"system": {"id": "motivating", "params": 3}}, "system.params"),
+    ("certify", {"certify": [1]}, "certify"),
+    ("envelope", {"envelope": "big"}, "envelope"),
+    ("falsify", {"falsify": None}, "falsify"),
+    ("reproduce motivating", {"integrator": 1e-3}, "integrator"),
+])
+def test_non_object_section_exit2(tmp_path, capsys, command, doc, section):
+    m = manifest_file(tmp_path, doc)
+    assert run(command.split() + ["--manifest", m, "--out", tmp_path / "o", "--workers", 1]) == 2
+    assert f"manifest section {section} must be an object" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_non_object_manifest_exit2(tmp_path, capsys):
+    m = manifest_file(tmp_path, [1, 2])
+    assert run(["simulate", "--manifest", m, "--out", tmp_path / "o"]) == 2
+    assert "manifest must be an object" in capsys.readouterr().err
 
 
 def test_internal_key_error_is_not_an_input_error(tmp_path, monkeypatch):
@@ -142,6 +183,7 @@ def test_certify_empty_batch_exit2(tmp_path):
     m = manifest_file(tmp_path, {"system": {"id": "motivating"},
                                  "certify": {"trials": 0}})
     assert run(["certify", "--manifest", m, "--out", tmp_path / "o"]) == 2
+    assert not (tmp_path / "o").exists()
 
 
 def test_envelope_empty_batch_exit2(tmp_path):
@@ -149,6 +191,7 @@ def test_envelope_empty_batch_exit2(tmp_path):
     m = manifest_file(tmp_path, {"system": {"id": "motivating"},
                                  "envelope": {"radii": [0.5], "trials": 0}})
     assert run(["envelope", "--manifest", m, "--out", tmp_path / "o", "--workers", 1]) == 2
+    assert not (tmp_path / "o").exists()
 
 
 def test_envelope_negative_control_us_only(tmp_path):

@@ -83,6 +83,32 @@ def test_signal_runs_merge_duplicates():
     assert np.array_equal(ends, [0.6, 1.0])
 
 
+def _segments_by_lookup(sig, t0, tf):
+    """Constancy intervals as the edges [t0, inner breakpoints, tf], each labeled
+    by a mode_at lookup of its left edge."""
+    edges = [t0] + [float(b) for b in sig.breakpoints if t0 < b < tf] + [tf]
+    return [(a, b, sig.mode_at(a)) for a, b in zip(edges[:-1], edges[1:])]
+
+
+def test_segments_walk_matches_mode_lookup():
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        k = int(rng.integers(1, 8))
+        inner = np.sort(rng.choice(np.arange(1, 100), k - 1, replace=False)) / 10
+        bp = np.concatenate(([0.0], inner))
+        modes = rng.integers(1, 4, size=k)  # adjacent equal modes are frequent
+        sig = SwitchingSignal(bp, modes, 0.0, 10.0)
+        cuts = np.concatenate((bp, rng.uniform(0.0, 10.0, 4), [-1e-13, 10.0]))
+        t0, tf = np.sort(rng.choice(cuts, 2)).tolist()  # often on a breakpoint, or tf == t0
+        got = list(sig.segments(t0, tf))
+        assert got == _segments_by_lookup(sig, t0, tf), (bp, modes, t0, tf)
+        assert all(type(a) is float and type(i) is int for a, _, i in got)
+    sig = SwitchingSignal(np.array([0.0, 1.0, 2.0]), np.array([2, 2, 1]), 0.0, 3.0)
+    for t0, tf in ((-1e-12, 3.0), (1.0, 2.0), (1.0, 1.0), (2.0, 3.0), (0.5, 0.5)):
+        assert list(sig.segments(t0, tf)) == _segments_by_lookup(sig, t0, tf)
+    assert list(sig.segments(-1e-12, 1.5)) == [(-1e-12, 0.0, 2), (0.0, 1.0, 2), (1.0, 1.5, 2)]
+
+
 # --- embedding ---------------------------------------------------------------
 
 

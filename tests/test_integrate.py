@@ -334,15 +334,18 @@ def test_chattering_guard():
 
 
 def _on_both_kernels(monkeypatch, run):
-    """run() on the float-list RK4 kernel, then on the ndarray one of oracles.py."""
+    """run() on the template RK4 kernels, then on the ndarray ones of oracles.py.
+
+    Every integrator fetches its kernels through ``_rk4_kernels``; replacing it
+    in integrate and in limiting, which imports it by name, swaps every RK4 call."""
     from swstab import integrate, limiting
     from oracles import integrate_interval_reference, rk4_step_reference
 
     got = run()
     with monkeypatch.context() as m:
-        m.setattr(integrate, "_rk4_step", rk4_step_reference)
-        m.setattr(integrate, "_integrate_interval", integrate_interval_reference)
-        m.setattr(limiting, "_integrate_interval", integrate_interval_reference)
+        for module in (integrate, limiting):
+            m.setattr(module, "_rk4_kernels",
+                      lambda n: (rk4_step_reference, integrate_interval_reference))
         want = run()
     return got, want
 
@@ -447,15 +450,86 @@ def test_kernel_matches_ndarray_kernel_falsifier(all_entries, monkeypatch):
 
     from swstab import wzsd_falsify
 
+    def search(rls, horizon, seed):
+        # Hhat sees every rolled-out cell end: verdicts alone would not show a
+        # rollout that drifted in the last bits
+        seen, Hhat = [], rls.Hhat
+
+        def recorded(t, x):
+            seen.append((t, np.asarray(x, dtype=float).tobytes()))
+            return Hhat(t, x)
+
+        v = wzsd_falsify(replace(rls, Hhat=recorded), eps=0.5, horizon=horizon, budget=400,
+                         seed=seed)
+        return v.verdict, v.budget_used, v.notes, seen
+
     for entry in all_entries:
         horizon = 12.0 if entry.name == "inverter" else 5.0
         for seed in (0, 3, 11):
-            a, b = _on_both_kernels(monkeypatch, lambda: wzsd_falsify(
-                entry.reduced, eps=0.5, horizon=horizon, budget=400, seed=seed))
-            assert (a.verdict, a.budget_used, a.notes) == (b.verdict, b.budget_used, b.notes)
+            a, b = _on_both_kernels(monkeypatch, lambda: search(entry.reduced, horizon, seed))
+            assert len(a[3]) > 400 and a == b
     # an unconstrained search stops at a validated counterexample
     free = replace(all_entries[0].reduced, constraints=())
     a, b = _on_both_kernels(monkeypatch, lambda: wzsd_falsify(free, eps=0.5, horizon=5.0,
                                                               budget=20, seed=3))
     assert a.verdict == "counterexample"
     _assert_same_bits(a.counterexample.trajectory, b.counterexample.trajectory)
+
+
+def _linear_system(mats):
+    """Switched linear system with mode matrices ``mats``, fields written as tuples."""
+    n = len(mats[0])
+
+    def f(t, x, i):
+        return tuple(sum(a * v for a, v in zip(row, x)) for row in mats[i - 1])
+
+    return SwitchedSystem(n=n, N=len(mats), f=f, h=lambda t, x, i: (x[0] * x[0],))
+
+
+@pytest.mark.parametrize("mats", [
+    [[[-0.4]], [[0.3]]],
+    [[[-0.2, 1.0, 0.0], [-1.0, -0.1, 0.5], [0.0, -0.5, -0.3]],
+     [[0.1, 0.0, 2.0], [0.0, -0.6, 0.0], [-2.0, 0.0, 0.1]]],
+], ids=["n1", "n3"])
+def test_kernel_matches_ndarray_kernel_other_dimensions(mats, monkeypatch):
+    # the registry has n = 2 and n = 4 only; n = 1 unpacks a trailing-comma tuple
+    from swstab import RelaxedControl
+
+    system = _linear_system(mats)
+    n, rng = system.n, np.random.default_rng(63)
+    cfg = IntegratorConfig(step=3e-2)
+    x0 = rng.uniform(-1.5, 1.5, n)
+    sig = gen_arbitrary(2, (0.0, 8.0), 0.4, 5, granularity=1e-2)
+    mixed = RelaxedControl(t0=0.0, step=0.25, values=rng.dirichlet(np.ones(2), size=32))
+    half = Covering(margin=lambda x, i: x[0] - 0.6 if i == 1 else 0.6 - x[0], N=2)
+    for run in (lambda: simulate(system, sig, 0.0, x0, 8.0, cfg),
+                lambda: simulate_relaxed(system, mixed, 0.0, x0, 8.0, cfg)):
+        got, want = _on_both_kernels(monkeypatch, run)
+        assert len(got.times) > 200
+        _assert_same_bits(got, want)
+    (a, sa), (b, sb) = _on_both_kernels(monkeypatch, lambda: simulate_with_covering(
+        system, half, lambda t, x, active: active[0], 0.0, np.ones(n), 8.0, cfg))
+    assert sa.n_switches > 0
+    _assert_same_bits(a, b)
+    assert sa.breakpoints.tobytes() == sb.breakpoints.tobytes()
+
+
+def test_nan_state_raises_through_inline_check(monkeypatch):
+    # the field turns NaN after t = 0.5; the march's sum of squares must stop
+    # at the first NaN node, where the ndarray kernel's full check stops
+    from swstab import DynamicsError, RelaxedControl
+
+    system = SwitchedSystem(n=2, N=2, h=lambda t, x, i: (0.0,),
+                            f=lambda t, x, i: (x[1], np.nan if t > 0.5 else -x[0] / i))
+    cfg = IntegratorConfig(step=1e-2)
+    u = RelaxedControl(t0=0.0, step=0.25, values=np.array([[1.0, 0.0], [0.5, 0.5]] * 2))
+    for run in (lambda: simulate(system, SwitchingSignal.constant(2, 0.0, 1.0), 0.0,
+                                 np.array([1.0, 0.0]), 1.0, cfg),
+                lambda: simulate_relaxed(system, u, 0.0, np.array([1.0, 0.0]), 1.0, cfg)):
+        def message():
+            with pytest.raises(DynamicsError) as exc:
+                run()
+            return str(exc.value)
+
+        got, want = _on_both_kernels(monkeypatch, message)
+        assert got == want and got.startswith("NaN state at t=0.51")
