@@ -194,6 +194,12 @@ def cmd_certify(manifest: dict) -> int:
         print("certify needs at least one trial", file=sys.stderr)
         return EXIT_INPUT_ERROR
     horizon, box, density = num("certify.horizon"), num("certify.box"), num("certify.density", int)
+    if horizon <= 0:
+        raise ParameterError("manifest field certify.horizon must be positive")
+    if box <= 0:
+        raise ParameterError("manifest field certify.box must be positive")
+    if density < 2:
+        raise ParameterError("manifest field certify.density must be at least 2")
     run_cfg = IntegratorConfig(step=num("certify.step"),
                                event_bisection_tol=cfg.event_bisection_tol)
     seed = num("seed", int)
@@ -266,11 +272,14 @@ def _drive(manifest_json: str, t0, x0, tf, seed):
 def run_envelope(manifest: dict, workers: int = 1) -> tuple[StabilityEnvelope, object]:
     entry, _ = _build(manifest)
     num = partial(_number, manifest)
+    horizon = num("envelope.horizon")
+    if horizon <= 0:
+        raise ParameterError("manifest field envelope.horizon must be positive")
     judge = partial(classify, decay_ratio=num("envelope.decay_ratio"),
                     tail_fraction=num("envelope.tail_fraction"),
                     uniform_bound=num("envelope.uniform_bound"))
     env = estimate_envelope(entry.system.n, partial(_drive, json.dumps(manifest, sort_keys=True)),
-                            radii=num("envelope.radii", _floats), horizon=num("envelope.horizon"),
+                            radii=num("envelope.radii", _floats), horizon=horizon,
                             trials=num("envelope.trials", int),
                             tau_count=num("envelope.tau_count", int), master_seed=num("seed", int),
                             offset_max=num("envelope.offset_max"), workers=workers)

@@ -294,9 +294,11 @@ class Covering:
     ``margin(xi, i) >= 0`` means xi belongs to the closed piece of mode i;
     the boundary is ``margin == 0``.  For half-space pieces the margin is the
     signed distance, which makes event detection and the nesting radius exact.
+    ``xi`` is a sequence of n floats: the closed loop and the invariance
+    validator pass a list, other callers may pass an ndarray row.
     """
 
-    margin: Callable[[np.ndarray, int], float]
+    margin: Callable[[Sequence[float], int], float]
     N: int
     name: str = ""
 

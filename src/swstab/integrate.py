@@ -57,10 +57,14 @@ class IntegratorConfig:
 # One RK4 source, written out per state component and compiled once per state
 # dimension n.  ``step`` takes one step; ``march`` tiles [t0, t1] with equal
 # sub-steps, appending each node's time to ``out_t`` and its state to the flat
-# ``out_x``, and returns the last state.  Fields get the state as a list of n
-# floats and may return any length-n sequence.  Stage sums are grouped as the
-# float64-array RK4 groups them, so both agree bit for bit, and the march's
-# divergence check sums the squares in component order, as ``_check_state``.
+# ``out_x``, and returns the last state.  ``advance`` is the closed loop's
+# march: from (t, x) it takes steps of min(step, tf - t) while t < t_stop,
+# appending each node, and returns (t, x, h, x_new) at the first step that
+# leaves the piece of ``mode`` (margin below -BOUNDARY_TOL), or (t, x, None,
+# None) at t_stop.  Fields get the state as a list of n floats and may return
+# any length-n sequence.  Stage sums are grouped as the float64-array RK4
+# groups them, so both agree bit for bit, and the divergence checks sum the
+# squares in component order, as ``_check_state``.
 _RK4_TEMPLATE = """\
 def step(f, t, x, h, *args):
     {a_} = x
@@ -99,12 +103,39 @@ def march(f, t0, x0, t1, base_step, bound, out_t, out_x, n_steps=0, args=()):
         push_t(t)
         push_x(({a},))
     return [{a}]
+
+
+def advance(f, t, x, t_stop, tf, step, bound, margin, mode, out_t, out_x, args=()):
+    bb = bound * bound
+    push_t, push_x = out_t.append, out_x.extend
+    {a_} = x
+    while t < t_stop:
+        h = tf - t if tf - t < step else step  # min(step, tf - t)
+        hh = 0.5 * h
+        tm = t + hh
+        {p_} = f(t, [{a}], *args)
+        {q_} = f(tm, [{a_hh_p}], *args)
+        {r_} = f(tm, [{a_hh_q}], *args)
+        {s_} = f(t + h, [{a_h_r}], *args)
+        h6 = h / 6.0
+        {b_} = {a_next},
+        if not {sum_sq_b} <= bb:  # NaN or beyond the bound
+            check_state([{b}], t + h, bound)
+        x_new = [{b}]
+        if margin(x_new, mode) < -boundary_tol:
+            return t, [{a}], h, x_new
+        t = t + h
+        push_t(t)
+        push_x(x_new)
+        {a_} = {b},
+    return t, [{a}], None, None
 """
 
 
 @cache
 def _rk4_kernels(n: int):
-    """(step, march) for states of n floats, compiled from ``_RK4_TEMPLATE`` on first use."""
+    """(step, march, advance) for states of n floats, compiled from ``_RK4_TEMPLATE``
+    on first use."""
     def each(expr: str, sep: str = ", ") -> str:
         return sep.join(expr.replace("#", str(j)) for j in range(n))
 
@@ -115,10 +146,11 @@ def _rk4_kernels(n: int):
         a=each("a#"), a_=targets("a"), p_=targets("p"), q_=targets("q"), r_=targets("r"),
         s_=targets("s"), a_hh_p=each("a# + hh * p#"), a_hh_q=each("a# + hh * q#"),
         a_h_r=each("a# + h * r#"), a_next=each("a# + h6 * (p# + 2.0 * (q# + r#) + s#)"),
-        sum_sq=each("a# * a#", " + "))
-    scope = {"ceil": math.ceil, "check_state": _check_state}
+        sum_sq=each("a# * a#", " + "), b=each("b#"), b_=targets("b"),
+        sum_sq_b=each("b# * b#", " + "))
+    scope = {"ceil": math.ceil, "check_state": _check_state, "boundary_tol": BOUNDARY_TOL}
     exec(compile(source, f"<rk4 kernels, n={n}>", "exec"), scope)
-    return scope["step"], scope["march"]
+    return scope["step"], scope["march"], scope["advance"]
 
 
 def _check_state(x, t: float, bound: float) -> None:
@@ -329,20 +361,21 @@ def simulate_with_covering(sys: SwitchedSystem, covering: Covering,
         suppress_until = at_t + cfg.step
 
     t_stop = tf - 1e-12 * max(1.0, abs(tf))
-    step = cfg.step
     margin = covering.margin
-    rk4_step = _rk4_kernels(sys.n)[0]
+    rk4_step, _, advance = _rk4_kernels(sys.n)
     while t < t_stop:
-        h = min(step, tf - t)
-        x_new = rk4_step(f, t, x, h, *args)
+        n_before = len(ts)
         try:
-            _check_state(x_new, t + h, cfg.divergence_bound)
+            t, x, h, x_new = advance(f, t, x, t_stop, tf, cfg.step, cfg.divergence_bound,
+                                     margin, mode, ts, xs, args)
         except BlowUpError as err:
             raise _blown_up(err, ts, xs, sys.n) from None
-        # a step that leaves the piece ends in a re-decision: at the endpoint of
-        # a grace step right after a switch, else at the bisected crossing
-        leaves = margin(x_new, mode) < -BOUNDARY_TOL
-        if leaves and t >= suppress_until:
+        node_modes += [mode] * (len(ts) - n_before)
+        if h is None:
+            break
+        # the step from t leaves the piece and ends in a re-decision: at the
+        # endpoint of a grace step right after a switch, else at the bisected crossing
+        if t >= suppress_until:
             # locate the crossing: margin(mode, .) changes sign inside (0, h]
             lo = 0.0
             while h - lo > cfg.event_bisection_tol:
@@ -360,8 +393,7 @@ def simulate_with_covering(sys: SwitchedSystem, covering: Covering,
         t, x = t + h, x_new
         ts.append(t)
         xs.extend(x)
-        if leaves:
-            switch_to(query(t, x), t)
+        switch_to(query(t, x), t)
         node_modes.append(mode)
 
     sigma = SwitchingSignal(breakpoints=np.array(bp), modes=np.array(bp_modes, dtype=np.int64),

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -261,8 +262,12 @@ def check_decrease_along(cert: LyapunovCertificate, traj: Trajectory,
     return DecreaseReport(slope=slope_report, revisit=revisit_report)
 
 
-def _output_gauge(h, alpha, t, x, i) -> float:
-    """alpha(|h(t, x, i)|); sqrt(v . v) is np.linalg.norm's arithmetic on a float64 vector."""
+def _output_gauge(h, alpha, p, t, x, i) -> float:
+    """alpha(|h(t, x, i)|) for an output of p floats; sqrt(v . v) is np.linalg.norm's
+    arithmetic on a float64 vector, which for p = 1 is one float product."""
+    if p == 1:
+        (v,) = h(t, x, i)
+        return alpha(math.sqrt(v * v))
     v = np.asarray(h(t, x, i), dtype=float).ravel()
     return alpha(math.sqrt(v.dot(v)))
 
@@ -280,20 +285,18 @@ def check_integral_bound(traj: Trajectory, sigma: SwitchingSignal, sys: Switched
     switch node under the outgoing mode.
     """
     t = traj.times
-    x = traj.states
     if len(t) < 2:
         return CheckReport(check="integral_bound", passed=True, worst_margin=-params.M,
                            worst_location=(traj.t0, traj.t0), slack=0.0)
     modes = np.asarray(_node_modes(traj, sigma), dtype=np.int64)
-    mode_list = modes.tolist()
-    h, alpha = sys.h, params.alpha
+    mode_list, t_list, x_list = modes.tolist(), t.tolist(), traj.states.tolist()
+    gauge = partial(_output_gauge, sys.h, params.alpha, sys.p)
     h_steps = np.diff(t)
     h_max = float(h_steps.max())
-    g_start = np.array([_output_gauge(h, alpha, tk, xk, i)
-                        for tk, xk, i in zip(t, x, mode_list)])
+    g_start = np.array([gauge(tk, xk, i) for tk, xk, i in zip(t_list, x_list, mode_list)])
     g_end = g_start[1:].copy()
     for k in _switch_nodes(modes).tolist():
-        g_end[k - 1] = _output_gauge(h, alpha, t[k], x[k], mode_list[k - 1])
+        g_end[k - 1] = gauge(t_list[k], x_list[k], mode_list[k - 1])
     # cumsum accumulates left to right, so it rounds as a running sum does
     cum = np.cumsum(np.concatenate(([0.0], 0.5 * (g_start[:-1] + g_end) * h_steps)))
     rate = params.mu + quad_coeff * h_max * h_max

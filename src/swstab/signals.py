@@ -326,7 +326,8 @@ def validate_covering_invariance(traj: Trajectory, sigma: SwitchingSignal,
     """Check sigma(t) in I_{x(t)} at every grid time, with boundary tolerance."""
     modes = traj.modes if traj.modes is not None else sigma.modes_at(traj.times)
     margin = covering.margin
-    for t, x, m in zip(traj.times, traj.states, np.asarray(modes, dtype=np.int64).tolist()):
+    for t, x, m in zip(traj.times.tolist(), traj.states.tolist(),
+                       np.asarray(modes, dtype=np.int64).tolist()):
         if not margin(x, m) >= -tol:  # Covering.membership, inlined
             return InvarianceReport(ok=False, first_violation=(float(t), m))
     return InvarianceReport(ok=True, first_violation=None)

@@ -27,6 +27,16 @@ def signed_cbrt(v: float) -> float:
     return math.copysign(abs(v) ** (1.0 / 3.0), v)
 
 
+class FieldTuple(tuple):
+    """A field's value as a tuple of floats whose unary minus negates elementwise,
+    as it does on an ndarray, so that ``-f(t, x, i)`` keeps working."""
+
+    __slots__ = ()
+
+    def __neg__(self) -> "FieldTuple":
+        return FieldTuple([-v for v in self])
+
+
 @dataclass(frozen=True)
 class SignalClass:
     """Descriptor of an entry's switching class with a bound generator.
@@ -267,16 +277,19 @@ def example4(b1: Optional[Callable] = None, b2: Optional[Callable] = None,
 
     A3 = np.array([[-3.0, 5.0], [-5.0, 3.0]])
 
-    # Modes 1 and 2 return ndarrays, which callers may negate with unary minus;
-    # mode 3's A3 @ x is the only form equal to the matmul bit for bit.
+    def rotate(x) -> FieldTuple:
+        # A3 @ x, read out: OpenBLAS rounds each row of the 2x2 matmul as one
+        # fused multiply-add, which no Python 3.11 float expression reproduces
+        return FieldTuple((A3 @ x).tolist())
+
     def f(t, x, i):
         if i == 1:
             b = b1(t)
-            return np.array((b * x[1], -b * x[0] - alpha1(t, x[1])))
+            return FieldTuple((b * x[1], -b * x[0] - alpha1(t, x[1])))
         if i == 2:
             b = b2(t)
-            return np.array((-alpha2(t, x[0]) - b * x[1], b * x[0]))
-        return A3 @ x
+            return FieldTuple((-alpha2(t, x[0]) - b * x[1], b * x[0]))
+        return rotate(x)
 
     def h(t, x, i):
         if i == 1:
@@ -287,17 +300,17 @@ def example4(b1: Optional[Callable] = None, b2: Optional[Callable] = None,
 
     def fhat(t, x, i):
         if i == 1:
-            return np.array((0.0, -b1(t) * x[0]))
+            return FieldTuple((0.0, -b1(t) * x[0]))
         if i == 2:
-            return np.array((-b2(t) * x[1], 0.0))
-        return A3 @ x
+            return FieldTuple((-b2(t) * x[1], 0.0))
+        return rotate(x)
 
     def dferr(t, x, i):
         if i == 1:
-            return np.array((b1(t) * x[1], -alpha1(t, x[1])))
+            return FieldTuple((b1(t) * x[1], -alpha1(t, x[1])))
         if i == 2:
-            return np.array((-alpha2(t, x[0]), b2(t) * x[0]))
-        return np.zeros(2)
+            return FieldTuple((-alpha2(t, x[0]), b2(t) * x[0]))
+        return FieldTuple((0.0, 0.0))
 
     system = SwitchedSystem(n=2, N=3, f=f, h=h, p=1, fhat=fhat, dferr=dferr,
                             time_invariant_limits=False, name="example4")
@@ -326,9 +339,9 @@ def example4(b1: Optional[Callable] = None, b2: Optional[Callable] = None,
             return 1 if abs(x[1]) >= abs(x[0]) else 2
         return active[0]
 
-    fg = [lambda t, x: np.array((0.0, -b1(t) * x[0])),
-          lambda t, x: np.array((-b2(t) * x[1], 0.0)),
-          lambda t, x: A3 @ x]
+    fg = [lambda t, x: FieldTuple((0.0, -b1(t) * x[0])),
+          lambda t, x: FieldTuple((-b2(t) * x[1], 0.0)),
+          lambda t, x: rotate(x)]
     hg = [lambda t, x: (rho1(x[1]),),
           lambda t, x: (rho2(x[0]),),
           lambda t, x: (0.0,)]

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from swstab.core import BlowUpError, DynamicsError
+from swstab.core import BOUNDARY_TOL, BlowUpError, DynamicsError
 from swstab.lyapunov import (REVISIT_TOL, SLACK_CURVATURE_FACTOR, SLACK_FLOOR, CheckReport,
                              DecreaseReport)
 
@@ -190,11 +190,11 @@ def check_integral_bound_reference(traj, sigma, sys, params, quad_coeff=10.0):
 # ---------------------------------------------------------------------------
 # ndarray RK4 kernel
 # ---------------------------------------------------------------------------
-# The RK4 step and interval march as they ran on float64 arrays.  Handed out
-# in place of the (step, march) pair of swstab.integrate's ``_rk4_kernels``
-# (and limiting's import of it), they take and give states the way the
-# integrators now hold them: a sequence of floats in, the flat node list
-# extended.  Trajectories must come out equal bit for bit.
+# The RK4 step, interval march and closed-loop advance as they ran on float64
+# arrays.  Handed out in place of the (step, march, advance) kernels of
+# swstab.integrate's ``_rk4_kernels`` (and limiting's import of it), they take
+# and give states the way the integrators now hold them: a sequence of floats
+# in, the flat node list extended.  Trajectories must come out equal bit for bit.
 
 
 def rk4_step_reference(f, t, x, h, *args):
@@ -241,6 +241,22 @@ def integrate_interval_reference(f, t0, x0, t1, base_step, bound, out_t, out_x,
         out_t.append(tk)
         out_x.extend(x)
     return x
+
+
+def closed_loop_advance_reference(f, t, x, t_stop, tf, step, bound, margin, mode,
+                                  out_t, out_x, args=()):
+    """Steps of min(step, tf - t) while t < t_stop, as the closed loop took them one
+    by one; returns (t, x, h, x_new) at the first step leaving the piece of ``mode``."""
+    while t < t_stop:
+        h = min(step, tf - t)
+        x_new = rk4_step_reference(f, t, x, h, *args)
+        _check_state_reference(x_new, t + h, bound)
+        if margin(x_new, mode) < -BOUNDARY_TOL:
+            return t, x, h, x_new
+        t, x = t + h, x_new
+        out_t.append(t)
+        out_x.extend(x)
+    return t, x, None, None
 
 
 def switched_outputs_reference(sys, traj):

@@ -110,6 +110,27 @@ def test_bad_manifest_value_exit2(tmp_path, command, doc):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command, doc, key", [
+    ("certify", {"system": {"id": "example4"}, "certify": {"horizon": 0.0}}, "certify.horizon"),
+    ("certify", {"system": {"id": "example4"}, "certify": {"horizon": -1.0}}, "certify.horizon"),
+    ("certify", {"certify": {"horizon": -1}}, "certify.horizon"),
+    ("certify", {"certify": {"box": -1}}, "certify.box"),
+    ("certify", {"certify": {"box": 0}}, "certify.box"),
+    ("certify", {"certify": {"density": 0}}, "certify.density"),
+    ("certify", {"certify": {"density": 1}}, "certify.density"),
+    ("envelope", {"system": {"id": "example4"}, "envelope": {"horizon": 0}}, "envelope.horizon"),
+    ("envelope", {"envelope": {"horizon": -5.0}}, "envelope.horizon"),
+    ("reproduce example4 --trials 1 --horizon 0", {}, "envelope.horizon"),
+])
+def test_out_of_range_manifest_value_exit2(tmp_path, capsys, command, doc, key):
+    # a non-positive horizon or box, or a sample grid of fewer than 2 points per
+    # axis, is bad input: exit 2 naming the field, before the output directory
+    m = manifest_file(tmp_path, doc)
+    assert run(command.split() + ["--manifest", m, "--out", tmp_path / "o", "--workers", 1]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command, doc, section", [
     ("simulate", {"system": "x"}, "system"),
     ("simulate", {"simulate": 5}, "simulate"),

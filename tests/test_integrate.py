@@ -1,7 +1,12 @@
 """Integrator contracts: determinism, alignment, convergence, events, errors."""
 
+import math
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swstab import (
     BlowUpError,
@@ -339,13 +344,14 @@ def _on_both_kernels(monkeypatch, run):
     Every integrator fetches its kernels through ``_rk4_kernels``; replacing it
     in integrate and in limiting, which imports it by name, swaps every RK4 call."""
     from swstab import integrate, limiting
-    from oracles import integrate_interval_reference, rk4_step_reference
+    from oracles import (closed_loop_advance_reference, integrate_interval_reference,
+                         rk4_step_reference)
 
     got = run()
     with monkeypatch.context() as m:
         for module in (integrate, limiting):
-            m.setattr(module, "_rk4_kernels",
-                      lambda n: (rk4_step_reference, integrate_interval_reference))
+            m.setattr(module, "_rk4_kernels", lambda n: (
+                rk4_step_reference, integrate_interval_reference, closed_loop_advance_reference))
         want = run()
     return got, want
 
@@ -415,6 +421,40 @@ def test_kernel_matches_ndarray_kernel_closed_loop(example4, monkeypatch):
             _assert_outputs_match_node_loop(example4.system, a)
             assert sa.breakpoints.tobytes() == sb.breakpoints.tobytes()
             assert sa.modes.tobytes() == sb.modes.tobytes()
+
+
+@given(angle=st.floats(0.0, 2.0 * math.pi), offset=st.floats(-1.5, 1.5),
+       x0=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+       t0=st.floats(0.0, 10.0), step=st.sampled_from([1e-2, 4e-2]),
+       choice_seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_closed_loop_random_half_planes_and_choices(example4, angle, offset, x0, t0, step,
+                                                    choice_seed):
+    # example4's modes 1 and 2 on the half-plane {n . x >= c}, mode 3 on the
+    # other, and a policy drawing any active mode: the run ends, labels every
+    # node with a mode whose piece holds it, and equals the ndarray kernels' run
+    nx, ny = math.cos(angle), math.sin(angle)
+
+    def margin(x, i):
+        d = nx * x[0] + ny * x[1] - offset
+        return d if i in (1, 2) else -d
+
+    half = Covering(margin=margin, N=3)
+    cfg = IntegratorConfig(step=step)
+
+    def run():
+        draw = random.Random(choice_seed)
+        return simulate_with_covering(example4.system, half,
+                                      lambda t, x, active: draw.choice(active),
+                                      t0, np.array(x0), t0 + 3.0, cfg)
+
+    with pytest.MonkeyPatch.context() as mp:
+        (a, sa), (b, sb) = _on_both_kernels(mp, run)
+    _assert_same_bits(a, b)
+    assert sa.breakpoints.tobytes() == sb.breakpoints.tobytes()
+    assert sa.modes.tobytes() == sb.modes.tobytes()
+    assert abs(a.times[-1] - (t0 + 3.0)) <= 1e-12 * (t0 + 3.0)  # the run's t_stop
+    assert validate_covering_invariance(a, sa, half).ok
 
 
 def test_kernel_matches_ndarray_kernel_blow_up_partial(all_entries, example4, monkeypatch):

@@ -379,3 +379,15 @@ def test_decrease_flags_inflated_gauge_closed_loop(example4):
                                     sigma).slope.passed
         assert not check_decrease_along(_scaled_eta(example4.certificate, 20.0), traj,
                                         sigma).slope.passed
+
+
+@pytest.mark.parametrize("v", [1e200, 1e-200, -0.0, float("nan"), -0.7])
+def test_output_gauge_of_one_output_is_the_norm(v):
+    # the p = 1 gauge squares the output in Python floats; np.linalg.norm's
+    # sqrt(v . v) overflows at 1e200 and underflows at 1e-200 the same way
+    from swstab.lyapunov import _output_gauge
+
+    got = _output_gauge(lambda t, x, i: (v,), lambda s: s, 1, 0.0, [0.0], 1)
+    with np.errstate(over="ignore"):
+        want = np.linalg.norm(np.array([v]))
+    assert np.float64(got).tobytes() == want.tobytes()

@@ -1,6 +1,7 @@
 """The measurement scripts under scripts/ still run against the library."""
 
 import importlib.util
+import json
 import math
 from pathlib import Path
 
@@ -13,12 +14,15 @@ def _load(name):
     return module
 
 
-def test_step_cost_measures_every_row():
+def test_step_cost_measures_every_row(capsys):
     step_cost = _load("step_cost")
-    rows = step_cost.measure(1)
+    step_cost.main(["--repeats", "1"])
+    doc = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     expected = ([f"{run}/{name}" for name in step_cost.SYSTEMS
                  for run in ("simulate", "simulate_relaxed")]
                 + ["simulate_with_covering/example4", "simulate_reduced/motivating",
                    "envelope_trial/motivating"])
-    assert sorted(rows) == sorted(expected) and len(rows) == 11
-    assert all(math.isfinite(v) and v > 0.0 for v in rows.values()), rows
+    for key in ("us_per_step", "speed_scale", "us_per_step_scaled"):
+        rows = doc[key]
+        assert sorted(rows) == sorted(expected) and len(rows) == 11, key
+        assert all(math.isfinite(v) and v > 0.0 for v in rows.values()), (key, rows)

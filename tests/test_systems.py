@@ -55,6 +55,78 @@ def test_example4_field_and_V3(example4):
     assert example4.certificate.V(0.0, np.array([1.0, 1.0]), 3) == pytest.approx(4.0)
 
 
+def _example4_ndarray_fields():
+    """example4's default f, fhat and dferr as the ndarray expressions they were."""
+    b1, b2 = math.sin, lambda t: 1.0 + math.cos(t)
+    A3 = np.array([[-3.0, 5.0], [-5.0, 3.0]])
+
+    def f(t, x, i):
+        if i == 1:
+            b = b1(t)
+            return np.array((b * x[1], -b * x[0] - x[1]))
+        if i == 2:
+            b = b2(t)
+            return np.array((-x[0] - b * x[1], b * x[0]))
+        return A3 @ x
+
+    def fhat(t, x, i):
+        if i == 1:
+            return np.array((0.0, -b1(t) * x[0]))
+        if i == 2:
+            return np.array((-b2(t) * x[1], 0.0))
+        return A3 @ x
+
+    def dferr(t, x, i):
+        if i == 1:
+            return np.array((b1(t) * x[1], -x[1]))
+        if i == 2:
+            return np.array((-x[0], b2(t) * x[0]))
+        return np.zeros(2)
+
+    return f, fhat, dferr
+
+
+def test_example4_float_fields_equal_ndarray_forms(example4):
+    # the tuple fields, and the reduced system's columns, hold the ndarray forms'
+    # values bit for bit, zero signs included, whether the state is a list or a row
+    system, Fhat = example4.system, example4.reduced.Fhat
+    old_f, old_fhat, old_dferr = _example4_ndarray_fields()
+    rng = np.random.default_rng(44)
+    for _ in range(5000):
+        row = rng.uniform(-3.0, 3.0, 2) * 10.0 ** rng.uniform(-3.0, 3.0, 2)
+        row[rng.random(2) < 0.05] = 0.0
+        t = float(rng.uniform(0.0, 50.0))
+        for x in (row.tolist(), row):
+            columns = Fhat(t, x)
+            for i in (1, 2, 3):
+                for new, old in ((system.f, old_f), (system.fhat, old_fhat),
+                                 (system.dferr, old_dferr)):
+                    assert np.array(new(t, x, i)).tobytes() == old(t, row, i).tobytes()
+                assert columns[:, i - 1].tobytes() == old_fhat(t, row, i).tobytes()
+
+
+def test_example4_fields_negate_elementwise(example4):
+    # -f(t, x, i) is how callers outside swstab reverse the dynamics
+    rng = np.random.default_rng(45)
+    for x in [[0.0, 0.0], [-0.0, 1.5]] + rng.uniform(-2.0, 2.0, (20, 2)).tolist():
+        for field in (example4.system.f, example4.system.fhat, example4.system.dferr):
+            for i in (1, 2, 3):
+                value = field(0.3, x, i)
+                negated = -value
+                assert np.array(negated).tobytes() == np.array([-v for v in value]).tobytes()
+                assert np.array(-negated).tobytes() == np.array(value).tobytes()
+
+
+def test_example4_negated_closed_loop_fails_slope_check(example4):
+    from dataclasses import replace
+
+    f = example4.system.f
+    flipped = replace(example4.system, f=lambda t, x, i: -f(t, x, i))
+    traj, sigma = simulate_with_covering(flipped, example4.covering, example4.policy, 1.0,
+                                         np.array([0.8, 0.5]), 6.0, IntegratorConfig(step=1e-2))
+    assert not check_decrease_along(example4.certificate, traj, sigma).slope.passed
+
+
 def test_example4_default_hypotheses():
     # defaults satisfy rho_j(v) <= v*alpha_j(t, v) with equality
     e = get_entry("example4")
