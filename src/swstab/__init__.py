@@ -10,13 +10,11 @@ from .core import (
     ParameterError,
     PolicyError,
     RelaxedControl,
-    SimplexPoint,
     SwitchedSystem,
     SwitchingSignal,
     SwstabError,
     Trajectory,
     active_index_set,
-    admissible_control_set,
     signal_to_control,
     trivial_covering,
 )
@@ -40,19 +38,16 @@ from .lyapunov import (
     check_sandwich,
 )
 from .limiting import (
-    ControlClassConstraint,
     FalsifierVerdict,
     ReducedLimitingSystem,
     ZeroingCandidate,
     build_reduced,
     check_control_constraint,
     output_residual,
-    scan_zeroing_sequences,
     simulate_reduced,
-    windowed_weak_average,
     wzsd_falsify,
 )
-from .stability import StabilityEnvelope, check_us, classify, estimate_envelope
+from .stability import StabilityEnvelope, classify, estimate_envelope
 from .systems import REGISTRY, RegistryEntry, get_entry, make_driver
 
 __version__ = "0.1.0"

@@ -65,7 +65,7 @@ def _flip_system(sys: SwitchedSystem) -> SwitchedSystem:
         return None if field is None else (lambda t, x, i: [-v for v in field(t, x, i)])
 
     return SwitchedSystem(n=sys.n, N=sys.N, f=neg(sys.f), h=sys.h, p=sys.p,
-                          fhat=neg(sys.fhat), dferr=neg(sys.dferr), name=sys.name + "-flipped",
+                          fhat=neg(sys.fhat), name=sys.name + "-flipped",
                           time_invariant_limits=sys.time_invariant_limits)
 
 
@@ -124,8 +124,10 @@ def _build(manifest: dict):
     entry = get_entry(manifest["system"]["id"], **manifest["system"].get("params", {}))
     klass = entry.signal_class
     if klass.generator is not None:
-        klass = replace(klass, generator=partial(
-            klass.generator, granularity=_number(manifest, "signal.granularity")))
+        granularity = _number(manifest, "signal.granularity")
+        if granularity <= 0:
+            raise ParameterError("manifest field signal.granularity must be positive")
+        klass = replace(klass, generator=partial(klass.generator, granularity=granularity))
     system = _flip_system(entry.system) if manifest.get("flip_dynamics") else entry.system
     entry = replace(entry, system=system, signal_class=klass)
     cfg = IntegratorConfig(step=_number(manifest, "integrator.step"),
@@ -275,13 +277,17 @@ def run_envelope(manifest: dict, workers: int = 1) -> tuple[StabilityEnvelope, o
     horizon = num("envelope.horizon")
     if horizon <= 0:
         raise ParameterError("manifest field envelope.horizon must be positive")
+    radii, tau_count = num("envelope.radii", _floats), num("envelope.tau_count", int)
+    if not np.all(radii > 0):
+        raise ParameterError("manifest field envelope.radii must hold positive numbers")
+    if tau_count < 1:
+        raise ParameterError("manifest field envelope.tau_count must be at least 1")
     judge = partial(classify, decay_ratio=num("envelope.decay_ratio"),
                     tail_fraction=num("envelope.tail_fraction"),
                     uniform_bound=num("envelope.uniform_bound"))
     env = estimate_envelope(entry.system.n, partial(_drive, json.dumps(manifest, sort_keys=True)),
-                            radii=num("envelope.radii", _floats), horizon=horizon,
-                            trials=num("envelope.trials", int),
-                            tau_count=num("envelope.tau_count", int), master_seed=num("seed", int),
+                            radii=radii, horizon=horizon, trials=num("envelope.trials", int),
+                            tau_count=tau_count, master_seed=num("seed", int),
                             offset_max=num("envelope.offset_max"), workers=workers)
     return env, judge(env)
 
@@ -306,8 +312,11 @@ def _falsifier(manifest: dict):
     if not manifest["falsify"].get("use_constraints", True):
         rls = replace(rls, constraints=())
     num = partial(_number, manifest)
+    residual_tol = num("falsify.residual_tol")
+    if residual_tol < 0:
+        raise ParameterError("manifest field falsify.residual_tol must not be negative")
     return partial(wzsd_falsify, rls, eps=num("falsify.eps"), horizon=num("falsify.horizon"),
-                   residual_tol=num("falsify.residual_tol"),
+                   residual_tol=residual_tol,
                    budget=num("falsify.budget", int), seed=num("seed", int),
                    du=num("falsify.du"))
 

@@ -149,39 +149,6 @@ class SwitchingSignal:
 # ---------------------------------------------------------------------------
 
 
-def _clean_simplex(w: np.ndarray) -> np.ndarray:
-    w = np.asarray(w, dtype=float)
-    if np.any(w < -SIMPLEX_TOL):
-        raise ParameterError(f"simplex weights must be nonnegative, got {w}")
-    w = np.maximum(w, 0.0)
-    s = float(w.sum())
-    if abs(s - 1.0) > SIMPLEX_RENORM_TOL:
-        raise ParameterError(f"simplex weights must sum to 1 (sum={s!r})")
-    if s != 1.0:
-        w = w / s
-    return w
-
-
-@dataclass(frozen=True)
-class SimplexPoint:
-    """A point on the probability simplex over the N modes."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "weights", _clean_simplex(self.weights))
-
-    @staticmethod
-    def vertex(i: int, n_modes: int) -> "SimplexPoint":
-        w = np.zeros(n_modes)
-        w[i - 1] = 1.0
-        return SimplexPoint(w)
-
-    @property
-    def n_modes(self) -> int:
-        return len(self.weights)
-
-
 @dataclass(frozen=True)
 class RelaxedControl:
     """Piecewise-constant simplex-valued control on a uniform time grid.
@@ -229,9 +196,6 @@ class RelaxedControl:
             raise DomainError(f"t={t} outside control grid [{self.t0}, {self.tf}]")
         return k
 
-    def value_at(self, t: float) -> np.ndarray:
-        return self.values[self.cell_of(t)]
-
 
 # ---------------------------------------------------------------------------
 # systems and coverings
@@ -240,20 +204,21 @@ class RelaxedControl:
 
 @dataclass(frozen=True)
 class SwitchedSystem:
-    """Bundle of mode dynamics, outputs, and the precompact/zeroing decomposition.
+    """Bundle of mode dynamics, outputs, and the precompact part of the dynamics.
 
     ``f(t, x, i)`` is the mode-i vector field, ``h(t, x, i)`` the mode-i output
     (p-vector), both with 1-based ``i``.  ``fhat`` is the precompact part used
-    by reduced limiting systems; ``dferr`` the zeroing remainder, so that
-    f = fhat + dferr wherever dferr is supplied.  ``time_invariant_limits``
-    marks systems whose fhat/h do not depend on t, for which the reduced
-    limiting system is unique and directly constructible.
+    by reduced limiting systems (``f`` itself when omitted); the zeroing part
+    f - fhat must vanish wherever the mode's output does.
+    ``time_invariant_limits`` marks systems whose fhat/h do not depend on t,
+    for which the reduced limiting system is unique and directly
+    constructible.
 
-    Field protocol: f, h, fhat and dferr take the state as a sequence of n
-    floats, which the integrators pass as a list, and may return any sequence
-    of n (h: p) floats, a tuple, list or 1-D ndarray.  An ndarray makes each
-    RK4 step add numpy scalars, at about twice the cost.  Array arithmetic on
-    a result needs ``np.asarray``.
+    Field protocol: f, h and fhat take the state as a sequence of n floats,
+    which the integrators pass as a list, and may return any sequence of n
+    (h: p) floats, a tuple, list or 1-D ndarray.  An ndarray makes each RK4
+    step add numpy scalars, at about twice the cost.  Array arithmetic on a
+    result needs ``np.asarray``.
     """
 
     n: int
@@ -262,29 +227,12 @@ class SwitchedSystem:
     h: Callable[[float, Sequence[float], int], Sequence[float]]
     p: int = 1
     fhat: Optional[Callable[[float, Sequence[float], int], Sequence[float]]] = None
-    dferr: Optional[Callable[[float, Sequence[float], int], Sequence[float]]] = None
     time_invariant_limits: bool = False
     name: str = ""
 
     def __post_init__(self):
         if self.n < 1 or self.N < 1:
             raise ParameterError("state dimension and mode count must be positive")
-
-    def check_decomposition(self, rng: np.random.Generator, n_samples: int = 1000,
-                            box: float = 2.0, t_max: float = 50.0, tol: float = 1e-10) -> float:
-        """Max |f - (fhat + dferr)| over random samples; raises if dferr missing."""
-        if self.fhat is None or self.dferr is None:
-            raise ParameterError("system does not supply a decomposition")
-        worst = 0.0
-        for _ in range(n_samples):
-            t = float(rng.uniform(0.0, t_max))
-            x = rng.uniform(-box, box, size=self.n)
-            i = int(rng.integers(1, self.N + 1))
-            r = np.subtract(self.f(t, x, i), np.add(self.fhat(t, x, i), self.dferr(t, x, i)))
-            worst = max(worst, float(np.max(np.abs(r))))
-        if worst > tol:
-            raise ParameterError(f"decomposition residual {worst:.3e} exceeds {tol:.1e}")
-        return worst
 
 
 @dataclass(frozen=True)
@@ -293,7 +241,7 @@ class Covering:
 
     ``margin(xi, i) >= 0`` means xi belongs to the closed piece of mode i;
     the boundary is ``margin == 0``.  For half-space pieces the margin is the
-    signed distance, which makes event detection and the nesting radius exact.
+    signed distance, which makes event detection exact.
     ``xi`` is a sequence of n floats: the closed loop and the invariance
     validator pass a list, other callers may pass an ndarray row.
     """
@@ -304,15 +252,6 @@ class Covering:
 
     def membership(self, xi: np.ndarray, i: int, tol: float = 0.0) -> bool:
         return self.margin(xi, i) >= -tol
-
-    def nesting_radius(self, xi: np.ndarray) -> float:
-        """Radius within which active index sets can only shrink (1-Lipschitz margins)."""
-        r = np.inf
-        for i in range(1, self.N + 1):
-            m = self.margin(xi, i)
-            if m < 0.0:
-                r = min(r, -m)
-        return r
 
 
 def trivial_covering(n_modes: int) -> Covering:
@@ -325,23 +264,6 @@ def active_index_set(xi: np.ndarray, covering: Covering, tol: float = 0.0) -> tu
     if not idx:
         raise CoveringError(f"point {xi} is not covered by any piece")
     return idx
-
-
-@dataclass(frozen=True)
-class AdmissibleSet:
-    """Generators of the admissible control set at a state: co{e_i : i active}."""
-
-    indices: tuple[int, ...]
-    n_modes: int
-
-    def contains(self, point, tol: float = SIMPLEX_TOL) -> bool:
-        w = point.weights if isinstance(point, SimplexPoint) else np.asarray(point, dtype=float)
-        outside = [i for i in range(1, self.n_modes + 1) if i not in self.indices]
-        return all(w[i - 1] <= tol for i in outside)
-
-
-def admissible_control_set(xi: np.ndarray, covering: Covering, tol: float = 0.0) -> AdmissibleSet:
-    return AdmissibleSet(indices=active_index_set(xi, covering, tol), n_modes=covering.N)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from .core import (
 from .integrate import IntegratorConfig, _march, _rk4_kernels, _rows
 from .signals import (
     TIE_TOL,
+    MeasureConstraint,
     PatternConstraint,
     PatternReport,
     _window_min,
@@ -49,49 +50,16 @@ class UnsupportedLimitError(SwstabError):
 
 
 @dataclass(frozen=True)
-class ControlClassConstraint:
-    """Constraint inherited by weak limits of a switching class.
-
-    kinds:
-      - "integral_lower_bound": int_t^{t+T0} u_mode >= delta0 for every window
-      - "pattern": every window [t, t+T] contains a near-vertex 1-2-1 pattern
-        with sub-interval lengths in [dm, dM]
-      - "none": unconstrained
-    """
-
-    kind: str
-    mode: int = 0
-    T0: float = 0.0
-    delta0: float = 0.0
-    T: float = 0.0
-    dm: float = 0.0
-    dM: float = 0.0
-
-    def __post_init__(self):
-        if self.kind == "integral_lower_bound":
-            if not (0 < self.delta0 <= self.T0) or self.mode < 1:
-                raise ParameterError("integral constraint needs 0 < delta0 <= T0 and a mode")
-        elif self.kind == "pattern":
-            PatternConstraint(T=self.T, dm=self.dm, dM=self.dM)
-        elif self.kind != "none":
-            raise ParameterError(f"unknown constraint kind {self.kind!r}")
-
-    @property
-    def window(self) -> float:
-        if self.kind == "integral_lower_bound":
-            return self.T0
-        if self.kind == "pattern":
-            return self.T
-        return 0.0
-
-
-@dataclass(frozen=True)
 class ReducedLimitingSystem:
     """dx/dt = Fhat(t, x) u with output Hhat(t, x) . u pinned to zero.
 
     Fhat stacks the limiting precompact fields columnwise; Hhat holds the
     componentwise output magnitudes, so Hhat >= 0 and zero output is exactly
-    a face condition on u.
+    a face condition on u.  ``constraints`` are the switching class's own
+    constraint objects, as weak limits inherit them: a MeasureConstraint
+    bounds the integral of u_mode over every window of length T0 from below
+    by delta0, and a PatternConstraint asks for a near-vertex 1-2-1 pattern
+    with gaps in [dm, dM] in every window of length T.
     """
 
     n: int
@@ -99,12 +67,12 @@ class ReducedLimitingSystem:
     Fhat: Callable[[float, Sequence[float]], np.ndarray]   # (n, N)
     Hhat: Callable[[float, Sequence[float]], np.ndarray]   # (N,)
     covering: Covering
-    constraints: tuple[ControlClassConstraint, ...] = ()
+    constraints: tuple[MeasureConstraint | PatternConstraint, ...] = ()
     name: str = ""
 
 
 def build_reduced(sys: SwitchedSystem, covering: Covering,
-                  constraints: Sequence[ControlClassConstraint] = (),
+                  constraints: Sequence[MeasureConstraint | PatternConstraint] = (),
                   limit_spec="time_invariant", name: str = "") -> ReducedLimitingSystem:
     """Assemble the reduced limiting control system.
 
@@ -178,17 +146,15 @@ def simulate_reduced(rls: ReducedLimitingSystem, u: RelaxedControl, t0: float,
     return Trajectory(times=np.array(ts), states=states, controls=controls, outputs=outputs)
 
 
-def output_residual(rls: ReducedLimitingSystem, traj: Trajectory,
-                    u: Optional[RelaxedControl] = None) -> float:
-    """Max over grid nodes of Hhat(t, x(t)) . u(t), NaN if any is; zero means output-zero holds."""
-    if traj.controls is not None:
-        weights = traj.controls
-    elif u is not None:
-        weights = np.array([u.value_at(min(t, u.tf - 0.5 * u.step)) for t in traj.times])
-    else:
-        raise ParameterError("trajectory carries no control and none was given")
+def output_residual(rls: ReducedLimitingSystem, traj: Trajectory) -> float:
+    """Max over grid nodes of Hhat(t, x(t)) . u(t), NaN if any is; zero means output-zero holds.
+
+    ``traj`` is a run of ``simulate_reduced``, which records u at every node.
+    """
+    if traj.controls is None:
+        raise ParameterError("trajectory carries no control")
     worst = 0.0
-    for t, x, w in zip(traj.times, traj.states, weights):
+    for t, x, w in zip(traj.times, traj.states, traj.controls):
         r = float(rls.Hhat(t, x) @ w)
         if math.isnan(r):  # max() would drop it
             return r
@@ -218,18 +184,17 @@ def _vertex_cell_runs(u: RelaxedControl) -> tuple[np.ndarray, np.ndarray, np.nda
     return starts, ends, modes
 
 
-def check_control_constraint(u: RelaxedControl, c: ControlClassConstraint) -> tuple[bool, float]:
+def check_control_constraint(u: RelaxedControl,
+                             c: MeasureConstraint | PatternConstraint) -> tuple[bool, float]:
     """Exact check of an inherited class constraint on a relaxed control.
 
-    Integral kind: exact quadrature of the piecewise-constant control over all
-    sliding windows; margin is (worst window integral) - delta0.  Pattern
-    kind: cells within 1e-6 of a vertex form runs searched for the 1-2-1
-    quadruple exactly as for switching signals; margin is 0 when satisfied,
-    minus the worst anchor-coverage gap otherwise.
+    MeasureConstraint: exact quadrature of the piecewise-constant control over
+    all sliding windows; margin is (worst window integral) - delta0.
+    PatternConstraint: cells within 1e-6 of a vertex form runs searched for
+    the 1-2-1 quadruple exactly as for switching signals; margin is 0 when
+    satisfied, minus the worst anchor-coverage gap otherwise.
     """
-    if c.kind == "none":
-        return True, float("inf")
-    if c.kind == "integral_lower_bound":
+    if isinstance(c, MeasureConstraint):
         if u.n_modes < c.mode:
             raise ParameterError("constraint mode exceeds the control's mode count")
         kinks = u.t0 + u.step * np.arange(u.n_cells + 1)
@@ -237,16 +202,15 @@ def check_control_constraint(u: RelaxedControl, c: ControlClassConstraint) -> tu
         m, _ = _window_min(kinks, cum, c.T0)
         return m >= c.delta0 - TIE_TOL, m - c.delta0
     starts, ends, modes = _vertex_cell_runs(u)
-    pc = PatternConstraint(T=c.T, dm=c.dm, dM=c.dM)
     lo, hi = u.t0, u.tf - c.T
     if hi < lo - TIE_TOL:
         raise DomainError("control must span at least one window")
-    rep: PatternReport = pattern_cover_check(starts, ends, modes, pc, lo, max(hi, lo))
+    rep: PatternReport = pattern_cover_check(starts, ends, modes, c, lo, max(hi, lo))
     return rep.ok, rep.margin
 
 
 # ---------------------------------------------------------------------------
-# zeroing-output diagnostics
+# zeroing candidates
 # ---------------------------------------------------------------------------
 
 
@@ -265,70 +229,6 @@ class ZeroingCandidate:
             raise ParameterError("eps must be positive")
         if float(self.trajectory.norms().min()) < self.eps - 1e-12:
             raise ParameterError("trajectory dips below the claimed norm floor")
-
-
-def scan_zeroing_sequences(batch: Sequence[tuple[Trajectory, object]], eps: float,
-                           output_decay_tol: float, r_max: float = np.inf,
-                           min_duration: Optional[float] = None) -> list[ZeroingCandidate]:
-    """Flag trajectory segments stuck in the shell {eps <= |x| <= r_max} with tiny output.
-
-    This is the finite-horizon shadow of a zeroing-output sequence and a
-    diagnostic that uniform attractivity is failing; it proves nothing.
-    """
-    if not batch:
-        raise ParameterError("empty batch")
-    if min_duration is None:
-        min_duration = 0.5 * min(tr.tf - tr.t0 for tr, _ in batch)
-    found = []
-    for traj, _sig in batch:
-        norms = traj.norms()
-        outs = (np.linalg.norm(traj.outputs, axis=1) if traj.outputs is not None
-                else np.zeros(len(norms)))
-        in_shell = (norms >= eps) & (norms <= r_max)
-        k = 0
-        m = len(norms)
-        while k < m:
-            if not in_shell[k]:
-                k += 1
-                continue
-            j = k
-            while j + 1 < m and in_shell[j + 1]:
-                j += 1
-            t_a, t_b = traj.times[k], traj.times[j]
-            if t_b - t_a >= min_duration and float(outs[k:j + 1].max()) <= output_decay_tol:
-                seg = Trajectory(times=traj.times[k:j + 1], states=traj.states[k:j + 1],
-                                 modes=None if traj.modes is None else traj.modes[k:j + 1],
-                                 controls=None if traj.controls is None else traj.controls[k:j + 1],
-                                 outputs=None if traj.outputs is None else traj.outputs[k:j + 1])
-                found.append(ZeroingCandidate(trajectory=seg, control=None,
-                                              eps=float(norms[k:j + 1].min()),
-                                              output_sup=float(outs[k:j + 1].max()),
-                                              span=(float(t_a), float(t_b))))
-            k = j + 1
-    return found
-
-
-def windowed_weak_average(controls: Sequence[RelaxedControl], window: float) -> RelaxedControl:
-    """Pointwise average over the sequence, then a moving average over the window.
-
-    Approximates a weak limit of the sequence; convexity of the simplex makes
-    the result a valid relaxed control.  All inputs must share the grid.
-    """
-    if not controls:
-        raise ParameterError("empty control sequence")
-    u0 = controls[0]
-    for u in controls[1:]:
-        if (abs(u.t0 - u0.t0) > 1e-12 or abs(u.step - u0.step) > 1e-15
-                or u.n_cells != u0.n_cells or u.n_modes != u0.n_modes):
-            raise ParameterError("controls must share a common grid")
-    mean = np.mean([u.values for u in controls], axis=0)
-    w = max(1, int(round(window / u0.step)))
-    if w > 1:
-        kernel = np.ones(w)
-        counts = np.convolve(np.ones(mean.shape[0]), kernel, mode="same")
-        mean = np.stack([np.convolve(mean[:, j], kernel, mode="same") / counts
-                         for j in range(mean.shape[1])], axis=1)
-    return RelaxedControl(t0=u0.t0, step=u0.step, values=mean)
 
 
 # ---------------------------------------------------------------------------
@@ -512,6 +412,8 @@ def wzsd_falsify(rls: ReducedLimitingSystem, eps: float, horizon: float,
     """
     if eps <= 0 or horizon <= 0 or budget < 1:
         raise ParameterError("eps, horizon, budget must be positive")
+    if not residual_tol >= 0:  # a negative tolerance fails every candidate; NaN too
+        raise ParameterError(f"residual_tol must be nonnegative, got {residual_tol!r}")
     if step is None:
         step = du / 5.0
     for c in rls.constraints:
@@ -522,8 +424,8 @@ def wzsd_falsify(rls: ReducedLimitingSystem, eps: float, horizon: float,
     n_cells = int(round(horizon / du))
     if n_cells < 1 or abs(n_cells * du - horizon) > 1e-9:
         raise ParameterError("du must tile the horizon")
-    integral_cs = [c for c in rls.constraints if c.kind == "integral_lower_bound"]
-    pattern_cs = [c for c in rls.constraints if c.kind == "pattern"]
+    integral_cs = [c for c in rls.constraints if isinstance(c, MeasureConstraint)]
+    pattern_cs = [c for c in rls.constraints if isinstance(c, PatternConstraint)]
 
     tally = _Tally()
 

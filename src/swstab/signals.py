@@ -49,6 +49,10 @@ class MeasureConstraint:
         if self.mode < 1:
             raise ParameterError("mode index is 1-based")
 
+    @property
+    def window(self) -> float:
+        return self.T0
+
 
 @dataclass(frozen=True)
 class PatternConstraint:
@@ -68,6 +72,10 @@ class PatternConstraint:
             raise ParameterError("need 0 < dm <= dM")
         if 3.0 * self.dm > self.T + TIE_TOL:
             raise ParameterError("a pattern must fit: need 3*dm <= T")
+
+    @property
+    def window(self) -> float:
+        return self.T
 
 
 def _snap(t: float, granularity: float) -> float:

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import BlowUpError, ParameterError, Trajectory
+from .core import BlowUpError, ParameterError
 
 
 @dataclass(frozen=True)
@@ -190,43 +190,3 @@ def classify(env: StabilityEnvelope, decay_ratio: float = 0.05,
                            tau_res, r_res,
                            under_sampled=max(tau_res, r_res) > mono_residual_tol,
                            tail_ratios=tail_ratios, uniform_ratios=uniform_ratios)
-
-
-@dataclass(frozen=True)
-class USReport:
-    passed: bool
-    envelope: np.ndarray     # per radius bin, sup of future norms
-    radius_bins: np.ndarray
-    gain: float
-    margin: float
-
-    def to_dict(self) -> dict:
-        return {"check": "uniform_stability", "pass": self.passed,
-                "envelope": self.envelope.tolist(),
-                "radius_bins": self.radius_bins.tolist(),
-                "gain": self.gain, "margin": self.margin}
-
-
-def check_us(trajs: Sequence[Trajectory], radius_bins: Sequence[float],
-             margin: float) -> USReport:
-    """Smallest monotone bound on sup_{t>=s} |x(t)| given the bin of |x(s)|.
-
-    The uniform-stability verdict requires the envelope to vanish with the
-    bin radius: the smallest bin's envelope value must stay below ``margin``.
-    """
-    if not trajs:
-        raise ParameterError("empty ensemble")
-    edges = np.asarray(sorted(radius_bins), dtype=float)
-    env = np.zeros(len(edges))
-    for traj in trajs:
-        norms = traj.norms()
-        suffix = np.maximum.accumulate(norms[::-1])[::-1]
-        bins = np.searchsorted(edges, norms, side="left")
-        for b in range(len(edges)):
-            sel = bins == b
-            if np.any(sel):
-                env[b] = max(env[b], float(suffix[sel].max()))
-    env = np.maximum.accumulate(env)
-    gain = float(np.max(env / np.maximum(edges, 1e-30)))
-    return USReport(passed=bool(env[0] <= margin), envelope=env, radius_bins=edges,
-                    gain=gain, margin=margin)

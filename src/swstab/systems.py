@@ -1,10 +1,11 @@
 """Registry of the four worked example systems, fully wired.
 
 Each entry bundles the switched dynamics with its weak-Lyapunov certificate,
-covering, switching-signal class, inherited control constraint, and reduced
-limiting system, so the certification / envelope / falsification pipeline can
-run end to end.  Default callables are chosen to satisfy the required
-hypotheses with margin; overrides are re-checked by sampling at construction.
+covering, switching-signal class, and reduced limiting system, which inherits
+the class's own constraint object, so the certification / envelope /
+falsification pipeline can run end to end.  Default callables are chosen to
+satisfy the required hypotheses with margin; overrides are re-checked by
+sampling at construction.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import Covering, ParameterError, SwitchedSystem, trivial_covering
-from .limiting import ControlClassConstraint, ReducedLimitingSystem, build_reduced
+from .limiting import ReducedLimitingSystem, build_reduced
 from .lyapunov import LyapunovCertificate
 from . import signals as sig
 
@@ -48,7 +49,6 @@ class SignalClass:
     kind: str                       # "arbitrary" | "measure" | "pattern" | "policy"
     params: dict
     generator: Optional[Callable] = None   # (span, seed) -> SwitchingSignal
-    constraint: ControlClassConstraint = ControlClassConstraint(kind="none")
 
 
 @dataclass(frozen=True)
@@ -114,12 +114,7 @@ def motivating(a: float = 1.0, T0: float = 1.0, delta0: float = 0.2) -> Registry
             return (x[1], -x[0])
         return (a * x[1], 0.0)
 
-    def dferr(t, x, i):
-        if i == 1:
-            return (0.0, 0.0)
-        return (-signed_cbrt(x[0]), -a * x[0])
-
-    system = SwitchedSystem(n=2, N=2, f=f, h=h, p=1, fhat=fhat, dferr=dferr,
+    system = SwitchedSystem(n=2, N=2, f=f, h=h, p=1, fhat=fhat,
                             time_invariant_limits=True, name="motivating")
     cert = LyapunovCertificate(
         V=lambda t, x, i: 0.5 * float(x @ x),
@@ -129,14 +124,11 @@ def motivating(a: float = 1.0, T0: float = 1.0, delta0: float = 0.2) -> Registry
         dV=lambda t, x, i: np.asarray(x, dtype=float),
     )
     covering = trivial_covering(2)
-    constraint = ControlClassConstraint(kind="integral_lower_bound", mode=2,
-                                        T0=T0, delta0=delta0)
-    reduced = build_reduced(system, covering, [constraint], "time_invariant")
+    reduced = build_reduced(system, covering, [c], "time_invariant")
     klass = SignalClass(
         kind="measure", params={"T0": T0, "delta0": delta0, "mode": 2},
         generator=lambda span, seed, granularity=sig.GRANULARITY:
-            sig.gen_measure_constrained(c, 2, span, seed, granularity),
-        constraint=constraint)
+            sig.gen_measure_constrained(c, 2, span, seed, granularity))
     return RegistryEntry(
         name="motivating", system=system, certificate=cert, covering=covering,
         signal_class=klass, reduced=reduced,
@@ -193,18 +185,7 @@ def example1(g1: Optional[Callable] = None, g2: Optional[Callable] = None,
         scale = 1.0 if i == 2 else 2.0
         return (scale * ghat2(t, x[1]) * x[1], 0.0)
 
-    def dferr(t, x, i):
-        # absorbs the damping terms and the off-axis part of g_i; vanishes
-        # where the respective output gauge does
-        if i == 1:
-            g = g1(t, x)
-            return (-g * x[1], g * x[0] - x[1] - ghat1(t, x[0]) * x[0])
-        scale = 1.0 if i == 2 else 2.0
-        g = scale * g2(t, x)
-        gh = scale * ghat2(t, x[1])
-        return (g * x[1] - x[0] - gh * x[1], -g * x[0])
-
-    system = SwitchedSystem(n=2, N=3, f=f, h=h, p=1, fhat=fhat, dferr=dferr,
+    system = SwitchedSystem(n=2, N=3, f=f, h=h, p=1, fhat=fhat,
                             time_invariant_limits=False, name="example1")
     cert = LyapunovCertificate(
         V=lambda t, x, i: 0.5 * float(x @ x),
@@ -305,14 +286,7 @@ def example4(b1: Optional[Callable] = None, b2: Optional[Callable] = None,
             return FieldTuple((-b2(t) * x[1], 0.0))
         return rotate(x)
 
-    def dferr(t, x, i):
-        if i == 1:
-            return FieldTuple((b1(t) * x[1], -alpha1(t, x[1])))
-        if i == 2:
-            return FieldTuple((-alpha2(t, x[0]), b2(t) * x[0]))
-        return FieldTuple((0.0, 0.0))
-
-    system = SwitchedSystem(n=2, N=3, f=f, h=h, p=1, fhat=fhat, dferr=dferr,
+    system = SwitchedSystem(n=2, N=3, f=f, h=h, p=1, fhat=fhat,
                             time_invariant_limits=False, name="example4")
 
     def V(t, x, i):
@@ -407,16 +381,12 @@ def inverter(L1: float = 1.0, L2: float = 1.0, C1: float = 1.0, C2: float = 1.0,
         return (C2 * ells[i - 1](x[3]),)
 
     def fhat(t, x, i):
-        # f without the load and without the (2,4) coupling of each RAW_i
+        # f without the load and without the (2,4) coupling of each RAW_i: both
+        # vanish with x4, exactly where the output does
         return (0.0, l2 * x[2], -c1 * x[1], -c2 * x[1]) if i == 1 else \
             (-l1 * x[2], 0.0, c1 * x[0], -c2 * x[1])
 
-    def dferr(t, x, i):
-        # the (2,4) coupling moved out of fhat is a zeroing part: it vanishes
-        # with x4, exactly where the output does
-        return (0.0, x[3] / L2, 0.0, -(g1 if i == 1 else g2)(t, x[3]))
-
-    system = SwitchedSystem(n=4, N=2, f=f, h=h, p=1, fhat=fhat, dferr=dferr,
+    system = SwitchedSystem(n=4, N=2, f=f, h=h, p=1, fhat=fhat,
                             time_invariant_limits=True, name="inverter")
     eigs = np.diag(P) / 2.0
     lam_m, lam_M = float(eigs.min()), float(eigs.max())
@@ -427,14 +397,12 @@ def inverter(L1: float = 1.0, L2: float = 1.0, C1: float = 1.0, C2: float = 1.0,
         eta=lambda t, x, i: C2 * ells[i - 1](x[3]),
         dV=lambda t, x, i: P @ x)
     covering = trivial_covering(2)
-    constraint = ControlClassConstraint(kind="pattern", T=T, dm=dm, dM=dM)
     pc = sig.PatternConstraint(T=T, dm=dm, dM=dM)
-    reduced = build_reduced(system, covering, [constraint], "time_invariant")
+    reduced = build_reduced(system, covering, [pc], "time_invariant")
     klass = SignalClass(
         kind="pattern", params={"T": T, "dm": dm, "dM": dM},
         generator=lambda span, seed, granularity=sig.GRANULARITY:
-            sig.gen_pattern(pc, span, seed, granularity),
-        constraint=constraint)
+            sig.gen_pattern(pc, span, seed, granularity))
     return RegistryEntry(
         name="inverter", system=system, certificate=cert, covering=covering,
         signal_class=klass, reduced=reduced,

@@ -121,10 +121,22 @@ def test_bad_manifest_value_exit2(tmp_path, command, doc):
     ("envelope", {"system": {"id": "example4"}, "envelope": {"horizon": 0}}, "envelope.horizon"),
     ("envelope", {"envelope": {"horizon": -5.0}}, "envelope.horizon"),
     ("reproduce example4 --trials 1 --horizon 0", {}, "envelope.horizon"),
+    ("certify", {"signal": {"granularity": 0}}, "signal.granularity"),
+    ("simulate", {"signal": {"granularity": -1}}, "signal.granularity"),
+    ("certify", {"signal": {"granularity": -1}}, "signal.granularity"),
+    ("envelope", {"envelope": {"tau_count": -1}}, "envelope.tau_count"),
+    ("envelope", {"envelope": {"tau_count": 0}}, "envelope.tau_count"),
+    ("envelope", {"envelope": {"radii": [-1]}}, "envelope.radii"),
+    ("envelope", {"envelope": {"radii": [0.5, 0.0]}}, "envelope.radii"),
+    ("falsify", {"falsify": {"use_constraints": False, "budget": 50, "residual_tol": -1}},
+     "falsify.residual_tol"),
+    ("reproduce inverter", {"falsify": {"residual_tol": -1e-9}}, "falsify.residual_tol"),
 ])
 def test_out_of_range_manifest_value_exit2(tmp_path, capsys, command, doc, key):
-    # a non-positive horizon or box, or a sample grid of fewer than 2 points per
-    # axis, is bad input: exit 2 naming the field, before the output directory
+    # a non-positive horizon, box, signal granularity or envelope radius, a
+    # sample grid of fewer than 2 points per axis, fewer than one tau column or
+    # a negative residual tolerance is bad input: exit 2 naming the field,
+    # before the output directory
     m = manifest_file(tmp_path, doc)
     assert run(command.split() + ["--manifest", m, "--out", tmp_path / "o", "--workers", 1]) == 2
     assert key in capsys.readouterr().err
@@ -334,7 +346,7 @@ def test_flip_dynamics_reaches_policy_class_envelope():
 
 
 def test_flip_dynamics_reverses_simulate_derivative(all_entries):
-    # the flip negates f, fhat and dferr elementwise, whatever sequence they
+    # the flip negates f and fhat elementwise, whatever sequence they
     # return, so a one-step simulate of the flipped system moves the other way
     from swstab import IntegratorConfig, SwitchingSignal, simulate
     from swstab.cli import _flip_system
@@ -345,7 +357,7 @@ def test_flip_dynamics_reverses_simulate_derivative(all_entries):
         flipped = _flip_system(system)
         for i in range(1, system.N + 1):
             x0, t0 = rng.uniform(-1.5, 1.5, system.n), float(rng.uniform(0.0, 5.0))
-            for name in ("f", "fhat", "dferr"):
+            for name in ("f", "fhat"):
                 want = -np.asarray(getattr(system, name)(t0, x0.tolist(), i), dtype=float)
                 got = np.asarray(getattr(flipped, name)(t0, x0.tolist(), i), dtype=float)
                 assert got.tobytes() == want.tobytes(), (entry.name, name, i)

@@ -11,11 +11,9 @@ from swstab import (
     DomainError,
     ParameterError,
     RelaxedControl,
-    SimplexPoint,
     SwitchingSignal,
     Trajectory,
     active_index_set,
-    admissible_control_set,
     signal_to_control,
     trivial_covering,
 )
@@ -25,23 +23,29 @@ def halfplane_covering():
     return Covering(margin=lambda x, i: x[0] if i in (1, 2) else -x[0], N=3)
 
 
-# --- simplex -----------------------------------------------------------------
+# --- simplex-valued controls ---------------------------------------------------
+
+
+def control_cell(w):
+    """The one cell of a relaxed control holding the simplex weights ``w``."""
+    return RelaxedControl(t0=0.0, step=1.0, values=np.array([w])).values[0]
 
 
 def test_simplex_vertex():
-    p = SimplexPoint.vertex(2, 3)
-    assert np.array_equal(p.weights, [0.0, 1.0, 0.0])
+    sig = SwitchingSignal.constant(2, 0.0, 1.0)
+    u = signal_to_control(sig, 0.5, n_modes=3)
+    assert np.array_equal(u.values, [[0.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
 
 
 def test_simplex_renormalizes_small_drift():
-    p = SimplexPoint(np.array([0.5, 0.5 + 3e-10]))
-    assert abs(p.weights.sum() - 1.0) <= 1e-12
+    w = control_cell([0.5, 0.5 + 3e-10])
+    assert abs(w.sum() - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("bad", [[0.5, 0.6], [0.7, -0.1], [1.2, -0.2]])
 def test_simplex_rejects(bad):
     with pytest.raises(ParameterError):
-        SimplexPoint(np.array(bad))
+        control_cell(bad)
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=2, max_size=5)
@@ -49,9 +53,9 @@ def test_simplex_rejects(bad):
 @settings(max_examples=50, deadline=None)
 def test_simplex_normalized_weights_always_valid(w):
     w = np.asarray(w)
-    p = SimplexPoint(w / w.sum())
-    assert np.all(p.weights >= 0)
-    assert abs(p.weights.sum() - 1.0) <= 1e-12
+    cell = control_cell(w / w.sum())
+    assert np.all(cell >= 0)
+    assert abs(cell.sum() - 1.0) <= 1e-12
 
 
 # --- switching signals -------------------------------------------------------
@@ -136,10 +140,12 @@ def test_signal_to_control_domain_error():
 
 def test_control_value_at_edges():
     u = RelaxedControl(t0=0.0, step=0.5, values=np.array([[1.0, 0.0], [0.0, 1.0]]))
-    assert np.array_equal(u.value_at(0.5), [0.0, 1.0])  # right-continuous
-    assert np.array_equal(u.value_at(1.0), [0.0, 1.0])  # closed upper end
-    with pytest.raises(DomainError):
-        u.value_at(1.5)
+    assert u.cell_of(0.0) == 0
+    assert u.cell_of(0.5) == 1  # right-continuous
+    assert u.cell_of(1.0) == 1  # closed upper end
+    for t in (-0.25, 1.5):
+        with pytest.raises(DomainError):
+            u.cell_of(t)
 
 
 # --- coverings ---------------------------------------------------------------
@@ -155,17 +161,16 @@ def test_active_index_set_halfplanes():
 def test_trivial_covering_full_simplex():
     chi = trivial_covering(3)
     for xi in (np.zeros(2), np.array([4.0, -7.0])):
-        adm = admissible_control_set(xi, chi)
-        assert adm.indices == (1, 2, 3)
-        assert adm.contains(SimplexPoint(np.array([0.2, 0.3, 0.5])))
+        assert active_index_set(xi, chi) == (1, 2, 3)
 
 
 def test_admissible_set_membership():
+    # the admissible controls at xi are the face co{e_i : i active}
     chi = halfplane_covering()
-    adm = admissible_control_set(np.array([1.0, 0.0]), chi)
-    assert adm.indices == (1, 2)
-    assert adm.contains(np.array([0.5, 0.5, 0.0]))
-    assert not adm.contains(np.array([0.0, 0.0, 1.0]))
+    assert active_index_set(np.array([1.0, 0.0]), chi) == (1, 2)
+    assert active_index_set(np.array([1e-10, 0.0]), chi) == (1, 2)
+    assert active_index_set(np.array([-1e-10, 0.0]), chi) == (3,)
+    assert active_index_set(np.array([-1e-10, 0.0]), chi, tol=1e-9) == (1, 2, 3)
 
 
 def test_covering_violation_error():
@@ -185,7 +190,9 @@ def test_nesting_property(x1, x2):
     chi = halfplane_covering()
     xi = np.array([x1, x2])
     base = set(active_index_set(xi, chi))
-    delta = chi.nesting_radius(xi)
+    # radius within which active sets can only shrink: the margins are 1-Lipschitz
+    delta = min((-chi.margin(xi, i) for i in (1, 2, 3) if chi.margin(xi, i) < 0.0),
+                default=np.inf)
     rng = np.random.default_rng(17)
     for _ in range(8):
         d = rng.standard_normal(2)

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swstab import (
-    ControlClassConstraint,
     IntegratorConfig,
     ParameterError,
     RelaxedControl,
@@ -16,18 +15,16 @@ from swstab import (
     check_control_constraint,
     gen_measure_constrained,
     output_residual,
-    scan_zeroing_sequences,
     signal_to_control,
-    simulate,
     simulate_reduced,
     trivial_covering,
     validate_measure,
-    windowed_weak_average,
+    validate_pattern,
     wzsd_falsify,
 )
 from swstab import limiting
 from swstab.limiting import UnsupportedLimitError
-from swstab.signals import MeasureConstraint
+from swstab.signals import MeasureConstraint, PatternConstraint
 
 
 # --- construction ------------------------------------------------------------
@@ -136,7 +133,7 @@ def test_reduced_input_errors(motivating, cfg_fast, weights, x0):
 
 
 def test_integral_constraint_constant_mix():
-    c = ControlClassConstraint(kind="integral_lower_bound", mode=2, T0=1.0, delta0=0.2)
+    c = MeasureConstraint(T0=1.0, delta0=0.2, mode=2)
     u = RelaxedControl(t0=0.0, step=0.25, values=np.tile([0.8, 0.2], (20, 1)))
     ok, margin = check_control_constraint(u, c)
     assert ok
@@ -144,26 +141,36 @@ def test_integral_constraint_constant_mix():
 
 
 def test_integral_constraint_vertex1_fails():
-    c = ControlClassConstraint(kind="integral_lower_bound", mode=2, T0=1.0, delta0=0.2)
+    c = MeasureConstraint(T0=1.0, delta0=0.2, mode=2)
     u = RelaxedControl(t0=0.0, step=0.25, values=np.tile([1.0, 0.0], (20, 1)))
     ok, margin = check_control_constraint(u, c)
     assert not ok and margin == pytest.approx(-0.2)
 
 
 def test_weak_limit_inherits_integral_constraint():
-    # windowed averages of class members satisfy the inherited bound
+    # a convex combination of class members satisfies the inherited bound, with
+    # the class's own constraint object
     c = MeasureConstraint(T0=1.0, delta0=0.2, mode=2)
     controls = []
     for seed in range(6):
         sig = gen_measure_constrained(c, 2, (0.0, 12.0), 700 + seed, granularity=1e-2)
         controls.append(signal_to_control(sig, 1e-2, span=(0.0, 12.0), n_modes=2))
-    avg = windowed_weak_average(controls, window=0.5)
-    cc = ControlClassConstraint(kind="integral_lower_bound", mode=2, T0=1.0, delta0=0.2)
-    # interior trim: edge cells of the moving average lose the shift identity
-    interior = RelaxedControl(t0=avg.t0 + 1.0, step=avg.step,
-                              values=avg.values[100:-100])
-    ok, margin = check_control_constraint(interior, cc)
+    avg = RelaxedControl(t0=0.0, step=1e-2, values=np.mean([u.values for u in controls], axis=0))
+    ok, margin = check_control_constraint(avg, c)
     assert ok, margin
+    # each member's worst window is at least delta0, so the mean's is too
+    assert margin >= min(check_control_constraint(u, c)[1] for u in controls) - 1e-12
+
+
+@given(st.integers(min_value=0, max_value=5000))
+@settings(max_examples=25, deadline=None)
+def test_average_preserves_simplex(seed):
+    # the simplex is convex: the mean of relaxed controls on one grid is one
+    rng = np.random.default_rng(seed)
+    values = [rng.dirichlet(np.ones(3), size=40) for _ in range(3)]
+    avg = RelaxedControl(t0=0.0, step=0.05, values=np.mean(values, axis=0))
+    assert np.all(avg.values >= 0)
+    np.testing.assert_allclose(avg.values.sum(axis=1), 1.0, atol=1e-9)
 
 
 @pytest.mark.parametrize("du", [1e-2, 5e-2])
@@ -174,8 +181,6 @@ def test_integral_check_agrees_with_measure_validator(du, seed):
     rng = np.random.default_rng(seed)
     T0 = float(rng.choice([0.5, 1.0, 1.5]))
     mc = MeasureConstraint(T0=T0, delta0=float(rng.uniform(0.05, 0.5)) * T0, mode=2)
-    c = ControlClassConstraint(kind="integral_lower_bound", mode=2, T0=mc.T0,
-                               delta0=mc.delta0)
     for k in range(3):
         sig = gen_measure_constrained(mc, 2, (0.0, 6.0), 1000 * seed + k, granularity=du)
         # shifted copy: fewer activation blocks than the constraint asks for
@@ -183,14 +188,14 @@ def test_integral_check_agrees_with_measure_validator(du, seed):
                                 domain_start=0.0, domain_end=6.0)
         for s in (sig, short):
             rep = validate_measure(s, mc)
-            ok, margin = check_control_constraint(signal_to_control(s, du, n_modes=2), c)
+            ok, margin = check_control_constraint(signal_to_control(s, du, n_modes=2), mc)
             assert ok == rep.ok
             assert abs(margin - (rep.min_measure - mc.delta0)) <= 1e-12
 
 
 def test_pattern_constraint_on_controls(inverter):
     c = inverter.reduced.constraints[0]
-    assert c.kind == "pattern"
+    assert c == PatternConstraint(T=10.0, dm=0.5, dM=2.0)
     # compliant vertex schedule: 1(1s) 2(1s) 1(1s) repeated, du = 0.25
     cells = []
     for _ in range(5):
@@ -204,73 +209,32 @@ def test_pattern_constraint_on_controls(inverter):
     assert not ok2 and margin2 < 0
 
 
-# --- weak averaging ----------------------------------------------------------
+def _pattern_schedule(two_run, du, n_blocks=6):
+    """A 1-2-1 vertex schedule of 1 s runs whose 2-runs last ``two_run`` seconds."""
+    breaks, modes, t = [], [], 0.0
+    for _ in range(n_blocks):
+        for mode, length in ((1, 1.0), (2, two_run), (1, 1.0)):
+            breaks.append(t)
+            modes.append(mode)
+            t = round((t + length) / du) * du
+    return SwitchingSignal(breakpoints=np.array(breaks), modes=np.array(modes),
+                           domain_start=0.0, domain_end=t)
 
 
-def test_average_constant_idempotent():
-    u = RelaxedControl(t0=0.0, step=0.1, values=np.tile([0.25, 0.75], (50, 1)))
-    avg = windowed_weak_average([u, u, u], window=1.0)
-    np.testing.assert_allclose(avg.values, u.values, atol=1e-12)
-
-
-def test_average_fast_alternation_near_half():
-    vals = np.zeros((200, 2))
-    vals[::2, 0] = 1.0
-    vals[1::2, 1] = 1.0
-    u = RelaxedControl(t0=0.0, step=0.01, values=vals)
-    avg = windowed_weak_average([u], window=1.0)
-    mid = avg.values[80:120]
-    assert np.max(np.abs(mid - 0.5)) < 0.02
-
-
-@given(st.integers(min_value=0, max_value=5000))
-@settings(max_examples=25, deadline=None)
-def test_average_preserves_simplex(seed):
-    rng = np.random.default_rng(seed)
-    us = [RelaxedControl(t0=0.0, step=0.05,
-                         values=rng.dirichlet(np.ones(3), size=40))
-          for _ in range(3)]
-    avg = windowed_weak_average(us, window=0.3)
-    assert np.all(avg.values >= 0)
-    np.testing.assert_allclose(avg.values.sum(axis=1), 1.0, atol=1e-9)
-
-
-def test_average_grid_mismatch_rejected():
-    a = RelaxedControl(t0=0.0, step=0.1, values=np.tile([1.0, 0.0], (10, 1)))
-    b = RelaxedControl(t0=0.0, step=0.2, values=np.tile([1.0, 0.0], (10, 1)))
-    with pytest.raises(ParameterError):
-        windowed_weak_average([a, b], window=0.5)
-
-
-# --- zeroing-sequence scan ---------------------------------------------------
-
-
-def test_scan_flags_conserved_zero_output(motivating, cfg_fast):
-    sig = SwitchingSignal.constant(1, 0.0, 10.0)
-    traj = simulate(motivating.system, sig, 0.0, np.array([1.0, 0.0]), 10.0, cfg_fast)
-    found = scan_zeroing_sequences([(traj, sig)], eps=0.5, output_decay_tol=1e-9,
-                                   min_duration=5.0)
-    assert len(found) == 1
-    assert found[0].output_sup <= 1e-9
-    assert found[0].eps >= 0.5
-
-
-def test_scan_clean_under_class_signals(motivating, cfg_fast):
-    batch = []
-    for seed in range(4):
-        sig = motivating.signal_class.generator((0.0, 30.0), 800 + seed)
-        traj = simulate(motivating.system, sig, 0.0, np.array([1.0, 0.3]), 30.0, cfg_fast)
-        batch.append((traj, sig))
-    found = scan_zeroing_sequences(batch, eps=0.4, output_decay_tol=1e-6,
-                                   min_duration=2.0)
-    assert found == []
-
-
-def test_scan_ignores_zero_trajectory(motivating, cfg_fast):
-    sig = SwitchingSignal.constant(1, 0.0, 5.0)
-    traj = simulate(motivating.system, sig, 0.0, np.zeros(2), 5.0, cfg_fast)
-    assert scan_zeroing_sequences([(traj, sig)], eps=0.1, output_decay_tol=1.0,
-                                  min_duration=1.0) == []
+@pytest.mark.parametrize("du", [0.25, 0.05])
+def test_pattern_check_agrees_with_pattern_validator(du):
+    # mutation control: the validator on a 1-2-1 schedule and the control check
+    # on its vertex embedding, with one PatternConstraint, pass it, and both
+    # flip once its 2-runs are stretched past dM or shrunk below dm
+    c = PatternConstraint(T=10.0, dm=0.5, dM=2.0)
+    verdicts = []
+    for two_run in (1.0, 2.5, 0.25):   # compliant, above dM, below dm
+        sig = _pattern_schedule(two_run, du)
+        rep = validate_pattern(sig, c)
+        ok, margin = check_control_constraint(signal_to_control(sig, du, n_modes=2), c)
+        assert ok == rep.ok and abs(margin - rep.margin) <= 1e-12, two_run
+        verdicts.append(ok)
+    assert verdicts == [True, False, False]
 
 
 # --- falsifier ---------------------------------------------------------------
@@ -352,6 +316,17 @@ def test_falsifier_deterministic(motivating):
     a = wzsd_falsify(motivating.reduced, eps=0.5, horizon=5.0, budget=60, seed=5)
     b = wzsd_falsify(motivating.reduced, eps=0.5, horizon=5.0, budget=60, seed=5)
     assert a.verdict == b.verdict and a.budget_used == b.budget_used
+
+
+@pytest.mark.parametrize("residual_tol", [-1.0, -1e-300, float("nan")])
+def test_falsifier_rejects_negative_residual_tol(motivating, residual_tol):
+    # below zero every candidate would fail the residual screen, and the
+    # verdict could never be "counterexample"
+    free = replace(motivating.reduced, constraints=())
+    with pytest.raises(ParameterError, match="residual_tol"):
+        wzsd_falsify(free, eps=0.5, horizon=5.0, budget=50, residual_tol=residual_tol)
+    v = wzsd_falsify(free, eps=0.5, horizon=5.0, budget=50, residual_tol=0.0)
+    assert v.verdict == "counterexample" and v.budget_used == 1
 
 
 def test_falsifier_verdict_json(motivating):

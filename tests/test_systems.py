@@ -56,7 +56,7 @@ def test_example4_field_and_V3(example4):
 
 
 def _example4_ndarray_fields():
-    """example4's default f, fhat and dferr as the ndarray expressions they were."""
+    """example4's default f and fhat as the ndarray expressions they were."""
     b1, b2 = math.sin, lambda t: 1.0 + math.cos(t)
     A3 = np.array([[-3.0, 5.0], [-5.0, 3.0]])
 
@@ -76,21 +76,14 @@ def _example4_ndarray_fields():
             return np.array((-b2(t) * x[1], 0.0))
         return A3 @ x
 
-    def dferr(t, x, i):
-        if i == 1:
-            return np.array((b1(t) * x[1], -x[1]))
-        if i == 2:
-            return np.array((-x[0], b2(t) * x[0]))
-        return np.zeros(2)
-
-    return f, fhat, dferr
+    return f, fhat
 
 
 def test_example4_float_fields_equal_ndarray_forms(example4):
     # the tuple fields, and the reduced system's columns, hold the ndarray forms'
     # values bit for bit, zero signs included, whether the state is a list or a row
     system, Fhat = example4.system, example4.reduced.Fhat
-    old_f, old_fhat, old_dferr = _example4_ndarray_fields()
+    old_f, old_fhat = _example4_ndarray_fields()
     rng = np.random.default_rng(44)
     for _ in range(5000):
         row = rng.uniform(-3.0, 3.0, 2) * 10.0 ** rng.uniform(-3.0, 3.0, 2)
@@ -99,8 +92,7 @@ def test_example4_float_fields_equal_ndarray_forms(example4):
         for x in (row.tolist(), row):
             columns = Fhat(t, x)
             for i in (1, 2, 3):
-                for new, old in ((system.f, old_f), (system.fhat, old_fhat),
-                                 (system.dferr, old_dferr)):
+                for new, old in ((system.f, old_f), (system.fhat, old_fhat)):
                     assert np.array(new(t, x, i)).tobytes() == old(t, row, i).tobytes()
                 assert columns[:, i - 1].tobytes() == old_fhat(t, row, i).tobytes()
 
@@ -109,7 +101,7 @@ def test_example4_fields_negate_elementwise(example4):
     # -f(t, x, i) is how callers outside swstab reverse the dynamics
     rng = np.random.default_rng(45)
     for x in [[0.0, 0.0], [-0.0, 1.5]] + rng.uniform(-2.0, 2.0, (20, 2)).tolist():
-        for field in (example4.system.f, example4.system.fhat, example4.system.dferr):
+        for field in (example4.system.f, example4.system.fhat):
             for i in (1, 2, 3):
                 value = field(0.3, x, i)
                 negated = -value
@@ -163,14 +155,50 @@ def test_inverter_rejects_bad_load():
         get_entry("inverter", g1=lambda t, v: -v)  # violates ell <= v*g
 
 
+def check_zeroing_part(system, rng, n_samples=300):
+    """Assert the zeroing part f - fhat of every mode vanishes on its zero-output set.
+
+    Each random state is tried as drawn and with one coordinate set to zero;
+    the variants where the mode's output is exactly zero are the samples.
+    """
+    on_set = dict.fromkeys(range(1, system.N + 1), 0)
+    for _ in range(n_samples):
+        t = float(rng.uniform(0.0, 50.0))
+        row = rng.uniform(-2.0, 2.0, system.n)
+        for j in range(-1, system.n):
+            x = row.copy()
+            if j >= 0:
+                x[j] = 0.0
+            for i in on_set:
+                if np.any(np.asarray(system.h(t, x.tolist(), i), dtype=float) != 0.0):
+                    continue
+                on_set[i] += 1
+                zeroing = np.subtract(system.f(t, x.tolist(), i), system.fhat(t, x.tolist(), i))
+                assert np.max(np.abs(zeroing)) <= 1e-12, (system.name, i, t, x)
+    assert all(on_set.values()), (system.name, on_set)
+
+
 def test_decomposition_consistency(all_entries):
-    # fields return tuples, lists or arrays; the flip returns lists
+    # fields return tuples, lists or arrays; the flip returns lists.  The
+    # zero-output sets: motivating mode 1 everywhere and mode 2 on x1 = 0,
+    # example1 mode 1 on x2 = 0 and modes 2, 3 on x1 = 0, example4 mode 1 on
+    # x2 = 0, mode 2 on x1 = 0 and mode 3 everywhere, inverter on x4 = 0
     from swstab.cli import _flip_system
     rng = np.random.default_rng(12)
     for entry in all_entries:
         for system in (entry.system, _flip_system(entry.system)):
-            worst = system.check_decomposition(rng, n_samples=1000)
-            assert worst <= 1e-10, system.name
+            check_zeroing_part(system, rng)
+
+
+def test_decomposition_mutation_fails(motivating):
+    # a precompact part that drops mode 1's rotation leaves a zeroing part
+    # (x2, -x1) on mode 1's zero-output set, which is the whole plane
+    from dataclasses import replace
+    fhat = motivating.system.fhat
+    broken = replace(motivating.system,
+                     fhat=lambda t, x, i: (0.0, 0.0) if i == 1 else fhat(t, x, i))
+    with pytest.raises(AssertionError):
+        check_zeroing_part(broken, np.random.default_rng(12))
 
 
 @pytest.mark.parametrize("params", [{}, {"L1": 0.7, "L2": 1.3, "C1": 0.9, "C2": 1.1},
