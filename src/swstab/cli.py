@@ -17,13 +17,14 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .core import BlowUpError, ParameterError, SwstabError, SwitchedSystem, SwitchingSignal
-from .integrate import IntegratorConfig, simulate, simulate_with_covering
+from .core import (BlowUpError, ParameterError, SwstabError, SwitchedSystem, SwitchingSignal,
+                   active_index_set)
+from .integrate import IntegratorConfig, simulate
 from .lyapunov import IntegralBoundParams, check_decrease_along, check_integral_bound, check_sandwich
-from .limiting import wzsd_falsify
+from .limiting import build_reduced, wzsd_falsify
 from .signals import signal_to_csv
 from .stability import StabilityEnvelope, classify, estimate_envelope
-from .systems import SignalClass, get_entry, make_driver
+from .systems import SignalClass, _signal_driver, get_entry, make_driver
 
 EXIT_PASS = 0
 EXIT_ANALYSIS_FAIL = 1
@@ -65,8 +66,7 @@ def _flip_system(sys: SwitchedSystem) -> SwitchedSystem:
         return None if field is None else (lambda t, x, i: [-v for v in field(t, x, i)])
 
     return SwitchedSystem(n=sys.n, N=sys.N, f=neg(sys.f), h=sys.h, p=sys.p,
-                          fhat=neg(sys.fhat), name=sys.name + "-flipped",
-                          time_invariant_limits=sys.time_invariant_limits)
+                          fhat=neg(sys.fhat), name=sys.name + "-flipped")
 
 
 _floats = partial(np.array, dtype=float, ndmin=1)  # the ``kind`` of a list field
@@ -85,6 +85,14 @@ def _number(manifest: dict, path: str, kind=float):
     except (KeyError, IndexError, TypeError, ValueError, OverflowError):
         pass
     raise ParameterError(f"manifest field {path} must hold finite numbers, got {value!r}")
+
+
+def _positive(manifest: dict, path: str, kind=float):
+    """``_number`` of a field whose numbers must also be positive (an int: at least 1)."""
+    number = _number(manifest, path, kind)
+    if not np.all(np.asarray(number) > 0):
+        raise ParameterError(f"manifest field {path} must be positive")
+    return number
 
 
 def _check_sections(doc: dict, default: dict, prefix: str = "") -> None:
@@ -118,19 +126,21 @@ def _load_manifest(path: str | None, overrides: dict) -> dict:
 def _build(manifest: dict):
     """Registry entry and integrator settings of a manifest.
 
-    The entry's system is already flipped under ``flip_dynamics``, and its
-    class generator has the manifest's signal granularity bound.
+    Under ``flip_dynamics`` the entry's system and its reduced system are
+    already flipped, and its class generator has the manifest's signal
+    granularity bound.
     """
     entry = get_entry(manifest["system"]["id"], **manifest["system"].get("params", {}))
     klass = entry.signal_class
     if klass.generator is not None:
-        granularity = _number(manifest, "signal.granularity")
-        if granularity <= 0:
-            raise ParameterError("manifest field signal.granularity must be positive")
+        granularity = _positive(manifest, "signal.granularity")
         klass = replace(klass, generator=partial(klass.generator, granularity=granularity))
-    system = _flip_system(entry.system) if manifest.get("flip_dynamics") else entry.system
-    entry = replace(entry, system=system, signal_class=klass)
-    cfg = IntegratorConfig(step=_number(manifest, "integrator.step"),
+    entry = replace(entry, signal_class=klass)
+    if manifest.get("flip_dynamics"):
+        system = _flip_system(entry.system)
+        entry = replace(entry, system=system, reduced=build_reduced(
+            system, entry.covering, entry.reduced.constraints))
+    cfg = IntegratorConfig(step=_positive(manifest, "integrator.step"),
                            event_bisection_tol=_number(manifest, "integrator.event_bisection_tol"))
     return entry, cfg
 
@@ -161,21 +171,15 @@ def cmd_simulate(manifest: dict) -> int:
     if horizon < 0:
         raise ParameterError("manifest field simulate.horizon must not be negative")
     out = _outdir(manifest)
-    tf = t0 + horizon
     try:
-        if entry.signal_class.kind == "policy":
-            if horizon == 0.0:
-                from .core import active_index_set
-                mode = entry.policy(t0, x0, active_index_set(x0, entry.covering, tol=1e-9))
-                sigma = SwitchingSignal.constant(mode, t0, t0 + 1.0)
-                traj = simulate(entry.system, sigma, t0, x0, t0, cfg)
-            else:
-                traj, sigma = simulate_with_covering(entry.system, entry.covering, entry.policy,
-                                                     t0, x0, tf, cfg)
+        if horizon > 0:
+            traj, sigma = _signal_driver(entry, cfg)(t0, x0, t0 + horizon, seed)
         else:
-            sigma = (entry.signal_class.generator((t0, tf), seed) if horizon > 0
-                     else SwitchingSignal.constant(1, t0, t0 + 1.0))
-            traj = simulate(entry.system, sigma, t0, x0, tf, cfg)
+            # the start node alone, under the mode the class would start in
+            mode = (entry.policy(t0, x0, active_index_set(x0, entry.covering, tol=1e-9))
+                    if entry.signal_class.kind == "policy" else 1)
+            sigma = SwitchingSignal.constant(mode, t0, t0 + 1.0)
+            traj = simulate(entry.system, sigma, t0, x0, t0, cfg)
     except BlowUpError as err:
         if err.trajectory is not None:
             err.trajectory.to_csv(os.path.join(out, "trajectory_partial.csv"))
@@ -190,24 +194,17 @@ def cmd_simulate(manifest: dict) -> int:
 
 def cmd_certify(manifest: dict) -> int:
     entry, cfg = _build(manifest)
-    num = partial(_number, manifest)
-    trials = num("certify.trials", int)
-    if trials < 1:
-        print("certify needs at least one trial", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    horizon, box, density = num("certify.horizon"), num("certify.box"), num("certify.density", int)
-    if horizon <= 0:
-        raise ParameterError("manifest field certify.horizon must be positive")
-    if box <= 0:
-        raise ParameterError("manifest field certify.box must be positive")
+    num, pos = partial(_number, manifest), partial(_positive, manifest)
+    trials, horizon, box = pos("certify.trials", int), pos("certify.horizon"), pos("certify.box")
+    density = num("certify.density", int)
     if density < 2:
         raise ParameterError("manifest field certify.density must be at least 2")
-    run_cfg = IntegratorConfig(step=num("certify.step"),
+    run_cfg = IntegratorConfig(step=pos("certify.step"),
                                event_bisection_tol=cfg.event_bisection_tol)
     seed = num("seed", int)
     out = _outdir(manifest)
     rng = np.random.default_rng(seed)
-    gen = entry.signal_class.generator
+    drive = _signal_driver(entry, run_cfg)
 
     reports = {"sandwich": None, "trials": [], "pass": True}
     sw = check_sandwich(entry.certificate, -box * np.ones(entry.system.n),
@@ -217,20 +214,14 @@ def cmd_certify(manifest: dict) -> int:
     # the revisit inequality is gated only for open-loop classes: the
     # chattering approximation of boundary sliding in closed-loop runs
     # produces sawtooth artifacts the exact family does not have
-    gate_revisit = entry.signal_class.kind != "policy"
-    # the checks need each trial's signal, and only open-loop trials draw a
-    # signal seed, so this loop does not go through make_driver
+    open_loop = entry.signal_class.kind != "policy"
     for k in range(trials):
         x0 = rng.uniform(-box, box, size=entry.system.n)
         t0 = float(rng.uniform(0.0, 5.0))
-        tf = t0 + horizon
+        # only open-loop trials draw a signal seed: a policy takes none
+        seed_k = int(rng.integers(0, 2**62)) if open_loop else None
         try:
-            if entry.signal_class.kind == "policy":
-                traj, sigma = simulate_with_covering(entry.system, entry.covering, entry.policy,
-                                                     t0, x0, tf, run_cfg)
-            else:
-                sigma = gen((t0, tf), int(rng.integers(0, 2**62)))
-                traj = simulate(entry.system, sigma, t0, x0, tf, run_cfg)
+            traj, sigma = drive(t0, x0, t0 + horizon, seed_k)
         except BlowUpError:
             reports["trials"].append({"trial": k, "blow_up": True})
             reports["pass"] = False
@@ -239,7 +230,7 @@ def cmd_certify(manifest: dict) -> int:
         ib = check_integral_bound(traj, sigma, entry.system,
                                   IntegralBoundParams(alpha=entry.alpha,
                                                       M=entry.integral_M(x0), mu=0.0))
-        ok = dec.slope.passed and ib.passed and (dec.revisit.passed or not gate_revisit)
+        ok = dec.slope.passed and ib.passed and (dec.revisit.passed or not open_loop)
         reports["trials"].append({"trial": k, "decrease": dec.to_dict(),
                                   "integral": ib.to_dict(), "pass": ok})
         reports["pass"] = reports["pass"] and ok
@@ -257,7 +248,7 @@ def _envelope_driver(manifest_json: str):
     """The envelope's trajectory factory, built once per process and manifest."""
     manifest = json.loads(manifest_json)
     entry, cfg = _build(manifest)
-    run_cfg = IntegratorConfig(step=_number(manifest, "envelope.step"),
+    run_cfg = IntegratorConfig(step=_positive(manifest, "envelope.step"),
                                event_bisection_tol=cfg.event_bisection_tol)
     if manifest["envelope"].get("constant_mode") is not None:
         # negative-control hook: an open-loop class holding one constant signal
@@ -273,22 +264,21 @@ def _drive(manifest_json: str, t0, x0, tf, seed):
 
 def run_envelope(manifest: dict, workers: int = 1) -> tuple[StabilityEnvelope, object]:
     entry, _ = _build(manifest)
-    num = partial(_number, manifest)
-    horizon = num("envelope.horizon")
-    if horizon <= 0:
-        raise ParameterError("manifest field envelope.horizon must be positive")
-    radii, tau_count = num("envelope.radii", _floats), num("envelope.tau_count", int)
-    if not np.all(radii > 0):
-        raise ParameterError("manifest field envelope.radii must hold positive numbers")
-    if tau_count < 1:
-        raise ParameterError("manifest field envelope.tau_count must be at least 1")
+    num, pos = partial(_number, manifest), partial(_positive, manifest)
+    horizon, radii = pos("envelope.horizon"), pos("envelope.radii", _floats)
+    trials, tau_count = pos("envelope.trials", int), pos("envelope.tau_count", int)
+    offset_max = num("envelope.offset_max")
+    if offset_max < 0:
+        raise ParameterError("manifest field envelope.offset_max must not be negative")
     judge = partial(classify, decay_ratio=num("envelope.decay_ratio"),
                     tail_fraction=num("envelope.tail_fraction"),
                     uniform_bound=num("envelope.uniform_bound"))
-    env = estimate_envelope(entry.system.n, partial(_drive, json.dumps(manifest, sort_keys=True)),
-                            radii=radii, horizon=horizon, trials=num("envelope.trials", int),
+    manifest_json = json.dumps(manifest, sort_keys=True)
+    _envelope_driver(manifest_json)  # reads and checks the driver's fields before any trial
+    env = estimate_envelope(entry.system.n, partial(_drive, manifest_json),
+                            radii=radii, horizon=horizon, trials=trials,
                             tau_count=tau_count, master_seed=num("seed", int),
-                            offset_max=num("envelope.offset_max"), workers=workers)
+                            offset_max=offset_max, workers=workers)
     return env, judge(env)
 
 
@@ -311,14 +301,14 @@ def _falsifier(manifest: dict):
     rls = entry.reduced
     if not manifest["falsify"].get("use_constraints", True):
         rls = replace(rls, constraints=())
-    num = partial(_number, manifest)
+    num, pos = partial(_number, manifest), partial(_positive, manifest)
     residual_tol = num("falsify.residual_tol")
     if residual_tol < 0:
         raise ParameterError("manifest field falsify.residual_tol must not be negative")
-    return partial(wzsd_falsify, rls, eps=num("falsify.eps"), horizon=num("falsify.horizon"),
+    return partial(wzsd_falsify, rls, eps=pos("falsify.eps"), horizon=pos("falsify.horizon"),
                    residual_tol=residual_tol,
-                   budget=num("falsify.budget", int), seed=num("seed", int),
-                   du=num("falsify.du"))
+                   budget=pos("falsify.budget", int), seed=num("seed", int),
+                   du=pos("falsify.du"))
 
 
 def _write_falsify(manifest: dict, verdict) -> int:

@@ -210,9 +210,6 @@ class SwitchedSystem:
     (p-vector), both with 1-based ``i``.  ``fhat`` is the precompact part used
     by reduced limiting systems (``f`` itself when omitted); the zeroing part
     f - fhat must vanish wherever the mode's output does.
-    ``time_invariant_limits`` marks systems whose fhat/h do not depend on t,
-    for which the reduced limiting system is unique and directly
-    constructible.
 
     Field protocol: f, h and fhat take the state as a sequence of n floats,
     which the integrators pass as a list, and may return any sequence of n
@@ -227,7 +224,6 @@ class SwitchedSystem:
     h: Callable[[float, Sequence[float], int], Sequence[float]]
     p: int = 1
     fhat: Optional[Callable[[float, Sequence[float], int], Sequence[float]]] = None
-    time_invariant_limits: bool = False
     name: str = ""
 
     def __post_init__(self):

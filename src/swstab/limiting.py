@@ -45,10 +45,6 @@ from .signals import (
 VERTEX_TOL = 1e-6  # a control cell counts as a vertex if within this of e_i (sup norm)
 
 
-class UnsupportedLimitError(SwstabError):
-    """Limiting functions of a time-dependent precompact part were not supplied."""
-
-
 @dataclass(frozen=True)
 class ReducedLimitingSystem:
     """dx/dt = Fhat(t, x) u with output Hhat(t, x) . u pinned to zero.
@@ -68,48 +64,38 @@ class ReducedLimitingSystem:
     Hhat: Callable[[float, Sequence[float]], np.ndarray]   # (N,)
     covering: Covering
     constraints: tuple[MeasureConstraint | PatternConstraint, ...] = ()
-    name: str = ""
 
 
 def build_reduced(sys: SwitchedSystem, covering: Covering,
-                  constraints: Sequence[MeasureConstraint | PatternConstraint] = (),
-                  limit_spec="time_invariant", name: str = "") -> ReducedLimitingSystem:
-    """Assemble the reduced limiting control system.
+                  constraints: Sequence[MeasureConstraint | PatternConstraint] = ()
+                  ) -> ReducedLimitingSystem:
+    """Assemble the reduced limiting control system from ``sys.fhat`` (``sys.f``
+    when there is none) and ``sys.h``.
 
-    ``limit_spec`` is either "time_invariant" (use fhat/h directly; valid when
-    the system's precompact parts do not depend on t, in which case the
-    reduced system is unique) or a pair (fhat_gamma, h_gamma) of per-mode
-    callable lists supplying the limiting functions along some sequence.
+    These are the limiting functions along a time sequence t_k with
+    fhat(t + t_k) = fhat(t): exact when the precompact part is time-invariant
+    or periodic (t_k = kT), a surrogate otherwise.
     """
     if covering.N != sys.N:
         raise ParameterError("covering and system mode counts differ")
-    if limit_spec == "time_invariant":
-        if not sys.time_invariant_limits:
-            raise UnsupportedLimitError(
-                "time-dependent precompact part: supply limiting functions explicitly")
-        fhat = sys.fhat if sys.fhat is not None else sys.f
-        fg = [lambda t, x, i=i: fhat(t, x, i) for i in range(1, sys.N + 1)]
-        hg = [lambda t, x, i=i: sys.h(t, x, i) for i in range(1, sys.N + 1)]
-    else:
-        fg, hg = limit_spec
-        if len(fg) != sys.N or len(hg) != sys.N:
-            raise ParameterError("need one limiting function per mode")
+    fhat = sys.fhat if sys.fhat is not None else sys.f
+    h = sys.h
+    modes = range(1, sys.N + 1)
 
     def Fhat(t, x):
         # copied to C order: a transposed view could change how matmul rounds
-        return np.array([f(t, x) for f in fg]).T.copy()
+        return np.array([fhat(t, x, i) for i in modes]).T.copy()
 
     def Hhat(t, x):
         # sqrt(v . v) is np.linalg.norm's arithmetic on a float64 vector, minus its overhead
         out = []
-        for h in hg:
-            v = np.asarray(h(t, x), dtype=float)
+        for i in modes:
+            v = np.asarray(h(t, x, i), dtype=float)
             out.append(math.sqrt(v.dot(v)))
         return np.array(out)
 
     return ReducedLimitingSystem(n=sys.n, N=sys.N, Fhat=Fhat, Hhat=Hhat,
-                                 covering=covering, constraints=tuple(constraints),
-                                 name=name or sys.name)
+                                 covering=covering, constraints=tuple(constraints))
 
 
 def _fhat_column(t, x, Fhat, i):

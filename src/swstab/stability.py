@@ -95,6 +95,8 @@ def estimate_envelope(n_dim: int, traj_factory: Callable, radii: Sequence[float]
     radii = np.asarray(sorted(radii), dtype=float)
     if trials < 1:
         raise ParameterError("need at least one trial")
+    if offset_max < offset_min:
+        raise ParameterError(f"offset_max={offset_max!r} is below offset_min={offset_min!r}")
     tau_grid = np.linspace(0.0, horizon, tau_count)
     tasks = [(b, k) for b in range(len(radii)) for k in range(trials)]
     run = partial(_run_trial, n_dim, traj_factory, radii, horizon, tau_grid,

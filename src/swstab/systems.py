@@ -73,13 +73,6 @@ class RegistryEntry:
         if self.signal_class.kind == "policy" and self.policy is None:
             raise ParameterError(f"{self.name}: policy class without a policy")
 
-    def describe(self) -> dict:
-        """JSON-ready descriptor for experiment manifests."""
-        return {"name": self.name, "n": self.system.n, "N": self.system.N,
-                "signal_class": {"kind": self.signal_class.kind,
-                                 **self.signal_class.params},
-                "expected_verdict": self.expected_verdict, "params": self.params}
-
 
 def _sample_check(cond: bool, msg: str) -> None:
     if not cond:
@@ -114,8 +107,7 @@ def motivating(a: float = 1.0, T0: float = 1.0, delta0: float = 0.2) -> Registry
             return (x[1], -x[0])
         return (a * x[1], 0.0)
 
-    system = SwitchedSystem(n=2, N=2, f=f, h=h, p=1, fhat=fhat,
-                            time_invariant_limits=True, name="motivating")
+    system = SwitchedSystem(n=2, N=2, f=f, h=h, p=1, fhat=fhat, name="motivating")
     cert = LyapunovCertificate(
         V=lambda t, x, i: 0.5 * float(x @ x),
         phi1=lambda s: 0.5 * s * s,
@@ -124,7 +116,7 @@ def motivating(a: float = 1.0, T0: float = 1.0, delta0: float = 0.2) -> Registry
         dV=lambda t, x, i: np.asarray(x, dtype=float),
     )
     covering = trivial_covering(2)
-    reduced = build_reduced(system, covering, [c], "time_invariant")
+    reduced = build_reduced(system, covering, [c])
     klass = SignalClass(
         kind="measure", params={"T0": T0, "delta0": delta0, "mode": 2},
         generator=lambda span, seed, granularity=sig.GRANULARITY:
@@ -185,8 +177,7 @@ def example1(g1: Optional[Callable] = None, g2: Optional[Callable] = None,
         scale = 1.0 if i == 2 else 2.0
         return (scale * ghat2(t, x[1]) * x[1], 0.0)
 
-    system = SwitchedSystem(n=2, N=3, f=f, h=h, p=1, fhat=fhat,
-                            time_invariant_limits=False, name="example1")
+    system = SwitchedSystem(n=2, N=3, f=f, h=h, p=1, fhat=fhat, name="example1")
     cert = LyapunovCertificate(
         V=lambda t, x, i: 0.5 * float(x @ x),
         phi1=lambda s: 0.5 * s * s,
@@ -195,16 +186,7 @@ def example1(g1: Optional[Callable] = None, g2: Optional[Callable] = None,
         dV=lambda t, x, i: np.asarray(x, dtype=float),
     )
     covering = trivial_covering(3)
-    # constant-shift surrogate limiting functions (shift 0 along a period-aligned
-    # sequence); the limiting functions of general precompact maps are not
-    # mechanically computable
-    fg = [lambda t, x: (0.0, ghat1(t, x[0]) * x[0]),
-          lambda t, x: (ghat2(t, x[1]) * x[1], 0.0),
-          lambda t, x: (2.0 * ghat2(t, x[1]) * x[1], 0.0)]
-    hg = [lambda t, x: (x[1] * x[1],),
-          lambda t, x: (x[0] * x[0],),
-          lambda t, x: (x[0] * x[0],)]
-    reduced = build_reduced(system, covering, [], (fg, hg), name="example1")
+    reduced = build_reduced(system, covering)
     klass = SignalClass(
         kind="arbitrary", params={"mean_dwell": mean_dwell},
         generator=lambda span, seed, granularity=sig.GRANULARITY:
@@ -286,8 +268,7 @@ def example4(b1: Optional[Callable] = None, b2: Optional[Callable] = None,
             return FieldTuple((-b2(t) * x[1], 0.0))
         return rotate(x)
 
-    system = SwitchedSystem(n=2, N=3, f=f, h=h, p=1, fhat=fhat,
-                            time_invariant_limits=False, name="example4")
+    system = SwitchedSystem(n=2, N=3, f=f, h=h, p=1, fhat=fhat, name="example4")
 
     def V(t, x, i):
         if i == 3:
@@ -313,13 +294,7 @@ def example4(b1: Optional[Callable] = None, b2: Optional[Callable] = None,
             return 1 if abs(x[1]) >= abs(x[0]) else 2
         return active[0]
 
-    fg = [lambda t, x: FieldTuple((0.0, -b1(t) * x[0])),
-          lambda t, x: FieldTuple((-b2(t) * x[1], 0.0)),
-          lambda t, x: rotate(x)]
-    hg = [lambda t, x: (rho1(x[1]),),
-          lambda t, x: (rho2(x[0]),),
-          lambda t, x: (0.0,)]
-    reduced = build_reduced(system, covering, [], (fg, hg), name="example4")
+    reduced = build_reduced(system, covering)
     klass = SignalClass(kind="policy", params={})
     return RegistryEntry(
         name="example4", system=system, certificate=cert, covering=covering,
@@ -386,8 +361,7 @@ def inverter(L1: float = 1.0, L2: float = 1.0, C1: float = 1.0, C2: float = 1.0,
         return (0.0, l2 * x[2], -c1 * x[1], -c2 * x[1]) if i == 1 else \
             (-l1 * x[2], 0.0, c1 * x[0], -c2 * x[1])
 
-    system = SwitchedSystem(n=4, N=2, f=f, h=h, p=1, fhat=fhat,
-                            time_invariant_limits=True, name="inverter")
+    system = SwitchedSystem(n=4, N=2, f=f, h=h, p=1, fhat=fhat, name="inverter")
     eigs = np.diag(P) / 2.0
     lam_m, lam_M = float(eigs.min()), float(eigs.max())
     cert = LyapunovCertificate(
@@ -398,7 +372,7 @@ def inverter(L1: float = 1.0, L2: float = 1.0, C1: float = 1.0, C2: float = 1.0,
         dV=lambda t, x, i: P @ x)
     covering = trivial_covering(2)
     pc = sig.PatternConstraint(T=T, dm=dm, dM=dM)
-    reduced = build_reduced(system, covering, [pc], "time_invariant")
+    reduced = build_reduced(system, covering, [pc])
     klass = SignalClass(
         kind="pattern", params={"T": T, "dm": dm, "dM": dM},
         generator=lambda span, seed, granularity=sig.GRANULARITY:
@@ -423,23 +397,31 @@ def get_entry(name: str, **params) -> RegistryEntry:
     return REGISTRY[name](**params)
 
 
-def make_driver(entry: RegistryEntry, cfg) -> Callable:
-    """Trajectory factory (t0, x0, tf, seed) -> Trajectory for the entry's class.
+def _signal_driver(entry: RegistryEntry, cfg) -> Callable:
+    """Trajectory factory (t0, x0, tf, seed) -> (Trajectory, SwitchingSignal)
+    for the entry's class: the one place that picks open- or closed-loop
+    simulation.
 
     Open-loop classes simulate under a freshly generated class signal;
-    policy classes run the bundled closed-loop covering policy.
+    policy classes run the bundled closed-loop covering policy and ignore
+    the seed.
     """
     from .integrate import simulate, simulate_with_covering
 
     if entry.signal_class.kind == "policy":
-        def factory(t0, x0, tf, seed):
-            traj, _ = simulate_with_covering(entry.system, entry.covering,
-                                             entry.policy, t0, x0, tf, cfg)
-            return traj
+        def drive(t0, x0, tf, seed):
+            return simulate_with_covering(entry.system, entry.covering,
+                                          entry.policy, t0, x0, tf, cfg)
     else:
         gen = entry.signal_class.generator
 
-        def factory(t0, x0, tf, seed):
+        def drive(t0, x0, tf, seed):
             sigma = gen((t0, tf), seed)
-            return simulate(entry.system, sigma, t0, x0, tf, cfg)
-    return factory
+            return simulate(entry.system, sigma, t0, x0, tf, cfg), sigma
+    return drive
+
+
+def make_driver(entry: RegistryEntry, cfg) -> Callable:
+    """Trajectory factory (t0, x0, tf, seed) -> Trajectory for the entry's class."""
+    drive = _signal_driver(entry, cfg)
+    return lambda t0, x0, tf, seed: drive(t0, x0, tf, seed)[0]

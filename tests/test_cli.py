@@ -131,12 +131,27 @@ def test_bad_manifest_value_exit2(tmp_path, command, doc):
     ("falsify", {"falsify": {"use_constraints": False, "budget": 50, "residual_tol": -1}},
      "falsify.residual_tol"),
     ("reproduce inverter", {"falsify": {"residual_tol": -1e-9}}, "falsify.residual_tol"),
+    ("envelope", {"envelope": {"offset_max": -5}}, "envelope.offset_max"),
+    ("simulate", {"integrator": {"step": -1}}, "integrator.step"),
+    ("falsify", {"integrator": {"step": 0}}, "integrator.step"),
+    ("certify", {"certify": {"step": 0}}, "certify.step"),
+    ("envelope", {"envelope": {"step": -0.01}}, "envelope.step"),
+    ("reproduce motivating --trials 1 --horizon 2", {"envelope": {"step": 0}}, "envelope.step"),
+    ("envelope", {"envelope": {"trials": 0}}, "envelope.trials"),
+    ("reproduce inverter --trials 0 --horizon 2", {}, "envelope.trials"),
+    ("certify", {"certify": {"trials": 0}}, "certify.trials"),
+    ("falsify", {"falsify": {"du": 0}}, "falsify.du"),
+    ("falsify", {"falsify": {"du": -0.05}}, "falsify.du"),
+    ("falsify", {"falsify": {"eps": 0}}, "falsify.eps"),
+    ("falsify", {"falsify": {"horizon": -5.0}}, "falsify.horizon"),
+    ("falsify", {"falsify": {"budget": 0}}, "falsify.budget"),
 ])
 def test_out_of_range_manifest_value_exit2(tmp_path, capsys, command, doc, key):
-    # a non-positive horizon, box, signal granularity or envelope radius, a
-    # sample grid of fewer than 2 points per axis, fewer than one tau column or
-    # a negative residual tolerance is bad input: exit 2 naming the field,
-    # before the output directory
+    # a non-positive horizon, box, step, trial count, budget, signal
+    # granularity, falsifier eps or du, or envelope radius, a sample grid of
+    # fewer than 2 points per axis, fewer than one tau column, a negative
+    # envelope start offset or a negative residual tolerance is bad input:
+    # exit 2 naming the field, before the output directory
     m = manifest_file(tmp_path, doc)
     assert run(command.split() + ["--manifest", m, "--out", tmp_path / "o", "--workers", 1]) == 2
     assert key in capsys.readouterr().err
@@ -343,6 +358,33 @@ def test_flip_dynamics_reaches_policy_class_envelope():
     ref = estimate_envelope(2, make_driver(entry, IntegratorConfig(step=2e-2)), radii=[1.0],
                             horizon=6.0, trials=2, tau_count=4, master_seed=3, offset_max=2.0)
     assert env_flip.beta_table.tobytes() == ref.beta_table.tobytes()
+
+
+def test_flip_dynamics_reaches_reduced_system(all_entries):
+    # the falsifier searches the reduced system of the flipped dynamics
+    from swstab.cli import DEFAULT_MANIFEST, _build, _deep_merge
+    rng = np.random.default_rng(23)
+    for entry in all_entries:
+        plain = _deep_merge(DEFAULT_MANIFEST, {"system": {"id": entry.name}})
+        rls = _build(plain)[0].reduced
+        rls_flip = _build(_deep_merge(plain, {"flip_dynamics": True}))[0].reduced
+        assert rls_flip.constraints == rls.constraints
+        for _ in range(20):
+            t, x = float(rng.uniform(0.0, 10.0)), rng.uniform(-2.0, 2.0, entry.system.n)
+            assert rls_flip.Fhat(t, x).tobytes() == (-rls.Fhat(t, x)).tobytes(), entry.name
+            assert rls_flip.Hhat(t, x).tobytes() == rls.Hhat(t, x).tobytes(), entry.name
+
+
+@pytest.mark.parametrize("system", ["motivating", "example4"])
+def test_simulate_writes_the_driver_trajectory(tmp_path, system):
+    # swstab simulate runs make_driver's trajectory: open loop and policy alike
+    from swstab import IntegratorConfig, get_entry, make_driver
+    m = manifest_file(tmp_path, {"system": {"id": system}, "integrator": {"step": 2e-3},
+                                 "simulate": {"t0": 0.4, "x0": [0.8, -0.6], "horizon": 6.0}})
+    assert run(["simulate", "--manifest", m, "--out", tmp_path / "o", "--seed", 11]) == 0
+    driver = make_driver(get_entry(system), IntegratorConfig(step=2e-3))
+    driver(0.4, np.array([0.8, -0.6]), 0.4 + 6.0, 11).to_csv(tmp_path / "ref.csv")
+    assert (tmp_path / "o" / "trajectory.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_flip_dynamics_reverses_simulate_derivative(all_entries):

@@ -23,7 +23,6 @@ from swstab import (
     wzsd_falsify,
 )
 from swstab import limiting
-from swstab.limiting import UnsupportedLimitError
 from swstab.signals import MeasureConstraint, PatternConstraint
 
 
@@ -61,11 +60,6 @@ def test_reduced_example1_surrogate_columns(example1):
     np.testing.assert_allclose(F[:, 1], [g * x[1], 0.0])
     np.testing.assert_allclose(F[:, 2], [2.0 * g * x[1], 0.0])
     np.testing.assert_allclose(rls.Hhat(t, x), [x[1] ** 2, x[0] ** 2, x[0] ** 2])
-
-
-def test_time_dependent_without_limits_unsupported(example1):
-    with pytest.raises(UnsupportedLimitError):
-        build_reduced(example1.system, trivial_covering(3), [], "time_invariant")
 
 
 # --- output residual ---------------------------------------------------------
@@ -398,21 +392,24 @@ def test_vertex_rhs_departures_from_matmul(motivating, cfg_fast):
 
 
 def test_hhat_matches_linalg_norm():
-    # one- and two-component outputs through explicit limiting functions
+    # one- and two-component outputs, read from the system's own h
     from swstab import SwitchedSystem
 
-    fg = [lambda t, x: np.array((x[1], -x[0])), lambda t, x: np.array((x[0], 0.0))]
-    hg = [lambda t, x: np.array((np.sin(t) * x[0],)),
-          lambda t, x: np.array((x[0] * x[1], x[1] ** 3 - 0.1 * t))]
-    system = SwitchedSystem(n=2, N=2, f=lambda t, x, i: fg[i - 1](t, x),
-                            h=lambda t, x, i: hg[i - 1](t, x), p=2)
-    rls = build_reduced(system, trivial_covering(2), [], (fg, hg))
+    def f(t, x, i):
+        return np.array((x[1], -x[0])) if i == 1 else np.array((x[0], 0.0))
+
+    def h(t, x, i):
+        return (np.array((np.sin(t) * x[0],)) if i == 1
+                else np.array((x[0] * x[1], x[1] ** 3 - 0.1 * t)))
+
+    system = SwitchedSystem(n=2, N=2, f=f, h=h, p=2)
+    rls = build_reduced(system, trivial_covering(2))
     rng = np.random.default_rng(41)
     states = _probe_states(2, rng) + [np.array([1e-170, 3e-160]), np.array([1e160, -2.0])]
     with np.errstate(over="ignore"):
         for t in (0.0, 0.4, 2.5):
             for x in states:
-                ref = np.array([float(np.linalg.norm(np.atleast_1d(h(t, x)))) for h in hg])
+                ref = np.array([float(np.linalg.norm(np.atleast_1d(h(t, x, i)))) for i in (1, 2)])
                 assert rls.Hhat(t, x).tobytes() == ref.tobytes()
 
 

@@ -26,3 +26,14 @@ def test_step_cost_measures_every_row(capsys):
         rows = doc[key]
         assert sorted(rows) == sorted(expected) and len(rows) == 11, key
         assert all(math.isfinite(v) and v > 0.0 for v in rows.values()), (key, rows)
+
+
+def test_grid_refinement_study_contracts(capsys):
+    # the relaxed-vertex run of a switching signal approaches the switched run
+    # as the control grid is refined
+    _load("grid_refinement_study").run()
+    rows = capsys.readouterr().out.strip().splitlines()
+    assert rows[0].startswith("du")
+    errors = [float(r.split()[1]) for r in rows[1:]]
+    assert len(errors) == 5 and all(math.isfinite(e) for e in errors)
+    assert errors[-1] < errors[0]

@@ -1,9 +1,11 @@
 """Envelope estimation and classification thresholds."""
 
 import numpy as np
+import pytest
 
 from swstab import (
     IntegratorConfig,
+    ParameterError,
     StabilityEnvelope,
     SwitchedSystem,
     SwitchingSignal,
@@ -61,6 +63,13 @@ def test_envelope_reproducible(motivating, cfg_fast):
     a = estimate_envelope(2, driver, **kw)
     b = estimate_envelope(2, driver, **kw)
     assert np.array_equal(a.beta_table, b.beta_table)
+
+
+def test_envelope_rejects_offset_max_below_min(motivating, cfg_fast):
+    # an empty start-time range is bad input, not a numpy error in the first trial
+    with pytest.raises(ParameterError, match="offset_max"):
+        estimate_envelope(2, make_driver(motivating, cfg_fast), radii=[1.0], horizon=2.0,
+                          trials=1, tau_count=3, offset_max=-5.0)
 
 
 def test_envelope_zero_radius_row(motivating, cfg_fast):

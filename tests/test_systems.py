@@ -234,14 +234,6 @@ def test_inverter_field_is_the_matmul(params):
     assert a.states.tobytes() == b.states.tobytes()
 
 
-def test_registry_descriptor(all_entries):
-    for entry in all_entries:
-        d = entry.describe()
-        assert d["name"] == entry.name
-        assert d["expected_verdict"] == "GUAS-consistent"
-        assert d["signal_class"]["kind"] == entry.signal_class.kind
-
-
 def test_unknown_system_rejected():
     with pytest.raises(ParameterError):
         get_entry("nonexistent")
