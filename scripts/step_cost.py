@@ -14,7 +14,7 @@ Runs, with pinned seeds and through the public API only:
   step 2e-2, signal generation included.
 
 Each figure is the median over the repeats of process CPU time divided by
-the run's step count (grid nodes minus one); the output fill is included.
+the run's step count (grid nodes minus one).
 Around every repeat the script times ``speed_kernel`` of perfbench/run.py,
 best of 3, and a row's speed scale is that file's ``CAL_SECONDS`` over the
 median kernel time: below 1 while the machine runs slower than the

@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import (BlowUpError, ParameterError, SwstabError, SwitchedSystem, SwitchingSignal,
                    active_index_set)
-from .integrate import IntegratorConfig, simulate
+from .integrate import IntegratorConfig, _switched_outputs, simulate
 from .lyapunov import IntegralBoundParams, check_decrease_along, check_integral_bound, check_sandwich
 from .limiting import build_reduced, wzsd_falsify
 from .signals import signal_to_csv
@@ -140,9 +140,18 @@ def _build(manifest: dict):
         system = _flip_system(entry.system)
         entry = replace(entry, system=system, reduced=build_reduced(
             system, entry.covering, entry.reduced.constraints))
-    cfg = IntegratorConfig(step=_positive(manifest, "integrator.step"),
-                           event_bisection_tol=_number(manifest, "integrator.event_bisection_tol"))
-    return entry, cfg
+    return entry, _integrator(manifest, "integrator.step")
+
+
+def _integrator(manifest: dict, step_path: str) -> IntegratorConfig:
+    """Integrator settings with the step at ``step_path``; ParameterError naming
+    both fields unless 0 < integrator.event_bisection_tol < step."""
+    step = _positive(manifest, step_path)
+    tol = _number(manifest, "integrator.event_bisection_tol")
+    if not 0 < tol < step:
+        raise ParameterError(f"manifest fields integrator.event_bisection_tol ({tol!r}) and "
+                             f"{step_path} ({step!r}) must satisfy 0 < tolerance < step")
+    return IntegratorConfig(step=step, event_bisection_tol=tol)
 
 
 def _outdir(manifest: dict) -> str:
@@ -185,6 +194,7 @@ def cmd_simulate(manifest: dict) -> int:
             err.trajectory.to_csv(os.path.join(out, "trajectory_partial.csv"))
         print(f"blow-up at t={err.time}", file=sys.stderr)
         return EXIT_BLOWUP
+    traj = replace(traj, outputs=_switched_outputs(entry.system, traj))
     traj.to_csv(os.path.join(out, "trajectory.csv"))
     signal_to_csv(sigma, os.path.join(out, "signal.csv"),
                   os.path.join(out, "signal.json"), params=entry.signal_class.params)
@@ -193,14 +203,13 @@ def cmd_simulate(manifest: dict) -> int:
 
 
 def cmd_certify(manifest: dict) -> int:
-    entry, cfg = _build(manifest)
+    entry, _ = _build(manifest)
     num, pos = partial(_number, manifest), partial(_positive, manifest)
     trials, horizon, box = pos("certify.trials", int), pos("certify.horizon"), pos("certify.box")
     density = num("certify.density", int)
     if density < 2:
         raise ParameterError("manifest field certify.density must be at least 2")
-    run_cfg = IntegratorConfig(step=pos("certify.step"),
-                               event_bisection_tol=cfg.event_bisection_tol)
+    run_cfg = _integrator(manifest, "certify.step")
     seed = num("seed", int)
     out = _outdir(manifest)
     rng = np.random.default_rng(seed)
@@ -247,9 +256,8 @@ def cmd_certify(manifest: dict) -> int:
 def _envelope_driver(manifest_json: str):
     """The envelope's trajectory factory, built once per process and manifest."""
     manifest = json.loads(manifest_json)
-    entry, cfg = _build(manifest)
-    run_cfg = IntegratorConfig(step=_positive(manifest, "envelope.step"),
-                               event_bisection_tol=cfg.event_bisection_tol)
+    entry, _ = _build(manifest)
+    run_cfg = _integrator(manifest, "envelope.step")
     if manifest["envelope"].get("constant_mode") is not None:
         # negative-control hook: an open-loop class holding one constant signal
         mode = _number(manifest, "envelope.constant_mode", int)

@@ -188,11 +188,12 @@ def _start_state(x0, n: int, t0: float, cfg: IntegratorConfig) -> list:
     return x
 
 
-def _switched_outputs(sys: SwitchedSystem, times: list, xs: list, modes: list) -> np.ndarray:
-    """Rows h_i(t, x) at every node, i the node's mode."""
-    h, n = sys.h, sys.n
-    return _rows([v for k, (t, i) in enumerate(zip(times, modes))
-                  for v in h(t, xs[k * n:k * n + n], i)], sys.p)
+def _switched_outputs(sys: SwitchedSystem, traj: Trajectory) -> np.ndarray:
+    """Rows h_i(t, x) at every node of a switched run, i the node's mode.  The
+    integrators record no outputs: a caller that reads them fills them here."""
+    h = sys.h
+    return _rows([v for t, x, i in zip(traj.times.tolist(), traj.states.tolist(),
+                                       traj.modes.tolist()) for v in h(t, x, i)], sys.p)
 
 
 def simulate(sys: SwitchedSystem, sigma: SwitchingSignal, t0: float, x0: np.ndarray,
@@ -216,9 +217,8 @@ def simulate(sys: SwitchedSystem, sigma: SwitchingSignal, t0: float, x0: np.ndar
         except BlowUpError as err:
             raise _blown_up(err, ts, xs, sys.n, modes=sigma.modes_at(np.array(ts))) from None
     times = np.array(ts)
-    modes = sigma.modes_at(times).astype(np.int64)
-    return Trajectory(times=times, states=_rows(xs, sys.n), modes=modes,
-                      outputs=_switched_outputs(sys, ts, xs, modes.tolist()))
+    return Trajectory(times=times, states=_rows(xs, sys.n),
+                      modes=sigma.modes_at(times).astype(np.int64))
 
 
 def _mix_rhs(sys: SwitchedSystem, weights: np.ndarray):
@@ -236,18 +236,6 @@ def _mix_rhs(sys: SwitchedSystem, weights: np.ndarray):
         return acc
 
     return rhs, ()
-
-
-def _mixed_outputs(sys: SwitchedSystem, times: list, xs: list,
-                   controls: np.ndarray) -> np.ndarray:
-    """Rows sum_i u_i |h_i(t, x)| at every node, summed over the modes in order."""
-    h, n = sys.h, sys.n
-    out = np.zeros((len(times), sys.p))
-    for i in range(1, sys.N + 1):
-        ks = np.flatnonzero(controls[:, i - 1] > 0.0).tolist()
-        hk = _rows([v for k in ks for v in h(times[k], xs[k * n:k * n + n], i)], sys.p)
-        out[ks] += controls[ks, i - 1:i] * np.abs(hk)
-    return out
 
 
 def _march(rhs_of_weights, u: RelaxedControl, t0: float, x0: np.ndarray, tf: float,
@@ -297,14 +285,12 @@ def _march(rhs_of_weights, u: RelaxedControl, t0: float, x0: np.ndarray, tf: flo
 
 def simulate_relaxed(sys: SwitchedSystem, u: RelaxedControl, t0: float, x0: np.ndarray,
                      tf: float, cfg: IntegratorConfig) -> Trajectory:
-    """Integrate dx/dt = sum_i u_i(t) f_i(t, x); outputs are sum_i u_i |h_i|.
+    """Integrate dx/dt = sum_i u_i(t) f_i(t, x).
 
     Steps are aligned to the control's grid cells (see ``_march``).
     """
     ts, xs, cells = _march(lambda w: _mix_rhs(sys, w), u, t0, x0, tf, cfg, sys.n, sys.N)
-    controls = u.values[cells]
-    return Trajectory(times=np.array(ts), states=_rows(xs, sys.n), controls=controls,
-                      outputs=_mixed_outputs(sys, ts, xs, controls))
+    return Trajectory(times=np.array(ts), states=_rows(xs, sys.n), controls=u.values[cells])
 
 
 def simulate_with_covering(sys: SwitchedSystem, covering: Covering,
@@ -399,6 +385,5 @@ def simulate_with_covering(sys: SwitchedSystem, covering: Covering,
     sigma = SwitchingSignal(breakpoints=np.array(bp), modes=np.array(bp_modes, dtype=np.int64),
                             domain_start=t0, domain_end=tf)
     traj = Trajectory(times=np.array(ts), states=_rows(xs, sys.n),
-                      modes=np.array(node_modes, dtype=np.int64),
-                      outputs=_switched_outputs(sys, ts, xs, node_modes))
+                      modes=np.array(node_modes, dtype=np.int64))
     return traj, sigma

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -123,29 +123,27 @@ def simulate_reduced(rls: ReducedLimitingSystem, u: RelaxedControl, t0: float,
     """Integrate the reduced dynamics under a relaxed control, cells aligned.
 
     The reduced system is the relaxed system with fields Fhat's columns, so
-    this is the march of ``simulate_relaxed`` with output Hhat . u.
+    this is the march of ``simulate_relaxed``.  Like every integrator it
+    records no output; ``output_residual`` evaluates Hhat . u.
     """
-    Fhat, Hhat = rls.Fhat, rls.Hhat
+    Fhat = rls.Fhat
     ts, xs, cells = _march(lambda w: _reduced_rhs(Fhat, w), u, t0, x0, tf, cfg, rls.n, rls.N)
-    states, controls = _rows(xs, rls.n), u.values[cells]
-    outputs = np.array([[float(Hhat(t, x) @ w)] for t, x, w in zip(ts, states, controls)])
-    return Trajectory(times=np.array(ts), states=states, controls=controls, outputs=outputs)
+    return Trajectory(times=np.array(ts), states=_rows(xs, rls.n), controls=u.values[cells])
+
+
+def _reduced_outputs(rls: ReducedLimitingSystem, traj: Trajectory) -> tuple[list[float], float]:
+    """Hhat(t, x(t)) . u(t) at every node of a ``simulate_reduced`` run, which records
+    u at every node, and their max with 0.0, NaN if any is (max() would drop it)."""
+    if traj.controls is None:
+        raise ParameterError("trajectory carries no control")
+    Hhat = rls.Hhat
+    ys = [float(Hhat(t, x) @ w) for t, x, w in zip(traj.times.tolist(), traj.states, traj.controls)]
+    return ys, math.nan if any(math.isnan(y) for y in ys) else max([0.0, *ys])
 
 
 def output_residual(rls: ReducedLimitingSystem, traj: Trajectory) -> float:
-    """Max over grid nodes of Hhat(t, x(t)) . u(t), NaN if any is; zero means output-zero holds.
-
-    ``traj`` is a run of ``simulate_reduced``, which records u at every node.
-    """
-    if traj.controls is None:
-        raise ParameterError("trajectory carries no control")
-    worst = 0.0
-    for t, x, w in zip(traj.times, traj.states, traj.controls):
-        r = float(rls.Hhat(t, x) @ w)
-        if math.isnan(r):  # max() would drop it
-            return r
-        worst = max(worst, r)
-    return worst
+    """Max over grid nodes of Hhat(t, x(t)) . u(t), NaN if any is; zero means output-zero holds."""
+    return _reduced_outputs(rls, traj)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +367,7 @@ def _validate_candidate(rls: ReducedLimitingSystem, u: RelaxedControl, x0: np.nd
         return None
     if float(traj.norms().min()) < eps:
         return None
-    res = output_residual(rls, traj)
+    outputs, res = _reduced_outputs(rls, traj)
     if not res <= residual_tol:
         return None
     for t, x, w in zip(traj.times, traj.states, traj.controls):
@@ -377,6 +375,7 @@ def _validate_candidate(rls: ReducedLimitingSystem, u: RelaxedControl, x0: np.nd
         for i in range(1, rls.N + 1):
             if i not in allowed and w[i - 1] > 1e-12:
                 return None
+    traj = replace(traj, outputs=np.array(outputs).reshape(-1, 1))
     return ZeroingCandidate(trajectory=traj, control=u, eps=float(traj.norms().min()),
                             output_sup=res, span=(0.0, horizon))
 

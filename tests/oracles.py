@@ -266,12 +266,3 @@ def switched_outputs_reference(sys, traj):
         out[k] = sys.h(t, x, i)
     return out
 
-
-def mixed_outputs_reference(sys, traj):
-    """Rows sum_i u_i |h_i(t, x)| accumulated node by node from zero."""
-    out = np.zeros((len(traj.times), sys.p))
-    for k, (t, x, w) in enumerate(zip(traj.times.tolist(), traj.states, traj.controls.tolist())):
-        for i, wi in enumerate(w, 1):
-            if wi > 0.0:
-                out[k] += wi * np.abs(sys.h(t, x, i))
-    return out

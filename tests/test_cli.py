@@ -303,6 +303,43 @@ def test_falsify_both_exits(tmp_path):
     assert "counterexample_file" in doc
 
 
+def test_counterexample_outputs_are_hhat_u(tmp_path):
+    # the y1 column is Hhat(t, x) . u at every node, and its maximum is the
+    # verdict's output sup; the lifted Hhat keeps every node's output positive
+    from dataclasses import replace
+    from swstab import get_entry, wzsd_falsify
+    from swstab.cli import DEFAULT_MANIFEST, _deep_merge, _write_falsify
+    rls = replace(get_entry("motivating").reduced, constraints=())
+    lifted = replace(rls, Hhat=lambda t, x: rls.Hhat(t, x) + 1e-9)
+    m = manifest_file(tmp_path, {"falsify": {"budget": 150, "use_constraints": False}})
+    assert run(["falsify", "--manifest", m, "--out", tmp_path / "plain"]) == 1
+    verdict = wzsd_falsify(lifted, eps=0.5, horizon=5.0, budget=150)
+    assert _write_falsify(_deep_merge(DEFAULT_MANIFEST, {"out": str(tmp_path / "lifted")}),
+                          verdict) == 1
+    for out, Hhat in (("plain", rls.Hhat), ("lifted", lifted.Hhat)):
+        doc = json.loads((tmp_path / out / "falsify_verdict.json").read_text())
+        cx = Trajectory.from_csv(tmp_path / out / "counterexample.csv")
+        want = [float(Hhat(t, x) @ w)
+                for t, x, w in zip(cx.times.tolist(), cx.states, cx.controls)]
+        assert cx.outputs[:, 0].tolist() == want
+        assert max(want) == doc["counterexample_output_sup"]
+    assert min(want) > 0.0
+
+
+@pytest.mark.parametrize("command, doc, key", [
+    ("simulate", {"integrator": {"step": 1e-12}}, "integrator.step"),
+    ("certify", {"certify": {"step": 1e-12}}, "certify.step"),
+    ("envelope", {"envelope": {"step": 1e-12}}, "envelope.step"),
+])
+def test_step_at_bisection_tol_exit2(tmp_path, capsys, command, doc, key):
+    # a step at or below the event bisection tolerance names both fields
+    m = manifest_file(tmp_path, doc)
+    assert run([command, "--manifest", m, "--out", tmp_path / "o", "--workers", 1]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "integrator.event_bisection_tol" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_reproduce_motivating_small(tmp_path):
     rc = run(["reproduce", "motivating", "--out", tmp_path / "rep", "--seed", 0,
               "--trials", 6, "--horizon", 100.0, "--workers", 1])
@@ -360,6 +397,18 @@ def test_flip_dynamics_reaches_policy_class_envelope():
     assert env_flip.beta_table.tobytes() == ref.beta_table.tobytes()
 
 
+def test_flip_dynamics_fails_the_envelope():
+    # mutation row: flipped dynamics turn motivating's verdict from
+    # GUAS-consistent to inconclusive (uniform ratios 51-179)
+    from swstab.cli import DEFAULT_MANIFEST, _deep_merge, run_envelope
+    plain = _deep_merge(DEFAULT_MANIFEST, {
+        "seed": 3, "envelope": {"trials": 2, "horizon": 80.0, "step": 2e-2}})
+    assert run_envelope(plain)[1].verdict == "GUAS-consistent"
+    verdict = run_envelope(_deep_merge(plain, {"flip_dynamics": True}))[1]
+    assert verdict.verdict == "inconclusive"
+    assert min(verdict.uniform_ratios) > 3.0
+
+
 def test_flip_dynamics_reaches_reduced_system(all_entries):
     # the falsifier searches the reduced system of the flipped dynamics
     from swstab.cli import DEFAULT_MANIFEST, _build, _deep_merge
@@ -377,13 +426,20 @@ def test_flip_dynamics_reaches_reduced_system(all_entries):
 
 @pytest.mark.parametrize("system", ["motivating", "example4"])
 def test_simulate_writes_the_driver_trajectory(tmp_path, system):
-    # swstab simulate runs make_driver's trajectory: open loop and policy alike
+    # swstab simulate runs make_driver's trajectory, open loop and policy alike,
+    # and writes it with the outputs h_i(t, x) of each node's mode
+    from dataclasses import replace
+
+    from oracles import switched_outputs_reference
     from swstab import IntegratorConfig, get_entry, make_driver
     m = manifest_file(tmp_path, {"system": {"id": system}, "integrator": {"step": 2e-3},
                                  "simulate": {"t0": 0.4, "x0": [0.8, -0.6], "horizon": 6.0}})
     assert run(["simulate", "--manifest", m, "--out", tmp_path / "o", "--seed", 11]) == 0
-    driver = make_driver(get_entry(system), IntegratorConfig(step=2e-3))
-    driver(0.4, np.array([0.8, -0.6]), 0.4 + 6.0, 11).to_csv(tmp_path / "ref.csv")
+    entry = get_entry(system)
+    traj = make_driver(entry, IntegratorConfig(step=2e-3))(0.4, np.array([0.8, -0.6]),
+                                                           0.4 + 6.0, 11)
+    traj = replace(traj, outputs=switched_outputs_reference(entry.system, traj))
+    traj.to_csv(tmp_path / "ref.csv")
     assert (tmp_path / "o" / "trajectory.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 

@@ -71,7 +71,11 @@ def test_outputs_right_continuous_at_switch(motivating, cfg_fine):
     k = int(np.argmin(np.abs(traj.times - 0.5)))
     assert traj.times[k] == 0.5
     assert traj.modes[k] == 2
-    assert traj.outputs[k, 0] == abs(traj.states[k, 0])
+    from oracles import switched_outputs_reference
+    from swstab.integrate import _switched_outputs
+    outputs = _switched_outputs(motivating.system, traj)
+    assert outputs.tobytes() == switched_outputs_reference(motivating.system, traj).tobytes()
+    assert outputs[k, 0] == abs(traj.states[k, 0])
 
 
 def test_grid_contains_switch_times(motivating, cfg_fast):
@@ -153,11 +157,12 @@ def test_observed_order_on_cube_root_mode(motivating):
 
 
 def test_evaluation_counts_per_step_and_node(all_entries, cfg_fast):
-    # each RK4 step evaluates the field 4 times; each node evaluates the output
-    # once (a relaxed node once per mode of positive weight)
+    # each RK4 step evaluates the field 4 times; the integrators evaluate no
+    # output, and the switched output fill evaluates it once per node
     from dataclasses import replace
 
     from swstab import RelaxedControl
+    from swstab.integrate import _switched_outputs
 
     rng = np.random.default_rng(63)
     for entry in all_entries:
@@ -177,11 +182,13 @@ def test_evaluation_counts_per_step_and_node(all_entries, cfg_fast):
         x0 = rng.uniform(-1.0, 1.0, system.n)
         sig = gen_arbitrary(N, (0.0, 4.0), 0.4, 5, granularity=1e-2)
         traj = simulate(system, sig, 0.0, x0, 4.0, cfg_fast)
+        assert calls == {"f": 4 * (len(traj.times) - 1), "h": 0}
+        _switched_outputs(system, traj)
         assert calls == {"f": 4 * (len(traj.times) - 1), "h": len(traj.times)}
         calls.update(f=0, h=0)
         u = signal_to_control(sig, 1e-2, span=(0.0, 4.0), n_modes=N)
         traj = simulate_relaxed(system, u, 0.0, x0, 4.0, cfg_fast)
-        assert calls == {"f": 4 * (len(traj.times) - 1), "h": len(traj.times)}
+        assert calls == {"f": 4 * (len(traj.times) - 1), "h": 0}
         calls.update(f=0, h=0)
         values = np.full((8, N), 1.0 / N)
         values[::2] = np.eye(N)[0]
@@ -189,7 +196,7 @@ def test_evaluation_counts_per_step_and_node(all_entries, cfg_fast):
                                 0.0, x0, 4.0, cfg_fast)
         # a step is taken in the cell its start node carries
         active = (traj.controls > 0.0).sum(axis=1)
-        assert calls == {"f": 4 * int(active[:-1].sum()), "h": int(active.sum())}
+        assert calls == {"f": 4 * int(active[:-1].sum()), "h": 0}
 
 
 # --- relaxed -----------------------------------------------------------------
@@ -216,12 +223,35 @@ def test_relaxed_mixture_derivative(motivating, cfg_fine):
     assert abs(slope - 1.0) < 1e-6
 
 
-def test_relaxed_outputs_are_mixed_abs(motivating, cfg_fast):
-    from swstab import RelaxedControl
-    u = RelaxedControl(t0=0.0, step=0.5, values=np.tile([0.25, 0.75], (2, 1)))
-    traj = simulate_relaxed(motivating.system, u, 0.0, np.array([-1.0, 0.0]), 1.0, cfg_fast)
-    x1 = traj.states[:, 0]
-    np.testing.assert_allclose(traj.outputs[:, 0], 0.75 * np.abs(x1), atol=1e-12)
+def test_integrators_never_evaluate_the_output_map(all_entries, example4, cfg_fast):
+    # outputs are computed where they are read, never by an integrator: with
+    # an h that raises, every integrator and the envelope still run
+    from dataclasses import replace
+    from swstab import RelaxedControl, build_reduced, estimate_envelope, make_driver
+    from swstab.limiting import simulate_reduced
+
+    def raising(t, x, i):
+        raise AssertionError("an integrator evaluated h")
+
+    for entry in all_entries:
+        system = replace(entry.system, h=raising)
+        n, N = system.n, system.N
+        x0 = np.full(n, 0.5)
+        sig = gen_arbitrary(N, (0.0, 3.0), 0.4, 5)
+        u = RelaxedControl(t0=0.0, step=0.5, values=np.full((6, N), 1.0 / N))
+        for traj in (simulate(system, sig, 0.0, x0, 3.0, cfg_fast),
+                     simulate_relaxed(system, u, 0.0, x0, 3.0, cfg_fast),
+                     simulate_reduced(build_reduced(system, entry.covering), u, 0.0, x0, 3.0,
+                                      cfg_fast)):
+            assert traj.outputs is None
+        driver = make_driver(replace(entry, system=system), cfg_fast)
+        env = estimate_envelope(n, driver, radii=[0.5], horizon=3.0, trials=2, tau_count=3,
+                                master_seed=1)
+        assert np.all(np.isfinite(env.beta_table))
+    system = replace(example4.system, h=raising)
+    traj, _ = simulate_with_covering(system, example4.covering, example4.policy, 0.0,
+                                     np.array([1.0, -0.5]), 3.0, cfg_fast)
+    assert traj.outputs is None
 
 
 def test_control_grid_refinement_first_order(motivating):
@@ -372,10 +402,13 @@ def _flipped(system):
 
 
 def _assert_outputs_match_node_loop(system, traj):
-    from oracles import mixed_outputs_reference, switched_outputs_reference
+    from oracles import switched_outputs_reference
+    from swstab.integrate import _switched_outputs
 
-    loop = mixed_outputs_reference if traj.modes is None else switched_outputs_reference
-    assert traj.outputs.tobytes() == loop(system, traj).tobytes()
+    assert traj.outputs is None
+    if traj.modes is not None:
+        assert _switched_outputs(system, traj).tobytes() == \
+            switched_outputs_reference(system, traj).tobytes()
 
 
 def test_kernel_matches_ndarray_kernel_open_loop(all_entries, monkeypatch):
