@@ -124,7 +124,7 @@ def _load_manifest(path: str | None, overrides: dict) -> dict:
 
 
 def _build(manifest: dict):
-    """Registry entry and integrator settings of a manifest.
+    """Registry entry of a manifest.
 
     Under ``flip_dynamics`` the entry's system and its reduced system are
     already flipped, and its class generator has the manifest's signal
@@ -140,7 +140,7 @@ def _build(manifest: dict):
         system = _flip_system(entry.system)
         entry = replace(entry, system=system, reduced=build_reduced(
             system, entry.covering, entry.reduced.constraints))
-    return entry, _integrator(manifest, "integrator.step")
+    return entry
 
 
 def _integrator(manifest: dict, step_path: str) -> IntegratorConfig:
@@ -170,7 +170,7 @@ def _outdir(manifest: dict) -> str:
 
 
 def cmd_simulate(manifest: dict) -> int:
-    entry, cfg = _build(manifest)
+    entry, cfg = _build(manifest), _integrator(manifest, "integrator.step")
     num = partial(_number, manifest)
     t0, horizon, seed = num("simulate.t0"), num("simulate.horizon"), num("seed", int)
     x0 = (num("simulate.x0", _floats) if manifest["simulate"].get("x0") is not None
@@ -203,7 +203,7 @@ def cmd_simulate(manifest: dict) -> int:
 
 
 def cmd_certify(manifest: dict) -> int:
-    entry, _ = _build(manifest)
+    entry = _build(manifest)
     num, pos = partial(_number, manifest), partial(_positive, manifest)
     trials, horizon, box = pos("certify.trials", int), pos("certify.horizon"), pos("certify.box")
     density = num("certify.density", int)
@@ -256,7 +256,7 @@ def cmd_certify(manifest: dict) -> int:
 def _envelope_driver(manifest_json: str):
     """The envelope's trajectory factory, built once per process and manifest."""
     manifest = json.loads(manifest_json)
-    entry, _ = _build(manifest)
+    entry = _build(manifest)
     run_cfg = _integrator(manifest, "envelope.step")
     if manifest["envelope"].get("constant_mode") is not None:
         # negative-control hook: an open-loop class holding one constant signal
@@ -271,7 +271,7 @@ def _drive(manifest_json: str, t0, x0, tf, seed):
 
 
 def run_envelope(manifest: dict, workers: int = 1) -> tuple[StabilityEnvelope, object]:
-    entry, _ = _build(manifest)
+    entry = _build(manifest)
     num, pos = partial(_number, manifest), partial(_positive, manifest)
     horizon, radii = pos("envelope.horizon"), pos("envelope.radii", _floats)
     trials, tau_count = pos("envelope.trials", int), pos("envelope.tau_count", int)
@@ -305,7 +305,7 @@ def cmd_envelope(manifest: dict, workers: int = 1) -> int:
 
 def _falsifier(manifest: dict):
     """``wzsd_falsify`` bound to the manifest's reduced system and settings."""
-    entry, _ = _build(manifest)
+    entry = _build(manifest)
     rls = entry.reduced
     if not manifest["falsify"].get("use_constraints", True):
         rls = replace(rls, constraints=())
@@ -358,7 +358,7 @@ def cmd_reproduce(example_id: str, manifest: dict, workers: int = 1,
                                       "envelope": plan["envelope"]})
     if env_overrides:
         manifest = _deep_merge(manifest, {"envelope": env_overrides})
-    entry, _ = _build(manifest)
+    entry = _build(manifest)
     if plan["falsify"] is not None:
         manifest_f = _deep_merge(manifest, {"falsify": plan["falsify"]})
         falsify = _falsifier(manifest_f)

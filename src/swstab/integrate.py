@@ -61,24 +61,26 @@ class IntegratorConfig:
 # march: from (t, x) it takes steps of min(step, tf - t) while t < t_stop,
 # appending each node, and returns (t, x, h, x_new) at the first step that
 # leaves the piece of ``mode`` (margin below -BOUNDARY_TOL), or (t, x, None,
-# None) at t_stop.  Fields get the state as a list of n floats and may return
-# any length-n sequence.  Stage sums are grouped as the float64-array RK4
-# groups them, so both agree bit for bit, and the divergence checks sum the
-# squares in component order, as ``_check_state``.
+# None) at t_stop.  Every kernel calls the field as f(t, x, arg), x the state
+# as a list of n floats and ``arg`` the one argument its producer paired with
+# f (a mode index, None, or a pair the field unpacks); f may return any
+# length-n sequence.  Stage sums are grouped as the float64-array RK4 groups
+# them, so both agree bit for bit, and the divergence checks sum the squares in
+# component order, as ``_check_state``.
 _RK4_TEMPLATE = """\
-def step(f, t, x, h, *args):
+def step(f, t, x, h, arg):
     {a_} = x
     hh = 0.5 * h
     tm = t + hh
-    {p_} = f(t, [{a}], *args)
-    {q_} = f(tm, [{a_hh_p}], *args)
-    {r_} = f(tm, [{a_hh_q}], *args)
-    {s_} = f(t + h, [{a_h_r}], *args)
+    {p_} = f(t, [{a}], arg)
+    {q_} = f(tm, [{a_hh_p}], arg)
+    {r_} = f(tm, [{a_hh_q}], arg)
+    {s_} = f(t + h, [{a_h_r}], arg)
     h6 = h / 6.0
     return [{a_next}]
 
 
-def march(f, t0, x0, t1, base_step, bound, out_t, out_x, n_steps=0, args=()):
+def march(f, t0, x0, t1, base_step, bound, out_t, out_x, n_steps=0, arg=None):
     span = t1 - t0
     if span <= 0:
         return x0
@@ -92,10 +94,10 @@ def march(f, t0, x0, t1, base_step, bound, out_t, out_x, n_steps=0, args=()):
     t = t0 + 0.0  # t0 + 0 * h, as every later node time is t0 + k * h
     for k in range(1, m + 1):
         tm = t + hh
-        {p_} = f(t, [{a}], *args)
-        {q_} = f(tm, [{a_hh_p}], *args)
-        {r_} = f(tm, [{a_hh_q}], *args)
-        {s_} = f(t + h, [{a_h_r}], *args)
+        {p_} = f(t, [{a}], arg)
+        {q_} = f(tm, [{a_hh_p}], arg)
+        {r_} = f(tm, [{a_hh_q}], arg)
+        {s_} = f(t + h, [{a_h_r}], arg)
         {a_} = {a_next},
         t = t1 if k == m else t0 + k * h
         if not {sum_sq} <= bb:  # NaN or beyond the bound
@@ -105,7 +107,7 @@ def march(f, t0, x0, t1, base_step, bound, out_t, out_x, n_steps=0, args=()):
     return [{a}]
 
 
-def advance(f, t, x, t_stop, tf, step, bound, margin, mode, out_t, out_x, args=()):
+def advance(f, t, x, t_stop, tf, step, bound, margin, mode, out_t, out_x, arg=None):
     bb = bound * bound
     push_t, push_x = out_t.append, out_x.extend
     {a_} = x
@@ -113,10 +115,10 @@ def advance(f, t, x, t_stop, tf, step, bound, margin, mode, out_t, out_x, args=(
         h = tf - t if tf - t < step else step  # min(step, tf - t)
         hh = 0.5 * h
         tm = t + hh
-        {p_} = f(t, [{a}], *args)
-        {q_} = f(tm, [{a_hh_p}], *args)
-        {r_} = f(tm, [{a_hh_q}], *args)
-        {s_} = f(t + h, [{a_h_r}], *args)
+        {p_} = f(t, [{a}], arg)
+        {q_} = f(tm, [{a_hh_p}], arg)
+        {r_} = f(tm, [{a_hh_q}], arg)
+        {s_} = f(t + h, [{a_h_r}], arg)
         h6 = h / 6.0
         {b_} = {a_next},
         if not {sum_sq_b} <= bb:  # NaN or beyond the bound
@@ -173,10 +175,10 @@ def _blown_up(err: BlowUpError, ts: list, xs: list, n: int, **drive) -> BlowUpEr
 
 
 def _mode_rhs(sys: SwitchedSystem, i: int):
-    """(f, args) such that f(t, x, *args) is the mode-i field."""
+    """(f, arg) such that f(t, x, arg) is the mode-i field."""
     if i < 1 or i > sys.N:
         raise ParameterError(f"mode {i} outside 1..{sys.N}")
-    return sys.f, (i,)
+    return sys.f, i
 
 
 def _start_state(x0, n: int, t0: float, cfg: IntegratorConfig) -> list:
@@ -212,8 +214,8 @@ def simulate(sys: SwitchedSystem, sigma: SwitchingSignal, t0: float, x0: np.ndar
         march = _rk4_kernels(sys.n)[1]
         try:
             for a, b, i in sigma.segments(t0, tf):
-                f, args = _mode_rhs(sys, i)
-                x = march(f, a, x, b, cfg.step, cfg.divergence_bound, ts, xs, args=args)
+                f, arg = _mode_rhs(sys, i)
+                x = march(f, a, x, b, cfg.step, cfg.divergence_bound, ts, xs, arg=arg)
         except BlowUpError as err:
             raise _blown_up(err, ts, xs, sys.n, modes=sigma.modes_at(np.array(ts))) from None
     times = np.array(ts)
@@ -222,26 +224,26 @@ def simulate(sys: SwitchedSystem, sigma: SwitchingSignal, t0: float, x0: np.ndar
 
 
 def _mix_rhs(sys: SwitchedSystem, weights: np.ndarray):
-    """(rhs, args) for sum_i u_i f_i; one-hot weights collapse to the bare mode field."""
+    """(rhs, arg) for sum_i u_i f_i; one-hot weights collapse to the bare mode field."""
     nz = [(i + 1, float(w)) for i, w in enumerate(weights) if w > 0.0]
     if len(nz) == 1 and nz[0][1] == 1.0:
         return _mode_rhs(sys, nz[0][0])
     f = sys.f
     (i0, w0), rest = nz[0], nz[1:]
 
-    def rhs(t, x):
+    def rhs(t, x, _):
         acc = [w0 * v for v in f(t, x, i0)]
         for i, w in rest:
             acc = [a + w * v for a, v in zip(acc, f(t, x, i))]
         return acc
 
-    return rhs, ()
+    return rhs, None
 
 
 def _march(rhs_of_weights, u: RelaxedControl, t0: float, x0: np.ndarray, tf: float,
            cfg: IntegratorConfig, n: int, n_modes: int):
-    """Cell-aligned RK4 march of dx/dt = rhs(t, x, *args) on [t0, tf], where
-    (rhs, args) = rhs_of_weights(u(t)).
+    """Cell-aligned RK4 march of dx/dt = rhs(t, x, arg) on [t0, tf], where
+    (rhs, arg) = rhs_of_weights(u(t)).
 
     Runs of identical control cells are merged into one interval; cell edges
     stay grid nodes because sub-step counts are chosen per cell.  Node labels
@@ -272,10 +274,10 @@ def _march(rhs_of_weights, u: RelaxedControl, t0: float, x0: np.ndarray, tf: flo
         b = min(tf, u.t0 + k_end * u.step)
         cells[-1] = k  # node on the incoming cell's left edge takes its value
         n_before = len(ts)
-        rhs, args = rhs_of_weights(u.values[k])
+        rhs, arg = rhs_of_weights(u.values[k])
         try:
             x = march(rhs, a, x, b, cfg.step, cfg.divergence_bound, ts, xs,
-                      n_steps=per_cell * (k_end - k), args=args)
+                      n_steps=per_cell * (k_end - k), arg=arg)
         except BlowUpError as err:
             raise _blown_up(err, ts, xs, n) from None
         cells.extend([k] * (len(ts) - n_before))
@@ -329,13 +331,11 @@ def simulate_with_covering(sys: SwitchedSystem, covering: Covering,
     suppress_until = -np.inf
     n_switches = 0
     t = t0
-    f, args = _mode_rhs(sys, mode)
 
     def switch_to(new_mode, at_t):
-        nonlocal mode, args, n_switches, suppress_until
+        nonlocal mode, n_switches, suppress_until
         if new_mode != mode:
-            mode = new_mode
-            args = (mode,)  # query() admits only modes of the active set
+            mode = new_mode  # query() admits only modes of the active set
             if at_t <= bp[-1]:
                 bp_modes[-1] = mode  # re-decision at the same instant: overwrite
             else:
@@ -352,8 +352,8 @@ def simulate_with_covering(sys: SwitchedSystem, covering: Covering,
     while t < t_stop:
         n_before = len(ts)
         try:
-            t, x, h, x_new = advance(f, t, x, t_stop, tf, cfg.step, cfg.divergence_bound,
-                                     margin, mode, ts, xs, args)
+            t, x, h, x_new = advance(sys.f, t, x, t_stop, tf, cfg.step, cfg.divergence_bound,
+                                     margin, mode, ts, xs, mode)
         except BlowUpError as err:
             raise _blown_up(err, ts, xs, sys.n) from None
         node_modes += [mode] * (len(ts) - n_before)
@@ -366,7 +366,7 @@ def simulate_with_covering(sys: SwitchedSystem, covering: Covering,
             lo = 0.0
             while h - lo > cfg.event_bisection_tol:
                 mid = 0.5 * (lo + h)
-                x_mid = rk4_step(f, t, x, mid, *args)
+                x_mid = rk4_step(sys.f, t, x, mid, mode)
                 if margin(x_mid, mode) >= 0.0:
                     lo = mid
                 else:

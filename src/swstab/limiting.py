@@ -98,16 +98,19 @@ def build_reduced(sys: SwitchedSystem, covering: Covering,
                                  covering=covering, constraints=tuple(constraints))
 
 
-def _fhat_column(t, x, Fhat, i):
+def _fhat_column(t, x, Fhat_i):
+    Fhat, i = Fhat_i
     return Fhat(t, x)[:, i].tolist()
 
 
-def _fhat_mix(t, x, Fhat, w):
+def _fhat_mix(t, x, Fhat_w):
+    Fhat, w = Fhat_w
     return (Fhat(t, x) @ w).tolist()
 
 
 def _reduced_rhs(Fhat, w: np.ndarray):
-    """(rhs, args) for dx/dt = Fhat(t, x) @ w; a vertex weight e_i reads column i.
+    """(rhs, arg) for dx/dt = Fhat(t, x) @ w, rhs(t, x, arg) unpacking the pair
+    ``arg``; a vertex weight e_i reads column i.
 
     The column equals the matmul up to the sign of a zero component, and a
     non-finite entry of an unused column no longer turns into NaN via 0 * inf.
@@ -334,11 +337,11 @@ def _rollout(rls: ReducedLimitingSystem, u_cells, x0, horizon, du, step, eps,
         ws.append(w)
         if not float(H @ w) <= residual_tol:  # a NaN residual fails too
             raise _Abort("residual")
-        rhs, args = _reduced_rhs(Fhat, w)
+        rhs, arg = _reduced_rhs(Fhat, w)
         t_end = t + du
         tally.cells += 1
         try:
-            x = march(rhs, t, x, t_end, step, divergence_bound, [], [], n_steps=sub, args=args)
+            x = march(rhs, t, x, t_end, step, divergence_bound, [], [], n_steps=sub, arg=arg)
         except (BlowUpError, DynamicsError):
             raise _Abort("diverged") from None
         if sum([v * v for v in x]) < eps * eps:

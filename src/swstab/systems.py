@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import inspect
 import math
+from math import copysign
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -21,11 +22,6 @@ from .core import Covering, ParameterError, SwitchedSystem, trivial_covering
 from .limiting import ReducedLimitingSystem, build_reduced
 from .lyapunov import LyapunovCertificate
 from . import signals as sig
-
-
-def signed_cbrt(v: float) -> float:
-    """Real odd cube root; negative arguments map to -|v|^(1/3)."""
-    return math.copysign(abs(v) ** (1.0 / 3.0), v)
 
 
 class FieldTuple(tuple):
@@ -97,7 +93,8 @@ def motivating(a: float = 1.0, T0: float = 1.0, delta0: float = 0.2) -> Registry
     def f(t, x, i):
         if i == 1:
             return (x[1], -x[0])
-        return (-signed_cbrt(x[0]) + a * x[1], -a * x[0])
+        x0 = x[0]  # the odd cube root of x0 is copysign(|x0|^(1/3), x0)
+        return (-copysign(abs(x0) ** (1.0 / 3.0), x0) + a * x[1], -a * x0)
 
     def h(t, x, i):
         return (0.0,) if i == 1 else (abs(x[0]),)

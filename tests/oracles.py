@@ -197,14 +197,14 @@ def check_integral_bound_reference(traj, sigma, sys, params, quad_coeff=10.0):
 # in, the flat node list extended.  Trajectories must come out equal bit for bit.
 
 
-def rk4_step_reference(f, t, x, h, *args):
+def rk4_step_reference(f, t, x, h, arg):
     """RK4 step with float64 array stages; the field's result is read as an array.
 
     The last sum runs on Python floats, which round as the array expression does."""
     x = np.asarray(x, dtype=float)
 
     def k(tk, xk):
-        return np.asarray(f(tk, xk, *args), dtype=float)
+        return np.asarray(f(tk, xk, arg), dtype=float)
 
     hh = 0.5 * h
     tm = t + hh
@@ -226,7 +226,7 @@ def _check_state_reference(x, t, bound):
 
 
 def integrate_interval_reference(f, t0, x0, t1, base_step, bound, out_t, out_x,
-                                 n_steps=0, args=()):
+                                 n_steps=0, arg=None):
     span = t1 - t0
     if span <= 0:
         return x0
@@ -235,7 +235,7 @@ def integrate_interval_reference(f, t0, x0, t1, base_step, bound, out_t, out_x,
     x = x0
     for k in range(1, n + 1):
         t = t0 + (k - 1) * h
-        x = rk4_step_reference(f, t, x, h, *args)
+        x = rk4_step_reference(f, t, x, h, arg)
         tk = t1 if k == n else t0 + k * h
         _check_state_reference(x, tk, bound)
         out_t.append(tk)
@@ -244,12 +244,12 @@ def integrate_interval_reference(f, t0, x0, t1, base_step, bound, out_t, out_x,
 
 
 def closed_loop_advance_reference(f, t, x, t_stop, tf, step, bound, margin, mode,
-                                  out_t, out_x, args=()):
+                                  out_t, out_x, arg=None):
     """Steps of min(step, tf - t) while t < t_stop, as the closed loop took them one
     by one; returns (t, x, h, x_new) at the first step leaving the piece of ``mode``."""
     while t < t_stop:
         h = min(step, tf - t)
-        x_new = rk4_step_reference(f, t, x, h, *args)
+        x_new = rk4_step_reference(f, t, x, h, arg)
         _check_state_reference(x_new, t + h, bound)
         if margin(x_new, mode) < -BOUNDARY_TOL:
             return t, x, h, x_new

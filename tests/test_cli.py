@@ -133,7 +133,7 @@ def test_bad_manifest_value_exit2(tmp_path, command, doc):
     ("reproduce inverter", {"falsify": {"residual_tol": -1e-9}}, "falsify.residual_tol"),
     ("envelope", {"envelope": {"offset_max": -5}}, "envelope.offset_max"),
     ("simulate", {"integrator": {"step": -1}}, "integrator.step"),
-    ("falsify", {"integrator": {"step": 0}}, "integrator.step"),
+    ("simulate", {"integrator": {"step": 0}}, "integrator.step"),
     ("certify", {"certify": {"step": 0}}, "certify.step"),
     ("envelope", {"envelope": {"step": -0.01}}, "envelope.step"),
     ("reproduce motivating --trials 1 --horizon 2", {"envelope": {"step": 0}}, "envelope.step"),
@@ -340,6 +340,19 @@ def test_step_at_bisection_tol_exit2(tmp_path, capsys, command, doc, key):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command, doc", [
+    ("certify", {"certify": {"trials": 1, "horizon": 2.0}}),
+    ("falsify", {"falsify": {"budget": 5}}),
+])
+def test_integrator_step_is_read_by_simulate_only(tmp_path, capsys, command, doc):
+    # certify integrates at certify.step and falsify at falsify.du / 5: a bad
+    # integrator.step, a field they never use, is no input error of theirs
+    m = manifest_file(tmp_path, {**doc, "integrator": {"step": 1e-12}})
+    assert run([command, "--manifest", m, "--out", tmp_path / "o", "--workers", 1]) != 2
+    assert "integrator.step" not in capsys.readouterr().err
+    assert (tmp_path / "o").exists()
+
+
 def test_reproduce_motivating_small(tmp_path):
     rc = run(["reproduce", "motivating", "--out", tmp_path / "rep", "--seed", 0,
               "--trials", 6, "--horizon", 100.0, "--workers", 1])
@@ -415,8 +428,8 @@ def test_flip_dynamics_reaches_reduced_system(all_entries):
     rng = np.random.default_rng(23)
     for entry in all_entries:
         plain = _deep_merge(DEFAULT_MANIFEST, {"system": {"id": entry.name}})
-        rls = _build(plain)[0].reduced
-        rls_flip = _build(_deep_merge(plain, {"flip_dynamics": True}))[0].reduced
+        rls = _build(plain).reduced
+        rls_flip = _build(_deep_merge(plain, {"flip_dynamics": True})).reduced
         assert rls_flip.constraints == rls.constraints
         for _ in range(20):
             t, x = float(rng.uniform(0.0, 10.0)), rng.uniform(-2.0, 2.0, entry.system.n)

@@ -549,6 +549,76 @@ def test_kernel_matches_ndarray_kernel_falsifier(all_entries, monkeypatch):
     _assert_same_bits(a.counterexample.trajectory, b.counterexample.trajectory)
 
 
+def test_every_kernel_calls_the_field_with_one_argument(all_entries, example4, monkeypatch):
+    # step, march and advance call their field as f(t, x, arg): three positional
+    # arguments, a float time, the state as a list of n floats and the very
+    # argument the field's producer paired with it
+    import inspect
+
+    from swstab import RelaxedControl, integrate, limiting, wzsd_falsify
+    from swstab.limiting import simulate_reduced
+
+    real = integrate._rk4_kernels
+    calls = []  # (kernel name, paired argument, positional args, keyword args)
+
+    def recording(kernel, n):
+        signature = inspect.signature(kernel)
+
+        def run(f, *rest, **kw):
+            bound = signature.bind(f, *rest, **kw)
+            bound.apply_defaults()
+            paired = bound.arguments["arg"]
+
+            def field(*a, **k):
+                calls.append((kernel.__name__, n, paired, a, k))
+                return f(*a, **k)
+
+            return kernel(field, *rest, **kw)
+
+        return run
+
+    monkeypatch.setattr(integrate, "_rk4_kernels",
+                        lambda n: tuple(recording(k, n) for k in real(n)))
+    monkeypatch.setattr(limiting, "_rk4_kernels", integrate._rk4_kernels)
+
+    def paired_args(run, kernels):
+        calls.clear()
+        run()
+        assert calls and {c[0] for c in calls} == kernels
+        for name, n, paired, a, k in calls:
+            assert not k and len(a) == 3 and a[2] is paired, (name, a, k)
+            assert type(a[0]) is float and type(a[1]) is list and len(a[1]) == n, (name, a)
+            assert all(type(v) is float for v in a[1]), (name, a)
+        return [c[2] for c in calls]
+
+    cfg = IntegratorConfig(step=1e-2)
+    rng = np.random.default_rng(63)
+    for entry in all_entries:
+        system, n, N = entry.system, entry.system.n, entry.system.N
+        x0 = rng.uniform(-1.5, 1.5, n)
+        sig = gen_arbitrary(N, (0.0, 3.0), 0.4, int(rng.integers(0, 2**62)), granularity=1e-2)
+        vertex = signal_to_control(sig, 1e-2, span=(0.0, 3.0), n_modes=N)
+        mixed = RelaxedControl(t0=0.0, step=0.25, values=rng.dirichlet(np.ones(N), size=12))
+        modes = set(range(1, N + 1))
+        assert set(paired_args(lambda: simulate(system, sig, 0.0, x0, 3.0, cfg),
+                               {"march"})) <= modes
+        assert set(paired_args(lambda: simulate_relaxed(system, vertex, 0.0, x0, 3.0, cfg),
+                               {"march"})) <= modes
+        assert set(paired_args(lambda: simulate_relaxed(system, mixed, 0.0, x0, 3.0, cfg),
+                               {"march"})) == {None}
+        for u in (vertex, mixed):
+            assert all(type(p) is tuple and p[0] is entry.reduced.Fhat for p in paired_args(
+                lambda: simulate_reduced(entry.reduced, u, 0.0, x0, 3.0, cfg), {"march"}))
+        horizon = 12.0 if entry.name == "inverter" else 5.0
+        assert all(type(p) is tuple for p in paired_args(
+            lambda: wzsd_falsify(entry.reduced, eps=0.5, horizon=horizon, budget=20, seed=5),
+            {"march"}))
+    # the closed loop's advance, and the step of its event bisection
+    assert set(paired_args(lambda: simulate_with_covering(
+        example4.system, example4.covering, example4.policy, 0.5, np.array([0.8, -1.1]),
+        20.5, cfg), {"advance", "step"})) <= {1, 2, 3}
+
+
 def _linear_system(mats):
     """Switched linear system with mode matrices ``mats``, fields written as tuples."""
     n = len(mats[0])

@@ -354,23 +354,23 @@ def test_vertex_rhs_reads_fhat_column(all_entries):
                 for i in range(rls.N):
                     w = np.zeros(rls.N)
                     w[i] = 1.0
-                    rhs, args = limiting._reduced_rhs(rls.Fhat, w)
+                    rhs, arg = limiting._reduced_rhs(rls.Fhat, w)
                     assert rhs is limiting._fhat_column
-                    assert np.array_equal(rhs(t, x, *args), F @ w)
+                    assert np.array_equal(rhs(t, x, arg), F @ w)
                 near = np.zeros(rls.N)
                 near[0], near[-1] = 1.0 - 2.0 ** -53, 2.0 ** -53
                 for w in (rng.dirichlet(np.ones(rls.N)), near):
-                    rhs, args = limiting._reduced_rhs(rls.Fhat, w)
+                    rhs, arg = limiting._reduced_rhs(rls.Fhat, w)
                     assert rhs is limiting._fhat_mix
-                    assert np.array(rhs(t, x, *args)).tobytes() == (F @ w).tobytes()
+                    assert np.array(rhs(t, x, arg)).tobytes() == (F @ w).tobytes()
 
 
 def test_vertex_rhs_departures_from_matmul(motivating, cfg_fast):
     # the two stated exceptions: a zero component keeps the column's sign, and
     # a non-finite unused column no longer turns into NaN through 0 * inf
     F = np.array([[-0.0, 0.0], [2.0, np.inf]])
-    rhs, args = limiting._reduced_rhs(lambda t, x: F, np.array([1.0, 0.0]))
-    col = rhs(0.0, None, *args)
+    rhs, arg = limiting._reduced_rhs(lambda t, x: F, np.array([1.0, 0.0]))
+    col = rhs(0.0, None, arg)
     assert np.array(col).tobytes() == np.array([-0.0, 2.0]).tobytes()
     with np.errstate(invalid="ignore"):
         assert np.isnan((F @ np.array([1.0, 0.0]))[1])

@@ -14,18 +14,36 @@ def _load(name):
     return module
 
 
-def test_step_cost_measures_every_row(capsys):
-    step_cost = _load("step_cost")
-    step_cost.main(["--repeats", "1"])
-    doc = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    expected = ([f"{run}/{name}" for name in step_cost.SYSTEMS
-                 for run in ("simulate", "simulate_relaxed")]
-                + ["simulate_with_covering/example4", "simulate_reduced/motivating",
-                   "envelope_trial/motivating"])
-    for key in ("us_per_step", "speed_scale", "us_per_step_scaled"):
-        rows = doc[key]
-        assert sorted(rows) == sorted(expected) and len(rows) == 11, key
-        assert all(math.isfinite(v) and v > 0.0 for v in rows.values()), (key, rows)
+def test_bench_measures_every_row(tmp_path, capsys):
+    bench = _load("bench")
+    record = tmp_path / "pb.json"
+    record.write_text(json.dumps({
+        "workload": "envelope-motivating", "seed": 4, "seconds": 2.0, "trace": 0,
+        "correct": True, "failed": 0,
+        "metrics": {"ops_per_s": {"value": 40.0}, "peak_rss_mb": {"value": 50.0},
+                    "setup_s": {"value": 0.03}}}))
+    traced = tmp_path / "pb_traced.json"
+    traced.write_text(json.dumps({"workload": "envelope-motivating", "trace": 1}))
+    out = tmp_path / "BENCH_0.json"
+    bench.main(["--repeats", "1", "--out", str(out), str(record), str(traced)])
+    doc = json.loads(out.read_text())
+    assert {"nproc", "cpu", "python", "numpy"} <= set(doc["machine"])
+    n_modes = {"motivating": 2, "example1": 3, "example4": 3, "inverter": 2}
+    l0 = [f"{name}/{i}" for name in bench.SYSTEMS for i in range(1, n_modes[name] + 1)]
+    l1 = ([f"{run}/{name}" for name in bench.SYSTEMS
+           for run in ("simulate", "simulate_relaxed")]
+          + ["simulate_with_covering/example4", "simulate_reduced/motivating",
+             "envelope_trial/motivating"])
+    for layer, unit, expected in (("L0", "field_evals_per_s", l0), ("L1", "us_per_step", l1)):
+        for key in (unit, "speed_scale", unit + "_scaled"):
+            rows = doc[layer][key]
+            assert sorted(rows) == sorted(expected), (layer, key)
+            assert all(math.isfinite(v) and v > 0.0 for v in rows.values()), (layer, key, rows)
+    assert len(l1) == 11
+    # the traced record is skipped
+    assert doc["L3"] == {"envelope-motivating": {"ops_per_s_median": 40.0, "runs": [
+        {"seed": 4, "seconds": 2.0, "ops_per_s": 40.0, "peak_rss_mb": 50.0, "setup_s": 0.03,
+         "correct": True, "failed": 0}]}}
 
 
 def test_grid_refinement_study_contracts(capsys):

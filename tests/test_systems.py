@@ -1,19 +1,30 @@
 """Registry wiring: dynamics values, decompositions, certificates, parameters."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from swstab import IntegratorConfig, ParameterError, get_entry, simulate, simulate_with_covering
 from swstab.lyapunov import check_decrease_along, check_sandwich
-from swstab.systems import signed_cbrt
 
 
-def test_signed_cbrt():
-    assert signed_cbrt(-8.0) == -2.0
-    assert signed_cbrt(0.0) == 0.0
-    assert signed_cbrt(27.0) == 3.0
+def test_motivating_mode2_odd_cube_root(motivating):
+    # with x1 = 0 the mode-2 field's first component is minus the odd cube root of x0
+    f = motivating.system.f
+    assert f(0.0, [-8.0, 0.0], 2)[0] == 2.0
+    assert f(0.0, [0.0, 0.0], 2)[0] == 0.0
+    assert f(0.0, [27.0, 0.0], 2)[0] == -3.0
+    # bit for bit the copysign expression; x1 = -0.0 adds a * x1 = -0.0, which
+    # leaves every float as it is, signed zeros included
+    rng = np.random.default_rng(17)
+    values = (rng.standard_normal(10_000) * 10.0 ** rng.uniform(-300, 300, 10_000)).tolist()
+    values[:5] = [0.0, -0.0, 5e-324, -5e-324, -math.inf]
+    for v in values:
+        got = -f(0.0, [v, -0.0], 2)[0]
+        want = math.copysign(abs(v) ** (1.0 / 3.0), v)
+        assert struct.pack("<d", got) == struct.pack("<d", want), v
 
 
 # --- frozen dynamics values --------------------------------------------------
