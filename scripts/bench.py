@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Write the benchmark record BENCH_<pr>.json: layers L0, L1 and optionally L3.
+"""Write the benchmark record BENCH_<pr>.json: layers L0, L1, L2 and optionally L3.
 
     PYTHONPATH=src python3 scripts/bench.py --out BENCH_12.json [--repeats 3] \\
         [perfbench/out/<workload>_seed<seed>_trace0.json ...]
@@ -10,7 +10,7 @@ Layers (ROADMAP aim 1), all with pinned seeds and through the public API:
   ``system.f(t, x, i)`` on 4 000 states drawn in [-1.5, 1.5]^n, each a list
   of floats as the RK4 kernels hand it over, looped over 5 times.  The loop
   is part of the figure.
-- L1, CPU microseconds per RK4 step of each integrator:
+- L1, microseconds per RK4 step of each integrator:
   - ``simulate`` and ``simulate_relaxed`` (the vertex embedding of the same
     signal) on all four registry systems, step 1e-3, horizon 20, under a
     ``gen_arbitrary`` signal with mean dwell 0.5;
@@ -19,20 +19,29 @@ Layers (ROADMAP aim 1), all with pinned seeds and through the public API:
     20, alternating vertex cells of length 0.5;
   - one envelope trial of motivating through ``make_driver``, horizon 200,
     step 2e-2, signal generation included.
-  A row is process CPU time divided by the run's step count (grid nodes
-  minus one).
+  A row is the run's time divided by its step count (grid nodes minus one).
+- L2, milliseconds per 10 000 work units of each checker, on pinned inputs:
+  - ``check_decrease_along`` and ``check_integral_bound`` per 10k grid nodes,
+    on L1's closed loop of example4 (8 017 nodes) and on one open-loop run
+    of motivating under its class signal (seed 7, step 1e-3, horizon 20,
+    20 041 nodes);
+  - ``validate_covering_invariance`` per 10k grid nodes, on the same
+    closed loop;
+  - ``validate_measure`` (motivating, span 2 000, 10 716 breakpoints) and
+    ``validate_pattern`` (inverter, span 10 000, 8 003 breakpoints) per 10k
+    breakpoints of a class signal (seed 5);
+  - ``check_control_constraint`` per 10k control cells, on those signals
+    as relaxed controls with cells of 0.05 against the class constraint.
 - L3, read from the perfbench run records named on the command line: each
   workload's untraced runs (seed, ``ops_per_s``, ``peak_rss_mb``,
   ``setup_s``, ``correct``, ``failed``) and their median ``ops_per_s``.
   Traced records are skipped: the tracer's own cost is in their figures.
 
-L0 and L1 figures are the median over the repeats.  Around every repeat the
-script times ``speed_kernel`` of perfbench/run.py, best of 3, and a row's
-speed scale is that file's ``CAL_SECONDS`` over the median kernel time: below
-1 while the machine runs slower than perfbench's reference machine.  The
-scaled figures (times times the scale, rates over it) are the ones to
-compare between runs made at different times on a shared host.  The record
-also holds the machine: CPU, CPU count, Python and numpy versions.
+L0, L1 and L2 figures are the median over the repeats.  Every repeat runs
+under ``SpeedClock`` of perfbench/run.py, which samples the machine's speed
+all along the run and scales wall time to perfbench's reference machine, so
+figures of runs made at different times on a shared host compare.  The
+record also holds the machine: CPU, CPU count, Python and numpy versions.
 """
 
 from __future__ import annotations
@@ -43,7 +52,6 @@ import json
 import statistics
 from functools import partial
 from pathlib import Path
-from time import process_time
 
 import numpy as np
 
@@ -55,26 +63,23 @@ L0_STATES, L0_LOOPS = 4_000, 5
 
 
 def _perfbench_run():
-    """perfbench/run.py, loaded from its file for ``speed_kernel``, ``CAL_SECONDS``
-    and ``machine``."""
+    """perfbench/run.py, loaded from its file for ``SpeedClock`` and ``machine``."""
     spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-def _timed(run, repeats: int, speed_kernel) -> tuple[float, float]:
-    """Median CPU seconds per work unit over the repeats, ``run()`` returning its
-    unit count, and the median speed-kernel seconds (best of 3) sampled before
-    every repeat and after the last."""
-    costs, kernel = [], []
+def _timed(run, repeats: int, clock) -> float:
+    """Median speed-scaled seconds per work unit over the repeats, ``run()``
+    returning its unit count; each repeat runs under its own ``clock()``."""
+    costs = []
     for _ in range(repeats):
-        kernel.append(min(speed_kernel() for _ in range(3)))
-        c0 = process_time()
-        units = run()
-        costs.append((process_time() - c0) / units)
-    kernel.append(min(speed_kernel() for _ in range(3)))
-    return statistics.median(costs), statistics.median(kernel)
+        with clock() as c:
+            t0 = c.now()
+            units = run()
+            costs.append((c.now() - t0) / units)
+    return statistics.median(costs)
 
 
 def _field_loop(f, points, i) -> int:
@@ -84,8 +89,8 @@ def _field_loop(f, points, i) -> int:
     return L0_LOOPS * len(points)
 
 
-def measure_l0(repeats: int, speed_kernel) -> dict:
-    """{"<system>/<mode>": (CPU seconds per field evaluation, speed-kernel seconds)}."""
+def measure_l0(repeats: int, clock) -> dict:
+    """{"<system>/<mode>": seconds per field evaluation}."""
     rng = np.random.default_rng(2025)
     timed = {}
     for name in SYSTEMS:
@@ -94,14 +99,20 @@ def measure_l0(repeats: int, speed_kernel) -> dict:
                   enumerate(rng.uniform(-1.5, 1.5, (L0_STATES, system.n)).tolist())]
         for i in range(1, system.N + 1):
             timed[f"{name}/{i}"] = _timed(partial(_field_loop, system.f, points, i),
-                                          repeats, speed_kernel)
+                                          repeats, clock)
     return timed
 
 
-def measure_l1(repeats: int, speed_kernel) -> dict:
-    """{row: (CPU seconds per RK4 step, speed-kernel seconds)}."""
+def _closed_loop_example4(cfg):
+    e4 = sw.get_entry("example4")
+    return sw.simulate_with_covering(e4.system, e4.covering, e4.policy, 0.5,
+                                     np.array([0.8, -1.1]), 80.5, cfg)
+
+
+def measure_l1(repeats: int, clock) -> dict:
+    """{row: seconds per RK4 step}."""
     def per_step(run):
-        return _timed(lambda: len(run().times) - 1, repeats, speed_kernel)
+        return _timed(lambda: len(run().times) - 1, repeats, clock)
 
     timed = {}
     cfg = sw.IntegratorConfig(step=1e-3)
@@ -118,11 +129,9 @@ def measure_l1(repeats: int, speed_kernel) -> dict:
         timed[f"simulate_relaxed/{name}"] = per_step(
             lambda: sw.simulate_relaxed(entry.system, u, 0.0, x0, 20.0, cfg))
 
-    e4 = sw.get_entry("example4")
     cfg_cl = sw.IntegratorConfig(step=1e-2)
     timed["simulate_with_covering/example4"] = per_step(
-        lambda: sw.simulate_with_covering(e4.system, e4.covering, e4.policy, 0.5,
-                                          np.array([0.8, -1.1]), 80.5, cfg_cl)[0])
+        lambda: _closed_loop_example4(cfg_cl)[0])
 
     mot = sw.get_entry("motivating")
     vals = np.zeros((400, 2))
@@ -136,6 +145,50 @@ def measure_l1(repeats: int, speed_kernel) -> dict:
     driver = sw.make_driver(mot, sw.IntegratorConfig(step=2e-2))
     timed["envelope_trial/motivating"] = per_step(
         lambda: driver(3.0, np.array([0.6, -0.7]), 203.0, 11))
+    return timed
+
+
+def _units(check, n: int):
+    """A run of ``check()`` that counts as n work units."""
+    def run():
+        check()
+        return n
+    return run
+
+
+def measure_l2(repeats: int, clock) -> dict:
+    """{row: seconds per work unit}: grid nodes, breakpoints or control cells."""
+    timed = {}
+    e4, mot = sw.get_entry("example4"), sw.get_entry("motivating")
+    closed, closed_sigma = _closed_loop_example4(sw.IntegratorConfig(step=1e-2))
+    sig = mot.signal_class.generator((0.0, 20.0), 7)
+    runs = {"example4": (e4, closed, closed_sigma),
+            "motivating": (mot, sw.simulate(mot.system, sig, 0.0, np.array([1.0, -0.4]), 20.0,
+                                            sw.IntegratorConfig(step=1e-3)), sig)}
+    for name, (entry, traj, sigma) in runs.items():
+        m = len(traj.times)
+        params = sw.IntegralBoundParams(alpha=entry.alpha, M=entry.integral_M(traj.states[0]),
+                                        mu=0.0)
+        timed[f"check_decrease_along/{name}"] = _timed(
+            _units(lambda: sw.check_decrease_along(entry.certificate, traj, sigma), m),
+            repeats, clock)
+        timed[f"check_integral_bound/{name}"] = _timed(
+            _units(lambda: sw.check_integral_bound(traj, sigma, entry.system, params), m),
+            repeats, clock)
+    timed["validate_covering_invariance/example4"] = _timed(
+        _units(lambda: sw.validate_covering_invariance(closed, closed_sigma, e4.covering),
+               len(closed.times)), repeats, clock)
+
+    for name, span, validate in (("motivating", 2_000.0, sw.validate_measure),
+                                 ("inverter", 10_000.0, sw.validate_pattern)):
+        entry = sw.get_entry(name)
+        c = entry.reduced.constraints[0]
+        sigma = entry.signal_class.generator((0.0, span), 5)
+        u = sw.signal_to_control(sigma, 0.05, span=(0.0, span), n_modes=entry.system.N)
+        timed[f"{validate.__name__}/{name}"] = _timed(
+            _units(lambda: validate(sigma, c), len(sigma.breakpoints)), repeats, clock)
+        timed[f"check_control_constraint/{name}"] = _timed(
+            _units(lambda: sw.check_control_constraint(u, c), len(u.values)), repeats, clock)
     return timed
 
 
@@ -156,17 +209,18 @@ def read_l3(paths) -> dict:
             for w, rows in sorted(runs.items())}
 
 
+# (layer, measure, unit, seconds per work unit -> the unit's figure)
+LAYERS = (("L0", measure_l0, "field_evals_per_s", lambda s: 1.0 / s),
+          ("L1", measure_l1, "us_per_step", lambda s: s * 1e6),
+          ("L2", measure_l2, "ms_per_10k", lambda s: s * 1e7))
+
+
 def bench(repeats: int, records=()) -> dict:
     pb = _perfbench_run()
     doc = {"machine": pb.machine(), "repeats": repeats}
-    for layer, measure, unit, factor in (
-            ("L0", measure_l0, "field_evals_per_s", lambda s: 1.0 / s),
-            ("L1", measure_l1, "us_per_step", lambda s: s * 1e6)):
-        timed = measure(repeats, pb.speed_kernel)
-        raw = {k: factor(s) for k, (s, _) in timed.items()}
-        scale = {k: pb.CAL_SECONDS / kernel for k, (_, kernel) in timed.items()}
-        scaled = {k: factor(s * scale[k]) for k, (s, _) in timed.items()}
-        doc[layer] = {unit: raw, "speed_scale": scale, f"{unit}_scaled": scaled}
+    for layer, measure, unit, factor in LAYERS:
+        timed = measure(repeats, pb.SpeedClock)
+        doc[layer] = {unit: {k: factor(s) for k, s in timed.items()}}
     if records:
         doc["L3"] = read_l3(records)
     return doc
@@ -179,11 +233,9 @@ def main(argv=None) -> None:
     ap.add_argument("records", nargs="*", help="perfbench run records for L3")
     args = ap.parse_args(argv)
     doc = bench(args.repeats, args.records)
-    for layer, unit in (("L0", "field_evals_per_s"), ("L1", "us_per_step")):
-        rows = doc[layer]
-        for k, v in rows[unit].items():
-            print(f"{layer} {k:36s} {v:12.2f} {unit}  scale {rows['speed_scale'][k]:5.3f}"
-                  f"  scaled {rows[unit + '_scaled'][k]:12.2f}")
+    for layer, _, unit, _ in LAYERS:
+        for k, v in doc[layer][unit].items():
+            print(f"{layer} {k:40s} {v:12.2f} {unit}")
     for w, row in doc.get("L3", {}).items():
         print(f"L3 {w:36s} {row['ops_per_s_median']:12.2f} ops_per_s median of "
               f"{len(row['runs'])}")

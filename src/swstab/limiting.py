@@ -385,8 +385,7 @@ def _validate_candidate(rls: ReducedLimitingSystem, u: RelaxedControl, x0: np.nd
 
 def wzsd_falsify(rls: ReducedLimitingSystem, eps: float, horizon: float,
                  residual_tol: float = 1e-8, budget: int = 10_000, seed: int = 0,
-                 du: float = 0.05, step: Optional[float] = None,
-                 divergence_bound: float = 1e9) -> FalsifierVerdict:
+                 du: float = 0.05) -> FalsifierVerdict:
     """Bounded search for a constraint-respecting zero-output trajectory with |x| >= eps.
 
     Candidate sources: a deterministic battery of constant-vertex controls
@@ -402,13 +401,11 @@ def wzsd_falsify(rls: ReducedLimitingSystem, eps: float, horizon: float,
         raise ParameterError("eps, horizon, budget must be positive")
     if not residual_tol >= 0:  # a negative tolerance fails every candidate; NaN too
         raise ParameterError(f"residual_tol must be nonnegative, got {residual_tol!r}")
-    if step is None:
-        step = du / 5.0
+    step = du / 5.0
     for c in rls.constraints:
         if c.window > horizon + TIE_TOL:
             raise ParameterError("horizon shorter than a constraint window")
-    cfg = IntegratorConfig(step=step, event_bisection_tol=step * 1e-6,
-                           divergence_bound=divergence_bound)
+    cfg = IntegratorConfig(step=step, event_bisection_tol=step * 1e-6)
     n_cells = int(round(horizon / du))
     if n_cells < 1 or abs(n_cells * du - horizon) > 1e-9:
         raise ParameterError("du must tile the horizon")
@@ -456,7 +453,7 @@ def wzsd_falsify(rls: ReducedLimitingSystem, eps: float, horizon: float,
             if not _meets_constraints(rls, u):
                 raise _Abort("constraint")
         ws = _rollout(rls, u_cells, x0, horizon, du, step, eps, residual_tol,
-                      divergence_bound, tally)
+                      cfg.divergence_bound, tally)
         if not open_loop:
             u = RelaxedControl(t0=0.0, step=du, values=ws)
             if not _meets_constraints(rls, u):

@@ -22,6 +22,7 @@ from .core import Covering, ParameterError, SwitchedSystem, SwitchingSignal, Tra
 
 SANDWICH_TOL = 1e-9
 REVISIT_TOL = 1e-7
+QUAD_COEFF = 10.0  # integral-bound quadrature slack: QUAD_COEFF * h_max^2 per unit time
 SLACK_FLOOR = 1e-9
 SLACK_CURVATURE_FACTOR = 10.0  # slack = factor * observed |second difference of V|
 
@@ -89,7 +90,7 @@ class CheckReport:
 
 
 def check_sandwich(cert: LyapunovCertificate, box_lo, box_hi, covering: Covering,
-                   density: int = 9, t_grid=(0.0,), tol: float = SANDWICH_TOL) -> CheckReport:
+                   density: int = 9, t_grid=(0.0,)) -> CheckReport:
     """Sample phi1(|xi|) <= V(t, xi, i) <= phi2(|xi|) over a box, per covering piece."""
     box_lo = np.asarray(box_lo, dtype=float)
     box_hi = np.asarray(box_hi, dtype=float)
@@ -112,8 +113,8 @@ def check_sandwich(cert: LyapunovCertificate, box_lo, box_hi, covering: Covering
                 n_checked += 1
                 if m > worst:
                     worst, where = m, (float(t), i, r)
-    return CheckReport(check="sandwich", passed=worst <= tol, worst_margin=worst,
-                       worst_location=where, slack=tol, extra={"points": n_checked})
+    return CheckReport(check="sandwich", passed=worst <= SANDWICH_TOL, worst_margin=worst,
+                       worst_location=where, slack=SANDWICH_TOL, extra={"points": n_checked})
 
 
 @dataclass(frozen=True)
@@ -131,89 +132,81 @@ class DecreaseReport:
 
 
 def _node_modes(traj: Trajectory, sigma: SwitchingSignal) -> np.ndarray:
-    return traj.modes if traj.modes is not None else sigma.modes_at(traj.times)
+    modes = traj.modes if traj.modes is not None else sigma.modes_at(traj.times)
+    return np.asarray(modes, dtype=np.int64)
 
 
-def _switch_nodes(modes: np.ndarray) -> np.ndarray:
-    """Nodes k >= 1 whose mode differs from node k-1's."""
-    return np.flatnonzero(modes[1:] != modes[:-1]) + 1
+def _along_steps(fn, t, x, modes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """fn(t, x, i) at every node under the node's mode, and at every step's end
+    under the step's mode.
 
-
-def _segment_bounds(modes: np.ndarray) -> list[tuple[int, int, int]]:
-    """(first node, last node, mode) per constancy stretch of the node modes.
-
-    A stretch ends on the next switch node (evaluated under the outgoing
-    mode) or on the last node; a last node alone in its mode starts none.
+    A step reads its own mode at both ends, so a switch node (a node whose
+    mode differs from its predecessor's) is evaluated once more, under the
+    outgoing mode: m + |switch nodes| calls in all.  Returns the node values
+    (m) and the step-end values (m - 1).
     """
-    last = len(modes) - 1
-    starts = [0] + _switch_nodes(modes).tolist()
-    ends = starts[1:] + [last]
-    return [(a, b, int(modes[a])) for a, b in zip(starts, ends) if a < last]
+    i = modes.tolist()
+    node = np.array([fn(tk, xk, ik) for tk, xk, ik in zip(t, x, i)], dtype=float)
+    end = node[1:].copy()
+    for k in (np.flatnonzero(modes[1:] != modes[:-1]) + 1).tolist():
+        end[k - 1] = fn(t[k], x[k], i[k - 1])
+    return node, end
 
 
 def check_decrease_along(cert: LyapunovCertificate, traj: Trajectory,
-                         sigma: SwitchingSignal,
-                         revisit_tol: float = REVISIT_TOL) -> DecreaseReport:
+                         sigma: SwitchingSignal) -> DecreaseReport:
     """Finite-difference decrease check along a trajectory.
 
-    Slope part: within each constancy stretch of mode i, the per-step slope of
+    Slope part: on every step, under the step's mode i, the slope of
     V(t, x(t), i) must not exceed -eta evaluated at the step midpoint
     (linearly interpolated state) plus a slack calibrated from the observed
-    second differences of V, which captures the discretization error scale.
+    second differences of V along steps of one mode, which capture the
+    discretization error scale.
 
     Revisit part: for each mode i, V_i sampled at the grid times where i is
-    active must never rise above its running minimum by more than revisit_tol.
+    active must never rise above its running minimum by more than REVISIT_TOL.
 
-    V and eta are evaluated once per node under the node's mode and once more
-    at each switch node under the outgoing mode; eta once more per step at
-    its midpoint.  A NaN in V, in eta or in the slack fails the part that
-    reads it, which then reports a NaN worst margin at the first NaN step
-    (slope) or node (revisit).
+    V and eta go through the step-endpoint evaluator that the integral
+    bound's output gauge also uses: once per node under the node's mode and
+    once more at each switch node under the outgoing mode.  eta is evaluated
+    once more per step at its midpoint.  All steps are checked at once.  A
+    NaN in V, in eta or in the slack fails the part that reads it, which
+    then reports a NaN worst margin at the first NaN step (slope) or node
+    (revisit).
     """
     if traj.t0 < sigma.domain_start - 1e-9 or traj.tf > sigma.domain_end + 1e-9:
         raise ParameterError("trajectory span not covered by the signal")
+    t, x = traj.times, traj.states
     modes = _node_modes(traj, sigma)
-    segs = _segment_bounds(modes)
-    t = traj.times
-    x = traj.states
-    V_of, eta_of = cert.V, cert.eta
+    V, V_end = _along_steps(cert.V, t, x, modes)
+    eta, eta_end = _along_steps(cert.eta, t, x, modes)
+    step_modes = modes[:-1].tolist()
 
-    # first pass: calibrate one slack for the whole trajectory from the
-    # observed second differences of V and of the gauge (the discretization
-    # error scale of the slope and of the step-mean gauge estimate)
-    per_seg = []
-    d2v = [0.0]
-    d2e = [0.0]
-    for a, b, mode in segs:
-        ts, xs = t[a:b + 1], x[a:b + 1]
-        V = np.array([V_of(tk, xk, mode) for tk, xk in zip(ts, xs)])
-        etas = np.array([eta_of(tk, xk, mode) for tk, xk in zip(ts, xs)])
-        per_seg.append((a, b, mode, V, etas))
-        if len(V) >= 3:
-            d2v.append(float(np.max(np.abs(np.diff(V, n=2)))))
-            d2e.append(float(np.max(np.abs(np.diff(etas, n=2)))))
+    # one slack for the whole trajectory, calibrated from the second
+    # differences of V and of the gauge over pairs of steps of one mode (the
+    # discretization error scale of the slope and of the step-mean gauge)
+    same = modes[1:-1] == modes[:-2]
+    dV = V_end - V[:-1]
+    d_eta = eta_end - eta[:-1]
+    d2v = np.abs(dV[1:] - dV[:-1])[same]
+    d2e = np.abs(d_eta[1:] - d_eta[:-1])[same]
     # np.max keeps a NaN that the builtin max would drop
-    slack = float(np.max([SLACK_FLOOR, SLACK_CURVATURE_FACTOR * np.max(d2v),
-                          0.5 * np.max(d2e)]))
+    slack = float(np.max([SLACK_FLOOR, SLACK_CURVATURE_FACTOR * np.max(d2v, initial=0.0),
+                          0.5 * np.max(d2e, initial=0.0)]))
 
-    pre, eta_mean, step_node, step_mode = [], [], [], []
-    for a, b, mode, V, etas in per_seg:
-        slopes = np.diff(V) / np.diff(t[a:b + 1])
-        t_mid = 0.5 * (t[a:b] + t[a + 1:b + 1])
-        x_mid = 0.5 * (x[a:b] + x[a + 1:b + 1])
-        eta_mid = np.array([float(eta_of(tm, xm, mode)) for tm, xm in zip(t_mid, x_mid)])
-        mean = 0.5 * (etas[:-1] + etas[1:])
-        # min(eta_mid, mean) as the builtin picks it: the first unless the second is less
-        pre.append(slopes + np.where(mean < eta_mid, mean, eta_mid))
-        eta_mean.append(mean)
-        step_node.append(np.arange(a, b))
-        step_mode.append(np.full(b - a, mode))
+    slopes = dV / np.diff(t)
+    t_mid = 0.5 * (t[:-1] + t[1:])
+    x_mid = 0.5 * (x[:-1] + x[1:])
+    eta_mid = np.array([float(cert.eta(tm, xm, i))
+                        for tm, xm, i in zip(t_mid, x_mid, step_modes)])
+    mean = 0.5 * (eta[:-1] + eta_end)
+    # min(eta_mid, mean) as the builtin picks it: the first unless the second is less
+    pre = slopes + np.where(mean < eta_mid, mean, eta_mid)
     worst_slope = -np.inf
     slope_where = (0.0, 0)
-    if per_seg:
-        pre = np.concatenate(pre)
+    if len(pre):
         margins = pre - slack
-        nan = np.isnan(pre) | np.isnan(np.concatenate(eta_mean))
+        nan = np.isnan(pre) | np.isnan(mean)
         if slack == slack:
             nan |= np.isnan(margins)
         k = None
@@ -224,23 +217,13 @@ def check_decrease_along(cert: LyapunovCertificate, traj: Trajectory,
             k = int(np.argmax(margins))  # the first maximum
             worst_slope = float(margins[k])
         if k is not None:
-            slope_where = (float(t[np.concatenate(step_node)[k]]),
-                           int(np.concatenate(step_mode)[k]))
+            slope_where = (float(t[k]), step_modes[k])
     slope_report = CheckReport(check="decrease_slope", passed=worst_slope <= 0.0,
                                worst_margin=worst_slope, worst_location=slope_where,
                                slack=slack)
 
-    # revisit part: V_i at every node under the node's own mode, read from
-    # the segment pass; only a last node alone in its mode needs a new call
-    last = len(t) - 1
-    node_v = np.empty(len(t))
-    for a, b, _, V, _ in per_seg:
-        node_v[a:b] = V[:-1]
-    if per_seg and int(modes[last]) == per_seg[-1][2]:
-        node_v[last] = per_seg[-1][3][-1]
-    else:
-        node_v[last] = float(V_of(t[last], x[last], int(modes[last])))
-    vals = node_v.tolist()
+    # revisit part: V_i at every node under the node's own mode
+    vals = V.tolist()
     worst_rev = -np.inf
     rev_where = (0.0, 0)
     nan_k = None
@@ -248,7 +231,7 @@ def check_decrease_along(cert: LyapunovCertificate, traj: Trajectory,
         running = np.inf
         for k in np.flatnonzero(modes == i).tolist():
             v = vals[k]
-            margin = v - running - revisit_tol
+            margin = v - running - REVISIT_TOL
             if margin > worst_rev:
                 worst_rev, rev_where = margin, (float(t[k]), int(i))
             elif margin != margin and (nan_k is None or k < nan_k):
@@ -258,7 +241,7 @@ def check_decrease_along(cert: LyapunovCertificate, traj: Trajectory,
         worst_rev, rev_where = np.nan, (float(t[nan_k]), int(modes[nan_k]))
     revisit_report = CheckReport(check="mode_revisit", passed=worst_rev <= 0.0,
                                  worst_margin=worst_rev, worst_location=rev_where,
-                                 slack=revisit_tol)
+                                 slack=REVISIT_TOL)
     return DecreaseReport(slope=slope_report, revisit=revisit_report)
 
 
@@ -273,13 +256,12 @@ def _output_gauge(h, alpha, p, t, x, i) -> float:
 
 
 def check_integral_bound(traj: Trajectory, sigma: SwitchingSignal, sys: SwitchedSystem,
-                         params: IntegralBoundParams,
-                         quad_coeff: float = 10.0) -> CheckReport:
+                         params: IntegralBoundParams) -> CheckReport:
     """Trapezoidal check of int_s^t alpha(|h|) <= M + mu*(t-s) over all grid pairs.
 
     The integrand on each step uses the step's active mode at both endpoints
     (outputs are right-continuous at switches, the integrand is not).  The
-    quadrature slack quad_coeff * h^2 * (t - s) is folded into the running
+    quadrature slack QUAD_COEFF * h^2 * (t - s) is folded into the running
     comparison; the all-pairs sweep reduces to a running minimum.  ``sys.h``
     is called once per node under the node's mode and once more at each
     switch node under the outgoing mode.
@@ -288,18 +270,14 @@ def check_integral_bound(traj: Trajectory, sigma: SwitchingSignal, sys: Switched
     if len(t) < 2:
         return CheckReport(check="integral_bound", passed=True, worst_margin=-params.M,
                            worst_location=(traj.t0, traj.t0), slack=0.0)
-    modes = np.asarray(_node_modes(traj, sigma), dtype=np.int64)
-    mode_list, t_list, x_list = modes.tolist(), t.tolist(), traj.states.tolist()
     gauge = partial(_output_gauge, sys.h, params.alpha, sys.p)
+    g_start, g_end = _along_steps(gauge, t.tolist(), traj.states.tolist(),
+                                  _node_modes(traj, sigma))
     h_steps = np.diff(t)
     h_max = float(h_steps.max())
-    g_start = np.array([gauge(tk, xk, i) for tk, xk, i in zip(t_list, x_list, mode_list)])
-    g_end = g_start[1:].copy()
-    for k in _switch_nodes(modes).tolist():
-        g_end[k - 1] = gauge(t_list[k], x_list[k], mode_list[k - 1])
     # cumsum accumulates left to right, so it rounds as a running sum does
     cum = np.cumsum(np.concatenate(([0.0], 0.5 * (g_start[:-1] + g_end) * h_steps)))
-    rate = params.mu + quad_coeff * h_max * h_max
+    rate = params.mu + QUAD_COEFF * h_max * h_max
     g = cum - rate * (t - t[0])
     run_min = np.minimum.accumulate(g)
     margins = g - run_min - params.M
@@ -308,5 +286,5 @@ def check_integral_bound(traj: Trajectory, sigma: SwitchingSignal, sys: Switched
     return CheckReport(check="integral_bound", passed=float(margins[k]) <= 0.0,
                        worst_margin=float(margins[k]),
                        worst_location=(float(t[j]), float(t[k])),
-                       slack=quad_coeff * h_max * h_max * float(t[k] - t[j]),
+                       slack=QUAD_COEFF * h_max * h_max * float(t[k] - t[j]),
                        extra={"M": params.M, "mu": params.mu})

@@ -18,6 +18,8 @@ import numpy as np
 
 from .core import BlowUpError, ParameterError
 
+MONO_RESIDUAL_TOL = 0.05  # under-sampled: regularizing moves a cell by more, row-scaled
+
 
 @dataclass(frozen=True)
 class StabilityEnvelope:
@@ -158,8 +160,7 @@ def regularize(env: StabilityEnvelope) -> tuple[np.ndarray, float, float]:
 
 
 def classify(env: StabilityEnvelope, decay_ratio: float = 0.05,
-             tail_fraction: float = 0.2, uniform_bound: float = 3.0,
-             mono_residual_tol: float = 0.05) -> ClassifyVerdict:
+             tail_fraction: float = 0.2, uniform_bound: float = 3.0) -> ClassifyVerdict:
     """Decision thresholds on the empirical envelope.
 
     GUAS-consistent: every row's tail (last tail_fraction of tau columns)
@@ -190,5 +191,5 @@ def classify(env: StabilityEnvelope, decay_ratio: float = 0.05,
         verdict = "inconclusive"
     return ClassifyVerdict(verdict, decay_ratio, tail_fraction, uniform_bound,
                            tau_res, r_res,
-                           under_sampled=max(tau_res, r_res) > mono_residual_tol,
+                           under_sampled=max(tau_res, r_res) > MONO_RESIDUAL_TOL,
                            tail_ratios=tail_ratios, uniform_ratios=uniform_ratios)

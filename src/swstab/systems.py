@@ -55,7 +55,6 @@ class RegistryEntry:
     covering: Covering
     signal_class: SignalClass
     reduced: ReducedLimitingSystem
-    expected_verdict: str = "GUAS-consistent"
     policy: Optional[Callable] = None
     alpha: Callable[[float], float] = lambda s: s           # output-integral gauge
     integral_M: Callable[[np.ndarray], float] = lambda x0: 0.0

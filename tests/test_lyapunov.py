@@ -271,6 +271,9 @@ def test_checkers_match_reference_synthetic(motivating):
             _assert_matches_reference(motivating, traj, sig, cert=cert)
     one = Trajectory(times=times[:1], states=states[:1], modes=np.array([2]))
     _assert_matches_reference(motivating, one, sig)
+    # a single step ending on a switch node
+    two = Trajectory(times=times[:2], states=states[:2], modes=np.array([1, 2]))
+    _assert_matches_reference(motivating, two, sig)
 
 
 class _Counted:
@@ -292,9 +295,10 @@ def test_checkers_evaluate_once_per_node(motivating, example4, cfg_fast):
              (motivating, single, sig), (example4, closed, sigma)]
     for entry, traj, sigma in cases:
         m, n_switch = len(traj.times), _switches(traj.modes)
-        V = _Counted(entry.certificate.V)
-        check_decrease_along(replace(entry.certificate, V=V), traj, sigma)
+        V, eta = _Counted(entry.certificate.V), _Counted(entry.certificate.eta)
+        check_decrease_along(replace(entry.certificate, V=V, eta=eta), traj, sigma)
         assert V.calls == m + n_switch
+        assert eta.calls == m + n_switch + (m - 1)  # and once per step midpoint
         h = _Counted(entry.system.h)
         sys = SwitchedSystem(n=entry.system.n, N=entry.system.N, f=entry.system.f, h=h,
                              p=entry.system.p)
