@@ -40,8 +40,11 @@ Layers (ROADMAP aim 1), all with pinned seeds and through the public API:
 L0, L1 and L2 figures are the median over the repeats.  Every repeat runs
 under ``SpeedClock`` of perfbench/run.py, which samples the machine's speed
 all along the run and scales wall time to perfbench's reference machine, so
-figures of runs made at different times on a shared host compare.  The
-record also holds the machine: CPU, CPU count, Python and numpy versions.
+figures of runs made at different times on a shared host compare.  A repeat
+loops its work unit as many times as it takes to last at least
+``MIN_REPEAT_S``, a count set once per row from an untimed first run: a
+repeat of a few milliseconds would be scaled by one or two speed samples.
+The record also holds the machine: CPU, CPU count, Python and numpy versions.
 """
 
 from __future__ import annotations
@@ -49,7 +52,9 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import math
 import statistics
+import time
 from functools import partial
 from pathlib import Path
 
@@ -60,6 +65,7 @@ import swstab as sw
 ROOT = Path(__file__).resolve().parent.parent
 SYSTEMS = ("motivating", "example1", "example4", "inverter")
 L0_STATES, L0_LOOPS = 4_000, 5
+MIN_REPEAT_S = 0.5  # wall seconds a timed repeat lasts at least
 
 
 def _perfbench_run():
@@ -72,12 +78,16 @@ def _perfbench_run():
 
 def _timed(run, repeats: int, clock) -> float:
     """Median speed-scaled seconds per work unit over the repeats, ``run()``
-    returning its unit count; each repeat runs under its own ``clock()``."""
+    returning its unit count; each repeat runs under its own ``clock()`` and
+    calls ``run`` the number of times the untimed first call sets."""
+    t0 = time.perf_counter()
+    run()
+    loops = max(1, math.ceil(MIN_REPEAT_S / (time.perf_counter() - t0)))
     costs = []
     for _ in range(repeats):
         with clock() as c:
             t0 = c.now()
-            units = run()
+            units = sum(run() for _ in range(loops))
             costs.append((c.now() - t0) / units)
     return statistics.median(costs)
 

@@ -49,7 +49,8 @@ VERTEX_TOL = 1e-6  # a control cell counts as a vertex if within this of e_i (su
 class ReducedLimitingSystem:
     """dx/dt = Fhat(t, x) u with output Hhat(t, x) . u pinned to zero.
 
-    Fhat stacks the limiting precompact fields columnwise; Hhat holds the
+    Fhat stacks the limiting precompact fields columnwise (a vertex control
+    marches the mode field of a ``_StackedFields`` directly); Hhat holds the
     componentwise output magnitudes, so Hhat >= 0 and zero output is exactly
     a face condition on u.  ``constraints`` are the switching class's own
     constraint objects, as weak limits inherit them: a MeasureConstraint
@@ -66,11 +67,24 @@ class ReducedLimitingSystem:
     constraints: tuple[MeasureConstraint | PatternConstraint, ...] = ()
 
 
+@dataclass(frozen=True, slots=True)
+class _StackedFields:
+    """Fhat(t, x): the mode fields ``fields(t, x, i)``, i = 1..N, as the columns
+    of an (n, N) array; a vertex control marches them directly (``_reduced_rhs``)."""
+
+    fields: Callable[[float, Sequence[float], int], Sequence[float]]
+    N: int
+
+    def __call__(self, t, x):
+        # copied to C order: a transposed view could change how matmul rounds
+        return np.array([self.fields(t, x, i) for i in range(1, self.N + 1)]).T.copy()
+
+
 def build_reduced(sys: SwitchedSystem, covering: Covering,
                   constraints: Sequence[MeasureConstraint | PatternConstraint] = ()
                   ) -> ReducedLimitingSystem:
     """Assemble the reduced limiting control system from ``sys.fhat`` (``sys.f``
-    when there is none) and ``sys.h``.
+    when there is none) and ``sys.h``; Fhat is a ``_StackedFields`` of them.
 
     These are the limiting functions along a time sequence t_k with
     fhat(t + t_k) = fhat(t): exact when the precompact part is time-invariant
@@ -78,22 +92,18 @@ def build_reduced(sys: SwitchedSystem, covering: Covering,
     """
     if covering.N != sys.N:
         raise ParameterError("covering and system mode counts differ")
-    fhat = sys.fhat if sys.fhat is not None else sys.f
     h = sys.h
     modes = range(1, sys.N + 1)
 
-    def Fhat(t, x):
-        # copied to C order: a transposed view could change how matmul rounds
-        return np.array([fhat(t, x, i) for i in modes]).T.copy()
-
     def Hhat(t, x):
-        # sqrt(v . v) is np.linalg.norm's arithmetic on a float64 vector, minus its overhead
-        out = []
-        for i in modes:
-            v = np.asarray(h(t, x, i), dtype=float)
-            out.append(math.sqrt(v.dot(v)))
-        return np.array(out)
+        # sqrt(v . v) is np.linalg.norm's arithmetic on a float64 vector, minus its
+        # overhead; for p = 1 it is one float product, as in lyapunov._output_gauge
+        if sys.p == 1:
+            return np.array([math.sqrt(v * v) for (v,) in [h(t, x, i) for i in modes]])
+        vs = [np.asarray(h(t, x, i), dtype=float) for i in modes]
+        return np.array([math.sqrt(v.dot(v)) for v in vs])
 
+    Fhat = _StackedFields(sys.fhat if sys.fhat is not None else sys.f, sys.N)
     return ReducedLimitingSystem(n=sys.n, N=sys.N, Fhat=Fhat, Hhat=Hhat,
                                  covering=covering, constraints=tuple(constraints))
 
@@ -109,15 +119,19 @@ def _fhat_mix(t, x, Fhat_w):
 
 
 def _reduced_rhs(Fhat, w: np.ndarray):
-    """(rhs, arg) for dx/dt = Fhat(t, x) @ w, rhs(t, x, arg) unpacking the pair
-    ``arg``; a vertex weight e_i reads column i.
+    """(rhs, arg) for dx/dt = Fhat(t, x) @ w.  A vertex e_i gives (fields, i + 1)
+    on a ``_StackedFields``, its mode field as ``integrate._mode_rhs`` pairs it
+    (no other mode is evaluated), and reads column i of any other Fhat.
 
-    The column equals the matmul up to the sign of a zero component, and a
-    non-finite entry of an unused column no longer turns into NaN via 0 * inf.
+    The vertex value equals the matmul up to the sign of a zero component, and
+    a non-finite entry of an unused column no longer turns into NaN via 0 * inf.
     """
     wl = w.tolist()
     if wl.count(0.0) == len(wl) - 1 and 1.0 in wl:
-        return _fhat_column, (Fhat, wl.index(1.0))
+        i = wl.index(1.0)
+        if type(Fhat) is _StackedFields:
+            return Fhat.fields, i + 1
+        return _fhat_column, (Fhat, i)
     return _fhat_mix, (Fhat, w)
 
 
@@ -494,7 +508,8 @@ def _face_random_candidate(rls, integral_cs, rng, n_cells, du, eps, residual_tol
         if not allowed:
             raise _Abort("empty_face")
         w = np.zeros(rls.N)
-        w[np.array(allowed) - 1] = rng.dirichlet(np.ones(len(allowed)))
+        draw = rng.dirichlet(np.ones(len(allowed)))  # over one mode it can read 1 - 2**-53
+        w[np.array(allowed) - 1] = draw if len(allowed) > 1 else 1.0
         t_next = (k + 1) * du
         for c in integral_cs:
             tile = int(math.floor(t / c.T0 + 1e-12))

@@ -606,11 +606,14 @@ def test_every_kernel_calls_the_field_with_one_argument(all_entries, example4, m
                                {"march"})) <= modes
         assert set(paired_args(lambda: simulate_relaxed(system, mixed, 0.0, x0, 3.0, cfg),
                                {"march"})) == {None}
-        for u in (vertex, mixed):
-            assert all(type(p) is tuple and p[0] is entry.reduced.Fhat for p in paired_args(
-                lambda: simulate_reduced(entry.reduced, u, 0.0, x0, 3.0, cfg), {"march"}))
+        # a vertex cell of the reduced system calls the limiting mode field, paired
+        # with its mode; any other cell pairs Fhat with the weights
+        assert set(paired_args(lambda: simulate_reduced(entry.reduced, vertex, 0.0, x0, 3.0,
+                                                        cfg), {"march"})) <= modes
+        assert all(type(p) is tuple and p[0] is entry.reduced.Fhat for p in paired_args(
+            lambda: simulate_reduced(entry.reduced, mixed, 0.0, x0, 3.0, cfg), {"march"}))
         horizon = 12.0 if entry.name == "inverter" else 5.0
-        assert all(type(p) is tuple for p in paired_args(
+        assert all(type(p) is tuple or p in modes for p in paired_args(
             lambda: wzsd_falsify(entry.reduced, eps=0.5, horizon=horizon, budget=20, seed=5),
             {"march"}))
     # the closed loop's advance, and the step of its event bisection

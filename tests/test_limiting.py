@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from functools import partial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -343,26 +344,122 @@ def _probe_states(n, rng):
 
 
 def test_vertex_rhs_reads_fhat_column(all_entries):
-    # a vertex weight reads Fhat's column: equal to the matmul, up to the sign
-    # of a zero component; any other weight keeps the matmul, bit for bit
+    # a vertex weight e_i reads Fhat's column i: on a build_reduced system by
+    # calling the mode field itself, (fields, i + 1) as integrate._mode_rhs pairs
+    # it, and through _fhat_column on any other Fhat.  Either equals the matmul up
+    # to the sign of a zero component; any other weight keeps the matmul, bit for bit
     rng = np.random.default_rng(31)
     for entry in all_entries:
         rls = entry.reduced
+        forwarding = partial(_forward, rls.Fhat)
         for t in (0.0, 0.3, 1.7):
             for x in _probe_states(rls.n, rng):
+                x = x.tolist()
                 F = rls.Fhat(t, x)
                 for i in range(rls.N):
                     w = np.zeros(rls.N)
                     w[i] = 1.0
                     rhs, arg = limiting._reduced_rhs(rls.Fhat, w)
-                    assert rhs is limiting._fhat_column
-                    assert np.array_equal(rhs(t, x, arg), F @ w)
+                    assert rhs is rls.Fhat.fields and arg == i + 1
+                    col, col_arg = limiting._reduced_rhs(forwarding, w)
+                    assert col is limiting._fhat_column
+                    direct = np.array(rhs(t, x, arg), dtype=float)
+                    assert direct.tobytes() == np.array(col(t, x, col_arg)).tobytes()
+                    assert np.array_equal(direct, F @ w)
                 near = np.zeros(rls.N)
                 near[0], near[-1] = 1.0 - 2.0 ** -53, 2.0 ** -53
                 for w in (rng.dirichlet(np.ones(rls.N)), near):
-                    rhs, arg = limiting._reduced_rhs(rls.Fhat, w)
-                    assert rhs is limiting._fhat_mix
-                    assert np.array(rhs(t, x, arg)).tobytes() == (F @ w).tobytes()
+                    for Fhat in (rls.Fhat, forwarding):
+                        rhs, arg = limiting._reduced_rhs(Fhat, w)
+                        assert rhs is limiting._fhat_mix
+                        assert np.array(rhs(t, x, arg)).tobytes() == (F @ w).tobytes()
+
+
+def _forward(Fhat, t, x):
+    return Fhat(t, x)
+
+
+def _reduced_signatures(rls, x0, controls, horizon, budget, seed):
+    """Bytes of simulate_reduced runs under ``controls`` and of the falsifier's
+    verdicts with and without the constraints, on ``rls`` as given."""
+    cfg = IntegratorConfig(step=1e-2)
+    out = []
+    for u in controls:
+        traj = simulate_reduced(rls, u, 0.0, x0, horizon, cfg)
+        out += [traj.times.tobytes(), traj.states.tobytes(), traj.controls.tobytes()]
+    for constraints in (rls.constraints, ()):
+        v = wzsd_falsify(replace(rls, constraints=constraints), eps=0.5, horizon=horizon,
+                         budget=budget, seed=seed)
+        out.append(v.to_json())
+        if v.counterexample is not None:
+            cx = v.counterexample
+            out += [cx.trajectory.states.tobytes(), cx.control.values.tobytes()]
+    return out
+
+
+def test_vertex_fast_path_matches_column_path(all_entries):
+    # the oracle of the direct mode-field march is the column read of a
+    # forwarding Fhat: trajectories, verdicts and counterexamples byte for byte
+    rng = np.random.default_rng(47)
+    for entry in all_entries:
+        rls = entry.reduced
+        n, N = rls.n, rls.N
+        horizon = 12.0 if entry.name == "inverter" else 5.0
+        n_cells = int(round(horizon / 0.25))
+        vertex = np.eye(N)[rng.integers(0, N, n_cells)]
+        mixed = vertex.copy()
+        mixed[::3] = rng.dirichlet(np.ones(N), size=len(mixed[::3]))
+        controls = [RelaxedControl(t0=0.0, step=0.25, values=v) for v in (vertex, mixed)]
+        x0 = rng.uniform(-1.5, 1.5, n)
+        fast = _reduced_signatures(rls, x0, controls, horizon, 200, 3)
+        column = _reduced_signatures(replace(rls, Fhat=partial(_forward, rls.Fhat)), x0,
+                                     controls, horizon, 200, 3)
+        assert fast == column, entry.name
+
+
+def test_vertex_march_evaluates_no_other_mode(cfg_fast):
+    # a limiting field that cannot be evaluated in mode 2 does not stop a vertex-1
+    # march, which is then the switched march of mode 1, bit for bit; stacking
+    # every mode, as a forwarding Fhat's column read does, raises
+    from swstab import SwitchedSystem, simulate
+
+    def fhat(t, x, i):
+        if i == 2:
+            raise ZeroDivisionError("mode 2 has no limiting field here")
+        return (x[1], -0.5 * x[0])
+
+    system = SwitchedSystem(n=2, N=2, f=fhat, h=lambda t, x, i: (0.0,), p=1)
+    rls = build_reduced(system, trivial_covering(2))
+    u = RelaxedControl(t0=0.0, step=0.5, values=np.tile([1.0, 0.0], (4, 1)))
+    x0 = np.array([1.0, 0.3])
+    traj = simulate_reduced(rls, u, 0.0, x0, 2.0, cfg_fast)
+    sigma = SwitchingSignal(breakpoints=np.array([0.0]), modes=np.array([1]),
+                            domain_start=0.0, domain_end=2.0)
+    ref = simulate(system, sigma, 0.0, x0, 2.0, cfg_fast)
+    assert traj.times.tobytes() == ref.times.tobytes()
+    assert traj.states.tobytes() == ref.states.tobytes()
+    with pytest.raises(ZeroDivisionError):
+        simulate_reduced(replace(rls, Fhat=partial(_forward, rls.Fhat)), u, 0.0, x0, 2.0,
+                         cfg_fast)
+
+
+def test_single_allowed_mode_is_the_vertex(motivating):
+    # a Dirichlet draw over one mode reads 1 - 2**-53 on some draws; the face-random
+    # candidate still takes the draw, so its rng stream is unchanged, but puts
+    # weight exactly 1.0 on the mode
+    rls = replace(motivating.reduced, constraints=())
+    rng, ref = np.random.default_rng(0), np.random.default_rng(0)
+    choose, _ = limiting._face_random_candidate(rls, [], rng, 10, 0.05, 0.5, 1e-8)
+    limiting._face_random_candidate(rls, [], ref, 10, 0.05, 0.5, 1e-8)
+    H = {1: np.array([0.0, 1.0]), 2: np.array([1.0, 0.0])}  # only mode 1, only mode 2
+    off_vertex = 0
+    for k in range(10_000):
+        mode = 1 + k % 2
+        w = choose(0, 0.0, [1.0, 0.5], H[mode])
+        assert w.tolist() == np.eye(2)[mode - 1].tolist()
+        off_vertex += float(ref.dirichlet(np.ones(1))[0]) != 1.0
+    assert off_vertex > 0  # the draws this guards against do occur
+    assert rng.random() == ref.random()
 
 
 def test_vertex_rhs_departures_from_matmul(motivating, cfg_fast):

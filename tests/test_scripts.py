@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import math
+import time
 from pathlib import Path
 
 
@@ -14,8 +15,9 @@ def _load(name):
     return module
 
 
-def test_bench_measures_every_row(tmp_path, capsys):
+def test_bench_measures_every_row(tmp_path, capsys, monkeypatch):
     bench = _load("bench")
+    monkeypatch.setattr(bench, "MIN_REPEAT_S", 0.0)  # one call per repeat; looping is tested below
     record = tmp_path / "pb.json"
     record.write_text(json.dumps({
         "workload": "envelope-motivating", "seed": 4, "seconds": 2.0, "trace": 0,
@@ -50,6 +52,33 @@ def test_bench_measures_every_row(tmp_path, capsys):
     assert doc["L3"] == {"envelope-motivating": {"ops_per_s_median": 40.0, "runs": [
         {"seed": 4, "seconds": 2.0, "ops_per_s": 40.0, "peak_rss_mb": 50.0, "setup_s": 0.03,
          "correct": True, "failed": 0}]}}
+
+
+def test_bench_repeats_loop_to_the_minimum_duration(monkeypatch):
+    # an untimed first call sets the loop count; each repeat then calls the
+    # work unit that many times and the figure is time per unit over all of them
+    bench = _load("bench")
+    monkeypatch.setattr(bench, "MIN_REPEAT_S", 0.05)
+    calls = []
+
+    def run():
+        calls.append(None)
+        time.sleep(0.005)
+        return 4
+
+    class Clock:
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            pass
+
+        now = staticmethod(time.perf_counter)
+
+    per_unit = bench._timed(run, 3, Clock)
+    loops = (len(calls) - 1) // 3
+    assert len(calls) == 1 + 3 * loops and 1 < loops <= 10
+    assert 0.005 / 4 <= per_unit < 0.05 / 4
 
 
 def test_grid_refinement_study_contracts(capsys):
