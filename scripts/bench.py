@@ -19,7 +19,11 @@ Layers (ROADMAP aim 1), all with pinned seeds and through the public API:
     20, alternating vertex cells of length 0.5;
   - one envelope trial of motivating through ``make_driver``, horizon 200,
     step 2e-2, signal generation included.
-  A row is the run's time divided by its step count (grid nodes minus one).
+  A row is the run's time divided by its step count (grid nodes minus one),
+  except ``falsifier_cell/motivating``: the constrained ``wzsd_falsify``
+  search of motivating (horizon 5, budget 1 000, seed 105) divided by the
+  cells its screen marched (``cells_marched``), each cell five RK4 steps
+  plus its draw and residual tests.
 - L2, milliseconds per 10 000 work units of each checker, on pinned inputs:
   - ``check_decrease_along`` and ``check_integral_bound`` per 10k grid nodes,
     on L1's closed loop of example4 (8 017 nodes) and on one open-loop run
@@ -120,7 +124,7 @@ def _closed_loop_example4(cfg):
 
 
 def measure_l1(repeats: int, clock) -> dict:
-    """{row: seconds per RK4 step}."""
+    """{row: seconds per RK4 step, or per screened cell for the falsifier row}."""
     def per_step(run):
         return _timed(lambda: len(run().times) - 1, repeats, clock)
 
@@ -155,6 +159,10 @@ def measure_l1(repeats: int, clock) -> dict:
     driver = sw.make_driver(mot, sw.IntegratorConfig(step=2e-2))
     timed["envelope_trial/motivating"] = per_step(
         lambda: driver(3.0, np.array([0.6, -0.7]), 203.0, 11))
+
+    timed["falsifier_cell/motivating"] = _timed(
+        lambda: sw.wzsd_falsify(mot.reduced, eps=0.5, horizon=5.0, budget=1_000,
+                                seed=105).notes["cells_marched"], repeats, clock)
     return timed
 
 

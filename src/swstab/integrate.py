@@ -265,13 +265,13 @@ def _march(rhs_of_weights, u: RelaxedControl, t0: float, x0: np.ndarray, tf: flo
     cells: list = [k]
     same_as_prev = [False] + np.all(u.values[1:] == u.values[:-1], axis=1).tolist()
     march = _rk4_kernels(n)[1]
-    while tf > t0 and u.t0 + k * u.step < tf - 1e-12 and k < u.n_cells:
+    n_cells, c0, dc = u.n_cells, u.t0, u.step
+    while tf > t0 and c0 + k * dc < tf - 1e-12 and k < n_cells:
         k_end = k + 1
-        while (k_end < u.n_cells and u.t0 + k_end * u.step < tf - 1e-12
-               and same_as_prev[k_end]):
+        while k_end < n_cells and c0 + k_end * dc < tf - 1e-12 and same_as_prev[k_end]:
             k_end += 1
-        a = max(t0, u.t0 + k * u.step)
-        b = min(tf, u.t0 + k_end * u.step)
+        a = max(t0, c0 + k * dc)
+        b = min(tf, c0 + k_end * dc)
         cells[-1] = k  # node on the incoming cell's left edge takes its value
         n_before = len(ts)
         rhs, arg = rhs_of_weights(u.values[k])

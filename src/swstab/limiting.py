@@ -43,6 +43,7 @@ from .signals import (
 )
 
 VERTEX_TOL = 1e-6  # a control cell counts as a vertex if within this of e_i (sup norm)
+_ULP = 2.0 ** -53  # unit roundoff of float64
 
 
 @dataclass(frozen=True)
@@ -118,21 +119,21 @@ def _fhat_mix(t, x, Fhat_w):
     return (Fhat(t, x) @ w).tolist()
 
 
-def _reduced_rhs(Fhat, w: np.ndarray):
-    """(rhs, arg) for dx/dt = Fhat(t, x) @ w.  A vertex e_i gives (fields, i + 1)
-    on a ``_StackedFields``, its mode field as ``integrate._mode_rhs`` pairs it
-    (no other mode is evaluated), and reads column i of any other Fhat.
+def _reduced_rhs(Fhat, w: list):
+    """(rhs, arg) for dx/dt = Fhat(t, x) @ w, w a list of cell weights.  A vertex
+    e_i gives (fields, i + 1) on a ``_StackedFields``, its mode field as
+    ``integrate._mode_rhs`` pairs it (no other mode is evaluated), and reads
+    column i of any other Fhat; any other w is the matmul with ``np.array(w)``.
 
     The vertex value equals the matmul up to the sign of a zero component, and
     a non-finite entry of an unused column no longer turns into NaN via 0 * inf.
     """
-    wl = w.tolist()
-    if wl.count(0.0) == len(wl) - 1 and 1.0 in wl:
-        i = wl.index(1.0)
+    if w.count(0.0) == len(w) - 1 and 1.0 in w:
+        i = w.index(1.0)
         if type(Fhat) is _StackedFields:
             return Fhat.fields, i + 1
         return _fhat_column, (Fhat, i)
-    return _fhat_mix, (Fhat, w)
+    return _fhat_mix, (Fhat, np.array(w))
 
 
 def simulate_reduced(rls: ReducedLimitingSystem, u: RelaxedControl, t0: float,
@@ -144,7 +145,8 @@ def simulate_reduced(rls: ReducedLimitingSystem, u: RelaxedControl, t0: float,
     records no output; ``output_residual`` evaluates Hhat . u.
     """
     Fhat = rls.Fhat
-    ts, xs, cells = _march(lambda w: _reduced_rhs(Fhat, w), u, t0, x0, tf, cfg, rls.n, rls.N)
+    ts, xs, cells = _march(lambda w: _reduced_rhs(Fhat, w.tolist()), u, t0, x0, tf, cfg,
+                           rls.n, rls.N)
     return Trajectory(times=np.array(ts), states=_rows(xs, rls.n), controls=u.values[cells])
 
 
@@ -292,15 +294,16 @@ def _shell_state(rng: np.random.Generator, n: int, eps: float, sparse: bool) -> 
 
 
 def _integral_steering(c, t, accrued, w, allowed):
-    """Blend toward the constrained mode's vertex to chase the window quota."""
+    """Blend the weight list w toward the constrained mode's vertex v to chase
+    the window quota: (1 - lam) * w_i + lam * v_i, as the array expression rounds."""
     tile_end = (math.floor(t / c.T0 + 1e-12) + 1) * c.T0
     deficit = c.delta0 - accrued
     if deficit <= 0 or c.mode not in allowed:
         return w
     lam = min(1.0, deficit / max(tile_end - t, 1e-12))
-    v = np.zeros(len(w))
+    v = [0.0] * len(w)
     v[c.mode - 1] = 1.0
-    return (1.0 - lam) * w + lam * v
+    return [(1.0 - lam) * a + lam * b for a, b in zip(w, v)]
 
 
 # Reasons a candidate is rejected, in the order FalsifierVerdict.notes["aborts"] lists them.
@@ -321,17 +324,41 @@ class _Tally:
         self.cells = 0
 
 
+def _dot_residual(H, w) -> float:
+    """H . w as numpy rounds it (a length-2 dot is fma(H1, w1, H0 * w0))."""
+    return float(np.array(H) @ np.array(w))
+
+
+def _residual_ok(H: list, w: list, tol: float) -> bool:
+    """``_dot_residual(H, w) <= tol``, decided by the float sum s where it can.
+
+    s and numpy's dot each lie within about N * 2**-53 * sum|H_i w_i| of the
+    exact value (a subnormal product adds at most 2**-1074), so s decides
+    whenever |s - tol| exceeds 4 * N * 2**-53 * sum|H_i w_i| + 1e-300.  Inside
+    that band, and when either sum is NaN or inf, numpy's dot decides.
+    """
+    s = a = 0.0
+    for h, v in zip(H, w):
+        p = h * v
+        s += p
+        a += abs(p)
+    if abs(s - tol) > 4.0 * len(H) * _ULP * a + 1e-300:  # False on NaN
+        return s <= tol
+    return _dot_residual(H, w) <= tol
+
+
 def _rollout(rls: ReducedLimitingSystem, u_cells, x0, horizon, du, step, eps,
              residual_tol, divergence_bound, tally: _Tally) -> np.ndarray:
     """Screen a candidate cell by cell; returns its cell weights or raises _Abort.
 
-    ``u_cells`` is an array of cell weights, or a callable u_cells(k, t, x, H)
-    that is handed H = Hhat(t, x) and returns them or raises _Abort (the
-    face-random closed loop).  Hhat is evaluated once per grid node: a cell's
-    end value is the next cell's start value when the two times are equal
-    floats.  Each cell is marched by the integrator's RK4 in sub-steps no
-    longer than ``step``.  The norm floor (a sum of squares of the float-list
-    state) is checked at cell ends only: _validate_candidate re-checks every node.
+    ``u_cells`` is an array of cell weights, read as lists of floats, or a
+    callable u_cells(k, t, x, H) that is handed H = Hhat(t, x) as a list and
+    returns the weight list or raises _Abort (the face-random closed loop).
+    Hhat is evaluated once per grid node: a cell's end value is the next
+    cell's start value when the two times are equal floats.  Each cell is
+    marched by the integrator's RK4 in sub-steps no longer than ``step``.  The
+    norm floor (a sum of squares of the float-list state) is checked at cell
+    ends only: _validate_candidate re-checks every node.
     """
     n_cells = int(round(horizon / du))
     x = np.asarray(x0, dtype=float)
@@ -341,15 +368,17 @@ def _rollout(rls: ReducedLimitingSystem, u_cells, x0, horizon, du, step, eps,
     sub = max(1, int(math.ceil(du / step - 1e-12)))
     Fhat, Hhat = rls.Fhat, rls.Hhat
     closed_loop = callable(u_cells)
+    if not closed_loop:
+        u_cells = u_cells.tolist()
     march = _rk4_kernels(len(x))[1]
     ws = []
     t_end = H_end = None
     for k in range(n_cells):
         t = k * du
-        H = H_end if t == t_end else Hhat(t, x)
+        H = H_end if t == t_end else Hhat(t, x).tolist()
         w = u_cells(k, t, x, H) if closed_loop else u_cells[k]
         ws.append(w)
-        if not float(H @ w) <= residual_tol:  # a NaN residual fails too
+        if not _residual_ok(H, w, residual_tol):  # a NaN residual fails too
             raise _Abort("residual")
         rhs, arg = _reduced_rhs(Fhat, w)
         t_end = t + du
@@ -360,8 +389,8 @@ def _rollout(rls: ReducedLimitingSystem, u_cells, x0, horizon, du, step, eps,
             raise _Abort("diverged") from None
         if sum([v * v for v in x]) < eps * eps:
             raise _Abort("norm_floor")
-        H_end = Hhat(t_end, x)
-        if not float(H_end @ w) <= residual_tol:
+        H_end = Hhat(t_end, x).tolist()
+        if not _residual_ok(H_end, w, residual_tol):
             raise _Abort("residual")
     return np.array(ws)
 
@@ -507,9 +536,20 @@ def _face_random_candidate(rls, integral_cs, rng, n_cells, du, eps, residual_tol
         allowed = [i for i in active if Hv[i - 1] <= residual_tol]
         if not allowed:
             raise _Abort("empty_face")
-        w = np.zeros(rls.N)
-        draw = rng.dirichlet(np.ones(len(allowed)))  # over one mode it can read 1 - 2**-53
-        w[np.array(allowed) - 1] = draw if len(allowed) > 1 else 1.0
+        # rng.dirichlet(np.ones(k)), drawn as numpy draws it: k standard exponentials
+        # summed from 0.0 (a loop: sum() compensates from Python 3.12 on) and scaled
+        # by 1 / sum; same stream, same bits
+        draw = rng.standard_exponential(len(allowed)).tolist()
+        w = [0.0] * rls.N
+        if len(allowed) == 1:
+            w[allowed[0] - 1] = 1.0  # the normalised draw can read 1 - 2**-53
+        else:
+            acc = 0.0
+            for v in draw:
+                acc += v
+            inv = 1.0 / acc
+            for i, v in zip(allowed, draw):
+                w[i - 1] = v * inv
         t_next = (k + 1) * du
         for c in integral_cs:
             tile = int(math.floor(t / c.T0 + 1e-12))

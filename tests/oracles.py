@@ -4,8 +4,9 @@ These deliberately avoid the validators' breakpoint arithmetic: the signal is
 sampled onto a dense 1e-4 s grid (the generators' storage granularity, so
 sampling is exact for on-grid breakpoints) and window quantities are computed
 from cumulative sums over that grid.  The weak-Lyapunov checkers have
-per-node reference loops, and the integrators the ndarray RK4 kernel that
-the float-list kernel replaced, at the end of the file.
+per-node reference loops, the integrators the ndarray RK4 kernel that the
+float-list kernel replaced, and the falsifier the ndarray screen that its
+float-list screen replaced, at the end of the file.
 """
 
 from __future__ import annotations
@@ -14,9 +15,12 @@ import math
 
 import numpy as np
 
-from swstab.core import BOUNDARY_TOL, BlowUpError, DynamicsError
+from swstab.core import BOUNDARY_TOL, BlowUpError, DynamicsError, active_index_set
+from swstab.integrate import _rk4_kernels
+from swstab.limiting import _Abort, _reduced_rhs, _shell_state
 from swstab.lyapunov import (REVISIT_TOL, SLACK_CURVATURE_FACTOR, SLACK_FLOOR, CheckReport,
                              DecreaseReport)
+from swstab.signals import TIE_TOL
 
 DENSE = 1e-4
 TIE = 1e-9
@@ -266,3 +270,96 @@ def switched_outputs_reference(sys, traj):
         out[k] = sys.h(t, x, i)
     return out
 
+
+
+# ---------------------------------------------------------------------------
+# ndarray falsifier screen
+# ---------------------------------------------------------------------------
+# The cell-by-cell screen of swstab.limiting as it ran on float64 arrays:
+# Hhat values and cell weights as arrays, the residual as the array product
+# H @ w, the face-random weights drawn with rng.dirichlet and the quota
+# steering as array arithmetic.  Handed out in place of ``_rollout`` and
+# ``_face_random_candidate``, they must give the same verdicts and
+# counterexamples bit for bit.  Cells are marched by the production kernel.
+
+
+def integral_steering_reference(c, t, accrued, w, allowed):
+    tile_end = (math.floor(t / c.T0 + 1e-12) + 1) * c.T0
+    deficit = c.delta0 - accrued
+    if deficit <= 0 or c.mode not in allowed:
+        return w
+    lam = min(1.0, deficit / max(tile_end - t, 1e-12))
+    v = np.zeros(len(w))
+    v[c.mode - 1] = 1.0
+    return (1.0 - lam) * w + lam * v
+
+
+def rollout_reference(rls, u_cells, x0, horizon, du, step, eps, residual_tol,
+                      divergence_bound, tally):
+    n_cells = int(round(horizon / du))
+    x = np.asarray(x0, dtype=float)
+    if float(np.linalg.norm(x)) < eps:
+        raise _Abort("start_below_floor")
+    x = x.tolist()
+    sub = max(1, int(math.ceil(du / step - 1e-12)))
+    Fhat, Hhat = rls.Fhat, rls.Hhat
+    closed_loop = callable(u_cells)
+    march = _rk4_kernels(len(x))[1]
+    ws = []
+    t_end = H_end = None
+    for k in range(n_cells):
+        t = k * du
+        H = H_end if t == t_end else Hhat(t, x)
+        w = u_cells(k, t, x, H) if closed_loop else u_cells[k]
+        ws.append(w)
+        if not float(H @ w) <= residual_tol:
+            raise _Abort("residual")
+        rhs, arg = _reduced_rhs(Fhat, w.tolist())
+        t_end = t + du
+        tally.cells += 1
+        try:
+            x = march(rhs, t, x, t_end, step, divergence_bound, [], [], n_steps=sub, arg=arg)
+        except (BlowUpError, DynamicsError):
+            raise _Abort("diverged") from None
+        if sum([v * v for v in x]) < eps * eps:
+            raise _Abort("norm_floor")
+        H_end = Hhat(t_end, x)
+        if not float(H_end @ w) <= residual_tol:
+            raise _Abort("residual")
+    return np.array(ws)
+
+
+def face_random_candidate_reference(rls, integral_cs, rng, n_cells, du, eps, residual_tol):
+    x0 = _shell_state(rng, rls.n, eps, sparse=bool(rng.integers(0, 2)))
+    accrued = {id(c): 0.0 for c in integral_cs}
+    tile_of = {id(c): 0 for c in integral_cs}
+
+    def unreachable(c, acc, t, tile):
+        return acc + ((tile + 1) * c.T0 - t) < c.delta0 - TIE_TOL
+
+    def choose(k, t, x, Hv):
+        active = active_index_set(x, rls.covering, tol=BOUNDARY_TOL)
+        allowed = [i for i in active if Hv[i - 1] <= residual_tol]
+        if not allowed:
+            raise _Abort("empty_face")
+        w = np.zeros(rls.N)
+        draw = rng.dirichlet(np.ones(len(allowed)))
+        w[np.array(allowed) - 1] = draw if len(allowed) > 1 else 1.0
+        t_next = (k + 1) * du
+        for c in integral_cs:
+            tile = int(math.floor(t / c.T0 + 1e-12))
+            if tile != tile_of[id(c)]:
+                if accrued[id(c)] < c.delta0 - TIE_TOL:
+                    raise _Abort("window_quota_missed")
+                tile_of[id(c)] = tile
+                accrued[id(c)] = 0.0
+                if unreachable(c, 0.0, t, tile):
+                    raise _Abort("window_quota_unreachable")
+            w = integral_steering_reference(c, t, accrued[id(c)], w, allowed)
+            accrued[id(c)] += w[c.mode - 1] * du
+            if (k + 1 < n_cells and int(math.floor(t_next / c.T0 + 1e-12)) == tile
+                    and unreachable(c, accrued[id(c)], t_next, tile)):
+                raise _Abort("window_quota_unreachable")
+        return w
+
+    return choose, x0

@@ -357,7 +357,7 @@ def test_vertex_rhs_reads_fhat_column(all_entries):
                 x = x.tolist()
                 F = rls.Fhat(t, x)
                 for i in range(rls.N):
-                    w = np.zeros(rls.N)
+                    w = [0.0] * rls.N
                     w[i] = 1.0
                     rhs, arg = limiting._reduced_rhs(rls.Fhat, w)
                     assert rhs is rls.Fhat.fields and arg == i + 1
@@ -365,14 +365,15 @@ def test_vertex_rhs_reads_fhat_column(all_entries):
                     assert col is limiting._fhat_column
                     direct = np.array(rhs(t, x, arg), dtype=float)
                     assert direct.tobytes() == np.array(col(t, x, col_arg)).tobytes()
-                    assert np.array_equal(direct, F @ w)
-                near = np.zeros(rls.N)
+                    assert np.array_equal(direct, F @ np.array(w))
+                near = [0.0] * rls.N
                 near[0], near[-1] = 1.0 - 2.0 ** -53, 2.0 ** -53
-                for w in (rng.dirichlet(np.ones(rls.N)), near):
+                for w in (rng.dirichlet(np.ones(rls.N)).tolist(), near):
                     for Fhat in (rls.Fhat, forwarding):
                         rhs, arg = limiting._reduced_rhs(Fhat, w)
                         assert rhs is limiting._fhat_mix
-                        assert np.array(rhs(t, x, arg)).tobytes() == (F @ w).tobytes()
+                        assert (np.array(rhs(t, x, arg)).tobytes()
+                                == (F @ np.array(w)).tobytes())
 
 
 def _forward(Fhat, t, x):
@@ -456,7 +457,7 @@ def test_single_allowed_mode_is_the_vertex(motivating):
     for k in range(10_000):
         mode = 1 + k % 2
         w = choose(0, 0.0, [1.0, 0.5], H[mode])
-        assert w.tolist() == np.eye(2)[mode - 1].tolist()
+        assert list(w) == np.eye(2)[mode - 1].tolist()
         off_vertex += float(ref.dirichlet(np.ones(1))[0]) != 1.0
     assert off_vertex > 0  # the draws this guards against do occur
     assert rng.random() == ref.random()
@@ -466,7 +467,7 @@ def test_vertex_rhs_departures_from_matmul(motivating, cfg_fast):
     # the two stated exceptions: a zero component keeps the column's sign, and
     # a non-finite unused column no longer turns into NaN through 0 * inf
     F = np.array([[-0.0, 0.0], [2.0, np.inf]])
-    rhs, arg = limiting._reduced_rhs(lambda t, x: F, np.array([1.0, 0.0]))
+    rhs, arg = limiting._reduced_rhs(lambda t, x: F, [1.0, 0.0])
     col = rhs(0.0, None, arg)
     assert np.array(col).tobytes() == np.array([-0.0, 2.0]).tobytes()
     with np.errstate(invalid="ignore"):
@@ -570,3 +571,136 @@ def test_quota_abort_before_the_doomed_cell(motivating):
     choose, _ = limiting._face_random_candidate(rls, [c], rng, 100, 0.05, 0.5, 1e-8)
     for k in range(100):
         choose(k, k * 0.05, x, np.zeros(2))
+
+
+# --- the float-list screen against the ndarray screen -----------------------------
+
+
+def _recording(factory, log):
+    """``factory`` of face-random candidates whose closed loop logs the bytes of
+    every state, Hhat value and weight it sees or returns."""
+    def make(*args):
+        choose, x0 = factory(*args)
+
+        def logged(k, t, x, H):
+            w = choose(k, t, x, H)
+            log.extend(np.array(v, dtype=float).tobytes() for v in (x, H, w))
+            return w
+
+        return logged, x0
+
+    return make
+
+
+def _search_signatures(all_entries, seeds, budgets, monkeypatch, factory):
+    """Verdict dicts and counterexample bytes of seeded searches on every registry
+    system, with and without its constraints, and the log of every closed-loop cell."""
+    out, log = [], []
+    monkeypatch.setattr(limiting, "_face_random_candidate", _recording(factory, log))
+    for entry in all_entries:
+        horizon = 12.0 if entry.name == "inverter" else 5.0
+        for seed in seeds:
+            for constraints, budget in zip((entry.reduced.constraints, ()), budgets):
+                rls = replace(entry.reduced, constraints=constraints)
+                v = wzsd_falsify(rls, eps=0.5, horizon=horizon, budget=budget, seed=seed)
+                out.append(v.to_dict())
+                if v.counterexample is not None:
+                    cx = v.counterexample
+                    out += [cx.control.values.tobytes(), cx.trajectory.states.tobytes(),
+                            cx.trajectory.outputs.tobytes()]
+    return out, log
+
+
+def test_float_screen_matches_ndarray_screen(all_entries, monkeypatch):
+    # the ndarray screen (H @ w, rng.dirichlet, array steering) as the oracle of
+    # the float-list one: verdicts, counters, counterexamples and every
+    # closed-loop cell's state, Hhat value and weights, bit for bit
+    from oracles import face_random_candidate_reference, rollout_reference
+
+    seeds, budgets = (1, 7, 105), (300, 150)
+    fast, fast_log = _search_signatures(all_entries, seeds, budgets, monkeypatch,
+                                        limiting._face_random_candidate)
+    monkeypatch.setattr(limiting, "_rollout", rollout_reference)
+    ref, ref_log = _search_signatures(all_entries, seeds, budgets, monkeypatch,
+                                      face_random_candidate_reference)
+    assert ref == fast
+    assert len(ref_log) == len(fast_log) > 0
+    assert ref_log == fast_log
+    found = sum(isinstance(part, dict) and part["verdict"] == "counterexample" for part in fast)
+    assert 0 < found < len(all_entries) * len(seeds) * 2  # both verdicts are compared
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_normalised_exponentials_are_the_dirichlet_draw(k):
+    # numpy draws Dirichlet(1, ..., 1) as standard exponentials summed from 0.0
+    # and scaled by 1 / sum, so choose's draw has the same bits and leaves the
+    # generator at the same point
+    from swstab import SwitchedSystem
+
+    rng, ref = np.random.default_rng(100 + k), np.random.default_rng(100 + k)
+    for _ in range(10_000):
+        draw = rng.standard_exponential(k).tolist()
+        acc = 0.0
+        for v in draw:
+            acc += v
+        inv = 1.0 / acc
+        assert [v * inv for v in draw] == ref.dirichlet(np.ones(k)).tolist()
+    assert rng.random() == ref.random()
+    if k == 1:
+        return  # choose puts 1.0 on a single mode: test_single_allowed_mode_is_the_vertex
+    # choose with every one of k modes on the face
+    system = SwitchedSystem(n=2, N=k, f=lambda t, x, i: (0.0, 0.0), h=lambda t, x, i: (0.0,))
+    rls = build_reduced(system, trivial_covering(k))
+    choose, _ = limiting._face_random_candidate(rls, [], rng, 10, 0.05, 0.5, 1e-8)
+    limiting._face_random_candidate(rls, [], ref, 10, 0.05, 0.5, 1e-8)
+    for _ in range(10_000):
+        assert choose(0, 0.0, [1.0, 0.5], [0.0] * k) == ref.dirichlet(np.ones(k)).tolist()
+    assert rng.random() == ref.random()
+
+
+def _residual_cases(rng):
+    """(H, w, tol) on and around the tie H . w == tol."""
+    ulp = 2.0 ** -52
+    for N in (2, 3, 4):
+        for _ in range(300):
+            w = rng.dirichlet(np.ones(N)).tolist()
+            tol = float(rng.uniform(1e-10, 1.0))
+            for j in range(-4, 5):
+                yield [tol * (1.0 + j * ulp)] * N, w, tol  # every H_i at or near tol
+            H = rng.uniform(0.0, 2.0, N)
+            yield H.tolist(), w, float(H @ np.array(w))  # tol the dot itself
+            yield H.tolist(), w, float(np.nextafter(H @ np.array(w), 0.0))
+        w = [1.0 / N] * N
+        for H in ([0.0] * N, [5e-324] * N, [1e-300] * N, [1e-160] * N):
+            for tol in (0.0, 5e-324, 1e-320):
+                yield H, w, tol  # tol = 0 and subnormal products
+        for bad in (np.nan, np.inf, -np.inf):
+            H = [0.0] * N
+            H[-1] = bad
+            yield H, w, 1e-8
+            yield H, [1.0] + [0.0] * (N - 1), 1e-8  # 0 * inf
+
+
+def test_residual_test_matches_the_array_product(monkeypatch):
+    # the float sum decides outside its rounding band and numpy's dot inside
+    # it: the verdict is the array product's on every case, and the dot runs
+    # on the ties
+    dots = []
+    dot = limiting._dot_residual
+
+    def counted(H, w):
+        dots.append((H, w))
+        return dot(H, w)
+
+    monkeypatch.setattr(limiting, "_dot_residual", counted)
+    cases = list(_residual_cases(np.random.default_rng(29)))
+    with np.errstate(invalid="ignore"):
+        for H, w, tol in cases:
+            assert limiting._residual_ok(H, w, tol) == (np.array(H) @ np.array(w) <= tol), \
+                (H, w, tol)
+    assert 0 < len(dots) < len(cases)
+    dots.clear()
+    assert limiting._residual_ok([0.5, 0.5], [0.5, 0.5], 0.5) and len(dots) == 1  # a tie
+    assert limiting._residual_ok([0.0, 1.0], [1.0, 0.0], 1e-8) and len(dots) == 1
+    assert not limiting._residual_ok([1.0, 0.0], [1.0, 0.0], 1e-8) and len(dots) == 1
+    assert not limiting._residual_ok([np.nan, 0.0], [0.5, 0.5], 1e-8) and len(dots) == 2

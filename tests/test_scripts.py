@@ -35,7 +35,7 @@ def test_bench_measures_every_row(tmp_path, capsys, monkeypatch):
     l1 = ([f"{run}/{name}" for name in bench.SYSTEMS
            for run in ("simulate", "simulate_relaxed")]
           + ["simulate_with_covering/example4", "simulate_reduced/motivating",
-             "envelope_trial/motivating"])
+             "envelope_trial/motivating", "falsifier_cell/motivating"])
     l2 = ([f"{check}/{name}" for name in ("example4", "motivating")
            for check in ("check_decrease_along", "check_integral_bound")]
           + ["validate_covering_invariance/example4", "validate_measure/motivating",
@@ -47,7 +47,7 @@ def test_bench_measures_every_row(tmp_path, capsys, monkeypatch):
         rows = doc[layer][unit]
         assert sorted(rows) == sorted(expected), layer
         assert all(math.isfinite(v) and v > 0.0 for v in rows.values()), (layer, rows)
-    assert len(l1) == 11 and len(l2) == 9
+    assert len(l1) == 12 and len(l2) == 9
     # the traced record is skipped
     assert doc["L3"] == {"envelope-motivating": {"ops_per_s_median": 40.0, "runs": [
         {"seed": 4, "seconds": 2.0, "ops_per_s": 40.0, "peak_rss_mb": 50.0, "setup_s": 0.03,
