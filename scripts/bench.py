@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Write the benchmark record BENCH_<pr>.json: layers L0, L1, L2 and optionally L3.
+"""Write the benchmark record BENCH_<pr>.json: layers L0, L1, L2, L4 and optionally L3.
 
     PYTHONPATH=src python3 scripts/bench.py --out BENCH_12.json [--repeats 3] \\
         [perfbench/out/<workload>_seed<seed>_trace0.json ...]
@@ -40,6 +40,12 @@ Layers (ROADMAP aim 1), all with pinned seeds and through the public API:
   workload's untraced runs (seed, ``ops_per_s``, ``peak_rss_mb``,
   ``setup_s``, ``correct``, ``failed``) and their median ``ops_per_s``.
   Traced records are skipped: the tracer's own cost is in their figures.
+- L4, one run of the Tier-1 suite (``python -m pytest -q
+  --continue-on-collection-errors`` from the repository root, ``src/`` on
+  the path), read from its ``--junitxml`` report: the suite's wall seconds
+  and test counts, and each acceptance criterion's wall seconds (setup,
+  call and teardown, so a criterion that first builds a shared fixture
+  carries its cost).  L4 figures are pytest's own wall time, not scaled.
 
 L0, L1 and L2 figures are the median over the repeats.  Every repeat runs
 under ``SpeedClock`` of perfbench/run.py, which samples the machine's speed
@@ -57,8 +63,13 @@ import argparse
 import importlib.util
 import json
 import math
+import os
 import statistics
+import subprocess
+import sys
+import tempfile
 import time
+import xml.etree.ElementTree as ET
 from functools import partial
 from pathlib import Path
 
@@ -227,6 +238,36 @@ def read_l3(paths) -> dict:
             for w, rows in sorted(runs.items())}
 
 
+def run_tier1(junit: Path) -> None:
+    """One run of the Tier-1 suite from the repository root, reported to ``junit``."""
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
+    subprocess.run([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+                    f"--junitxml={junit}"], cwd=ROOT, env={**os.environ, "PYTHONPATH": path},
+                   stdout=subprocess.DEVNULL, check=False)
+
+
+def read_l4(junit) -> dict:
+    """The Tier-1 run's wall seconds and counts, and each acceptance criterion's
+    wall seconds, from its JUnit XML report."""
+    root = ET.parse(junit).getroot()
+    suite = root if root.tag == "testsuite" else root.find("testsuite")
+    counts = {k: int(suite.get(k)) for k in ("tests", "failures", "errors", "skipped")}
+    criteria = {case.get("name"): float(case.get("time")) for case in suite.iter("testcase")
+                if case.get("classname") == "tests.test_acceptance"
+                and case.get("name").startswith("test_criterion_")}
+    return {"tier1": {"wall_s": float(suite.get("time")),
+                      "passed": counts["tests"] - counts["failures"] - counts["errors"]
+                      - counts["skipped"], **counts},
+            "criteria_wall_s": dict(sorted(criteria.items()))}
+
+
+def measure_l4() -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        junit = Path(tmp) / "tier1.xml"
+        run_tier1(junit)
+        return read_l4(junit)
+
+
 # (layer, measure, unit, seconds per work unit -> the unit's figure)
 LAYERS = (("L0", measure_l0, "field_evals_per_s", lambda s: 1.0 / s),
           ("L1", measure_l1, "us_per_step", lambda s: s * 1e6),
@@ -241,6 +282,7 @@ def bench(repeats: int, records=()) -> dict:
         doc[layer] = {unit: {k: factor(s) for k, s in timed.items()}}
     if records:
         doc["L3"] = read_l3(records)
+    doc["L4"] = measure_l4()
     return doc
 
 
@@ -257,6 +299,11 @@ def main(argv=None) -> None:
     for w, row in doc.get("L3", {}).items():
         print(f"L3 {w:36s} {row['ops_per_s_median']:12.2f} ops_per_s median of "
               f"{len(row['runs'])}")
+    tier1 = doc["L4"]["tier1"]
+    print(f"L4 {'tier1':36s} {tier1['wall_s']:12.2f} s wall, {tier1['passed']} of "
+          f"{tier1['tests']} passed")
+    for k, v in doc["L4"]["criteria_wall_s"].items():
+        print(f"L4 {k:52s} {v:8.2f} s wall")
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")

@@ -256,7 +256,8 @@ def trivial_covering(n_modes: int) -> Covering:
 
 def active_index_set(xi: np.ndarray, covering: Covering, tol: float = 0.0) -> tuple[int, ...]:
     """Indices i whose closed piece contains xi; raises CoveringError if empty."""
-    idx = tuple(i for i in range(1, covering.N + 1) if covering.membership(xi, i, tol))
+    margin = covering.margin
+    idx = tuple([i for i in range(1, covering.N + 1) if margin(xi, i) >= -tol])
     if not idx:
         raise CoveringError(f"point {xi} is not covered by any piece")
     return idx

@@ -90,8 +90,8 @@ class CheckReport:
 
 
 def check_sandwich(cert: LyapunovCertificate, box_lo, box_hi, covering: Covering,
-                   density: int = 9, t_grid=(0.0,)) -> CheckReport:
-    """Sample phi1(|xi|) <= V(t, xi, i) <= phi2(|xi|) over a box, per covering piece."""
+                   density: int = 9) -> CheckReport:
+    """Sample phi1(|xi|) <= V(0, xi, i) <= phi2(|xi|) over a box, per covering piece."""
     box_lo = np.asarray(box_lo, dtype=float)
     box_hi = np.asarray(box_hi, dtype=float)
     if np.any(box_lo > 0) or np.any(box_hi < 0):
@@ -102,17 +102,16 @@ def check_sandwich(cert: LyapunovCertificate, box_lo, box_hi, covering: Covering
     worst = -np.inf
     where = (0.0, 0, 0.0)
     n_checked = 0
-    for t in t_grid:
-        for xi in pts:
-            r = float(np.linalg.norm(xi))
-            for i in range(1, covering.N + 1):
-                if not covering.membership(xi, i):
-                    continue
-                v = float(cert.V(t, xi, i))
-                m = max(cert.phi1(r) - v, v - cert.phi2(r))
-                n_checked += 1
-                if m > worst:
-                    worst, where = m, (float(t), i, r)
+    for xi in pts:
+        r = float(np.linalg.norm(xi))
+        for i in range(1, covering.N + 1):
+            if not covering.membership(xi, i):
+                continue
+            v = float(cert.V(0.0, xi, i))
+            m = max(cert.phi1(r) - v, v - cert.phi2(r))
+            n_checked += 1
+            if m > worst:
+                worst, where = m, (0.0, i, r)
     return CheckReport(check="sandwich", passed=worst <= SANDWICH_TOL, worst_margin=worst,
                        worst_location=where, slack=SANDWICH_TOL, extra={"points": n_checked})
 

@@ -15,9 +15,36 @@ def _load(name):
     return module
 
 
+# a Tier-1 report as pytest --junitxml writes it: one failure, two criteria
+JUNIT = """<?xml version="1.0" encoding="utf-8"?>
+<testsuites>
+ <testsuite name="pytest" errors="0" failures="1" skipped="1" tests="5" time="106.25">
+  <testcase classname="tests.test_acceptance"
+            name="test_criterion_04_motivating_guas_reproduction" time="35.9" />
+  <testcase classname="tests.test_acceptance"
+            name="test_criterion_01_embedding_equivalence" time="11.875">
+   <failure message="x">x</failure>
+  </testcase>
+  <testcase classname="tests.test_core" name="test_criterion_like" time="0.5" />
+  <testcase classname="perfbench.test_checks" name="test_x" time="0.25" />
+  <testcase classname="tests.test_acceptance" name="test_report" time="0.0">
+   <skipped message="s" />
+  </testcase>
+ </testsuite>
+</testsuites>
+"""
+
+
 def test_bench_measures_every_row(tmp_path, capsys, monkeypatch):
     bench = _load("bench")
     monkeypatch.setattr(bench, "MIN_REPEAT_S", 0.0)  # one call per repeat; looping is tested below
+    tier1_runs = []
+
+    def run_tier1(junit):  # the suite itself never runs here
+        tier1_runs.append(junit)
+        junit.write_text(JUNIT)
+
+    monkeypatch.setattr(bench, "run_tier1", run_tier1)
     record = tmp_path / "pb.json"
     record.write_text(json.dumps({
         "workload": "envelope-motivating", "seed": 4, "seconds": 2.0, "trace": 0,
@@ -52,6 +79,14 @@ def test_bench_measures_every_row(tmp_path, capsys, monkeypatch):
     assert doc["L3"] == {"envelope-motivating": {"ops_per_s_median": 40.0, "runs": [
         {"seed": 4, "seconds": 2.0, "ops_per_s": 40.0, "peak_rss_mb": 50.0, "setup_s": 0.03,
          "correct": True, "failed": 0}]}}
+    # L4 from one Tier-1 run: the suite's totals and the acceptance criteria alone
+    assert len(tier1_runs) == 1
+    assert doc["L4"] == {
+        "tier1": {"wall_s": 106.25, "passed": 3, "tests": 5, "failures": 1, "errors": 0,
+                  "skipped": 1},
+        "criteria_wall_s": {"test_criterion_01_embedding_equivalence": 11.875,
+                            "test_criterion_04_motivating_guas_reproduction": 35.9}}
+    assert "L4 tier1" in capsys.readouterr().out
 
 
 def test_bench_repeats_loop_to_the_minimum_duration(monkeypatch):

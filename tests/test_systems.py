@@ -67,17 +67,20 @@ def test_example4_field_and_V3(example4):
 
 
 def _example4_ndarray_fields():
-    """example4's default f and fhat as the ndarray expressions they were."""
+    """example4's f, fhat, h and eta as the ndarray expressions they were, through
+    the class functions b1 = sin, b2 = 1 + cos, alpha_j(t, v) = v, rho_j(v) = v*v."""
     b1, b2 = math.sin, lambda t: 1.0 + math.cos(t)
+    alpha = lambda t, v: v
+    rho = lambda v: v * v
     A3 = np.array([[-3.0, 5.0], [-5.0, 3.0]])
 
     def f(t, x, i):
         if i == 1:
             b = b1(t)
-            return np.array((b * x[1], -b * x[0] - x[1]))
+            return np.array((b * x[1], -b * x[0] - alpha(t, x[1])))
         if i == 2:
             b = b2(t)
-            return np.array((-x[0] - b * x[1], b * x[0]))
+            return np.array((-alpha(t, x[0]) - b * x[1], b * x[0]))
         return A3 @ x
 
     def fhat(t, x, i):
@@ -87,14 +90,18 @@ def _example4_ndarray_fields():
             return np.array((-b2(t) * x[1], 0.0))
         return A3 @ x
 
-    return f, fhat
+    def h(t, x, i):
+        return np.array((rho(x[1]) if i == 1 else (rho(x[0]) if i == 2 else 0.0),))
+
+    return f, fhat, h, lambda t, x, i: h(t, x, i)[0]
 
 
 def test_example4_float_fields_equal_ndarray_forms(example4):
-    # the tuple fields, and the reduced system's columns, hold the ndarray forms'
-    # values bit for bit, zero signs included, whether the state is a list or a row
-    system, Fhat = example4.system, example4.reduced.Fhat
-    old_f, old_fhat = _example4_ndarray_fields()
+    # the tuple fields, the outputs and eta, and the reduced system's columns, hold
+    # the ndarray forms' values bit for bit, zero signs included, whether the state
+    # is a list or a row
+    system, Fhat, eta = example4.system, example4.reduced.Fhat, example4.certificate.eta
+    old_f, old_fhat, old_h, old_eta = _example4_ndarray_fields()
     rng = np.random.default_rng(44)
     for _ in range(5000):
         row = rng.uniform(-3.0, 3.0, 2) * 10.0 ** rng.uniform(-3.0, 3.0, 2)
@@ -103,8 +110,9 @@ def test_example4_float_fields_equal_ndarray_forms(example4):
         for x in (row.tolist(), row):
             columns = Fhat(t, x)
             for i in (1, 2, 3):
-                for new, old in ((system.f, old_f), (system.fhat, old_fhat)):
+                for new, old in ((system.f, old_f), (system.fhat, old_fhat), (system.h, old_h)):
                     assert np.array(new(t, x, i)).tobytes() == old(t, row, i).tobytes()
+                assert np.float64(eta(t, x, i)).tobytes() == old_eta(t, row, i).tobytes()
                 assert columns[:, i - 1].tobytes() == old_fhat(t, row, i).tobytes()
 
 
@@ -130,11 +138,17 @@ def test_example4_negated_closed_loop_fails_slope_check(example4):
     assert not check_decrease_along(example4.certificate, traj, sigma).slope.passed
 
 
-def test_example4_default_hypotheses():
-    # defaults satisfy rho_j(v) <= v*alpha_j(t, v) with equality
-    e = get_entry("example4")
-    for v in np.linspace(-2, 2, 21):
-        assert v * v <= v * v + 1e-15
+def test_example4_default_hypotheses(example4):
+    # rho_j(v) <= v*alpha_j(t, v) holds with equality: along modes 1 and 2,
+    # V' = <dV, f> is -10 eta
+    rng = np.random.default_rng(46)
+    for _ in range(200):
+        x = rng.uniform(-2.0, 2.0, 2)
+        t = float(rng.uniform(0.0, 30.0))
+        for i in (1, 2):
+            vdot = example4.certificate.dV(t, x, i) @ np.array(example4.system.f(t, x, i))
+            assert vdot == pytest.approx(-10.0 * example4.certificate.eta(t, x, i),
+                                         rel=1e-12, abs=1e-12)
 
 
 def test_inverter_field_value(inverter):
@@ -159,11 +173,6 @@ def test_inverter_mode_derivative_nonpositive(inverter):
 def test_inverter_class_parameter_error():
     with pytest.raises(ParameterError):
         get_entry("inverter", dM=math.pi)  # pi >= pi*sqrt(1*1)
-
-
-def test_inverter_rejects_bad_load():
-    with pytest.raises(ParameterError):
-        get_entry("inverter", g1=lambda t, v: -v)  # violates ell <= v*g
 
 
 def check_zeroing_part(system, rng, n_samples=300):
@@ -216,8 +225,9 @@ def test_decomposition_mutation_fails(motivating):
                                     {"L1": 0.3, "L2": 2.7, "C1": 1.7, "C2": 0.45}])
 def test_inverter_field_is_the_matmul(params):
     # the written-out field equals (Pinv @ RAW_i) @ x - e4 * g_i(t, x4) on every
-    # state (values compared, so a zero of either sign counts as equal), and a
-    # run of it equals a run of the matmul field bit for bit
+    # state (values compared, so a zero of either sign counts as equal), the
+    # output and eta are C2 * ell_i(x4) bit for bit, and a run of the field
+    # equals a run of the matmul field bit for bit
     from swstab import SwitchedSystem, gen_pattern, PatternConstraint
     entry = get_entry("inverter", **params)
     L1, L2, C1, C2 = (entry.params[k] for k in ("L1", "L2", "C1", "C2"))
@@ -226,8 +236,11 @@ def test_inverter_field_is_the_matmul(params):
          Pinv @ np.array([[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]], dtype=float))
     e4 = np.array([0.0, 0.0, 0.0, 1.0])
 
+    g = lambda t, v: v       # the load g_i(t, v)
+    ell = lambda v: v * v    # its gauge ell_i(v)
+
     def matmul_field(t, x, i):
-        return A[i - 1] @ x - e4 * x[3]   # default loads g_i(t, v) = v
+        return A[i - 1] @ x - e4 * g(t, x[3])
 
     rng = np.random.default_rng(41)
     for _ in range(5000):
@@ -236,6 +249,9 @@ def test_inverter_field_is_the_matmul(params):
         for i in (1, 2):
             assert np.array_equal(np.asarray(entry.system.f(t, x.tolist(), i)),
                                   matmul_field(t, x, i))
+            gauge = np.float64(C2 * ell(x[3])).tobytes()
+            assert np.array(entry.system.h(t, x.tolist(), i)).tobytes() == gauge
+            assert np.float64(entry.certificate.eta(t, x, i)).tobytes() == gauge
     reference = SwitchedSystem(n=4, N=2, f=matmul_field, h=entry.system.h)
     sig = gen_pattern(PatternConstraint(T=10.0, dm=0.5, dM=2.0), (0.0, 20.0), 5)
     x0 = np.array([0.9, -0.4, 0.3, 0.7])
