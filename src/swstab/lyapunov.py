@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -25,6 +25,7 @@ REVISIT_TOL = 1e-7
 QUAD_COEFF = 10.0  # integral-bound quadrature slack: QUAD_COEFF * h_max^2 per unit time
 SLACK_FLOOR = 1e-9
 SLACK_CURVATURE_FACTOR = 10.0  # slack = factor * observed |second difference of V|
+MIDPOINT_BLOCK = 1024  # steps whose midpoint states are listed at once
 
 
 @dataclass(frozen=True)
@@ -32,16 +33,18 @@ class LyapunovCertificate:
     """Candidate weak Lyapunov data: V, its class-K sandwich, and the decrease gauge.
 
     V(t, xi, i) >= 0; phi1(|xi|) <= V <= phi2(|xi|) on the piece of mode i;
-    eta(t, xi, i) >= 0 bounds -dV/dt along mode i.  ``dV`` optionally supplies
-    the analytic state gradient for consistency testing.  phi1/phi2 are
-    sample-checked at construction: zero at zero and strictly increasing.
+    eta(t, xi, i) >= 0 bounds -dV/dt along mode i.  The checks hand V and eta
+    the state as a list of floats, as the integrators hand it to the fields.
+    ``dV`` optionally supplies the analytic state gradient for consistency
+    testing.  phi1/phi2 are sample-checked at construction: zero at zero and
+    strictly increasing.
     """
 
-    V: Callable[[float, np.ndarray, int], float]
+    V: Callable[[float, list[float], int], float]
     phi1: Callable[[float], float]
     phi2: Callable[[float], float]
-    eta: Callable[[float, np.ndarray, int], float]
-    dV: Optional[Callable[[float, np.ndarray, int], np.ndarray]] = None
+    eta: Callable[[float, list[float], int], float]
+    dV: Optional[Callable[[float, Sequence[float], int], np.ndarray]] = None
 
     def __post_init__(self):
         for name, phi in (("phi1", self.phi1), ("phi2", self.phi2)):
@@ -102,7 +105,7 @@ def check_sandwich(cert: LyapunovCertificate, box_lo, box_hi, covering: Covering
     worst = -np.inf
     where = (0.0, 0, 0.0)
     n_checked = 0
-    for xi in pts:
+    for xi in pts.tolist():
         r = float(np.linalg.norm(xi))
         for i in range(1, covering.N + 1):
             if not covering.membership(xi, i):
@@ -135,7 +138,7 @@ def _node_modes(traj: Trajectory, sigma: SwitchingSignal) -> np.ndarray:
     return np.asarray(modes, dtype=np.int64)
 
 
-def _along_steps(fn, t, x, modes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _along_steps(fn, t: list, x: list, modes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """fn(t, x, i) at every node under the node's mode, and at every step's end
     under the step's mode.
 
@@ -175,7 +178,7 @@ def check_decrease_along(cert: LyapunovCertificate, traj: Trajectory,
     """
     if traj.t0 < sigma.domain_start - 1e-9 or traj.tf > sigma.domain_end + 1e-9:
         raise ParameterError("trajectory span not covered by the signal")
-    t, x = traj.times, traj.states
+    t, x = traj.times.tolist(), traj.states.tolist()
     modes = _node_modes(traj, sigma)
     V, V_end = _along_steps(cert.V, t, x, modes)
     eta, eta_end = _along_steps(cert.eta, t, x, modes)
@@ -193,11 +196,18 @@ def check_decrease_along(cert: LyapunovCertificate, traj: Trajectory,
     slack = float(np.max([SLACK_FLOOR, SLACK_CURVATURE_FACTOR * np.max(d2v, initial=0.0),
                           0.5 * np.max(d2e, initial=0.0)]))
 
-    slopes = dV / np.diff(t)
-    t_mid = 0.5 * (t[:-1] + t[1:])
-    x_mid = 0.5 * (x[:-1] + x[1:])
-    eta_mid = np.array([float(cert.eta(tm, xm, i))
-                        for tm, xm, i in zip(t_mid, x_mid, step_modes)])
+    slopes = dV / np.diff(traj.times)
+    # eta at each step's midpoint time and linearly interpolated state; the
+    # midpoints become lists a block at a time, so that no second list of all
+    # rows is held
+    t_mid = 0.5 * (traj.times[:-1] + traj.times[1:])
+    x_mid = 0.5 * (traj.states[:-1] + traj.states[1:])
+    eta_fn = cert.eta
+    eta_mid = np.empty(len(t_mid))
+    for k in range(0, len(t_mid), MIDPOINT_BLOCK):
+        e = k + MIDPOINT_BLOCK
+        eta_mid[k:e] = [eta_fn(tm, xm, i) for tm, xm, i
+                        in zip(t_mid[k:e].tolist(), x_mid[k:e].tolist(), step_modes[k:e])]
     mean = 0.5 * (eta[:-1] + eta_end)
     # min(eta_mid, mean) as the builtin picks it: the first unless the second is less
     pre = slopes + np.where(mean < eta_mid, mean, eta_mid)
@@ -216,28 +226,31 @@ def check_decrease_along(cert: LyapunovCertificate, traj: Trajectory,
             k = int(np.argmax(margins))  # the first maximum
             worst_slope = float(margins[k])
         if k is not None:
-            slope_where = (float(t[k]), step_modes[k])
+            slope_where = (t[k], step_modes[k])
     slope_report = CheckReport(check="decrease_slope", passed=worst_slope <= 0.0,
                                worst_margin=worst_slope, worst_location=slope_where,
                                slack=slack)
 
-    # revisit part: V_i at every node under the node's own mode
-    vals = V.tolist()
+    # revisit part: V_i at every node under the node's own mode, against the
+    # running minimum of the mode's earlier nodes; fmin skips a NaN as the
+    # builtin min(running, v) does
+    rev = np.empty(len(V))
+    for i in np.unique(modes).tolist():
+        idx = np.flatnonzero(modes == i)
+        v = V[idx]
+        running = np.fmin.accumulate(np.concatenate(([np.inf], v[:-1])))
+        rev[idx] = v - running - REVISIT_TOL
     worst_rev = -np.inf
     rev_where = (0.0, 0)
-    nan_k = None
-    for i in np.unique(modes).tolist():
-        running = np.inf
-        for k in np.flatnonzero(modes == i).tolist():
-            v = vals[k]
-            margin = v - running - REVISIT_TOL
-            if margin > worst_rev:
-                worst_rev, rev_where = margin, (float(t[k]), int(i))
-            elif margin != margin and (nan_k is None or k < nan_k):
-                nan_k = k
-            running = min(running, v)
-    if nan_k is not None:
-        worst_rev, rev_where = np.nan, (float(t[nan_k]), int(modes[nan_k]))
+    nan = np.isnan(rev)
+    top = float(np.max(rev, initial=-np.inf))
+    if nan.any():
+        k = int(np.argmax(nan))  # the first NaN node
+        worst_rev, rev_where = np.nan, (t[k], int(modes[k]))
+    elif top > worst_rev:
+        tied = np.flatnonzero(rev == top)
+        k = int(tied[np.argmin(modes[tied])])  # the first maximum in mode-major order
+        worst_rev, rev_where = top, (t[k], int(modes[k]))
     revisit_report = CheckReport(check="mode_revisit", passed=worst_rev <= 0.0,
                                  worst_margin=worst_rev, worst_location=rev_where,
                                  slack=REVISIT_TOL)

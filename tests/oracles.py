@@ -162,6 +162,28 @@ def check_decrease_along_reference(cert, traj, sigma, revisit_tol=REVISIT_TOL):
     return DecreaseReport(slope=slope_report, revisit=revisit_report)
 
 
+def revisit_loop_reference(cert, traj, sigma, revisit_tol=REVISIT_TOL):
+    """The revisit part node by node as the checker once scanned it, NaN rule
+    included: a NaN margin fails the part, reported at the first NaN node."""
+    t, x = traj.times, traj.states
+    modes = traj.modes if traj.modes is not None else sigma.modes_at(t)
+    worst, where, nan_k = -np.inf, (0.0, 0), None
+    for i in np.unique(modes):
+        running = np.inf
+        for k in np.nonzero(modes == i)[0]:
+            v = float(cert.V(t[k], x[k], int(i)))
+            margin = v - running - revisit_tol
+            if margin > worst:
+                worst, where = margin, (float(t[k]), int(i))
+            elif margin != margin and (nan_k is None or k < nan_k):
+                nan_k = k
+            running = min(running, v)
+    if nan_k is not None:
+        worst, where = np.nan, (float(t[nan_k]), int(modes[nan_k]))
+    return CheckReport(check="mode_revisit", passed=worst <= 0.0, worst_margin=worst,
+                       worst_location=where, slack=revisit_tol)
+
+
 def check_integral_bound_reference(traj, sigma, sys, params, quad_coeff=10.0):
     t = traj.times
     x = traj.states

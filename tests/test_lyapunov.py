@@ -6,7 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import check_decrease_along_reference, check_integral_bound_reference
+from oracles import (check_decrease_along_reference, check_integral_bound_reference,
+                     revisit_loop_reference)
 from swstab import (
     IntegralBoundParams,
     IntegratorConfig,
@@ -274,6 +275,74 @@ def test_checkers_match_reference_synthetic(motivating):
     # a single step ending on a switch node
     two = Trajectory(times=times[:2], states=states[:2], modes=np.array([1, 2]))
     _assert_matches_reference(motivating, two, sig)
+    # the revisit scan, also against its node-by-node loop: modes re-entered
+    # several times, ties across modes and a +inf V
+    for traj, cert, where in _revisit_cases(motivating):
+        span = SwitchingSignal.constant(1, 0.0, traj.tf)
+        _assert_matches_reference(motivating, traj, span, cert=cert)
+        rev = check_decrease_along(cert, traj, span).revisit
+        assert json.dumps(rev.to_dict()) == json.dumps(
+            revisit_loop_reference(cert, traj, span).to_dict())
+        assert rev.worst_location == where and not rev.passed
+
+
+def _tabled(motivating, table, special=None):
+    """motivating's certificate with V read from a table by node time, and
+    V(t, x, i) = special[(t, i)] where given; eta is 0."""
+    special = special or {}
+    return replace(motivating.certificate, eta=lambda t, x, i: 0.0,
+                   V=lambda t, x, i: special.get((t, i), table[t]))
+
+
+def _synthetic(modes):
+    m = len(modes)
+    return Trajectory(times=np.arange(float(m)), states=np.zeros((m, 2)), modes=np.array(modes))
+
+
+def _revisit_cases(motivating):
+    """(trajectory, certificate, expected revisit location) on unit time steps."""
+    # three modes re-entered three times; V falls along each mode except on
+    # the re-entries of mode 2, where it jumps up by 0.5 and then 1.0
+    table = {float(k): 10.0 - 0.1 * k for k in range(16)}
+    table.update({8.0: table[3.0] + 0.5, 9.0: table[3.0] + 0.25, 13.0: table[3.0] + 1.0})
+    yield (_synthetic([1, 1, 2, 2, 3, 3, 1, 1, 2, 2, 3, 3, 1, 2, 2, 3]),
+           _tabled(motivating, table), (13.0, 2))
+    # equal worst margins in modes 2 (at t = 4) and 1 (at t = 6): mode 1 comes
+    # first in mode-major order, though later in time
+    table = {0.0: 2.0, 1.0: 1.0, 2.0: 3.0, 3.0: 2.0, 4.0: 2.0, 5.0: 1.5, 6.0: 3.0, 7.0: 2.5}
+    yield _synthetic([2, 2, 1, 1, 2, 2, 1, 1]), _tabled(motivating, table), (6.0, 1)
+    # +inf V on a lone re-entry node of mode 1: an infinite revisit margin,
+    # and no infinite second difference, so the slack stays finite
+    table = {float(k): 5.0 - 0.1 * k for k in range(5)}
+    yield (_synthetic([1, 2, 1, 3, 1]), _tabled(motivating, table, {(2.0, 1): np.inf}),
+           (2.0, 1))
+
+
+class _Recorded:
+    def __init__(self, fn, seen):
+        self.fn, self.seen = fn, seen
+
+    def __call__(self, t, x, i):
+        self.seen.add(type(x))
+        return self.fn(t, x, i)
+
+
+def test_checkers_hand_certificates_lists(all_entries, cfg_fast):
+    # the sandwich and decrease checks pass V and eta list states only
+    seen = set()
+    for entry in all_entries:
+        cert = replace(entry.certificate, V=_Recorded(entry.certificate.V, seen),
+                       eta=_Recorded(entry.certificate.eta, seen))
+        n = entry.system.n
+        assert check_sandwich(cert, -np.ones(n), np.ones(n), entry.covering, density=3).passed
+        if entry.policy is not None:
+            traj, sig = _closed_loop(entry, [1.5, -0.7], 0.0, 5.0)
+        else:
+            sig = entry.signal_class.generator((0.0, 5.0), 7)
+            traj = simulate(entry.system, sig, 0.0, np.full(n, 0.5), 5.0, cfg_fast)
+        assert _switches(traj.modes) > 0
+        check_decrease_along(cert, traj, sig)
+    assert seen == {list}
 
 
 class _Counted:
@@ -330,6 +399,22 @@ def test_decrease_fails_on_nan_V(motivating, cfg_fast):
     assert not rep.revisit.passed and np.isnan(rep.revisit.worst_margin)
     assert rep.revisit.worst_location == (traj.times[first], int(traj.modes[first]))
     assert np.isnan(rep.slope.slack)
+    # NaN V at the first node of mode 3, then a rise in mode 1: the revisit
+    # part reports the NaN node, as its node-by-node loop does
+    table = {float(k): 10.0 - 0.1 * k for k in range(10)}
+    table[7.0] = table[3.0] + 2.0
+    traj = _synthetic([1, 1, 2, 2, 3, 3, 1, 1, 3, 3])
+    sig = SwitchingSignal.constant(1, 0.0, 9.0)
+    cert = _tabled(motivating, table, {(4.0, 3): np.nan})
+    rep = check_decrease_along(cert, traj, sig)
+    assert np.isnan(rep.slope.worst_margin) and np.isnan(rep.revisit.worst_margin)
+    assert rep.revisit.worst_location == (4.0, 3)
+    assert json.dumps(rep.revisit.to_dict()) == json.dumps(
+        revisit_loop_reference(cert, traj, sig).to_dict())
+    # without the NaN the run matches the per-step reference, mode 1's rise first
+    clean = _tabled(motivating, table)
+    _assert_matches_reference(motivating, traj, sig, cert=clean)
+    assert check_decrease_along(clean, traj, sig).revisit.worst_location == (7.0, 1)
 
 
 def test_decrease_fails_on_nan_eta(motivating, cfg_fast):
