@@ -8,12 +8,16 @@ Layers (ROADMAP aim 1), all with pinned seeds and through the public API:
 
 - L0, field evaluations per second of every registry system and mode:
   ``system.f(t, x, i)`` on 4 000 states drawn in [-1.5, 1.5]^n, each a list
-  of floats as the RK4 kernels hand it over, looped over 5 times.  The loop
-  is part of the figure.
+  of floats as the calling RK4 kernels hand it over, looped over 5 times.
+  The loop is part of the figure.
 - L1, microseconds per RK4 step of each integrator:
   - ``simulate`` and ``simulate_relaxed`` (the vertex embedding of the same
     signal) on all four registry systems, step 1e-3, horizon 20, under a
     ``gen_arbitrary`` signal with mean dwell 0.5;
+  - ``simulate_calling``, the same ``simulate`` run with ``f`` wrapped in a
+    plain function: the RK4 kernels then call the field at every stage, as
+    they do for a traced run, a mixed cell or a user's field, instead of
+    evaluating the registry's mode source inline;
   - ``simulate_with_covering`` on example4's closed loop, step 1e-2, horizon 80;
   - ``simulate_reduced`` on motivating's reduced system, step 1e-2, horizon
     20, alternating vertex cells of length 0.5;
@@ -45,7 +49,9 @@ Layers (ROADMAP aim 1), all with pinned seeds and through the public API:
   the path), read from its ``--junitxml`` report: the suite's wall seconds
   and test counts, and each acceptance criterion's wall seconds (setup,
   call and teardown, so a criterion that first builds a shared fixture
-  carries its cost).  L4 figures are pytest's own wall time, not scaled.
+  carries its cost); then the wall seconds of ``swstab reproduce <example>``
+  for each registry example, with one worker, each run once.  L4 figures
+  are wall time, not scaled.
 
 L0, L1 and L2 figures are the median over the repeats.  Every repeat runs
 under ``SpeedClock`` of perfbench/run.py, which samples the machine's speed
@@ -70,6 +76,7 @@ import sys
 import tempfile
 import time
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -151,6 +158,10 @@ def measure_l1(repeats: int, clock) -> dict:
         u = sw.signal_to_control(sigma, 1e-3, span=(0.0, 20.0), n_modes=N)
         timed[f"simulate/{name}"] = per_step(
             lambda: sw.simulate(entry.system, sigma, 0.0, x0, 20.0, cfg))
+        f = entry.system.f
+        calling = replace(entry.system, f=lambda t, x, i: f(t, x, i))
+        timed[f"simulate_calling/{name}"] = per_step(
+            lambda: sw.simulate(calling, sigma, 0.0, x0, 20.0, cfg))
         timed[f"simulate_relaxed/{name}"] = per_step(
             lambda: sw.simulate_relaxed(entry.system, u, 0.0, x0, 20.0, cfg))
 
@@ -238,12 +249,27 @@ def read_l3(paths) -> dict:
             for w, rows in sorted(runs.items())}
 
 
+def _env() -> dict:
+    """The environment with the repository's ``src/`` first on PYTHONPATH."""
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def run_tier1(junit: Path) -> None:
     """One run of the Tier-1 suite from the repository root, reported to ``junit``."""
-    path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
     subprocess.run([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
-                    f"--junitxml={junit}"], cwd=ROOT, env={**os.environ, "PYTHONPATH": path},
+                    f"--junitxml={junit}"], cwd=ROOT, env=_env(),
                    stdout=subprocess.DEVNULL, check=False)
+
+
+def run_reproduce(example: str, out: Path) -> float:
+    """Wall seconds of one ``swstab reproduce <example>`` run with one worker,
+    writing its files under ``out``."""
+    t0 = time.perf_counter()
+    subprocess.run([sys.executable, "-m", "swstab", "reproduce", example, "--out", str(out),
+                    "--workers", "1"], cwd=ROOT, env=_env(), stdout=subprocess.DEVNULL,
+                   check=True)
+    return time.perf_counter() - t0
 
 
 def read_l4(junit) -> dict:
@@ -265,7 +291,8 @@ def measure_l4() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         junit = Path(tmp) / "tier1.xml"
         run_tier1(junit)
-        return read_l4(junit)
+        return {**read_l4(junit), "reproduce_wall_s": {
+            name: run_reproduce(name, Path(tmp) / name) for name in SYSTEMS}}
 
 
 # (layer, measure, unit, seconds per work unit -> the unit's figure)
@@ -304,6 +331,8 @@ def main(argv=None) -> None:
           f"{tier1['tests']} passed")
     for k, v in doc["L4"]["criteria_wall_s"].items():
         print(f"L4 {k:52s} {v:8.2f} s wall")
+    for k, v in doc["L4"]["reproduce_wall_s"].items():
+        print(f"L4 reproduce {k:42s} {v:8.2f} s wall")
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")

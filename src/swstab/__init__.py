@@ -18,7 +18,8 @@ from .core import (
     signal_to_control,
     trivial_covering,
 )
-from .integrate import IntegratorConfig, simulate, simulate_relaxed, simulate_with_covering
+from .integrate import (IntegratorConfig, ModeSource, simulate, simulate_relaxed,
+                        simulate_with_covering)
 from .signals import (
     MeasureConstraint,
     PatternConstraint,

@@ -216,6 +216,13 @@ class SwitchedSystem:
     (h: p) floats, a tuple, list or 1-D ndarray.  An ndarray makes each RK4
     step add numpy scalars, at about twice the cost.  Array arithmetic on a
     result needs ``np.asarray``.
+
+    An f or fhat declared as per-mode source text, ``ModeSource(n, modes,
+    names).f`` of ``swstab.integrate`` (as the registry declares its fields),
+    is evaluated inline: the RK4 kernels paste each mode's text into their
+    stages, with the same arithmetic, so no call is made per stage.  Any
+    other callable is called at every stage, and so is a wrapper of a
+    compiled field, even one made with ``functools.wraps``.
     """
 
     n: int

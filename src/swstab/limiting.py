@@ -370,7 +370,7 @@ def _rollout(rls: ReducedLimitingSystem, u_cells, x0, horizon, du, step, eps,
     closed_loop = callable(u_cells)
     if not closed_loop:
         u_cells = u_cells.tolist()
-    march = _rk4_kernels(len(x))[1]
+    n = len(x)
     ws = []
     t_end = H_end = None
     for k in range(n_cells):
@@ -384,7 +384,8 @@ def _rollout(rls: ReducedLimitingSystem, u_cells, x0, horizon, du, step, eps,
         t_end = t + du
         tally.cells += 1
         try:
-            x = march(rhs, t, x, t_end, step, divergence_bound, [], [], n_steps=sub, arg=arg)
+            x = _rk4_kernels(n, rhs, arg)[1](rhs, t, x, t_end, step, divergence_bound, [], [],
+                                             n_steps=sub, arg=arg)
         except (BlowUpError, DynamicsError):
             raise _Abort("diverged") from None
         if sum([v * v for v in x]) < eps * eps:

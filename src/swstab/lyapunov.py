@@ -25,7 +25,7 @@ REVISIT_TOL = 1e-7
 QUAD_COEFF = 10.0  # integral-bound quadrature slack: QUAD_COEFF * h_max^2 per unit time
 SLACK_FLOOR = 1e-9
 SLACK_CURVATURE_FACTOR = 10.0  # slack = factor * observed |second difference of V|
-MIDPOINT_BLOCK = 1024  # steps whose midpoint states are listed at once
+MIDPOINT_BLOCK = 1024  # nodes, or step midpoints, whose states are listed at once
 
 
 @dataclass(frozen=True)
@@ -138,20 +138,27 @@ def _node_modes(traj: Trajectory, sigma: SwitchingSignal) -> np.ndarray:
     return np.asarray(modes, dtype=np.int64)
 
 
-def _along_steps(fn, t: list, x: list, modes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _along_steps(fn, times: np.ndarray, states: np.ndarray,
+                 modes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """fn(t, x, i) at every node under the node's mode, and at every step's end
     under the step's mode.
 
     A step reads its own mode at both ends, so a switch node (a node whose
     mode differs from its predecessor's) is evaluated once more, under the
-    outgoing mode: m + |switch nodes| calls in all.  Returns the node values
-    (m) and the step-end values (m - 1).
+    outgoing mode: m + |switch nodes| calls in all.  fn is handed the time as
+    a float and the state as a list of floats; the rows become lists a block
+    of MIDPOINT_BLOCK nodes at a time, so that no list of all rows is held.
+    Returns the node values (m) and the step-end values (m - 1).
     """
     i = modes.tolist()
-    node = np.array([fn(tk, xk, ik) for tk, xk, ik in zip(t, x, i)], dtype=float)
+    node = np.empty(len(times))
+    for k in range(0, len(times), MIDPOINT_BLOCK):
+        e = k + MIDPOINT_BLOCK
+        node[k:e] = [fn(tk, xk, ik) for tk, xk, ik
+                     in zip(times[k:e].tolist(), states[k:e].tolist(), i[k:e])]
     end = node[1:].copy()
     for k in (np.flatnonzero(modes[1:] != modes[:-1]) + 1).tolist():
-        end[k - 1] = fn(t[k], x[k], i[k - 1])
+        end[k - 1] = fn(times[k].item(), states[k].tolist(), i[k - 1])
     return node, end
 
 
@@ -178,10 +185,9 @@ def check_decrease_along(cert: LyapunovCertificate, traj: Trajectory,
     """
     if traj.t0 < sigma.domain_start - 1e-9 or traj.tf > sigma.domain_end + 1e-9:
         raise ParameterError("trajectory span not covered by the signal")
-    t, x = traj.times.tolist(), traj.states.tolist()
     modes = _node_modes(traj, sigma)
-    V, V_end = _along_steps(cert.V, t, x, modes)
-    eta, eta_end = _along_steps(cert.eta, t, x, modes)
+    V, V_end = _along_steps(cert.V, traj.times, traj.states, modes)
+    eta, eta_end = _along_steps(cert.eta, traj.times, traj.states, modes)
     step_modes = modes[:-1].tolist()
 
     # one slack for the whole trajectory, calibrated from the second
@@ -226,7 +232,7 @@ def check_decrease_along(cert: LyapunovCertificate, traj: Trajectory,
             k = int(np.argmax(margins))  # the first maximum
             worst_slope = float(margins[k])
         if k is not None:
-            slope_where = (t[k], step_modes[k])
+            slope_where = (traj.times[k].item(), step_modes[k])
     slope_report = CheckReport(check="decrease_slope", passed=worst_slope <= 0.0,
                                worst_margin=worst_slope, worst_location=slope_where,
                                slack=slack)
@@ -246,11 +252,11 @@ def check_decrease_along(cert: LyapunovCertificate, traj: Trajectory,
     top = float(np.max(rev, initial=-np.inf))
     if nan.any():
         k = int(np.argmax(nan))  # the first NaN node
-        worst_rev, rev_where = np.nan, (t[k], int(modes[k]))
+        worst_rev, rev_where = np.nan, (traj.times[k].item(), int(modes[k]))
     elif top > worst_rev:
         tied = np.flatnonzero(rev == top)
         k = int(tied[np.argmin(modes[tied])])  # the first maximum in mode-major order
-        worst_rev, rev_where = top, (t[k], int(modes[k]))
+        worst_rev, rev_where = top, (traj.times[k].item(), int(modes[k]))
     revisit_report = CheckReport(check="mode_revisit", passed=worst_rev <= 0.0,
                                  worst_margin=worst_rev, worst_location=rev_where,
                                  slack=REVISIT_TOL)
@@ -283,8 +289,7 @@ def check_integral_bound(traj: Trajectory, sigma: SwitchingSignal, sys: Switched
         return CheckReport(check="integral_bound", passed=True, worst_margin=-params.M,
                            worst_location=(traj.t0, traj.t0), slack=0.0)
     gauge = partial(_output_gauge, sys.h, params.alpha, sys.p)
-    g_start, g_end = _along_steps(gauge, t.tolist(), traj.states.tolist(),
-                                  _node_modes(traj, sigma))
+    g_start, g_end = _along_steps(gauge, t, traj.states, _node_modes(traj, sigma))
     h_steps = np.diff(t)
     h_max = float(h_steps.max())
     # cumsum accumulates left to right, so it rounds as a running sum does

@@ -19,6 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import Covering, ParameterError, SwitchedSystem, trivial_covering
+from .integrate import ModeSource
 from .limiting import ReducedLimitingSystem, build_reduced
 from .lyapunov import LyapunovCertificate
 from . import signals as sig
@@ -127,20 +128,14 @@ def motivating(a: float = 1.0, T0: float = 1.0, delta0: float = 0.2) -> Registry
     if a <= 0:
         raise ParameterError("a must be positive")
     c = sig.MeasureConstraint(T0=T0, delta0=delta0, mode=2)
-
-    def f(t, x, i):
-        if i == 1:
-            return (x[1], -x[0])
-        x0 = x[0]  # the odd cube root of x0 is copysign(|x0|^(1/3), x0)
-        return (-copysign(abs(x0) ** (1.0 / 3.0), x0) + a * x[1], -a * x0)
+    names = {"a": a, "copysign": copysign}
+    # the odd cube root of x0 is copysign(|x0|^(1/3), x0)
+    f = ModeSource(2, ("x1, -x0", "-copysign(abs(x0) ** (1.0 / 3.0), x0) + a * x1, -a * x0"),
+                   names).f
+    fhat = ModeSource(2, ("x1, -x0", "a * x1, 0.0"), names).f
 
     def h(t, x, i):
         return (0.0,) if i == 1 else (abs(x[0]),)
-
-    def fhat(t, x, i):
-        if i == 1:
-            return (x[1], -x[0])
-        return (a * x[1], 0.0)
 
     system = SwitchedSystem(n=2, N=2, f=f, h=h, p=1, fhat=fhat, name="motivating")
     cert = LyapunovCertificate(
@@ -175,8 +170,9 @@ def example1(g1: Optional[Callable] = None, g2: Optional[Callable] = None,
              mean_dwell: float = 0.3) -> RegistryEntry:
     """Three time-varying planar modes sharing V = |x|^2/2, GUAS under arbitrary switching.
 
-    g_i(t, xi) must be uniformly bounded; their axis restrictions
-    ghat_i(t, v) = g_i(t, v e_i) must be persistently exciting:
+    g_i(t, xi) must be uniformly bounded (the fields hand them xi as a tuple of
+    floats); their axis restrictions ghat_i(t, v) = g_i(t, v e_i) must be
+    persistently exciting:
     liminf over t of the window integral of |ghat_i|^{r_i} stays positive.
     Defaults g_i = sin(t) satisfy this with window pi and r_i = 1.
     """
@@ -197,21 +193,15 @@ def example1(g1: Optional[Callable] = None, g2: Optional[Callable] = None,
             pe = np.trapezoid([abs(ghat(si, 1.0)) ** r for si in s], s)
             _sample_check(pe > 1e-6, f"{nm} fails the persistent-excitation bound")
 
-    def f(t, x, i):
-        if i == 1:
-            g = g1(t, x)
-            return (-g * x[1], g * x[0] - x[1])
-        g = g2(t, x) * (1.0 if i == 2 else 2.0)
-        return (g * x[1] - x[0], -g * x[0])
+    names = {"g1": g1, "g2": g2, "ghat1": ghat1, "ghat2": ghat2}
+    f = ModeSource(2, ("g = g1(t, (x0, x1))\n-g * x1, g * x0 - x1",
+                       "g = g2(t, (x0, x1)) * 1.0\ng * x1 - x0, -g * x0",
+                       "g = g2(t, (x0, x1)) * 2.0\ng * x1 - x0, -g * x0"), names).f
+    fhat = ModeSource(2, ("0.0, ghat1(t, x0) * x0", "1.0 * ghat2(t, x1) * x1, 0.0",
+                          "2.0 * ghat2(t, x1) * x1, 0.0"), names).f
 
     def h(t, x, i):
         return (x[1] * x[1],) if i == 1 else (x[0] * x[0],)
-
-    def fhat(t, x, i):
-        if i == 1:
-            return (0.0, ghat1(t, x[0]) * x[0])
-        scale = 1.0 if i == 2 else 2.0
-        return (scale * ghat2(t, x[1]) * x[1], 0.0)
 
     system = SwitchedSystem(n=2, N=3, f=f, h=h, p=1, fhat=fhat, name="example1")
     cert = LyapunovCertificate(
@@ -248,23 +238,16 @@ def example4() -> RegistryEntry:
     mode 3 on the left half-plane and the stronger-decay mode among {1, 2} on
     the right.
     """
-    sin, cos, Field = math.sin, math.cos, FieldTuple
-
-    def rotate(x) -> FieldTuple:
-        # A3 @ x for A3 = [[-3, 5], [-5, 3]] as BLAS rounds it: each row
-        # accumulates from +0.0 the second column's product, then the first
-        # column's by one fused multiply-add, so a zero row is +0.0
-        x0, x1 = x
-        return Field((_fma(-3.0, x0, 5.0 * x1 + 0.0), _fma(-5.0, x0, 3.0 * x1 + 0.0)))
-
-    def f(t, x, i):
-        if i == 1:
-            b = sin(t)
-            return Field((b * x[1], -b * x[0] - x[1]))
-        if i == 2:
-            b = 1.0 + cos(t)
-            return Field((-x[0] - b * x[1], b * x[0]))
-        return rotate(x)
+    names = {"sin": math.sin, "cos": math.cos, "_fma": _fma}
+    # A3 @ x for A3 = [[-3, 5], [-5, 3]] as BLAS rounds it: each row accumulates
+    # from +0.0 the second column's product, then the first column's by one
+    # fused multiply-add, so a zero row is +0.0
+    rotate = "_fma(-3.0, x0, 5.0 * x1 + 0.0), _fma(-5.0, x0, 3.0 * x1 + 0.0)"
+    f = ModeSource(2, ("b = sin(t)\nb * x1, -b * x0 - x1",
+                       "b = 1.0 + cos(t)\n-x0 - b * x1, b * x0", rotate),
+                   names, result=FieldTuple).f
+    fhat = ModeSource(2, ("0.0, -sin(t) * x0", "-(1.0 + cos(t)) * x1, 0.0", rotate),
+                      names, result=FieldTuple).f
 
     def h(t, x, i):
         if i == 1:
@@ -272,13 +255,6 @@ def example4() -> RegistryEntry:
         if i == 2:
             return (x[0] * x[0],)
         return (0.0,)
-
-    def fhat(t, x, i):
-        if i == 1:
-            return Field((0.0, -sin(t) * x[0]))
-        if i == 2:
-            return Field((-(1.0 + cos(t)) * x[1], 0.0))
-        return rotate(x)
 
     system = SwitchedSystem(n=2, N=3, f=f, h=h, p=1, fhat=fhat, name="example4")
 
@@ -340,23 +316,19 @@ def inverter(L1: float = 1.0, L2: float = 1.0, C1: float = 1.0, C2: float = 1.0,
                              f"pi*sqrt(L1*C1)={math.pi * math.sqrt(L1 * C1):.6g}")
 
     P = np.diag([L1, L2, C1, C2])
-    l1, l2, c1, c2 = 1.0 / L1, 1.0 / L2, 1.0 / C1, 1.0 / C2   # the entries of P^-1
-
-    def f(t, x, i):
-        # (P^-1 RAW_i) x - x4 e4 by its nonzero terms, RAW_1 rows 0, e3 + e4,
-        # -e2, -e2 and RAW_2 rows -e3, e4, e1, -e2: the matmul's values bit for bit
-        if i == 1:
-            return (0.0, l2 * x[2] + l2 * x[3], -c1 * x[1], -c2 * x[1] - x[3])
-        return (-l1 * x[2], l2 * x[3], c1 * x[0], -c2 * x[1] - x[3])
+    # the entries of P^-1
+    names = {"l1": 1.0 / L1, "l2": 1.0 / L2, "c1": 1.0 / C1, "c2": 1.0 / C2}
+    # (P^-1 RAW_i) x - x4 e4 by its nonzero terms, RAW_1 rows 0, e3 + e4, -e2,
+    # -e2 and RAW_2 rows -e3, e4, e1, -e2: the matmul's values bit for bit
+    f = ModeSource(4, ("0.0, l2 * x2 + l2 * x3, -c1 * x1, -c2 * x1 - x3",
+                       "-l1 * x2, l2 * x3, c1 * x0, -c2 * x1 - x3"), names).f
+    # f without the load and without the (2,4) coupling of each RAW_i: both
+    # vanish with x4, exactly where the output does
+    fhat = ModeSource(4, ("0.0, l2 * x2, -c1 * x1, -c2 * x1",
+                          "-l1 * x2, 0.0, c1 * x0, -c2 * x1"), names).f
 
     def h(t, x, i):
         return (C2 * (x[3] * x[3]),)
-
-    def fhat(t, x, i):
-        # f without the load and without the (2,4) coupling of each RAW_i: both
-        # vanish with x4, exactly where the output does
-        return (0.0, l2 * x[2], -c1 * x[1], -c2 * x[1]) if i == 1 else \
-            (-l1 * x[2], 0.0, c1 * x[0], -c2 * x[1])
 
     system = SwitchedSystem(n=4, N=2, f=f, h=h, p=1, fhat=fhat, name="inverter")
     eigs = np.diag(P) / 2.0

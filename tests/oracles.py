@@ -109,13 +109,16 @@ def _segment_bounds_reference(traj, sigma):
 
 
 def check_decrease_along_reference(cert, traj, sigma, revisit_tol=REVISIT_TOL):
+    """The decrease check segment by segment and step by step, with the
+    checker's NaN rule: a NaN in V, in eta or in the slack fails the part that
+    reads it, which reports a NaN worst margin at its first NaN step (slope;
+    the first step if only the slack is NaN) or node (revisit)."""
     segs = _segment_bounds_reference(traj, sigma)
     t = traj.times
     x = traj.states
 
     per_seg = []
-    d2v_max = 0.0
-    d2e_max = 0.0
+    d2v, d2e = [], []  # second-difference maxima per segment
     for a, b, mode in segs:
         if b - a < 1:
             continue
@@ -123,48 +126,43 @@ def check_decrease_along_reference(cert, traj, sigma, revisit_tol=REVISIT_TOL):
         etas = np.array([cert.eta(t[k], x[k], mode) for k in range(a, b + 1)])
         per_seg.append((a, b, mode, V, etas))
         if len(V) >= 3:
-            d2v_max = max(d2v_max, float(np.max(np.abs(np.diff(V, n=2)))))
-            d2e_max = max(d2e_max, float(np.max(np.abs(np.diff(etas, n=2)))))
-    slack = max(SLACK_FLOOR, SLACK_CURVATURE_FACTOR * d2v_max, 0.5 * d2e_max)
+            d2v.append(float(np.max(np.abs(np.diff(V, n=2)))))
+            d2e.append(float(np.max(np.abs(np.diff(etas, n=2)))))
+    # np.max keeps a NaN that the builtin max would drop
+    slack = float(np.max([SLACK_FLOOR, SLACK_CURVATURE_FACTOR * np.max(d2v, initial=0.0),
+                          0.5 * np.max(d2e, initial=0.0)]))
 
     worst_slope = -np.inf
     slope_where = (0.0, 0)
+    nan_step = None
     for a, b, mode, V, etas in per_seg:
         h = np.diff(t[a:b + 1])
         slopes = np.diff(V) / h
         for k in range(len(slopes)):
             tm = 0.5 * (t[a + k] + t[a + k + 1])
             xm = 0.5 * (x[a + k] + x[a + k + 1])
-            eta_step = min(float(cert.eta(tm, xm, mode)),
-                           0.5 * float(etas[k] + etas[k + 1]))
-            margin = float(slopes[k]) + eta_step - slack
-            if margin > worst_slope:
+            mean = 0.5 * float(etas[k] + etas[k + 1])
+            pre = float(slopes[k]) + min(float(cert.eta(tm, xm, mode)), mean)
+            margin = pre - slack
+            if math.isnan(pre) or math.isnan(mean) or (slack == slack and margin != margin):
+                if nan_step is None:
+                    nan_step = (float(t[a + k]), mode)
+            elif margin > worst_slope:
                 worst_slope, slope_where = margin, (float(t[a + k]), mode)
+    if nan_step is not None or slack != slack:
+        a, _, mode, _, _ = per_seg[0]
+        worst_slope, slope_where = np.nan, nan_step or (float(t[a]), mode)
     slope_report = CheckReport(check="decrease_slope", passed=worst_slope <= 0.0,
                                worst_margin=worst_slope, worst_location=slope_where,
                                slack=slack)
-
-    modes = traj.modes if traj.modes is not None else sigma.modes_at(traj.times)
-    worst_rev = -np.inf
-    rev_where = (0.0, 0)
-    for i in np.unique(modes):
-        idx = np.nonzero(modes == i)[0]
-        running = np.inf
-        for k in idx:
-            v = float(cert.V(t[k], x[k], int(i)))
-            margin = v - running - revisit_tol
-            if margin > worst_rev:
-                worst_rev, rev_where = margin, (float(t[k]), int(i))
-            running = min(running, v)
-    revisit_report = CheckReport(check="mode_revisit", passed=worst_rev <= 0.0,
-                                 worst_margin=worst_rev, worst_location=rev_where,
-                                 slack=revisit_tol)
-    return DecreaseReport(slope=slope_report, revisit=revisit_report)
+    return DecreaseReport(slope=slope_report,
+                          revisit=revisit_loop_reference(cert, traj, sigma, revisit_tol))
 
 
 def revisit_loop_reference(cert, traj, sigma, revisit_tol=REVISIT_TOL):
-    """The revisit part node by node as the checker once scanned it, NaN rule
-    included: a NaN margin fails the part, reported at the first NaN node."""
+    """The revisit part node by node: V_i at each node of mode i against the
+    running minimum of the mode's earlier nodes.  A NaN margin fails the part,
+    reported at the first NaN node."""
     t, x = traj.times, traj.states
     modes = traj.modes if traj.modes is not None else sigma.modes_at(t)
     worst, where, nan_k = -np.inf, (0.0, 0), None
@@ -218,9 +216,11 @@ def check_integral_bound_reference(traj, sigma, sys, params, quad_coeff=10.0):
 # ---------------------------------------------------------------------------
 # The RK4 step, interval march and closed-loop advance as they ran on float64
 # arrays.  Handed out in place of the (step, march, advance) kernels of
-# swstab.integrate's ``_rk4_kernels`` (and limiting's import of it), they take
-# and give states the way the integrators now hold them: a sequence of floats
-# in, the flat node list extended.  Trajectories must come out equal bit for bit.
+# swstab.integrate's ``_rk4_kernels`` (and limiting's import of it), they call
+# the field at every stage, also where the production kernels evaluate a
+# ``ModeSource`` mode inline.  They take and give states the way the
+# integrators hold them: a sequence of floats in, the flat node list extended.
+# Trajectories must come out equal bit for bit.
 
 
 def rk4_step_reference(f, t, x, h, arg):
@@ -326,7 +326,6 @@ def rollout_reference(rls, u_cells, x0, horizon, du, step, eps, residual_tol,
     sub = max(1, int(math.ceil(du / step - 1e-12)))
     Fhat, Hhat = rls.Fhat, rls.Hhat
     closed_loop = callable(u_cells)
-    march = _rk4_kernels(len(x))[1]
     ws = []
     t_end = H_end = None
     for k in range(n_cells):
@@ -340,7 +339,8 @@ def rollout_reference(rls, u_cells, x0, horizon, du, step, eps, residual_tol,
         t_end = t + du
         tally.cells += 1
         try:
-            x = march(rhs, t, x, t_end, step, divergence_bound, [], [], n_steps=sub, arg=arg)
+            x = _rk4_kernels(len(x), rhs, arg)[1](rhs, t, x, t_end, step, divergence_bound,
+                                                  [], [], n_steps=sub, arg=arg)
         except (BlowUpError, DynamicsError):
             raise _Abort("diverged") from None
         if sum([v * v for v in x]) < eps * eps:

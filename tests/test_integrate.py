@@ -371,8 +371,10 @@ def test_chattering_guard():
 def _on_both_kernels(monkeypatch, run):
     """run() on the template RK4 kernels, then on the ndarray ones of oracles.py.
 
-    Every integrator fetches its kernels through ``_rk4_kernels``; replacing it
-    in integrate and in limiting, which imports it by name, swaps every RK4 call."""
+    Every integrator fetches its kernels through ``_rk4_kernels``, the inlined
+    ones of a ``ModeSource`` field too; replacing it in integrate and in
+    limiting, which imports it by name, swaps every RK4 call for one that calls
+    the field."""
     from swstab import integrate, limiting
     from oracles import (closed_loop_advance_reference, integrate_interval_reference,
                          rk4_step_reference)
@@ -380,7 +382,7 @@ def _on_both_kernels(monkeypatch, run):
     got = run()
     with monkeypatch.context() as m:
         for module in (integrate, limiting):
-            m.setattr(module, "_rk4_kernels", lambda n: (
+            m.setattr(module, "_rk4_kernels", lambda n, f, arg: (
                 rk4_step_reference, integrate_interval_reference, closed_loop_advance_reference))
         want = run()
     return got, want
@@ -550,9 +552,10 @@ def test_kernel_matches_ndarray_kernel_falsifier(all_entries, monkeypatch):
 
 
 def test_every_kernel_calls_the_field_with_one_argument(all_entries, example4, monkeypatch):
-    # step, march and advance call their field as f(t, x, arg): three positional
-    # arguments, a float time, the state as a list of n floats and the very
-    # argument the field's producer paired with it
+    # on the calling path step, march and advance call their field as
+    # f(t, x, arg): three positional arguments, a float time, the state as a
+    # list of n floats and the very argument the field's producer paired with
+    # it.  The kernels inlined for a registry mode call no field at all.
     import inspect
 
     from swstab import RelaxedControl, integrate, limiting, wzsd_falsify
@@ -560,6 +563,7 @@ def test_every_kernel_calls_the_field_with_one_argument(all_entries, example4, m
 
     real = integrate._rk4_kernels
     calls = []  # (kernel name, paired argument, positional args, keyword args)
+    inline = []  # non-empty: hand out the kernels the integrators would get
 
     def recording(kernel, n):
         signature = inspect.signature(kernel)
@@ -577,8 +581,8 @@ def test_every_kernel_calls_the_field_with_one_argument(all_entries, example4, m
 
         return run
 
-    monkeypatch.setattr(integrate, "_rk4_kernels",
-                        lambda n: tuple(recording(k, n) for k in real(n)))
+    monkeypatch.setattr(integrate, "_rk4_kernels", lambda n, f, arg: tuple(
+        recording(k, n) for k in (real(n, f, arg) if inline else real(n, None, None))))
     monkeypatch.setattr(limiting, "_rk4_kernels", integrate._rk4_kernels)
 
     def paired_args(run, kernels):
@@ -616,20 +620,37 @@ def test_every_kernel_calls_the_field_with_one_argument(all_entries, example4, m
         assert all(type(p) is tuple or p in modes for p in paired_args(
             lambda: wzsd_falsify(entry.reduced, eps=0.5, horizon=horizon, budget=20, seed=5),
             {"march"}))
+        # inlined: switched runs and vertex cells call no field, mixed cells do
+        inline.append(True)
+        for run in (lambda: simulate(system, sig, 0.0, x0, 3.0, cfg),
+                    lambda: simulate_relaxed(system, vertex, 0.0, x0, 3.0, cfg),
+                    lambda: simulate_reduced(entry.reduced, vertex, 0.0, x0, 3.0, cfg)):
+            calls.clear()
+            run()
+            assert not calls, entry.name
+        assert paired_args(lambda: simulate_relaxed(system, mixed, 0.0, x0, 3.0, cfg),
+                           {"march"})
+        inline.clear()
     # the closed loop's advance, and the step of its event bisection
-    assert set(paired_args(lambda: simulate_with_covering(
+    closed_loop = lambda: simulate_with_covering(  # noqa: E731
         example4.system, example4.covering, example4.policy, 0.5, np.array([0.8, -1.1]),
-        20.5, cfg), {"advance", "step"})) <= {1, 2, 3}
+        20.5, cfg)
+    assert set(paired_args(closed_loop, {"advance", "step"})) <= {1, 2, 3}
+    inline.append(True)
+    calls.clear()
+    assert closed_loop()[1].n_switches > 0 and not calls
 
 
 def _linear_system(mats):
-    """Switched linear system with mode matrices ``mats``, fields written as tuples."""
+    """Switched linear system with mode matrices ``mats``, declared as mode source:
+    switched runs and closed loops take the inlined kernels, mixed cells call f."""
+    from swstab import ModeSource
+
     n = len(mats[0])
-
-    def f(t, x, i):
-        return tuple(sum(a * v for a, v in zip(row, x)) for row in mats[i - 1])
-
-    return SwitchedSystem(n=n, N=len(mats), f=f, h=lambda t, x, i: (x[0] * x[0],))
+    modes = [", ".join(" + ".join(f"{a!r} * x{j}" for j, a in enumerate(row)) for row in m)
+             for m in mats]
+    return SwitchedSystem(n=n, N=len(mats), f=ModeSource(n, modes).f,
+                          h=lambda t, x, i: (x[0] * x[0],))
 
 
 @pytest.mark.parametrize("mats", [
@@ -679,3 +700,164 @@ def test_nan_state_raises_through_inline_check(monkeypatch):
 
         got, want = _on_both_kernels(monkeypatch, message)
         assert got == want and got.startswith("NaN state at t=0.51")
+
+
+# --- inlined mode fields against the calling path -------------------------------
+
+
+def _calling(system):
+    """``system`` with f and fhat wrapped in plain lambdas, which the kernels call."""
+    f, fhat = system.f, system.fhat or system.f
+    return SwitchedSystem(n=system.n, N=system.N, p=system.p, h=system.h,
+                          f=lambda t, x, i: f(t, x, i), fhat=lambda t, x, i: fhat(t, x, i))
+
+
+def _half_plane(N):
+    """Odd modes on {x0 >= 0.1}, even modes on the rest."""
+    return Covering(margin=lambda x, i: x[0] - 0.1 if i % 2 else 0.1 - x[0], N=N)
+
+
+def _every_integrator(system, reduced, x0, cfg, seed):
+    """(name, run) pairs: a switched run visiting every mode, vertex relaxed and
+    reduced runs of the same signal, and a closed loop that bisects its crossings."""
+    from swstab.limiting import simulate_reduced
+
+    N = system.N
+    sig = gen_arbitrary(N, (0.0, 6.0), 0.3, seed, granularity=1e-2)
+    assert set(sig.modes.tolist()) == set(range(1, N + 1))
+    u = signal_to_control(sig, 1e-2, span=(0.0, 6.0), n_modes=N)
+    return [("simulate", lambda: simulate(system, sig, 0.0, x0, 6.0, cfg)),
+            ("relaxed", lambda: simulate_relaxed(system, u, 0.0, x0, 6.0, cfg)),
+            ("reduced", lambda: simulate_reduced(reduced, u, 0.0, x0, 6.0, cfg)),
+            ("closed loop", lambda: simulate_with_covering(
+                system, _half_plane(N),
+                lambda t, x, active: active[int(3.0 * t) % len(active)], 0.0, x0, 6.0, cfg))]
+
+
+def _outcome(run):
+    """run()'s trajectory (and signal), or its error's type, message, time and
+    partial trajectory."""
+    from swstab import SwstabError
+
+    try:
+        return run()
+    except SwstabError as err:
+        return type(err), str(err), getattr(err, "time", None), getattr(err, "trajectory", None)
+
+
+def _assert_same_outcome(a, b, label):
+    if isinstance(a, tuple) and isinstance(a[0], type):  # an error
+        assert a[:3] == b[:3], label
+        a, b = a[3], b[3]
+        if a is None or b is None:
+            assert a is b, label
+            return
+    if isinstance(a, tuple):  # a closed loop's trajectory and signal
+        (a, sa), (b, sb) = a, b
+        assert sa.breakpoints.tobytes() == sb.breakpoints.tobytes(), label
+        assert sa.modes.tobytes() == sb.modes.tobytes(), label
+    _assert_same_bits(a, b)
+
+
+def test_inlined_fields_equal_the_calling_path(all_entries, example4):
+    # every registry system and mode through all four integrators, once on the
+    # kernels that evaluate the ModeSource text inline and once with f and fhat
+    # wrapped in lambdas; a wrapper made with functools.wraps is called too
+    import functools
+    from dataclasses import replace
+
+    from swstab import wzsd_falsify
+    from swstab.integrate import _rk4_kernels
+    from swstab.limiting import build_reduced
+
+    rng = np.random.default_rng(64)
+    for entry in all_entries:
+        system, n = entry.system, entry.system.n
+        calling = _calling(system)
+        wrapped = functools.wraps(system.f)(lambda t, x, i: system.f(t, x, i))
+        assert _rk4_kernels(n, system.f, 1) is not _rk4_kernels(n, calling.f, 1)
+        assert _rk4_kernels(n, wrapped, 1) is _rk4_kernels(n, calling.f, 1)
+        reduced = build_reduced(calling, entry.covering, entry.reduced.constraints)
+        signed_zeros = rng.uniform(-1.5, 1.5, n)
+        signed_zeros[::2] = -0.0
+        for x0 in (rng.uniform(-1.5, 1.5, n), signed_zeros, np.array([-0.0, 0.0] * (n // 2))):
+            for step in (1e-2, 3e-2):
+                cfg, seed = IntegratorConfig(step=step), int(rng.integers(0, 2**62))
+                pairs = zip(_every_integrator(system, entry.reduced, x0, cfg, seed),
+                            _every_integrator(calling, reduced, x0, cfg, seed))
+                for (label, run), (_, run_calling) in pairs:
+                    _assert_same_outcome(_outcome(run), _outcome(run_calling),
+                                         (entry.name, label, step))
+        # the falsifier's screen marches vertex cells; Hhat sees every cell end
+        horizon = 12.0 if entry.name == "inverter" else 5.0
+        searches = []
+        for rls in (entry.reduced, reduced):
+            seen, Hhat = [], rls.Hhat
+
+            def recorded(t, x, Hhat=Hhat, seen=seen):
+                seen.append((t, np.asarray(x, dtype=float).tobytes()))
+                return Hhat(t, x)
+
+            v = wzsd_falsify(replace(rls, Hhat=recorded), eps=0.5, horizon=horizon,
+                             budget=150, seed=7)
+            free = wzsd_falsify(replace(rls, constraints=()), eps=0.5, horizon=horizon,
+                                budget=40, seed=3)
+            searches.append((v.verdict, v.budget_used, v.notes, seen, free))
+        (*a, free_a), (*b, free_b) = searches
+        assert len(a[3]) > 150 and a == b, entry.name
+        assert free_a.verdict == free_b.verdict and free_a.budget_used == free_b.budget_used
+        if free_a.counterexample is not None:
+            _assert_same_bits(free_a.counterexample.trajectory,
+                              free_b.counterexample.trajectory)
+    # example4 under its own covering and policy bisects every crossing
+    calling = _calling(example4.system)
+    for x0, t0 in (([0.8, -1.1], 0.5), ([-0.5, -0.0], 2.0), ([1.2, 0.0], 7.25)):
+        a, b = (simulate_with_covering(s, example4.covering, example4.policy, t0,
+                                       np.array(x0), t0 + 20.0, IntegratorConfig(step=2e-2))
+                for s in (example4.system, calling))
+        assert a[1].n_switches > 0
+        _assert_same_outcome(a, b, x0)
+
+
+@pytest.mark.parametrize("modes, names, error", [
+    (("x0 + x1, x1 - x0", "2.0 * x0, x1"), {}, BlowUpError),
+    (("x1, nan if t > 0.5 else -x0", "nan if t > 0.5 else -x1, x0"), {"nan": math.nan}, None),
+], ids=["blow-up", "nan"])
+def test_inlined_fields_fail_as_the_calling_path(modes, names, error):
+    # a growing field and one that turns NaN: each integrator stops with the
+    # same error at the same time, and a blow-up keeps the same partial run
+    from swstab import DynamicsError
+    from swstab.integrate import ModeSource
+    from swstab.limiting import build_reduced
+
+    f = ModeSource(2, modes, names).f
+    system = SwitchedSystem(n=2, N=2, f=f, h=lambda t, x, i: (0.0,))
+    calling = _calling(system)
+    cfg = IntegratorConfig(step=1e-2, divergence_bound=3.0)
+    x0 = np.array([0.3, -0.0])
+    pairs = zip(_every_integrator(system, build_reduced(system, _half_plane(2)), x0, cfg, 5),
+                _every_integrator(calling, build_reduced(calling, _half_plane(2)), x0, cfg, 5))
+    for (label, run), (_, run_calling) in pairs:
+        got, want = _outcome(run), _outcome(run_calling)
+        assert issubclass(got[0], error or DynamicsError), (label, got)
+        if error is None:
+            assert got[1].startswith("NaN state at t=0.5"), (label, got[1])
+        else:
+            assert len(got[3].times) > 1, label
+        _assert_same_outcome(got, want, label)
+
+
+def test_mode_source_rejects_what_the_kernels_cannot_inline():
+    from swstab import ParameterError
+    from swstab.integrate import ModeSource
+
+    for modes, names in ((("x0, x1, x0",), {}),          # three components for n = 2
+                         (("x1, -x[0]",), {}),            # the state is x0, x1
+                         (("x1, -x0 * i",), {}),          # no mode index in the text
+                         (("h = 2.0\nh * x1, x0",), {}),  # h is the kernels' step
+                         (("x1, k * x0",), {"k": 2.0}),   # so is the counter k
+                         (("x1 +", ), {})):               # not Python
+        with pytest.raises(ParameterError):
+            ModeSource(2, modes, names)
+    f = ModeSource(1, ("c = 2.0 * x0\n-c",), {}).f  # n = 1: one component
+    assert f(0.0, [1.5], 1) == (-3.0,)

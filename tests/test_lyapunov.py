@@ -387,12 +387,20 @@ def _nan_probe_run(motivating, cfg_fast):
     return simulate(motivating.system, sig, 0.0, np.array([1.0, 0.2]), 5.0, cfg_fast), sig
 
 
+def _decrease_as_reference(cert, traj, sig):
+    """check_decrease_along's report, asserted JSON-equal to the reference's."""
+    rep = check_decrease_along(cert, traj, sig)
+    assert json.dumps(rep.to_dict()) == json.dumps(
+        check_decrease_along_reference(cert, traj, sig).to_dict())
+    return rep
+
+
 def test_decrease_fails_on_nan_V(motivating, cfg_fast):
     traj, sig = _nan_probe_run(motivating, cfg_fast)
     V = motivating.certificate.V
     cert = replace(motivating.certificate,
                    V=lambda t, x, i: np.nan if t > 2.0 else V(t, x, i))
-    rep = check_decrease_along(cert, traj, sig)
+    rep = _decrease_as_reference(cert, traj, sig)
     first = int(np.argmax(traj.times > 2.0))  # first node with a NaN V
     assert not rep.slope.passed and np.isnan(rep.slope.worst_margin)
     assert rep.slope.worst_location[0] == traj.times[first - 1]
@@ -406,9 +414,9 @@ def test_decrease_fails_on_nan_V(motivating, cfg_fast):
     traj = _synthetic([1, 1, 2, 2, 3, 3, 1, 1, 3, 3])
     sig = SwitchingSignal.constant(1, 0.0, 9.0)
     cert = _tabled(motivating, table, {(4.0, 3): np.nan})
-    rep = check_decrease_along(cert, traj, sig)
+    rep = _decrease_as_reference(cert, traj, sig)
     assert np.isnan(rep.slope.worst_margin) and np.isnan(rep.revisit.worst_margin)
-    assert rep.revisit.worst_location == (4.0, 3)
+    assert rep.slope.worst_location == rep.revisit.worst_location == (4.0, 3)
     assert json.dumps(rep.revisit.to_dict()) == json.dumps(
         revisit_loop_reference(cert, traj, sig).to_dict())
     # without the NaN the run matches the per-step reference, mode 1's rise first
@@ -420,7 +428,7 @@ def test_decrease_fails_on_nan_V(motivating, cfg_fast):
 def test_decrease_fails_on_nan_eta(motivating, cfg_fast):
     traj, sig = _nan_probe_run(motivating, cfg_fast)
     cert = replace(motivating.certificate, eta=lambda t, x, i: np.nan)
-    rep = check_decrease_along(cert, traj, sig)
+    rep = _decrease_as_reference(cert, traj, sig)
     assert not rep.slope.passed and np.isnan(rep.slope.worst_margin)
     assert rep.slope.worst_location == (0.0, int(traj.modes[0]))
     # the revisit part reads V only
@@ -432,7 +440,7 @@ def test_decrease_fails_on_nan_eta(motivating, cfg_fast):
     eta = motivating.certificate.eta
     cert = replace(motivating.certificate,
                    eta=lambda t, x, i: np.nan if t == traj.times[j] else eta(t, x, i))
-    rep = check_decrease_along(cert, traj, sig)
+    rep = _decrease_as_reference(cert, traj, sig)
     assert not rep.slope.passed and np.isnan(rep.slope.worst_margin)
     assert rep.slope.worst_location[0] == traj.times[j - 1]
 

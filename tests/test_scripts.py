@@ -45,6 +45,13 @@ def test_bench_measures_every_row(tmp_path, capsys, monkeypatch):
         junit.write_text(JUNIT)
 
     monkeypatch.setattr(bench, "run_tier1", run_tier1)
+    reproduced = []  # nor does the CLI
+
+    def run_reproduce(example, out):
+        reproduced.append(example)
+        return 2.5 * len(reproduced)
+
+    monkeypatch.setattr(bench, "run_reproduce", run_reproduce)
     record = tmp_path / "pb.json"
     record.write_text(json.dumps({
         "workload": "envelope-motivating", "seed": 4, "seconds": 2.0, "trace": 0,
@@ -60,7 +67,7 @@ def test_bench_measures_every_row(tmp_path, capsys, monkeypatch):
     n_modes = {"motivating": 2, "example1": 3, "example4": 3, "inverter": 2}
     l0 = [f"{name}/{i}" for name in bench.SYSTEMS for i in range(1, n_modes[name] + 1)]
     l1 = ([f"{run}/{name}" for name in bench.SYSTEMS
-           for run in ("simulate", "simulate_relaxed")]
+           for run in ("simulate", "simulate_calling", "simulate_relaxed")]
           + ["simulate_with_covering/example4", "simulate_reduced/motivating",
              "envelope_trial/motivating", "falsifier_cell/motivating"])
     l2 = ([f"{check}/{name}" for name in ("example4", "motivating")
@@ -74,19 +81,23 @@ def test_bench_measures_every_row(tmp_path, capsys, monkeypatch):
         rows = doc[layer][unit]
         assert sorted(rows) == sorted(expected), layer
         assert all(math.isfinite(v) and v > 0.0 for v in rows.values()), (layer, rows)
-    assert len(l1) == 12 and len(l2) == 9
+    assert len(l1) == 16 and len(l2) == 9
     # the traced record is skipped
     assert doc["L3"] == {"envelope-motivating": {"ops_per_s_median": 40.0, "runs": [
         {"seed": 4, "seconds": 2.0, "ops_per_s": 40.0, "peak_rss_mb": 50.0, "setup_s": 0.03,
          "correct": True, "failed": 0}]}}
-    # L4 from one Tier-1 run: the suite's totals and the acceptance criteria alone
-    assert len(tier1_runs) == 1
+    # L4 from one Tier-1 run: the suite's totals and the acceptance criteria
+    # alone; then one reproduce run per example
+    assert len(tier1_runs) == 1 and reproduced == list(bench.SYSTEMS)
     assert doc["L4"] == {
         "tier1": {"wall_s": 106.25, "passed": 3, "tests": 5, "failures": 1, "errors": 0,
                   "skipped": 1},
         "criteria_wall_s": {"test_criterion_01_embedding_equivalence": 11.875,
-                            "test_criterion_04_motivating_guas_reproduction": 35.9}}
-    assert "L4 tier1" in capsys.readouterr().out
+                            "test_criterion_04_motivating_guas_reproduction": 35.9},
+        "reproduce_wall_s": {"motivating": 2.5, "example1": 5.0, "example4": 7.5,
+                             "inverter": 10.0}}
+    printed = capsys.readouterr().out
+    assert "L4 tier1" in printed and "L4 reproduce inverter" in printed
 
 
 def test_bench_repeats_loop_to_the_minimum_duration(monkeypatch):
