@@ -17,8 +17,8 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .core import (BlowUpError, ParameterError, SwstabError, SwitchedSystem, SwitchingSignal,
-                   active_index_set)
+from .core import (BOUNDARY_TOL, BlowUpError, ParameterError, SwstabError, SwitchedSystem,
+                   SwitchingSignal, active_index_set)
 from .integrate import IntegratorConfig, _switched_outputs, simulate
 from .lyapunov import IntegralBoundParams, check_decrease_along, check_integral_bound, check_sandwich
 from .limiting import build_reduced, wzsd_falsify
@@ -92,6 +92,14 @@ def _positive(manifest: dict, path: str, kind=float):
     number = _number(manifest, path, kind)
     if not np.all(np.asarray(number) > 0):
         raise ParameterError(f"manifest field {path} must be positive")
+    return number
+
+
+def _fraction(manifest: dict, path: str) -> float:
+    """``_number`` of a field that must lie strictly between 0 and 1."""
+    number = _number(manifest, path)
+    if not 0 < number < 1:
+        raise ParameterError(f"manifest field {path} must lie in (0, 1)")
     return number
 
 
@@ -185,7 +193,7 @@ def cmd_simulate(manifest: dict) -> int:
             traj, sigma = _signal_driver(entry, cfg)(t0, x0, t0 + horizon, seed)
         else:
             # the start node alone, under the mode the class would start in
-            mode = (entry.policy(t0, x0, active_index_set(x0, entry.covering, tol=1e-9))
+            mode = (entry.policy(t0, x0, active_index_set(x0, entry.covering, tol=BOUNDARY_TOL))
                     if entry.signal_class.kind == "policy" else 1)
             sigma = SwitchingSignal.constant(mode, t0, t0 + 1.0)
             traj = simulate(entry.system, sigma, t0, x0, t0, cfg)
@@ -278,9 +286,9 @@ def run_envelope(manifest: dict, workers: int = 1) -> tuple[StabilityEnvelope, o
     offset_max = num("envelope.offset_max")
     if offset_max < 0:
         raise ParameterError("manifest field envelope.offset_max must not be negative")
-    judge = partial(classify, decay_ratio=num("envelope.decay_ratio"),
-                    tail_fraction=num("envelope.tail_fraction"),
-                    uniform_bound=num("envelope.uniform_bound"))
+    judge = partial(classify, decay_ratio=_fraction(manifest, "envelope.decay_ratio"),
+                    tail_fraction=_fraction(manifest, "envelope.tail_fraction"),
+                    uniform_bound=pos("envelope.uniform_bound"))
     manifest_json = json.dumps(manifest, sort_keys=True)
     _envelope_driver(manifest_json)  # reads and checks the driver's fields before any trial
     env = estimate_envelope(entry.system.n, partial(_drive, manifest_json),

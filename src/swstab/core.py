@@ -253,9 +253,6 @@ class Covering:
     N: int
     name: str = ""
 
-    def membership(self, xi: np.ndarray, i: int, tol: float = 0.0) -> bool:
-        return self.margin(xi, i) >= -tol
-
 
 def trivial_covering(n_modes: int) -> Covering:
     return Covering(margin=lambda xi, i: 1.0, N=n_modes, name="trivial")

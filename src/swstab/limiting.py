@@ -43,7 +43,6 @@ from .signals import (
 )
 
 VERTEX_TOL = 1e-6  # a control cell counts as a vertex if within this of e_i (sup norm)
-_ULP = 2.0 ** -53  # unit roundoff of float64
 
 
 @dataclass(frozen=True)
@@ -97,12 +96,7 @@ def build_reduced(sys: SwitchedSystem, covering: Covering,
     modes = range(1, sys.N + 1)
 
     def Hhat(t, x):
-        # sqrt(v . v) is np.linalg.norm's arithmetic on a float64 vector, minus its
-        # overhead; for p = 1 it is one float product, as in lyapunov._output_gauge
-        if sys.p == 1:
-            return np.array([math.sqrt(v * v) for (v,) in [h(t, x, i) for i in modes]])
-        vs = [np.asarray(h(t, x, i), dtype=float) for i in modes]
-        return np.array([math.sqrt(v.dot(v)) for v in vs])
+        return np.array([math.hypot(*h(t, x, i)) for i in modes])
 
     Fhat = _StackedFields(sys.fhat if sys.fhat is not None else sys.f, sys.N)
     return ReducedLimitingSystem(n=sys.n, N=sys.N, Fhat=Fhat, Hhat=Hhat,
@@ -150,13 +144,23 @@ def simulate_reduced(rls: ReducedLimitingSystem, u: RelaxedControl, t0: float,
     return Trajectory(times=np.array(ts), states=_rows(xs, rls.n), controls=u.values[cells])
 
 
+def _residual(H, w) -> float:
+    """The output H . w of a cell: the float sum of H_i * w_i from left to right."""
+    s = 0.0
+    for h, v in zip(H, w):
+        s += h * v
+    return s
+
+
 def _reduced_outputs(rls: ReducedLimitingSystem, traj: Trajectory) -> tuple[list[float], float]:
-    """Hhat(t, x(t)) . u(t) at every node of a ``simulate_reduced`` run, which records
-    u at every node, and their max with 0.0, NaN if any is (max() would drop it)."""
+    """``_residual(Hhat(t, x(t)), u(t))`` at every node of a ``simulate_reduced`` run,
+    which records u at every node, and their max with 0.0, NaN if any is (max()
+    would drop it)."""
     if traj.controls is None:
         raise ParameterError("trajectory carries no control")
     Hhat = rls.Hhat
-    ys = [float(Hhat(t, x) @ w) for t, x, w in zip(traj.times.tolist(), traj.states, traj.controls)]
+    ys = [_residual(Hhat(t, x).tolist(), w) for t, x, w
+          in zip(traj.times.tolist(), traj.states, traj.controls.tolist())]
     return ys, math.nan if any(math.isnan(y) for y in ys) else max([0.0, *ys])
 
 
@@ -324,29 +328,6 @@ class _Tally:
         self.cells = 0
 
 
-def _dot_residual(H, w) -> float:
-    """H . w as numpy rounds it (a length-2 dot is fma(H1, w1, H0 * w0))."""
-    return float(np.array(H) @ np.array(w))
-
-
-def _residual_ok(H: list, w: list, tol: float) -> bool:
-    """``_dot_residual(H, w) <= tol``, decided by the float sum s where it can.
-
-    s and numpy's dot each lie within about N * 2**-53 * sum|H_i w_i| of the
-    exact value (a subnormal product adds at most 2**-1074), so s decides
-    whenever |s - tol| exceeds 4 * N * 2**-53 * sum|H_i w_i| + 1e-300.  Inside
-    that band, and when either sum is NaN or inf, numpy's dot decides.
-    """
-    s = a = 0.0
-    for h, v in zip(H, w):
-        p = h * v
-        s += p
-        a += abs(p)
-    if abs(s - tol) > 4.0 * len(H) * _ULP * a + 1e-300:  # False on NaN
-        return s <= tol
-    return _dot_residual(H, w) <= tol
-
-
 def _rollout(rls: ReducedLimitingSystem, u_cells, x0, horizon, du, step, eps,
              residual_tol, divergence_bound, tally: _Tally) -> np.ndarray:
     """Screen a candidate cell by cell; returns its cell weights or raises _Abort.
@@ -378,7 +359,7 @@ def _rollout(rls: ReducedLimitingSystem, u_cells, x0, horizon, du, step, eps,
         H = H_end if t == t_end else Hhat(t, x).tolist()
         w = u_cells(k, t, x, H) if closed_loop else u_cells[k]
         ws.append(w)
-        if not _residual_ok(H, w, residual_tol):  # a NaN residual fails too
+        if not _residual(H, w) <= residual_tol:  # a NaN residual fails too
             raise _Abort("residual")
         rhs, arg = _reduced_rhs(Fhat, w)
         t_end = t + du
@@ -391,7 +372,7 @@ def _rollout(rls: ReducedLimitingSystem, u_cells, x0, horizon, du, step, eps,
         if sum([v * v for v in x]) < eps * eps:
             raise _Abort("norm_floor")
         H_end = Hhat(t_end, x).tolist()
-        if not _residual_ok(H_end, w, residual_tol):
+        if not _residual(H_end, w) <= residual_tol:
             raise _Abort("residual")
     return np.array(ws)
 

@@ -108,7 +108,7 @@ def check_sandwich(cert: LyapunovCertificate, box_lo, box_hi, covering: Covering
     for xi in pts.tolist():
         r = float(np.linalg.norm(xi))
         for i in range(1, covering.N + 1):
-            if not covering.membership(xi, i):
+            if not covering.margin(xi, i) >= 0.0:
                 continue
             v = float(cert.V(0.0, xi, i))
             m = max(cert.phi1(r) - v, v - cert.phi2(r))
@@ -263,14 +263,9 @@ def check_decrease_along(cert: LyapunovCertificate, traj: Trajectory,
     return DecreaseReport(slope=slope_report, revisit=revisit_report)
 
 
-def _output_gauge(h, alpha, p, t, x, i) -> float:
-    """alpha(|h(t, x, i)|) for an output of p floats; sqrt(v . v) is np.linalg.norm's
-    arithmetic on a float64 vector, which for p = 1 is one float product."""
-    if p == 1:
-        (v,) = h(t, x, i)
-        return alpha(math.sqrt(v * v))
-    v = np.asarray(h(t, x, i), dtype=float).ravel()
-    return alpha(math.sqrt(v.dot(v)))
+def _output_gauge(h, alpha, t, x, i) -> float:
+    """alpha(|h(t, x, i)|), the output's Euclidean norm taken by ``math.hypot``."""
+    return alpha(math.hypot(*h(t, x, i)))
 
 
 def check_integral_bound(traj: Trajectory, sigma: SwitchingSignal, sys: SwitchedSystem,
@@ -288,7 +283,7 @@ def check_integral_bound(traj: Trajectory, sigma: SwitchingSignal, sys: Switched
     if len(t) < 2:
         return CheckReport(check="integral_bound", passed=True, worst_margin=-params.M,
                            worst_location=(traj.t0, traj.t0), slack=0.0)
-    gauge = partial(_output_gauge, sys.h, params.alpha, sys.p)
+    gauge = partial(_output_gauge, sys.h, params.alpha)
     g_start, g_end = _along_steps(gauge, t, traj.states, _node_modes(traj, sigma))
     h_steps = np.diff(t)
     h_max = float(h_steps.max())

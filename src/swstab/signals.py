@@ -336,7 +336,7 @@ def validate_covering_invariance(traj: Trajectory, sigma: SwitchingSignal,
     margin = covering.margin
     for t, x, m in zip(traj.times.tolist(), traj.states.tolist(),
                        np.asarray(modes, dtype=np.int64).tolist()):
-        if not margin(x, m) >= -BOUNDARY_TOL:  # Covering.membership, inlined
+        if not margin(x, m) >= -BOUNDARY_TOL:
             return InvarianceReport(ok=False, first_violation=(float(t), m))
     return InvarianceReport(ok=True, first_violation=None)
 

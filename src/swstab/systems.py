@@ -13,7 +13,7 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass, field
-from math import copysign, fsum, isfinite
+from math import copysign
 from typing import Callable, Optional
 
 import numpy as np
@@ -70,45 +70,6 @@ class RegistryEntry:
             raise ParameterError(f"{self.name}: policy class without a policy")
 
 
-_SPLIT = 134217729.0  # 2**27 + 1: Dekker's split of a double into two 26-bit halves
-
-
-def _fma(a: float, b: float, c: float) -> float:
-    """a * b + c rounded once, as a fused multiply-add rounds it.
-
-    Dekker's split and two-product give a * b exactly as p + e, and fsum
-    rounds p + e + c once.  Where the split could overflow or e underflow,
-    or the sum leaves the double range, the sum is taken exactly in
-    fractions.  Zero signs and non-finite values come out as IEEE 754
-    gives them.
-    """
-    p = a * b
-    if 1e-280 < abs(p) < 1e280 and -1e300 < a < 1e300 and -1e300 < b < 1e300:
-        s = _SPLIT * a
-        ah = s - (s - a)
-        al = a - ah
-        s = _SPLIT * b
-        bh = s - (s - b)
-        bl = b - bh
-        try:
-            return fsum((p, al * bl - (((p - ah * bh) - al * bh) - ah * bl), c))
-        except OverflowError:
-            pass
-    if a == 0.0 or b == 0.0 or not (isfinite(a) and isfinite(b)):
-        return a * b + c  # an exact zero, or a non-finite, product: one rounding
-    if not isfinite(c):
-        return c
-    from fractions import Fraction  # it imports decimal: loaded only when this path runs
-
-    q = Fraction(a) * Fraction(b) + Fraction(c)
-    if q == 0:
-        return 0.0  # a nonzero product cancelled exactly: +0 under round-to-nearest
-    try:
-        return float(q)
-    except OverflowError:
-        return math.inf if q > 0 else -math.inf
-
-
 def _sample_check(cond: bool, msg: str) -> None:
     if not cond:
         raise ParameterError(msg)
@@ -139,8 +100,7 @@ def motivating(a: float = 1.0, T0: float = 1.0, delta0: float = 0.2) -> Registry
 
     system = SwitchedSystem(n=2, N=2, f=f, h=h, p=1, fhat=fhat, name="motivating")
     cert = LyapunovCertificate(
-        # x @ x as BLAS rounds it: x0 * x0, then one fused multiply-add
-        V=lambda t, x, i: 0.5 * _fma(x[1], x[1], x[0] * x[0]),
+        V=lambda t, x, i: 0.5 * (x[0] * x[0] + x[1] * x[1]),
         phi1=lambda s: 0.5 * s * s,
         phi2=lambda s: 0.5 * s * s,
         eta=lambda t, x, i: 0.0 if i == 1 else abs(x[0]) ** (4.0 / 3.0),
@@ -205,7 +165,7 @@ def example1(g1: Optional[Callable] = None, g2: Optional[Callable] = None,
 
     system = SwitchedSystem(n=2, N=3, f=f, h=h, p=1, fhat=fhat, name="example1")
     cert = LyapunovCertificate(
-        V=lambda t, x, i: 0.5 * _fma(x[1], x[1], x[0] * x[0]),  # x @ x, as above
+        V=lambda t, x, i: 0.5 * (x[0] * x[0] + x[1] * x[1]),
         phi1=lambda s: 0.5 * s * s,
         phi2=lambda s: 0.5 * s * s,
         eta=lambda t, x, i: x[1] * x[1] if i == 1 else x[0] * x[0],
@@ -238,11 +198,8 @@ def example4() -> RegistryEntry:
     mode 3 on the left half-plane and the stronger-decay mode among {1, 2} on
     the right.
     """
-    names = {"sin": math.sin, "cos": math.cos, "_fma": _fma}
-    # A3 @ x for A3 = [[-3, 5], [-5, 3]] as BLAS rounds it: each row accumulates
-    # from +0.0 the second column's product, then the first column's by one
-    # fused multiply-add, so a zero row is +0.0
-    rotate = "_fma(-3.0, x0, 5.0 * x1 + 0.0), _fma(-5.0, x0, 3.0 * x1 + 0.0)"
+    names = {"sin": math.sin, "cos": math.cos}
+    rotate = "-3.0 * x0 + 5.0 * x1, -5.0 * x0 + 3.0 * x1"  # A3 @ x, A3 = [[-3, 5], [-5, 3]]
     f = ModeSource(2, ("b = sin(t)\nb * x1, -b * x0 - x1",
                        "b = 1.0 + cos(t)\n-x0 - b * x1, b * x0", rotate),
                    names, result=FieldTuple).f
@@ -335,10 +292,8 @@ def inverter(L1: float = 1.0, L2: float = 1.0, C1: float = 1.0, C2: float = 1.0,
     lam_m, lam_M = float(eigs.min()), float(eigs.max())
     p0, p1, p2, p3 = np.diag(P).tolist()
     cert = LyapunovCertificate(
-        # x @ (P @ x) as BLAS rounds it: P @ x is exact per component, and the
-        # dot is x0 * (P00 x0), then one fused multiply-add per further term
-        V=lambda t, x, i: 0.5 * _fma(x[3], p3 * x[3], _fma(x[2], p2 * x[2], _fma(
-            x[1], p1 * x[1], x[0] * (p0 * x[0])))),
+        V=lambda t, x, i: 0.5 * (x[0] * (p0 * x[0]) + x[1] * (p1 * x[1])
+                                 + x[2] * (p2 * x[2]) + x[3] * (p3 * x[3])),
         phi1=lambda s: lam_m * s * s,
         phi2=lambda s: lam_M * s * s,
         eta=lambda t, x, i: C2 * (x[3] * x[3]),

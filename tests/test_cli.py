@@ -91,6 +91,8 @@ def test_unknown_system_parameter_exit2(tmp_path, capsys):
     ("falsify", {"falsify": {"du": "x"}}, "falsify.du"),
     ("reproduce inverter", {"falsify": {"residual_tol": "x"}}, "falsify.residual_tol"),
     ("reproduce motivating", {"envelope": {"decay_ratio": "x"}}, "envelope.decay_ratio"),
+    ("envelope", {"envelope": {"uniform_bound": "x"}}, "envelope.uniform_bound"),
+    ("reproduce motivating", {"envelope": {"tail_fraction": None}}, "envelope.tail_fraction"),
 ])
 def test_bad_manifest_number_exit2(tmp_path, capsys, command, doc, key):
     # every field is read and checked before the output directory is made
@@ -147,13 +149,31 @@ def test_bad_manifest_value_exit2(tmp_path, command, doc):
     ("falsify", {"falsify": {"eps": 0}}, "falsify.eps"),
     ("falsify", {"falsify": {"horizon": -5.0}}, "falsify.horizon"),
     ("falsify", {"falsify": {"budget": 0}}, "falsify.budget"),
+    # classify's thresholds; a small envelope, so that a regression returns quickly
+    ("envelope", {"envelope": {"decay_ratio": -0.5, "tail_fraction": 7.0, "uniform_bound": -1.0,
+                               "trials": 1, "horizon": 2.0}}, "envelope.decay_ratio"),
+    ("envelope", {"envelope": {"decay_ratio": 1.0, "trials": 1, "horizon": 2.0}},
+     "envelope.decay_ratio"),
+    ("envelope", {"envelope": {"tail_fraction": 7.0, "trials": 1, "horizon": 2.0}},
+     "envelope.tail_fraction"),
+    ("envelope", {"envelope": {"tail_fraction": 0, "trials": 1, "horizon": 2.0}},
+     "envelope.tail_fraction"),
+    ("envelope", {"envelope": {"uniform_bound": -1.0, "trials": 1, "horizon": 2.0}},
+     "envelope.uniform_bound"),
+    ("reproduce motivating --trials 1 --horizon 2", {"envelope": {"decay_ratio": 0}},
+     "envelope.decay_ratio"),
+    ("reproduce motivating --trials 1 --horizon 2", {"envelope": {"tail_fraction": 1.5}},
+     "envelope.tail_fraction"),
+    ("reproduce motivating --trials 1 --horizon 2", {"envelope": {"uniform_bound": 0}},
+     "envelope.uniform_bound"),
 ])
 def test_out_of_range_manifest_value_exit2(tmp_path, capsys, command, doc, key):
     # a non-positive horizon, box, step, trial count, budget, signal
-    # granularity, falsifier eps or du, or envelope radius, a sample grid of
-    # fewer than 2 points per axis, fewer than one tau column, a negative
-    # envelope start offset or a negative residual tolerance is bad input:
-    # exit 2 naming the field, before the output directory
+    # granularity, falsifier eps or du, envelope radius or uniform bound, a
+    # decay ratio or tail fraction outside (0, 1), a sample grid of fewer than
+    # 2 points per axis, fewer than one tau column, a negative envelope start
+    # offset or a negative residual tolerance is bad input: exit 2 naming the
+    # field, before the output directory
     m = manifest_file(tmp_path, doc)
     assert run(command.split() + ["--manifest", m, "--out", tmp_path / "o", "--workers", 1]) == 2
     assert key in capsys.readouterr().err
@@ -306,8 +326,9 @@ def test_falsify_both_exits(tmp_path):
 
 
 def test_counterexample_outputs_are_hhat_u(tmp_path):
-    # the y1 column is Hhat(t, x) . u at every node, and its maximum is the
-    # verdict's output sup; the lifted Hhat keeps every node's output positive
+    # the y1 column is Hhat(t, x) . u, the float sum H0 u0 + H1 u1, at every
+    # node, and its maximum is the verdict's output sup; the lifted Hhat keeps
+    # every node's output positive
     from dataclasses import replace
     from swstab import get_entry, wzsd_falsify
     from swstab.cli import DEFAULT_MANIFEST, _deep_merge, _write_falsify
@@ -321,8 +342,9 @@ def test_counterexample_outputs_are_hhat_u(tmp_path):
     for out, Hhat in (("plain", rls.Hhat), ("lifted", lifted.Hhat)):
         doc = json.loads((tmp_path / out / "falsify_verdict.json").read_text())
         cx = Trajectory.from_csv(tmp_path / out / "counterexample.csv")
-        want = [float(Hhat(t, x) @ w)
-                for t, x, w in zip(cx.times.tolist(), cx.states, cx.controls)]
+        want = [H[0] * w[0] + H[1] * w[1] for H, w in zip(
+            [Hhat(t, x).tolist() for t, x in zip(cx.times.tolist(), cx.states)],
+            cx.controls.tolist())]
         assert cx.outputs[:, 0].tolist() == want
         assert max(want) == doc["counterexample_output_sup"]
     assert min(want) > 0.0

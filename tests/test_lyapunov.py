@@ -1,6 +1,7 @@
 """Certification checks: sandwich, decrease along trajectories, integral bound."""
 
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -480,11 +481,21 @@ def test_decrease_flags_inflated_gauge_closed_loop(example4):
 
 @pytest.mark.parametrize("v", [1e200, 1e-200, -0.0, float("nan"), -0.7])
 def test_output_gauge_of_one_output_is_the_norm(v):
-    # the p = 1 gauge squares the output in Python floats; np.linalg.norm's
-    # sqrt(v . v) overflows at 1e200 and underflows at 1e-200 the same way
+    # math.hypot of one output is |v| exactly, also where squaring it would
+    # overflow (1e200) or underflow (1e-200), as np.linalg.norm's sqrt(v . v) does
     from swstab.lyapunov import _output_gauge
 
-    got = _output_gauge(lambda t, x, i: (v,), lambda s: s, 1, 0.0, [0.0], 1)
-    with np.errstate(over="ignore"):
-        want = np.linalg.norm(np.array([v]))
-    assert np.float64(got).tobytes() == want.tobytes()
+    got = _output_gauge(lambda t, x, i: (v,), lambda s: s, 0.0, [0.0], 1)
+    assert (math.isnan(got) if math.isnan(v) else
+            np.float64(got).tobytes() == np.float64(abs(v)).tobytes())
+
+
+def test_output_gauge_of_two_outputs_is_the_norm():
+    # p = 2: within 2 ulp of np.linalg.norm wherever v . v stays in range
+    from swstab.lyapunov import _output_gauge
+
+    rng = np.random.default_rng(43)
+    for v in rng.standard_normal((2000, 2)) * 10.0 ** rng.uniform(-100.0, 100.0, (2000, 1)):
+        got = _output_gauge(lambda t, x, i: v, lambda s: s, 0.0, [0.0], 1)
+        want = np.linalg.norm(v)
+        assert abs(got - want) <= 2.0 * np.spacing(want), (v, got, want)

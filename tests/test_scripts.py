@@ -87,15 +87,18 @@ def test_bench_measures_every_row(tmp_path, capsys, monkeypatch):
         {"seed": 4, "seconds": 2.0, "ops_per_s": 40.0, "peak_rss_mb": 50.0, "setup_s": 0.03,
          "correct": True, "failed": 0}]}}
     # L4 from one Tier-1 run: the suite's totals and the acceptance criteria
-    # alone; then one reproduce run per example
-    assert len(tier1_runs) == 1 and reproduced == list(bench.SYSTEMS)
+    # alone; then three rounds of one reproduce run per example
+    assert len(tier1_runs) == 1 and reproduced == 3 * list(bench.SYSTEMS)
     assert doc["L4"] == {
         "tier1": {"wall_s": 106.25, "passed": 3, "tests": 5, "failures": 1, "errors": 0,
                   "skipped": 1},
         "criteria_wall_s": {"test_criterion_01_embedding_equivalence": 11.875,
                             "test_criterion_04_motivating_guas_reproduction": 35.9},
-        "reproduce_wall_s": {"motivating": 2.5, "example1": 5.0, "example4": 7.5,
-                             "inverter": 10.0}}
+        "reproduce_wall_s": {
+            "motivating": {"runs": [2.5, 12.5, 22.5], "median": 12.5},
+            "example1": {"runs": [5.0, 15.0, 25.0], "median": 15.0},
+            "example4": {"runs": [7.5, 17.5, 27.5], "median": 17.5},
+            "inverter": {"runs": [10.0, 20.0, 30.0], "median": 20.0}}}
     printed = capsys.readouterr().out
     assert "L4 tier1" in printed and "L4 reproduce inverter" in printed
 

@@ -2,14 +2,12 @@
 
 import math
 import struct
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from swstab import IntegratorConfig, ParameterError, get_entry, simulate, simulate_with_covering
 from swstab.lyapunov import check_decrease_along, check_sandwich
-from swstab.systems import _fma
 
 
 def test_motivating_mode2_odd_cube_root(motivating):
@@ -98,21 +96,6 @@ def _example4_ndarray_fields():
     return f, fhat, h, lambda t, x, i: h(t, x, i)[0]
 
 
-def _blas_fusion_gap():
-    """None when numpy's length-2 dot and 2x2 matmul round each term after the
-    first as one fused multiply-add, on probe states where that differs from
-    rounding every product and sum; otherwise the reason they cannot be compared."""
-    A3 = np.array([[-3.0, 5.0], [-5.0, 3.0]])
-    telling = 0
-    for x in np.random.default_rng(3).uniform(-3.0, 3.0, (200, 2)):
-        x0, x1 = x.tolist()
-        fused = [_fma(x1, x1, x0 * x0), _fma(-3.0, x0, 5.0 * x1), _fma(-5.0, x0, 3.0 * x1)]
-        if [float(x @ x)] + (A3 @ x).tolist() != fused:
-            return f"this BLAS does not fuse the length-2 dot or the 2x2 matmul (state {x.tolist()})"
-        telling += fused != [x0 * x0 + x1 * x1, -3.0 * x0 + 5.0 * x1, -5.0 * x0 + 3.0 * x1]
-    return None if telling else "no probe state tells fused from separate rounding"
-
-
 def _draw_states(rng, n, count):
     """Rows over six decades, with +0.0 and -0.0 components mixed in."""
     rows = rng.uniform(-3.0, 3.0, (count, n)) * 10.0 ** rng.uniform(-3.0, 3.0, (count, n))
@@ -124,34 +107,37 @@ def _draw_states(rng, n, count):
 
 def test_example4_float_fields_equal_ndarray_forms(example4):
     # the tuple fields, the outputs and eta, and the reduced system's columns, hold
-    # the ndarray forms' values bit for bit, zero signs included, whether the state
-    # is a list or a row; mode 3 is compared where this BLAS fuses A3 @ x
+    # the ndarray forms' values bit for bit in modes 1 and 2, zero signs included,
+    # whether the state is a list or a row.  Mode 3 rounds its two products and
+    # their sum as floats, where numpy's A3 @ x may fuse a product into the sum:
+    # both share the rounding of 5 x1 or 3 x1, and differ by at most half an ulp
+    # of the other product plus one ulp of the result, within 2 ulp of
+    # |A3| @ |x| (a zero result is compared without its sign)
     system, Fhat, eta = example4.system, example4.reduced.Fhat, example4.certificate.eta
     old_f, old_fhat, old_h, old_eta = _example4_ndarray_fields()
-    gap = _blas_fusion_gap()
-    modes = (1, 2) if gap else (1, 2, 3)
+    A3 = np.array([[-3.0, 5.0], [-5.0, 3.0]])
     rng = np.random.default_rng(44)
     for row in _draw_states(rng, 2, 5000):
         t = float(rng.uniform(0.0, 50.0))
+        ulp2 = 2.0 * np.spacing(np.abs(A3) @ np.abs(row))
         for x in (row.tolist(), row):
             columns = Fhat(t, x)
             for i in (1, 2, 3):
                 assert np.float64(eta(t, x, i)).tobytes() == old_eta(t, row, i).tobytes()
                 assert np.array(system.h(t, x, i)).tobytes() == old_h(t, row, i).tobytes()
-            for i in modes:
+            for i in (1, 2):
                 for new, old in ((system.f, old_f), (system.fhat, old_fhat)):
                     assert np.array(new(t, x, i)).tobytes() == old(t, row, i).tobytes()
                 assert columns[:, i - 1].tobytes() == old_fhat(t, row, i).tobytes()
-    if gap:
-        pytest.skip(f"mode 3 not compared: {gap}")
+            want = A3 @ row
+            for new in (system.f(t, x, 3), system.fhat(t, x, 3), columns[:, 2]):
+                assert np.all(np.abs(np.array(new) - want) <= ulp2), (row, new, want)
 
 
 def test_registry_V_equals_numpy_forms(all_entries):
-    # the fused-multiply-add certificates hold the values of the numpy forms
-    # they replace, 0.5 * x @ x and 0.5 * x @ (P @ x), where this BLAS fuses
-    gap = _blas_fusion_gap()
-    if gap:
-        pytest.skip(gap)
+    # the certificates are plain float sums of at most four nonnegative terms,
+    # within 4 * 2**-53 relative of the numpy forms they stand for,
+    # 0.5 * x @ x and 0.5 * x @ (P @ x)
     by_name = {e.name: e for e in all_entries}
     P = lambda e: np.diag([e.params[k] for k in ("L1", "L2", "C1", "C2")])
     cases = [(by_name["motivating"], lambda e, x: x @ x),
@@ -162,9 +148,10 @@ def test_registry_V_equals_numpy_forms(all_entries):
     rng = np.random.default_rng(47)
     for entry, form in cases:
         for row in _draw_states(rng, entry.system.n, 3000):
-            want = np.float64(0.5 * float(form(entry, row))).tobytes()
+            want = 0.5 * float(form(entry, row))
             for i in range(1, entry.system.N + 1):
-                assert np.float64(entry.certificate.V(0.0, row.tolist(), i)).tobytes() == want
+                got = entry.certificate.V(0.0, row.tolist(), i)
+                assert abs(got - want) <= 4.0 * 2.0 ** -53 * want, (entry.name, row, got, want)
 
 
 def test_registry_certificates_same_on_lists_and_rows(all_entries):
@@ -180,102 +167,6 @@ def test_registry_certificates_same_on_lists_and_rows(all_entries):
                             == np.float64(fn(t, row, i)).tobytes())
                 assert (np.asarray(cert.dV(t, row.tolist(), i), dtype=float).tobytes()
                         == np.asarray(cert.dV(t, row, i), dtype=float).tobytes())
-
-
-# --- the exact fused multiply-add --------------------------------------------
-
-_OVERFLOW_EDGE = Fraction(2 ** 1024 - 2 ** 970)  # exact values past it round to infinity
-
-
-def _ieee_nonfinite_fma(a, b, c) -> float:
-    """fma(a, b, c) under IEEE 754 when some input is not finite."""
-    if math.isnan(a) or math.isnan(b) or math.isnan(c):
-        return math.nan
-    if math.isinf(a) or math.isinf(b):
-        if a == 0.0 or b == 0.0:
-            return math.nan
-        p = math.copysign(math.inf, math.copysign(1.0, a) * math.copysign(1.0, b))
-        return math.nan if math.isinf(c) and c != p else p
-    return c
-
-
-def _assert_fma_exact(a, b, c):
-    """_fma(a, b, c) is the exact a*b + c rounded to the nearest double, ties to
-    even, with IEEE 754's zero signs; judged by comparing neighbours."""
-    got = _fma(a, b, c)
-    case = (a, b, c, got)
-    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
-        want = _ieee_nonfinite_fma(a, b, c)
-        assert (math.isnan(got) if math.isnan(want) else got == want), case
-        return
-    q = Fraction(a) * Fraction(b) + Fraction(c)
-    if q == 0:
-        # an exact zero is -0 only as the sum of a -0 product and a -0 addend
-        neg = ((a == 0.0 or b == 0.0) and math.copysign(1.0, a) * math.copysign(1.0, b) < 0
-               and math.copysign(1.0, c) < 0)
-        assert got == 0.0 and math.copysign(1.0, got) == (-1.0 if neg else 1.0), case
-        return
-    if abs(q) >= _OVERFLOW_EDGE:
-        assert got == (math.inf if q > 0 else -math.inf), case
-        return
-    assert math.isfinite(got) and math.copysign(1.0, got) == (1.0 if q > 0 else -1.0), case
-    err = abs(q - Fraction(got))
-    even = struct.unpack("<q", struct.pack("<d", got))[0] % 2 == 0
-    for nb in (math.nextafter(got, math.inf), math.nextafter(got, -math.inf)):
-        if math.isfinite(nb):
-            d = abs(q - Fraction(nb))
-            assert err < d or (err == d and even), case
-
-
-def test_fma_is_exact():
-    rng = np.random.default_rng(49)
-
-    def signed(mag):
-        return (mag * rng.choice([-1.0, 1.0], len(mag))).tolist()
-
-    # random magnitudes from 1e-300 to 1e300, the addend free or nearly
-    # cancelling the product
-    k = 3000
-    a, b, c = (signed(10.0 ** rng.uniform(-300.0, 300.0, k)) for _ in range(3))
-    for x, y, z in zip(a, b, c):
-        _assert_fma_exact(x, y, z)
-        p = x * y
-        for w in (-p, -p * (1.0 + 2.0 ** -40), -math.nextafter(p, 0.0)):
-            _assert_fma_exact(x, y, w)
-    # moderate magnitudes, where the rounding of a*b matters most
-    a, b = (signed(rng.uniform(0.5, 2.0, k)) for _ in range(2))
-    for x, y, z in zip(a, b, signed(rng.uniform(0.5, 2.0, k))):
-        _assert_fma_exact(x, y, z)
-        _assert_fma_exact(x, y, -(x * y))
-    # ties: 3 * (2**52 + 1) lies halfway between two doubles, and an addend
-    # below half an ulp decides the side only when added before rounding
-    for z in (0.0, 0.25, -0.25, 1.0, -1.0):
-        _assert_fma_exact(3.0, 2.0 ** 52 + 1.0, z)
-    # subnormals in every slot, and products that underflow
-    sub = signed(rng.uniform(0.0, 2.0 ** -1022, 200)) + [5e-324, -5e-324, 2.0 ** -1022]
-    for x, y, z in zip(sub, signed(10.0 ** rng.uniform(-20.0, 300.0, len(sub))),
-                       signed(10.0 ** rng.uniform(-320.0, -280.0, len(sub)))):
-        for args in ((x, y, z), (y, x, z), (z, y, x), (x, x, z), (x, y, -x * y), (z, 1e-300, x)):
-            _assert_fma_exact(*args)
-    # +0 and -0 in every slot, against zeros, ones and an infinity
-    vals = [0.0, -0.0, 1.5, -2.5, 5e-324, math.inf, -math.inf, math.nan]
-    for x in vals:
-        for y in vals:
-            for z in vals:
-                _assert_fma_exact(x, y, z)
-    # products near and past overflow, brought back or not by the addend
-    big = 1.7976931348623157e308
-    for x, y, z in ((1.3e154, 1.38e154, 0.0), (1.3e154, 1.38e154, -1.5e308),
-                    (1e200, 1e200, -big), (1e200, 1e200, -math.inf), (1e200, -1e200, big),
-                    (big, 1.0, 1e292), (big, 1.0, 9.9e291), (big, -1.0, -2e292),
-                    (big, 0.5, big), (1e300, 10.0, -big), (1.4e300, 1.0, 0.0),
-                    (1e-300, 1e300, -1.0), (3e300, 3e-300, 1.0), (1.5e300, 1e-30, 1.0),
-                    (-1e-30, 1.7e308, -1.0)):
-        _assert_fma_exact(x, y, z)
-    # infinities and NaNs against finite values
-    for x, y, z in ((math.inf, 0.0, 1.0), (math.inf, 2.0, -math.inf), (math.inf, -2.0, -math.inf),
-                    (2.0, 3.0, math.nan), (math.nan, 0.0, 1.0), (1e300, 1e300, -math.inf)):
-        _assert_fma_exact(x, y, z)
 
 
 def test_example4_fields_negate_elementwise(example4):
