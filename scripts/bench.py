@@ -49,10 +49,12 @@ Layers (ROADMAP aim 1), all with pinned seeds and through the public API:
   the path), read from its ``--junitxml`` report: the suite's wall seconds
   and test counts, and each acceptance criterion's wall seconds (setup,
   call and teardown, so a criterion that first builds a shared fixture
-  carries its cost); then the wall seconds of ``swstab reproduce <example>``
-  for each registry example, with one worker: ``REPRODUCE_RUNS`` rounds over
-  the examples, every run recorded, and each example's median.  L4 figures
-  are wall time, not scaled.
+  carries its cost); then ``swstab reproduce <example>`` for each registry
+  example, with one worker: ``REPRODUCE_RUNS`` rounds over the examples,
+  every run recorded in wall seconds and in speed-scaled seconds (see
+  below; the clock samples the machine in this process while the child
+  runs), and each example's median of the scaled figures.  The Tier-1 and
+  criterion figures are wall time, not scaled.
 
 L0, L1 and L2 figures are the median over the repeats.  Every repeat runs
 under ``SpeedClock`` of perfbench/run.py, which samples the machine's speed
@@ -264,14 +266,16 @@ def run_tier1(junit: Path) -> None:
                    stdout=subprocess.DEVNULL, check=False)
 
 
-def run_reproduce(example: str, out: Path) -> float:
-    """Wall seconds of one ``swstab reproduce <example>`` run with one worker,
-    writing its files under ``out``."""
-    t0 = time.perf_counter()
-    subprocess.run([sys.executable, "-m", "swstab", "reproduce", example, "--out", str(out),
-                    "--workers", "1"], cwd=ROOT, env=_env(), stdout=subprocess.DEVNULL,
-                   check=True)
-    return time.perf_counter() - t0
+def run_reproduce(example: str, out: Path, clock) -> dict:
+    """Wall and speed-scaled seconds of one ``swstab reproduce <example>`` run
+    with one worker, writing its files under ``out``; ``clock()`` samples the
+    machine's speed in this process while the child runs."""
+    with clock() as c:
+        t0, w0 = c.now(), time.perf_counter()
+        subprocess.run([sys.executable, "-m", "swstab", "reproduce", example, "--out", str(out),
+                        "--workers", "1"], cwd=ROOT, env=_env(), stdout=subprocess.DEVNULL,
+                       check=True)
+        return {"wall_s": time.perf_counter() - w0, "scaled_s": c.now() - t0}
 
 
 def read_l4(junit) -> dict:
@@ -289,16 +293,17 @@ def read_l4(junit) -> dict:
             "criteria_wall_s": dict(sorted(criteria.items()))}
 
 
-def measure_l4() -> dict:
+def measure_l4(clock) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         junit = Path(tmp) / "tier1.xml"
         run_tier1(junit)
         runs = {name: [] for name in SYSTEMS}
         for _ in range(REPRODUCE_RUNS):  # whole rounds, so that a slow spell of the host spreads
             for name in SYSTEMS:
-                runs[name].append(run_reproduce(name, Path(tmp) / name))
-        return {**read_l4(junit), "reproduce_wall_s": {
-            name: {"runs": r, "median": statistics.median(r)} for name, r in runs.items()}}
+                runs[name].append(run_reproduce(name, Path(tmp) / name, clock))
+        return {**read_l4(junit), "reproduce_s": {
+            name: {"runs": r, "median_scaled_s": statistics.median(x["scaled_s"] for x in r)}
+            for name, r in runs.items()}}
 
 
 # (layer, measure, unit, seconds per work unit -> the unit's figure)
@@ -315,7 +320,7 @@ def bench(repeats: int, records=()) -> dict:
         doc[layer] = {unit: {k: factor(s) for k, s in timed.items()}}
     if records:
         doc["L3"] = read_l3(records)
-    doc["L4"] = measure_l4()
+    doc["L4"] = measure_l4(pb.SpeedClock)
     return doc
 
 
@@ -337,8 +342,9 @@ def main(argv=None) -> None:
           f"{tier1['tests']} passed")
     for k, v in doc["L4"]["criteria_wall_s"].items():
         print(f"L4 {k:52s} {v:8.2f} s wall")
-    for k, v in doc["L4"]["reproduce_wall_s"].items():
-        print(f"L4 reproduce {k:42s} {v['median']:8.2f} s wall, median of {len(v['runs'])}")
+    for k, v in doc["L4"]["reproduce_s"].items():
+        print(f"L4 reproduce {k:42s} {v['median_scaled_s']:8.2f} s scaled, "
+              f"median of {len(v['runs'])}")
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")

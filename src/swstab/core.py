@@ -166,6 +166,9 @@ class RelaxedControl:
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 2 or vals.shape[0] == 0:
             raise ParameterError("values must be a (n_cells, N) array")
+        if not np.isfinite(vals).all():
+            k = int(np.argmin(np.isfinite(vals).all(axis=1)))
+            raise ParameterError(f"control cell {k} holds a non-finite value {vals[k].tolist()!r}")
         if np.any(vals < -SIMPLEX_TOL):
             raise ParameterError("control values must be nonnegative")
         vals = np.maximum(vals, 0.0)

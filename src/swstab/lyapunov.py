@@ -94,7 +94,9 @@ class CheckReport:
 
 def check_sandwich(cert: LyapunovCertificate, box_lo, box_hi, covering: Covering,
                    density: int = 9) -> CheckReport:
-    """Sample phi1(|xi|) <= V(0, xi, i) <= phi2(|xi|) over a box, per covering piece."""
+    """Sample phi1(|xi|) <= V(0, xi, i) <= phi2(|xi|) over a box, per covering piece.
+
+    A NaN margin fails the check and is reported at the first NaN point."""
     box_lo = np.asarray(box_lo, dtype=float)
     box_hi = np.asarray(box_hi, dtype=float)
     if np.any(box_lo > 0) or np.any(box_hi < 0):
@@ -113,7 +115,7 @@ def check_sandwich(cert: LyapunovCertificate, box_lo, box_hi, covering: Covering
             v = float(cert.V(0.0, xi, i))
             m = max(cert.phi1(r) - v, v - cert.phi2(r))
             n_checked += 1
-            if m > worst:
+            if m > worst or (m != m and worst == worst):
                 worst, where = m, (0.0, i, r)
     return CheckReport(check="sandwich", passed=worst <= SANDWICH_TOL, worst_margin=worst,
                        worst_location=where, slack=SANDWICH_TOL, extra={"points": n_checked})

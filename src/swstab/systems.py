@@ -4,15 +4,15 @@ Each entry bundles the switched dynamics with its weak-Lyapunov certificate,
 covering, switching-signal class, and reduced limiting system, which inherits
 the class's own constraint object, so the certification / envelope /
 falsification pipeline can run end to end.  Each entry is one instance of
-the paper's classes of functions; construction checks the scalar parameters
-and samples only example1's gauges g_i (bound and persistent excitation).
+the paper's classes of functions, and construction checks its scalar
+parameters.
 """
 
 from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import copysign
 from typing import Callable, Optional
 
@@ -59,7 +59,6 @@ class RegistryEntry:
     policy: Optional[Callable] = None
     alpha: Callable[[float], float] = lambda s: s           # output-integral gauge
     integral_M: Callable[[np.ndarray], float] = lambda x0: 0.0
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.covering.N != self.system.N or self.reduced.N != self.system.N:
@@ -68,11 +67,6 @@ class RegistryEntry:
             raise ParameterError(f"{self.name}: state dimensions disagree")
         if self.signal_class.kind == "policy" and self.policy is None:
             raise ParameterError(f"{self.name}: policy class without a policy")
-
-
-def _sample_check(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ParameterError(msg)
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +110,7 @@ def motivating(a: float = 1.0, T0: float = 1.0, delta0: float = 0.2) -> Registry
         name="motivating", system=system, certificate=cert, covering=covering,
         signal_class=klass, reduced=reduced,
         alpha=lambda s: s ** (4.0 / 3.0),
-        integral_M=lambda x0: 0.5 * float(np.dot(x0, x0)),
-        params={"a": a, "T0": T0, "delta0": delta0})
+        integral_M=lambda x0: 0.5 * float(np.dot(x0, x0)))
 
 
 # ---------------------------------------------------------------------------
@@ -125,40 +118,19 @@ def motivating(a: float = 1.0, T0: float = 1.0, delta0: float = 0.2) -> Registry
 # ---------------------------------------------------------------------------
 
 
-def example1(g1: Optional[Callable] = None, g2: Optional[Callable] = None,
-             pe_window: float = math.pi, pe_exponents: tuple[float, float] = (1.0, 1.0),
-             mean_dwell: float = 0.3) -> RegistryEntry:
+def example1(mean_dwell: float = 0.3) -> RegistryEntry:
     """Three time-varying planar modes sharing V = |x|^2/2, GUAS under arbitrary switching.
 
-    g_i(t, xi) must be uniformly bounded (the fields hand them xi as a tuple of
-    floats); their axis restrictions ghat_i(t, v) = g_i(t, v e_i) must be
-    persistently exciting:
-    liminf over t of the window integral of |ghat_i|^{r_i} stays positive.
-    Defaults g_i = sin(t) satisfy this with window pi and r_i = 1.
+    The paper's gains fixed: g_1 = g_2 = sin, uniformly bounded, and their
+    axis restrictions are persistently exciting (the integral of |sin| over
+    every window of length pi is 2).
     """
-    if g1 is None:
-        g1 = lambda t, x: math.sin(t)
-    if g2 is None:
-        g2 = lambda t, x: math.sin(t)
-    ghat1 = lambda t, v: g1(t, np.array((v, 0.0)))
-    ghat2 = lambda t, v: g2(t, np.array((0.0, v)))
-
-    # sampled hypothesis checks: boundedness and persistent excitation
-    tt = np.linspace(0.0, 40.0, 401)
-    for ghat, r, nm in ((ghat1, pe_exponents[0], "g1"), (ghat2, pe_exponents[1], "g2")):
-        vals = np.array([abs(ghat(t, 1.0)) for t in tt])
-        _sample_check(float(vals.max()) < 1e6, f"{nm} must be uniformly bounded")
-        for t_anchor in (10.0, 25.0, 40.0):
-            s = np.linspace(t_anchor, t_anchor + pe_window, 201)
-            pe = np.trapezoid([abs(ghat(si, 1.0)) ** r for si in s], s)
-            _sample_check(pe > 1e-6, f"{nm} fails the persistent-excitation bound")
-
-    names = {"g1": g1, "g2": g2, "ghat1": ghat1, "ghat2": ghat2}
-    f = ModeSource(2, ("g = g1(t, (x0, x1))\n-g * x1, g * x0 - x1",
-                       "g = g2(t, (x0, x1)) * 1.0\ng * x1 - x0, -g * x0",
-                       "g = g2(t, (x0, x1)) * 2.0\ng * x1 - x0, -g * x0"), names).f
-    fhat = ModeSource(2, ("0.0, ghat1(t, x0) * x0", "1.0 * ghat2(t, x1) * x1, 0.0",
-                          "2.0 * ghat2(t, x1) * x1, 0.0"), names).f
+    names = {"sin": math.sin}
+    f = ModeSource(2, ("g = sin(t)\n-g * x1, g * x0 - x1",
+                       "g = sin(t)\ng * x1 - x0, -g * x0",
+                       "g = sin(t) * 2.0\ng * x1 - x0, -g * x0"), names).f
+    fhat = ModeSource(2, ("0.0, sin(t) * x0", "sin(t) * x1, 0.0",
+                          "2.0 * sin(t) * x1, 0.0"), names).f
 
     def h(t, x, i):
         return (x[1] * x[1],) if i == 1 else (x[0] * x[0],)
@@ -180,8 +152,7 @@ def example1(g1: Optional[Callable] = None, g2: Optional[Callable] = None,
     return RegistryEntry(
         name="example1", system=system, certificate=cert, covering=covering,
         signal_class=klass, reduced=reduced,
-        integral_M=lambda x0: 0.5 * float(np.dot(x0, x0)),
-        params={"pe_window": pe_window, "mean_dwell": mean_dwell})
+        integral_M=lambda x0: 0.5 * float(np.dot(x0, x0)))
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +215,7 @@ def example4() -> RegistryEntry:
     return RegistryEntry(
         name="example4", system=system, certificate=cert, covering=covering,
         signal_class=klass, reduced=reduced, policy=policy,
-        integral_M=lambda x0: 20.0 * float(np.dot(x0, x0)),
-        params={})
+        integral_M=lambda x0: 20.0 * float(np.dot(x0, x0)))
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +278,7 @@ def inverter(L1: float = 1.0, L2: float = 1.0, C1: float = 1.0, C2: float = 1.0,
     return RegistryEntry(
         name="inverter", system=system, certificate=cert, covering=covering,
         signal_class=klass, reduced=reduced,
-        integral_M=lambda x0: 0.5 * float(x0 @ (P @ x0)),
-        params={"L1": L1, "L2": L2, "C1": C1, "C2": C2, "T": T, "dm": dm, "dM": dM})
+        integral_M=lambda x0: 0.5 * float(x0 @ (P @ x0)))
 
 
 REGISTRY = {"motivating": motivating, "example1": example1,

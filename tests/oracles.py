@@ -195,8 +195,8 @@ def check_integral_bound_reference(traj, sigma, sys, params, quad_coeff=10.0):
     cum[0] = 0.0
     for k in range(len(t) - 1):
         i = int(modes[k])
-        ga = params.alpha(float(np.linalg.norm(np.atleast_1d(sys.h(t[k], x[k], i)))))
-        gb = params.alpha(float(np.linalg.norm(np.atleast_1d(sys.h(t[k + 1], x[k + 1], i)))))
+        ga = params.alpha(math.hypot(*sys.h(t[k], x[k], i)))
+        gb = params.alpha(math.hypot(*sys.h(t[k + 1], x[k + 1], i)))
         cum[k + 1] = cum[k] + 0.5 * (ga + gb) * h_steps[k]
     rate = params.mu + quad_coeff * h_max * h_max
     g = cum - rate * (t - t[0])

@@ -73,8 +73,9 @@ def test_unknown_system_exit2(tmp_path):
 
 
 def test_unknown_system_parameter_exit2(tmp_path, capsys):
-    # example4 and inverter are fixed instances of their function classes
-    for system, param in (("motivating", "zz"), ("example4", "b1"), ("inverter", "g1")):
+    # example1, example4 and inverter are fixed instances of their function classes
+    for system, param in (("motivating", "zz"), ("example4", "b1"), ("inverter", "g1"),
+                          ("example1", "g1"), ("example1", "pe_window")):
         m = manifest_file(tmp_path, {"system": {"id": system, "params": {param: 1}}})
         assert run(["simulate", "--manifest", m, "--out", tmp_path / "o"]) == 2
         assert repr(param) in capsys.readouterr().err, system

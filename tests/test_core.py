@@ -48,6 +48,16 @@ def test_simplex_rejects(bad):
         control_cell(bad)
 
 
+@pytest.mark.parametrize("values, cell", [([[np.nan, np.nan], [1.0, 0.0]], 0),
+                                          ([[1.0, 0.0], [np.nan, 1.0]], 1),
+                                          ([[0.5, 0.5], [1.0, 0.0], [np.inf, 0.0]], 2),
+                                          ([[-np.inf, 1.0]], 0)])
+def test_simplex_rejects_nonfinite(values, cell):
+    # NaN passes both the sign and the unit-sum test, so it is caught first
+    with pytest.raises(ParameterError, match=f"control cell {cell} holds a non-finite value"):
+        RelaxedControl(t0=0.0, step=1.0, values=values)
+
+
 @given(st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=2, max_size=5)
        .filter(lambda w: sum(w) > 1e-6))
 @settings(max_examples=50, deadline=None)

@@ -66,6 +66,23 @@ def test_sandwich_shrunken_phi2_fails(inverter):
     assert rep.worst_margin > 1e-3
 
 
+@pytest.mark.parametrize("nan_where, first", [
+    pytest.param(lambda x: True, (-2.0, -2.0), id="everywhere"),
+    pytest.param(lambda x: x[0] > 1.0, (4.0 / 3.0, -2.0), id="where_x0_above_1"),
+])
+def test_sandwich_nan_V_fails(motivating, nan_where, first):
+    # a NaN margin fails the check and is reported at the first NaN point of
+    # the sampling loop (x0 slowest, then x1, then the mode)
+    cert = motivating.certificate
+    V = lambda t, x, i: math.nan if nan_where(x) else cert.V(t, x, i)
+    rep = check_sandwich(replace(cert, V=V), [-2.0, -2.0], [2.0, 2.0],
+                         motivating.covering, density=7)
+    assert not rep.passed
+    assert math.isnan(rep.worst_margin) and rep.extra == {"points": 100}
+    assert rep.worst_location[:2] == (0.0, 1)
+    assert rep.worst_location[2] == pytest.approx(math.hypot(*first), rel=1e-15)
+
+
 def test_sandwich_respects_covering_pieces(example4):
     # V3 is only sandwich-bounded on its own half-plane; the check must
     # restrict sampling accordingly and pass
@@ -224,6 +241,20 @@ def _assert_matches_reference(entry, traj, sigma, sys=None, cert=None):
     got = check_integral_bound(traj, sigma, sys, params)
     want = check_integral_bound_reference(traj, sigma, sys, params)
     assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+
+
+def test_integral_bound_matches_reference_out_of_range():
+    # an output of 1e170 squares past the float range; both norms are taken
+    # by math.hypot, so the whole reports agree and the margin is finite
+    sys = SwitchedSystem(n=1, N=1, p=1, f=lambda t, x, i: (-x[0],),
+                         h=lambda t, x, i: (1e170 * x[0],))
+    sig = SwitchingSignal.constant(1, 0.0, 1.0)
+    traj = simulate(sys, sig, 0.0, np.array([1.0]), 1.0, IntegratorConfig(step=0.1))
+    params = IntegralBoundParams(alpha=lambda s: s, M=0.0, mu=0.0)
+    got = check_integral_bound(traj, sig, sys, params)
+    want = check_integral_bound_reference(traj, sig, sys, params)
+    assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+    assert got.worst_margin == pytest.approx(1e170 * (1.0 - math.exp(-1.0)), rel=1e-3)
 
 
 def _switches(modes) -> int:

@@ -3,6 +3,8 @@
 import importlib.util
 import json
 import math
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -47,9 +49,9 @@ def test_bench_measures_every_row(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(bench, "run_tier1", run_tier1)
     reproduced = []  # nor does the CLI
 
-    def run_reproduce(example, out):
+    def run_reproduce(example, out, clock):
         reproduced.append(example)
-        return 2.5 * len(reproduced)
+        return {"wall_s": 2.5 * len(reproduced), "scaled_s": 2.0 * len(reproduced)}
 
     monkeypatch.setattr(bench, "run_reproduce", run_reproduce)
     record = tmp_path / "pb.json"
@@ -94,13 +96,38 @@ def test_bench_measures_every_row(tmp_path, capsys, monkeypatch):
                   "skipped": 1},
         "criteria_wall_s": {"test_criterion_01_embedding_equivalence": 11.875,
                             "test_criterion_04_motivating_guas_reproduction": 35.9},
-        "reproduce_wall_s": {
-            "motivating": {"runs": [2.5, 12.5, 22.5], "median": 12.5},
-            "example1": {"runs": [5.0, 15.0, 25.0], "median": 15.0},
-            "example4": {"runs": [7.5, 17.5, 27.5], "median": 17.5},
-            "inverter": {"runs": [10.0, 20.0, 30.0], "median": 20.0}}}
+        "reproduce_s": {
+            name: {"runs": [{"wall_s": 2.5 * n, "scaled_s": 2.0 * n} for n in (k, k + 4, k + 8)],
+                   "median_scaled_s": 2.0 * (k + 4)}
+            for k, name in enumerate(bench.SYSTEMS, 1)}}
     printed = capsys.readouterr().out
     assert "L4 tier1" in printed and "L4 reproduce inverter" in printed
+
+
+def test_bench_reproduce_run_is_speed_scaled(tmp_path, monkeypatch):
+    # the clock samples the machine in this process all along the child's
+    # run; a busy child of 0.3 s stands in for the CLI
+    bench = _load("bench")
+    real_run, commands, samples = subprocess.run, [], []
+    busy = "import time\nt = time.perf_counter()\nwhile time.perf_counter() - t < 0.3: pass"
+
+    def run(cmd, **kwargs):
+        commands.append(cmd)
+        return real_run([sys.executable, "-c", busy], check=True)
+
+    monkeypatch.setattr(bench.subprocess, "run", run)
+
+    class Clock(bench._perfbench_run().SpeedClock):
+        def _sample(self, signum, frame):
+            samples.append(None)
+            super()._sample(signum, frame)
+
+    got = bench.run_reproduce("example1", tmp_path, Clock)
+    assert commands == [[sys.executable, "-m", "swstab", "reproduce", "example1", "--out",
+                         str(tmp_path), "--workers", "1"]]
+    assert sorted(got) == ["scaled_s", "wall_s"] and got["wall_s"] >= 0.3
+    assert math.isfinite(got["scaled_s"]) and got["scaled_s"] > 0.0
+    assert len(samples) >= 5  # one every SPEED_PERIOD of 0.025 s
 
 
 def test_bench_repeats_loop_to_the_minimum_duration(monkeypatch):

@@ -1,12 +1,14 @@
 """Registry wiring: dynamics values, decompositions, certificates, parameters."""
 
+import inspect
 import math
 import struct
 
 import numpy as np
 import pytest
 
-from swstab import IntegratorConfig, ParameterError, get_entry, simulate, simulate_with_covering
+from swstab import (REGISTRY, IntegratorConfig, ParameterError, get_entry, simulate,
+                    simulate_with_covering)
 from swstab.lyapunov import check_decrease_along, check_sandwich
 
 
@@ -139,16 +141,16 @@ def test_registry_V_equals_numpy_forms(all_entries):
     # within 4 * 2**-53 relative of the numpy forms they stand for,
     # 0.5 * x @ x and 0.5 * x @ (P @ x)
     by_name = {e.name: e for e in all_entries}
-    P = lambda e: np.diag([e.params[k] for k in ("L1", "L2", "C1", "C2")])
-    cases = [(by_name["motivating"], lambda e, x: x @ x),
-             (by_name["example1"], lambda e, x: x @ x),
-             (by_name["inverter"], lambda e, x: x @ (P(e) @ x)),
+    quadratic = lambda P: lambda x: x @ (np.diag(P) @ x)
+    cases = [(by_name["motivating"], lambda x: x @ x),
+             (by_name["example1"], lambda x: x @ x),
+             (by_name["inverter"], quadratic([1.0, 1.0, 1.0, 1.0])),
              (get_entry("inverter", L1=0.3, L2=2.7, C1=1.7, C2=0.45),
-              lambda e, x: x @ (P(e) @ x))]
+              quadratic([0.3, 2.7, 1.7, 0.45]))]
     rng = np.random.default_rng(47)
     for entry, form in cases:
         for row in _draw_states(rng, entry.system.n, 3000):
-            want = 0.5 * float(form(entry, row))
+            want = 0.5 * float(form(row))
             for i in range(1, entry.system.N + 1):
                 got = entry.certificate.V(0.0, row.tolist(), i)
                 assert abs(got - want) <= 4.0 * 2.0 ** -53 * want, (entry.name, row, got, want)
@@ -283,7 +285,7 @@ def test_inverter_field_is_the_matmul(params):
     # equals a run of the matmul field bit for bit
     from swstab import SwitchedSystem, gen_pattern, PatternConstraint
     entry = get_entry("inverter", **params)
-    L1, L2, C1, C2 = (entry.params[k] for k in ("L1", "L2", "C1", "C2"))
+    L1, L2, C1, C2 = (params.get(k, 1.0) for k in ("L1", "L2", "C1", "C2"))
     Pinv = np.diag([1.0 / L1, 1.0 / L2, 1.0 / C1, 1.0 / C2])
     A = (Pinv @ np.array([[0, 0, 0, 0], [0, 0, 1, 1], [0, -1, 0, 0], [0, -1, 0, 0]], dtype=float),
          Pinv @ np.array([[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]], dtype=float))
@@ -317,6 +319,14 @@ def test_inverter_field_is_the_matmul(params):
 def test_unknown_system_rejected():
     with pytest.raises(ParameterError):
         get_entry("nonexistent")
+
+
+def test_registry_parameters_are_manifest_scalars():
+    # a manifest's system.params can set ints and floats only, so every
+    # parameter of a registry constructor defaults to one of them
+    for name, make in REGISTRY.items():
+        for p in inspect.signature(make).parameters.values():
+            assert type(p.default) in (int, float), (name, p.name, p.default)
 
 
 # --- registry certification invariant ----------------------------------------
