@@ -35,6 +35,12 @@ Layers (ROADMAP aim 1), all with pinned seeds and through the public API:
     20 041 nodes);
   - ``validate_covering_invariance`` per 10k grid nodes, on the same
     closed loop;
+  - ``check_decrease_along_calling``, ``check_integral_bound_calling`` and
+    ``validate_covering_invariance_calling``, the same checks on the same
+    runs with V and eta, h, and the covering margin wrapped in plain
+    functions: the checks then call them per node, as they do for a traced
+    run or a user's callable, instead of evaluating the registry's mode
+    source on state columns;
   - ``validate_measure`` (motivating, span 2 000, 10 716 breakpoints) and
     ``validate_pattern`` (inverter, span 10 000, 8 003 breakpoints) per 10k
     breakpoints of a class signal (seed 5);
@@ -145,6 +151,12 @@ def _closed_loop_example4(cfg):
                                      np.array([0.8, -1.1]), 80.5, cfg)
 
 
+def _calling(fn):
+    """fn wrapped in a plain function, which the kernels and the checks call
+    instead of evaluating a mode source inline or on state columns."""
+    return lambda *args: fn(*args)
+
+
 def measure_l1(repeats: int, clock) -> dict:
     """{row: seconds per RK4 step, or per screened cell for the falsifier row}."""
     def per_step(run):
@@ -162,8 +174,7 @@ def measure_l1(repeats: int, clock) -> dict:
         u = sw.signal_to_control(sigma, 1e-3, span=(0.0, 20.0), n_modes=N)
         timed[f"simulate/{name}"] = per_step(
             lambda: sw.simulate(entry.system, sigma, 0.0, x0, 20.0, cfg))
-        f = entry.system.f
-        calling = replace(entry.system, f=lambda t, x, i: f(t, x, i))
+        calling = replace(entry.system, f=_calling(entry.system.f))
         timed[f"simulate_calling/{name}"] = per_step(
             lambda: sw.simulate(calling, sigma, 0.0, x0, 20.0, cfg))
         timed[f"simulate_relaxed/{name}"] = per_step(
@@ -213,15 +224,21 @@ def measure_l2(repeats: int, clock) -> dict:
         m = len(traj.times)
         params = sw.IntegralBoundParams(alpha=entry.alpha, M=entry.integral_M(traj.states[0]),
                                         mu=0.0)
-        timed[f"check_decrease_along/{name}"] = _timed(
-            _units(lambda: sw.check_decrease_along(entry.certificate, traj, sigma), m),
-            repeats, clock)
-        timed[f"check_integral_bound/{name}"] = _timed(
-            _units(lambda: sw.check_integral_bound(traj, sigma, entry.system, params), m),
-            repeats, clock)
-    timed["validate_covering_invariance/example4"] = _timed(
-        _units(lambda: sw.validate_covering_invariance(closed, closed_sigma, e4.covering),
-               len(closed.times)), repeats, clock)
+        cert = entry.certificate
+        calling = {"": (cert, entry.system),
+                   "_calling": (replace(cert, V=_calling(cert.V), eta=_calling(cert.eta)),
+                                replace(entry.system, h=_calling(entry.system.h)))}
+        for suffix, (c, system) in calling.items():
+            timed[f"check_decrease_along{suffix}/{name}"] = _timed(
+                _units(lambda: sw.check_decrease_along(c, traj, sigma), m), repeats, clock)
+            timed[f"check_integral_bound{suffix}/{name}"] = _timed(
+                _units(lambda: sw.check_integral_bound(traj, sigma, system, params), m),
+                repeats, clock)
+    calling_margin = replace(e4.covering, margin=_calling(e4.covering.margin))
+    for suffix, covering in (("", e4.covering), ("_calling", calling_margin)):
+        timed[f"validate_covering_invariance{suffix}/example4"] = _timed(
+            _units(lambda: sw.validate_covering_invariance(closed, closed_sigma, covering),
+                   len(closed.times)), repeats, clock)
 
     for name, span, validate in (("motivating", 2_000.0, sw.validate_measure),
                                  ("inverter", 10_000.0, sw.validate_pattern)):

@@ -248,8 +248,10 @@ class Covering:
     ``margin(xi, i) >= 0`` means xi belongs to the closed piece of mode i;
     the boundary is ``margin == 0``.  For half-space pieces the margin is the
     signed distance, which makes event detection exact.
-    ``xi`` is a sequence of n floats: the closed loop and the invariance
-    validator pass a list, other callers may pass an ndarray row.
+    ``xi`` is a sequence of n floats: the closed loop passes a list, other
+    callers may pass an ndarray row.  The invariance validator runs a margin
+    compiled by ``integrate.ModeSource(..., form="margin")`` on the state
+    columns, once per mode, and hands any other margin lists of floats.
     """
 
     margin: Callable[[Sequence[float], int], float]

@@ -19,13 +19,13 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import Covering, ParameterError, SwitchedSystem, SwitchingSignal, Trajectory
+from .integrate import _at_rows
 
 SANDWICH_TOL = 1e-9
 REVISIT_TOL = 1e-7
 QUAD_COEFF = 10.0  # integral-bound quadrature slack: QUAD_COEFF * h_max^2 per unit time
 SLACK_FLOOR = 1e-9
 SLACK_CURVATURE_FACTOR = 10.0  # slack = factor * observed |second difference of V|
-MIDPOINT_BLOCK = 1024  # nodes, or step midpoints, whose states are listed at once
 
 
 @dataclass(frozen=True)
@@ -33,11 +33,13 @@ class LyapunovCertificate:
     """Candidate weak Lyapunov data: V, its class-K sandwich, and the decrease gauge.
 
     V(t, xi, i) >= 0; phi1(|xi|) <= V <= phi2(|xi|) on the piece of mode i;
-    eta(t, xi, i) >= 0 bounds -dV/dt along mode i.  The checks hand V and eta
-    the state as a list of floats, as the integrators hand it to the fields.
-    ``dV`` optionally supplies the analytic state gradient for consistency
-    testing.  phi1/phi2 are sample-checked at construction: zero at zero and
-    strictly increasing.
+    eta(t, xi, i) >= 0 bounds -dV/dt along mode i.  The trajectory checks run
+    a V or eta compiled by ``integrate.ModeSource(..., form="float")`` on the
+    state columns, once per mode, and hand any other callable the state as a
+    list of floats, as the integrators hand it to the fields.  ``dV``
+    optionally supplies the analytic state gradient for consistency testing.
+    phi1/phi2 are sample-checked at construction: zero at zero and strictly
+    increasing, so that a NaN sample fails.
     """
 
     V: Callable[[float, list[float], int], float]
@@ -51,7 +53,7 @@ class LyapunovCertificate:
             if phi(0.0) != 0.0:
                 raise ParameterError(f"{name}(0) must be 0")
             samples = [phi(s) for s in (1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 5.0)]
-            if any(b <= a for a, b in zip(samples, samples[1:])) or samples[0] <= 0:
+            if not all(b > a for a, b in zip(samples, samples[1:])) or not samples[0] > 0:
                 raise ParameterError(f"{name} must be strictly increasing from 0")
 
 
@@ -113,7 +115,8 @@ def check_sandwich(cert: LyapunovCertificate, box_lo, box_hi, covering: Covering
             if not covering.margin(xi, i) >= 0.0:
                 continue
             v = float(cert.V(0.0, xi, i))
-            m = max(cert.phi1(r) - v, v - cert.phi2(r))
+            below, above = cert.phi1(r) - v, v - cert.phi2(r)
+            m = above if above != above else max(below, above)  # max keeps only a first NaN
             n_checked += 1
             if m > worst or (m != m and worst == worst):
                 worst, where = m, (0.0, i, r)
@@ -140,27 +143,20 @@ def _node_modes(traj: Trajectory, sigma: SwitchingSignal) -> np.ndarray:
     return np.asarray(modes, dtype=np.int64)
 
 
-def _along_steps(fn, times: np.ndarray, states: np.ndarray,
+def _along_steps(at_rows, times: np.ndarray, states: np.ndarray,
                  modes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """fn(t, x, i) at every node under the node's mode, and at every step's end
-    under the step's mode.
+    """at_rows(times, states, modes), values at rows, at every node under the
+    node's mode, and at every step's end under the step's mode.
 
     A step reads its own mode at both ends, so a switch node (a node whose
     mode differs from its predecessor's) is evaluated once more, under the
-    outgoing mode: m + |switch nodes| calls in all.  fn is handed the time as
-    a float and the state as a list of floats; the rows become lists a block
-    of MIDPOINT_BLOCK nodes at a time, so that no list of all rows is held.
-    Returns the node values (m) and the step-end values (m - 1).
+    outgoing mode: m + |switch nodes| rows in all.  Returns the node values
+    (m) and the step-end values (m - 1).
     """
-    i = modes.tolist()
-    node = np.empty(len(times))
-    for k in range(0, len(times), MIDPOINT_BLOCK):
-        e = k + MIDPOINT_BLOCK
-        node[k:e] = [fn(tk, xk, ik) for tk, xk, ik
-                     in zip(times[k:e].tolist(), states[k:e].tolist(), i[k:e])]
+    node = at_rows(times, states, modes)
     end = node[1:].copy()
-    for k in (np.flatnonzero(modes[1:] != modes[:-1]) + 1).tolist():
-        end[k - 1] = fn(times[k].item(), states[k].tolist(), i[k - 1])
+    k = np.flatnonzero(modes[1:] != modes[:-1]) + 1  # the switch nodes
+    end[k - 1] = at_rows(times[k], states[k], modes[k - 1])
     return node, end
 
 
@@ -188,9 +184,8 @@ def check_decrease_along(cert: LyapunovCertificate, traj: Trajectory,
     if traj.t0 < sigma.domain_start - 1e-9 or traj.tf > sigma.domain_end + 1e-9:
         raise ParameterError("trajectory span not covered by the signal")
     modes = _node_modes(traj, sigma)
-    V, V_end = _along_steps(cert.V, traj.times, traj.states, modes)
-    eta, eta_end = _along_steps(cert.eta, traj.times, traj.states, modes)
-    step_modes = modes[:-1].tolist()
+    V, V_end = _along_steps(partial(_at_rows, cert.V), traj.times, traj.states, modes)
+    eta, eta_end = _along_steps(partial(_at_rows, cert.eta), traj.times, traj.states, modes)
 
     # one slack for the whole trajectory, calibrated from the second
     # differences of V and of the gauge over pairs of steps of one mode (the
@@ -205,17 +200,9 @@ def check_decrease_along(cert: LyapunovCertificate, traj: Trajectory,
                           0.5 * np.max(d2e, initial=0.0)]))
 
     slopes = dV / np.diff(traj.times)
-    # eta at each step's midpoint time and linearly interpolated state; the
-    # midpoints become lists a block at a time, so that no second list of all
-    # rows is held
-    t_mid = 0.5 * (traj.times[:-1] + traj.times[1:])
-    x_mid = 0.5 * (traj.states[:-1] + traj.states[1:])
-    eta_fn = cert.eta
-    eta_mid = np.empty(len(t_mid))
-    for k in range(0, len(t_mid), MIDPOINT_BLOCK):
-        e = k + MIDPOINT_BLOCK
-        eta_mid[k:e] = [eta_fn(tm, xm, i) for tm, xm, i
-                        in zip(t_mid[k:e].tolist(), x_mid[k:e].tolist(), step_modes[k:e])]
+    # eta at each step's midpoint time and linearly interpolated state
+    eta_mid = _at_rows(cert.eta, 0.5 * (traj.times[:-1] + traj.times[1:]),
+                       0.5 * (traj.states[:-1] + traj.states[1:]), modes[:-1])
     mean = 0.5 * (eta[:-1] + eta_end)
     # min(eta_mid, mean) as the builtin picks it: the first unless the second is less
     pre = slopes + np.where(mean < eta_mid, mean, eta_mid)
@@ -234,7 +221,7 @@ def check_decrease_along(cert: LyapunovCertificate, traj: Trajectory,
             k = int(np.argmax(margins))  # the first maximum
             worst_slope = float(margins[k])
         if k is not None:
-            slope_where = (traj.times[k].item(), step_modes[k])
+            slope_where = (traj.times[k].item(), int(modes[k]))
     slope_report = CheckReport(check="decrease_slope", passed=worst_slope <= 0.0,
                                worst_margin=worst_slope, worst_location=slope_where,
                                slack=slack)
@@ -265,9 +252,11 @@ def check_decrease_along(cert: LyapunovCertificate, traj: Trajectory,
     return DecreaseReport(slope=slope_report, revisit=revisit_report)
 
 
-def _output_gauge(h, alpha, t, x, i) -> float:
-    """alpha(|h(t, x, i)|), the output's Euclidean norm taken by ``math.hypot``."""
-    return alpha(math.hypot(*h(t, x, i)))
+def _output_gauge(y: np.ndarray, alpha) -> np.ndarray:
+    """alpha(|y|) of each (m, p) output row, called on floats; |y| is the norm
+    ``math.hypot`` takes, for p = 1 exactly abs."""
+    norms = np.abs(y[:, 0]).tolist() if y.shape[1] == 1 else [math.hypot(*r) for r in y.tolist()]
+    return np.fromiter(map(alpha, norms), float, len(norms))
 
 
 def check_integral_bound(traj: Trajectory, sigma: SwitchingSignal, sys: SwitchedSystem,
@@ -278,15 +267,16 @@ def check_integral_bound(traj: Trajectory, sigma: SwitchingSignal, sys: Switched
     (outputs are right-continuous at switches, the integrand is not).  The
     quadrature slack QUAD_COEFF * h^2 * (t - s) is folded into the running
     comparison; the all-pairs sweep reduces to a running minimum.  ``sys.h``
-    is called once per node under the node's mode and once more at each
+    is evaluated once per node under the node's mode and once more at each
     switch node under the outgoing mode.
     """
     t = traj.times
     if len(t) < 2:
         return CheckReport(check="integral_bound", passed=True, worst_margin=-params.M,
                            worst_location=(traj.t0, traj.t0), slack=0.0)
-    gauge = partial(_output_gauge, sys.h, params.alpha)
-    g_start, g_end = _along_steps(gauge, t, traj.states, _node_modes(traj, sigma))
+    g_start, g_end = _along_steps(
+        lambda *rows: _output_gauge(_at_rows(sys.h, *rows, sys.p), params.alpha),
+        t, traj.states, _node_modes(traj, sigma))
     h_steps = np.diff(t)
     h_max = float(h_steps.max())
     # cumsum accumulates left to right, so it rounds as a running sum does

@@ -30,6 +30,7 @@ from .core import (
     SwitchingSignal,
     Trajectory,
 )
+from .integrate import _at_rows
 
 GRANULARITY = 1e-4
 TIE_TOL = 1e-9  # threshold comparisons use this tie tolerance (shared with test oracles)
@@ -332,12 +333,12 @@ class InvarianceReport:
 def validate_covering_invariance(traj: Trajectory, sigma: SwitchingSignal,
                                  covering: Covering) -> InvarianceReport:
     """Check sigma(t) in I_{x(t)} at every grid time, with boundary tolerance."""
-    modes = traj.modes if traj.modes is not None else sigma.modes_at(traj.times)
-    margin = covering.margin
-    for t, x, m in zip(traj.times.tolist(), traj.states.tolist(),
-                       np.asarray(modes, dtype=np.int64).tolist()):
-        if not margin(x, m) >= -BOUNDARY_TOL:
-            return InvarianceReport(ok=False, first_violation=(float(t), m))
+    modes = np.asarray(traj.modes if traj.modes is not None else sigma.modes_at(traj.times),
+                       dtype=np.int64)
+    bad = ~(_at_rows(covering.margin, None, traj.states, modes) >= -BOUNDARY_TOL)
+    if bad.any():
+        k = int(np.argmax(bad))  # the first node off its mode's piece
+        return InvarianceReport(ok=False, first_violation=(traj.times[k].item(), int(modes[k])))
     return InvarianceReport(ok=True, first_violation=None)
 
 

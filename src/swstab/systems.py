@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import sys
 from dataclasses import dataclass
 from math import copysign
 from typing import Callable, Optional
@@ -88,16 +89,13 @@ def motivating(a: float = 1.0, T0: float = 1.0, delta0: float = 0.2) -> Registry
     f = ModeSource(2, ("x1, -x0", "-copysign(abs(x0) ** (1.0 / 3.0), x0) + a * x1, -a * x0"),
                    names).f
     fhat = ModeSource(2, ("x1, -x0", "a * x1, 0.0"), names).f
-
-    def h(t, x, i):
-        return (0.0,) if i == 1 else (abs(x[0]),)
-
+    h = ModeSource(2, ("0.0", "abs(x0)")).f
     system = SwitchedSystem(n=2, N=2, f=f, h=h, p=1, fhat=fhat, name="motivating")
     cert = LyapunovCertificate(
-        V=lambda t, x, i: 0.5 * (x[0] * x[0] + x[1] * x[1]),
+        V=ModeSource(2, ("0.5 * (x0 * x0 + x1 * x1)",), form="float").f,
         phi1=lambda s: 0.5 * s * s,
         phi2=lambda s: 0.5 * s * s,
-        eta=lambda t, x, i: 0.0 if i == 1 else abs(x[0]) ** (4.0 / 3.0),
+        eta=ModeSource(2, ("0.0", "abs(x0) ** (4.0 / 3.0)"), form="float").f,
         dV=lambda t, x, i: np.asarray(x, dtype=float),
     )
     covering = trivial_covering(2)
@@ -131,16 +129,14 @@ def example1(mean_dwell: float = 0.3) -> RegistryEntry:
                        "g = sin(t) * 2.0\ng * x1 - x0, -g * x0"), names).f
     fhat = ModeSource(2, ("0.0, sin(t) * x0", "sin(t) * x1, 0.0",
                           "2.0 * sin(t) * x1, 0.0"), names).f
-
-    def h(t, x, i):
-        return (x[1] * x[1],) if i == 1 else (x[0] * x[0],)
-
-    system = SwitchedSystem(n=2, N=3, f=f, h=h, p=1, fhat=fhat, name="example1")
+    gauge = ("x1 * x1", "x0 * x0")  # mode 1, then modes 2 and 3
+    system = SwitchedSystem(n=2, N=3, f=f, h=ModeSource(2, gauge).f, p=1, fhat=fhat,
+                            name="example1")
     cert = LyapunovCertificate(
-        V=lambda t, x, i: 0.5 * (x[0] * x[0] + x[1] * x[1]),
+        V=ModeSource(2, ("0.5 * (x0 * x0 + x1 * x1)",), form="float").f,
         phi1=lambda s: 0.5 * s * s,
         phi2=lambda s: 0.5 * s * s,
-        eta=lambda t, x, i: x[1] * x[1] if i == 1 else x[0] * x[0],
+        eta=ModeSource(2, gauge, form="float").f,
         dV=lambda t, x, i: np.asarray(x, dtype=float),
     )
     covering = trivial_covering(3)
@@ -176,20 +172,12 @@ def example4() -> RegistryEntry:
                    names, result=FieldTuple).f
     fhat = ModeSource(2, ("0.0, -sin(t) * x0", "-(1.0 + cos(t)) * x1, 0.0", rotate),
                       names, result=FieldTuple).f
-
-    def h(t, x, i):
-        if i == 1:
-            return (x[1] * x[1],)
-        if i == 2:
-            return (x[0] * x[0],)
-        return (0.0,)
-
-    system = SwitchedSystem(n=2, N=3, f=f, h=h, p=1, fhat=fhat, name="example4")
-
-    def V(t, x, i):
-        if i == 3:
-            return 5.0 * x[0] * x[0] - 6.0 * x[0] * x[1] + 5.0 * x[1] * x[1]
-        return 5.0 * x[0] * x[0] + 5.0 * x[1] * x[1]
+    gauge = ("x1 * x1", "x0 * x0", "0.0")
+    system = SwitchedSystem(n=2, N=3, f=f, h=ModeSource(2, gauge).f, p=1, fhat=fhat,
+                            name="example4")
+    circle = "5.0 * x0 * x0 + 5.0 * x1 * x1"
+    V = ModeSource(2, (circle, circle, "5.0 * x0 * x0 - 6.0 * x0 * x1 + 5.0 * x1 * x1"),
+                   form="float").f
 
     def dV(t, x, i):
         if i == 3:
@@ -198,9 +186,8 @@ def example4() -> RegistryEntry:
 
     cert = LyapunovCertificate(
         V=V, phi1=lambda s: 2.0 * s * s, phi2=lambda s: 10.0 * s * s,
-        eta=lambda t, x, i: x[1] * x[1] if i == 1 else (x[0] * x[0] if i == 2 else 0.0),
-        dV=dV)
-    covering = Covering(margin=lambda x, i: x[0] if i in (1, 2) else -x[0], N=3,
+        eta=ModeSource(2, gauge, form="float").f, dV=dV)
+    covering = Covering(margin=ModeSource(2, ("x0", "x0", "-x0"), form="margin").f, N=3,
                         name="half-plane")
 
     def policy(t, x, active):
@@ -254,19 +241,19 @@ def inverter(L1: float = 1.0, L2: float = 1.0, C1: float = 1.0, C2: float = 1.0,
     fhat = ModeSource(4, ("0.0, l2 * x2, -c1 * x1, -c2 * x1",
                           "-l1 * x2, 0.0, c1 * x0, -c2 * x1"), names).f
 
-    def h(t, x, i):
-        return (C2 * (x[3] * x[3]),)
-
-    system = SwitchedSystem(n=4, N=2, f=f, h=h, p=1, fhat=fhat, name="inverter")
+    # C2 as a float multiplies as the int or float C2 does; d0 ... d3 the diagonal of P
+    load = {"C2": float(C2), **{f"d{j}": d for j, d in enumerate(np.diag(P).tolist())}}
+    gauge = "C2 * (x3 * x3)"
+    system = SwitchedSystem(n=4, N=2, f=f, h=ModeSource(4, (gauge,), load).f, p=1, fhat=fhat,
+                            name="inverter")
     eigs = np.diag(P) / 2.0
     lam_m, lam_M = float(eigs.min()), float(eigs.max())
-    p0, p1, p2, p3 = np.diag(P).tolist()
     cert = LyapunovCertificate(
-        V=lambda t, x, i: 0.5 * (x[0] * (p0 * x[0]) + x[1] * (p1 * x[1])
-                                 + x[2] * (p2 * x[2]) + x[3] * (p3 * x[3])),
+        V=ModeSource(4, ("0.5 * (x0 * (d0 * x0) + x1 * (d1 * x1) + x2 * (d2 * x2)"
+                         " + x3 * (d3 * x3))",), load, form="float").f,
         phi1=lambda s: lam_m * s * s,
         phi2=lambda s: lam_M * s * s,
-        eta=lambda t, x, i: C2 * (x[3] * x[3]),
+        eta=ModeSource(4, (gauge,), load, form="float").f,
         dV=lambda t, x, i: P @ x)
     covering = trivial_covering(2)
     pc = sig.PatternConstraint(T=T, dm=dm, dM=dM)
@@ -291,6 +278,10 @@ def get_entry(name: str, **params) -> RegistryEntry:
     unknown = sorted(set(params) - set(inspect.signature(REGISTRY[name]).parameters))
     if unknown:
         raise ParameterError(f"unknown parameters {unknown} for system {name!r}")
+    for key, value in params.items():  # every default is an int or a float
+        if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+            raise ParameterError(f"parameter {key} of system {name!r} must be a finite "
+                                 f"number, got {value!r}")
     return REGISTRY[name](**params)
 
 

@@ -81,6 +81,19 @@ def test_unknown_system_parameter_exit2(tmp_path, capsys):
         assert repr(param) in capsys.readouterr().err, system
 
 
+@pytest.mark.parametrize("system, params, key", [
+    ("example1", '{"mean_dwell": "x"}', "mean_dwell"),
+    ("example1", '{"mean_dwell": 1e400}', "mean_dwell"),  # json reads it as inf
+    ("motivating", '{"a": true}', "a"),
+])
+def test_bad_registry_parameter_exit2(tmp_path, capsys, system, params, key):
+    m = tmp_path / "m.json"
+    m.write_text(f'{{"system": {{"id": "{system}", "params": {params}}}}}')
+    assert run(["simulate", "--manifest", m, "--out", tmp_path / "o"]) == 2
+    assert f"parameter {key} " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command, doc, key", [
     ("simulate", {"simulate": {"horizon": "abc"}}, "simulate.horizon"),
     ("envelope", {"envelope": {"trials": [3]}}, "envelope.trials"),

@@ -851,8 +851,7 @@ def test_mode_source_rejects_what_the_kernels_cannot_inline():
     from swstab import ParameterError
     from swstab.integrate import ModeSource
 
-    for modes, names in ((("x0, x1, x0",), {}),          # three components for n = 2
-                         (("x1, -x[0]",), {}),            # the state is x0, x1
+    for modes, names in ((("x1, -x[0]",), {}),            # the state is x0, x1
                          (("x1, -x0 * i",), {}),          # no mode index in the text
                          (("h = 2.0\nh * x1, x0",), {}),  # h is the kernels' step
                          (("x1, k * x0",), {"k": 2.0}),   # so is the counter k
@@ -861,3 +860,116 @@ def test_mode_source_rejects_what_the_kernels_cannot_inline():
             ModeSource(2, modes, names)
     f = ModeSource(1, ("c = 2.0 * x0\n-c",), {}).f  # n = 1: one component
     assert f(0.0, [1.5], 1) == (-3.0,)
+    # three components for n = 2 make a callable, an output's, but no RK4 kernels
+    src = ModeSource(2, ("x0, x1, x0",))
+    assert src.f(0.0, [1.0, 2.0], 1) == (1.0, 2.0, 1.0)
+    with pytest.raises(ParameterError):
+        src.kernels(1)
+
+
+def _called(fn, times, states, modes):
+    """fn at each row by one call, as a float array of its values or components."""
+    return np.array([fn(x, i) if times is None else fn(t, x, i) for t, x, i in
+                     zip([None] * len(states) if times is None else times.tolist(),
+                         states.tolist(), modes.tolist())], dtype=float)
+
+
+def _special_states(rng, n, count=1000):
+    """``count`` states in [-3, 3]^n, then every row of +-0.0, NaN and +-1e200."""
+    special = np.array(np.meshgrid(*[[0.0, -0.0, np.nan, 1e200, -1e200]] * n)).reshape(n, -1).T
+    return np.vstack([rng.uniform(-3.0, 3.0, (count, n)), special])
+
+
+def test_columns_equal_the_calling_path(all_entries):
+    # V, eta, h and example4's margin on state columns give the bits of one
+    # call per row, -0.0 and NaN included, in every mode and under mixed modes
+    # (indices out of range fall to the last text, as they do in the callable)
+    from swstab.integrate import _at_rows
+
+    rng = np.random.default_rng(71)
+    off_columns = set()
+    for entry in all_entries:
+        n, N = entry.system.n, entry.system.N
+        states = _special_states(rng, n)
+        times = rng.uniform(0.0, 50.0, len(states))
+        fns = {"V": (entry.certificate.V, None, times), "eta": (entry.certificate.eta, None, times),
+               "h": (entry.system.h, entry.system.p, times)}
+        if entry.covering.name != "trivial":
+            fns["margin"] = (entry.covering.margin, None, None)
+        for label, (fn, width, ts) in fns.items():
+            src = fn.mode_source
+            assert src.f is fn, (entry.name, label)
+            off_columns |= {(entry.name, label, k) for k in range(1, len(src.modes) + 1)
+                            if src.columns(k) is None}
+            mixed = rng.integers(0, N + 2, len(states))
+            for modes in [np.full(len(states), i) for i in range(1, N + 1)] + [mixed]:
+                got = _at_rows(fn, ts, states, modes, width)
+                want = _called(fn, ts, states, modes).reshape(got.shape)
+                assert got.view(np.int64).tolist() == want.view(np.int64).tolist(), \
+                    (entry.name, label, modes[0])
+    # only motivating's |x0| ** (4/3) leaves the grammar
+    assert off_columns == {("motivating", "eta", 2)}
+
+
+@pytest.mark.parametrize("text, names", [
+    ("x0 ** 2", {}),
+    ("sin(t) * x0", {"sin": math.sin}),
+    ("x0 if x0 > 0.0 else -x0", {}),
+    ("x1 / x0", {}),
+    ("x1 / 0", {}),
+    ("x1 / z", {"z": 0.0}),         # Python raises on /0 where numpy gives inf
+    ("c * x1", {"c": 2}),           # a name bound to an int
+    ("abs(x0) * x1", {"abs": abs}),  # not the builtin abs
+    ("g = min(x0, x1)\ng * 2.0", {}),
+    ("True * x0", {}),
+])
+def test_column_grammar_leaves_out(text, names):
+    # outside the grammar a mode has no column form, and its rows are called
+    from swstab.integrate import ModeSource, _at_rows
+
+    src = ModeSource(2, (text,), names, form="float")
+    assert src.columns(1) is None
+    states = np.random.default_rng(72).uniform(0.5, 3.0, (50, 2))
+    times, modes = np.linspace(0.0, 1.0, len(states)), np.ones(len(states), dtype=np.int64)
+    if "/ 0" in text or "/ z" in text:  # and the call raises, as numpy would not
+        with pytest.raises(ZeroDivisionError):
+            _at_rows(src.f, times, states, modes)
+        return
+    got = _at_rows(src.f, times, states, modes)
+    assert got.view(np.int64).tolist() == _called(src.f, times, states, modes).view(
+        np.int64).tolist()
+
+
+@pytest.mark.parametrize("text, names", [
+    ("0.5 * (x0 * x0 + x1 * x1)", {}),
+    ("x0 / 2.0 - x1 / 3", {}),
+    ("x0 / a", {"a": 3.0}),
+    ("g = -x0 * t\nabs(g) - +x1 / a + 1", {"a": -0.7}),
+    ("0.0", {}),
+])
+def test_column_grammar_takes(text, names):
+    from swstab.integrate import ModeSource, _at_rows
+
+    src = ModeSource(2, (text,), names, form="float")
+    assert src.columns(1) is not None
+    states = _special_states(np.random.default_rng(73), 2, 200)
+    times, modes = np.linspace(0.0, 1.0, len(states)), np.ones(len(states), dtype=np.int64)
+    got = _at_rows(src.f, times, states, modes)
+    assert got.view(np.int64).tolist() == _called(src.f, times, states, modes).view(
+        np.int64).tolist()
+
+
+def test_mode_source_scalar_forms():
+    from swstab import ParameterError
+    from swstab.integrate import ModeSource
+
+    assert ModeSource(2, ("x0 * x1",), form="float").f(0.5, [2.0, 3.0], 1) == 6.0
+    margin = ModeSource(2, ("x0", "-x0"), form="margin").f
+    assert (margin([2.0, 3.0], 1), margin([2.0, 3.0], 2)) == (2.0, -2.0)
+    for text, form in (("x0, x1", "float"),  # one value
+                       ("t * x0", "margin"),  # a margin does not read the time
+                       ("x0", "vector")):     # no such form
+        with pytest.raises(ParameterError):
+            ModeSource(2, (text,), form=form)
+    with pytest.raises(ParameterError):  # a value is no field for the kernels
+        ModeSource(1, ("x0",), form="float").kernels(1)

@@ -13,6 +13,7 @@ from swstab import (
     IntegralBoundParams,
     IntegratorConfig,
     LyapunovCertificate,
+    ParameterError,
     SwitchedSystem,
     SwitchingSignal,
     Trajectory,
@@ -81,6 +82,34 @@ def test_sandwich_nan_V_fails(motivating, nan_where, first):
     assert math.isnan(rep.worst_margin) and rep.extra == {"points": 100}
     assert rep.worst_location[:2] == (0.0, 1)
     assert rep.worst_location[2] == pytest.approx(math.hypot(*first), rel=1e-15)
+
+
+def _nan_between(phi, lo, hi):
+    """phi with NaN on (lo, hi), an open band that the construction samples miss."""
+    return lambda s: math.nan if lo < s < hi else phi(s)
+
+
+@pytest.mark.parametrize("side", ["phi1", "phi2"])
+def test_sandwich_nan_bound_fails(motivating, side):
+    # a NaN bound fails the check, from either side, at the first point whose
+    # radius falls in the NaN band: x0 slowest, then x1, mode 1 of the trivial
+    # covering; builtin max would keep the other side's margin instead
+    cert = motivating.certificate
+    bad = replace(cert, **{side: _nan_between(getattr(cert, side), 1.0, 2.0)})
+    rep = check_sandwich(bad, [-2.0, -2.0], [2.0, 2.0], motivating.covering, density=7)
+    grid = np.linspace(-2.0, 2.0, 7)
+    first = next(r for r in (math.hypot(a, b) for a in grid for b in grid) if 1.0 < r < 2.0)
+    assert not rep.passed and math.isnan(rep.worst_margin)
+    assert rep.worst_location[:2] == (0.0, 1)
+    assert rep.worst_location[2] == pytest.approx(first, rel=1e-15)
+
+
+@pytest.mark.parametrize("side", ["phi1", "phi2"])
+def test_certificate_rejects_nan_bound_samples(motivating, side):
+    cert = motivating.certificate
+    phi = getattr(cert, side)
+    with pytest.raises(ParameterError):
+        replace(cert, **{side: lambda s: math.nan if s > 1.0 else phi(s)})
 
 
 def test_sandwich_respects_covering_pieces(example4):
@@ -411,6 +440,49 @@ def test_checkers_evaluate_once_per_node(motivating, example4, cfg_fast):
     assert _switches(_ending_alone(open_loop).modes) >= 1
 
 
+def _reports(entry, cert, system, traj, sigma):
+    params = IntegralBoundParams(alpha=entry.alpha, M=entry.integral_M(traj.states[0]), mu=0.0)
+    return (check_decrease_along(cert, traj, sigma).to_dict(),
+            check_integral_bound(traj, sigma, system, params).to_dict())
+
+
+def test_wrapped_certificate_takes_the_calling_path(example4):
+    # functools.wraps copies mode_source onto a wrapper, which is still
+    # called per node, with lists, and gives the same reports
+    import functools
+
+    V, seen = example4.certificate.V, []
+
+    @functools.wraps(V)
+    def wrapped(t, x, i):
+        seen.append(type(x))
+        return V(t, x, i)
+
+    assert wrapped.mode_source is V.mode_source
+    traj, sigma = _closed_loop(example4, [1.5, -0.7], 0.0, 10.0)
+    cert = replace(example4.certificate, V=wrapped)
+    assert (_reports(example4, cert, example4.system, traj, sigma)
+            == _reports(example4, example4.certificate, example4.system, traj, sigma))
+    assert len(seen) == len(traj.times) + _switches(traj.modes) and set(seen) == {list}
+
+
+def test_motivating_reports_with_eta_mode2_called(motivating, cfg_fast):
+    # eta's mode 2, |x0| ** (4/3), stays on the calling path while mode 1 and
+    # V and h go on columns: the reports equal those of plain callables
+    eta, h = motivating.certificate.eta, motivating.system.h
+    assert eta.mode_source.columns(1) is not None and eta.mode_source.columns(2) is None
+    plain = lambda fn: lambda t, x, i: fn(t, x, i)
+    cert = motivating.certificate
+    calling = replace(cert, V=plain(cert.V), eta=plain(eta))
+    system = replace(motivating.system, h=plain(h))
+    for seed in (3, 4, 5):
+        sig = motivating.signal_class.generator((0.0, 12.0), seed)
+        traj = simulate(motivating.system, sig, 0.0, np.array([1.2, -0.3]), 12.0, cfg_fast)
+        assert _switches(traj.modes) > 0
+        assert (_reports(motivating, cert, motivating.system, traj, sig)
+                == _reports(motivating, calling, system, traj, sig))
+
+
 # --- NaN fails the part that reads it ----------------------------------------
 
 
@@ -512,13 +584,15 @@ def test_decrease_flags_inflated_gauge_closed_loop(example4):
 
 @pytest.mark.parametrize("v", [1e200, 1e-200, -0.0, float("nan"), -0.7])
 def test_output_gauge_of_one_output_is_the_norm(v):
-    # math.hypot of one output is |v| exactly, also where squaring it would
-    # overflow (1e200) or underflow (1e-200), as np.linalg.norm's sqrt(v . v) does
+    # the norm of one output is |v| exactly, as math.hypot takes it, also where
+    # squaring it would overflow (1e200) or underflow (1e-200), as
+    # np.linalg.norm's sqrt(v . v) does
     from swstab.lyapunov import _output_gauge
 
-    got = _output_gauge(lambda t, x, i: (v,), lambda s: s, 0.0, [0.0], 1)
+    got = _output_gauge(np.array([[v]]), lambda s: s)[0]
     assert (math.isnan(got) if math.isnan(v) else
-            np.float64(got).tobytes() == np.float64(abs(v)).tobytes())
+            np.float64(got).tobytes() == np.float64(abs(v)).tobytes()
+            == np.float64(math.hypot(v)).tobytes())
 
 
 def test_output_gauge_of_two_outputs_is_the_norm():
@@ -527,6 +601,6 @@ def test_output_gauge_of_two_outputs_is_the_norm():
 
     rng = np.random.default_rng(43)
     for v in rng.standard_normal((2000, 2)) * 10.0 ** rng.uniform(-100.0, 100.0, (2000, 1)):
-        got = _output_gauge(lambda t, x, i: v, lambda s: s, 0.0, [0.0], 1)
+        got = _output_gauge(v[None, :], lambda s: s)[0]
         want = np.linalg.norm(v)
         assert abs(got - want) <= 2.0 * np.spacing(want), (v, got, want)

@@ -321,6 +321,31 @@ def test_unknown_system_rejected():
         get_entry("nonexistent")
 
 
+@pytest.mark.parametrize("name, params", [
+    ("example1", {"mean_dwell": "x"}),
+    ("example1", {"mean_dwell": math.inf}),
+    ("example1", {"mean_dwell": math.nan}),
+    ("motivating", {"a": True}),
+    ("motivating", {"T0": None}),
+    ("inverter", {"C2": 10 ** 400}),  # an int beyond the float range
+    ("inverter", {"L1": [1.0]}),
+])
+def test_registry_parameters_must_be_finite_numbers(name, params):
+    (key,) = params
+    with pytest.raises(ParameterError, match=key):
+        get_entry(name, **params)
+
+
+def test_registry_parameters_take_ints_and_floats():
+    assert get_entry("motivating", a=2).system.name == "motivating"
+    a = get_entry("inverter", C2=2, L1=3)
+    b = get_entry("inverter", C2=2.0, L1=3.0)
+    x = [0.3, -1.1, 0.7, 1.9]
+    for i in (1, 2):
+        assert a.system.h(0.0, x, i) == b.system.h(0.0, x, i)
+        assert a.certificate.V(0.0, x, i) == b.certificate.V(0.0, x, i)
+
+
 def test_registry_parameters_are_manifest_scalars():
     # a manifest's system.params can set ints and floats only, so every
     # parameter of a registry constructor defaults to one of them
