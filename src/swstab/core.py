@@ -225,7 +225,8 @@ class SwitchedSystem:
     is evaluated inline: the RK4 kernels paste each mode's text into their
     stages, with the same arithmetic, so no call is made per stage.  Any
     other callable is called at every stage, and so is a wrapper of a
-    compiled field, even one made with ``functools.wraps``.
+    compiled field, even one made with ``functools.wraps``.  The texts of f,
+    fhat and h must list n (h: p) components.
     """
 
     n: int
@@ -239,6 +240,11 @@ class SwitchedSystem:
     def __post_init__(self):
         if self.n < 1 or self.N < 1:
             raise ParameterError("state dimension and mode count must be positive")
+        for label, fn, width in (("f", self.f, self.n), ("fhat", self.fhat, self.n),
+                                 ("h", self.h, self.p)):
+            src = getattr(fn, "mode_source", None)  # a ModeSource text's own callable
+            if src is not None and src.f is fn and set(src.widths) != {width}:
+                raise ParameterError(f"{label} text must list {width} components in every mode")
 
 
 @dataclass(frozen=True)
@@ -248,10 +254,9 @@ class Covering:
     ``margin(xi, i) >= 0`` means xi belongs to the closed piece of mode i;
     the boundary is ``margin == 0``.  For half-space pieces the margin is the
     signed distance, which makes event detection exact.
-    ``xi`` is a sequence of n floats: the closed loop passes a list, other
-    callers may pass an ndarray row.  The invariance validator runs a margin
-    compiled by ``integrate.ModeSource(..., form="margin")`` on the state
-    columns, once per mode, and hands any other margin lists of floats.
+    ``xi`` is a sequence of n floats, a list or an ndarray row.  The invariance
+    validator runs a ``integrate.ModeSource(..., form="margin")`` margin on the
+    state columns, once per mode, and hands any other margin lists of floats.
     """
 
     margin: Callable[[Sequence[float], int], float]

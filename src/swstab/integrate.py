@@ -258,12 +258,11 @@ class ModeSource:
         return k
 
     def columns(self, i: int):
-        """Mode i as ``f(t, x0, ..., x{n-1})`` of float64 columns, compiled on first
-        use, or None outside the grammar of ``_on_columns``."""
+        """Mode i as ``f(t, x0, ..., x{n-1})`` of float64 columns, or None (``_on_columns``)."""
         if i not in self._columns:
             bindings, components = self.modes[i - 1]
             scope = dict(self.names)
-            if _on_columns(bindings, components, self.names, self.n):
+            if _on_columns("\n".join([*bindings, components]), self.names, self.n):
                 head = f"def f(t, {', '.join(f'x{j}' for j in range(self.n))}):"
                 exec(_code("\n    ".join([head, *bindings, f"return {components}"]) + "\n"), scope)
             self._columns[i] = scope.get("f")  # no name may be f, which the kernels take
@@ -273,12 +272,14 @@ class ModeSource:
 _BUILTIN_NAMES = frozenset(dir(builtins)) | frozenset(keyword.kwlist)
 _BINDING = re.compile(r"([A-Za-z_]\w*)\s*=(?!=)")
 _NAME = re.compile(r"(?<![.\w])[A-Za-z_]\w*")  # a name, not an attribute or a number's tail
+_COLUMN_NODES = (ast.Module, ast.Assign, ast.Expr, ast.Tuple, ast.Load, ast.Store, ast.BinOp,
+                 ast.Add, ast.Sub, ast.Mult, ast.UnaryOp, ast.UAdd, ast.USub)
+ROW_BLOCK = 1024  # rows whose states the calling path of ``_at_rows`` lists at once
 
 
 def _parse_mode(text: str, listed: bool, known: set, reserved: set, k: int) -> tuple:
-    """((binding lines, last line), width) of one mode's text.  When ``listed`` the
-    last line lists ``width`` components (one gets a trailing comma), else the
-    last line is one value and the width None."""
+    """((binding lines, last line), width) of one mode's text: a ``listed`` last line
+    lists ``width`` components (one gets a trailing comma), else is one value."""
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     if not lines:
         raise ParameterError(f"mode {k} is empty")
@@ -304,38 +305,24 @@ def _parse_mode(text: str, listed: bool, known: set, reserved: set, k: int) -> t
             (len(value.elts) if tupled else 1) if listed else None)
 
 
-def _on_columns(bindings: tuple, components: str, names: dict, n: int) -> bool:
-    """Whether a mode's text keeps to the grammar on which numpy's float64 ufuncs
-    round as Python floats do, and raise where they raise (README, ModeSource)."""
-    try:
-        exprs = [ast.parse(b[_BINDING.match(b).end():].strip(), mode="eval").body
-                 for b in bindings]
-        value = ast.parse(components, mode="eval").body
-    except SyntaxError:
-        return False
-    bound = {_BINDING.match(b).group(1) for b in bindings}
-    floats = {"t", *(f"x{j}" for j in range(n)), *bound,
-              *(k for k, v in names.items() if type(v) is float)}
-    divisors = {k for k, v in names.items() if type(v) is float and v != 0.0} - bound
+def _on_columns(text: str, names: dict, n: int) -> bool:
+    """Whether a mode's text keeps to float constants and names, + - *, unary + - and
+    abs, on which numpy's float64 ufuncs round, and never raise, as floats do (README)."""
+    nodes = list(ast.walk(ast.parse(text)))
+    floats = {"t", "abs", *(f"x{j}" for j in range(n)),
+              *(k for k, v in names.items() if type(v) is float),
+              *(a.id for a in nodes if isinstance(a, ast.Name) and isinstance(a.ctx, ast.Store))}
 
-    def ok(node) -> bool:
-        if isinstance(node, ast.Constant):
-            v = node.value
-            return type(v) is float or (type(v) is int and abs(v) <= 2 ** 53)
-        if isinstance(node, ast.UnaryOp):
-            return isinstance(node.op, (ast.UAdd, ast.USub)) and ok(node.operand)
-        if isinstance(node, ast.BinOp):
-            d = node.right
-            nonzero = d.id in divisors if isinstance(d, ast.Name) else \
-                isinstance(d, ast.Constant) and d.value != 0
-            return (isinstance(node.op, (ast.Add, ast.Sub, ast.Mult))
-                    or isinstance(node.op, ast.Div) and nonzero) and ok(node.left) and ok(d)
-        if isinstance(node, ast.Call):
-            return (getattr(node.func, "id", None) == "abs" and "abs" not in floats | set(names)
-                    and len(node.args) == 1 and not node.keywords and ok(node.args[0]))
-        return isinstance(node, ast.Name) and node.id in floats
+    def ok(a) -> bool:
+        if isinstance(a, ast.Constant):
+            return type(a.value) is float
+        if isinstance(a, ast.Name):
+            return a.id in floats
+        if isinstance(a, ast.Call):
+            return getattr(a.func, "id", None) == "abs" and len(a.args) == 1 and not a.keywords
+        return isinstance(a, _COLUMN_NODES)
 
-    return all(map(ok, exprs + (value.elts if isinstance(value, ast.Tuple) else [value])))
+    return "abs" not in names and all(map(ok, nodes))
 
 
 def _check_state(x, t: float, bound: float) -> None:
@@ -373,17 +360,13 @@ def _start_state(x0, n: int, t0: float, cfg: IntegratorConfig) -> list:
     return x
 
 
-ROW_BLOCK = 1024  # rows whose states the calling path lists at once
-
-
 def _at_rows(fn, times: np.ndarray | None, states: np.ndarray, modes: np.ndarray,
              width: int | None = None) -> np.ndarray:
-    """fn(t, x, i) at every row of (times, states, modes), or fn(x, i) when ``times``
-    is None: (m,) values or (m, width) components.  The ``ModeSource`` callable
-    itself (by identity, as in ``_rk4_kernels``) runs each mode text that
-    ``columns`` admits once on the state columns; every other row is called
-    with a float time and a list of floats, ROW_BLOCK rows at a time."""
-    out = np.empty(len(states) if width is None else (len(states), width))
+    """fn(t, x, i), or fn(x, i) when ``times`` is None, at every row: (m,) values or
+    (m, width) components.  The ``ModeSource`` callable itself (by identity, as in
+    ``_rk4_kernels``) runs each mode that ``columns`` admits once on the state
+    columns; every other row is called on floats, ROW_BLOCK rows at a time."""
+    out = np.empty((len(states), width or 1))
     called = np.ones(len(states), dtype=bool)
     src = getattr(fn, "mode_source", None)
     if src is not None and src.f is fn:
@@ -391,22 +374,20 @@ def _at_rows(fn, times: np.ndarray | None, states: np.ndarray, modes: np.ndarray
         texts = np.where((modes >= 1) & (modes < last), modes, last)  # the text f takes
         with np.errstate(all="ignore"):  # where numpy warns, floats quietly give inf or NaN
             for k in np.unique(texts).tolist():
-                g = src.columns(k)
-                if g is not None:
+                if src.columns(k) is not None:
                     rows = np.flatnonzero(texts == k)
                     called[rows] = False
-                    value = g(None if times is None else times[rows], *states[rows].T)
-                    for j, v in enumerate([value] if width is None else value):
-                        out.reshape(len(states), -1)[rows, j] = v
+                    value = src.columns(k)(None if times is None else times[rows], *states[rows].T)
+                    for j, v in enumerate(value if width else [value]):
+                        out[rows, j] = v
     called = np.flatnonzero(called)
     for b in range(0, len(called), ROW_BLOCK):
-        rows = slice(b, b + ROW_BLOCK) if len(called) == len(states) else called[b:b + ROW_BLOCK]
+        rows = called[b:b + ROW_BLOCK]
         xs, ms = states[rows].tolist(), modes[rows].tolist()
         values = ([fn(x, i) for x, i in zip(xs, ms)] if times is None else
                   [fn(t, x, i) for t, x, i in zip(times[rows].tolist(), xs, ms)])
-        out[rows] = values if width is None else _rows([v for row in values for v in row],
-                                                        width)
-    return out
+        out[rows] = _rows([v for row in values for v in row] if width else values, width or 1)
+    return out if width else out.reshape(-1)
 
 
 def _switched_outputs(sys: SwitchedSystem, traj: Trajectory) -> np.ndarray:

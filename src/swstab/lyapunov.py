@@ -34,12 +34,11 @@ class LyapunovCertificate:
 
     V(t, xi, i) >= 0; phi1(|xi|) <= V <= phi2(|xi|) on the piece of mode i;
     eta(t, xi, i) >= 0 bounds -dV/dt along mode i.  The trajectory checks run
-    a V or eta compiled by ``integrate.ModeSource(..., form="float")`` on the
-    state columns, once per mode, and hand any other callable the state as a
-    list of floats, as the integrators hand it to the fields.  ``dV``
-    optionally supplies the analytic state gradient for consistency testing.
-    phi1/phi2 are sample-checked at construction: zero at zero and strictly
-    increasing, so that a NaN sample fails.
+    a ``integrate.ModeSource(..., form="float")`` V or eta on the state columns,
+    once per mode, and hand any other callable the state as a list of floats.
+    ``dV`` optionally supplies the analytic state gradient for consistency
+    testing.  phi1/phi2 are sample-checked at construction: zero at zero and
+    strictly increasing, so that a NaN sample fails.
     """
 
     V: Callable[[float, list[float], int], float]

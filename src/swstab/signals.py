@@ -333,8 +333,7 @@ class InvarianceReport:
 def validate_covering_invariance(traj: Trajectory, sigma: SwitchingSignal,
                                  covering: Covering) -> InvarianceReport:
     """Check sigma(t) in I_{x(t)} at every grid time, with boundary tolerance."""
-    modes = np.asarray(traj.modes if traj.modes is not None else sigma.modes_at(traj.times),
-                       dtype=np.int64)
+    modes = traj.modes if traj.modes is not None else sigma.modes_at(traj.times)
     bad = ~(_at_rows(covering.margin, None, traj.states, modes) >= -BOUNDARY_TOL)
     if bad.any():
         k = int(np.argmax(bad))  # the first node off its mode's piece

@@ -279,7 +279,8 @@ def get_entry(name: str, **params) -> RegistryEntry:
     if unknown:
         raise ParameterError(f"unknown parameters {unknown} for system {name!r}")
     for key, value in params.items():  # every default is an int or a float
-        if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        if (not isinstance(value, (int, float)) or isinstance(value, bool)
+                or not abs(value) <= sys.float_info.max):
             raise ParameterError(f"parameter {key} of system {name!r} must be a finite "
                                  f"number, got {value!r}")
     return REGISTRY[name](**params)

@@ -340,10 +340,12 @@ def test_registry_parameters_take_ints_and_floats():
     assert get_entry("motivating", a=2).system.name == "motivating"
     a = get_entry("inverter", C2=2, L1=3)
     b = get_entry("inverter", C2=2.0, L1=3.0)
+    c = get_entry("inverter", C2=np.float64(2.0), L1=np.float64(3.0))  # a numpy sweep's
     x = [0.3, -1.1, 0.7, 1.9]
     for i in (1, 2):
-        assert a.system.h(0.0, x, i) == b.system.h(0.0, x, i)
-        assert a.certificate.V(0.0, x, i) == b.certificate.V(0.0, x, i)
+        assert a.system.h(0.0, x, i) == b.system.h(0.0, x, i) == c.system.h(0.0, x, i)
+        assert (a.certificate.V(0.0, x, i) == b.certificate.V(0.0, x, i)
+                == c.certificate.V(0.0, x, i))
 
 
 def test_registry_parameters_are_manifest_scalars():
