@@ -59,53 +59,49 @@ class IntegratorConfig:
 
 
 # One RK4 source, written out per state component and compiled per state
-# dimension n.  ``step`` takes one step; ``march`` tiles [t0, t1] with equal
-# sub-steps, appending each node's time to ``out_t`` and its state to the flat
-# ``out_x``, and returns the last state.  ``advance`` is the closed loop's
-# march: from (tn, xn) it takes steps of min(step, tf - tn) while tn < t_stop,
-# appending each node, and returns (tn, x, h, x_new) at the first step that
-# leaves the piece of ``mode`` (margin below -BOUNDARY_TOL), or (tn, x, None,
-# None) at t_stop.  Stage sums are grouped as the float64-array RK4 groups
-# them, so both agree bit for bit, and the divergence checks sum the squares in
-# component order, as ``_check_state``.
+# dimension n.  ``step`` takes one step; ``march`` takes m equal steps across
+# [t0, t1], extending the flat ``out_x`` by each node's state, and returns the
+# last state: it records no time, the callers derive every node's time from
+# their table of segments (``_nodes``).  ``advance`` is the closed loop's march:
+# from (tn, xn) it takes steps of min(step, tf - tn) while tn < t_stop,
+# appending each node's time and state, and returns (tn, x, h, x_new) at the
+# first step that leaves the piece of ``mode`` (margin below -BOUNDARY_TOL), or
+# (tn, x, None, None) at t_stop.  Stage sums are grouped as the float64-array
+# RK4 groups them, so both agree bit for bit, and the divergence checks sum the
+# squares in component order, as ``_check_state``.
 #
-# The four stage evaluations of each kernel are one slot, ``{stages}``.  On the
-# calling path it calls the field as f(t, x, arg), x the state as a list of n
-# floats and ``arg`` the one argument its producer paired with f (a mode index,
-# None, or a pair the field unpacks); f may return any length-n sequence.  For
-# a mode of a ``ModeSource`` the slot assigns the stage's ``t, x0, ...`` and
-# pastes the mode's text after it, and the kernel never calls f.  The template
-# leaves ``t`` and ``x0, ...`` free for that text.
+# Whole-line slots hold generated lines, one assignment per component.  The
+# four stage evaluations of each kernel are ``{stages}``.  On the calling path
+# it calls the field as f(t, x, arg), x the state as a list of n floats and
+# ``arg`` the one argument its producer paired with f (a mode index, None, or a
+# pair the field unpacks); f may return any length-n sequence.  For a mode of a
+# ``ModeSource`` the slot assigns each stage's ``x0, ...`` and pastes the mode's
+# text after it, and the kernel never calls f; only a text that reads ``t`` gets
+# the stage times ``tm`` and ``t`` and, in ``march``, the step's start time
+# ``tn = t0 + k * h`` (``{clock}``).  The template leaves ``t`` and ``x0, ...``
+# free for that text.
 _RK4_TEMPLATE = """\
 def step(f, tn, xn, h, arg):
     {a_} = xn
     hh = 0.5 * h
-    tm = tn + hh
     {stages}
     h6 = h / 6.0
     return [{a_next}]
 
 
-def march(f, t0, start, t1, base_step, bound, out_t, out_x, n_steps=0, arg=None):
-    span = t1 - t0
-    if span <= 0:
-        return start
-    m = n_steps if n_steps > 0 else max(1, int(ceil((span / base_step) * (1.0 - 1e-9))))
-    h = span / m
+def march(f, t0, start, t1, m, bound, out_x, arg=None):
+    h = (t1 - t0) / m
     hh = 0.5 * h
     h6 = h / 6.0
     bb = bound * bound
-    push_t, push_x = out_t.append, out_x.extend
+    push_x = out_x.extend
     {a_} = start
-    tn = t0 + 0.0  # t0 + 0 * h, as every later node time is t0 + k * h
-    for k in range(1, m + 1):
-        tm = tn + hh
+    for k in range(m):
+        {clock}
         {stages}
-        {a_} = {a_next},
-        tn = t1 if k == m else t0 + k * h
+        {a_next_}
         if not {sum_sq} <= bb:  # NaN or beyond the bound
-            check_state([{a}], tn, bound)
-        push_t(tn)
+            check_state([{a}], t1 if k + 1 == m else t0 + (k + 1) * h, bound)
         push_x(({a},))
     return [{a}]
 
@@ -117,10 +113,9 @@ def advance(f, tn, xn, t_stop, tf, step, bound, margin, mode, out_t, out_x, arg=
     while tn < t_stop:
         h = tf - tn if tf - tn < step else step  # min(step, tf - tn)
         hh = 0.5 * h
-        tm = tn + hh
         {stages}
         h6 = h / 6.0
-        {b_} = {a_next},
+        {b_next_}
         if not {sum_sq_b} <= bb:  # NaN or beyond the bound
             check_state([{b}], tn + h, bound)
         x_new = [{b}]
@@ -129,7 +124,7 @@ def advance(f, tn, xn, t_stop, tf, step, bound, margin, mode, out_t, out_x, arg=
         tn = tn + h
         push_t(tn)
         push_x(x_new)
-        {a_} = {b},
+        {a_b_}
     return tn, [{a}], None, None
 """
 
@@ -144,26 +139,40 @@ _TEMPLATE_NAMES = frozenset(re.findall(r"[A-Za-z_]\w*",
 def _kernel_source(n: int, mode: tuple | None = None) -> str:
     """``_RK4_TEMPLATE`` written out for n components.  The stage slot calls the
     field, or evaluates ``mode``, a (binding lines, components line) pair."""
-    def each(expr: str, sep: str = ", ") -> str:
-        return sep.join(expr.replace("#", str(j)) for j in range(n))
+    def each(expr: str) -> list:
+        return [expr.replace("#", str(j)) for j in range(n)]
+
+    def joined(expr: str, sep: str = ", ") -> str:
+        return sep.join(each(expr))
 
     def targets(name: str) -> str:  # "a0, a1"; "a0," when n == 1
-        return each(name + "#") + ("," if n == 1 else "")
+        return joined(name + "#") + ("," if n == 1 else "")
 
-    stages = []
-    for out, time, state in _STAGES:
-        if mode is None:
-            stages.append(f"{targets(out)} = f({time}, [{each(state)}], arg)")
-        else:
-            bindings, components = mode
-            stages += [f"t, {each('x#')} = {time}, {each(state)}", *bindings,
-                       f"{targets(out)} = {components}"]
+    def stores(name: str, exprs: list) -> list:  # ["a0 = e0", "a1 = e1"]
+        return [f"{name}{j} = {e}" for j, e in enumerate(exprs)]
+
+    if mode is None:
+        timed = True
+        stages = [f"{targets(out)} = f({time}, [{joined(state)}], arg)"
+                  for out, time, state in _STAGES]
+    else:
+        bindings, components = mode
+        timed = "t" in _NAME.findall("\n".join([*bindings, components]))
+        values = [ast.get_source_segment(components, e)
+                  for e in ast.parse(components, mode="eval").body.elts]
+        stages = [line for out, time, state in _STAGES
+                  for line in [f"t = {time}"] * timed + stores("x", each(state))
+                  + [*bindings, *stores(out, values)]]
+    a_next = each("a# + h6 * (p# + 2.0 * (q# + r#) + s#)")
+    slots = {"stages": ["tm = tn + hh"] * timed + stages, "clock": ["tn = t0 + k * h"] * timed,
+             "a_next_": stores("a", a_next), "b_next_": stores("b", a_next),
+             "a_b_": stores("a", each("b#"))}
     source = _RK4_TEMPLATE.format(
-        stages="{stages}", a=each("a#"), a_=targets("a"), p_=targets("p"), b=each("b#"),
-        b_=targets("b"), a_next=each("a# + h6 * (p# + 2.0 * (q# + r#) + s#)"),
-        sum_sq=each("a# * a#", " + "), sum_sq_b=each("b# * b#", " + "))
-    return re.sub(r"^( *)\{stages\}$", lambda m: "\n".join(m.group(1) + s for s in stages),
-                  source, flags=re.M)
+        **{slot: "{%s}" % slot for slot in slots}, a=joined("a#"), a_=targets("a"),
+        b=joined("b#"), a_next=", ".join(a_next), sum_sq=joined("a# * a#", " + "),
+        sum_sq_b=joined("b# * b#", " + "))
+    return re.sub(r"^( *)\{(\w+)\}\n", lambda m: "".join(
+        f"{m.group(1)}{line}\n" for line in slots[m.group(2)]), source, flags=re.M)
 
 
 @cache
@@ -174,8 +183,7 @@ def _code(source: str):
 
 def _bind(source: str, names: dict) -> tuple:
     """(step, march, advance) of kernel ``source`` over the namespace ``names``."""
-    scope = {**names, "ceil": math.ceil, "check_state": _check_state,
-             "boundary_tol": BOUNDARY_TOL}
+    scope = {**names, "check_state": _check_state, "boundary_tol": BOUNDARY_TOL}
     exec(_code(source), scope)
     return scope["step"], scope["march"], scope["advance"]
 
@@ -298,6 +306,8 @@ def _parse_mode(text: str, listed: bool, known: set, reserved: set, k: int) -> t
     tupled = isinstance(value, ast.Tuple)
     if tupled and not listed:
         raise ParameterError(f"mode {k}: {components!r} is not one value")
+    if tupled and any(isinstance(e, ast.Starred) for e in value.elts):
+        raise ParameterError(f"mode {k}: {components!r} unpacks a sequence")
     unknown = sorted(set(_NAME.findall(text)) - known - bound)
     if unknown:
         raise ParameterError(f"mode {k}: unknown names {unknown}")
@@ -338,10 +348,33 @@ def _rows(nodes: list, n: int) -> np.ndarray:
     return np.array(nodes, dtype=float).reshape(-1, n)
 
 
-def _blown_up(err: BlowUpError, ts: list, xs: list, n: int, **drive) -> BlowUpError:
-    """``err`` re-raised with the partial trajectory of the nodes recorded so far."""
-    partial = Trajectory(times=np.array(ts), states=_rows(xs, n), **drive)
+def _blown_up(err: BlowUpError, times, xs: list, n: int, **drive) -> BlowUpError:
+    """``err`` re-raised with the partial trajectory of the nodes recorded so far:
+    the states ``xs``, and as many of the node ``times`` and ``drive`` labels."""
+    m = len(xs) // n
+    partial = Trajectory(times=np.asarray(times[:m]), states=_rows(xs, n),
+                         **{k: v[:m] for k, v in drive.items()})
     return BlowUpError(str(err), time=err.time, trajectory=partial)
+
+
+def _n_steps(span: float, step: float) -> int:
+    """Equal sub-steps no longer than ``step`` that tile ``span``."""
+    return max(1, int(math.ceil((span / step) * (1.0 - 1e-9))))
+
+
+def _nodes(t0: float, table: list) -> tuple[np.ndarray, np.ndarray]:
+    """(node times, labels of all nodes but the last) of marches over the segments
+    (a, b, m, label) of ``table``, as ``march`` steps them: t0, then per segment
+    a + k * h for 0 < k < m, h = (b - a) / m, and b.  A node takes the label of the
+    segment it starts; a segment with m = 0 has no nodes."""
+    if not table:
+        return np.array([t0], dtype=float), np.empty(0, dtype=np.int64)
+    a, b, m, labels = (np.array(c) for c in zip(*table))
+    seg = np.repeat(np.arange(len(m)), m)
+    k = np.arange(1, len(seg) + 1) - np.repeat(np.cumsum(m) - m, m)  # 1..m per segment
+    h = (b - a) / np.maximum(m, 1)
+    times = np.where(k == m[seg], b[seg], a[seg] + k * h[seg])
+    return np.concatenate(([t0], times)), np.repeat(labels, m)
 
 
 def _mode_rhs(sys: SwitchedSystem, i: int):
@@ -381,8 +414,9 @@ def _at_rows(fn, times: np.ndarray | None, states: np.ndarray, modes: np.ndarray
                     for j, v in enumerate(value if width else [value]):
                         out[rows, j] = v
     called = np.flatnonzero(called)
+    every = len(called) == len(states)  # no mode ran on columns: slices select faster
     for b in range(0, len(called), ROW_BLOCK):
-        rows = called[b:b + ROW_BLOCK]
+        rows = slice(b, b + ROW_BLOCK) if every else called[b:b + ROW_BLOCK]
         xs, ms = states[rows].tolist(), modes[rows].tolist()
         values = ([fn(x, i) for x, i in zip(xs, ms)] if times is None else
                   [fn(t, x, i) for t, x, i in zip(times[rows].tolist(), xs, ms)])
@@ -406,22 +440,23 @@ def simulate(sys: SwitchedSystem, sigma: SwitchingSignal, t0: float, x0: np.ndar
     if tf < t0:
         raise DomainError("tf must be >= t0")
     x = _start_state(x0, sys.n, t0, cfg)
-    ts: list = [t0]
     xs: list = list(x)
-    if tf > t0:
-        marches: dict = {}  # mode -> its march
-        try:
-            for a, b, i in sigma.segments(t0, tf):
-                f, arg = _mode_rhs(sys, i)
-                march = marches.get(i)
-                if march is None:
-                    march = marches[i] = _rk4_kernels(sys.n, f, arg)[1]
-                x = march(f, a, x, b, cfg.step, cfg.divergence_bound, ts, xs, arg=arg)
-        except BlowUpError as err:
-            raise _blown_up(err, ts, xs, sys.n, modes=sigma.modes_at(np.array(ts))) from None
-    times = np.array(ts)
+    table = ([(a, b, _n_steps(b - a, cfg.step), i) for a, b, i in sigma.segments(t0, tf)]
+             if tf > t0 else [])
+    times, modes = _nodes(t0, table)
+    marches: dict = {}  # mode -> its march
+    try:
+        for a, b, m, i in table:
+            f, arg = _mode_rhs(sys, i)
+            march = marches.get(i)
+            if march is None:
+                march = marches[i] = _rk4_kernels(sys.n, f, arg)[1]
+            x = march(f, a, x, b, m, cfg.divergence_bound, xs, arg)
+    except BlowUpError as err:
+        raise _blown_up(err, times, xs, sys.n, modes=modes) from None
+    # the last node, tf, takes the mode of a breakpoint at tf, which no segment has
     return Trajectory(times=times, states=_rows(xs, sys.n),
-                      modes=sigma.modes_at(times).astype(np.int64))
+                      modes=np.append(modes, sigma.modes_at(np.array([tf]))))
 
 
 def _mix_rhs(sys: SwitchedSystem, weights: np.ndarray):
@@ -459,30 +494,28 @@ def _march(rhs_of_weights, u: RelaxedControl, t0: float, x0: np.ndarray, tf: flo
     if u.n_modes != n_modes:
         raise ParameterError(f"control has {u.n_modes} modes, system has {n_modes}")
     x = _start_state(x0, n, t0, cfg)
-    per_cell = max(1, int(math.ceil((u.step / cfg.step) * (1.0 - 1e-9))))
-    k = u.cell_of(t0)
-    ts: list = [t0]
     xs: list = list(x)
-    cells: list = [k]
-    same_as_prev = [False] + np.all(u.values[1:] == u.values[:-1], axis=1).tolist()
-    n_cells, c0, dc = u.n_cells, u.t0, u.step
-    while tf > t0 and c0 + k * dc < tf - 1e-12 and k < n_cells:
-        k_end = k + 1
-        while k_end < n_cells and c0 + k_end * dc < tf - 1e-12 and same_as_prev[k_end]:
-            k_end += 1
-        a = max(t0, c0 + k * dc)
-        b = min(tf, c0 + k_end * dc)
-        cells[-1] = k  # node on the incoming cell's left edge takes its value
-        n_before = len(ts)
-        rhs, arg = rhs_of_weights(u.values[k])
-        try:
-            x = _rk4_kernels(n, rhs, arg)[1](rhs, a, x, b, cfg.step, cfg.divergence_bound,
-                                             ts, xs, n_steps=per_cell * (k_end - k), arg=arg)
-        except BlowUpError as err:
-            raise _blown_up(err, ts, xs, n) from None
-        cells.extend([k] * (len(ts) - n_before))
-        k = k_end
-    return ts, xs, cells
+    per_cell = _n_steps(u.step, cfg.step)
+    c0, dc, k0 = u.t0, u.step, u.cell_of(t0)
+    k_stop = k0  # the cells k0, k0 + 1, ... whose left edge lies before tf
+    if tf > t0:
+        k_stop += int(np.count_nonzero(c0 + np.arange(k0, u.n_cells) * dc < tf - 1e-12))
+    run = u.values[k0:k_stop]  # cut into runs of equal values
+    starts = (k0 + 1 + np.flatnonzero(np.any(run[1:] != run[:-1], axis=1))).tolist()
+    starts = [k0, *starts] if k_stop > k0 else []
+    table = []  # (a, b, sub-steps, cell) per run
+    for k, k_end in zip(starts, starts[1:] + [k_stop]):
+        a, b = max(t0, c0 + k * dc), min(tf, c0 + k_end * dc)
+        table.append((a, b, per_cell * (k_end - k) if b > a else 0, k))
+    times, cells = _nodes(t0, table)
+    try:
+        for a, b, m, k in table:
+            if m:
+                rhs, arg = rhs_of_weights(u.values[k])
+                x = _rk4_kernels(n, rhs, arg)[1](rhs, a, x, b, m, cfg.divergence_bound, xs, arg)
+    except BlowUpError as err:
+        raise _blown_up(err, times, xs, n) from None
+    return times, xs, np.append(cells, table[-1][3] if table else k0)
 
 
 def simulate_relaxed(sys: SwitchedSystem, u: RelaxedControl, t0: float, x0: np.ndarray,
@@ -491,8 +524,8 @@ def simulate_relaxed(sys: SwitchedSystem, u: RelaxedControl, t0: float, x0: np.n
 
     Steps are aligned to the control's grid cells (see ``_march``).
     """
-    ts, xs, cells = _march(lambda w: _mix_rhs(sys, w), u, t0, x0, tf, cfg, sys.n, sys.N)
-    return Trajectory(times=np.array(ts), states=_rows(xs, sys.n), controls=u.values[cells])
+    times, xs, cells = _march(lambda w: _mix_rhs(sys, w), u, t0, x0, tf, cfg, sys.n, sys.N)
+    return Trajectory(times=times, states=_rows(xs, sys.n), controls=u.values[cells])
 
 
 def simulate_with_covering(sys: SwitchedSystem, covering: Covering,

@@ -139,9 +139,9 @@ def simulate_reduced(rls: ReducedLimitingSystem, u: RelaxedControl, t0: float,
     records no output; ``output_residual`` evaluates Hhat . u.
     """
     Fhat = rls.Fhat
-    ts, xs, cells = _march(lambda w: _reduced_rhs(Fhat, w.tolist()), u, t0, x0, tf, cfg,
-                           rls.n, rls.N)
-    return Trajectory(times=np.array(ts), states=_rows(xs, rls.n), controls=u.values[cells])
+    times, xs, cells = _march(lambda w: _reduced_rhs(Fhat, w.tolist()), u, t0, x0, tf, cfg,
+                              rls.n, rls.N)
+    return Trajectory(times=times, states=_rows(xs, rls.n), controls=u.values[cells])
 
 
 def _residual(H, w) -> float:
@@ -365,8 +365,7 @@ def _rollout(rls: ReducedLimitingSystem, u_cells, x0, horizon, du, step, eps,
         t_end = t + du
         tally.cells += 1
         try:
-            x = _rk4_kernels(n, rhs, arg)[1](rhs, t, x, t_end, step, divergence_bound, [], [],
-                                             n_steps=sub, arg=arg)
+            x = _rk4_kernels(n, rhs, arg)[1](rhs, t, x, t_end, sub, divergence_bound, [], arg)
         except (BlowUpError, DynamicsError):
             raise _Abort("diverged") from None
         if sum([v * v for v in x]) < eps * eps:

@@ -65,10 +65,10 @@ class IntegralBoundParams:
     mu: float
 
     def __post_init__(self):
-        if self.M < 0 or self.mu < 0:
+        if not (self.M >= 0 and self.mu >= 0):  # NaN too
             raise ParameterError("M and mu must be nonnegative")
-        if self.alpha(0.0) != 0.0 or any(self.alpha(s) <= 0
-                                         for s in (1e-3, 0.1, 1.0, 10.0)):
+        if self.alpha(0.0) != 0.0 or not all(self.alpha(s) > 0
+                                             for s in (1e-3, 0.1, 1.0, 10.0)):
             raise ParameterError("alpha must be positive definite")
 
 

@@ -251,22 +251,60 @@ def _check_state_reference(x, t, bound):
         raise BlowUpError(f"state norm exceeded {bound:.3g} at t={t}", time=t)
 
 
-def integrate_interval_reference(f, t0, x0, t1, base_step, bound, out_t, out_x,
-                                 n_steps=0, arg=None):
-    span = t1 - t0
-    if span <= 0:
-        return x0
-    n = n_steps if n_steps > 0 else max(1, int(math.ceil((span / base_step) * (1.0 - 1e-9))))
-    h = span / n
+# the node times integrate_interval_reference derived, one a node, in call order
+MARCHED_TIMES: list = []
+
+
+def integrate_interval_reference(f, t0, x0, t1, m, bound, out_x, arg=None):
+    """m steps across [t0, t1], each node's time derived here, step by step, and
+    appended to MARCHED_TIMES; the production march records states only."""
+    h = (t1 - t0) / m
     x = x0
-    for k in range(1, n + 1):
+    for k in range(1, m + 1):
         t = t0 + (k - 1) * h
         x = rk4_step_reference(f, t, x, h, arg)
-        tk = t1 if k == n else t0 + k * h
+        tk = t1 if k == m else t0 + k * h
         _check_state_reference(x, tk, bound)
-        out_t.append(tk)
+        MARCHED_TIMES.append(tk)
         out_x.extend(x)
     return x
+
+
+def switched_nodes_reference(sigma, t0, tf, step):
+    """Node times and modes of a switched run, step by step: segment (a, b)'s m
+    steps end at a + k * h and, the last, at b; a node's mode is sigma's there."""
+    ts = [t0]
+    if tf > t0:
+        for a, b, _ in sigma.segments(t0, tf):
+            m = max(1, int(math.ceil(((b - a) / step) * (1.0 - 1e-9))))
+            h = (b - a) / m
+            ts += [b if k == m else a + k * h for k in range(1, m + 1)]
+    times = np.array(ts)
+    return times, sigma.modes_at(times)
+
+
+def relaxed_nodes_reference(u, t0, tf, step):
+    """Node times and cells of a cell-aligned relaxed run, the control scanned
+    cell by cell for runs of equal values; a run's node on its left edge takes
+    its cell."""
+    per_cell = max(1, int(math.ceil((u.step / step) * (1.0 - 1e-9))))
+    k = u.cell_of(t0)
+    ts, cells = [t0], [k]
+    same_as_prev = [False] + np.all(u.values[1:] == u.values[:-1], axis=1).tolist()
+    c0, dc = u.t0, u.step
+    while tf > t0 and c0 + k * dc < tf - 1e-12 and k < u.n_cells:
+        k_end = k + 1
+        while k_end < u.n_cells and c0 + k_end * dc < tf - 1e-12 and same_as_prev[k_end]:
+            k_end += 1
+        a, b = max(t0, c0 + k * dc), min(tf, c0 + k_end * dc)
+        cells[-1] = k
+        if b > a:
+            m = per_cell * (k_end - k)
+            h = (b - a) / m
+            ts += [b if j == m else a + j * h for j in range(1, m + 1)]
+            cells += [k] * m
+        k = k_end
+    return np.array(ts), np.array(cells)
 
 
 def closed_loop_advance_reference(f, t, x, t_stop, tf, step, bound, margin, mode,
@@ -339,8 +377,8 @@ def rollout_reference(rls, u_cells, x0, horizon, du, step, eps, residual_tol,
         t_end = t + du
         tally.cells += 1
         try:
-            x = _rk4_kernels(len(x), rhs, arg)[1](rhs, t, x, t_end, step, divergence_bound,
-                                                  [], [], n_steps=sub, arg=arg)
+            x = _rk4_kernels(len(x), rhs, arg)[1](rhs, t, x, t_end, sub, divergence_bound,
+                                                  [], arg)
         except (BlowUpError, DynamicsError):
             raise _Abort("diverged") from None
         if sum([v * v for v in x]) < eps * eps:

@@ -16,6 +16,7 @@ from swstab import (
     PolicyError,
     SwitchedSystem,
     SwitchingSignal,
+    Trajectory,
     gen_arbitrary,
     signal_to_control,
     simulate,
@@ -374,17 +375,24 @@ def _on_both_kernels(monkeypatch, run):
     Every integrator fetches its kernels through ``_rk4_kernels``, the inlined
     ones of a ``ModeSource`` field too; replacing it in integrate and in
     limiting, which imports it by name, swaps every RK4 call for one that calls
-    the field."""
+    the field.  The ndarray march derives each node's time step by step: an
+    open-loop trajectory (or a blow-up's partial one) that the ndarray run
+    returns must carry those times after t0, bit for bit."""
     from swstab import integrate, limiting
-    from oracles import (closed_loop_advance_reference, integrate_interval_reference,
-                         rk4_step_reference)
+    from oracles import (MARCHED_TIMES, closed_loop_advance_reference,
+                         integrate_interval_reference, rk4_step_reference)
 
     got = run()
     with monkeypatch.context() as m:
         for module in (integrate, limiting):
             m.setattr(module, "_rk4_kernels", lambda n, f, arg: (
                 rk4_step_reference, integrate_interval_reference, closed_loop_advance_reference))
+        MARCHED_TIMES.clear()
         want = run()
+    traj = next((v for v in (want if isinstance(want, tuple) else (want,))
+                 if isinstance(v, Trajectory)), None)
+    if traj is not None and MARCHED_TIMES:  # a closed loop marches nothing
+        assert traj.times[1:].tobytes() == np.array(MARCHED_TIMES, dtype=float).tobytes()
     return got, want
 
 
@@ -702,6 +710,120 @@ def test_nan_state_raises_through_inline_check(monkeypatch):
         assert got == want and got.startswith("NaN state at t=0.51")
 
 
+# --- node times, modes and cells from the segment table ------------------------
+
+
+def test_node_table_equals_the_per_step_formula():
+    # the integrators derive node times, modes and cells from their segment
+    # tables in numpy; the oracles take the march's old per-step formula and
+    # scan the control cell by cell
+    from oracles import relaxed_nodes_reference, switched_nodes_reference
+    from swstab import RelaxedControl
+    from swstab.integrate import _march, _mix_rhs
+
+    system = _linear_system([[[-0.4, 1.0], [-1.0, -0.2]], [[0.1, 0.5], [-0.5, 0.1]],
+                             [[-1.0, 0.0], [0.3, -1.0]]])
+    x0 = np.array([0.7, -0.4])
+    # a segment of 4e-4, shorter than one step, and a breakpoint at 1.0
+    sig = SwitchingSignal(breakpoints=np.array([0.0, 0.3, 0.3004, 1.0]),
+                          modes=np.array([1, 2, 3, 1]), domain_start=0.0, domain_end=2.0)
+    for t0, tf, step in ((0.0, 1.7, 1e-2), (0.123, 1.0, 1e-2), (0.0, 1.0, 3e-2),
+                         (0.3001, 2.0, 7e-2), (0.5, 0.5, 1e-2)):
+        traj = simulate(system, sig, t0, x0, tf, IntegratorConfig(step=step))
+        times, modes = switched_nodes_reference(sig, t0, tf, step)
+        assert traj.times.tobytes() == times.tobytes(), (t0, tf, step)
+        assert traj.modes.tobytes() == modes.tobytes(), (t0, tf, step)
+        if tf == 1.0:  # tf takes the mode of its breakpoint, not the last segment's
+            assert traj.modes[-2:].tolist() == [3, 1]
+    # runs of equal cells; t0 and tf off the grid; 0.25 / 0.03 gives 9 steps a cell
+    e1, e2, mix = [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.2, 0.3, 0.5]
+    u = RelaxedControl(t0=0.0, step=0.25,
+                       values=np.array([e1, e1, mix, mix, e2, e2, e2, mix, e1, e2, e2, e1]))
+    # t0 = 25602 * 0.01 lies on a cell edge, but cell_of puts it in cell 25601 (its
+    # quotient by the step rounds below 25602 by more than 1e-12): a run of no steps
+    edge = RelaxedControl(t0=0.0, step=0.01, values=np.array([e1] * 25602 + [e2] * 8))
+    assert edge.cell_of(25602 * 0.01) == 25601
+    for u, t0, tf, step in ((u, 0.1, 2.6, 3e-2), (u, 0.0, 3.0, 3e-2), (u, 0.5, 1.6, 1e-1),
+                            (u, 0.26, 0.27, 1e-2), (u, 1.0, 1.0, 1e-2),
+                            (edge, 25602 * 0.01, 256.07, 3e-3)):
+        cfg = IntegratorConfig(step=step)
+        times, cells = relaxed_nodes_reference(u, t0, tf, step)
+        traj = simulate_relaxed(system, u, t0, x0, tf, cfg)
+        assert traj.times.tobytes() == times.tobytes(), (t0, tf, step)
+        assert traj.controls.tobytes() == u.values[cells].tobytes(), (t0, tf, step)
+        got = _march(lambda w: _mix_rhs(system, w), u, t0, x0, tf, cfg, 2, 3)[2]
+        assert got.tolist() == cells.tolist(), (t0, tf, step)
+
+
+def test_blow_up_in_the_second_segment_keeps_the_node_times():
+    from oracles import relaxed_nodes_reference, switched_nodes_reference
+    from swstab import ModeSource
+
+    system = SwitchedSystem(n=2, N=2, f=ModeSource(2, ("-x0, -x1", "8.0 * x0, 8.0 * x1")).f,
+                            h=lambda t, x, i: (x[0],))
+    sig = SwitchingSignal(breakpoints=np.array([0.0, 0.5]), modes=np.array([1, 2]),
+                          domain_start=0.0, domain_end=5.0)
+    u = signal_to_control(sig, 1e-2, span=(0.0, 5.0), n_modes=2)
+    cfg = IntegratorConfig(step=1e-2, divergence_bound=10.0)
+    x0 = np.array([1.0, 0.0])
+    for run, (times, labels) in (
+            (lambda: simulate(system, sig, 0.0, x0, 5.0, cfg),
+             switched_nodes_reference(sig, 0.0, 5.0, 1e-2)),
+            (lambda: simulate_relaxed(system, u, 0.0, x0, 5.0, cfg),
+             relaxed_nodes_reference(u, 0.0, 5.0, 1e-2))):
+        with pytest.raises(BlowUpError) as exc:
+            run()
+        partial = exc.value.trajectory
+        m = len(partial.times)
+        assert times[m - 1] > 0.5  # into the second segment
+        assert partial.times.tobytes() == times[:m].tobytes()
+        assert exc.value.time == times[m]
+        if partial.modes is not None:
+            assert partial.modes.tobytes() == labels[:m].tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 3, 4])
+def test_stage_times_only_for_modes_that_read_t(n):
+    # a t-free mode's march assigns no time, a t-reading one its stage times;
+    # either way every store is one component but the start state's unpacking,
+    # and both give the calling path's bits
+    import ast
+
+    from swstab import ModeSource, RelaxedControl
+    from swstab.integrate import _kernel_source, _rk4_kernels
+
+    free = ", ".join(f"-0.5 * x{j} + 0.25 * x{(j + 1) % n}" for j in range(n))
+    timed = ", ".join(f"-0.5 * x{j} + 0.75 * sin(t) * x{(j + 1) % n}" for j in range(n))
+    src = ModeSource(n, (free, timed), names={"sin": math.sin})
+    for mode, reads_t in zip(src.modes, (False, True)):
+        tree = ast.parse(_kernel_source(n, mode))
+        march = next(d for d in tree.body if d.name == "march")
+        stores = [t for a in ast.walk(march) if isinstance(a, ast.Assign) for t in a.targets]
+        names = {t.id for t in stores if isinstance(t, ast.Name)}
+        assert ({"t", "tm", "tn"} <= names) if reads_t else not ({"t", "tm", "tn"} & names)
+        assert [ast.unparse(t) for t in stores if isinstance(t, ast.Tuple)] == [
+            "(" + ", ".join(f"a{j}" for j in range(n)) + (",)" if n == 1 else ")")]
+    h = lambda t, x, i: (x[0],)  # noqa: E731
+    system = SwitchedSystem(n=n, N=2, f=src.f, h=h)
+    calling = SwitchedSystem(n=n, N=2, f=lambda t, x, i: src.f(t, x, i), h=h)
+    assert _rk4_kernels(n, system.f, 1) is not _rk4_kernels(n, calling.f, 1)
+    rng = np.random.default_rng(65)
+    x0 = rng.uniform(-1.5, 1.5, n)
+    sig = gen_arbitrary(2, (0.0, 4.0), 0.3, 9, granularity=1e-2)
+    vertex = signal_to_control(sig, 1e-2, span=(0.0, 4.0), n_modes=2)
+    mixed = RelaxedControl(t0=0.0, step=0.25, values=rng.dirichlet(np.ones(2), size=16))
+    half = Covering(margin=lambda x, i: x[0] - 0.5 if i == 1 else 0.5 - x[0], N=2)
+    cfg = IntegratorConfig(step=3e-2)
+    for run in (lambda s: simulate(s, sig, 0.0, x0, 4.0, cfg),
+                lambda s: simulate_relaxed(s, vertex, 0.0, x0, 4.0, cfg),
+                lambda s: simulate_relaxed(s, mixed, 0.0, x0, 4.0, cfg)):
+        _assert_same_bits(run(system), run(calling))
+    (a, sa), (b, sb) = (simulate_with_covering(s, half, lambda t, x, active: active[0], 0.0,
+                                               np.ones(n), 4.0, cfg) for s in (system, calling))
+    assert sa.n_switches > 0 and sa.breakpoints.tobytes() == sb.breakpoints.tobytes()
+    _assert_same_bits(a, b)
+
+
 # --- inlined mode fields against the calling path -------------------------------
 
 
@@ -855,6 +977,7 @@ def test_mode_source_rejects_what_the_kernels_cannot_inline():
                          (("x1, -x0 * i",), {}),          # no mode index in the text
                          (("h = 2.0\nh * x1, x0",), {}),  # h is the kernels' step
                          (("x1, k * x0",), {"k": 2.0}),   # so is the counter k
+                         (("*v,",), {"v": (1.0, 2.0)}),   # each component is stored alone
                          (("x1 +", ), {})):               # not Python
         with pytest.raises(ParameterError):
             ModeSource(2, modes, names)

@@ -45,6 +45,17 @@ def test_integral_params_reject_indefinite_alpha():
         IntegralBoundParams(alpha=lambda s: s, M=-1.0, mu=0.0)
 
 
+@pytest.mark.parametrize("kw", [
+    {"alpha": lambda s: math.nan if s > 0.5 else s},
+    {"M": math.nan},
+    {"mu": math.nan},
+], ids=["alpha", "M", "mu"])
+def test_integral_params_reject_nan(kw):
+    # NaN compares false both ways, so each check must ask for the good side
+    with pytest.raises(ParameterError):
+        IntegralBoundParams(**{"alpha": lambda s: s, "M": 1.0, "mu": 0.0, **kw})
+
+
 def test_sandwich_inverter_quadratic(inverter):
     rep = check_sandwich(inverter.certificate, -2 * np.ones(4), 2 * np.ones(4),
                          inverter.covering, density=5)
