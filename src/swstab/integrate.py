@@ -61,8 +61,8 @@ class IntegratorConfig:
 # One RK4 source, written out per state component and compiled per state
 # dimension n.  ``step`` takes one step; ``march`` takes m equal steps across
 # [t0, t1], extending the flat ``out_x`` by each node's state, and returns the
-# last state: it records no time, the callers derive every node's time from
-# their table of segments (``_nodes``).  ``advance`` is the closed loop's march:
+# last state; it records no time, as its callers build every node's time from
+# their segment tables (``_nodes``).  ``advance`` is the closed loop's march:
 # from (tn, xn) it takes steps of min(step, tf - tn) while tn < t_stop,
 # appending each node's time and state, and returns (tn, x, h, x_new) at the
 # first step that leaves the piece of ``mode`` (margin below -BOUNDARY_TOL), or
@@ -70,16 +70,16 @@ class IntegratorConfig:
 # RK4 groups them, so both agree bit for bit, and the divergence checks sum the
 # squares in component order, as ``_check_state``.
 #
-# Whole-line slots hold generated lines, one assignment per component.  The
-# four stage evaluations of each kernel are ``{stages}``.  On the calling path
-# it calls the field as f(t, x, arg), x the state as a list of n floats and
-# ``arg`` the one argument its producer paired with f (a mode index, None, or a
-# pair the field unpacks); f may return any length-n sequence.  For a mode of a
-# ``ModeSource`` the slot assigns each stage's ``x0, ...`` and pastes the mode's
-# text after it, and the kernel never calls f; only a text that reads ``t`` gets
-# the stage times ``tm`` and ``t`` and, in ``march``, the step's start time
-# ``tn = t0 + k * h`` (``{clock}``).  The template leaves ``t`` and ``x0, ...``
-# free for that text.
+# A slot alone on its line takes generated lines, one store per component (no
+# tuple to build and unpack).  The four stage evaluations of each kernel are
+# ``{stages}``.  On the calling path it calls the field as f(t, x, arg), x the
+# state as a list of n floats and ``arg`` the one argument its producer paired
+# with f (a mode index, None, or a pair the field unpacks); f may return any
+# length-n sequence.  For a mode of a ``ModeSource`` the slot stores each
+# stage's ``x0, ...``, pastes the mode's bindings and stores its components, and
+# the kernel never calls f.  Only a text that reads ``t`` gets the stage times
+# ``tm`` and ``t``, and in ``march`` the step's start ``tn = t0 + k * h``
+# (``{clock}``).  The template leaves ``t`` and ``x0, ...`` free for that text.
 _RK4_TEMPLATE = """\
 def step(f, tn, xn, h, arg):
     {a_} = xn
@@ -362,19 +362,19 @@ def _n_steps(span: float, step: float) -> int:
     return max(1, int(math.ceil((span / step) * (1.0 - 1e-9))))
 
 
-def _nodes(t0: float, table: list) -> tuple[np.ndarray, np.ndarray]:
-    """(node times, labels of all nodes but the last) of marches over the segments
-    (a, b, m, label) of ``table``, as ``march`` steps them: t0, then per segment
-    a + k * h for 0 < k < m, h = (b - a) / m, and b.  A node takes the label of the
-    segment it starts; a segment with m = 0 has no nodes."""
+def _nodes(t0: float, table: list, last: int) -> tuple[np.ndarray, np.ndarray]:
+    """(times, labels) of the nodes of marches over the segments (a, b, m, label) of
+    ``table``, as ``march`` steps them: t0, then per segment a + k * h for 0 < k < m,
+    h = (b - a) / m, and b.  A node takes the label of the segment it starts, the
+    last node ``last``; a segment with m = 0 has no nodes."""
     if not table:
-        return np.array([t0], dtype=float), np.empty(0, dtype=np.int64)
+        return np.array([t0], dtype=float), np.array([last])
     a, b, m, labels = (np.array(c) for c in zip(*table))
     seg = np.repeat(np.arange(len(m)), m)
     k = np.arange(1, len(seg) + 1) - np.repeat(np.cumsum(m) - m, m)  # 1..m per segment
     h = (b - a) / np.maximum(m, 1)
     times = np.where(k == m[seg], b[seg], a[seg] + k * h[seg])
-    return np.concatenate(([t0], times)), np.repeat(labels, m)
+    return np.concatenate(([t0], times)), np.append(np.repeat(labels, m), last)
 
 
 def _mode_rhs(sys: SwitchedSystem, i: int):
@@ -443,7 +443,8 @@ def simulate(sys: SwitchedSystem, sigma: SwitchingSignal, t0: float, x0: np.ndar
     xs: list = list(x)
     table = ([(a, b, _n_steps(b - a, cfg.step), i) for a, b, i in sigma.segments(t0, tf)]
              if tf > t0 else [])
-    times, modes = _nodes(t0, table)
+    # the last node, tf, takes the mode of a breakpoint at tf, which no segment has
+    times, modes = _nodes(t0, table, sigma.modes_at(tf))
     marches: dict = {}  # mode -> its march
     try:
         for a, b, m, i in table:
@@ -454,9 +455,7 @@ def simulate(sys: SwitchedSystem, sigma: SwitchingSignal, t0: float, x0: np.ndar
             x = march(f, a, x, b, m, cfg.divergence_bound, xs, arg)
     except BlowUpError as err:
         raise _blown_up(err, times, xs, sys.n, modes=modes) from None
-    # the last node, tf, takes the mode of a breakpoint at tf, which no segment has
-    return Trajectory(times=times, states=_rows(xs, sys.n),
-                      modes=np.append(modes, sigma.modes_at(np.array([tf]))))
+    return Trajectory(times=times, states=_rows(xs, sys.n), modes=modes)
 
 
 def _mix_rhs(sys: SwitchedSystem, weights: np.ndarray):
@@ -507,7 +506,7 @@ def _march(rhs_of_weights, u: RelaxedControl, t0: float, x0: np.ndarray, tf: flo
     for k, k_end in zip(starts, starts[1:] + [k_stop]):
         a, b = max(t0, c0 + k * dc), min(tf, c0 + k_end * dc)
         table.append((a, b, per_cell * (k_end - k) if b > a else 0, k))
-    times, cells = _nodes(t0, table)
+    times, cells = _nodes(t0, table, table[-1][3] if table else k0)
     try:
         for a, b, m, k in table:
             if m:
@@ -515,7 +514,7 @@ def _march(rhs_of_weights, u: RelaxedControl, t0: float, x0: np.ndarray, tf: flo
                 x = _rk4_kernels(n, rhs, arg)[1](rhs, a, x, b, m, cfg.divergence_bound, xs, arg)
     except BlowUpError as err:
         raise _blown_up(err, times, xs, n) from None
-    return times, xs, np.append(cells, table[-1][3] if table else k0)
+    return times, xs, cells
 
 
 def simulate_relaxed(sys: SwitchedSystem, u: RelaxedControl, t0: float, x0: np.ndarray,
