@@ -131,9 +131,13 @@ def advance(f, tn, xn, t_stop, tf, step, bound, margin, mode, out_t, out_x, arg=
 # (stage output, stage time, stage state) of the four RK4 stages
 _STAGES = (("p", "tn", "a#"), ("q", "tm", "a# + hh * p#"),
            ("r", "tm", "a# + hh * q#"), ("s", "tn + h", "a# + h * r#"))
-# every name the template's code uses; a mode's text may bind or read none of them
-_TEMPLATE_NAMES = frozenset(re.findall(r"[A-Za-z_]\w*",
-                                       re.sub(r"#.*|\{\w+\}", "", _RK4_TEMPLATE)))
+# the lines that give a t-reading mode its stage times, and march its step's start
+_STAGE_TIME, _CLOCK = "tm = tn + hh", "tn = t0 + k * h"
+# every name the template's code and its slot lines use; a mode's text may bind or
+# read none of them
+_TEMPLATE_NAMES = frozenset(re.findall(r"[A-Za-z_]\w*", " ".join(
+    [re.sub(r"#.*|\{\w+\}", "", _RK4_TEMPLATE), _STAGE_TIME, _CLOCK,
+     *(time for _, time, _ in _STAGES)])))
 
 
 def _kernel_source(n: int, mode: tuple | None = None) -> str:
@@ -164,7 +168,7 @@ def _kernel_source(n: int, mode: tuple | None = None) -> str:
                   for line in [f"t = {time}"] * timed + stores("x", each(state))
                   + [*bindings, *stores(out, values)]]
     a_next = each("a# + h6 * (p# + 2.0 * (q# + r#) + s#)")
-    slots = {"stages": ["tm = tn + hh"] * timed + stages, "clock": ["tn = t0 + k * h"] * timed,
+    slots = {"stages": [_STAGE_TIME] * timed + stages, "clock": [_CLOCK] * timed,
              "a_next_": stores("a", a_next), "b_next_": stores("b", a_next),
              "a_b_": stores("a", each("b#"))}
     source = _RK4_TEMPLATE.format(
@@ -414,9 +418,8 @@ def _at_rows(fn, times: np.ndarray | None, states: np.ndarray, modes: np.ndarray
                     for j, v in enumerate(value if width else [value]):
                         out[rows, j] = v
     called = np.flatnonzero(called)
-    every = len(called) == len(states)  # no mode ran on columns: slices select faster
     for b in range(0, len(called), ROW_BLOCK):
-        rows = slice(b, b + ROW_BLOCK) if every else called[b:b + ROW_BLOCK]
+        rows = called[b:b + ROW_BLOCK]
         xs, ms = states[rows].tolist(), modes[rows].tolist()
         values = ([fn(x, i) for x, i in zip(xs, ms)] if times is None else
                   [fn(t, x, i) for t, x, i in zip(times[rows].tolist(), xs, ms)])

@@ -978,6 +978,8 @@ def test_mode_source_rejects_what_the_kernels_cannot_inline():
                          (("h = 2.0\nh * x1, x0",), {}),  # h is the kernels' step
                          (("x1, k * x0",), {"k": 2.0}),   # so is the counter k
                          (("*v,",), {"v": (1.0, 2.0)}),   # each component is stored alone
+                         (("tm = 0.5 * x0\nx1, -tm * t",), {}),  # tm is the stage time
+                         (("x1, -tm * t",), {"tm": 2.0}),  # a name a stage time would shadow
                          (("x1 +", ), {})):               # not Python
         with pytest.raises(ParameterError):
             ModeSource(2, modes, names)
