@@ -24,7 +24,7 @@ from .lyapunov import IntegralBoundParams, check_decrease_along, check_integral_
 from .limiting import build_reduced, wzsd_falsify
 from .signals import signal_to_csv
 from .stability import StabilityEnvelope, classify, estimate_envelope
-from .systems import SignalClass, _signal_driver, get_entry, make_driver
+from .systems import SignalClass, _signal_driver, get_entry, is_finite_number, make_driver
 
 EXIT_PASS = 0
 EXIT_ANALYSIS_FAIL = 1
@@ -69,49 +69,60 @@ def _flip_system(sys: SwitchedSystem) -> SwitchedSystem:
                           fhat=neg(sys.fhat), name=sys.name + "-flipped")
 
 
-_floats = partial(np.array, dtype=float, ndmin=1)  # the ``kind`` of a list field
+_POSITIVE = (lambda v: v > 0, "be positive")
+_NOT_NEGATIVE = (lambda v: v >= 0, "not be negative")
+_FRACTION = (lambda v: 0 < v < 1, "lie in (0, 1)")
+# the range of each numeric field, tested on every number a list field holds
+_RANGES = {
+    "signal.granularity": _POSITIVE, "integrator.step": _POSITIVE,
+    "simulate.horizon": _NOT_NEGATIVE,
+    "certify.trials": _POSITIVE, "certify.horizon": _POSITIVE, "certify.box": _POSITIVE,
+    "certify.density": (lambda v: v >= 2, "be at least 2"), "certify.step": _POSITIVE,
+    "envelope.radii": _POSITIVE, "envelope.horizon": _POSITIVE, "envelope.trials": _POSITIVE,
+    "envelope.tau_count": _POSITIVE, "envelope.decay_ratio": _FRACTION,
+    "envelope.tail_fraction": _FRACTION, "envelope.uniform_bound": _POSITIVE,
+    "envelope.offset_max": _NOT_NEGATIVE, "envelope.step": _POSITIVE,
+    "falsify.eps": _POSITIVE, "falsify.horizon": _POSITIVE,
+    "falsify.residual_tol": _NOT_NEGATIVE, "falsify.budget": _POSITIVE, "falsify.du": _POSITIVE,
+    "seed": _NOT_NEGATIVE,
+}
+_LIST = "a nonempty list of finite numbers"
+_KINDS = {bool: "true or false", str: "a string", int: "an integer", float: "a finite number",
+          list: _LIST, type(None): "null or " + _LIST}
 
 
-def _number(manifest: dict, path: str, kind=float):
-    """The manifest field at a dotted path such as ``"simulate.horizon"``, read as
-    ``kind``; ParameterError naming the field unless it holds finite numbers."""
-    value = manifest
-    try:
-        for key in path.split("."):
-            value = value[key]
-        number = kind(value)
-        if np.isfinite(np.asarray(number, dtype=float)).all():
-            return number
-    except (KeyError, IndexError, TypeError, ValueError, OverflowError):
-        pass
-    raise ParameterError(f"manifest field {path} must hold finite numbers, got {value!r}")
-
-
-def _positive(manifest: dict, path: str, kind=float):
-    """``_number`` of a field whose numbers must also be positive (an int: at least 1)."""
-    number = _number(manifest, path, kind)
-    if not np.all(np.asarray(number) > 0):
-        raise ParameterError(f"manifest field {path} must be positive")
-    return number
-
-
-def _fraction(manifest: dict, path: str) -> float:
-    """``_number`` of a field that must lie strictly between 0 and 1."""
-    number = _number(manifest, path)
-    if not 0 < number < 1:
-        raise ParameterError(f"manifest field {path} must lie in (0, 1)")
-    return number
-
-
-def _check_sections(doc: dict, default: dict, prefix: str = "") -> None:
-    """ParameterError naming the first section of ``doc`` that is not an object
-    where ``default`` has one, such as ``"system": "x"``."""
-    for key, value in default.items():
-        if isinstance(value, dict):
-            if not isinstance(doc[key], dict):
-                raise ParameterError(f"manifest section {prefix}{key} must be an object, "
-                                     f"got {doc[key]!r}")
-            _check_sections(doc[key], value, f"{prefix}{key}.")
+def _check(doc: dict, default: dict, prefix: str = "") -> None:
+    """Check every section and field of ``doc`` against the kind of its value in
+    ``default`` and against ``_RANGES``, storing each number as its default's type
+    (an int field as an int, a float field as a float); ParameterError naming the
+    first bad section or field."""
+    for key, want in default.items():
+        path, value = prefix + key, doc[key]
+        if isinstance(want, dict):
+            if not isinstance(value, dict):
+                raise ParameterError(f"manifest section {path} must be an object, "
+                                     f"got {value!r}")
+            _check(value, want, path + ".")
+            continue
+        kind = type(want)
+        if kind in (bool, str):
+            ok = type(value) is kind
+        elif kind in (int, float):
+            ok = is_finite_number(value) and (kind is float or value == int(value))
+            if ok:
+                value = kind(value)
+        else:  # radii, a list of numbers, or x0, which may also be null
+            ok = value is None and want is None or (
+                isinstance(value, list) and value != [] and all(map(is_finite_number, value)))
+            if ok and value is not None:
+                value = [float(v) for v in value]
+        if not ok:
+            raise ParameterError(f"manifest field {path} must be {_KINDS[kind]}, got {value!r}")
+        if path in _RANGES:
+            test, text = _RANGES[path]
+            if not all(map(test, value if kind is list else [value])):
+                raise ParameterError(f"manifest field {path} must {text}, got {value!r}")
+        doc[key] = value
 
 
 def _load_manifest(path: str | None, overrides: dict) -> dict:
@@ -122,12 +133,8 @@ def _load_manifest(path: str | None, overrides: dict) -> dict:
     if not isinstance(doc, dict):
         raise ParameterError(f"manifest must be an object, got {doc!r}")
     doc = _deep_merge(DEFAULT_MANIFEST, doc)
-    for k, v in overrides.items():
-        if v is not None:
-            doc[k] = v
-    _check_sections(doc, DEFAULT_MANIFEST)
-    if not isinstance(doc["out"], str):
-        raise ParameterError(f"manifest field out must be a path, got {doc['out']!r}")
+    doc.update({k: v for k, v in overrides.items() if v is not None})
+    _check(doc, DEFAULT_MANIFEST)
     return doc
 
 
@@ -138,13 +145,13 @@ def _build(manifest: dict):
     already flipped, and its class generator has the manifest's signal
     granularity bound.
     """
-    entry = get_entry(manifest["system"]["id"], **manifest["system"].get("params", {}))
+    entry = get_entry(manifest["system"]["id"], **manifest["system"]["params"])
     klass = entry.signal_class
     if klass.generator is not None:
-        granularity = _positive(manifest, "signal.granularity")
-        klass = replace(klass, generator=partial(klass.generator, granularity=granularity))
+        klass = replace(klass, generator=partial(klass.generator,
+                                                 granularity=manifest["signal"]["granularity"]))
     entry = replace(entry, signal_class=klass)
-    if manifest.get("flip_dynamics"):
+    if manifest["flip_dynamics"]:
         system = _flip_system(entry.system)
         entry = replace(entry, system=system, reduced=build_reduced(
             system, entry.covering, entry.reduced.constraints))
@@ -154,8 +161,8 @@ def _build(manifest: dict):
 def _integrator(manifest: dict, step_path: str) -> IntegratorConfig:
     """Integrator settings with the step at ``step_path``; ParameterError naming
     both fields unless 0 < integrator.event_bisection_tol < step."""
-    step = _positive(manifest, step_path)
-    tol = _number(manifest, "integrator.event_bisection_tol")
+    section, key = step_path.split(".")
+    step, tol = manifest[section][key], manifest["integrator"]["event_bisection_tol"]
     if not 0 < tol < step:
         raise ParameterError(f"manifest fields integrator.event_bisection_tol ({tol!r}) and "
                              f"{step_path} ({step!r}) must satisfy 0 < tolerance < step")
@@ -163,8 +170,8 @@ def _integrator(manifest: dict, step_path: str) -> IntegratorConfig:
 
 
 def _outdir(manifest: dict) -> str:
-    """Create the output directory with its resolved manifest.  Commands read and
-    check every manifest field before calling this, so bad input leaves no files."""
+    """Create the output directory with its resolved manifest.  Commands call this
+    once their runs are done, so input errors found mid-run leave no files."""
     out = manifest["out"]
     os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, "resolved_manifest.json"), "w") as fh:
@@ -179,18 +186,16 @@ def _outdir(manifest: dict) -> str:
 
 def cmd_simulate(manifest: dict) -> int:
     entry, cfg = _build(manifest), _integrator(manifest, "integrator.step")
-    num = partial(_number, manifest)
-    t0, horizon, seed = num("simulate.t0"), num("simulate.horizon"), num("seed", int)
-    x0 = (num("simulate.x0", _floats) if manifest["simulate"].get("x0") is not None
-          else np.eye(entry.system.n)[0])
+    t0, horizon, x0 = (manifest["simulate"][k] for k in ("t0", "horizon", "x0"))
+    x0 = np.eye(entry.system.n)[0] if x0 is None else np.array(x0)
     if x0.shape != (entry.system.n,):
         raise ParameterError(f"manifest field simulate.x0 must hold {entry.system.n} numbers")
-    if horizon < 0:
-        raise ParameterError("manifest field simulate.horizon must not be negative")
-    out = _outdir(manifest)
+    if horizon > 0 and not t0 < t0 + horizon < np.inf:
+        raise ParameterError(f"manifest fields simulate.t0 ({t0!r}) and simulate.horizon "
+                             f"({horizon!r}) must give a finite end time after t0")
     try:
         if horizon > 0:
-            traj, sigma = _signal_driver(entry, cfg)(t0, x0, t0 + horizon, seed)
+            traj, sigma = _signal_driver(entry, cfg)(t0, x0, t0 + horizon, manifest["seed"])
         else:
             # the start node alone, under the mode the class would start in
             mode = (entry.policy(t0, x0, active_index_set(x0, entry.covering, tol=BOUNDARY_TOL))
@@ -198,11 +203,13 @@ def cmd_simulate(manifest: dict) -> int:
             sigma = SwitchingSignal.constant(mode, t0, t0 + 1.0)
             traj = simulate(entry.system, sigma, t0, x0, t0, cfg)
     except BlowUpError as err:
+        out = _outdir(manifest)
         if err.trajectory is not None:
             err.trajectory.to_csv(os.path.join(out, "trajectory_partial.csv"))
         print(f"blow-up at t={err.time}", file=sys.stderr)
         return EXIT_BLOWUP
     traj = replace(traj, outputs=_switched_outputs(entry.system, traj))
+    out = _outdir(manifest)
     traj.to_csv(os.path.join(out, "trajectory.csv"))
     signal_to_csv(sigma, os.path.join(out, "signal.csv"),
                   os.path.join(out, "signal.json"), params=entry.signal_class.params)
@@ -211,23 +218,15 @@ def cmd_simulate(manifest: dict) -> int:
 
 
 def cmd_certify(manifest: dict) -> int:
-    entry = _build(manifest)
-    num, pos = partial(_number, manifest), partial(_positive, manifest)
-    trials, horizon, box = pos("certify.trials", int), pos("certify.horizon"), pos("certify.box")
-    density = num("certify.density", int)
-    if density < 2:
-        raise ParameterError("manifest field certify.density must be at least 2")
-    run_cfg = _integrator(manifest, "certify.step")
-    seed = num("seed", int)
-    out = _outdir(manifest)
-    rng = np.random.default_rng(seed)
+    entry, run_cfg = _build(manifest), _integrator(manifest, "certify.step")
+    trials, horizon, box, density = (manifest["certify"][k]
+                                     for k in ("trials", "horizon", "box", "density"))
+    rng = np.random.default_rng(manifest["seed"])
     drive = _signal_driver(entry, run_cfg)
 
-    reports = {"sandwich": None, "trials": [], "pass": True}
     sw = check_sandwich(entry.certificate, -box * np.ones(entry.system.n),
                         box * np.ones(entry.system.n), entry.covering, density=density)
-    reports["sandwich"] = sw.to_dict()
-    reports["pass"] = sw.passed
+    reports = {"sandwich": sw.to_dict(), "trials": [], "pass": sw.passed}
     # the revisit inequality is gated only for open-loop classes: the
     # chattering approximation of boundary sliding in closed-loop runs
     # produces sawtooth artifacts the exact family does not have
@@ -251,7 +250,7 @@ def cmd_certify(manifest: dict) -> int:
         reports["trials"].append({"trial": k, "decrease": dec.to_dict(),
                                   "integral": ib.to_dict(), "pass": ok})
         reports["pass"] = reports["pass"] and ok
-    with open(os.path.join(out, "certify_report.json"), "w") as fh:
+    with open(os.path.join(_outdir(manifest), "certify_report.json"), "w") as fh:
         json.dump(reports, fh, indent=2)
     print(f"certify: {'PASS' if reports['pass'] else 'FAIL'} ({trials} trials)")
     return EXIT_PASS if reports["pass"] else EXIT_ANALYSIS_FAIL
@@ -266,11 +265,14 @@ def _envelope_driver(manifest_json: str):
     manifest = json.loads(manifest_json)
     entry = _build(manifest)
     run_cfg = _integrator(manifest, "envelope.step")
-    if manifest["envelope"].get("constant_mode") is not None:
+    mode = manifest["envelope"].get("constant_mode")
+    if mode is not None:
         # negative-control hook: an open-loop class holding one constant signal
-        mode = _number(manifest, "envelope.constant_mode", int)
+        if not (is_finite_number(mode) and mode == int(mode) and 1 <= mode <= entry.system.N):
+            raise ParameterError(f"manifest field envelope.constant_mode must be an integer "
+                                 f"in 1..{entry.system.N}, got {mode!r}")
         entry = replace(entry, signal_class=SignalClass("arbitrary", {}, lambda span, seed:
-                        SwitchingSignal.constant(mode, *span)))
+                        SwitchingSignal.constant(int(mode), *span)))
     return make_driver(entry, run_cfg)
 
 
@@ -279,23 +281,15 @@ def _drive(manifest_json: str, t0, x0, tf, seed):
 
 
 def run_envelope(manifest: dict, workers: int = 1) -> tuple[StabilityEnvelope, object]:
-    entry = _build(manifest)
-    num, pos = partial(_number, manifest), partial(_positive, manifest)
-    horizon, radii = pos("envelope.horizon"), pos("envelope.radii", _floats)
-    trials, tau_count = pos("envelope.trials", int), pos("envelope.tau_count", int)
-    offset_max = num("envelope.offset_max")
-    if offset_max < 0:
-        raise ParameterError("manifest field envelope.offset_max must not be negative")
-    judge = partial(classify, decay_ratio=_fraction(manifest, "envelope.decay_ratio"),
-                    tail_fraction=_fraction(manifest, "envelope.tail_fraction"),
-                    uniform_bound=pos("envelope.uniform_bound"))
+    entry, e = _build(manifest), manifest["envelope"]
     manifest_json = json.dumps(manifest, sort_keys=True)
     _envelope_driver(manifest_json)  # reads and checks the driver's fields before any trial
     env = estimate_envelope(entry.system.n, partial(_drive, manifest_json),
-                            radii=radii, horizon=horizon, trials=trials,
-                            tau_count=tau_count, master_seed=num("seed", int),
-                            offset_max=offset_max, workers=workers)
-    return env, judge(env)
+                            radii=e["radii"], horizon=e["horizon"], trials=e["trials"],
+                            tau_count=e["tau_count"], master_seed=manifest["seed"],
+                            offset_max=e["offset_max"], workers=workers)
+    return env, classify(env, decay_ratio=e["decay_ratio"], tail_fraction=e["tail_fraction"],
+                         uniform_bound=e["uniform_bound"])
 
 
 def _write_envelope(manifest: dict, env: StabilityEnvelope, verdict) -> int:
@@ -313,18 +307,12 @@ def cmd_envelope(manifest: dict, workers: int = 1) -> int:
 
 def _falsifier(manifest: dict):
     """``wzsd_falsify`` bound to the manifest's reduced system and settings."""
-    entry = _build(manifest)
-    rls = entry.reduced
-    if not manifest["falsify"].get("use_constraints", True):
+    rls, f = _build(manifest).reduced, manifest["falsify"]
+    if not f["use_constraints"]:
         rls = replace(rls, constraints=())
-    num, pos = partial(_number, manifest), partial(_positive, manifest)
-    residual_tol = num("falsify.residual_tol")
-    if residual_tol < 0:
-        raise ParameterError("manifest field falsify.residual_tol must not be negative")
-    return partial(wzsd_falsify, rls, eps=pos("falsify.eps"), horizon=pos("falsify.horizon"),
-                   residual_tol=residual_tol,
-                   budget=pos("falsify.budget", int), seed=num("seed", int),
-                   du=pos("falsify.du"))
+    return partial(wzsd_falsify, rls, eps=f["eps"], horizon=f["horizon"],
+                   residual_tol=f["residual_tol"], budget=f["budget"], seed=manifest["seed"],
+                   du=f["du"])
 
 
 def _write_falsify(manifest: dict, verdict) -> int:
@@ -366,6 +354,7 @@ def cmd_reproduce(example_id: str, manifest: dict, workers: int = 1,
                                       "envelope": plan["envelope"]})
     if env_overrides:
         manifest = _deep_merge(manifest, {"envelope": env_overrides})
+    _check(manifest, DEFAULT_MANIFEST)
     if plan["falsify"] is not None:
         manifest_f = _deep_merge(manifest, {"falsify": plan["falsify"]})
         falsify = _falsifier(manifest_f)
@@ -424,11 +413,8 @@ def main(argv=None) -> int:
     try:
         manifest = _load_manifest(args.manifest, {"seed": args.seed, "out": args.out})
         if args.command == "reproduce":
-            env_overrides = {}
-            if args.trials is not None:
-                env_overrides["trials"] = args.trials
-            if args.horizon is not None:
-                env_overrides["horizon"] = args.horizon
+            env_overrides = {k: v for k, v in (("trials", args.trials),
+                                               ("horizon", args.horizon)) if v is not None}
             return cmd_reproduce(args.example_id, manifest, workers=args.workers,
                                  env_overrides=env_overrides)
         if args.command == "simulate":

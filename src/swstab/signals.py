@@ -79,6 +79,13 @@ class PatternConstraint:
         return self.T
 
 
+def _granules(length: float, granularity: float, limit: float = 2.0**63) -> float:
+    """``length / granularity`` if below ``limit`` (the int64 bound of the draws)."""
+    if not length / granularity < limit:
+        raise ParameterError(f"granularity {granularity!r} is too fine for {length!r} s")
+    return length / granularity
+
+
 def _snap(t: float, granularity: float) -> float:
     return round(t / granularity) * granularity
 
@@ -146,11 +153,12 @@ def gen_measure_constrained(c: MeasureConstraint, n_modes: int, span: tuple[floa
         raise ParameterError("constraint mode exceeds the mode count")
     rng = np.random.default_rng(rng_seed)
     margin = max(min(c.delta0, c.T0 - c.delta0) / 2.0, 4.0 * granularity)
-    block = math.ceil((c.delta0 + margin) / granularity - TIE_TOL) * granularity
+    # the block length is not drawn, so only an infinite count of its granules fails
+    block = math.ceil(_granules(c.delta0 + margin, granularity, math.inf) - TIE_TOL) * granularity
     if block >= c.T0 - 2.0 * granularity:
         # forced: the constrained mode occupies the whole span
         return _build_signal([t0], [c.mode], t0, tf)
-    offset = float(rng.integers(0, int((c.T0 - block) / granularity) + 1)) * granularity
+    offset = float(rng.integers(0, int(_granules(c.T0 - block, granularity)) + 1)) * granularity
 
     def filler(a, b, breaks, modes):
         t = a
@@ -188,8 +196,8 @@ def gen_pattern(c: PatternConstraint, span: tuple[float, float], rng_seed: int,
     if gmax < c.dm - TIE_TOL:
         raise ParameterError(f"infeasible pattern class for generation: need T >= 6*dm "
                              f"(T={c.T}, dm={c.dm})")
-    k_lo = math.ceil(c.dm / granularity - TIE_TOL)
-    k_hi = max(math.floor(gmax / granularity + TIE_TOL), k_lo)
+    k_lo = math.ceil(_granules(c.dm, granularity) - TIE_TOL)
+    k_hi = max(math.floor(_granules(gmax, granularity) + TIE_TOL), k_lo)
     rng = np.random.default_rng(rng_seed)
     breaks, modes = [], []
     granules = 0

@@ -272,6 +272,12 @@ REGISTRY = {"motivating": motivating, "example1": example1,
             "example4": example4, "inverter": inverter}
 
 
+def is_finite_number(value) -> bool:
+    """Whether ``value`` is an int or a float of finite size; a bool is no number."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
 def get_entry(name: str, **params) -> RegistryEntry:
     if name not in REGISTRY:
         raise ParameterError(f"unknown system {name!r}; known: {sorted(REGISTRY)}")
@@ -279,8 +285,7 @@ def get_entry(name: str, **params) -> RegistryEntry:
     if unknown:
         raise ParameterError(f"unknown parameters {unknown} for system {name!r}")
     for key, value in params.items():  # every default is an int or a float
-        if (not isinstance(value, (int, float)) or isinstance(value, bool)
-                or not abs(value) <= sys.float_info.max):
+        if not is_finite_number(value):
             raise ParameterError(f"parameter {key} of system {name!r} must be a finite "
                                  f"number, got {value!r}")
     return REGISTRY[name](**params)

@@ -1,16 +1,21 @@
 """End-to-end command behavior: files, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swstab import Trajectory
-from swstab.cli import main
+from swstab.cli import DEFAULT_MANIFEST, _RANGES, _deep_merge, main
 
 
 def run(args):
@@ -107,6 +112,17 @@ def test_bad_registry_parameter_exit2(tmp_path, capsys, system, params, key):
     ("reproduce motivating", {"envelope": {"decay_ratio": "x"}}, "envelope.decay_ratio"),
     ("envelope", {"envelope": {"uniform_bound": "x"}}, "envelope.uniform_bound"),
     ("reproduce motivating", {"envelope": {"tail_fraction": None}}, "envelope.tail_fraction"),
+    # a flag takes true or false, a string field a string and a count an integral
+    # number; small runs, so that a regression returns quickly
+    ("certify", {"flip_dynamics": "no", "certify": {"trials": 1, "horizon": 2.0}},
+     "flip_dynamics"),
+    ("falsify", {"falsify": {"use_constraints": "false", "budget": 5}}, "falsify.use_constraints"),
+    ("simulate", {"system": {"id": ["a"]}}, "system.id"),
+    ("certify", {"certify": {"trials": 1.5, "horizon": 2.0}}, "certify.trials"),
+    ("simulate", {"simulate": {"horizon": "1"}}, "simulate.horizon"),
+    ("envelope", {"envelope": {"radii": []}}, "envelope.radii"),
+    ("envelope", {"envelope": {"constant_mode": 1.5, "trials": 1, "horizon": 2.0}},
+     "envelope.constant_mode"),
 ])
 def test_bad_manifest_number_exit2(tmp_path, capsys, command, doc, key):
     # every field is read and checked before the output directory is made
@@ -180,6 +196,18 @@ def test_bad_manifest_value_exit2(tmp_path, command, doc):
      "envelope.tail_fraction"),
     ("reproduce motivating --trials 1 --horizon 2", {"envelope": {"uniform_bound": 0}},
      "envelope.uniform_bound"),
+    ("simulate --seed -1", {}, "seed"),
+    ("reproduce motivating --trials 1 --horizon 2 --seed -1", {}, "seed"),
+    ("envelope", {"envelope": {"constant_mode": 3, "trials": 1, "horizon": 2.0}},
+     "envelope.constant_mode"),
+    # found mid-run: the end time is lost to rounding, or a class window holds
+    # more granules than an int64 draw can count
+    ("simulate", {"simulate": {"t0": 1e308}}, "simulate.t0"),
+    ("simulate", {"signal": {"granularity": 1e-300}}, "granularity"),
+    ("simulate", {"system": {"id": "inverter"}, "signal": {"granularity": 1e-300}},
+     "granularity"),
+    ("certify", {"signal": {"granularity": 1e-300}, "certify": {"trials": 1, "horizon": 2.0}},
+     "granularity"),
 ])
 def test_out_of_range_manifest_value_exit2(tmp_path, capsys, command, doc, key):
     # a non-positive horizon, box, step, trial count, budget, signal
@@ -214,6 +242,119 @@ def test_non_object_manifest_exit2(tmp_path, capsys):
     m = manifest_file(tmp_path, [1, 2])
     assert run(["simulate", "--manifest", m, "--out", tmp_path / "o"]) == 2
     assert "manifest must be an object" in capsys.readouterr().err
+
+
+def _paths(doc, sections, prefix=""):
+    """The dotted paths of the sections of ``doc`` (``sections=True``) or of its fields."""
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            if sections:
+                yield prefix + key
+            yield from _paths(value, sections, f"{prefix}{key}.")
+        elif not sections:
+            yield prefix + key
+
+
+def test_every_range_rule_names_a_manifest_field():
+    # a renamed field cannot leave a dead rule behind
+    assert set(_RANGES) <= set(_paths(DEFAULT_MANIFEST, sections=False))
+
+
+# a valid manifest that runs each command in well under a second
+TINY = {"simulate": {"horizon": 2.0}, "certify": {"trials": 1, "horizon": 2.0},
+        "envelope": {"radii": [0.5], "horizon": 2.0, "trials": 1, "tau_count": 2, "step": 0.1},
+        "falsify": {"budget": 5}}
+COMMANDS = ["simulate", "certify", "envelope", "falsify"]
+NAN, INF = float("nan"), float("inf")
+# values that each kind of field rejects, by the type of the field's default
+# (an x0 of null is the default, so its kind is NoneType)
+NOT_OF_KIND = {
+    bool: ["no", "false", 0, 1, None, [True], {"v": True}],
+    str: [5, 0.5, True, None, ["a"], {"id": "a"}],
+    int: ["1", True, None, 1.5, NAN, INF, [1], {"v": 1}],
+    float: ["1", "abc", False, None, NAN, -INF, [1.0], {"v": 1.0}],
+    list: [[], None, 0.5, "0.5", [0.5, "x"], [[0.5]], [NAN], [True], {"r": 0.5}],
+    type(None): [[], 0.5, "x", True, [1.0, None], [[1.0, 0.0]], [INF, 0.0]],
+}
+OUT_OF_RANGE = {
+    "signal.granularity": [0.0, -1e-4], "integrator.step": [0, -1e-3],
+    "simulate.horizon": [-1.0],
+    "certify.trials": [0, -2], "certify.horizon": [0.0, -2.0], "certify.box": [0, -1.0],
+    "certify.density": [1, 0], "certify.step": [0.0],
+    "envelope.radii": [[0.0], [0.5, -1.0]], "envelope.horizon": [0.0], "envelope.trials": [0],
+    "envelope.tau_count": [0, -3], "envelope.decay_ratio": [0, 1, 1.5],
+    "envelope.tail_fraction": [0.0, 1.0, -0.2], "envelope.uniform_bound": [0, -3.0],
+    "envelope.offset_max": [-1.0], "envelope.step": [0.0], "falsify.eps": [0.0],
+    "falsify.horizon": [-5.0], "falsify.residual_tol": [-1e-8], "falsify.budget": [0, -5],
+    "falsify.du": [0.0, -0.05], "seed": [-1],
+}
+
+
+def _default(path):
+    value = DEFAULT_MANIFEST
+    for key in path.split("."):
+        value = value[key]
+    return value
+
+
+def _junk_values(path):
+    return NOT_OF_KIND[type(_default(path))] + OUT_OF_RANGE.get(path, [])
+
+
+def _junk(path):
+    return st.tuples(st.just(path), st.sampled_from(_junk_values(path)))
+
+
+CORRUPTIONS = st.one_of(
+    st.lists(st.sampled_from(sorted(_paths(DEFAULT_MANIFEST, sections=False))), min_size=1,
+             max_size=3, unique=True).flatmap(lambda paths: st.tuples(*map(_junk, paths))),
+    st.tuples(st.tuples(st.sampled_from(sorted(_paths(DEFAULT_MANIFEST, sections=True))),
+                        st.sampled_from(["x", 1, None, [1], True]))))
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_tiny_manifest_runs(tmp_path, command):
+    # the fuzz below corrupts this manifest, so it must be valid input
+    m = manifest_file(tmp_path, TINY)
+    assert run([command, "--manifest", m, "--out", tmp_path / "o", "--workers", 1]) in (0, 1)
+    assert (tmp_path / "o" / "resolved_manifest.json").exists()
+
+
+def assert_rejected(command, corruption):
+    """``command`` on TINY with each (path, junk) of ``corruption`` set exits 2
+    naming one of the paths, raises nothing and leaves no output directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "o")
+        doc = _deep_merge(DEFAULT_MANIFEST, {**TINY, "out": out})
+        for path, junk in corruption:
+            *sections, key = path.split(".")
+            target = doc
+            for section in sections:
+                target = target[section]
+            target[key] = junk
+        m = os.path.join(tmp, "m.json")
+        with open(m, "w") as fh:
+            json.dump(doc, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main([command, "--manifest", m, "--workers", "1"])
+        assert rc == 2
+        assert any(f" {path} must " in err.getvalue() for path, _ in corruption), err.getvalue()
+        assert not os.path.exists(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(command=st.sampled_from(COMMANDS), corruption=CORRUPTIONS)
+def test_corrupted_manifest_exit2(command, corruption):
+    # 1-3 fields, or one section, hold junk of the wrong kind or out of range
+    assert_rejected(command, corruption)
+
+
+@pytest.mark.parametrize("path", sorted(_paths(DEFAULT_MANIFEST, sections=False)))
+def test_every_field_rejects_its_junk(path):
+    # the fuzz above samples some fields per run; this sweep takes every one alone
+    for junk in _junk_values(path):
+        assert_rejected("simulate", [(path, junk)])
 
 
 def test_internal_key_error_is_not_an_input_error(tmp_path, monkeypatch):
