@@ -20,7 +20,8 @@ Layers (ROADMAP aim 1), all with pinned seeds and through the public API:
     evaluating the registry's mode source inline;
   - ``simulate_with_covering`` on example4's closed loop, step 1e-2, horizon 80;
   - ``simulate_reduced`` on motivating's reduced system, step 1e-2, horizon
-    20, alternating vertex cells of length 0.5;
+    20, alternating vertex cells of length 0.5, and ``simulate_reduced_mixed``,
+    the same grid with every cell at (1/2, 1/2), which calls the fields;
   - one envelope trial of motivating through ``make_driver``, horizon 200,
     step 2e-2, signal generation included.
   A row is the run's time divided by its step count (grid nodes minus one),
@@ -189,9 +190,11 @@ def measure_l1(repeats: int, clock) -> dict:
     vals[:, 0] = np.tile(np.repeat([1.0, 0.0], 10), 20)
     vals[:, 1] = 1.0 - vals[:, 0]
     uc = sw.RelaxedControl(t0=0.0, step=0.05, values=vals)
-    timed["simulate_reduced/motivating"] = per_step(
-        lambda: sw.simulate_reduced(mot.reduced, uc, 0.0, np.array([1.0, 0.5]), 20.0,
-                                    cfg_cl))
+    um = sw.RelaxedControl(t0=0.0, step=0.05, values=np.full((400, 2), 0.5))
+    for row, u in (("simulate_reduced", uc), ("simulate_reduced_mixed", um)):
+        timed[f"{row}/motivating"] = per_step(
+            lambda: sw.simulate_reduced(mot.reduced, u, 0.0, np.array([1.0, 0.5]), 20.0,
+                                        cfg_cl))
 
     driver = sw.make_driver(mot, sw.IntegratorConfig(step=2e-2))
     timed["envelope_trial/motivating"] = per_step(

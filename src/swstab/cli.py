@@ -190,7 +190,8 @@ def cmd_simulate(manifest: dict) -> int:
     x0 = np.eye(entry.system.n)[0] if x0 is None else np.array(x0)
     if x0.shape != (entry.system.n,):
         raise ParameterError(f"manifest field simulate.x0 must hold {entry.system.n} numbers")
-    if horizon > 0 and not t0 < t0 + horizon < np.inf:
+    span = horizon if horizon > 0 else 1.0  # a zero horizon writes t0 under a 1 s signal
+    if not t0 < t0 + span < np.inf:
         raise ParameterError(f"manifest fields simulate.t0 ({t0!r}) and simulate.horizon "
                              f"({horizon!r}) must give a finite end time after t0")
     try:
@@ -200,7 +201,7 @@ def cmd_simulate(manifest: dict) -> int:
             # the start node alone, under the mode the class would start in
             mode = (entry.policy(t0, x0, active_index_set(x0, entry.covering, tol=BOUNDARY_TOL))
                     if entry.signal_class.kind == "policy" else 1)
-            sigma = SwitchingSignal.constant(mode, t0, t0 + 1.0)
+            sigma = SwitchingSignal.constant(mode, t0, t0 + span)
             traj = simulate(entry.system, sigma, t0, x0, t0, cfg)
     except BlowUpError as err:
         out = _outdir(manifest)
@@ -282,6 +283,10 @@ def _drive(manifest_json: str, t0, x0, tf, seed):
 
 def run_envelope(manifest: dict, workers: int = 1) -> tuple[StabilityEnvelope, object]:
     entry, e = _build(manifest), manifest["envelope"]
+    if not e["offset_max"] < e["offset_max"] + e["horizon"] < np.inf:
+        raise ParameterError(f"manifest fields envelope.offset_max ({e['offset_max']!r}) and "
+                             f"envelope.horizon ({e['horizon']!r}) must give every trial a "
+                             "finite end time after its start")
     manifest_json = json.dumps(manifest, sort_keys=True)
     _envelope_driver(manifest_json)  # reads and checks the driver's fields before any trial
     env = estimate_envelope(entry.system.n, partial(_drive, manifest_json),

@@ -74,7 +74,7 @@ class IntegratorConfig:
 # tuple to build and unpack).  The four stage evaluations of each kernel are
 # ``{stages}``.  On the calling path it calls the field as f(t, x, arg), x the
 # state as a list of n floats and ``arg`` the one argument its producer paired
-# with f (a mode index, None, or a pair the field unpacks); f may return any
+# with f (a mode index, or None for a mixed cell); f may return any
 # length-n sequence.  For a mode of a ``ModeSource`` the slot stores each
 # stage's ``x0, ...``, pastes the mode's bindings and stores its components, and
 # the kernel never calls f.  Only a text that reads ``t`` gets the stage times
@@ -461,12 +461,12 @@ def simulate(sys: SwitchedSystem, sigma: SwitchingSignal, t0: float, x0: np.ndar
     return Trajectory(times=times, states=_rows(xs, sys.n), modes=modes)
 
 
-def _mix_rhs(sys: SwitchedSystem, weights: np.ndarray):
-    """(rhs, arg) for sum_i u_i f_i; one-hot weights collapse to the bare mode field."""
+def _mix_rhs(f, weights):
+    """(rhs, arg) for sum_i w_i f(t, x, i) over the modes of weight w_i > 0, summed
+    in mode order; one-hot weights give the bare mode field, (f, i)."""
     nz = [(i + 1, float(w)) for i, w in enumerate(weights) if w > 0.0]
     if len(nz) == 1 and nz[0][1] == 1.0:
-        return _mode_rhs(sys, nz[0][0])
-    f = sys.f
+        return f, nz[0][0]
     (i0, w0), rest = nz[0], nz[1:]
 
     def rhs(t, x, _):
@@ -478,10 +478,10 @@ def _mix_rhs(sys: SwitchedSystem, weights: np.ndarray):
     return rhs, None
 
 
-def _march(rhs_of_weights, u: RelaxedControl, t0: float, x0: np.ndarray, tf: float,
+def _march(fields, u: RelaxedControl, t0: float, x0: np.ndarray, tf: float,
            cfg: IntegratorConfig, n: int, n_modes: int):
-    """Cell-aligned RK4 march of dx/dt = rhs(t, x, arg) on [t0, tf], where
-    (rhs, arg) = rhs_of_weights(u(t)).
+    """Cell-aligned RK4 march of dx/dt = sum_i u_i(t) fields(t, x, i) on [t0, tf],
+    each cell's right-hand side taken from ``_mix_rhs``.
 
     Runs of identical control cells are merged into one interval; cell edges
     stay grid nodes because sub-step counts are chosen per cell.  Node labels
@@ -513,7 +513,7 @@ def _march(rhs_of_weights, u: RelaxedControl, t0: float, x0: np.ndarray, tf: flo
     try:
         for a, b, m, k in table:
             if m:
-                rhs, arg = rhs_of_weights(u.values[k])
+                rhs, arg = _mix_rhs(fields, u.values[k])
                 x = _rk4_kernels(n, rhs, arg)[1](rhs, a, x, b, m, cfg.divergence_bound, xs, arg)
     except BlowUpError as err:
         raise _blown_up(err, times, xs, n) from None
@@ -526,7 +526,7 @@ def simulate_relaxed(sys: SwitchedSystem, u: RelaxedControl, t0: float, x0: np.n
 
     Steps are aligned to the control's grid cells (see ``_march``).
     """
-    times, xs, cells = _march(lambda w: _mix_rhs(sys, w), u, t0, x0, tf, cfg, sys.n, sys.N)
+    times, xs, cells = _march(sys.f, u, t0, x0, tf, cfg, sys.n, sys.N)
     return Trajectory(times=times, states=_rows(xs, sys.n), controls=u.values[cells])
 
 

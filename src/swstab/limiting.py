@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -32,7 +33,7 @@ from .core import (
     Trajectory,
     active_index_set,
 )
-from .integrate import IntegratorConfig, _march, _rk4_kernels, _rows
+from .integrate import IntegratorConfig, _march, _mix_rhs, _n_steps, _rk4_kernels, _rows
 from .signals import (
     TIE_TOL,
     MeasureConstraint,
@@ -47,16 +48,16 @@ VERTEX_TOL = 1e-6  # a control cell counts as a vertex if within this of e_i (su
 
 @dataclass(frozen=True)
 class ReducedLimitingSystem:
-    """dx/dt = Fhat(t, x) u with output Hhat(t, x) . u pinned to zero.
+    """dx/dt = sum_i u_i fhat_i(t, x) with output Hhat(t, x) . u pinned to zero.
 
-    Fhat stacks the limiting precompact fields columnwise (a vertex control
-    marches the mode field of a ``_StackedFields`` directly); Hhat holds the
-    componentwise output magnitudes, so Hhat >= 0 and zero output is exactly
-    a face condition on u.  ``constraints`` are the switching class's own
-    constraint objects, as weak limits inherit them: a MeasureConstraint
-    bounds the integral of u_mode over every window of length T0 from below
-    by delta0, and a PatternConstraint asks for a near-vertex 1-2-1 pattern
-    with gaps in [dm, dM] in every window of length T.
+    Fhat(t, x) holds the limiting fields fhat_i as columns; the integrators
+    march the fields (``_limiting_fields``).  Hhat holds the componentwise
+    output magnitudes, so Hhat >= 0 and zero output is exactly a face
+    condition on u.  ``constraints`` are the switching class's own constraint
+    objects, as weak limits inherit them: a MeasureConstraint bounds the
+    integral of u_mode over every window of length T0 from below by delta0,
+    and a PatternConstraint asks for a near-vertex 1-2-1 pattern with gaps in
+    [dm, dM] in every window of length T.
     """
 
     n: int
@@ -70,14 +71,13 @@ class ReducedLimitingSystem:
 @dataclass(frozen=True, slots=True)
 class _StackedFields:
     """Fhat(t, x): the mode fields ``fields(t, x, i)``, i = 1..N, as the columns
-    of an (n, N) array; a vertex control marches them directly (``_reduced_rhs``)."""
+    of an (n, N) array, for callers of Fhat; the integrators march ``fields``."""
 
     fields: Callable[[float, Sequence[float], int], Sequence[float]]
     N: int
 
     def __call__(self, t, x):
-        # copied to C order: a transposed view could change how matmul rounds
-        return np.array([self.fields(t, x, i) for i in range(1, self.N + 1)]).T.copy()
+        return np.array([self.fields(t, x, i) for i in range(1, self.N + 1)]).T
 
 
 def build_reduced(sys: SwitchedSystem, covering: Covering,
@@ -103,44 +103,24 @@ def build_reduced(sys: SwitchedSystem, covering: Covering,
                                  covering=covering, constraints=tuple(constraints))
 
 
-def _fhat_column(t, x, Fhat_i):
-    Fhat, i = Fhat_i
-    return Fhat(t, x)[:, i].tolist()
+def _fhat_column(Fhat, t, x, i):
+    return Fhat(t, x)[:, i - 1].tolist()
 
 
-def _fhat_mix(t, x, Fhat_w):
-    Fhat, w = Fhat_w
-    return (Fhat(t, x) @ w).tolist()
-
-
-def _reduced_rhs(Fhat, w: list):
-    """(rhs, arg) for dx/dt = Fhat(t, x) @ w, w a list of cell weights.  A vertex
-    e_i gives (fields, i + 1) on a ``_StackedFields``, its mode field as
-    ``integrate._mode_rhs`` pairs it (no other mode is evaluated), and reads
-    column i of any other Fhat; any other w is the matmul with ``np.array(w)``.
-
-    The vertex value equals the matmul up to the sign of a zero component, and
-    a non-finite entry of an unused column no longer turns into NaN via 0 * inf.
-    """
-    if w.count(0.0) == len(w) - 1 and 1.0 in w:
-        i = w.index(1.0)
-        if type(Fhat) is _StackedFields:
-            return Fhat.fields, i + 1
-        return _fhat_column, (Fhat, i)
-    return _fhat_mix, (Fhat, np.array(w))
+def _limiting_fields(Fhat):
+    """The limiting fields fields(t, x, i), i = 1..N: a ``_StackedFields``'s own,
+    or column i - 1 of any other Fhat (a wrapper, or a replaced callable)."""
+    if type(Fhat) is _StackedFields:
+        return Fhat.fields
+    return partial(_fhat_column, Fhat)
 
 
 def simulate_reduced(rls: ReducedLimitingSystem, u: RelaxedControl, t0: float,
                      x0: np.ndarray, tf: float, cfg: IntegratorConfig) -> Trajectory:
-    """Integrate the reduced dynamics under a relaxed control, cells aligned.
-
-    The reduced system is the relaxed system with fields Fhat's columns, so
-    this is the march of ``simulate_relaxed``.  Like every integrator it
-    records no output; ``output_residual`` evaluates Hhat . u.
-    """
-    Fhat = rls.Fhat
-    times, xs, cells = _march(lambda w: _reduced_rhs(Fhat, w.tolist()), u, t0, x0, tf, cfg,
-                              rls.n, rls.N)
+    """Integrate the reduced dynamics under a relaxed control, cells aligned: the
+    march of ``simulate_relaxed`` on the limiting fields.  Like every integrator
+    it records no output; ``output_residual`` evaluates Hhat . u."""
+    times, xs, cells = _march(_limiting_fields(rls.Fhat), u, t0, x0, tf, cfg, rls.n, rls.N)
     return Trajectory(times=times, states=_rows(xs, rls.n), controls=u.values[cells])
 
 
@@ -337,17 +317,18 @@ def _rollout(rls: ReducedLimitingSystem, u_cells, x0, horizon, du, step, eps,
     returns the weight list or raises _Abort (the face-random closed loop).
     Hhat is evaluated once per grid node: a cell's end value is the next
     cell's start value when the two times are equal floats.  Each cell is
-    marched by the integrator's RK4 in sub-steps no longer than ``step``.  The
-    norm floor (a sum of squares of the float-list state) is checked at cell
-    ends only: _validate_candidate re-checks every node.
+    marched by the integrator's RK4 on ``_mix_rhs`` of the limiting fields, in
+    ``_n_steps(du, step)`` sub-steps.  The norm floor (a sum of squares of the
+    float-list state) is checked at cell ends only: _validate_candidate
+    re-checks every node.
     """
     n_cells = int(round(horizon / du))
     x = np.asarray(x0, dtype=float)
     if float(np.linalg.norm(x)) < eps:
         raise _Abort("start_below_floor")
     x = x.tolist()
-    sub = max(1, int(math.ceil(du / step - 1e-12)))
-    Fhat, Hhat = rls.Fhat, rls.Hhat
+    sub = _n_steps(du, step)
+    fields, Hhat = _limiting_fields(rls.Fhat), rls.Hhat
     closed_loop = callable(u_cells)
     if not closed_loop:
         u_cells = u_cells.tolist()
@@ -361,7 +342,7 @@ def _rollout(rls: ReducedLimitingSystem, u_cells, x0, horizon, du, step, eps,
         ws.append(w)
         if not _residual(H, w) <= residual_tol:  # a NaN residual fails too
             raise _Abort("residual")
-        rhs, arg = _reduced_rhs(Fhat, w)
+        rhs, arg = _mix_rhs(fields, w)
         t_end = t + du
         tally.cells += 1
         try:

@@ -93,6 +93,20 @@ class CheckReport:
         return json.dumps(self.to_dict())
 
 
+def _worst(margins: np.ndarray, order: np.ndarray | None = None) -> tuple[int | None, float]:
+    """(index, margin) of the worst margin: the first NaN if there is one, else the
+    first maximum, first in ``order`` (an index permutation) when given; (None,
+    -inf) when no margin exceeds -inf."""
+    nan = np.isnan(margins)
+    if nan.any():
+        return int(np.argmax(nan)), math.nan
+    ranked = margins if order is None else margins[order]
+    if not np.max(ranked, initial=-np.inf) > -np.inf:
+        return None, -math.inf
+    k = int(np.argmax(ranked))
+    return (k if order is None else int(order[k])), float(ranked[k])
+
+
 def check_sandwich(cert: LyapunovCertificate, box_lo, box_hi, covering: Covering,
                    density: int = 9) -> CheckReport:
     """Sample phi1(|xi|) <= V(0, xi, i) <= phi2(|xi|) over a box, per covering piece.
@@ -105,20 +119,20 @@ def check_sandwich(cert: LyapunovCertificate, box_lo, box_hi, covering: Covering
     axes = [np.linspace(lo, hi, density) for lo, hi in zip(box_lo, box_hi)]
     pts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
     pts = np.vstack([pts, np.zeros(len(box_lo))])
-    worst = -np.inf
-    where = (0.0, 0, 0.0)
+    r = np.array([np.linalg.norm(xi) for xi in pts])  # per row: norm(axis=1) rounds otherwise
+    phi1 = np.array([cert.phi1(float(s)) for s in r])
+    phi2 = np.array([cert.phi2(float(s)) for s in r])
+    margins = np.full((len(pts), covering.N), -np.inf)  # point-major, mode-minor
     n_checked = 0
-    for xi in pts.tolist():
-        r = float(np.linalg.norm(xi))
-        for i in range(1, covering.N + 1):
-            if not covering.margin(xi, i) >= 0.0:
-                continue
-            v = float(cert.V(0.0, xi, i))
-            below, above = cert.phi1(r) - v, v - cert.phi2(r)
-            m = above if above != above else max(below, above)  # max keeps only a first NaN
-            n_checked += 1
-            if m > worst or (m != m and worst == worst):
-                worst, where = m, (0.0, i, r)
+    for i in range(1, covering.N + 1):
+        mode = np.full(len(pts), i)
+        on = np.flatnonzero(_at_rows(covering.margin, None, pts, mode) >= 0.0)
+        n_checked += len(on)
+        v = _at_rows(cert.V, np.zeros(len(on)), pts[on], mode[on])
+        # NaN if either side is, else as the builtin max(below, above) picks a tied zero
+        margins[on, i - 1] = np.maximum(v - phi2[on], phi1[on] - v)
+    k, worst = _worst(margins.ravel())
+    where = (0.0, 0, 0.0) if k is None else (0.0, k % covering.N + 1, float(r[k // covering.N]))
     return CheckReport(check="sandwich", passed=worst <= SANDWICH_TOL, worst_margin=worst,
                        worst_location=where, slack=SANDWICH_TOL, extra={"points": n_checked})
 
@@ -202,49 +216,24 @@ def check_decrease_along(cert: LyapunovCertificate, traj: Trajectory,
     # eta at each step's midpoint time and linearly interpolated state
     eta_mid = _at_rows(cert.eta, 0.5 * (traj.times[:-1] + traj.times[1:]),
                        0.5 * (traj.states[:-1] + traj.states[1:]), modes[:-1])
-    mean = 0.5 * (eta[:-1] + eta_end)
-    # min(eta_mid, mean) as the builtin picks it: the first unless the second is less
-    pre = slopes + np.where(mean < eta_mid, mean, eta_mid)
-    worst_slope = -np.inf
-    slope_where = (0.0, 0)
-    if len(pre):
-        margins = pre - slack
-        nan = np.isnan(pre) | np.isnan(mean)
-        if slack == slack:
-            nan |= np.isnan(margins)
-        k = None
-        if nan.any() or slack != slack:
-            k = int(np.argmax(nan))  # the first NaN step; the first step if only the slack is NaN
-            worst_slope = np.nan
-        elif margins.max() > worst_slope:
-            k = int(np.argmax(margins))  # the first maximum
-            worst_slope = float(margins[k])
-        if k is not None:
-            slope_where = (traj.times[k].item(), int(modes[k]))
+    pre = slopes + np.minimum(0.5 * (eta[:-1] + eta_end), eta_mid)
+    k, worst_slope = _worst(pre - slack)
+    if slack != slack:  # every margin is NaN: report the first NaN step of pre, else the first
+        k = int(np.argmax(np.isnan(pre)))
+    slope_where = (0.0, 0) if k is None else (traj.times[k].item(), int(modes[k]))
     slope_report = CheckReport(check="decrease_slope", passed=worst_slope <= 0.0,
                                worst_margin=worst_slope, worst_location=slope_where,
                                slack=slack)
 
     # revisit part: V_i at every node under the node's own mode, against the
-    # running minimum of the mode's earlier nodes; fmin skips a NaN as the
-    # builtin min(running, v) does
+    # running minimum of the mode's earlier nodes; ties go to the lower mode
     rev = np.empty(len(V))
     for i in np.unique(modes).tolist():
         idx = np.flatnonzero(modes == i)
         v = V[idx]
-        running = np.fmin.accumulate(np.concatenate(([np.inf], v[:-1])))
-        rev[idx] = v - running - REVISIT_TOL
-    worst_rev = -np.inf
-    rev_where = (0.0, 0)
-    nan = np.isnan(rev)
-    top = float(np.max(rev, initial=-np.inf))
-    if nan.any():
-        k = int(np.argmax(nan))  # the first NaN node
-        worst_rev, rev_where = np.nan, (traj.times[k].item(), int(modes[k]))
-    elif top > worst_rev:
-        tied = np.flatnonzero(rev == top)
-        k = int(tied[np.argmin(modes[tied])])  # the first maximum in mode-major order
-        worst_rev, rev_where = top, (traj.times[k].item(), int(modes[k]))
+        rev[idx] = v - np.minimum.accumulate(np.concatenate(([np.inf], v[:-1]))) - REVISIT_TOL
+    k, worst_rev = _worst(rev, np.lexsort((modes,)))
+    rev_where = (0.0, 0) if k is None else (traj.times[k].item(), int(modes[k]))
     revisit_report = CheckReport(check="mode_revisit", passed=worst_rev <= 0.0,
                                  worst_margin=worst_rev, worst_location=rev_where,
                                  slack=REVISIT_TOL)

@@ -80,14 +80,15 @@ class PatternConstraint:
 
 
 def _granules(length: float, granularity: float, limit: float = 2.0**63) -> float:
-    """``length / granularity`` if below ``limit`` (the int64 bound of the draws)."""
-    if not length / granularity < limit:
+    """``length / granularity`` if below ``limit`` in magnitude (the int64 bound of
+    the draws; an infinite limit asks only for a finite quotient)."""
+    if not abs(length / granularity) < limit:
         raise ParameterError(f"granularity {granularity!r} is too fine for {length!r} s")
     return length / granularity
 
 
 def _snap(t: float, granularity: float) -> float:
-    return round(t / granularity) * granularity
+    return round(_granules(t, granularity, math.inf)) * granularity
 
 
 def _build_signal(breaks: list, modes: list, t0: float, tf: float) -> SwitchingSignal:

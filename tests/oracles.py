@@ -16,8 +16,8 @@ import math
 import numpy as np
 
 from swstab.core import BOUNDARY_TOL, BlowUpError, DynamicsError, active_index_set
-from swstab.integrate import _rk4_kernels
-from swstab.limiting import _Abort, _reduced_rhs, _shell_state
+from swstab.integrate import _mix_rhs, _rk4_kernels
+from swstab.limiting import _Abort, _limiting_fields, _shell_state
 from swstab.lyapunov import (REVISIT_TOL, SLACK_CURVATURE_FACTOR, SLACK_FLOOR, CheckReport,
                              DecreaseReport)
 from swstab.signals import TIE_TOL
@@ -362,7 +362,7 @@ def rollout_reference(rls, u_cells, x0, horizon, du, step, eps, residual_tol,
         raise _Abort("start_below_floor")
     x = x.tolist()
     sub = max(1, int(math.ceil(du / step - 1e-12)))
-    Fhat, Hhat = rls.Fhat, rls.Hhat
+    fields, Hhat = _limiting_fields(rls.Fhat), rls.Hhat
     closed_loop = callable(u_cells)
     ws = []
     t_end = H_end = None
@@ -373,7 +373,7 @@ def rollout_reference(rls, u_cells, x0, horizon, du, step, eps, residual_tol,
         ws.append(w)
         if not float(H @ w) <= residual_tol:
             raise _Abort("residual")
-        rhs, arg = _reduced_rhs(Fhat, w.tolist())
+        rhs, arg = _mix_rhs(fields, w)
         t_end = t + du
         tally.cells += 1
         try:

@@ -208,6 +208,12 @@ def test_bad_manifest_value_exit2(tmp_path, command, doc):
      "granularity"),
     ("certify", {"signal": {"granularity": 1e-300}, "certify": {"trials": 1, "horizon": 2.0}},
      "granularity"),
+    # a zero horizon still writes a 1 s signal; a trial may start at offset_max; a
+    # subnormal granularity leaves gen_arbitrary an infinite quotient to snap
+    ("simulate", {"simulate": {"t0": 1e308, "horizon": 0}}, "simulate.t0"),
+    ("envelope", {"envelope": {"offset_max": 1e308}}, "envelope.offset_max"),
+    ("simulate", {"system": {"id": "example1"}, "signal": {"granularity": 5e-324}},
+     "granularity"),
 ])
 def test_out_of_range_manifest_value_exit2(tmp_path, capsys, command, doc, key):
     # a non-positive horizon, box, step, trial count, budget, signal

@@ -619,13 +619,13 @@ def test_every_kernel_calls_the_field_with_one_argument(all_entries, example4, m
         assert set(paired_args(lambda: simulate_relaxed(system, mixed, 0.0, x0, 3.0, cfg),
                                {"march"})) == {None}
         # a vertex cell of the reduced system calls the limiting mode field, paired
-        # with its mode; any other cell pairs Fhat with the weights
+        # with its mode; any other cell pairs None, as a mixed relaxed cell does
         assert set(paired_args(lambda: simulate_reduced(entry.reduced, vertex, 0.0, x0, 3.0,
                                                         cfg), {"march"})) <= modes
-        assert all(type(p) is tuple and p[0] is entry.reduced.Fhat for p in paired_args(
-            lambda: simulate_reduced(entry.reduced, mixed, 0.0, x0, 3.0, cfg), {"march"}))
+        assert set(paired_args(lambda: simulate_reduced(entry.reduced, mixed, 0.0, x0, 3.0,
+                                                        cfg), {"march"})) == {None}
         horizon = 12.0 if entry.name == "inverter" else 5.0
-        assert all(type(p) is tuple or p in modes for p in paired_args(
+        assert all(p is None or p in modes for p in paired_args(
             lambda: wzsd_falsify(entry.reduced, eps=0.5, horizon=horizon, budget=20, seed=5),
             {"march"}))
         # inlined: switched runs and vertex cells call no field, mixed cells do
@@ -719,7 +719,7 @@ def test_node_table_equals_the_per_step_formula():
     # scan the control cell by cell
     from oracles import relaxed_nodes_reference, switched_nodes_reference
     from swstab import RelaxedControl
-    from swstab.integrate import _march, _mix_rhs
+    from swstab.integrate import _march
 
     system = _linear_system([[[-0.4, 1.0], [-1.0, -0.2]], [[0.1, 0.5], [-0.5, 0.1]],
                              [[-1.0, 0.0], [0.3, -1.0]]])
@@ -751,7 +751,7 @@ def test_node_table_equals_the_per_step_formula():
         traj = simulate_relaxed(system, u, t0, x0, tf, cfg)
         assert traj.times.tobytes() == times.tobytes(), (t0, tf, step)
         assert traj.controls.tobytes() == u.values[cells].tobytes(), (t0, tf, step)
-        got = _march(lambda w: _mix_rhs(system, w), u, t0, x0, tf, cfg, 2, 3)[2]
+        got = _march(system.f, u, t0, x0, tf, cfg, 2, 3)[2]
         assert got.tolist() == cells.tolist(), (t0, tf, step)
 
 

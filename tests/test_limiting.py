@@ -27,6 +27,7 @@ from swstab import (
     wzsd_falsify,
 )
 from swstab import limiting
+from swstab.integrate import _mix_rhs
 from swstab.signals import MeasureConstraint, PatternConstraint
 
 
@@ -346,11 +347,17 @@ def _probe_states(n, rng):
     return states
 
 
+def _cell_rhs(Fhat, w):
+    """The (rhs, arg) that simulate_reduced and the screen march a cell of weights w on."""
+    return _mix_rhs(limiting._limiting_fields(Fhat), w)
+
+
 def test_vertex_rhs_reads_fhat_column(all_entries):
     # a vertex weight e_i reads Fhat's column i: on a build_reduced system by
     # calling the mode field itself, (fields, i + 1) as integrate._mode_rhs pairs
     # it, and through _fhat_column on any other Fhat.  Either equals the matmul up
-    # to the sign of a zero component; any other weight keeps the matmul, bit for bit
+    # to the sign of a zero component.  Any other weight takes _mix_rhs's closure,
+    # the sum of the nonzero-weight columns in mode order, bit for bit
     rng = np.random.default_rng(31)
     for entry in all_entries:
         rls = entry.reduced
@@ -362,21 +369,23 @@ def test_vertex_rhs_reads_fhat_column(all_entries):
                 for i in range(rls.N):
                     w = [0.0] * rls.N
                     w[i] = 1.0
-                    rhs, arg = limiting._reduced_rhs(rls.Fhat, w)
+                    rhs, arg = _cell_rhs(rls.Fhat, w)
                     assert rhs is rls.Fhat.fields and arg == i + 1
-                    col, col_arg = limiting._reduced_rhs(forwarding, w)
-                    assert col is limiting._fhat_column
+                    col, col_arg = _cell_rhs(forwarding, w)
+                    assert col.func is limiting._fhat_column and col_arg == i + 1
                     direct = np.array(rhs(t, x, arg), dtype=float)
                     assert direct.tobytes() == np.array(col(t, x, col_arg)).tobytes()
                     assert np.array_equal(direct, F @ np.array(w))
                 near = [0.0] * rls.N
                 near[0], near[-1] = 1.0 - 2.0 ** -53, 2.0 ** -53
                 for w in (rng.dirichlet(np.ones(rls.N)).tolist(), near):
+                    want = None
+                    for j in np.flatnonzero(np.array(w) > 0.0).tolist():
+                        want = w[j] * F[:, j] if want is None else want + w[j] * F[:, j]
                     for Fhat in (rls.Fhat, forwarding):
-                        rhs, arg = limiting._reduced_rhs(Fhat, w)
-                        assert rhs is limiting._fhat_mix
-                        assert (np.array(rhs(t, x, arg)).tobytes()
-                                == (F @ np.array(w)).tobytes())
+                        rhs, arg = _cell_rhs(Fhat, w)
+                        assert rhs.__qualname__ == "_mix_rhs.<locals>.rhs" and arg is None
+                        assert np.array(rhs(t, x, arg)).tobytes() == want.tobytes()
 
 
 def _forward(Fhat, t, x):
@@ -470,7 +479,7 @@ def test_vertex_rhs_departures_from_matmul(motivating, cfg_fast):
     # the two stated exceptions: a zero component keeps the column's sign, and
     # a non-finite unused column no longer turns into NaN through 0 * inf
     F = np.array([[-0.0, 0.0], [2.0, np.inf]])
-    rhs, arg = limiting._reduced_rhs(lambda t, x: F, [1.0, 0.0])
+    rhs, arg = _cell_rhs(lambda t, x: F, [1.0, 0.0])
     col = rhs(0.0, None, arg)
     assert np.array(col).tobytes() == np.array([-0.0, 2.0]).tobytes()
     with np.errstate(invalid="ignore"):
@@ -490,6 +499,48 @@ def test_vertex_rhs_departures_from_matmul(motivating, cfg_fast):
     a = simulate_reduced(with_column(np.inf), u, 0.0, x0, 2.0, cfg_fast)
     b = simulate_reduced(with_column(0.0), u, 0.0, x0, 2.0, cfg_fast)
     assert a.states.tobytes() == b.states.tobytes()
+
+
+def test_reduced_run_is_the_relaxed_run_of_the_limiting_fields(all_entries):
+    # the reduced system is the relaxed system of the limiting fields: under
+    # mixed controls simulate_reduced is simulate_relaxed on f = fhat, bit for bit
+    from swstab import SwitchedSystem, simulate_relaxed
+
+    rng = np.random.default_rng(71)
+    cfg = IntegratorConfig(step=1e-2)
+    for entry in all_entries:
+        system = entry.system
+        limiting_system = SwitchedSystem(n=system.n, N=system.N, f=system.fhat or system.f,
+                                         h=system.h, p=system.p)
+        rls = build_reduced(system, entry.covering)
+        for _ in range(3):
+            values = rng.dirichlet(np.ones(system.N), size=40)
+            values[::4] = np.eye(system.N)[rng.integers(0, system.N, len(values[::4]))]
+            u = RelaxedControl(t0=0.0, step=0.05, values=values)
+            x0 = rng.uniform(-1.5, 1.5, system.n)
+            got = simulate_reduced(rls, u, 0.0, x0, 2.0, cfg)
+            want = simulate_relaxed(limiting_system, u, 0.0, x0, 2.0, cfg)
+            for a, b in ((got.times, want.times), (got.states, want.states),
+                         (got.controls, want.controls)):
+                assert a.tobytes() == b.tobytes(), entry.name
+
+
+def test_mixed_cell_ignores_a_non_finite_unused_column(example1, cfg_fast):
+    # weights (1/2, 1/2, 0) read the first two columns only: an inf third column
+    # leaves the run finite and equal to the plain one, where 0 * inf would be NaN
+    fhat = example1.reduced.Fhat
+
+    def Fhat(t, x):
+        out = fhat(t, x)
+        out[:, 2] = np.inf
+        return out
+
+    u = RelaxedControl(t0=0.0, step=0.05, values=np.tile([0.5, 0.5, 0.0], (40, 1)))
+    x0 = np.array([1.0, -0.4])
+    got = simulate_reduced(replace(example1.reduced, Fhat=Fhat), u, 0.0, x0, 2.0, cfg_fast)
+    want = simulate_reduced(example1.reduced, u, 0.0, x0, 2.0, cfg_fast)
+    assert np.isfinite(got.states).all()
+    assert got.states.tobytes() == want.states.tobytes()
 
 
 def test_hhat_matches_linalg_norm():

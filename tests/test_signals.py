@@ -54,6 +54,15 @@ def test_arbitrary_mean_dwell_statistic():
     assert abs(dwells.mean() - 0.3) < 0.06
 
 
+@pytest.mark.parametrize("span", [(0.0, 1.0), (-1.0, 1.0)])
+def test_arbitrary_granularity_too_fine(span):
+    # a time over a subnormal granularity is an infinite quotient, either sign,
+    # which round() cannot snap: a ParameterError naming the granularity
+    with pytest.raises(ParameterError, match="granularity 5e-324"):
+        gen_arbitrary(2, span, 0.3, 1, granularity=5e-324)
+    assert len(gen_arbitrary(2, span, 0.3, 1, granularity=1e-300).breakpoints) > 1
+
+
 # --- measure class -----------------------------------------------------------
 
 
