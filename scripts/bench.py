@@ -18,6 +18,10 @@ Layers (ROADMAP aim 1), all with pinned seeds and through the public API:
     plain function: the RK4 kernels then call the field at every stage, as
     they do for a traced run, a mixed cell or a user's field, instead of
     evaluating the registry's mode source inline;
+  - ``simulate_short_segments``, ``simulate`` of motivating under a
+    ``gen_arbitrary`` signal with mean dwell 0.02, step 1e-2, horizon 20:
+    about 2.5 steps a segment, so the cost of each segment shows, where the
+    rows above take about 500 steps a segment;
   - ``simulate_with_covering`` on example4's closed loop, step 1e-2, horizon 80;
   - ``simulate_reduced`` on motivating's reduced system, step 1e-2, horizon
     20, alternating vertex cells of length 0.5, and ``simulate_reduced_mixed``,
@@ -182,10 +186,13 @@ def measure_l1(repeats: int, clock) -> dict:
             lambda: sw.simulate_relaxed(entry.system, u, 0.0, x0, 20.0, cfg))
 
     cfg_cl = sw.IntegratorConfig(step=1e-2)
+    mot = sw.get_entry("motivating")
+    short = sw.gen_arbitrary(2, (0.0, 20.0), 0.02, 2025)
+    timed["simulate_short_segments/motivating"] = per_step(
+        lambda: sw.simulate(mot.system, short, 0.0, np.array([0.6, -0.7]), 20.0, cfg_cl))
     timed["simulate_with_covering/example4"] = per_step(
         lambda: _closed_loop_example4(cfg_cl)[0])
 
-    mot = sw.get_entry("motivating")
     vals = np.zeros((400, 2))
     vals[:, 0] = np.tile(np.repeat([1.0, 0.0], 10), 20)
     vals[:, 1] = 1.0 - vals[:, 0]

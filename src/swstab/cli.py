@@ -95,7 +95,11 @@ def _check(doc: dict, default: dict, prefix: str = "") -> None:
     """Check every section and field of ``doc`` against the kind of its value in
     ``default`` and against ``_RANGES``, storing each number as its default's type
     (an int field as an int, a float field as a float); ParameterError naming the
-    first bad section or field."""
+    first bad section or field.  A name ``default`` lacks is bad too, but for the
+    registry's ``system.params`` and the optional ``envelope.constant_mode``."""
+    extra = [k for k in doc if k not in default and prefix + k != "envelope.constant_mode"]
+    if extra and prefix != "system.params.":
+        raise ParameterError(f"manifest field {prefix}{extra[0]} must be one of {sorted(default)}")
     for key, want in default.items():
         path, value = prefix + key, doc[key]
         if isinstance(want, dict):
@@ -422,14 +426,9 @@ def main(argv=None) -> int:
                                                ("horizon", args.horizon)) if v is not None}
             return cmd_reproduce(args.example_id, manifest, workers=args.workers,
                                  env_overrides=env_overrides)
-        if args.command == "simulate":
-            return cmd_simulate(manifest)
-        if args.command == "certify":
-            return cmd_certify(manifest)
-        if args.command == "envelope":
-            return cmd_envelope(manifest, workers=args.workers)
-        if args.command == "falsify":
-            return cmd_falsify(manifest)
+        commands = {"simulate": cmd_simulate, "certify": cmd_certify, "falsify": cmd_falsify,
+                    "envelope": partial(cmd_envelope, workers=args.workers)}
+        return commands[args.command](manifest)
     except BlowUpError as err:
         print(f"blow-up at t={err.time}", file=sys.stderr)
         return EXIT_BLOWUP
@@ -439,7 +438,6 @@ def main(argv=None) -> int:
     except SwstabError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ANALYSIS_FAIL
-    return EXIT_INPUT_ERROR
 
 
 def entry() -> None:

@@ -34,6 +34,13 @@ class DomainError(SwstabError):
     """Requested span falls outside an object's time domain."""
 
 
+def require_finite(**values) -> None:
+    """ParameterError naming the first of the keyword ``values`` that is not finite."""
+    for name, value in values.items():
+        if not abs(value) < np.inf:  # NaN too; an int of any size is finite
+            raise ParameterError(f"{name} must be finite, got {value!r}")
+
+
 class CoveringError(SwstabError):
     """A point is not covered by any piece of a covering."""
 
@@ -161,6 +168,7 @@ class RelaxedControl:
     values: np.ndarray  # (n_cells, N)
 
     def __post_init__(self):
+        require_finite(t0=self.t0, step=self.step)
         if self.step <= 0:
             raise ParameterError("control grid step must be positive")
         vals = np.asarray(self.values, dtype=float)
@@ -350,12 +358,8 @@ class Trajectory:
         xcols = [j for j, name in enumerate(header) if name.startswith("x")]
         ucols = [j for j, name in enumerate(header) if name.startswith("u")]
         ycols = [j for j, name in enumerate(header) if name.startswith("y")]
-        modes = None
-        controls = None
-        if "mode" in header:
-            modes = data[:, header.index("mode")].astype(np.int64)
-        elif ucols:
-            controls = data[:, ucols]
+        modes = data[:, header.index("mode")].astype(np.int64) if "mode" in header else None
+        controls = data[:, ucols] if ucols and modes is None else None
         outputs = data[:, ycols] if ycols else None
         return Trajectory(times=data[:, 0], states=data[:, xcols],
                           modes=modes, controls=controls, outputs=outputs)

@@ -15,7 +15,7 @@ import keyword
 import math
 import re
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,6 +34,7 @@ from .core import (
     SwitchingSignal,
     Trajectory,
     active_index_set,
+    require_finite,
 )
 
 
@@ -52,6 +53,7 @@ class IntegratorConfig:
     max_switches: int = 1_000_000
 
     def __post_init__(self):
+        require_finite(**vars(self))
         if self.step <= 0:
             raise ParameterError("step must be positive")
         if not (0 < self.event_bisection_tol < self.step):
@@ -61,8 +63,8 @@ class IntegratorConfig:
 # One RK4 source, written out per state component and compiled per state
 # dimension n.  ``step`` takes one step; ``march`` takes m equal steps across
 # [t0, t1], extending the flat ``out_x`` by each node's state, and returns the
-# last state; it records no time, as its callers build every node's time from
-# their segment tables (``_nodes``).  ``advance`` is the closed loop's march:
+# last state; it records no time, as ``_run`` builds every node's time from its
+# segment table.  ``advance`` is the closed loop's march:
 # from (tn, xn) it takes steps of min(step, tf - tn) while tn < t_stop,
 # appending each node's time and state, and returns (tn, x, h, x_new) at the
 # first step that leaves the piece of ``mode`` (margin below -BOUNDARY_TOL), or
@@ -220,8 +222,9 @@ class ModeSource:
     ``f`` is the text compiled into a plain callable that returns a tuple, or
     ``result(tuple)``, or the value; a mode index above the last falls to the
     last mode.  ``f.mode_source`` is this object.  ``kernels`` paste a field's
-    mode text into RK4 stages and ``columns`` runs it on state columns, both
-    with the same arithmetic in the same order as ``f``: the same bits.
+    mode text into RK4 stages with the same arithmetic in the same order as
+    ``f``: the same bits.  ``_at_rows`` calls ``f`` itself on state columns for
+    each mode that ``on_columns`` admits.
     """
 
     def __init__(self, n: int, modes: Sequence[str], names: dict | None = None,
@@ -238,7 +241,7 @@ class ModeSource:
         if clash:
             raise ParameterError(f"names {clash} are taken by the RK4 kernels")
         known = {*state, *names} | ({"t"} if form != "margin" else set()) | _BUILTIN_NAMES
-        self.n, self.names = n, names
+        self.n, self.names, self.result = n, names, result
         self.modes, self.widths = zip(*[_parse_mode(text, form == "tuple", known, reserved, k)
                                         for k, text in enumerate(modes, 1)])
         self._kernels, self._columns = {}, {}
@@ -269,15 +272,13 @@ class ModeSource:
                                          self.names)
         return k
 
-    def columns(self, i: int):
-        """Mode i as ``f(t, x0, ..., x{n-1})`` of float64 columns, or None (``_on_columns``)."""
+    def on_columns(self, i: int) -> bool:
+        """Whether ``f`` may run mode i on float64 state columns: its text keeps to
+        ``_on_columns`` and no ``result`` (any Python callable) wraps its value."""
         if i not in self._columns:
             bindings, components = self.modes[i - 1]
-            scope = dict(self.names)
-            if _on_columns("\n".join([*bindings, components]), self.names, self.n):
-                head = f"def f(t, {', '.join(f'x{j}' for j in range(self.n))}):"
-                exec(_code("\n    ".join([head, *bindings, f"return {components}"]) + "\n"), scope)
-            self._columns[i] = scope.get("f")  # no name may be f, which the kernels take
+            self._columns[i] = self.result is None and _on_columns(
+                "\n".join([*bindings, components]), self.names, self.n)
         return self._columns[i]
 
 
@@ -366,26 +367,17 @@ def _n_steps(span: float, step: float) -> int:
     return max(1, int(math.ceil((span / step) * (1.0 - 1e-9))))
 
 
-def _nodes(t0: float, table: list, last: int) -> tuple[np.ndarray, np.ndarray]:
-    """(times, labels) of the nodes of marches over the segments (a, b, m, label) of
-    ``table``, as ``march`` steps them: t0, then per segment a + k * h for 0 < k < m,
-    h = (b - a) / m, and b.  A node takes the label of the segment it starts, the
-    last node ``last``; a segment with m = 0 has no nodes."""
-    if not table:
-        return np.array([t0], dtype=float), np.array([last])
-    a, b, m, labels = (np.array(c) for c in zip(*table))
-    seg = np.repeat(np.arange(len(m)), m)
-    k = np.arange(1, len(seg) + 1) - np.repeat(np.cumsum(m) - m, m)  # 1..m per segment
-    h = (b - a) / np.maximum(m, 1)
-    times = np.where(k == m[seg], b[seg], a[seg] + k * h[seg])
-    return np.concatenate(([t0], times)), np.append(np.repeat(labels, m), last)
-
-
 def _mode_rhs(sys: SwitchedSystem, i: int):
     """(f, arg) such that f(t, x, arg) is the mode-i field."""
     if i < 1 or i > sys.N:
         raise ParameterError(f"mode {i} outside 1..{sys.N}")
     return sys.f, i
+
+
+def _node_modes(traj: Trajectory, sigma: SwitchingSignal) -> np.ndarray:
+    """The mode of every node of ``traj``: its own, else sigma's (right-continuous)."""
+    return np.asarray(sigma.modes_at(traj.times) if traj.modes is None else traj.modes,
+                      dtype=np.int64)
 
 
 def _start_state(x0, n: int, t0: float, cfg: IntegratorConfig) -> list:
@@ -400,9 +392,9 @@ def _start_state(x0, n: int, t0: float, cfg: IntegratorConfig) -> list:
 def _at_rows(fn, times: np.ndarray | None, states: np.ndarray, modes: np.ndarray,
              width: int | None = None) -> np.ndarray:
     """fn(t, x, i), or fn(x, i) when ``times`` is None, at every row: (m,) values or
-    (m, width) components.  The ``ModeSource`` callable itself (by identity, as in
-    ``_rk4_kernels``) runs each mode that ``columns`` admits once on the state
-    columns; every other row is called on floats, ROW_BLOCK rows at a time."""
+    (m, width) components.  A ``ModeSource`` callable (by identity, as in
+    ``_rk4_kernels``) is called once per mode that ``on_columns`` admits, with the
+    state columns for x; every other row is called on floats, ROW_BLOCK rows at a time."""
     out = np.empty((len(states), width or 1))
     called = np.ones(len(states), dtype=bool)
     src = getattr(fn, "mode_source", None)
@@ -411,10 +403,11 @@ def _at_rows(fn, times: np.ndarray | None, states: np.ndarray, modes: np.ndarray
         texts = np.where((modes >= 1) & (modes < last), modes, last)  # the text f takes
         with np.errstate(all="ignore"):  # where numpy warns, floats quietly give inf or NaN
             for k in np.unique(texts).tolist():
-                if src.columns(k) is not None:
+                if src.on_columns(k):
                     rows = np.flatnonzero(texts == k)
                     called[rows] = False
-                    value = src.columns(k)(None if times is None else times[rows], *states[rows].T)
+                    cols = list(states[rows].T)
+                    value = fn(cols, k) if times is None else fn(times[rows], cols, k)
                     for j, v in enumerate(value if width else [value]):
                         out[rows, j] = v
     called = np.flatnonzero(called)
@@ -433,6 +426,40 @@ def _switched_outputs(sys: SwitchedSystem, traj: Trajectory) -> np.ndarray:
     return _at_rows(sys.h, traj.times, traj.states, traj.modes, sys.p)
 
 
+def _run(table, last, t0: float, x0, n: int, cfg: IntegratorConfig, rhs: Callable,
+         drive: Callable) -> Trajectory:
+    """The one open-loop march: from (t0, x0), m RK4 steps of the field
+    rhs(label) -> (f, arg) across each segment (a, b, m, label) of ``table``.  The
+    nodes are t0, then per segment with m > 0 a + k * h for 0 < k < m, h = (b - a)
+    / m, and b; a node takes the label of the segment it starts, the last node
+    ``last``.  ``drive(labels)`` gives the trajectory's drive fields, which a
+    blow-up's partial trajectory carries too."""
+    x = _start_state(x0, n, t0, cfg)
+    xs: list = list(x)
+    table = list(table)  # an iterable, listed once the start state is checked
+    times, labels = np.array([t0], dtype=float), np.array([last])
+    if table:  # the node times and labels in numpy, as ``march`` steps them
+        a, b, m, seg_labels = (np.array(c) for c in zip(*table))
+        seg = np.repeat(np.arange(len(m)), m)
+        k = np.arange(1, len(seg) + 1) - np.repeat(np.cumsum(m) - m, m)  # 1..m per segment
+        h = (b - a) / np.maximum(m, 1)
+        times = np.concatenate((times, np.where(k == m[seg], b[seg], a[seg] + k * h[seg])))
+        labels = np.append(np.repeat(seg_labels, m), last)
+    marches: dict = {}  # label -> (f, arg, march)
+    try:
+        for a, b, m, label in table:
+            if m:
+                cached = marches.get(label)
+                if cached is None:
+                    f, arg = rhs(label)
+                    cached = marches[label] = f, arg, _rk4_kernels(n, f, arg)[1]
+                f, arg, march = cached
+                x = march(f, a, x, b, m, cfg.divergence_bound, xs, arg)
+    except BlowUpError as err:
+        raise _blown_up(err, times, xs, n, **drive(labels)) from None
+    return Trajectory(times=times, states=_rows(xs, n), **drive(labels))
+
+
 def simulate(sys: SwitchedSystem, sigma: SwitchingSignal, t0: float, x0: np.ndarray,
              tf: float, cfg: IntegratorConfig) -> Trajectory:
     """Integrate dx/dt = f(t, x, sigma(t)) on [t0, tf].
@@ -442,23 +469,10 @@ def simulate(sys: SwitchedSystem, sigma: SwitchingSignal, t0: float, x0: np.ndar
     """
     if tf < t0:
         raise DomainError("tf must be >= t0")
-    x = _start_state(x0, sys.n, t0, cfg)
-    xs: list = list(x)
-    table = ([(a, b, _n_steps(b - a, cfg.step), i) for a, b, i in sigma.segments(t0, tf)]
-             if tf > t0 else [])
+    table = ((a, b, _n_steps(b - a, cfg.step), i) for a, b, i in sigma.segments(t0, tf))
     # the last node, tf, takes the mode of a breakpoint at tf, which no segment has
-    times, modes = _nodes(t0, table, sigma.modes_at(tf))
-    marches: dict = {}  # mode -> its march
-    try:
-        for a, b, m, i in table:
-            f, arg = _mode_rhs(sys, i)
-            march = marches.get(i)
-            if march is None:
-                march = marches[i] = _rk4_kernels(sys.n, f, arg)[1]
-            x = march(f, a, x, b, m, cfg.divergence_bound, xs, arg)
-    except BlowUpError as err:
-        raise _blown_up(err, times, xs, sys.n, modes=modes) from None
-    return Trajectory(times=times, states=_rows(xs, sys.n), modes=modes)
+    return _run(table if tf > t0 else (), sigma.modes_at(tf), t0, x0, sys.n, cfg,
+                partial(_mode_rhs, sys), lambda modes: {"modes": modes})
 
 
 def _mix_rhs(f, weights):
@@ -487,7 +501,7 @@ def _march(fields, u: RelaxedControl, t0: float, x0: np.ndarray, tf: float,
     stay grid nodes because sub-step counts are chosen per cell.  Node labels
     are right-continuous: a node on a cell edge carries the incoming cell's
     value.  ``n`` and ``n_modes`` are the state dimension and mode count the
-    inputs are checked against.  Returns (times, flat states, cell of each node).
+    inputs are checked against.
     """
     if tf < t0:
         raise DomainError("tf must be >= t0")
@@ -495,8 +509,6 @@ def _march(fields, u: RelaxedControl, t0: float, x0: np.ndarray, tf: float,
         raise DomainError(f"[{t0}, {tf}] outside control grid [{u.t0}, {u.tf}]")
     if u.n_modes != n_modes:
         raise ParameterError(f"control has {u.n_modes} modes, system has {n_modes}")
-    x = _start_state(x0, n, t0, cfg)
-    xs: list = list(x)
     per_cell = _n_steps(u.step, cfg.step)
     c0, dc, k0 = u.t0, u.step, u.cell_of(t0)
     k_stop = k0  # the cells k0, k0 + 1, ... whose left edge lies before tf
@@ -509,15 +521,9 @@ def _march(fields, u: RelaxedControl, t0: float, x0: np.ndarray, tf: float,
     for k, k_end in zip(starts, starts[1:] + [k_stop]):
         a, b = max(t0, c0 + k * dc), min(tf, c0 + k_end * dc)
         table.append((a, b, per_cell * (k_end - k) if b > a else 0, k))
-    times, cells = _nodes(t0, table, table[-1][3] if table else k0)
-    try:
-        for a, b, m, k in table:
-            if m:
-                rhs, arg = _mix_rhs(fields, u.values[k])
-                x = _rk4_kernels(n, rhs, arg)[1](rhs, a, x, b, m, cfg.divergence_bound, xs, arg)
-    except BlowUpError as err:
-        raise _blown_up(err, times, xs, n) from None
-    return times, xs, cells
+    return _run(table, table[-1][3] if table else k0, t0, x0, n, cfg,
+                lambda k: _mix_rhs(fields, u.values[k]),
+                lambda cells: {"controls": u.values[cells]})
 
 
 def simulate_relaxed(sys: SwitchedSystem, u: RelaxedControl, t0: float, x0: np.ndarray,
@@ -526,8 +532,7 @@ def simulate_relaxed(sys: SwitchedSystem, u: RelaxedControl, t0: float, x0: np.n
 
     Steps are aligned to the control's grid cells (see ``_march``).
     """
-    times, xs, cells = _march(sys.f, u, t0, x0, tf, cfg, sys.n, sys.N)
-    return Trajectory(times=times, states=_rows(xs, sys.n), controls=u.values[cells])
+    return _march(sys.f, u, t0, x0, tf, cfg, sys.n, sys.N)
 
 
 def simulate_with_covering(sys: SwitchedSystem, covering: Covering,
@@ -562,7 +567,6 @@ def simulate_with_covering(sys: SwitchedSystem, covering: Covering,
     xs = list(x)
     bp = [t0]
     bp_modes = [mode]
-    node_modes = [mode]
     suppress_until = -np.inf
     n_switches = 0
     t = t0
@@ -584,14 +588,12 @@ def simulate_with_covering(sys: SwitchedSystem, covering: Covering,
     t_stop = tf - 1e-12 * max(1.0, abs(tf))
     margin, f = covering.margin, sys.f
     while t < t_stop:
-        n_before = len(ts)
         rk4_step, _, advance = _rk4_kernels(sys.n, f, mode)
         try:
             t, x, h, x_new = advance(f, t, x, t_stop, tf, cfg.step, cfg.divergence_bound,
                                      margin, mode, ts, xs, mode)
         except BlowUpError as err:
             raise _blown_up(err, ts, xs, sys.n) from None
-        node_modes += [mode] * (len(ts) - n_before)
         if h is None:
             break
         # the step from t leaves the piece and ends in a re-decision: at the
@@ -609,16 +611,13 @@ def simulate_with_covering(sys: SwitchedSystem, covering: Covering,
             if h <= cfg.event_bisection_tol:
                 # crossing at the very start: switch in place and take a grace step
                 switch_to(query(t, x), t)
-                node_modes[-1] = mode
                 continue
         t, x = t + h, x_new
         ts.append(t)
         xs.extend(x)
         switch_to(query(t, x), t)
-        node_modes.append(mode)
 
     sigma = SwitchingSignal(breakpoints=np.array(bp), modes=np.array(bp_modes, dtype=np.int64),
                             domain_start=t0, domain_end=tf)
-    traj = Trajectory(times=np.array(ts), states=_rows(xs, sys.n),
-                      modes=np.array(node_modes, dtype=np.int64))
-    return traj, sigma
+    times = np.array(ts)  # a node on a decision takes its new mode, as sigma does
+    return Trajectory(times=times, states=_rows(xs, sys.n), modes=sigma.modes_at(times)), sigma

@@ -32,8 +32,9 @@ from .core import (
     SwitchedSystem,
     Trajectory,
     active_index_set,
+    require_finite,
 )
-from .integrate import IntegratorConfig, _march, _mix_rhs, _n_steps, _rk4_kernels, _rows
+from .integrate import IntegratorConfig, _march, _mix_rhs, _n_steps, _rk4_kernels
 from .signals import (
     TIE_TOL,
     MeasureConstraint,
@@ -120,8 +121,7 @@ def simulate_reduced(rls: ReducedLimitingSystem, u: RelaxedControl, t0: float,
     """Integrate the reduced dynamics under a relaxed control, cells aligned: the
     march of ``simulate_relaxed`` on the limiting fields.  Like every integrator
     it records no output; ``output_residual`` evaluates Hhat . u."""
-    times, xs, cells = _march(_limiting_fields(rls.Fhat), u, t0, x0, tf, cfg, rls.n, rls.N)
-    return Trajectory(times=times, states=_rows(xs, rls.n), controls=u.values[cells])
+    return _march(_limiting_fields(rls.Fhat), u, t0, x0, tf, cfg, rls.n, rls.N)
 
 
 def _residual(H, w) -> float:
@@ -158,12 +158,8 @@ def _vertex_cell_runs(u: RelaxedControl) -> tuple[np.ndarray, np.ndarray, np.nda
     """Classify cells as vertex-1 (1), vertex-2 (2), or neither (3); merged runs."""
     n = u.n_modes
     cls = np.full(u.n_cells, 3, dtype=np.int64)
-    for i in (1, 2):
-        if i <= n:
-            target = np.zeros(n)
-            target[i - 1] = 1.0
-            near = np.max(np.abs(u.values - target), axis=1) <= VERTEX_TOL
-            cls[near] = i
+    for i in range(1, min(n, 2) + 1):
+        cls[np.max(np.abs(u.values - np.eye(n)[i - 1]), axis=1) <= VERTEX_TOL] = i
     keep = np.concatenate(([True], np.diff(cls) != 0))
     starts = u.t0 + u.step * np.nonzero(keep)[0]
     modes = cls[keep]
@@ -402,6 +398,7 @@ def wzsd_falsify(rls: ReducedLimitingSystem, eps: float, horizon: float,
     has been re-simulated through simulate_reduced and re-checked at every
     node.  ``budget_used`` is the index of the first success.
     """
+    require_finite(eps=eps, horizon=horizon, du=du)
     if eps <= 0 or horizon <= 0 or budget < 1:
         raise ParameterError("eps, horizon, budget must be positive")
     if not residual_tol >= 0:  # a negative tolerance fails every candidate; NaN too

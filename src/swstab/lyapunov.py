@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import Covering, ParameterError, SwitchedSystem, SwitchingSignal, Trajectory
-from .integrate import _at_rows
+from .integrate import _at_rows, _node_modes
 
 SANDWICH_TOL = 1e-9
 REVISIT_TOL = 1e-7
@@ -149,11 +149,6 @@ class DecreaseReport:
     def to_dict(self) -> dict:
         return {"check": "decrease_along", "pass": self.passed,
                 "slope": self.slope.to_dict(), "revisit": self.revisit.to_dict()}
-
-
-def _node_modes(traj: Trajectory, sigma: SwitchingSignal) -> np.ndarray:
-    modes = traj.modes if traj.modes is not None else sigma.modes_at(traj.times)
-    return np.asarray(modes, dtype=np.int64)
 
 
 def _along_steps(at_rows, times: np.ndarray, states: np.ndarray,

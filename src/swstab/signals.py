@@ -29,8 +29,9 @@ from .core import (
     ParameterError,
     SwitchingSignal,
     Trajectory,
+    require_finite,
 )
-from .integrate import _at_rows
+from .integrate import _at_rows, _node_modes
 
 GRANULARITY = 1e-4
 TIE_TOL = 1e-9  # threshold comparisons use this tie tolerance (shared with test oracles)
@@ -69,6 +70,7 @@ class PatternConstraint:
     dM: float
 
     def __post_init__(self):
+        require_finite(T=self.T, dm=self.dm, dM=self.dM)
         if not (0 < self.dm <= self.dM):
             raise ParameterError("need 0 < dm <= dM")
         if 3.0 * self.dm > self.T + TIE_TOL:
@@ -93,8 +95,7 @@ def _snap(t: float, granularity: float) -> float:
 
 def _build_signal(breaks: list, modes: list, t0: float, tf: float) -> SwitchingSignal:
     """Drop zero-length intervals produced by snapping and assemble the signal."""
-    bp = [t0]
-    md = [modes[0]]
+    bp, md = [t0], [modes[0]]
     for b, m in zip(breaks[1:], modes[1:]):
         if b <= bp[-1]:
             md[-1] = m
@@ -200,8 +201,7 @@ def gen_pattern(c: PatternConstraint, span: tuple[float, float], rng_seed: int,
     k_lo = math.ceil(_granules(c.dm, granularity) - TIE_TOL)
     k_hi = max(math.floor(_granules(gmax, granularity) + TIE_TOL), k_lo)
     rng = np.random.default_rng(rng_seed)
-    breaks, modes = [], []
-    granules = 0
+    breaks, modes, granules = [], [], 0
     while t0 + granules * granularity < tf:
         for mode in (1, 2, 1):
             breaks.append(t0 + granules * granularity)
@@ -225,8 +225,7 @@ class MeasureReport:
 def _activation_cum(sigma: SwitchingSignal, mode: int):
     """Kink positions and cumulative activation measure of {sigma == mode}."""
     starts, ends, modes = sigma.runs()
-    kinks = [sigma.domain_start]
-    cum = [0.0]
+    kinks, cum = [sigma.domain_start], [0.0]
     for a, b, m in zip(starts, ends, modes):
         kinks.append(float(b))
         cum.append(cum[-1] + (b - a) * (1.0 if m == mode else 0.0))
@@ -342,7 +341,7 @@ class InvarianceReport:
 def validate_covering_invariance(traj: Trajectory, sigma: SwitchingSignal,
                                  covering: Covering) -> InvarianceReport:
     """Check sigma(t) in I_{x(t)} at every grid time, with boundary tolerance."""
-    modes = traj.modes if traj.modes is not None else sigma.modes_at(traj.times)
+    modes = _node_modes(traj, sigma)
     bad = ~(_at_rows(covering.margin, None, traj.states, modes) >= -BOUNDARY_TOL)
     if bad.any():
         k = int(np.argmax(bad))  # the first node off its mode's piece

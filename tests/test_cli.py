@@ -123,6 +123,13 @@ def test_bad_registry_parameter_exit2(tmp_path, capsys, system, params, key):
     ("envelope", {"envelope": {"radii": []}}, "envelope.radii"),
     ("envelope", {"envelope": {"constant_mode": 1.5, "trials": 1, "horizon": 2.0}},
      "envelope.constant_mode"),
+    # a name the manifest does not know is a typo, not a field to ignore
+    ("simulate", {"simulate": {"horizon": 0.5, "horizn": 3}}, "simulate.horizn"),
+    ("simulate", {"bogus_section": {"a": 1}}, "bogus_section"),
+    ("envelope", {"envelope": {"constant_mod": 1, "trials": 1, "horizon": 2.0}},
+     "envelope.constant_mod"),
+    ("falsify", {"system": {"id": "motivating", "param": {"a": 2.0}}}, "system.param"),
+    ("certify", {"integrator": {"stepp": 1e-3}}, "integrator.stepp"),
 ])
 def test_bad_manifest_number_exit2(tmp_path, capsys, command, doc, key):
     # every field is read and checked before the output directory is made
@@ -311,11 +318,17 @@ def _junk(path):
     return st.tuples(st.just(path), st.sampled_from(_junk_values(path)))
 
 
+# a name the manifest lacks, at the top or in any section but the registry's params
+UNKNOWN_NAMES = st.tuples(
+    st.sampled_from(["", *(p + "." for p in sorted(_paths(DEFAULT_MANIFEST, sections=True))
+                           if p != "system.params")]),
+    st.sampled_from(["horizn", "bogus", "constant_mode_"])).map("".join)
 CORRUPTIONS = st.one_of(
     st.lists(st.sampled_from(sorted(_paths(DEFAULT_MANIFEST, sections=False))), min_size=1,
              max_size=3, unique=True).flatmap(lambda paths: st.tuples(*map(_junk, paths))),
     st.tuples(st.tuples(st.sampled_from(sorted(_paths(DEFAULT_MANIFEST, sections=True))),
-                        st.sampled_from(["x", 1, None, [1], True]))))
+                        st.sampled_from(["x", 1, None, [1], True]))),
+    st.tuples(st.tuples(UNKNOWN_NAMES, st.sampled_from(["x", 1, None, [1], {"a": 1}]))))
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -352,7 +365,8 @@ def assert_rejected(command, corruption):
 @settings(max_examples=60, deadline=None)
 @given(command=st.sampled_from(COMMANDS), corruption=CORRUPTIONS)
 def test_corrupted_manifest_exit2(command, corruption):
-    # 1-3 fields, or one section, hold junk of the wrong kind or out of range
+    # 1-3 fields, or one section, hold junk of the wrong kind or out of range, or
+    # the manifest holds a name it does not know
     assert_rejected(command, corruption)
 
 

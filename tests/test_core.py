@@ -9,7 +9,9 @@ from swstab import (
     Covering,
     CoveringError,
     DomainError,
+    IntegratorConfig,
     ParameterError,
+    PatternConstraint,
     RelaxedControl,
     SwitchingSignal,
     Trajectory,
@@ -255,3 +257,30 @@ def test_trajectory_csv_roundtrip_relaxed(tmp_path):
 def test_trajectory_rejects_nonfinite():
     with pytest.raises(ParameterError):
         Trajectory(times=np.array([0.0, 1.0]), states=np.array([[0.0], [np.nan]]))
+
+
+def _falsify(**kwargs):
+    from swstab import get_entry, wzsd_falsify
+
+    args = {"eps": 0.5, "horizon": 5.0, "budget": 1, "du": 0.05, **kwargs}
+    return wzsd_falsify(get_entry("motivating").reduced, **args)
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: IntegratorConfig(divergence_bound=np.nan), "divergence_bound"),
+    (lambda: IntegratorConfig(step=np.inf), "step"),
+    (lambda: IntegratorConfig(event_bisection_tol=np.nan), "event_bisection_tol"),
+    (lambda: RelaxedControl(t0=np.nan, step=0.1, values=[[1.0]]), "t0"),
+    (lambda: RelaxedControl(t0=0.0, step=np.nan, values=[[1.0]]), "step"),
+    (lambda: RelaxedControl(t0=0.0, step=np.inf, values=[[1.0]]), "step"),
+    (lambda: PatternConstraint(T=np.nan, dm=0.5, dM=2.0), "T"),
+    (lambda: _falsify(eps=np.nan), "eps"),
+    (lambda: _falsify(horizon=np.nan), "horizon"),
+    (lambda: _falsify(horizon=np.inf), "horizon"),
+    (lambda: _falsify(du=np.nan), "du"),
+])
+def test_nonfinite_library_inputs_name_the_argument(make, name):
+    # NaN passes every ``<=`` test, and inf overflows a cell count: both are refused
+    # up front, naming the argument
+    with pytest.raises(ParameterError, match=rf"^{name} must be finite, got (nan|inf)$"):
+        make()

@@ -719,7 +719,6 @@ def test_node_table_equals_the_per_step_formula():
     # scan the control cell by cell
     from oracles import relaxed_nodes_reference, switched_nodes_reference
     from swstab import RelaxedControl
-    from swstab.integrate import _march
 
     system = _linear_system([[[-0.4, 1.0], [-1.0, -0.2]], [[0.1, 0.5], [-0.5, 0.1]],
                              [[-1.0, 0.0], [0.3, -1.0]]])
@@ -751,13 +750,15 @@ def test_node_table_equals_the_per_step_formula():
         traj = simulate_relaxed(system, u, t0, x0, tf, cfg)
         assert traj.times.tobytes() == times.tobytes(), (t0, tf, step)
         assert traj.controls.tobytes() == u.values[cells].tobytes(), (t0, tf, step)
-        got = _march(system.f, u, t0, x0, tf, cfg, 2, 3)[2]
-        assert got.tolist() == cells.tolist(), (t0, tf, step)
 
 
 def test_blow_up_in_the_second_segment_keeps_the_node_times():
+    # a blow-up's partial trajectory carries the node times and the drive labels
+    # of its recorded nodes: modes for a switched run, controls for a relaxed one
     from oracles import relaxed_nodes_reference, switched_nodes_reference
     from swstab import ModeSource
+    from swstab.core import trivial_covering
+    from swstab.limiting import build_reduced, simulate_reduced
 
     system = SwitchedSystem(n=2, N=2, f=ModeSource(2, ("-x0, -x1", "8.0 * x0, 8.0 * x1")).f,
                             h=lambda t, x, i: (x[0],))
@@ -766,11 +767,15 @@ def test_blow_up_in_the_second_segment_keeps_the_node_times():
     u = signal_to_control(sig, 1e-2, span=(0.0, 5.0), n_modes=2)
     cfg = IntegratorConfig(step=1e-2, divergence_bound=10.0)
     x0 = np.array([1.0, 0.0])
-    for run, (times, labels) in (
-            (lambda: simulate(system, sig, 0.0, x0, 5.0, cfg),
-             switched_nodes_reference(sig, 0.0, 5.0, 1e-2)),
-            (lambda: simulate_relaxed(system, u, 0.0, x0, 5.0, cfg),
-             relaxed_nodes_reference(u, 0.0, 5.0, 1e-2))):
+    reduced = build_reduced(system, trivial_covering(2))
+    sw_times, modes = switched_nodes_reference(sig, 0.0, 5.0, 1e-2)
+    rx_times, cells = relaxed_nodes_reference(u, 0.0, 5.0, 1e-2)
+    for run, times, drive, labels in (
+            (lambda: simulate(system, sig, 0.0, x0, 5.0, cfg), sw_times, "modes", modes),
+            (lambda: simulate_relaxed(system, u, 0.0, x0, 5.0, cfg), rx_times, "controls",
+             u.values[cells]),
+            (lambda: simulate_reduced(reduced, u, 0.0, x0, 5.0, cfg), rx_times, "controls",
+             u.values[cells])):
         with pytest.raises(BlowUpError) as exc:
             run()
         partial = exc.value.trajectory
@@ -778,8 +783,16 @@ def test_blow_up_in_the_second_segment_keeps_the_node_times():
         assert times[m - 1] > 0.5  # into the second segment
         assert partial.times.tobytes() == times[:m].tobytes()
         assert exc.value.time == times[m]
-        if partial.modes is not None:
-            assert partial.modes.tobytes() == labels[:m].tobytes()
+        assert getattr(partial, drive).tobytes() == labels[:m].tobytes()
+
+
+def test_simulate_rejects_a_mode_outside_the_system(motivating, cfg_fast):
+    from swstab import ParameterError
+
+    sig = SwitchingSignal(breakpoints=np.array([0.0, 0.5]), modes=np.array([1, 5]),
+                          domain_start=0.0, domain_end=1.0)
+    with pytest.raises(ParameterError, match=r"^mode 5 outside 1\.\.2$"):
+        simulate(motivating.system, sig, 0.0, np.array([1.0, 0.0]), 1.0, cfg_fast)
 
 
 @pytest.mark.parametrize("n", [1, 3, 4])
@@ -1041,7 +1054,7 @@ def test_columns_equal_the_calling_path(all_entries):
             src = fn.mode_source
             assert src.f is fn, (entry.name, label)
             off_columns |= {(entry.name, label, k) for k in range(1, len(src.modes) + 1)
-                            if src.columns(k) is None}
+                            if not src.on_columns(k)}
             mixed = rng.integers(0, N + 2, len(states))
             for modes in [np.full(len(states), i) for i in range(1, N + 1)] + [mixed]:
                 got = _at_rows(fn, ts, states, modes, width)
@@ -1071,7 +1084,7 @@ def test_column_grammar_leaves_out(text, names):
     from swstab.integrate import ModeSource, _at_rows
 
     src = ModeSource(2, (text,), names, form="float")
-    assert src.columns(1) is None
+    assert not src.on_columns(1)
     states = np.random.default_rng(72).uniform(0.5, 3.0, (50, 2))
     times, modes = np.linspace(0.0, 1.0, len(states)), np.ones(len(states), dtype=np.int64)
     if "/ 0" in text or "/ z" in text:  # and the call raises, as numpy would not
@@ -1093,12 +1106,24 @@ def test_column_grammar_takes(text, names):
     from swstab.integrate import ModeSource, _at_rows
 
     src = ModeSource(2, (text,), names, form="float")
-    assert src.columns(1) is not None
+    assert src.on_columns(1)
     states = _special_states(np.random.default_rng(73), 2, 200)
     times, modes = np.linspace(0.0, 1.0, len(states)), np.ones(len(states), dtype=np.int64)
     got = _at_rows(src.f, times, states, modes)
     assert got.view(np.int64).tolist() == _called(src.f, times, states, modes).view(
         np.int64).tolist()
+
+
+def test_a_result_wrapper_keeps_its_rows_on_the_calling_path():
+    # ``result`` may be any Python callable, so no mode it wraps runs on columns,
+    # and every row gets the value f returns, the wrapper applied
+    from swstab.integrate import ModeSource, _at_rows
+
+    src = ModeSource(2, ("x0 * 1.0",), form="float", result=lambda v: 2.0 * v)
+    assert not src.on_columns(1)
+    states = np.random.default_rng(74).uniform(-3.0, 3.0, (40, 2))
+    times, modes = np.linspace(0.0, 1.0, len(states)), np.ones(len(states), dtype=np.int64)
+    assert _at_rows(src.f, times, states, modes).tolist() == (2.0 * states[:, 0]).tolist()
 
 
 def test_mode_source_scalar_forms():

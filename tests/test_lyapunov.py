@@ -481,7 +481,7 @@ def test_motivating_reports_with_eta_mode2_called(motivating, cfg_fast):
     # eta's mode 2, |x0| ** (4/3), stays on the calling path while mode 1 and
     # V and h go on columns: the reports equal those of plain callables
     eta, h = motivating.certificate.eta, motivating.system.h
-    assert eta.mode_source.columns(1) is not None and eta.mode_source.columns(2) is None
+    assert eta.mode_source.on_columns(1) and not eta.mode_source.on_columns(2)
     plain = lambda fn: lambda t, x, i: fn(t, x, i)
     cert = motivating.certificate
     calling = replace(cert, V=plain(cert.V), eta=plain(eta))

@@ -70,7 +70,8 @@ def test_bench_measures_every_row(tmp_path, capsys, monkeypatch):
     l0 = [f"{name}/{i}" for name in bench.SYSTEMS for i in range(1, n_modes[name] + 1)]
     l1 = ([f"{run}/{name}" for name in bench.SYSTEMS
            for run in ("simulate", "simulate_calling", "simulate_relaxed")]
-          + ["simulate_with_covering/example4", "simulate_reduced/motivating",
+          + ["simulate_short_segments/motivating", "simulate_with_covering/example4",
+             "simulate_reduced/motivating",
              "simulate_reduced_mixed/motivating", "envelope_trial/motivating",
              "falsifier_cell/motivating"])
     l2 = ([f"{check}{path}/{name}" for name in ("example4", "motivating")
@@ -86,7 +87,7 @@ def test_bench_measures_every_row(tmp_path, capsys, monkeypatch):
         rows = doc[layer][unit]
         assert sorted(rows) == sorted(expected), layer
         assert all(math.isfinite(v) and v > 0.0 for v in rows.values()), (layer, rows)
-    assert len(l1) == 17 and len(l2) == 14
+    assert len(l1) == 18 and len(l2) == 14
     # the traced record is skipped
     assert doc["L3"] == {"envelope-motivating": {"ops_per_s_median": 40.0, "runs": [
         {"seed": 4, "seconds": 2.0, "ops_per_s": 40.0, "peak_rss_mb": 50.0, "setup_s": 0.03,
