@@ -24,7 +24,7 @@ from .lyapunov import IntegralBoundParams, check_decrease_along, check_integral_
 from .limiting import build_reduced, wzsd_falsify
 from .signals import signal_to_csv
 from .stability import StabilityEnvelope, classify, estimate_envelope
-from .systems import SignalClass, _signal_driver, get_entry, is_finite_number, make_driver
+from .systems import REGISTRY, SignalClass, _signal_driver, get_entry, is_finite_number, make_driver
 
 EXIT_PASS = 0
 EXIT_ANALYSIS_FAIL = 1
@@ -149,7 +149,12 @@ def _build(manifest: dict):
     already flipped, and its class generator has the manifest's signal
     granularity bound.
     """
-    entry = get_entry(manifest["system"]["id"], **manifest["system"]["params"])
+    name = manifest["system"]["id"]
+    try:
+        entry = get_entry(name, **manifest["system"]["params"])
+    except ParameterError as err:
+        field = "system.params" if name in REGISTRY else "system.id"
+        raise ParameterError(f"manifest field {field}: {err}") from None
     klass = entry.signal_class
     if klass.generator is not None:
         klass = replace(klass, generator=partial(klass.generator,

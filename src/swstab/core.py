@@ -11,7 +11,6 @@ type; all mutation happens at construction time.
 from __future__ import annotations
 
 import csv
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -122,21 +121,19 @@ class SwitchingSignal:
         k = np.searchsorted(self.breakpoints, times, side="right") - 1
         return self.modes[np.clip(k, 0, len(self.modes) - 1)]
 
-    def segments(self, t0: float, tf: float):
-        """Yield (a, b, mode) constancy intervals covering [t0, tf]."""
+    def segments(self, t0: float, tf: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Constancy intervals covering [t0, tf] as columns (a, b, modes): the edges
+        are t0, the breakpoints inside (t0, tf) and tf, and an interval takes the
+        mode at its left edge.  tf == t0 gives the one interval (t0, t0)."""
         if t0 < self.domain_start - 1e-12 or tf > self.domain_end + 1e-12:
             raise DomainError(f"[{t0}, {tf}] outside signal domain")
         if tf < t0:
             raise DomainError("tf < t0")
-        bp, modes = self.breakpoints.tolist(), self.modes.tolist()
-        k = bisect_right(bp, t0)  # first breakpoint after t0
-        a, mode = t0, modes[max(k - 1, 0)]
-        for b, next_mode in zip(bp[k:], modes[k:]):
-            if b >= tf:
-                break
-            yield a, b, mode
-            a, mode = b, next_mode
-        yield a, tf, mode
+        k = int(np.searchsorted(self.breakpoints, t0, side="right"))  # first after t0
+        j = max(k, int(np.searchsorted(self.breakpoints, tf)))  # first at or after tf
+        inner = self.breakpoints[k:j]
+        return (np.append(t0, inner), np.append(inner, tf),
+                self.modes[np.maximum(np.arange(k - 1, j), 0)])
 
     def runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Merged constancy runs as (starts, ends, modes), adjacent duplicates folded."""

@@ -12,7 +12,6 @@ from __future__ import annotations
 import ast
 import builtins
 import keyword
-import math
 import re
 from dataclasses import dataclass
 from functools import cache, partial
@@ -362,9 +361,10 @@ def _blown_up(err: BlowUpError, times, xs: list, n: int, **drive) -> BlowUpError
     return BlowUpError(str(err), time=err.time, trajectory=partial)
 
 
-def _n_steps(span: float, step: float) -> int:
-    """Equal sub-steps no longer than ``step`` that tile ``span``."""
-    return max(1, int(math.ceil((span / step) * (1.0 - 1e-9))))
+def _n_steps(span, step: float) -> np.ndarray:
+    """Equal sub-steps no longer than ``step`` that tile each ``span``; none for an
+    empty one."""
+    return np.ceil((span / step) * (1.0 - 1e-9)).astype(np.int64)
 
 
 def _mode_rhs(sys: SwitchedSystem, i: int):
@@ -426,28 +426,26 @@ def _switched_outputs(sys: SwitchedSystem, traj: Trajectory) -> np.ndarray:
     return _at_rows(sys.h, traj.times, traj.states, traj.modes, sys.p)
 
 
-def _run(table, last, t0: float, x0, n: int, cfg: IntegratorConfig, rhs: Callable,
+def _run(a: np.ndarray, b: np.ndarray, m: np.ndarray, labels: np.ndarray, last,
+         t0: float, x0, n: int, cfg: IntegratorConfig, rhs: Callable,
          drive: Callable) -> Trajectory:
-    """The one open-loop march: from (t0, x0), m RK4 steps of the field
-    rhs(label) -> (f, arg) across each segment (a, b, m, label) of ``table``.  The
-    nodes are t0, then per segment with m > 0 a + k * h for 0 < k < m, h = (b - a)
-    / m, and b; a node takes the label of the segment it starts, the last node
-    ``last``.  ``drive(labels)`` gives the trajectory's drive fields, which a
+    """The one open-loop march: from (t0, x0), m[j] RK4 steps of the field
+    rhs(labels[j]) -> (f, arg) across each segment [a[j], b[j]] of the columns.
+    The nodes are t0, then per segment with m > 0 a + k * h for 0 < k < m, h =
+    (b - a) / m, and b; a node takes the label of the segment it starts, the last
+    node ``last``.  ``drive(labels)`` gives the trajectory's drive fields, which a
     blow-up's partial trajectory carries too."""
     x = _start_state(x0, n, t0, cfg)
     xs: list = list(x)
-    table = list(table)  # an iterable, listed once the start state is checked
-    times, labels = np.array([t0], dtype=float), np.array([last])
-    if table:  # the node times and labels in numpy, as ``march`` steps them
-        a, b, m, seg_labels = (np.array(c) for c in zip(*table))
-        seg = np.repeat(np.arange(len(m)), m)
-        k = np.arange(1, len(seg) + 1) - np.repeat(np.cumsum(m) - m, m)  # 1..m per segment
-        h = (b - a) / np.maximum(m, 1)
-        times = np.concatenate((times, np.where(k == m[seg], b[seg], a[seg] + k * h[seg])))
-        labels = np.append(np.repeat(seg_labels, m), last)
+    # the node times and labels in numpy, as ``march`` steps them
+    seg = np.repeat(np.arange(len(m)), m)
+    k = np.arange(1, len(seg) + 1) - np.repeat(np.cumsum(m) - m, m)  # 1..m per segment
+    h = (b - a) / np.maximum(m, 1)
+    times = np.concatenate(([t0], np.where(k == m[seg], b[seg], a[seg] + k * h[seg])))
+    node_labels = np.append(labels[seg], last)
     marches: dict = {}  # label -> (f, arg, march)
     try:
-        for a, b, m, label in table:
+        for a, b, m, label in zip(a.tolist(), b.tolist(), m.tolist(), labels.tolist()):
             if m:
                 cached = marches.get(label)
                 if cached is None:
@@ -456,8 +454,8 @@ def _run(table, last, t0: float, x0, n: int, cfg: IntegratorConfig, rhs: Callabl
                 f, arg, march = cached
                 x = march(f, a, x, b, m, cfg.divergence_bound, xs, arg)
     except BlowUpError as err:
-        raise _blown_up(err, times, xs, n, **drive(labels)) from None
-    return Trajectory(times=times, states=_rows(xs, n), **drive(labels))
+        raise _blown_up(err, times, xs, n, **drive(node_labels)) from None
+    return Trajectory(times=times, states=_rows(xs, n), **drive(node_labels))
 
 
 def simulate(sys: SwitchedSystem, sigma: SwitchingSignal, t0: float, x0: np.ndarray,
@@ -469,10 +467,10 @@ def simulate(sys: SwitchedSystem, sigma: SwitchingSignal, t0: float, x0: np.ndar
     """
     if tf < t0:
         raise DomainError("tf must be >= t0")
-    table = ((a, b, _n_steps(b - a, cfg.step), i) for a, b, i in sigma.segments(t0, tf))
+    a, b, modes = sigma.segments(t0, tf)
     # the last node, tf, takes the mode of a breakpoint at tf, which no segment has
-    return _run(table if tf > t0 else (), sigma.modes_at(tf), t0, x0, sys.n, cfg,
-                partial(_mode_rhs, sys), lambda modes: {"modes": modes})
+    return _run(a, b, _n_steps(b - a, cfg.step), modes, sigma.modes_at(tf), t0, x0, sys.n,
+                cfg, partial(_mode_rhs, sys), lambda modes: {"modes": modes})
 
 
 def _mix_rhs(f, weights):
@@ -509,20 +507,17 @@ def _march(fields, u: RelaxedControl, t0: float, x0: np.ndarray, tf: float,
         raise DomainError(f"[{t0}, {tf}] outside control grid [{u.t0}, {u.tf}]")
     if u.n_modes != n_modes:
         raise ParameterError(f"control has {u.n_modes} modes, system has {n_modes}")
-    per_cell = _n_steps(u.step, cfg.step)
+    per_cell = int(_n_steps(u.step, cfg.step))
     c0, dc, k0 = u.t0, u.step, u.cell_of(t0)
-    k_stop = k0  # the cells k0, k0 + 1, ... whose left edge lies before tf
-    if tf > t0:
-        k_stop += int(np.count_nonzero(c0 + np.arange(k0, u.n_cells) * dc < tf - 1e-12))
-    run = u.values[k0:k_stop]  # cut into runs of equal values
-    starts = (k0 + 1 + np.flatnonzero(np.any(run[1:] != run[:-1], axis=1))).tolist()
-    starts = [k0, *starts] if k_stop > k0 else []
-    table = []  # (a, b, sub-steps, cell) per run
-    for k, k_end in zip(starts, starts[1:] + [k_stop]):
-        a, b = max(t0, c0 + k * dc), min(tf, c0 + k_end * dc)
-        table.append((a, b, per_cell * (k_end - k) if b > a else 0, k))
-    return _run(table, table[-1][3] if table else k0, t0, x0, n, cfg,
-                lambda k: _mix_rhs(fields, u.values[k]),
+    # the cells k0, k0 + 1, ... whose left edge lies before tf (k0 at least), cut
+    # into runs of equal values
+    k_stop = k0 + max(1, int(np.count_nonzero(c0 + np.arange(k0, u.n_cells) * dc < tf - 1e-12)))
+    run = u.values[k0:k_stop]
+    starts = k0 + np.flatnonzero(np.append(True, np.any(run[1:] != run[:-1], axis=1)))
+    ends = np.append(starts[1:], k_stop)
+    a, b = np.maximum(t0, c0 + starts * dc), np.minimum(tf, c0 + ends * dc)
+    return _run(a, b, np.where(b > a, per_cell * (ends - starts), 0), starts, starts[-1],
+                t0, x0, n, cfg, lambda k: _mix_rhs(fields, u.values[k]),
                 lambda cells: {"controls": u.values[cells]})
 
 
@@ -585,6 +580,10 @@ def simulate_with_covering(sys: SwitchedSystem, covering: Covering,
                 raise ChatteringError(f"more than {cfg.max_switches} switches by t={at_t}")
         suppress_until = at_t + cfg.step
 
+    def signal() -> SwitchingSignal:  # the decisions so far
+        return SwitchingSignal(breakpoints=np.array(bp), modes=np.array(bp_modes, dtype=np.int64),
+                               domain_start=t0, domain_end=tf)
+
     t_stop = tf - 1e-12 * max(1.0, abs(tf))
     margin, f = covering.margin, sys.f
     while t < t_stop:
@@ -593,7 +592,7 @@ def simulate_with_covering(sys: SwitchedSystem, covering: Covering,
             t, x, h, x_new = advance(f, t, x, t_stop, tf, cfg.step, cfg.divergence_bound,
                                      margin, mode, ts, xs, mode)
         except BlowUpError as err:
-            raise _blown_up(err, ts, xs, sys.n) from None
+            raise _blown_up(err, ts, xs, sys.n, modes=signal().modes_at(ts)) from None
         if h is None:
             break
         # the step from t leaves the piece and ends in a re-decision: at the
@@ -617,7 +616,6 @@ def simulate_with_covering(sys: SwitchedSystem, covering: Covering,
         xs.extend(x)
         switch_to(query(t, x), t)
 
-    sigma = SwitchingSignal(breakpoints=np.array(bp), modes=np.array(bp_modes, dtype=np.int64),
-                            domain_start=t0, domain_end=tf)
+    sigma = signal()
     times = np.array(ts)  # a node on a decision takes its new mode, as sigma does
     return Trajectory(times=times, states=_rows(xs, sys.n), modes=sigma.modes_at(times)), sigma

@@ -304,7 +304,7 @@ class _Tally:
         self.cells = 0
 
 
-def _rollout(rls: ReducedLimitingSystem, u_cells, x0, horizon, du, step, eps,
+def _rollout(rls: ReducedLimitingSystem, u_cells, x0, horizon, du, sub, eps,
              residual_tol, divergence_bound, tally: _Tally) -> np.ndarray:
     """Screen a candidate cell by cell; returns its cell weights or raises _Abort.
 
@@ -314,7 +314,7 @@ def _rollout(rls: ReducedLimitingSystem, u_cells, x0, horizon, du, step, eps,
     Hhat is evaluated once per grid node: a cell's end value is the next
     cell's start value when the two times are equal floats.  Each cell is
     marched by the integrator's RK4 on ``_mix_rhs`` of the limiting fields, in
-    ``_n_steps(du, step)`` sub-steps.  The norm floor (a sum of squares of the
+    ``sub`` sub-steps.  The norm floor (a sum of squares of the
     float-list state) is checked at cell ends only: _validate_candidate
     re-checks every node.
     """
@@ -323,7 +323,6 @@ def _rollout(rls: ReducedLimitingSystem, u_cells, x0, horizon, du, step, eps,
     if float(np.linalg.norm(x)) < eps:
         raise _Abort("start_below_floor")
     x = x.tolist()
-    sub = _n_steps(du, step)
     fields, Hhat = _limiting_fields(rls.Fhat), rls.Hhat
     closed_loop = callable(u_cells)
     if not closed_loop:
@@ -408,6 +407,7 @@ def wzsd_falsify(rls: ReducedLimitingSystem, eps: float, horizon: float,
         if c.window > horizon + TIE_TOL:
             raise ParameterError("horizon shorter than a constraint window")
     cfg = IntegratorConfig(step=step, event_bisection_tol=step * 1e-6)
+    sub = int(_n_steps(du, step))  # RK4 steps per cell of a rollout
     n_cells = int(round(horizon / du))
     if n_cells < 1 or abs(n_cells * du - horizon) > 1e-9:
         raise ParameterError("du must tile the horizon")
@@ -454,7 +454,7 @@ def wzsd_falsify(rls: ReducedLimitingSystem, eps: float, horizon: float,
             u = RelaxedControl(t0=0.0, step=du, values=u_cells)
             if not _meets_constraints(rls, u):
                 raise _Abort("constraint")
-        ws = _rollout(rls, u_cells, x0, horizon, du, step, eps, residual_tol,
+        ws = _rollout(rls, u_cells, x0, horizon, du, sub, eps, residual_tol,
                       cfg.divergence_bound, tally)
         if not open_loop:
             u = RelaxedControl(t0=0.0, step=du, values=ws)

@@ -46,6 +46,7 @@ class MeasureConstraint:
     mode: int
 
     def __post_init__(self):
+        require_finite(T0=self.T0, delta0=self.delta0)
         if not (0 < self.delta0 <= self.T0):
             raise ParameterError("need 0 < delta0 <= T0")
         if self.mode < 1:
@@ -225,11 +226,8 @@ class MeasureReport:
 def _activation_cum(sigma: SwitchingSignal, mode: int):
     """Kink positions and cumulative activation measure of {sigma == mode}."""
     starts, ends, modes = sigma.runs()
-    kinks, cum = [sigma.domain_start], [0.0]
-    for a, b, m in zip(starts, ends, modes):
-        kinks.append(float(b))
-        cum.append(cum[-1] + (b - a) * (1.0 if m == mode else 0.0))
-    return np.array(kinks), np.array(cum)
+    return (np.append(sigma.domain_start, ends),
+            np.append(0.0, np.cumsum((ends - starts) * (modes == mode))))
 
 
 def _cum_at(kinks: np.ndarray, cum: np.ndarray, t) -> np.ndarray:

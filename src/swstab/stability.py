@@ -51,7 +51,7 @@ def _trial_seed(master_seed: int, bin_idx: int, trial: int) -> np.random.Generat
         np.random.SeedSequence(entropy=master_seed, spawn_key=(bin_idx, trial)))
 
 
-def _run_trial(n_dim, traj_factory, radii, horizon, tau_grid, offsets, master_seed, task):
+def _run_trial(n_dim, traj_factory, radii, horizon, tau_grid, offset_max, master_seed, task):
     """One trial of ``task = (bin, trial)``: its norms on ``t0 + tau_grid`` and its t0."""
     b, trial = task
     rng = _trial_seed(master_seed, b, trial)
@@ -60,7 +60,7 @@ def _run_trial(n_dim, traj_factory, radii, horizon, tau_grid, offsets, master_se
     direction = direction / nrm if nrm > 0 else np.eye(n_dim)[0]
     r0 = float(rng.uniform(0.0 if b == 0 else radii[b - 1], radii[b]))
     x0 = r0 * direction
-    t0 = float(rng.uniform(*offsets))
+    t0 = float(rng.uniform(0.0, offset_max))
     seed = int(rng.integers(0, 2**63 - 1))
     try:
         traj = traj_factory(t0, x0, t0 + horizon, seed)
@@ -81,13 +81,13 @@ def _run_trial(n_dim, traj_factory, radii, horizon, tau_grid, offsets, master_se
 def estimate_envelope(n_dim: int, traj_factory: Callable, radii: Sequence[float],
                       horizon: float, trials: int, tau_count: int = 21,
                       master_seed: int = 0, offset_max: float = 10.0,
-                      offset_min: float = 0.0, workers: int = 1) -> StabilityEnvelope:
+                      workers: int = 1) -> StabilityEnvelope:
     """Worst-norm table over random starts, signals, and start-time offsets.
 
     ``traj_factory(t0, x0, tf, seed)`` must return a Trajectory; it owns
     signal generation (or closed-loop policy drive).  Row k of the table uses
     initial norms drawn from (radii[k-1], radii[k]] (from 0 for the first
-    bin).  Start times are drawn from [offset_min, offset_max], probing
+    bin).  Start times are drawn from [0, offset_max], probing
     uniformity over the anchor time.  Integration blow-up marks the remaining
     cells +inf.  With ``workers > 1`` trials run in that many processes, so
     ``traj_factory`` must be picklable (a module-level function or a
@@ -97,12 +97,12 @@ def estimate_envelope(n_dim: int, traj_factory: Callable, radii: Sequence[float]
     radii = np.asarray(sorted(radii), dtype=float)
     if trials < 1:
         raise ParameterError("need at least one trial")
-    if offset_max < offset_min:
-        raise ParameterError(f"offset_max={offset_max!r} is below offset_min={offset_min!r}")
+    if not 0.0 <= offset_max < np.inf:
+        raise ParameterError(f"offset_max must be finite and nonnegative, got {offset_max!r}")
     tau_grid = np.linspace(0.0, horizon, tau_count)
     tasks = [(b, k) for b in range(len(radii)) for k in range(trials)]
-    run = partial(_run_trial, n_dim, traj_factory, radii, horizon, tau_grid,
-                  (offset_min, offset_max), master_seed)
+    run = partial(_run_trial, n_dim, traj_factory, radii, horizon, tau_grid, offset_max,
+                  master_seed)
     table = np.zeros((len(radii), tau_count))
     offsets_seen = []
     if workers > 1:
@@ -117,8 +117,7 @@ def estimate_envelope(n_dim: int, traj_factory: Callable, radii: Sequence[float]
     return StabilityEnvelope(radius_bins=radii, tau_grid=tau_grid, beta_table=table,
                              trials_per_cell=trials,
                              meta={"master_seed": master_seed, "horizon": horizon,
-                                   "offset_max": offset_max, "offset_min": offset_min,
-                                   "offsets": offsets_seen})
+                                   "offset_max": offset_max, "offsets": offsets_seen})
 
 
 @dataclass(frozen=True)

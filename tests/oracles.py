@@ -275,7 +275,8 @@ def switched_nodes_reference(sigma, t0, tf, step):
     steps end at a + k * h and, the last, at b; a node's mode is sigma's there."""
     ts = [t0]
     if tf > t0:
-        for a, b, _ in sigma.segments(t0, tf):
+        a, b, _ = sigma.segments(t0, tf)
+        for a, b in zip(a.tolist(), b.tolist()):
             m = max(1, int(math.ceil(((b - a) / step) * (1.0 - 1e-9))))
             h = (b - a) / m
             ts += [b if k == m else a + k * h for k in range(1, m + 1)]
@@ -354,14 +355,13 @@ def integral_steering_reference(c, t, accrued, w, allowed):
     return (1.0 - lam) * w + lam * v
 
 
-def rollout_reference(rls, u_cells, x0, horizon, du, step, eps, residual_tol,
+def rollout_reference(rls, u_cells, x0, horizon, du, sub, eps, residual_tol,
                       divergence_bound, tally):
     n_cells = int(round(horizon / du))
     x = np.asarray(x0, dtype=float)
     if float(np.linalg.norm(x)) < eps:
         raise _Abort("start_below_floor")
     x = x.tolist()
-    sub = max(1, int(math.ceil(du / step - 1e-12)))
     fields, Hhat = _limiting_fields(rls.Fhat), rls.Hhat
     closed_loop = callable(u_cells)
     ws = []

@@ -10,6 +10,7 @@ from swstab import (
     CoveringError,
     DomainError,
     IntegratorConfig,
+    MeasureConstraint,
     ParameterError,
     PatternConstraint,
     RelaxedControl,
@@ -106,6 +107,13 @@ def _segments_by_lookup(sig, t0, tf):
     return [(a, b, sig.mode_at(a)) for a, b in zip(edges[:-1], edges[1:])]
 
 
+def _listed(sig, t0, tf):
+    """sig.segments(t0, tf), three columns, read as (a, b, mode) rows."""
+    a, b, modes = sig.segments(t0, tf)
+    assert a.dtype == b.dtype == np.float64 and modes.dtype == np.int64
+    return list(zip(a.tolist(), b.tolist(), modes.tolist()))
+
+
 def test_segments_walk_matches_mode_lookup():
     rng = np.random.default_rng(17)
     for _ in range(300):
@@ -116,13 +124,11 @@ def test_segments_walk_matches_mode_lookup():
         sig = SwitchingSignal(bp, modes, 0.0, 10.0)
         cuts = np.concatenate((bp, rng.uniform(0.0, 10.0, 4), [-1e-13, 10.0]))
         t0, tf = np.sort(rng.choice(cuts, 2)).tolist()  # often on a breakpoint, or tf == t0
-        got = list(sig.segments(t0, tf))
-        assert got == _segments_by_lookup(sig, t0, tf), (bp, modes, t0, tf)
-        assert all(type(a) is float and type(i) is int for a, _, i in got)
+        assert _listed(sig, t0, tf) == _segments_by_lookup(sig, t0, tf), (bp, modes, t0, tf)
     sig = SwitchingSignal(np.array([0.0, 1.0, 2.0]), np.array([2, 2, 1]), 0.0, 3.0)
     for t0, tf in ((-1e-12, 3.0), (1.0, 2.0), (1.0, 1.0), (2.0, 3.0), (0.5, 0.5)):
-        assert list(sig.segments(t0, tf)) == _segments_by_lookup(sig, t0, tf)
-    assert list(sig.segments(-1e-12, 1.5)) == [(-1e-12, 0.0, 2), (0.0, 1.0, 2), (1.0, 1.5, 2)]
+        assert _listed(sig, t0, tf) == _segments_by_lookup(sig, t0, tf)
+    assert _listed(sig, -1e-12, 1.5) == [(-1e-12, 0.0, 2), (0.0, 1.0, 2), (1.0, 1.5, 2)]
 
 
 # --- embedding ---------------------------------------------------------------
@@ -274,6 +280,8 @@ def _falsify(**kwargs):
     (lambda: RelaxedControl(t0=0.0, step=np.nan, values=[[1.0]]), "step"),
     (lambda: RelaxedControl(t0=0.0, step=np.inf, values=[[1.0]]), "step"),
     (lambda: PatternConstraint(T=np.nan, dm=0.5, dM=2.0), "T"),
+    (lambda: MeasureConstraint(T0=np.inf, delta0=0.2, mode=1), "T0"),
+    (lambda: MeasureConstraint(T0=1.0, delta0=np.nan, mode=1), "delta0"),
     (lambda: _falsify(eps=np.nan), "eps"),
     (lambda: _falsify(horizon=np.nan), "horizon"),
     (lambda: _falsify(horizon=np.inf), "horizon"),

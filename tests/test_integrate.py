@@ -1140,3 +1140,23 @@ def test_mode_source_scalar_forms():
             ModeSource(2, (text,), form=form)
     with pytest.raises(ParameterError):  # a value is no field for the kernels
         ModeSource(1, ("x0",), form="float").kernels(1)
+
+
+def test_closed_loop_blow_up_partial_carries_its_modes(example4):
+    # a closed-loop blow-up's partial trajectory carries the node modes the
+    # completed run gives its nodes: those of the decisions taken so far
+    flipped = _flipped(example4.system)
+    x0 = np.array([1.5, 1.0])
+
+    def run(bound):
+        return simulate_with_covering(flipped, example4.covering, example4.policy, 0.0, x0,
+                                      30.0, IntegratorConfig(step=1e-2, divergence_bound=bound))
+
+    with pytest.raises(BlowUpError) as exc:
+        run(1e6)
+    partial = exc.value.trajectory
+    traj, _ = run(1e300)
+    m = len(partial.times)
+    assert 1 < m < len(traj.times) and len(np.unique(partial.modes)) > 1
+    assert partial.times.tobytes() == traj.times[:m].tobytes()
+    assert partial.modes.tobytes() == traj.modes[:m].tobytes()

@@ -601,7 +601,7 @@ def test_open_loop_rollout_evaluates_hhat_once_per_node(motivating):
         vals = np.tile([1.0, 0.0], (n_cells, 1))
         calls[0] = 0
         tally = limiting._Tally()
-        ws = limiting._rollout(rls, vals, x0, 5.0, du, du / 5.0, 0.5, 1e-8, 1e9, tally)
+        ws = limiting._rollout(rls, vals, x0, 5.0, du, 5, 0.5, 1e-8, 1e9, tally)
         assert np.array_equal(ws, vals) and tally.cells == n_cells
         # a node is evaluated twice only where k*du + du and (k+1)*du round apart
         apart = sum(k * du + du != (k + 1) * du for k in range(n_cells))
