@@ -37,7 +37,7 @@ Layers (ROADMAP aim 1), all with pinned seeds and through the public API:
   - ``check_decrease_along`` and ``check_integral_bound`` per 10k grid nodes,
     on L1's closed loop of example4 (8 017 nodes) and on one open-loop run
     of motivating under its class signal (seed 7, step 1e-3, horizon 20,
-    20 041 nodes);
+    20 027 nodes);
   - ``validate_covering_invariance`` per 10k grid nodes, on the same
     closed loop;
   - ``check_decrease_along_calling``, ``check_integral_bound_calling`` and
@@ -46,15 +46,19 @@ Layers (ROADMAP aim 1), all with pinned seeds and through the public API:
     functions: the checks then call them per node, as they do for a traced
     run or a user's callable, instead of evaluating the registry's mode
     source on state columns;
-  - ``validate_measure`` (motivating, span 2 000, 10 716 breakpoints) and
-    ``validate_pattern`` (inverter, span 10 000, 8 003 breakpoints) per 10k
-    breakpoints of a class signal (seed 5);
+  - ``validate_measure`` (motivating, span 2 000, 5 365 breakpoints) and
+    ``validate_pattern`` (inverter, span 10 000, 5 336 breakpoints) per 10k
+    breakpoints of a class signal (seed 5), every breakpoint after the first
+    a switch;
   - ``check_control_constraint`` per 10k control cells, on those signals
     as relaxed controls with cells of 0.05 against the class constraint.
 - L3, read from the perfbench run records named on the command line: each
   workload's untraced runs (seed, ``ops_per_s``, ``peak_rss_mb``,
   ``setup_s``, ``correct``, ``failed``) and their median ``ops_per_s``.
   Traced records are skipped: the tracer's own cost is in their figures.
+  Before anything is measured, one round of each record's workload and seed
+  runs on this tree, and a record whose output digest differs is refused,
+  naming its file: it was made on another tree.
 - L4, one run of the Tier-1 suite (``python -m pytest -q
   --continue-on-collection-errors`` from the repository root, ``src/`` on
   the path), read from its ``--junitxml`` report: the suite's wall seconds
@@ -105,12 +109,24 @@ MIN_REPEAT_S = 0.5  # wall seconds a timed repeat lasts at least
 REPRODUCE_RUNS = 3  # runs of each ``swstab reproduce <example>`` in L4
 
 
-def _perfbench_run():
-    """perfbench/run.py, loaded from its file for ``SpeedClock`` and ``machine``."""
-    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+def _perfbench(name: str):
+    """perfbench/<name>.py loaded from its file: run.py for ``SpeedClock`` and
+    ``machine``, workloads.py for ``WORKLOADS`` (its ``import reference`` is
+    resolved in perfbench/, and its dataclasses find it in ``sys.modules``)."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                      ROOT / "perfbench" / f"{name}.py")
+        module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
     return module
+
+
+def _round_digest(workload: str, seed: int) -> str:
+    """The output digest of one perfbench round of ``workload`` at ``seed`` on this tree."""
+    return _perfbench("workloads").WORKLOADS[workload](sw, seed).run_round(lambda: None).digest
 
 
 def _timed(run, repeats: int, clock) -> float:
@@ -264,13 +280,21 @@ def measure_l2(repeats: int, clock) -> dict:
 
 
 def read_l3(paths) -> dict:
-    """Untraced perfbench run records grouped by workload, with the median ops_per_s."""
+    """Untraced perfbench run records grouped by workload, with the median ops_per_s;
+    SystemExit naming the first record whose digest is not this tree's."""
     runs: dict = {}
+    digests: dict = {}  # (workload, seed) -> this tree's digest
     for path in paths:
         with open(path) as fh:
             rec = json.load(fh)
         if rec["trace"]:
             continue
+        key = rec["workload"], rec["seed"]
+        if key not in digests:
+            digests[key] = _round_digest(*key)
+        if rec.get("digest") != digests[key]:
+            raise SystemExit(f"{path}: digest {rec.get('digest')} of {key[0]} seed {key[1]} "
+                             f"is not this tree's {digests[key]}: a record of another tree")
         metrics = {k: v["value"] for k, v in rec["metrics"].items()}
         runs.setdefault(rec["workload"], []).append(
             {"seed": rec["seed"], "seconds": rec["seconds"], **metrics,
@@ -340,13 +364,14 @@ LAYERS = (("L0", measure_l0, "field_evals_per_s", lambda s: 1.0 / s),
 
 
 def bench(repeats: int, records=()) -> dict:
-    pb = _perfbench_run()
+    pb = _perfbench("run")
+    l3 = read_l3(records) if records else None  # refuses another tree's records up front
     doc = {"machine": pb.machine(), "repeats": repeats}
     for layer, measure, unit, factor in LAYERS:
         timed = measure(repeats, pb.SpeedClock)
         doc[layer] = {unit: {k: factor(s) for k, s in timed.items()}}
     if records:
-        doc["L3"] = read_l3(records)
+        doc["L3"] = l3
     doc["L4"] = measure_l4(pb.SpeedClock)
     return doc
 

@@ -209,7 +209,7 @@ def cmd_simulate(manifest: dict) -> int:
         else:
             # the start node alone, under the mode the class would start in
             mode = (entry.policy(t0, x0, active_index_set(x0, entry.covering, tol=BOUNDARY_TOL))
-                    if entry.signal_class.kind == "policy" else 1)
+                    if entry.signal_class.generator is None else 1)
             sigma = SwitchingSignal.constant(mode, t0, t0 + span)
             traj = simulate(entry.system, sigma, t0, x0, t0, cfg)
     except BlowUpError as err:
@@ -240,7 +240,7 @@ def cmd_certify(manifest: dict) -> int:
     # the revisit inequality is gated only for open-loop classes: the
     # chattering approximation of boundary sliding in closed-loop runs
     # produces sawtooth artifacts the exact family does not have
-    open_loop = entry.signal_class.kind != "policy"
+    open_loop = entry.signal_class.generator is not None
     for k in range(trials):
         x0 = rng.uniform(-box, box, size=entry.system.n)
         t0 = float(rng.uniform(0.0, 5.0))
@@ -281,7 +281,7 @@ def _envelope_driver(manifest_json: str):
         if not (is_finite_number(mode) and mode == int(mode) and 1 <= mode <= entry.system.N):
             raise ParameterError(f"manifest field envelope.constant_mode must be an integer "
                                  f"in 1..{entry.system.N}, got {mode!r}")
-        entry = replace(entry, signal_class=SignalClass("arbitrary", {}, lambda span, seed:
+        entry = replace(entry, signal_class=SignalClass({}, lambda span, seed:
                         SwitchingSignal.constant(int(mode), *span)))
     return make_driver(entry, run_cfg)
 

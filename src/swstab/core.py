@@ -79,8 +79,8 @@ class SwitchingSignal:
 
     ``modes[k]`` is active on ``[breakpoints[k], breakpoints[k+1])``; the last
     mode extends to ``domain_end``.  ``breakpoints[0]`` equals ``domain_start``.
-    Adjacent equal modes are permitted (they record switch *instants* even when
-    the value does not change); run-based analyses merge them.
+    Construction folds equal neighbours (a breakpoint whose mode equals its
+    predecessor's), so every breakpoint after the first is a switch.
     """
 
     breakpoints: np.ndarray
@@ -93,16 +93,17 @@ class SwitchingSignal:
         md = np.asarray(self.modes, dtype=np.int64)
         if bp.ndim != 1 or md.ndim != 1 or len(bp) != len(md) or len(bp) == 0:
             raise ParameterError("breakpoints and modes must be equal-length 1-d sequences")
-        if not np.all(np.diff(bp) > 0):
+        if not (bp[1:] > bp[:-1]).all():
             raise ParameterError("breakpoints must be strictly increasing")
         if bp[0] != self.domain_start or bp[-1] > self.domain_end:
             raise ParameterError("breakpoints must start at domain_start and stay within the domain")
         if self.domain_end <= self.domain_start:
             raise ParameterError("domain_end must exceed domain_start")
-        if np.any(md < 1):
+        if (md < 1).any():
             raise ParameterError("mode indices are 1-based")
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "modes", md)
+        keep = np.concatenate(([True], md[1:] != md[:-1]))
+        object.__setattr__(self, "breakpoints", bp[keep])
+        object.__setattr__(self, "modes", md[keep])
 
     @staticmethod
     def constant(mode: int, t0: float, tf: float) -> "SwitchingSignal":
@@ -134,14 +135,6 @@ class SwitchingSignal:
         inner = self.breakpoints[k:j]
         return (np.append(t0, inner), np.append(inner, tf),
                 self.modes[np.maximum(np.arange(k - 1, j), 0)])
-
-    def runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Merged constancy runs as (starts, ends, modes), adjacent duplicates folded."""
-        keep = np.concatenate(([True], np.diff(self.modes) != 0))
-        starts = self.breakpoints[keep]
-        modes = self.modes[keep]
-        ends = np.concatenate((starts[1:], [self.domain_end]))
-        return starts, ends, modes
 
     @property
     def n_switches(self) -> int:
@@ -377,6 +370,7 @@ def signal_to_control(sigma: SwitchingSignal, du: float,
     grid); the span must lie inside sigma's domain.  ``n_modes`` defaults to
     the largest mode index appearing in the signal.
     """
+    require_finite(du=du)
     if du <= 0:
         raise ParameterError("du must be positive")
     t0, tf = span if span is not None else (sigma.domain_start, sigma.domain_end)

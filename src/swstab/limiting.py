@@ -24,12 +24,12 @@ from .core import (
     BOUNDARY_TOL,
     BlowUpError,
     Covering,
-    DomainError,
     DynamicsError,
     ParameterError,
     RelaxedControl,
     SwstabError,
     SwitchedSystem,
+    SwitchingSignal,
     Trajectory,
     active_index_set,
     require_finite,
@@ -39,7 +39,6 @@ from .signals import (
     TIE_TOL,
     MeasureConstraint,
     PatternConstraint,
-    PatternReport,
     _window_min,
     pattern_cover_check,
 )
@@ -154,19 +153,6 @@ def output_residual(rls: ReducedLimitingSystem, traj: Trajectory) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _vertex_cell_runs(u: RelaxedControl) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Classify cells as vertex-1 (1), vertex-2 (2), or neither (3); merged runs."""
-    n = u.n_modes
-    cls = np.full(u.n_cells, 3, dtype=np.int64)
-    for i in range(1, min(n, 2) + 1):
-        cls[np.max(np.abs(u.values - np.eye(n)[i - 1]), axis=1) <= VERTEX_TOL] = i
-    keep = np.concatenate(([True], np.diff(cls) != 0))
-    starts = u.t0 + u.step * np.nonzero(keep)[0]
-    modes = cls[keep]
-    ends = np.concatenate((starts[1:], [u.tf]))
-    return starts, ends, modes
-
-
 def check_control_constraint(u: RelaxedControl,
                              c: MeasureConstraint | PatternConstraint) -> tuple[bool, float]:
     """Exact check of an inherited class constraint on a relaxed control.
@@ -184,12 +170,13 @@ def check_control_constraint(u: RelaxedControl,
         cum = np.concatenate(([0.0], np.cumsum(u.values[:, c.mode - 1] * u.step)))
         m, _ = _window_min(kinks, cum, c.T0)
         return m >= c.delta0 - TIE_TOL, m - c.delta0
-    starts, ends, modes = _vertex_cell_runs(u)
-    lo, hi = u.t0, u.tf - c.T
-    if hi < lo - TIE_TOL:
-        raise DomainError("control must span at least one window")
-    rep: PatternReport = pattern_cover_check(starts, ends, modes, c, lo, max(hi, lo))
-    return rep.ok, rep.margin
+    # each cell as vertex 1 (1), vertex 2 (2) or neither (3)
+    cls = np.full(u.n_cells, 3, dtype=np.int64)
+    for i in range(1, min(u.n_modes, 2) + 1):
+        cls[np.max(np.abs(u.values - np.eye(u.n_modes)[i - 1]), axis=1) <= VERTEX_TOL] = i
+    cells = SwitchingSignal(u.t0 + u.step * np.arange(u.n_cells), cls, u.t0, u.tf)
+    report = pattern_cover_check(cells, c)
+    return report.ok, report.margin
 
 
 # ---------------------------------------------------------------------------

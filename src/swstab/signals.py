@@ -90,6 +90,16 @@ def _granules(length: float, granularity: float, limit: float = 2.0**63) -> floa
     return length / granularity
 
 
+def _span(span: tuple[float, float], granularity: float) -> tuple[float, float]:
+    """A generator's (t0, tf): ParameterError naming the span unless it is finite,
+    nonempty and under 2**63 granules long, the bound ``_granules`` puts on the draws."""
+    t0, tf = span
+    if not 0 < (tf - t0) / granularity < 2.0**63:
+        raise ParameterError(f"span [{float(t0)!r}, {float(tf)!r}] must be finite, nonempty "
+                             f"and under 2**63 granules of granularity {granularity!r}")
+    return t0, tf
+
+
 def _snap(t: float, granularity: float) -> float:
     return round(_granules(t, granularity, math.inf)) * granularity
 
@@ -118,15 +128,17 @@ def gen_arbitrary(n_modes: int, span: tuple[float, float], mean_dwell: float,
                   rng_seed: int, granularity: float = GRANULARITY) -> SwitchingSignal:
     """Unconstrained random signal: exponential dwells, uniform modes.
 
-    Dwells are clipped to [granularity, 10*mean_dwell].
+    ``mean_dwell`` is the mean time between draws, each draw clipped to
+    [granularity, 10*mean_dwell].  A draw repeats the previous mode with
+    probability 1/N, so the mean time between switches is about
+    mean_dwell*N/(N-1).
     """
+    require_finite(mean_dwell=mean_dwell)
     if mean_dwell <= 0:
         raise ParameterError("mean_dwell must be positive")
     if n_modes < 1:
         raise ParameterError("need at least one mode")
-    t0, tf = span
-    if tf <= t0:
-        raise ParameterError("empty span")
+    t0, tf = _span(span, granularity)
     rng = np.random.default_rng(rng_seed)
     breaks, modes = [], []
     t = t0
@@ -149,9 +161,7 @@ def gen_measure_constrained(c: MeasureConstraint, n_modes: int, span: tuple[floa
     activation; the margin absorbs snapping.  Remaining time is filled with
     random modes (which may add more activation, never less).
     """
-    t0, tf = span
-    if tf <= t0:
-        raise ParameterError("empty span")
+    t0, tf = _span(span, granularity)
     if n_modes < c.mode:
         raise ParameterError("constraint mode exceeds the mode count")
     rng = np.random.default_rng(rng_seed)
@@ -160,7 +170,7 @@ def gen_measure_constrained(c: MeasureConstraint, n_modes: int, span: tuple[floa
     block = math.ceil(_granules(c.delta0 + margin, granularity, math.inf) - TIE_TOL) * granularity
     if block >= c.T0 - 2.0 * granularity:
         # forced: the constrained mode occupies the whole span
-        return _build_signal([t0], [c.mode], t0, tf)
+        return SwitchingSignal.constant(c.mode, t0, tf)
     offset = float(rng.integers(0, int(_granules(c.T0 - block, granularity)) + 1)) * granularity
 
     def filler(a, b, breaks, modes):
@@ -192,9 +202,7 @@ def gen_pattern(c: PatternConstraint, span: tuple[float, float], rng_seed: int,
     a complete pattern.  Requires T >= 6*dm (no back-to-back construction can
     cover all anchors below that).
     """
-    t0, tf = span
-    if tf <= t0:
-        raise ParameterError("empty span")
+    t0, tf = _span(span, granularity)
     gmax = min(c.dM, (c.T - 2.0 * c.dm) / 4.0)
     if gmax < c.dm - TIE_TOL:
         raise ParameterError(f"infeasible pattern class for generation: need T >= 6*dm "
@@ -225,9 +233,8 @@ class MeasureReport:
 
 def _activation_cum(sigma: SwitchingSignal, mode: int):
     """Kink positions and cumulative activation measure of {sigma == mode}."""
-    starts, ends, modes = sigma.runs()
-    return (np.append(sigma.domain_start, ends),
-            np.append(0.0, np.cumsum((ends - starts) * (modes == mode))))
+    kinks = np.append(sigma.breakpoints, sigma.domain_end)
+    return kinks, np.append(0.0, np.cumsum(np.diff(kinks) * (sigma.modes == mode)))
 
 
 def _cum_at(kinks: np.ndarray, cum: np.ndarray, t) -> np.ndarray:
@@ -292,14 +299,20 @@ def _pattern_anchor_intervals(starts, ends, modes,
     return out
 
 
-def pattern_cover_check(starts, ends, modes, c: PatternConstraint,
-                        lo: float, hi: float) -> PatternReport:
-    """Check that usable 2-runs cover every window anchor in [lo, hi].
+def pattern_cover_check(sigma: SwitchingSignal, c: PatternConstraint) -> PatternReport:
+    """Check that the usable 2-runs of sigma cover every window anchor in
+    [domain_start, domain_end - T]; DomainError if sigma spans less than one window.
 
-    Shared by the signal validator and the relaxed-control constraint check
-    (which classifies grid cells into near-vertex runs first).
+    Shared by the signal validator and the relaxed-control constraint check,
+    which hands over the control's cells as a signal of classes 1, 2 and 3
+    (near vertex 1, near vertex 2, neither).
     """
-    intervals = sorted(_pattern_anchor_intervals(starts, ends, modes, c))
+    lo, hi = sigma.domain_start, sigma.domain_end - c.T
+    if hi < lo - TIE_TOL:
+        raise DomainError("span must cover at least one window")
+    hi = max(hi, lo)
+    ends = np.append(sigma.breakpoints[1:], sigma.domain_end)
+    intervals = sorted(_pattern_anchor_intervals(sigma.breakpoints, ends, sigma.modes, c))
     covered_to = lo
     for a, b in intervals:
         if b < covered_to - TIE_TOL:
@@ -322,12 +335,7 @@ def validate_pattern(sigma: SwitchingSignal, c: PatternConstraint) -> PatternRep
     """
     if np.any((sigma.modes != 1) & (sigma.modes != 2)):
         raise ParameterError("pattern validation requires a two-valued signal")
-    lo, hi = sigma.domain_start, sigma.domain_end - c.T
-    if hi < lo - TIE_TOL:
-        raise DomainError("signal must span at least one window")
-    hi = max(hi, lo)
-    starts, ends, modes = sigma.runs()
-    return pattern_cover_check(starts, ends, modes, c, lo, hi)
+    return pattern_cover_check(sigma, c)
 
 
 @dataclass(frozen=True)

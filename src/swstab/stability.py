@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import BlowUpError, ParameterError
+from .core import BlowUpError, ParameterError, require_finite
 
 MONO_RESIDUAL_TOL = 0.05  # under-sampled: regularizing moves a cell by more, row-scaled
 
@@ -94,6 +94,7 @@ def estimate_envelope(n_dim: int, traj_factory: Callable, radii: Sequence[float]
     ``functools.partial`` of one); the table and ``meta["offsets"]`` are
     reduced in trial order and do not depend on the worker count.
     """
+    require_finite(horizon=horizon)
     radii = np.asarray(sorted(radii), dtype=float)
     if trials < 1:
         raise ParameterError("need at least one trial")

@@ -40,11 +40,10 @@ class FieldTuple(tuple):
 class SignalClass:
     """Descriptor of an entry's switching class with a bound generator.
 
-    kind "policy" marks closed-loop generation through the entry's covering
-    policy instead of an open-loop signal generator.
+    A class without a generator is a policy class: its signals come from
+    closed-loop runs under the entry's covering policy.
     """
 
-    kind: str                       # "arbitrary" | "measure" | "pattern" | "policy"
     params: dict
     generator: Optional[Callable] = None   # (span, seed) -> SwitchingSignal
 
@@ -66,7 +65,7 @@ class RegistryEntry:
             raise ParameterError(f"{self.name}: mode counts disagree")
         if self.reduced.n != self.system.n:
             raise ParameterError(f"{self.name}: state dimensions disagree")
-        if self.signal_class.kind == "policy" and self.policy is None:
+        if self.signal_class.generator is None and self.policy is None:
             raise ParameterError(f"{self.name}: policy class without a policy")
 
 
@@ -101,7 +100,7 @@ def motivating(a: float = 1.0, T0: float = 1.0, delta0: float = 0.2) -> Registry
     covering = trivial_covering(2)
     reduced = build_reduced(system, covering, [c])
     klass = SignalClass(
-        kind="measure", params={"T0": T0, "delta0": delta0, "mode": 2},
+        params={"T0": T0, "delta0": delta0, "mode": 2},
         generator=lambda span, seed, granularity=sig.GRANULARITY:
             sig.gen_measure_constrained(c, 2, span, seed, granularity))
     return RegistryEntry(
@@ -121,7 +120,9 @@ def example1(mean_dwell: float = 0.3) -> RegistryEntry:
 
     The paper's gains fixed: g_1 = g_2 = sin, uniformly bounded, and their
     axis restrictions are persistently exciting (the integral of |sin| over
-    every window of length pi is 2).
+    every window of length pi is 2).  ``mean_dwell`` is the mean time between
+    the class signal's mode draws; a draw repeats the mode with probability
+    1/3, so switches come about 1.5*mean_dwell apart.
     """
     names = {"sin": math.sin}
     f = ModeSource(2, ("g = sin(t)\n-g * x1, g * x0 - x1",
@@ -142,7 +143,7 @@ def example1(mean_dwell: float = 0.3) -> RegistryEntry:
     covering = trivial_covering(3)
     reduced = build_reduced(system, covering)
     klass = SignalClass(
-        kind="arbitrary", params={"mean_dwell": mean_dwell},
+        params={"mean_dwell": mean_dwell},
         generator=lambda span, seed, granularity=sig.GRANULARITY:
             sig.gen_arbitrary(3, span, mean_dwell, seed, granularity))
     return RegistryEntry(
@@ -198,7 +199,7 @@ def example4() -> RegistryEntry:
         return active[0]
 
     reduced = build_reduced(system, covering)
-    klass = SignalClass(kind="policy", params={})
+    klass = SignalClass(params={})
     return RegistryEntry(
         name="example4", system=system, certificate=cert, covering=covering,
         signal_class=klass, reduced=reduced, policy=policy,
@@ -259,7 +260,7 @@ def inverter(L1: float = 1.0, L2: float = 1.0, C1: float = 1.0, C2: float = 1.0,
     pc = sig.PatternConstraint(T=T, dm=dm, dM=dM)
     reduced = build_reduced(system, covering, [pc])
     klass = SignalClass(
-        kind="pattern", params={"T": T, "dm": dm, "dM": dM},
+        params={"T": T, "dm": dm, "dM": dM},
         generator=lambda span, seed, granularity=sig.GRANULARITY:
             sig.gen_pattern(pc, span, seed, granularity))
     return RegistryEntry(
@@ -302,13 +303,12 @@ def _signal_driver(entry: RegistryEntry, cfg) -> Callable:
     """
     from .integrate import simulate, simulate_with_covering
 
-    if entry.signal_class.kind == "policy":
+    gen = entry.signal_class.generator
+    if gen is None:
         def drive(t0, x0, tf, seed):
             return simulate_with_covering(entry.system, entry.covering,
                                           entry.policy, t0, x0, tf, cfg)
     else:
-        gen = entry.signal_class.generator
-
         def drive(t0, x0, tf, seed):
             sigma = gen((t0, tf), seed)
             return simulate(entry.system, sigma, t0, x0, tf, cfg), sigma

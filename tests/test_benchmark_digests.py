@@ -13,10 +13,10 @@ import swstab
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 DIGESTS = {
-    "envelope-motivating": "56c7f50c638c4f2f",
+    "envelope-motivating": "f9f61d8c8f972e36",
     "falsify-wzsd": "b19e83172ad66acb",
     "certify-closed-loop": "b874028dacb93b42",
-    "embedding-relaxed": "b7dd59574723684d",
+    "embedding-relaxed": "6955365c2dc407ac",
 }
 
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from swstab import Trajectory
 from swstab.cli import DEFAULT_MANIFEST, _RANGES, _deep_merge, main
+from swstab.systems import REGISTRY
 
 
 def run(args):
@@ -390,6 +391,63 @@ def test_corrupted_manifest_exit2(command, corruption):
     # 1-3 fields, or one section, hold junk of the wrong kind or out of range, or
     # the manifest holds a name it does not know
     assert_rejected(command, corruption)
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def valid_manifests(draw):
+    """A tiny manifest that passes the schema: every number of its kind and in its
+    range, with small horizons, trial counts and budgets."""
+    falsify_horizon = draw(_floats(0.5, 3.0))
+    return {
+        "system": {"id": draw(st.sampled_from(sorted(REGISTRY))), "params": {}},
+        "flip_dynamics": draw(st.booleans()),
+        "signal": {"granularity": draw(_floats(1e-6, 1e-2))},
+        "integrator": {"step": draw(_floats(5e-3, 0.1)),
+                       "event_bisection_tol": draw(_floats(1e-12, 1e-2))},
+        "simulate": {"t0": draw(_floats(-5.0, 5.0)), "horizon": draw(_floats(0.0, 3.0)),
+                     "x0": draw(st.none() | st.lists(_floats(-2.0, 2.0), min_size=1,
+                                                     max_size=4))},
+        "certify": {"trials": draw(st.integers(1, 2)), "horizon": draw(_floats(0.1, 2.0)),
+                    "box": draw(_floats(0.1, 3.0)), "density": draw(st.integers(2, 4)),
+                    "step": draw(_floats(5e-3, 0.1))},
+        "envelope": {"radii": draw(st.lists(_floats(0.1, 3.0), min_size=1, max_size=2)),
+                     "horizon": draw(_floats(0.1, 3.0)), "trials": draw(st.integers(1, 2)),
+                     "tau_count": draw(st.integers(1, 5)),
+                     "decay_ratio": draw(_floats(0.01, 0.99)),
+                     "tail_fraction": draw(_floats(0.05, 0.95)),
+                     "uniform_bound": draw(_floats(0.5, 5.0)),
+                     "offset_max": draw(_floats(0.0, 5.0)), "step": draw(_floats(0.02, 0.2))},
+        "falsify": {"eps": draw(_floats(0.1, 2.0)), "horizon": falsify_horizon,
+                    "residual_tol": draw(_floats(0.0, 1e-6)),
+                    "budget": draw(st.integers(1, 5)),
+                    # a cell width that tiles the horizon, or one that may not
+                    "du": draw(st.integers(5, 20).map(lambda k: falsify_horizon / k)
+                               | _floats(0.05, 0.5)),
+                    "use_constraints": draw(st.booleans())},
+        "seed": draw(st.integers(0, 2**31)),
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(command=st.sampled_from(COMMANDS), doc=valid_manifests())
+def test_valid_manifest_fuzz_exits_cleanly(command, doc):
+    # every value passes the schema; what a run then finds (a failed analysis, a
+    # pairing of fields no single range rule sees, a blow-up) ends in an exit
+    # code and a message, never in a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        m = os.path.join(tmp, "m.json")
+        with open(m, "w") as fh:
+            json.dump({**doc, "out": os.path.join(tmp, "o")}, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main([command, "--manifest", m, "--workers", "1"])
+    assert rc in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    assert rc in (0, 1) or err.getvalue(), rc  # a refusal says why
 
 
 @pytest.mark.parametrize("path", sorted(_paths(DEFAULT_MANIFEST, sections=False)))

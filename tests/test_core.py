@@ -91,13 +91,17 @@ def test_signal_validation():
                         domain_start=0.0, domain_end=1.0)
 
 
-def test_signal_runs_merge_duplicates():
-    sig = SwitchingSignal(breakpoints=np.array([0.0, 0.3, 0.6]),
-                          modes=np.array([1, 1, 2]), domain_start=0.0, domain_end=1.0)
-    starts, ends, modes = sig.runs()
-    assert np.array_equal(modes, [1, 2])
-    assert np.array_equal(starts, [0.0, 0.6])
-    assert np.array_equal(ends, [0.6, 1.0])
+def test_signal_construction_merges_equal_neighbours():
+    sig = SwitchingSignal(breakpoints=np.array([0.0, 0.3, 0.6, 0.7, 0.9]),
+                          modes=np.array([1, 1, 2, 2, 1]), domain_start=0.0, domain_end=1.0)
+    assert np.array_equal(sig.modes, [1, 2, 1])
+    assert np.array_equal(sig.breakpoints, [0.0, 0.6, 0.9])
+    assert sig.n_switches == 2
+    times = np.linspace(0.0, 1.0, 41)
+    assert sig.modes_at(times).tolist() == [1 if t < 0.6 or t >= 0.9 else 2 for t in times]
+    # an unmerged signal is refused before it is folded
+    with pytest.raises(ParameterError, match="strictly increasing"):
+        SwitchingSignal(np.array([0.0, 0.5, 0.5]), np.array([1, 1, 2]), 0.0, 1.0)
 
 
 def _segments_by_lookup(sig, t0, tf):
@@ -121,14 +125,15 @@ def test_segments_walk_matches_mode_lookup():
         inner = np.sort(rng.choice(np.arange(1, 100), k - 1, replace=False)) / 10
         bp = np.concatenate(([0.0], inner))
         modes = rng.integers(1, 4, size=k)  # adjacent equal modes are frequent
-        sig = SwitchingSignal(bp, modes, 0.0, 10.0)
+        sig = SwitchingSignal(bp, modes, 0.0, 10.0)  # and folded here
         cuts = np.concatenate((bp, rng.uniform(0.0, 10.0, 4), [-1e-13, 10.0]))
         t0, tf = np.sort(rng.choice(cuts, 2)).tolist()  # often on a breakpoint, or tf == t0
         assert _listed(sig, t0, tf) == _segments_by_lookup(sig, t0, tf), (bp, modes, t0, tf)
     sig = SwitchingSignal(np.array([0.0, 1.0, 2.0]), np.array([2, 2, 1]), 0.0, 3.0)
     for t0, tf in ((-1e-12, 3.0), (1.0, 2.0), (1.0, 1.0), (2.0, 3.0), (0.5, 0.5)):
         assert _listed(sig, t0, tf) == _segments_by_lookup(sig, t0, tf)
-    assert _listed(sig, -1e-12, 1.5) == [(-1e-12, 0.0, 2), (0.0, 1.0, 2), (1.0, 1.5, 2)]
+    # the equal neighbours at 0 and 1 are one run: no edge at 1.0
+    assert _listed(sig, -1e-12, 1.5) == [(-1e-12, 0.0, 2), (0.0, 1.5, 2)]
 
 
 # --- embedding ---------------------------------------------------------------
@@ -272,6 +277,28 @@ def _falsify(**kwargs):
     return wzsd_falsify(get_entry("motivating").reduced, **args)
 
 
+def _generate(name, span=(0.0, 10.0), **kwargs):
+    """One class signal of the generator ``name`` on ``span``."""
+    from swstab import gen_arbitrary, gen_measure_constrained, gen_pattern
+
+    if name == "arbitrary":
+        return gen_arbitrary(2, span, kwargs.get("mean_dwell", 0.3), 1)
+    if name == "measure":
+        return gen_measure_constrained(MeasureConstraint(T0=1.0, delta0=0.2, mode=2), 2, span, 1)
+    return gen_pattern(PatternConstraint(T=10.0, dm=0.5, dM=2.0), span, 1)
+
+
+def _envelope(horizon):
+    from swstab import estimate_envelope, get_entry, make_driver
+
+    drive = make_driver(get_entry("example1"), IntegratorConfig(step=1e-2))
+    return estimate_envelope(2, drive, radii=[1.0], horizon=horizon, trials=1)
+
+
+# a generator names its span when it is not finite, empty, or 2**63 granules or more
+SPAN = r"^span \[.+\] must be finite, nonempty and under 2\*\*63 granules of granularity 0\.0001$"
+
+
 @pytest.mark.parametrize("make, name", [
     (lambda: IntegratorConfig(divergence_bound=np.nan), "divergence_bound"),
     (lambda: IntegratorConfig(step=np.inf), "step"),
@@ -286,9 +313,21 @@ def _falsify(**kwargs):
     (lambda: _falsify(horizon=np.nan), "horizon"),
     (lambda: _falsify(horizon=np.inf), "horizon"),
     (lambda: _falsify(du=np.nan), "du"),
+    (lambda: _generate("arbitrary", (0.0, np.inf)), "span"),
+    (lambda: _generate("measure", (0.0, np.inf)), "span"),
+    (lambda: _generate("pattern", (0.0, np.inf)), "span"),
+    (lambda: _generate("arbitrary", (0.0, np.nan)), "span"),
+    (lambda: _generate("measure", (np.nan, 1.0)), "span"),
+    (lambda: _generate("pattern", (0.0, 1e300)), "span"),
+    (lambda: _envelope(1e300), "span"),
+    (lambda: _envelope(np.nan), "horizon"),
+    (lambda: _generate("arbitrary", mean_dwell=np.nan), "mean_dwell"),
+    pytest.param(lambda: signal_to_control(SwitchingSignal.constant(1, 0.0, 1.0), np.nan), "du",
+                 id="<lambda>-signal_to_control-du"),
 ])
 def test_nonfinite_library_inputs_name_the_argument(make, name):
     # NaN passes every ``<=`` test, and inf overflows a cell count: both are refused
     # up front, naming the argument
-    with pytest.raises(ParameterError, match=rf"^{name} must be finite, got (nan|inf)$"):
+    message = SPAN if name == "span" else rf"^{name} must be finite, got (nan|inf)$"
+    with pytest.raises(ParameterError, match=message):
         make()

@@ -8,6 +8,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 
 def _load(name):
     path = Path(__file__).parent.parent / "scripts" / f"{name}.py"
@@ -54,10 +56,17 @@ def test_bench_measures_every_row(tmp_path, capsys, monkeypatch):
         return {"wall_s": 2.5 * len(reproduced), "scaled_s": 2.0 * len(reproduced)}
 
     monkeypatch.setattr(bench, "run_reproduce", run_reproduce)
+    rounds = []  # nor does a perfbench round: the record's digest is this tree's
+
+    def round_digest(workload, seed):
+        rounds.append((workload, seed))
+        return "0123456789abcdef"
+
+    monkeypatch.setattr(bench, "_round_digest", round_digest)
     record = tmp_path / "pb.json"
     record.write_text(json.dumps({
         "workload": "envelope-motivating", "seed": 4, "seconds": 2.0, "trace": 0,
-        "correct": True, "failed": 0,
+        "digest": "0123456789abcdef", "correct": True, "failed": 0,
         "metrics": {"ops_per_s": {"value": 40.0}, "peak_rss_mb": {"value": 50.0},
                     "setup_s": {"value": 0.03}}}))
     traced = tmp_path / "pb_traced.json"
@@ -89,6 +98,7 @@ def test_bench_measures_every_row(tmp_path, capsys, monkeypatch):
         assert all(math.isfinite(v) and v > 0.0 for v in rows.values()), (layer, rows)
     assert len(l1) == 18 and len(l2) == 14
     # the traced record is skipped
+    assert rounds == [("envelope-motivating", 4)]
     assert doc["L3"] == {"envelope-motivating": {"ops_per_s_median": 40.0, "runs": [
         {"seed": 4, "seconds": 2.0, "ops_per_s": 40.0, "peak_rss_mb": 50.0, "setup_s": 0.03,
          "correct": True, "failed": 0}]}}
@@ -108,6 +118,31 @@ def test_bench_measures_every_row(tmp_path, capsys, monkeypatch):
     assert "L4 tier1" in printed and "L4 reproduce inverter" in printed
 
 
+def test_bench_refuses_records_of_another_tree(tmp_path):
+    # one round of each record's workload and seed on this tree: a record whose
+    # digest differs, here the seed-1 envelope-motivating digest of a tree whose
+    # signals kept their equal neighbours, is refused before anything is measured
+    bench = _load("bench")
+    digest = bench._round_digest("envelope-motivating", 1)
+
+    def record(name, digest, seed=1):
+        path = tmp_path / name
+        path.write_text(json.dumps({
+            "workload": "envelope-motivating", "seed": seed, "seconds": 2.0, "trace": 0,
+            "digest": digest, "correct": True, "failed": 0,
+            "metrics": {"ops_per_s": {"value": 40.0}, "peak_rss_mb": {"value": 50.0},
+                        "setup_s": {"value": 0.03}}}))
+        return path
+
+    ours, theirs = record("ours.json", digest), record("theirs.json", "56c7f50c638c4f2f")
+    assert bench.read_l3([ours])["envelope-motivating"]["ops_per_s_median"] == 40.0
+    for paths in ([theirs], [ours, theirs], [record("none.json", None)]):
+        with pytest.raises(SystemExit, match=rf"^{paths[-1]}: digest .* of envelope-motivating "
+                                             rf"seed 1 is not this tree's {digest}"):
+            bench.main(["--out", str(tmp_path / "BENCH.json"), *map(str, paths)])
+    assert not (tmp_path / "BENCH.json").exists()
+
+
 def test_bench_reproduce_run_is_speed_scaled(tmp_path, monkeypatch):
     # the clock samples the machine in this process all along the child's
     # run; a busy child of 0.3 s stands in for the CLI
@@ -121,7 +156,7 @@ def test_bench_reproduce_run_is_speed_scaled(tmp_path, monkeypatch):
 
     monkeypatch.setattr(bench.subprocess, "run", run)
 
-    class Clock(bench._perfbench_run().SpeedClock):
+    class Clock(bench._perfbench("run").SpeedClock):
         def _sample(self, signum, frame):
             samples.append(None)
             super()._sample(signum, frame)

@@ -1,5 +1,7 @@
 """Signal-class generators and validators, cross-checked against dense oracles."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,9 +12,11 @@ from swstab import (
     ParameterError,
     PatternConstraint,
     SwitchingSignal,
+    check_control_constraint,
     gen_arbitrary,
     gen_measure_constrained,
     gen_pattern,
+    signal_to_control,
     simulate,
     simulate_with_covering,
     validate_covering_invariance,
@@ -47,20 +51,26 @@ def test_arbitrary_single_mode_constant():
 
 
 def test_arbitrary_mean_dwell_statistic():
-    # empirical mean dwell over ~1e4 intervals within 20% of the target
-    sig = gen_arbitrary(2, (0.0, 3000.0), 0.3, 99)
-    dwells = np.diff(sig.breakpoints)
-    assert len(dwells) > 8000
-    assert abs(dwells.mean() - 0.3) < 0.06
+    # mean_dwell is the mean time between draws, and a draw repeats the mode with
+    # probability 1/N: the empirical time between switches, over ~1e4 switches,
+    # lies within 20% of 0.3 * N / (N - 1)
+    for n_modes, span in ((2, 6000.0), (3, 4500.0)):
+        sig = gen_arbitrary(n_modes, (0.0, span), 0.3, 99)
+        dwells = np.diff(sig.breakpoints)
+        assert len(dwells) > 8000
+        target = 0.3 * n_modes / (n_modes - 1)
+        assert abs(dwells.mean() - target) < 0.2 * target, (n_modes, dwells.mean())
 
 
 @pytest.mark.parametrize("span", [(0.0, 1.0), (-1.0, 1.0)])
 def test_arbitrary_granularity_too_fine(span):
-    # a time over a subnormal granularity is an infinite quotient, either sign,
-    # which round() cannot snap: a ParameterError naming the granularity
-    with pytest.raises(ParameterError, match="granularity 5e-324"):
-        gen_arbitrary(2, span, 0.3, 1, granularity=5e-324)
-    assert len(gen_arbitrary(2, span, 0.3, 1, granularity=1e-300).breakpoints) > 1
+    # a span over a subnormal granularity is an infinite quotient, and one over
+    # 1e-300 holds 2**63 granules or more, beyond the int64 draws: a
+    # ParameterError naming the span and the granularity
+    for granularity in (5e-324, 1e-300):
+        with pytest.raises(ParameterError, match=rf"^span .* granularity {granularity!r}$"):
+            gen_arbitrary(2, span, 0.3, 1, granularity=granularity)
+    assert len(gen_arbitrary(2, span, 0.3, 1, granularity=1e-18).breakpoints) > 1
 
 
 # --- measure class -----------------------------------------------------------
@@ -128,10 +138,10 @@ def test_pattern_generator_validates():
 def test_pattern_degenerate_period3():
     c = PatternConstraint(T=10.0, dm=1.0, dM=1.0)
     sig = gen_pattern(c, (0.0, 30.0), 0)
-    starts, ends, modes = sig.runs()
-    # deterministic 1(2)2(1) repetition after merging back-to-back blocks
+    modes = sig.modes
+    # deterministic 1(2)2(1) repetition: back-to-back blocks meet as one 1-run
     assert np.array_equal(modes[:4], [1, 2, 1, 2])
-    lengths = (ends - starts)[1:-1]
+    lengths = np.diff(np.append(sig.breakpoints, sig.domain_end))[1:-1]
     assert np.allclose(lengths[modes[1:-1] == 2], 1.0)
     assert np.allclose(lengths[modes[1:-1] == 1], 2.0)
     assert validate_pattern(sig, c).ok
@@ -168,6 +178,66 @@ def test_pattern_validator_agrees_with_oracle_on_arbitrary():
     for seed in range(12):
         sig = gen_arbitrary(2, (0.0, 18.0), 0.6, 500 + seed)
         assert validate_pattern(sig, c).ok == pattern_oracle(sig, 6.0, 0.4, 1.5)
+
+
+# --- every generator --------------------------------------------------------
+
+
+def _class_signal(kind, span, seed, granularity):
+    """A generated signal of ``kind`` and the validator of its class (None: any
+    signal of modes 1..3 belongs to the arbitrary class)."""
+    if kind == "arbitrary":
+        return gen_arbitrary(3, span, 0.3, seed, granularity), None
+    if kind == "measure":
+        c = MeasureConstraint(T0=1.0, delta0=0.2, mode=2)
+        return gen_measure_constrained(c, 3, span, seed, granularity), partial(validate_measure, c=c)
+    c = PatternConstraint(T=3.0, dm=0.1, dM=0.4)
+    return gen_pattern(c, span, seed, granularity), partial(validate_pattern, c=c)
+
+
+@given(st.sampled_from(["arbitrary", "measure", "pattern"]), st.integers(0, 2**32),
+       st.floats(4.0, 9.0), st.floats(-5.0, 5.0), st.floats(3.0, 12.0))
+@settings(max_examples=200, deadline=None)
+def test_generated_signals_are_their_switches(kind, seed, exponent, t0, length):
+    # at any granularity from 1e-4 to 1e-9 a generated signal has no equal
+    # neighbours, so it switches at every breakpoint after the first, and it
+    # belongs to its class
+    granularity = 10.0 ** -exponent
+    sig, validate = _class_signal(kind, (t0, t0 + length), seed, granularity)
+    assert np.all(sig.modes[1:] != sig.modes[:-1])
+    edges = np.append(sig.breakpoints, sig.domain_end)
+    pieces = sig.modes_at(0.5 * (edges[:-1] + edges[1:]))  # the mode inside each piece
+    assert np.array_equal(pieces, sig.modes)
+    assert sig.n_switches == np.count_nonzero(np.diff(pieces))
+    if validate is None:
+        assert set(sig.modes.tolist()) <= {1, 2, 3}
+    else:
+        assert validate(sig).ok
+
+
+@pytest.mark.parametrize("span", [(1.0, 1.0), (2.0, 1.0), (0.0, -np.inf)])
+def test_generators_refuse_an_empty_span(span):
+    for kind in ("arbitrary", "measure", "pattern"):
+        with pytest.raises(ParameterError, match=r"^span .* must be finite, nonempty"):
+            _class_signal(kind, span, 1, 1e-4)
+
+
+def test_measure_delta0_mutation_fails_signal_and_control(motivating):
+    # motivating's class signals are drawn at delta0 = 0.2; against a constraint
+    # whose delta0 lies above a signal's own worst window, the validator fails the
+    # signal and the integral check fails its vertex control (granularity 0.05
+    # embeds exactly into cells of 0.05), where both pass the class constraint
+    c = motivating.reduced.constraints[0]
+    assert c == MeasureConstraint(T0=1.0, delta0=0.2, mode=2)
+    for seed in range(6):
+        sig = motivating.signal_class.generator((0.0, 30.0), seed, granularity=0.05)
+        u = signal_to_control(sig, 0.05, n_modes=2)
+        rep = validate_measure(sig, c)
+        assert rep.ok and check_control_constraint(u, c)[0]
+        mutant = MeasureConstraint(T0=1.0, delta0=rep.min_measure + 0.01, mode=2)
+        assert not validate_measure(sig, mutant).ok
+        ok, margin = check_control_constraint(u, mutant)
+        assert not ok and margin == pytest.approx(-0.01)
 
 
 # --- covering invariance -----------------------------------------------------
