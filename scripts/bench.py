@@ -37,7 +37,7 @@ Layers (ROADMAP aim 1), all with pinned seeds and through the public API:
   - ``check_decrease_along`` and ``check_integral_bound`` per 10k grid nodes,
     on L1's closed loop of example4 (8 017 nodes) and on one open-loop run
     of motivating under its class signal (seed 7, step 1e-3, horizon 20,
-    20 027 nodes);
+    20 023 nodes);
   - ``validate_covering_invariance`` per 10k grid nodes, on the same
     closed loop;
   - ``check_decrease_along_calling``, ``check_integral_bound_calling`` and
@@ -46,12 +46,15 @@ Layers (ROADMAP aim 1), all with pinned seeds and through the public API:
     functions: the checks then call them per node, as they do for a traced
     run or a user's callable, instead of evaluating the registry's mode
     source on state columns;
-  - ``validate_measure`` (motivating, span 2 000, 5 365 breakpoints) and
+  - ``validate_measure`` (motivating, span 2 000, 5 401 breakpoints) and
     ``validate_pattern`` (inverter, span 10 000, 5 336 breakpoints) per 10k
     breakpoints of a class signal (seed 5), every breakpoint after the first
     a switch;
   - ``check_control_constraint`` per 10k control cells, on those signals
-    as relaxed controls with cells of 0.05 against the class constraint.
+    as relaxed controls with cells of 0.05 against the class constraint;
+  - ``gen_class_signal`` per 10k breakpoints of the signal it draws: the
+    class generator of motivating (5 401 breakpoints) and example1 (4 384)
+    over a span of 2 000 and of inverter (5 336) over 10 000, seed 5.
 - L3, read from the perfbench run records named on the command line: each
   workload's untraced runs (seed, ``ops_per_s``, ``peak_rss_mb``,
   ``setup_s``, ``correct``, ``failed``) and their median ``ops_per_s``.
@@ -276,6 +279,10 @@ def measure_l2(repeats: int, clock) -> dict:
             _units(lambda: validate(sigma, c), len(sigma.breakpoints)), repeats, clock)
         timed[f"check_control_constraint/{name}"] = _timed(
             _units(lambda: sw.check_control_constraint(u, c), len(u.values)), repeats, clock)
+    for name, span in (("motivating", 2_000.0), ("example1", 2_000.0), ("inverter", 10_000.0)):
+        generate = partial(sw.get_entry(name).signal_class.generator, (0.0, span), 5)
+        timed[f"gen_class_signal/{name}"] = _timed(
+            _units(generate, len(generate().breakpoints)), repeats, clock)
     return timed
 
 

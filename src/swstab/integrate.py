@@ -546,6 +546,8 @@ def simulate_with_covering(sys: SwitchedSystem, covering: Covering,
     """
     if tf <= t0:
         raise DomainError("tf must exceed t0")
+    if not (tf - t0) / cfg.step < 2.0**63:  # NaN too
+        raise ParameterError(f"span [{t0!r}, {tf!r}] must be under 2**63 steps of {cfg.step!r}")
     if covering.N != sys.N:
         raise ParameterError("covering and system mode counts differ")
     x = _start_state(x0, sys.n, t0, cfg)

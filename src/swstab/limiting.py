@@ -170,10 +170,9 @@ def check_control_constraint(u: RelaxedControl,
         cum = np.concatenate(([0.0], np.cumsum(u.values[:, c.mode - 1] * u.step)))
         m, _ = _window_min(kinks, cum, c.T0)
         return m >= c.delta0 - TIE_TOL, m - c.delta0
-    # each cell as vertex 1 (1), vertex 2 (2) or neither (3)
-    cls = np.full(u.n_cells, 3, dtype=np.int64)
-    for i in range(1, min(u.n_modes, 2) + 1):
-        cls[np.max(np.abs(u.values - np.eye(u.n_modes)[i - 1]), axis=1) <= VERTEX_TOL] = i
+    # each cell as vertex 1 (1), vertex 2 (2; a one-mode control has none) or neither (3)
+    near = (np.abs(u.values - np.eye(u.n_modes)[:2, None, :]) <= VERTEX_TOL).all(axis=2)
+    cls = np.where(near[-1], len(near), np.where(near[0], 1, 3))
     cells = SwitchingSignal(u.t0 + u.step * np.arange(u.n_cells), cls, u.t0, u.tf)
     report = pattern_cover_check(cells, c)
     return report.ok, report.margin

@@ -9,8 +9,11 @@ so extrema are attained at breakpoint-aligned anchors and no sampling is
 involved.
 
 All generated breakpoints are snapped to a storage granularity (default
-1e-4 s).  That is a storage limit, not a dwell-time assumption: the classes
-themselves impose no dwell-time floor.
+1e-4 s, finite and positive).  That is a storage limit, not a dwell-time
+assumption: the classes themselves impose no dwell-time floor.  A generator
+draws a signal in a few bulk numpy draws, not one per piece; for a seed, the
+arbitrary and measure classes thereby give a signal of the same law as, but other
+than, the one-draw-per-piece loop of earlier versions, the pattern class the same.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .integrate import _at_rows, _node_modes
 
 GRANULARITY = 1e-4
 TIE_TOL = 1e-9  # threshold comparisons use this tie tolerance (shared with test oracles)
+OVERDRAW = 4.0  # standard deviations of pieces a bulk draw holds beyond the mean count
 
 
 @dataclass(frozen=True)
@@ -91,8 +95,11 @@ def _granules(length: float, granularity: float, limit: float = 2.0**63) -> floa
 
 
 def _span(span: tuple[float, float], granularity: float) -> tuple[float, float]:
-    """A generator's (t0, tf): ParameterError naming the span unless it is finite,
-    nonempty and under 2**63 granules long, the bound ``_granules`` puts on the draws."""
+    """A generator's (t0, tf): ParameterError naming the granularity unless it is finite
+    and positive, or naming the span unless it is finite, nonempty and under 2**63
+    granules long, the bound ``_granules`` puts on the draws."""
+    if not 0 < granularity < math.inf:
+        raise ParameterError(f"granularity must be finite and positive, got {granularity!r}")
     t0, tf = span
     if not 0 < (tf - t0) / granularity < 2.0**63:
         raise ParameterError(f"span [{float(t0)!r}, {float(tf)!r}] must be finite, nonempty "
@@ -100,22 +107,39 @@ def _span(span: tuple[float, float], granularity: float) -> tuple[float, float]:
     return t0, tf
 
 
-def _snap(t: float, granularity: float) -> float:
-    return round(_granules(t, granularity, math.inf)) * granularity
+def _width(n: float) -> int:
+    """Pieces one bulk draw holds for n mean dwells: n + 1 on average, OVERDRAW sqrt(n) + 1 more."""
+    return math.ceil(n + OVERDRAW * math.sqrt(max(n, 0.0))) + 2
 
 
-def _build_signal(breaks: list, modes: list, t0: float, tf: float) -> SwitchingSignal:
-    """Drop zero-length intervals produced by snapping and assemble the signal."""
-    bp, md = [t0], [modes[0]]
-    for b, m in zip(breaks[1:], modes[1:]):
-        if b <= bp[-1]:
-            md[-1] = m
-            continue
-        if b >= tf:
-            break
-        bp.append(b)
-        md.append(m)
-    return SwitchingSignal(breakpoints=np.array(bp), modes=np.array(md, dtype=np.int64),
+def _cut(rng, lengths: np.ndarray, scale: float, n_modes: int, granularity: float,
+         cap: float = math.inf):
+    """Rows [0, length) cut into pieces of uniform modes in 1..n_modes and exponential
+    dwells of mean ``scale``, capped at ``cap``, in whole granules, at least one: (starts,
+    modes, keep) per row, keep marking pieces that start before the row's length.  A row
+    short of ``_width`` pieces of the longest row draws as many again (zero dwells elsewhere).
+    """
+    rows, width = len(lengths), _width(float(np.max(lengths)) / scale)
+    granules, modes, short = np.zeros((rows, 0)), np.zeros((rows, 0), int), np.ones(rows, bool)
+    while short.any():
+        g, m = np.zeros((rows, width)), np.ones((rows, width), dtype=np.int64)
+        d = rng.exponential(scale, (np.count_nonzero(short), width))
+        g[short] = np.maximum(np.round(np.minimum(d, cap) / granularity), 1.0)
+        m[short] = rng.integers(1, n_modes + 1, d.shape)
+        granules, modes = np.hstack((granules, g)), np.hstack((modes, m))
+        ends = np.cumsum(granules, axis=1) * granularity
+        short = ends[:, -1] < lengths
+    starts = np.hstack((np.zeros((rows, 1)), ends[:, :-1]))
+    return starts, modes, starts < lengths[:, None]
+
+
+def _build_signal(breaks: np.ndarray, modes: np.ndarray, t0: float, tf: float) -> SwitchingSignal:
+    """The signal of nondecreasing ``breaks``: those at or before t0 join the first
+    piece, the last mode wins among equal times, and pieces at or after tf drop."""
+    breaks = np.maximum(breaks, t0)
+    breaks[0] = t0
+    last = np.append(breaks[1:] != breaks[:-1], True) & (breaks < tf)
+    return SwitchingSignal(breakpoints=breaks[last], modes=modes[last],
                            domain_start=t0, domain_end=tf)
 
 
@@ -131,7 +155,7 @@ def gen_arbitrary(n_modes: int, span: tuple[float, float], mean_dwell: float,
     ``mean_dwell`` is the mean time between draws, each draw clipped to
     [granularity, 10*mean_dwell].  A draw repeats the previous mode with
     probability 1/N, so the mean time between switches is about
-    mean_dwell*N/(N-1).
+    mean_dwell*N/(N-1).  The dwells and modes are cut from bulk draws (``_cut``).
     """
     require_finite(mean_dwell=mean_dwell)
     if mean_dwell <= 0:
@@ -140,14 +164,10 @@ def gen_arbitrary(n_modes: int, span: tuple[float, float], mean_dwell: float,
         raise ParameterError("need at least one mode")
     t0, tf = _span(span, granularity)
     rng = np.random.default_rng(rng_seed)
-    breaks, modes = [], []
-    t = t0
-    while t < tf:
-        breaks.append(_snap(t, granularity))
-        modes.append(int(rng.integers(1, n_modes + 1)))
-        d = float(np.clip(rng.exponential(mean_dwell), granularity, 10.0 * mean_dwell))
-        t += max(_snap(d, granularity), granularity)
-    return _build_signal(breaks, modes, t0, tf)
+    starts, modes, keep = _cut(rng, np.array([tf - t0]), mean_dwell, n_modes, granularity,
+                               10.0 * mean_dwell)
+    breaks = np.round((t0 + starts[keep]) / granularity) * granularity
+    return _build_signal(breaks, modes[keep], t0, tf)
 
 
 def gen_measure_constrained(c: MeasureConstraint, n_modes: int, span: tuple[float, float],
@@ -159,7 +179,8 @@ def gen_measure_constrained(c: MeasureConstraint, n_modes: int, span: tuple[floa
     offset.  A window of length T0 placed anywhere then sees exactly one
     full period of the block pattern, hence at least delta0 + margin of
     activation; the margin absorbs snapping.  Remaining time is filled with
-    random modes (which may add more activation, never less).
+    random modes (which may add more activation, never less), cut from bulk
+    draws of dwells of mean 0.3*T0 (``_cut``) for all fillers at once.
     """
     t0, tf = _span(span, granularity)
     if n_modes < c.mode:
@@ -172,25 +193,15 @@ def gen_measure_constrained(c: MeasureConstraint, n_modes: int, span: tuple[floa
         # forced: the constrained mode occupies the whole span
         return SwitchingSignal.constant(c.mode, t0, tf)
     offset = float(rng.integers(0, int(_granules(c.T0 - block, granularity)) + 1)) * granularity
-
-    def filler(a, b, breaks, modes):
-        t = a
-        while t < b - granularity / 2:
-            breaks.append(t)
-            modes.append(int(rng.integers(1, n_modes + 1)))
-            d = max(_snap(float(rng.exponential(0.3 * c.T0)), granularity), granularity)
-            t = min(b, t + d)
-
-    breaks, modes = [], []
     n_tiles = int(np.ceil((tf - t0) / c.T0)) + 1
-    for k in range(n_tiles):
-        a = t0 + k * c.T0
-        filler(a, a + offset, breaks, modes)
-        breaks.append(a + offset)
-        modes.append(c.mode)
-        filler(a + offset + block, a + c.T0, breaks, modes)
-    breaks = [_snap(b, granularity) for b in breaks]
-    return _build_signal(breaks, modes, t0, tf)
+    # rows alternate each tile's filler before its block and after it, cut half a granule short
+    lengths = np.tile([offset, c.T0 - offset - block], n_tiles) - granularity / 2
+    starts, modes, keep = _cut(rng, lengths, 0.3 * c.T0, n_modes, granularity)
+    a = t0 + c.T0 * np.arange(n_tiles)[:, None]
+    breaks = np.hstack((a + starts[0::2], a + offset, a + offset + block + starts[1::2]))
+    modes = np.hstack((modes[0::2], np.full((n_tiles, 1), c.mode), modes[1::2]))
+    keep = np.hstack((keep[0::2], np.ones((n_tiles, 1), dtype=bool), keep[1::2]))
+    return _build_signal(np.round(breaks[keep] / granularity) * granularity, modes[keep], t0, tf)
 
 
 def gen_pattern(c: PatternConstraint, span: tuple[float, float], rng_seed: int,
@@ -198,25 +209,25 @@ def gen_pattern(c: PatternConstraint, span: tuple[float, float], rng_seed: int,
     """Random 2-mode member of the pattern class: back-to-back 1-2-1 blocks.
 
     Gap lengths are whole granules drawn uniformly from
-    [dm, min(dM, (T - 2*dm)/4)]; the cap guarantees every window anchor sees
-    a complete pattern.  Requires T >= 6*dm (no back-to-back construction can
-    cover all anchors below that).
+    [dm, min(dM, (T - 2*dm)/4)], at least one; the cap guarantees every window
+    anchor sees a complete pattern.  Requires T >= 6*dm (no back-to-back
+    construction can cover all anchors below that).  Gaps come in bulk draws,
+    whose stream is that of one draw per gap.
     """
     t0, tf = _span(span, granularity)
     gmax = min(c.dM, (c.T - 2.0 * c.dm) / 4.0)
     if gmax < c.dm - TIE_TOL:
         raise ParameterError(f"infeasible pattern class for generation: need T >= 6*dm "
                              f"(T={c.T}, dm={c.dm})")
-    k_lo = math.ceil(_granules(c.dm, granularity) - TIE_TOL)
+    k_lo = max(math.ceil(_granules(c.dm, granularity) - TIE_TOL), 1)
     k_hi = max(math.floor(_granules(gmax, granularity) + TIE_TOL), k_lo)
     rng = np.random.default_rng(rng_seed)
-    breaks, modes, granules = [], [], 0
-    while t0 + granules * granularity < tf:
-        for mode in (1, 2, 1):
-            breaks.append(t0 + granules * granularity)
-            modes.append(mode)
-            granules += int(rng.integers(k_lo, k_hi + 1))
-    return _build_signal(breaks, modes, t0, tf)
+    gaps = np.zeros(0, dtype=np.int64)
+    while t0 + int(gaps.sum()) * granularity < tf:  # whole 1-2-1 blocks until one starts at tf
+        blocks = _width(((tf - t0) / granularity - int(gaps.sum())) / (1.5 * (k_lo + k_hi)))
+        gaps = np.append(gaps, rng.integers(k_lo, k_hi + 1, 3 * blocks))
+    breaks = t0 + np.append(0, np.cumsum(gaps[:-1])) * granularity
+    return _build_signal(breaks, np.tile([1, 2, 1], len(gaps) // 3), t0, tf)
 
 
 # ---------------------------------------------------------------------------
@@ -276,29 +287,6 @@ class PatternReport:
     margin: float
 
 
-def _pattern_anchor_intervals(starts, ends, modes,
-                              c: PatternConstraint) -> list[tuple[float, float]]:
-    """Anchor intervals [q + dm - T, p - dm] contributed by each usable 2-run.
-
-    A window [t, t+T] admits a compliant quadruple iff it contains a complete
-    2-run [p, q] with q - p in [dm, dM], flanked by 1-runs of length >= dm,
-    with p - t >= dm and (t + T) - q >= dm; tau1 = p - dm and tau4 = q + dm
-    then witness the pattern (gaps dm <= . <= dM).
-    """
-    out = []
-    for j in range(len(modes)):
-        if modes[j] != 2:
-            continue
-        p, q = float(starts[j]), float(ends[j])
-        if not (c.dm - TIE_TOL <= q - p <= c.dM + TIE_TOL):
-            continue
-        prev_ok = j > 0 and modes[j - 1] == 1 and (p - starts[j - 1]) >= c.dm - TIE_TOL
-        next_ok = j + 1 < len(modes) and modes[j + 1] == 1 and (ends[j + 1] - q) >= c.dm - TIE_TOL
-        if prev_ok and next_ok:
-            out.append((q + c.dm - c.T, p - c.dm))
-    return out
-
-
 def pattern_cover_check(sigma: SwitchingSignal, c: PatternConstraint) -> PatternReport:
     """Check that the usable 2-runs of sigma cover every window anchor in
     [domain_start, domain_end - T]; DomainError if sigma spans less than one window.
@@ -311,20 +299,27 @@ def pattern_cover_check(sigma: SwitchingSignal, c: PatternConstraint) -> Pattern
     if hi < lo - TIE_TOL:
         raise DomainError("span must cover at least one window")
     hi = max(hi, lo)
-    ends = np.append(sigma.breakpoints[1:], sigma.domain_end)
-    intervals = sorted(_pattern_anchor_intervals(sigma.breakpoints, ends, sigma.modes, c))
-    covered_to = lo
-    for a, b in intervals:
-        if b < covered_to - TIE_TOL:
-            continue
-        if a > covered_to + TIE_TOL:
-            return PatternReport(ok=False, first_violation_t=float(covered_to),
-                                 margin=-float(a - covered_to))
-        covered_to = max(covered_to, b)
-        if covered_to >= hi - TIE_TOL:
-            return PatternReport(ok=True, first_violation_t=None, margin=0.0)
+    # A window [t, t+T] admits a compliant quadruple iff it contains a complete
+    # 2-run [p, q] with q - p in [dm, dM], flanked by 1-runs of length >= dm, with
+    # p - t >= dm and (t + T) - q >= dm (tau1 = p - dm and tau4 = q + dm witness
+    # the pattern): each such usable run covers the anchors [q + dm - T, p - dm]
+    p = sigma.breakpoints
+    q = np.append(p[1:], sigma.domain_end)
+    flank = (sigma.modes == 1) & (q - p >= c.dm - TIE_TOL)
+    usable = ((sigma.modes == 2) & (c.dm - TIE_TOL <= q - p) & (q - p <= c.dM + TIE_TOL)
+              & np.append(False, flank[:-1]) & np.append(flank[1:], False))
+    a, b = q[usable] + c.dm - c.T, p[usable] - c.dm
+    # the anchors covered from lo before each interval and at the end; as b rises
+    # run by run from lo - TIE_TOL on, each interval reaches past those before it,
+    # and either starts beyond them (a gap) or extends them
+    covered = np.maximum.accumulate(np.append(lo, b))
+    gap = a > covered[:-1] + TIE_TOL
+    stop = np.flatnonzero(gap | (covered[1:] >= hi - TIE_TOL))
+    if len(stop) and not gap[stop[0]]:
+        return PatternReport(ok=True, first_violation_t=None, margin=0.0)
+    covered_to, end = (covered[stop[0]], a[stop[0]]) if len(stop) else (covered[-1], hi)
     return PatternReport(ok=False, first_violation_t=float(covered_to),
-                         margin=-float(hi - covered_to))
+                         margin=-float(end - covered_to))
 
 
 def validate_pattern(sigma: SwitchingSignal, c: PatternConstraint) -> PatternReport:

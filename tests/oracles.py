@@ -6,7 +6,8 @@ sampling is exact for on-grid breakpoints) and window quantities are computed
 from cumulative sums over that grid.  The weak-Lyapunov checkers have
 per-node reference loops, the integrators the ndarray RK4 kernel that the
 float-list kernel replaced, and the falsifier the ndarray screen that its
-float-list screen replaced, at the end of the file.
+float-list screen replaced, at the end of the file, followed by the signal
+generators' one-draw-per-piece loops and the pattern cover check's loop.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import math
 
 import numpy as np
 
-from swstab.core import BOUNDARY_TOL, BlowUpError, DynamicsError, active_index_set
+from swstab.core import (BOUNDARY_TOL, BlowUpError, DynamicsError, SwitchingSignal,
+                         active_index_set)
 from swstab.integrate import _mix_rhs, _rk4_kernels
 from swstab.limiting import _Abort, _limiting_fields, _shell_state
 from swstab.lyapunov import (REVISIT_TOL, SLACK_CURVATURE_FACTOR, SLACK_FLOOR, CheckReport,
@@ -423,3 +425,96 @@ def face_random_candidate_reference(rls, integral_cs, rng, n_cells, du, eps, res
         return w
 
     return choose, x0
+
+
+# --- the generators' one-draw-per-piece loops and the cover check's
+# per-interval loop, which the bulk draws and the array cover check replaced --
+
+
+def _build_signal_reference(breaks, modes, t0, tf):
+    """Snapped breaks to a signal, one at a time: the last mode wins among
+    breaks at or before the last kept one, and the first at or after tf ends it."""
+    bp, md = [t0], [modes[0]]
+    for b, m in zip(breaks[1:], modes[1:]):
+        if b <= bp[-1]:
+            md[-1] = m
+            continue
+        if b >= tf:
+            break
+        bp.append(b)
+        md.append(m)
+    return SwitchingSignal(np.array(bp), np.array(md, dtype=np.int64), t0, tf)
+
+
+def gen_pattern_reference(c, span, rng_seed, granularity):
+    """The pattern generator with one ``rng.integers`` call per gap."""
+    t0, tf = span
+    gmax = min(c.dM, (c.T - 2.0 * c.dm) / 4.0)
+    k_lo = math.ceil(c.dm / granularity - TIE_TOL)
+    k_hi = max(math.floor(gmax / granularity + TIE_TOL), k_lo)
+    rng = np.random.default_rng(rng_seed)
+    breaks, modes, granules = [], [], 0
+    while t0 + granules * granularity < tf:
+        for mode in (1, 2, 1):
+            breaks.append(t0 + granules * granularity)
+            modes.append(mode)
+            granules += int(rng.integers(k_lo, k_hi + 1))
+    return _build_signal_reference(breaks, modes, t0, tf)
+
+
+def gen_measure_reference(c, n_modes, span, rng_seed, granularity):
+    """The measure generator with one mode and one dwell draw per piece (not
+    the forced case, where the block fills the window)."""
+    t0, tf = span
+    rng = np.random.default_rng(rng_seed)
+
+    def snap(t):
+        return round(t / granularity) * granularity
+
+    margin = max(min(c.delta0, c.T0 - c.delta0) / 2.0, 4.0 * granularity)
+    block = math.ceil((c.delta0 + margin) / granularity - TIE_TOL) * granularity
+    offset = float(rng.integers(0, int((c.T0 - block) / granularity) + 1)) * granularity
+    breaks, modes = [], []
+
+    def filler(a, b):
+        t = a
+        while t < b - granularity / 2:
+            breaks.append(t)
+            modes.append(int(rng.integers(1, n_modes + 1)))
+            t = min(b, t + max(snap(float(rng.exponential(0.3 * c.T0))), granularity))
+
+    for k in range(int(np.ceil((tf - t0) / c.T0)) + 1):
+        a = t0 + k * c.T0
+        filler(a, a + offset)
+        breaks.append(a + offset)
+        modes.append(c.mode)
+        filler(a + offset + block, a + c.T0)
+    return _build_signal_reference([snap(b) for b in breaks], modes, t0, tf)
+
+
+def pattern_cover_reference(sigma, c) -> tuple:
+    """(ok, first_violation_t, margin) of the cover check, one interval at a time."""
+    lo, hi = sigma.domain_start, max(sigma.domain_end - c.T, sigma.domain_start)
+    starts, modes = sigma.breakpoints, sigma.modes
+    ends = np.append(starts[1:], sigma.domain_end)
+    intervals = []
+    for j in range(len(modes)):
+        if modes[j] != 2:
+            continue
+        p, q = float(starts[j]), float(ends[j])
+        if not (c.dm - TIE_TOL <= q - p <= c.dM + TIE_TOL):
+            continue
+        prev_ok = j > 0 and modes[j - 1] == 1 and (p - starts[j - 1]) >= c.dm - TIE_TOL
+        next_ok = j + 1 < len(modes) and modes[j + 1] == 1 and (ends[j + 1] - q) >= c.dm - TIE_TOL
+        if prev_ok and next_ok:
+            intervals.append((q + c.dm - c.T, p - c.dm))
+    covered_to = lo
+    for a, b in sorted(intervals):
+        if b < covered_to - TIE_TOL:
+            continue
+        if a > covered_to + TIE_TOL:
+            return False, float(covered_to), -float(a - covered_to)
+        covered_to = max(covered_to, b)
+        if covered_to >= hi - TIE_TOL:
+            return True, None, 0.0
+    return False, float(covered_to), -float(hi - covered_to)

@@ -13,10 +13,10 @@ import swstab
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 DIGESTS = {
-    "envelope-motivating": "f9f61d8c8f972e36",
+    "envelope-motivating": "964e5ef3d14e374b",
     "falsify-wzsd": "b19e83172ad66acb",
     "certify-closed-loop": "b874028dacb93b42",
-    "embedding-relaxed": "6955365c2dc407ac",
+    "embedding-relaxed": "0041a53c16b2b91f",
 }
 
 

@@ -244,6 +244,10 @@ def test_bad_manifest_value_exit2(tmp_path, command, doc):
     ("envelope", {"envelope": {"offset_max": 1e308}}, "envelope.offset_max"),
     ("simulate", {"system": {"id": "example1"}, "signal": {"granularity": 5e-324}},
      "granularity"),
+    # a closed loop of 2**63 steps or more, which marched until killed
+    ("simulate", {"system": {"id": "example4"}, "simulate": {"horizon": 1e300}}, "span"),
+    ("envelope", {"system": {"id": "example4"}, "envelope": {"horizon": 1e300, "trials": 1}},
+     "span"),
 ])
 def test_out_of_range_manifest_value_exit2(tmp_path, capsys, command, doc, key):
     # a non-positive horizon, box, step, trial count, budget, signal

@@ -320,6 +320,18 @@ def test_covering_run_invariance_simple_policy(example4, cfg_fast):
         assert rep.ok, (x0, rep.first_violation)
 
 
+def test_covering_run_refuses_a_span_of_2_63_steps(example4):
+    # the open-loop classes refuse a span of 2**63 granules; a closed loop
+    # refuses one of 2**63 steps, or a NaN end, before its first step
+    from swstab import IntegratorConfig, ParameterError, make_driver
+
+    drive = make_driver(example4, IntegratorConfig(step=1e-2))
+    for tf in (1e300, 2.0**63 * 1e-2, np.nan):
+        with pytest.raises(ParameterError, match=r"^span \[0\.0, .+\] must be under 2\*\*63 "
+                                                 r"steps of 0\.01$"):
+            drive(0.0, np.array([1.0, 0.5]), tf, None)
+
+
 def test_covering_interior_no_events(example4, cfg_fast):
     # while the state stays interior the mode is never re-decided; the first
     # switch happens only at the boundary arrival

@@ -28,15 +28,15 @@ from swstab.limiting import build_reduced, simulate_reduced
 
 DIGESTS = {
     "example1": {
-        "simulate": "46c86df3e73a7f9f", "relaxed": "b5bf6ba9fdeee18a",
+        "simulate": "f76a3ca77418b5e1", "relaxed": "b5bf6ba9fdeee18a",
         "reduced": "ba49cdad73b9c583", "closed_loop": "7ef50642b922dccb",
-        "simulate_blow_up": "c318b29dbd8cf17c", "relaxed_blow_up": "15466d08eb6b3e69",
+        "simulate_blow_up": "95d2f1129c7bdfc9", "relaxed_blow_up": "15466d08eb6b3e69",
         "reduced_blow_up": "97c21c07a0bbf31c", "closed_loop_blow_up": "54cc3587f7a5869f",
     },
     "example4": {
-        "simulate": "6d66ec664befe71f", "relaxed": "2c62bfff428ee173",
+        "simulate": "8a64ff681936ac86", "relaxed": "2c62bfff428ee173",
         "reduced": "1a46a17609c027fc", "closed_loop": "5a0b2cd787dd7e95",
-        "simulate_blow_up": "891d65a54c9f97b1", "relaxed_blow_up": "57a83d26525eb6a7",
+        "simulate_blow_up": "c4ba4ea55ff32583", "relaxed_blow_up": "57a83d26525eb6a7",
         "reduced_blow_up": "aa31f35b4b917373", "closed_loop_blow_up": "f6214eed439025ab",
     },
     "inverter": {
@@ -46,9 +46,9 @@ DIGESTS = {
         "reduced_blow_up": "cebb99bd8d3da5fd", "closed_loop_blow_up": "36942f5152cdbd03",
     },
     "motivating": {
-        "simulate": "aaff39318426f8a2", "relaxed": "d6a6a452ac5cecb3",
+        "simulate": "7d0ac44d4ccb9777", "relaxed": "d6a6a452ac5cecb3",
         "reduced": "ecf622bcf5b3d5bf", "closed_loop": "2a004dfa5365b54a",
-        "simulate_blow_up": "9b9a013f76f11d22", "relaxed_blow_up": "797122a3d0eef19e",
+        "simulate_blow_up": "5ffbf05958f0954f", "relaxed_blow_up": "797122a3d0eef19e",
         "reduced_blow_up": "1394db0618c14b91", "closed_loop_blow_up": "c4a340fa1ce3c138",
     },
 }

@@ -89,14 +89,15 @@ def test_bench_measures_every_row(tmp_path, capsys, monkeypatch):
           + ["validate_covering_invariance/example4",
              "validate_covering_invariance_calling/example4", "validate_measure/motivating",
              "validate_pattern/inverter", "check_control_constraint/motivating",
-             "check_control_constraint/inverter"])
+             "check_control_constraint/inverter"]
+          + [f"gen_class_signal/{name}" for name in ("motivating", "example1", "inverter")])
     for layer, unit, expected in (("L0", "field_evals_per_s", l0), ("L1", "us_per_step", l1),
                                   ("L2", "ms_per_10k", l2)):
         assert list(doc[layer]) == [unit], layer  # one speed-scaled figure per row
         rows = doc[layer][unit]
         assert sorted(rows) == sorted(expected), layer
         assert all(math.isfinite(v) and v > 0.0 for v in rows.values()), (layer, rows)
-    assert len(l1) == 18 and len(l2) == 14
+    assert len(l1) == 18 and len(l2) == 17
     # the traced record is skipped
     assert rounds == [("envelope-motivating", 4)]
     assert doc["L3"] == {"envelope-motivating": {"ops_per_s_median": 40.0, "runs": [

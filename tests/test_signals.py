@@ -1,13 +1,15 @@
 """Signal-class generators and validators, cross-checked against dense oracles."""
 
+import hashlib
 from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swstab import (
+    DomainError,
     MeasureConstraint,
     ParameterError,
     PatternConstraint,
@@ -23,9 +25,11 @@ from swstab import (
     validate_measure,
     validate_pattern,
 )
-from swstab.signals import signal_from_csv, signal_to_csv
+from swstab import signals
+from swstab.signals import TIE_TOL, pattern_cover_check, signal_from_csv, signal_to_csv
 
-from oracles import measure_oracle, pattern_oracle
+from oracles import (gen_measure_reference, gen_pattern_reference, measure_oracle,
+                     pattern_cover_reference, pattern_oracle)
 
 
 def alternating(dwell, mode_pair, t0, tf):
@@ -66,11 +70,12 @@ def test_arbitrary_mean_dwell_statistic():
 def test_arbitrary_granularity_too_fine(span):
     # a span over a subnormal granularity is an infinite quotient, and one over
     # 1e-300 holds 2**63 granules or more, beyond the int64 draws: a
-    # ParameterError naming the span and the granularity
+    # ParameterError naming the span and the granularity; 1e-18 draws a signal
+    # (about 20 draws of mean dwell 0.05, so that it surely switches)
     for granularity in (5e-324, 1e-300):
         with pytest.raises(ParameterError, match=rf"^span .* granularity {granularity!r}$"):
             gen_arbitrary(2, span, 0.3, 1, granularity=granularity)
-    assert len(gen_arbitrary(2, span, 0.3, 1, granularity=1e-18).breakpoints) > 1
+    assert len(gen_arbitrary(2, span, 0.05, 1, granularity=1e-18).breakpoints) > 1
 
 
 # --- measure class -----------------------------------------------------------
@@ -220,6 +225,106 @@ def test_generators_refuse_an_empty_span(span):
     for kind in ("arbitrary", "measure", "pattern"):
         with pytest.raises(ParameterError, match=r"^span .* must be finite, nonempty"):
             _class_signal(kind, span, 1, 1e-4)
+
+
+@pytest.mark.parametrize("granularity", [0.0, -1e-4, np.nan, np.inf])
+def test_generators_name_a_bad_granularity(granularity):
+    # a zero granularity divided the span, and a negative or NaN one was blamed on it
+    for kind in ("arbitrary", "measure", "pattern"):
+        with pytest.raises(ParameterError, match=r"^granularity must be finite and positive"):
+            _class_signal(kind, (0.0, 1.0), 1, granularity)
+
+
+# sha256 of (breakpoints, modes) of _class_signal over (-1.5, 40): the bulk draws
+# of each seed.  The pattern class draws the stream of one scalar draw per gap,
+# so its digests are those of the one-draw-per-piece generators before them.
+STREAMS = {
+    ("arbitrary", 1e-4): ("415c1ce0db6b4f10", "d94db449e45a31a9", "a1e95eec09b0c23b"),
+    ("arbitrary", 1e-7): ("1da6ab57efb5f7ed", "19c93b4916712883", "ad865d5d94aecc5d"),
+    ("measure", 1e-4): ("3c726dca30d48839", "b92675e41f6fb3fd", "012d2ff50a3a8168"),
+    ("measure", 1e-7): ("32ca25887bd3de83", "f032a1a26bd3b5f8", "8f766832aa16e0b6"),
+    ("pattern", 1e-4): ("3073d6fd597ef379", "cf0ce8293ad3b27e", "c6862de95e6d1cf6"),
+    ("pattern", 1e-7): ("ebc271230d215822", "390536f349c10a57", "8dbb839275b5f01d"),
+}
+
+
+@pytest.mark.parametrize("kind, granularity", sorted(STREAMS))
+def test_generator_streams_are_pinned(kind, granularity):
+    for seed, want in enumerate(STREAMS[kind, granularity]):
+        sig, _ = _class_signal(kind, (-1.5, 40.0), seed, granularity)
+        h = hashlib.sha256(sig.breakpoints.tobytes() + sig.modes.tobytes())
+        assert h.hexdigest()[:16] == want, seed
+
+
+def test_short_rows_draw_more(monkeypatch):
+    # with no spare pieces in the first draw, most rows of a bulk draw fall
+    # short: they draw more, until every row ends in a piece past its length
+    # (one that is not kept), and the generated signals stay in their class
+    monkeypatch.setattr(signals, "OVERDRAW", 0.0)
+    lengths = np.full(200, 0.7)
+    starts, modes, keep = signals._cut(np.random.default_rng(3), lengths, 0.3, 3, 1e-4)
+    assert starts.shape[1] > signals._width(0.7 / 0.3)
+    assert not keep[:, -1].any() and keep[:, 0].all()
+    assert np.all(np.diff(starts, axis=1) >= 0.0) and set(modes[keep].tolist()) == {1, 2, 3}
+    for kind in ("arbitrary", "measure", "pattern"):
+        for seed in range(3):
+            sig, validate = _class_signal(kind, (0.0, 60.0), seed, 1e-4)
+            assert sig.breakpoints[-1] > 59.0
+            assert validate is None or validate(sig).ok
+
+
+def test_pattern_draws_the_stream_of_one_draw_per_gap():
+    # bulk rng.integers draws give the stream of one scalar draw per gap, so the
+    # pattern class is bit for bit the one-draw-per-piece loop's
+    for c in (PatternConstraint(T=3.0, dm=0.1, dM=0.4), PatternConstraint(T=10.0, dm=0.5, dM=2.0),
+              PatternConstraint(T=10.0, dm=1.0, dM=1.0)):
+        for granularity in (1e-2, 1e-4, 1e-7):
+            for seed in range(10):
+                sig = gen_pattern(c, (-1.5, 40.0), seed, granularity)
+                ref = gen_pattern_reference(c, (-1.5, 40.0), seed, granularity)
+                assert np.array_equal(sig.breakpoints, ref.breakpoints), (c, granularity, seed)
+                assert np.array_equal(sig.modes, ref.modes)
+
+
+def test_measure_bulk_draw_keeps_the_law():
+    # the bulk draw moves every signal but not the class's law: over 30 signals
+    # of 200 s the mean breakpoint count and mean activation of the constrained
+    # mode lie within 2% of the one-draw-per-piece loop's
+    c = MeasureConstraint(T0=1.0, delta0=0.2, mode=2)
+
+    def stats(sig):
+        lengths = np.diff(np.append(sig.breakpoints, sig.domain_end))
+        return len(sig.breakpoints), float(lengths[sig.modes == 2].sum())
+
+    bulk = np.mean([stats(gen_measure_constrained(c, 2, (0.0, 200.0), s)) for s in range(30)], 0)
+    loop = np.mean([stats(gen_measure_reference(c, 2, (0.0, 200.0), s, 1e-4))
+                    for s in range(30)], 0)
+    assert np.all(np.abs(bulk - loop) < 0.02 * loop), (bulk, loop)
+
+
+@given(st.lists(st.tuples(st.sampled_from([0.25, 0.5 - 5e-10, 0.5, 0.5 + 5e-10, 0.75, 1.0,
+                                           1.0 + 5e-10, 1.5, 2.25, 3.0]),
+                          st.sampled_from([1, 2, 3])), min_size=1, max_size=16),
+       st.sampled_from([0.0, 5e-10, 0.3, 2.0]), st.sampled_from([1.0, 2.5]))
+# a tie: the second run's anchors start 5e-10 past those the first covers
+@example([(0.5, 1), (1.0, 2), (0.5, 1), (0.5 + 5e-10, 2), (0.5, 1), (1.0, 2), (0.5, 1)], 0.0, 1.0)
+# a tie: the one run covers the anchors to 5e-10 short of the last
+@example([(0.5, 1), (1.0, 2), (0.5, 1), (1.0 + 5e-10, 3)], 0.0, 1.0)
+@settings(max_examples=400, deadline=None)
+def test_pattern_cover_check_is_the_interval_loop(pieces, tail, dM):
+    # the array cover check returns the per-interval loop's report bit for bit,
+    # gaps, ties within TIE_TOL, a span of exactly one window and, at dM = 2.5 >
+    # T - 2*dm, 2-runs whose anchor intervals are empty included
+    lengths, modes = np.array([p[0] for p in pieces]), np.array([p[1] for p in pieces])
+    starts = np.append(0.0, np.cumsum(lengths)[:-1])
+    sig = SwitchingSignal(starts, modes, 0.0, max(float(lengths.sum()) - tail, starts[-1] + 0.1))
+    c = PatternConstraint(T=3.0, dm=0.5, dM=dM)
+    if sig.domain_end - c.T < -TIE_TOL:
+        with pytest.raises(DomainError):
+            pattern_cover_check(sig, c)
+        return
+    rep = pattern_cover_check(sig, c)
+    assert (rep.ok, rep.first_violation_t, rep.margin) == pattern_cover_reference(sig, c)
 
 
 def test_measure_delta0_mutation_fails_signal_and_control(motivating):
