@@ -22,7 +22,10 @@ Layers (ROADMAP aim 1), all with pinned seeds and through the public API:
     ``gen_arbitrary`` signal with mean dwell 0.02, step 1e-2, horizon 20:
     about 2.5 steps a segment, so the cost of each segment shows, where the
     rows above take about 500 steps a segment;
-  - ``simulate_with_covering`` on example4's closed loop, step 1e-2, horizon 80;
+  - ``simulate_with_covering`` on example4's closed loop, step 1e-2, horizon 80,
+    and ``simulate_with_covering_calling``, the same run with the covering
+    margin wrapped in a plain function, which the closed loop's advance then
+    calls at every step instead of evaluating the margin's text inline;
   - ``simulate_reduced`` on motivating's reduced system, step 1e-2, horizon
     20, alternating vertex cells of length 0.5, and ``simulate_reduced_mixed``,
     the same grid with every cell at (1/2, 1/2), which calls the fields;
@@ -169,9 +172,10 @@ def measure_l0(repeats: int, clock) -> dict:
     return timed
 
 
-def _closed_loop_example4(cfg):
+def _closed_loop_example4(cfg, wrap=lambda margin: margin):
     e4 = sw.get_entry("example4")
-    return sw.simulate_with_covering(e4.system, e4.covering, e4.policy, 0.5,
+    covering = replace(e4.covering, margin=wrap(e4.covering.margin))
+    return sw.simulate_with_covering(e4.system, covering, e4.policy, 0.5,
                                      np.array([0.8, -1.1]), 80.5, cfg)
 
 
@@ -211,6 +215,8 @@ def measure_l1(repeats: int, clock) -> dict:
         lambda: sw.simulate(mot.system, short, 0.0, np.array([0.6, -0.7]), 20.0, cfg_cl))
     timed["simulate_with_covering/example4"] = per_step(
         lambda: _closed_loop_example4(cfg_cl)[0])
+    timed["simulate_with_covering_calling/example4"] = per_step(
+        lambda: _closed_loop_example4(cfg_cl, _calling)[0])
 
     vals = np.zeros((400, 2))
     vals[:, 0] = np.tile(np.repeat([1.0, 0.0], 10), 20)

@@ -73,14 +73,15 @@ class IntegratorConfig:
 #
 # A slot alone on its line takes generated lines, one store per component (no
 # tuple to build and unpack).  The four stage evaluations of each kernel are
-# ``{stages}``.  On the calling path it calls the field as f(t, x, arg), x the
-# state as a list of n floats and ``arg`` the one argument its producer paired
-# with f (a mode index, or None for a mixed cell); f may return any
-# length-n sequence.  For a mode of a ``ModeSource`` the slot stores each
-# stage's ``x0, ...``, pastes the mode's bindings and stores its components, and
-# the kernel never calls f.  Only a text that reads ``t`` gets the stage times
-# ``tm`` and ``t``, and in ``march`` the step's start ``tn = t0 + k * h``
-# (``{clock}``).  The template leaves ``t`` and ``x0, ...`` free for that text.
+# ``{stages}`` (``{carried}`` in advance).  On the calling path it calls the
+# field as f(t, x, arg), x the state as a list of n floats and ``arg`` the one
+# argument its producer paired with f (a mode index, or None for a mixed cell);
+# f may return any length-n sequence.  For a mode of a ``ModeSource`` the slot
+# stores each stage's ``x0, ...``, pastes the mode's bindings and stores its
+# components, and the kernel never calls f; a ``_time_only`` binding runs once
+# per stage time: r takes q's value, advance's p the last s's (tn + h is the next
+# tn) or ``{entry}``'s.  Only lines that read ``t``, ``tm`` or ``tn`` get them.
+# advance pastes a margin's text after ``{exit}`` stores ``x0, ...``.
 _RK4_TEMPLATE = """\
 def step(f, tn, xn, h, arg):
     {a_} = xn
@@ -98,8 +99,7 @@ def march(f, t0, start, t1, m, bound, out_x, arg=None):
     push_x = out_x.extend
     {a_} = start
     for k in range(m):
-        {clock}
-        {stages}
+        {marched}
         {a_next_}
         if not {sum_sq} <= bb:  # NaN or beyond the bound
             check_state([{a}], t1 if k + 1 == m else t0 + (k + 1) * h, bound)
@@ -111,20 +111,25 @@ def advance(f, tn, xn, t_stop, tf, step, bound, margin, mode, out_t, out_x, arg=
     bb = bound * bound
     push_t, push_x = out_t.append, out_x.extend
     {a_} = xn
+    h = step
+    hh = 0.5 * h
+    h6 = h / 6.0
+    {entry}
     while tn < t_stop:
-        h = tf - tn if tf - tn < step else step  # min(step, tf - tn)
-        hh = 0.5 * h
-        {stages}
-        h6 = h / 6.0
+        if tf - tn < step:  # h = min(step, tf - tn), shorter from here on
+            h = tf - tn
+            hh = 0.5 * h
+            h6 = h / 6.0
+        {carried}
         {b_next_}
         if not {sum_sq_b} <= bb:  # NaN or beyond the bound
             check_state([{b}], tn + h, bound)
-        x_new = [{b}]
-        if margin(x_new, mode) < -boundary_tol:
-            return tn, [{a}], h, x_new
+        {exit}
+        if {margin} < -boundary_tol:
+            return tn, [{a}], h, [{b}]
         tn = tn + h
         push_t(tn)
-        push_x(x_new)
+        push_x(({b},))
         {a_b_}
     return tn, [{a}], None, None
 """
@@ -141,9 +146,9 @@ _TEMPLATE_NAMES = frozenset(re.findall(r"[A-Za-z_]\w*", " ".join(
      *(time for _, time, _ in _STAGES)])))
 
 
-def _kernel_source(n: int, mode: tuple | None = None) -> str:
-    """``_RK4_TEMPLATE`` written out for n components.  The stage slot calls the
-    field, or evaluates ``mode``, a (binding lines, components line) pair."""
+def _kernel_source(n: int, mode: tuple | None = None, margin: tuple | None = None) -> str:
+    """``_RK4_TEMPLATE`` for n components.  The stages call the field or evaluate ``mode``,
+    a (binding lines, last line) pair; advance calls its margin or evaluates ``margin``."""
     def each(expr: str) -> list:
         return [expr.replace("#", str(j)) for j in range(n)]
 
@@ -156,28 +161,49 @@ def _kernel_source(n: int, mode: tuple | None = None) -> str:
     def stores(name: str, exprs: list) -> list:  # ["a0 = e0", "a1 = e1"]
         return [f"{name}{j} = {e}" for j, e in enumerate(exprs)]
 
+    def reading(name: str, line: str, lines: list) -> list:  # line first if lines read name
+        return [line] * (name in _NAME.findall("\n".join(lines))) + lines
+
+    fixed = []
     if mode is None:
-        timed = True
-        stages = [f"{targets(out)} = f({time}, [{joined(state)}], arg)"
-                  for out, time, state in _STAGES]
+        stages = carried = [f"{targets(out)} = f({time}, [{joined(state)}], arg)"
+                            for out, time, state in _STAGES]
     else:
         bindings, components = mode
-        timed = "t" in _NAME.findall("\n".join([*bindings, components]))
+        fixed = _time_only(bindings, n)
+        rest = [line for line in bindings if line not in fixed]
         values = [ast.get_source_segment(components, e)
                   for e in ast.parse(components, mode="eval").body.elts]
-        stages = [line for out, time, state in _STAGES
-                  for line in [f"t = {time}"] * timed + stores("x", each(state))
-                  + [*bindings, *stores(out, values)]]
+        stages, carried = ([line for (out, time, state), new in zip(_STAGES, fresh)
+                            for line in reading("t", f"t = {time}", fixed * new + stores(
+                                "x", each(state)) + rest + stores(out, values))]
+                           for fresh in ((1, 1, 0, 1), (0, 1, 0, 1)))  # fresh at p q r s
+    stages, carried = (reading("tm", _STAGE_TIME, s) for s in (stages, carried))
     a_next = each("a# + h6 * (p# + 2.0 * (q# + r#) + s#)")
-    slots = {"stages": [_STAGE_TIME] * timed + stages, "clock": [_CLOCK] * timed,
+    slots = {"stages": stages, "carried": carried, "entry": reading("t", "t = tn", fixed),
+             "marched": reading("tn", _CLOCK, stages),
+             "exit": [] if margin is None else stores("x", each("b#")) + [*margin[0]],
              "a_next_": stores("a", a_next), "b_next_": stores("b", a_next),
              "a_b_": stores("a", each("b#"))}
     source = _RK4_TEMPLATE.format(
         **{slot: "{%s}" % slot for slot in slots}, a=joined("a#"), a_=targets("a"),
         b=joined("b#"), a_next=", ".join(a_next), sum_sq=joined("a# * a#", " + "),
-        sum_sq_b=joined("b# * b#", " + "))
+        sum_sq_b=joined("b# * b#", " + "),
+        margin=f"margin([{joined('b#')}], mode)" if margin is None else f"({margin[1]})")
     return re.sub(r"^( *)\{(\w+)\}\n", lambda m: "".join(
         f"{m.group(1)}{line}\n" for line in slots[m.group(2)]), source, flags=re.M)
+
+
+def _time_only(bindings: tuple, n: int) -> list:
+    """The bindings that read no state component, directly or through another binding,
+    and bind no name another binding binds: their values are the time's alone."""
+    lines = [(line, set(_NAME.findall(line)), {a.id for a in ast.walk(ast.parse(line))
+              if isinstance(a, ast.Name) and isinstance(a.ctx, ast.Store)}) for line in bindings]
+    every = [k for *_, names in lines for k in names]
+    moving = {k for k in every if every.count(k) > 1} | {f"x{j}" for j in range(n)}
+    for _ in bindings:  # each pass moves the names of the lines that read a moving one
+        moving |= {k for _, used, names in lines if used & moving for k in names}
+    return [line for line, used, _ in lines if not used & moving]
 
 
 @cache
@@ -198,15 +224,15 @@ def _calling_kernels(n: int) -> tuple:
     return _bind(_kernel_source(n), {})
 
 
-def _rk4_kernels(n: int, f, arg) -> tuple:
+def _rk4_kernels(n: int, f, arg, margin=None) -> tuple:
     """(step, march, advance) for states of n floats, to be handed the field f and
     its argument ``arg``.  When f is the very callable a ``ModeSource`` compiled
-    and ``arg`` one of its mode indices, the kernels evaluate that mode inline
-    (compiled on first use); any other field, a wrapper of one included, takes
-    the kernels that call it."""
+    and ``arg`` one of its mode indices, the kernels evaluate that mode inline (and
+    a ``margin`` as ``closed_kernels`` does); any other field, a wrapper of one
+    included, takes the kernels that call it."""
     src = getattr(f, "mode_source", None)
     if src is not None and src.f is f and type(arg) is int and 0 < arg <= len(src.modes):
-        return src.kernels(arg)
+        return src.kernels(arg) if margin is None else src.closed_kernels(arg, margin)
     return _calling_kernels(n)
 
 
@@ -240,10 +266,10 @@ class ModeSource:
         if clash:
             raise ParameterError(f"names {clash} are taken by the RK4 kernels")
         known = {*state, *names} | ({"t"} if form != "margin" else set()) | _BUILTIN_NAMES
-        self.n, self.names, self.result = n, names, result
+        self.n, self.names, self.result, self.form = n, names, result, form
         self.modes, self.widths = zip(*[_parse_mode(text, form == "tuple", known, reserved, k)
                                         for k, text in enumerate(modes, 1)])
-        self._kernels, self._columns = {}, {}
+        self._kernels, self._columns = {}, {}  # kernels by i, and by (i, margin)
         lines = [f"def f({'x' if form == 'margin' else 't, x'}, i):",
                  f"    {', '.join(state)}{',' * (n == 1)} = x"]
         for k, (bindings, components) in enumerate(self.modes, 1):
@@ -269,6 +295,20 @@ class ModeSource:
         if k is None:
             k = self._kernels[i] = _bind(_kernel_source(self.n, self.modes[i - 1]),
                                          self.names)
+        return k
+
+    def closed_kernels(self, i: int, margin) -> tuple:
+        """``kernels(i)``, advance evaluating ``margin`` inline if it is the callable of a
+        ModeSource margin of n components, no ``result``, and a text for i ``_apart``."""
+        k = self._kernels.get((i, margin))
+        if k is None:
+            k, src = self.kernels(i), getattr(margin, "mode_source", None)
+            text = (src is not None and src.f is margin and src.form == "margin" and src.n ==
+                    self.n and src.result is None and src.modes[min(i, len(src.modes)) - 1])
+            if text and _apart(self.modes[i - 1], self.names, text, src.names, self.n):
+                k = _bind(_kernel_source(self.n, self.modes[i - 1], text),
+                          {**src.names, **self.names})
+            self._kernels[i, margin] = k
         return k
 
     def on_columns(self, i: int) -> bool:
@@ -317,6 +357,13 @@ def _parse_mode(text: str, listed: bool, known: set, reserved: set, k: int) -> t
         raise ParameterError(f"mode {k}: unknown names {unknown}")
     return ((tuple(bindings), components + "," * (listed and not tupled)),
             (len(value.elts) if tupled else 1) if listed else None)
+
+
+def _apart(a: tuple, a_names: dict, b: tuple, b_names: dict, n: int) -> bool:
+    """Whether two mode texts and their ``names`` share no name but the state's."""
+    used_a, used_b = (set(_NAME.findall("\n".join([*text[0], text[1]]))) | set(names)
+                      for text, names in ((a, a_names), (b, b_names)))
+    return used_a & used_b <= {f"x{j}" for j in range(n)}
 
 
 def _on_columns(text: str, names: dict, n: int) -> bool:
@@ -402,11 +449,11 @@ def _at_rows(fn, times: np.ndarray | None, states: np.ndarray, modes: np.ndarray
         last = len(src.modes)
         texts = np.where((modes >= 1) & (modes < last), modes, last)  # the text f takes
         with np.errstate(all="ignore"):  # where numpy warns, floats quietly give inf or NaN
-            for k in np.unique(texts).tolist():
-                if src.on_columns(k):
-                    rows = np.flatnonzero(texts == k)
+            for k in range(1, last + 1):
+                rows = np.flatnonzero(texts == k) if src.on_columns(k) else ()
+                if len(rows):
                     called[rows] = False
-                    cols = list(states[rows].T)
+                    cols = [c[rows] for c in states.T]  # contiguous: faster arithmetic
                     value = fn(cols, k) if times is None else fn(times[rows], cols, k)
                     for j, v in enumerate(value if width else [value]):
                         out[rows, j] = v
@@ -589,7 +636,7 @@ def simulate_with_covering(sys: SwitchedSystem, covering: Covering,
     t_stop = tf - 1e-12 * max(1.0, abs(tf))
     margin, f = covering.margin, sys.f
     while t < t_stop:
-        rk4_step, _, advance = _rk4_kernels(sys.n, f, mode)
+        rk4_step, _, advance = _rk4_kernels(sys.n, f, mode, margin)
         try:
             t, x, h, x_new = advance(f, t, x, t_stop, tf, cfg.step, cfg.divergence_bound,
                                      margin, mode, ts, xs, mode)

@@ -161,11 +161,12 @@ def _along_steps(at_rows, times: np.ndarray, states: np.ndarray,
     outgoing mode: m + |switch nodes| rows in all.  Returns the node values
     (m) and the step-end values (m - 1).
     """
-    node = at_rows(times, states, modes)
-    end = node[1:].copy()
-    k = np.flatnonzero(modes[1:] != modes[:-1]) + 1  # the switch nodes
-    end[k - 1] = at_rows(times[k], states[k], modes[k - 1])
-    return node, end
+    m, k = len(modes), np.flatnonzero(modes[1:] != modes[:-1]) + 1  # k: the switch nodes
+    values = at_rows(np.concatenate((times, times[k])), np.concatenate((states, states[k])),
+                     np.concatenate((modes, modes[k - 1])))  # the nodes, then the switch nodes
+    end = values[1:m].copy()
+    end[k - 1] = values[m:]
+    return values[:m], end
 
 
 def check_decrease_along(cert: LyapunovCertificate, traj: Trajectory,
@@ -223,7 +224,7 @@ def check_decrease_along(cert: LyapunovCertificate, traj: Trajectory,
     # revisit part: V_i at every node under the node's own mode, against the
     # running minimum of the mode's earlier nodes; ties go to the lower mode
     rev = np.empty(len(V))
-    for i in np.unique(modes).tolist():
+    for i in set(modes[np.append(True, modes[1:] != modes[:-1])].tolist()):  # runs' modes
         idx = np.flatnonzero(modes == i)
         v = V[idx]
         rev[idx] = v - np.minimum.accumulate(np.concatenate(([np.inf], v[:-1]))) - REVISIT_TOL

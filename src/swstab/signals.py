@@ -39,6 +39,7 @@ from .integrate import _at_rows, _node_modes
 GRANULARITY = 1e-4
 TIE_TOL = 1e-9  # threshold comparisons use this tie tolerance (shared with test oracles)
 OVERDRAW = 4.0  # standard deviations of pieces a bulk draw holds beyond the mean count
+MAX_DRAW = 2**26  # pieces one bulk draw may hold: 512 MB an array of float64
 
 
 @dataclass(frozen=True)
@@ -107,19 +108,24 @@ def _span(span: tuple[float, float], granularity: float) -> tuple[float, float]:
     return t0, tf
 
 
-def _width(n: float) -> int:
-    """Pieces one bulk draw holds for n mean dwells: n + 1 on average, OVERDRAW sqrt(n) + 1 more."""
-    return math.ceil(n + OVERDRAW * math.sqrt(max(n, 0.0))) + 2
+def _width(n: float, rows: int, span: tuple) -> int:
+    """Pieces one bulk draw holds per row for n mean dwells: n + 1 on average, OVERDRAW
+    sqrt(n) + 1 more; a ParameterError naming the span if rows of them pass MAX_DRAW."""
+    width = math.ceil(n + OVERDRAW * math.sqrt(max(n, 0.0))) + 2
+    if rows * width > MAX_DRAW:
+        raise ParameterError(f"span [{float(span[0])!r}, {float(span[1])!r}] needs a draw of "
+                             f"{rows * width} pieces, over the {MAX_DRAW} one draw may hold")
+    return width
 
 
 def _cut(rng, lengths: np.ndarray, scale: float, n_modes: int, granularity: float,
-         cap: float = math.inf):
+         span: tuple, cap: float = math.inf):
     """Rows [0, length) cut into pieces of uniform modes in 1..n_modes and exponential
     dwells of mean ``scale``, capped at ``cap``, in whole granules, at least one: (starts,
     modes, keep) per row, keep marking pieces that start before the row's length.  A row
     short of ``_width`` pieces of the longest row draws as many again (zero dwells elsewhere).
     """
-    rows, width = len(lengths), _width(float(np.max(lengths)) / scale)
+    rows, width = len(lengths), _width(float(np.max(lengths)) / scale, len(lengths), span)
     granules, modes, short = np.zeros((rows, 0)), np.zeros((rows, 0), int), np.ones(rows, bool)
     while short.any():
         g, m = np.zeros((rows, width)), np.ones((rows, width), dtype=np.int64)
@@ -165,7 +171,7 @@ def gen_arbitrary(n_modes: int, span: tuple[float, float], mean_dwell: float,
     t0, tf = _span(span, granularity)
     rng = np.random.default_rng(rng_seed)
     starts, modes, keep = _cut(rng, np.array([tf - t0]), mean_dwell, n_modes, granularity,
-                               10.0 * mean_dwell)
+                               span, 10.0 * mean_dwell)
     breaks = np.round((t0 + starts[keep]) / granularity) * granularity
     return _build_signal(breaks, modes[keep], t0, tf)
 
@@ -194,9 +200,10 @@ def gen_measure_constrained(c: MeasureConstraint, n_modes: int, span: tuple[floa
         return SwitchingSignal.constant(c.mode, t0, tf)
     offset = float(rng.integers(0, int(_granules(c.T0 - block, granularity)) + 1)) * granularity
     n_tiles = int(np.ceil((tf - t0) / c.T0)) + 1
+    _width(1.0 / 0.3, 2 * n_tiles, span)  # refused before np.tile: no row is longer than T0
     # rows alternate each tile's filler before its block and after it, cut half a granule short
     lengths = np.tile([offset, c.T0 - offset - block], n_tiles) - granularity / 2
-    starts, modes, keep = _cut(rng, lengths, 0.3 * c.T0, n_modes, granularity)
+    starts, modes, keep = _cut(rng, lengths, 0.3 * c.T0, n_modes, granularity, span)
     a = t0 + c.T0 * np.arange(n_tiles)[:, None]
     breaks = np.hstack((a + starts[0::2], a + offset, a + offset + block + starts[1::2]))
     modes = np.hstack((modes[0::2], np.full((n_tiles, 1), c.mode), modes[1::2]))
@@ -224,7 +231,8 @@ def gen_pattern(c: PatternConstraint, span: tuple[float, float], rng_seed: int,
     rng = np.random.default_rng(rng_seed)
     gaps = np.zeros(0, dtype=np.int64)
     while t0 + int(gaps.sum()) * granularity < tf:  # whole 1-2-1 blocks until one starts at tf
-        blocks = _width(((tf - t0) / granularity - int(gaps.sum())) / (1.5 * (k_lo + k_hi)))
+        blocks = _width(((tf - t0) / granularity - int(gaps.sum())) / (1.5 * (k_lo + k_hi)), 3,
+                        span)
         gaps = np.append(gaps, rng.integers(k_lo, k_hi + 1, 3 * blocks))
     breaks = t0 + np.append(0, np.cumsum(gaps[:-1])) * granularity
     return _build_signal(breaks, np.tile([1, 2, 1], len(gaps) // 3), t0, tf)

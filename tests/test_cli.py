@@ -248,6 +248,11 @@ def test_bad_manifest_value_exit2(tmp_path, command, doc):
     ("simulate", {"system": {"id": "example4"}, "simulate": {"horizon": 1e300}}, "span"),
     ("envelope", {"system": {"id": "example4"}, "envelope": {"horizon": 1e300, "trials": 1}},
      "span"),
+    # a class signal of more pieces than one bulk draw may hold (about 27 GB an
+    # array for example1)
+    ("simulate", {"system": {"id": "example1"}, "simulate": {"horizon": 1e9}}, "span"),
+    ("simulate", {"simulate": {"horizon": 1e9}}, "span"),
+    ("simulate", {"system": {"id": "inverter"}, "simulate": {"horizon": 1e9}}, "span"),
 ])
 def test_out_of_range_manifest_value_exit2(tmp_path, capsys, command, doc, key):
     # a non-positive horizon, box, step, trial count, budget, signal

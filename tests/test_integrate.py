@@ -397,7 +397,7 @@ def _on_both_kernels(monkeypatch, run):
     got = run()
     with monkeypatch.context() as m:
         for module in (integrate, limiting):
-            m.setattr(module, "_rk4_kernels", lambda n, f, arg: (
+            m.setattr(module, "_rk4_kernels", lambda n, f, arg, margin=None: (
                 rk4_step_reference, integrate_interval_reference, closed_loop_advance_reference))
         MARCHED_TIMES.clear()
         want = run()
@@ -481,19 +481,30 @@ def test_kernel_matches_ndarray_kernel_closed_loop(example4, monkeypatch):
 @given(angle=st.floats(0.0, 2.0 * math.pi), offset=st.floats(-1.5, 1.5),
        x0=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
        t0=st.floats(0.0, 10.0), step=st.sampled_from([1e-2, 4e-2]),
-       choice_seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=40, deadline=None)
+       choice_seed=st.integers(0, 2**32 - 1), source=st.booleans())
+@settings(max_examples=60, deadline=None)
 def test_closed_loop_random_half_planes_and_choices(example4, angle, offset, x0, t0, step,
-                                                    choice_seed):
+                                                    choice_seed, source):
     # example4's modes 1 and 2 on the half-plane {n . x >= c}, mode 3 on the
     # other, and a policy drawing any active mode: the run ends, labels every
-    # node with a mode whose piece holds it, and equals the ndarray kernels' run
+    # node with a mode whose piece holds it, and equals the ndarray kernels' run.
+    # The margin is a function, which advance calls, or a ModeSource margin,
+    # whose text advance evaluates inline
+    from swstab import ModeSource
+    from swstab.integrate import _rk4_kernels
+
     nx, ny = math.cos(angle), math.sin(angle)
 
     def margin(x, i):
         d = nx * x[0] + ny * x[1] - offset
         return d if i in (1, 2) else -d
 
+    if source:
+        d = "nx * x0 + ny * x1 - offset"
+        margin = ModeSource(2, (d, d, f"-({d})"), {"nx": nx, "ny": ny, "offset": offset},
+                            form="margin").f
+        f = example4.system.f
+        assert _rk4_kernels(2, f, 3, margin)[2] is not f.mode_source.kernels(3)[2]
     half = Covering(margin=margin, N=3)
     cfg = IntegratorConfig(step=step)
 
@@ -510,6 +521,90 @@ def test_closed_loop_random_half_planes_and_choices(example4, angle, offset, x0,
     assert sa.modes.tobytes() == sb.modes.tobytes()
     assert abs(a.times[-1] - (t0 + 3.0)) <= 1e-12 * (t0 + 3.0)  # the run's t_stop
     assert validate_covering_invariance(a, sa, half).ok
+
+
+def test_inline_margin_stays_apart_from_the_field(example4, monkeypatch):
+    # a margin text that shares a name other than the state's with the field's
+    # text (example4's b or sin), or holds a ``result``, is not pasted beside the
+    # field: advance calls it.  Pasted or not, every run equals the ndarray
+    # kernels' run, which calls the margin
+    from swstab import ModeSource
+    from swstab.integrate import _rk4_kernels
+
+    f = example4.system.f
+    b = "b = 0.6 * x0 + 0.8 * x1"
+    line = ("0.6 * x0 + 0.8 * x1 - 0.1",) * 2 + ("0.1 - 0.6 * x0 - 0.8 * x1",)
+    margins = {  # a margin: the modes whose advance calls it
+        ModeSource(2, (f"{b}\nb - 0.1", f"{b}\nb - 0.1", f"{b}\n0.1 - b"),
+                   form="margin").f: {1, 2},  # mode 3's text binds no b
+        ModeSource(2, ("sin(x0) - 0.1",) * 2 + ("0.1 - sin(x0)",), {"sin": math.tan},
+                   form="margin").f: {1, 2, 3},
+        ModeSource(2, line, result=float, form="margin").f: {1, 2, 3},
+        ModeSource(2, ("sin(x0) - 0.1",) * 2 + ("0.1 - sin(x0)",), {"sin": math.sin},
+                   form="margin").f: {1, 2, 3},
+        ModeSource(2, ("tan(x0) - 0.1",) * 2 + ("0.1 - tan(x0)",), {"tan": math.tan},
+                   form="margin").f: set(),
+        ModeSource(2, ("c = 0.6 * x0\nc + 0.8 * x1 - 0.1",) * 2 + line[2:],
+                   form="margin").f: set()}
+    for margin, calls in margins.items():
+        for i in (1, 2, 3):
+            kernels = _rk4_kernels(2, f, i, margin)
+            assert (kernels is f.mode_source.kernels(i)) == (i in calls)
+        covering = Covering(margin=margin, N=3)
+        (a, sa), (c, sc) = _on_both_kernels(monkeypatch, lambda: simulate_with_covering(
+            example4.system, covering, lambda t, x, active: active[-1], 0.3,
+            np.array([0.9, -0.7]), 12.3, IntegratorConfig(step=2e-2)))
+        assert sa.n_switches > 2
+        _assert_same_bits(a, c)
+        assert sa.breakpoints.tobytes() == sc.breakpoints.tobytes()
+
+
+@pytest.mark.parametrize("text, per_step", [
+    ("g = sin(t)\nc = g * 0.5\nx1 + c * x0, -x0", 3),  # time-only, and one reading it
+    ("w = sin(t) * x0\nx1 + 0.5 * w, -x0", 4),          # reads x
+    ("v = 0.5 * x0\nw = sin(t) * v\nx1 + w, -x0", 4),  # reads x through v
+    ("g = sin(t)\ng = g * 0.5\nx1 + g * x0, -x0", 4),  # rebound
+], ids=["time-only", "reads-x", "reads-x-through", "rebound"])
+def test_time_only_bindings_once_per_stage_time(text, per_step, monkeypatch):
+    # a time-only binding runs once per stage time: march and step evaluate it
+    # at tn, tm (stages q and r) and tn + h, advance at tm and tn + h, which is
+    # the next step's tn, plus once on entry.  A binding that reads x, or a
+    # rebound name, stays in all four stages.  Every kernel equals the ndarray one
+    from swstab import ModeSource
+    from swstab.integrate import _rk4_kernels
+
+    times = []
+
+    def sin(t):
+        times.append(t)
+        return math.sin(t)
+
+    src = ModeSource(2, (text, "x1 - 0.1 * sin(t), -x0"), {"sin": sin})
+    margin = ModeSource(2, ("x0 + 0.2", "-0.2 - x0"), form="margin").f
+    step, march, _ = src.kernels(1)
+    advance = _rk4_kernels(2, src.f, 1, margin)[2]
+    times.clear()
+    march(src.f, 0.5, [0.6, -0.4], 1.7, 40, 1e9, [], 1)
+    assert len(times) == 40 * per_step
+    times.clear()
+    step(src.f, 0.5, [0.6, -0.4], 0.03, 1)
+    assert len(times) == per_step
+    nodes = []
+    times.clear()
+    tf = 1.71  # the last step shortens
+    assert advance(src.f, 0.5, [0.6, -0.4], tf - 1e-12, tf, 0.03, 1e9, margin, 1, nodes, [],
+                   1)[2] is None
+    assert len(nodes) == 41 and len(times) == (2 * 41 + 1 if per_step == 3 else 4 * 41)
+    system = SwitchedSystem(n=2, N=2, f=src.f, h=lambda t, x, i: (x[0],))
+    sig = gen_arbitrary(2, (0.0, 4.0), 0.3, 9, granularity=1e-2)
+    cfg = IntegratorConfig(step=3e-2)
+    _assert_same_bits(*_on_both_kernels(monkeypatch, lambda: simulate(
+        system, sig, 0.0, np.array([0.6, -0.4]), 4.0, cfg)))
+    (a, sa), (b, sb) = _on_both_kernels(monkeypatch, lambda: simulate_with_covering(
+        system, Covering(margin=margin, N=2), lambda t, x, active: active[0], 0.1,
+        np.array([0.6, -0.4]), 12.0, cfg))
+    assert sa.n_switches > 2 and sa.breakpoints.tobytes() == sb.breakpoints.tobytes()
+    _assert_same_bits(a, b)
 
 
 def test_kernel_matches_ndarray_kernel_blow_up_partial(all_entries, example4, monkeypatch):
@@ -601,8 +696,8 @@ def test_every_kernel_calls_the_field_with_one_argument(all_entries, example4, m
 
         return run
 
-    monkeypatch.setattr(integrate, "_rk4_kernels", lambda n, f, arg: tuple(
-        recording(k, n) for k in (real(n, f, arg) if inline else real(n, None, None))))
+    monkeypatch.setattr(integrate, "_rk4_kernels", lambda n, f, arg, margin=None: tuple(
+        recording(k, n) for k in (real(n, f, arg, margin) if inline else real(n, None, None))))
     monkeypatch.setattr(limiting, "_rk4_kernels", integrate._rk4_kernels)
 
     def paired_args(run, kernels):
@@ -1075,6 +1170,34 @@ def test_columns_equal_the_calling_path(all_entries):
                     (entry.name, label, modes[0])
     # only motivating's |x0| ** (4/3) leaves the grammar
     assert off_columns == {("motivating", "eta", 2)}
+
+
+@pytest.mark.parametrize("form", ["float", "tuple", "margin"])
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_at_rows_partition_equals_per_row_calls(form, seed):
+    # texts 1 and 3 run on columns, 2 and 4 are called; modes skip texts, hold
+    # 0, negatives and indices above the last text (which fall to it): every row
+    # holds the bits of its own call
+    from swstab import ModeSource
+    from swstab.integrate import _at_rows
+
+    texts = ["2.0 * x0 - x1 * x1", "sin(x0) - x1", "abs(x1) - x0 * x0", "x0 ** 3.0 + x1"]
+    if form != "margin":
+        texts = [text.replace("x1 *", "t *") for text in texts]
+    if form == "tuple":
+        texts = [f"{text}, -x1" for text in texts]
+    src = ModeSource(2, texts, {"sin": math.sin}, form=form)
+    assert [src.on_columns(k) for k in (1, 2, 3, 4)] == [True, False, True, False]
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(0, 400))
+    present = rng.choice([-1, 0, 1, 2, 3, 4, 5, 9], size=int(rng.integers(1, 6)), replace=False)
+    modes = rng.choice(present, m)
+    states = rng.uniform(-3.0, 3.0, (m, 2))
+    times = None if form == "margin" else rng.uniform(0.0, 10.0, m)
+    got = _at_rows(src.f, times, states, modes, 2 if form == "tuple" else None)
+    want = _called(src.f, times, states, modes).reshape(got.shape)
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
 @pytest.mark.parametrize("text, names", [

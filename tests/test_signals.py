@@ -227,6 +227,28 @@ def test_generators_refuse_an_empty_span(span):
             _class_signal(kind, span, 1, 1e-4)
 
 
+def test_generators_refuse_a_draw_beyond_the_bound():
+    # a span of 1e9 s passes ``_span`` (1e13 granules) but asks each class for
+    # billions of pieces (``_width(1e9 / 0.3)`` is 3 333 564 276 for the arbitrary
+    # class, about 27 GB an array): a ParameterError naming the span, raised
+    # before any array is built
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        for kind in ("arbitrary", "measure", "pattern"):
+            with pytest.raises(ParameterError, match=r"^span \[0.0, 1000000000.0\] needs a draw "
+                                                     r"of \d+ pieces, over the 67108864"):
+                _class_signal(kind, (0.0, 1e9), 1, 1e-4)
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
+    # the bound itself: rows of two pieces, MAX_DRAW pieces in all, pass; one more row does not
+    assert signals._width(0.0, signals.MAX_DRAW // 2, (0.0, 1.0)) == 2
+    with pytest.raises(ParameterError, match=r"^span \[0.0, 1.0\] needs a draw of 67108866"):
+        signals._width(0.0, signals.MAX_DRAW // 2 + 1, (0.0, 1.0))
+
+
 @pytest.mark.parametrize("granularity", [0.0, -1e-4, np.nan, np.inf])
 def test_generators_name_a_bad_granularity(granularity):
     # a zero granularity divided the span, and a negative or NaN one was blamed on it
@@ -262,8 +284,9 @@ def test_short_rows_draw_more(monkeypatch):
     # (one that is not kept), and the generated signals stay in their class
     monkeypatch.setattr(signals, "OVERDRAW", 0.0)
     lengths = np.full(200, 0.7)
-    starts, modes, keep = signals._cut(np.random.default_rng(3), lengths, 0.3, 3, 1e-4)
-    assert starts.shape[1] > signals._width(0.7 / 0.3)
+    starts, modes, keep = signals._cut(np.random.default_rng(3), lengths, 0.3, 3, 1e-4,
+                                       (0.0, 0.7))
+    assert starts.shape[1] > signals._width(0.7 / 0.3, 1, (0.0, 0.7))
     assert not keep[:, -1].any() and keep[:, 0].all()
     assert np.all(np.diff(starts, axis=1) >= 0.0) and set(modes[keep].tolist()) == {1, 2, 3}
     for kind in ("arbitrary", "measure", "pattern"):
