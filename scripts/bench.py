@@ -32,10 +32,14 @@ Layers (ROADMAP aim 1), all with pinned seeds and through the public API:
   - one envelope trial of motivating through ``make_driver``, horizon 200,
     step 2e-2, signal generation included.
   A row is the run's time divided by its step count (grid nodes minus one),
-  except ``falsifier_cell/motivating``: the constrained ``wzsd_falsify``
-  search of motivating (horizon 5, budget 1 000, seed 105) divided by the
-  cells its screen marched (``cells_marched``), each cell five RK4 steps
-  plus its draw and residual tests.
+  except the two falsifier rows: ``falsifier_cell/motivating``, the
+  constrained ``wzsd_falsify`` search of motivating (horizon 5, budget
+  1 000, seed 105) divided by the cells its screen marched
+  (``cells_marched``), each cell five RK4 steps plus its draw and residual
+  tests; and ``falsifier_candidate/inverter``, the constrained search of
+  inverter (horizon 12, budget 1 000, seed 105) divided by its candidates
+  (``budget_used``), which mostly cost their set-up and constraint checks:
+  about 4 cells each.
 - L2, milliseconds per 10 000 work units of each checker, on pinned inputs:
   - ``check_decrease_along`` and ``check_integral_bound`` per 10k grid nodes,
     on L1's closed loop of example4 (8 017 nodes) and on one open-loop run
@@ -186,7 +190,7 @@ def _calling(fn):
 
 
 def measure_l1(repeats: int, clock) -> dict:
-    """{row: seconds per RK4 step, or per screened cell for the falsifier row}."""
+    """{row: seconds per RK4 step, or per screened cell or candidate for the falsifier rows}."""
     def per_step(run):
         return _timed(lambda: len(run().times) - 1, repeats, clock)
 
@@ -235,6 +239,10 @@ def measure_l1(repeats: int, clock) -> dict:
     timed["falsifier_cell/motivating"] = _timed(
         lambda: sw.wzsd_falsify(mot.reduced, eps=0.5, horizon=5.0, budget=1_000,
                                 seed=105).notes["cells_marched"], repeats, clock)
+    inv = sw.get_entry("inverter")
+    timed["falsifier_candidate/inverter"] = _timed(
+        lambda: sw.wzsd_falsify(inv.reduced, eps=0.5, horizon=12.0, budget=1_000,
+                                seed=105).budget_used, repeats, clock)
     return timed
 
 

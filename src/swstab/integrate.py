@@ -336,17 +336,22 @@ def _parse_mode(text: str, listed: bool, known: set, reserved: set, k: int) -> t
     if not lines:
         raise ParameterError(f"mode {k} is empty")
     *bindings, components = lines
-    bound = set()
     for line in bindings:
-        m = _BINDING.match(line)
-        if m is None or m.group(1) in reserved:
-            raise ParameterError(f"mode {k}: {line!r} is not a name = expr binding of a name "
-                                 "the RK4 kernels leave free")
-        bound.add(m.group(1))
+        if _BINDING.match(line) is None:
+            raise ParameterError(f"mode {k}: {line!r} is not a name = expr binding")
     try:
-        value = ast.parse(components, mode="eval").body
+        trees = [*map(ast.parse, bindings), ast.parse(components, mode="eval")]
     except SyntaxError as err:
         raise ParameterError(f"mode {k}: {err}") from None
+    # every name each line stores, chained and walrus targets too; the last line stores
+    # none, or a stage that reuses a time-only binding could read it rebound
+    *bound, last = ({a.id for a in ast.walk(tree)
+                     if isinstance(a, ast.Name) and isinstance(a.ctx, ast.Store)} for tree in trees)
+    bound = set().union(*bound)
+    if bound & reserved or last:
+        raise ParameterError(f"mode {k}: binds {sorted(bound & reserved | last)}: a name "
+                             "the RK4 kernels take, or a name on its last line")
+    value = trees[-1].body
     tupled = isinstance(value, ast.Tuple)
     if tupled and not listed:
         raise ParameterError(f"mode {k}: {components!r} is not one value")

@@ -51,19 +51,19 @@ class ReducedLimitingSystem:
     """dx/dt = sum_i u_i fhat_i(t, x) with output Hhat(t, x) . u pinned to zero.
 
     Fhat(t, x) holds the limiting fields fhat_i as columns; the integrators
-    march the fields (``_limiting_fields``).  Hhat holds the componentwise
-    output magnitudes, so Hhat >= 0 and zero output is exactly a face
-    condition on u.  ``constraints`` are the switching class's own constraint
-    objects, as weak limits inherit them: a MeasureConstraint bounds the
-    integral of u_mode over every window of length T0 from below by delta0,
-    and a PatternConstraint asks for a near-vertex 1-2-1 pattern with gaps in
-    [dm, dM] in every window of length T.
+    march the fields (``_limiting_fields``).  Hhat(t, x) is a list of N floats
+    (any length-N sequence does), the componentwise output magnitudes, so Hhat
+    >= 0 and zero output is exactly a face condition on u.  ``constraints`` are
+    the switching class's own constraint objects, as weak limits inherit them:
+    a MeasureConstraint bounds the integral of u_mode over every window of
+    length T0 from below by delta0, and a PatternConstraint asks for a
+    near-vertex 1-2-1 pattern with gaps in [dm, dM] in every window of length T.
     """
 
     n: int
     N: int
     Fhat: Callable[[float, Sequence[float]], np.ndarray]   # (n, N)
-    Hhat: Callable[[float, Sequence[float]], np.ndarray]   # (N,)
+    Hhat: Callable[[float, Sequence[float]], Sequence[float]]   # N floats
     covering: Covering
     constraints: tuple[MeasureConstraint | PatternConstraint, ...] = ()
 
@@ -96,7 +96,7 @@ def build_reduced(sys: SwitchedSystem, covering: Covering,
     modes = range(1, sys.N + 1)
 
     def Hhat(t, x):
-        return np.array([math.hypot(*h(t, x, i)) for i in modes])
+        return [math.hypot(*h(t, x, i)) for i in modes]
 
     Fhat = _StackedFields(sys.fhat if sys.fhat is not None else sys.f, sys.N)
     return ReducedLimitingSystem(n=sys.n, N=sys.N, Fhat=Fhat, Hhat=Hhat,
@@ -138,7 +138,7 @@ def _reduced_outputs(rls: ReducedLimitingSystem, traj: Trajectory) -> tuple[list
     if traj.controls is None:
         raise ParameterError("trajectory carries no control")
     Hhat = rls.Hhat
-    ys = [_residual(Hhat(t, x).tolist(), w) for t, x, w
+    ys = [_residual(Hhat(t, x), w) for t, x, w
           in zip(traj.times.tolist(), traj.states, traj.controls.tolist())]
     return ys, math.nan if any(math.isnan(y) for y in ys) else max([0.0, *ys])
 
@@ -173,7 +173,8 @@ def check_control_constraint(u: RelaxedControl,
     # each cell as vertex 1 (1), vertex 2 (2; a one-mode control has none) or neither (3)
     near = (np.abs(u.values - np.eye(u.n_modes)[:2, None, :]) <= VERTEX_TOL).all(axis=2)
     cls = np.where(near[-1], len(near), np.where(near[0], 1, 3))
-    cells = SwitchingSignal(u.t0 + u.step * np.arange(u.n_cells), cls, u.t0, u.tf)
+    k = np.flatnonzero(np.append(True, cls[1:] != cls[:-1]))  # the cells a class starts at
+    cells = SwitchingSignal(u.t0 + u.step * k, cls[k], u.t0, u.tf)
     report = pattern_cover_check(cells, c)
     return report.ok, report.margin
 
@@ -256,16 +257,16 @@ def _shell_state(rng: np.random.Generator, n: int, eps: float, sparse: bool) -> 
         if not np.any(x):
             x[0] = 1.0
     r = float(rng.uniform(eps, 3.0 * eps))
-    return x * (r / np.linalg.norm(x))
+    return x * (r / math.sqrt(x.dot(x)))  # np.linalg.norm(x), as it computes it
 
 
 def _integral_steering(c, t, accrued, w, allowed):
     """Blend the weight list w toward the constrained mode's vertex v to chase
     the window quota: (1 - lam) * w_i + lam * v_i, as the array expression rounds."""
-    tile_end = (math.floor(t / c.T0 + 1e-12) + 1) * c.T0
     deficit = c.delta0 - accrued
     if deficit <= 0 or c.mode not in allowed:
         return w
+    tile_end = (math.floor(t / c.T0 + 1e-12) + 1) * c.T0
     lam = min(1.0, deficit / max(tile_end - t, 1e-12))
     v = [0.0] * len(w)
     v[c.mode - 1] = 1.0
@@ -283,56 +284,62 @@ class _Abort(Exception):
 
 
 class _Tally:
-    """Rejected candidates per reason and cells marched by the screen, over one search."""
+    """Per search: rejected candidates per reason, cells marched, vertex marches."""
 
     def __init__(self):
         self.aborts = dict.fromkeys(ABORT_REASONS, 0)
         self.cells = 0
+        self.marches = {}
 
 
 def _rollout(rls: ReducedLimitingSystem, u_cells, x0, horizon, du, sub, eps,
              residual_tol, divergence_bound, tally: _Tally) -> np.ndarray:
     """Screen a candidate cell by cell; returns its cell weights or raises _Abort.
 
-    ``u_cells`` is an array of cell weights, read as lists of floats, or a
-    callable u_cells(k, t, x, H) that is handed H = Hhat(t, x) as a list and
-    returns the weight list or raises _Abort (the face-random closed loop).
-    Hhat is evaluated once per grid node: a cell's end value is the next
-    cell's start value when the two times are equal floats.  Each cell is
-    marched by the integrator's RK4 on ``_mix_rhs`` of the limiting fields, in
-    ``sub`` sub-steps.  The norm floor (a sum of squares of the
-    float-list state) is checked at cell ends only: _validate_candidate
-    re-checks every node.
+    ``u_cells`` is an array of cell weights, each row read as a list of floats
+    when its cell comes, or a callable u_cells(k, t, x, H) that is handed
+    H = Hhat(t, x), as Hhat returns it, and returns the weight list or raises
+    _Abort (the face-random closed loop).  Hhat is evaluated once per grid
+    node: a cell's end value is the next cell's start value when the two
+    times are equal floats.  Each cell is marched by the integrator's RK4 on
+    ``_mix_rhs`` of the limiting fields, in ``sub`` sub-steps; a vertex cell
+    takes its march from the tally's table.  The norm floor (a sum of
+    squares of the float-list state) is checked at cell ends only:
+    _validate_candidate re-checks every node.
     """
     n_cells = int(round(horizon / du))
     x = np.asarray(x0, dtype=float)
-    if float(np.linalg.norm(x)) < eps:
+    if math.sqrt(x.dot(x)) < eps:  # np.linalg.norm(x), as it computes it
         raise _Abort("start_below_floor")
     x = x.tolist()
-    fields, Hhat = _limiting_fields(rls.Fhat), rls.Hhat
+    fields, Hhat, marches = _limiting_fields(rls.Fhat), rls.Hhat, tally.marches
     closed_loop = callable(u_cells)
-    if not closed_loop:
-        u_cells = u_cells.tolist()
     n = len(x)
     ws = []
     t_end = H_end = None
     for k in range(n_cells):
         t = k * du
-        H = H_end if t == t_end else Hhat(t, x).tolist()
-        w = u_cells(k, t, x, H) if closed_loop else u_cells[k]
+        H = H_end if t == t_end else Hhat(t, x)
+        w = u_cells(k, t, x, H) if closed_loop else u_cells[k].tolist()
         ws.append(w)
         if not _residual(H, w) <= residual_tol:  # a NaN residual fails too
             raise _Abort("residual")
-        rhs, arg = _mix_rhs(fields, w)
+        cached = marches.get(key := tuple(w))  # a vertex weight's (rhs, arg, march)
+        if cached is None:
+            rhs, arg = _mix_rhs(fields, w)
+            cached = rhs, arg, _rk4_kernels(n, rhs, arg)[1]
+            if arg is not None:  # a vertex: at most N entries, as mixed cells stay out
+                marches[key] = cached
+        rhs, arg, march = cached
         t_end = t + du
         tally.cells += 1
         try:
-            x = _rk4_kernels(n, rhs, arg)[1](rhs, t, x, t_end, sub, divergence_bound, [], arg)
+            x = march(rhs, t, x, t_end, sub, divergence_bound, [], arg)
         except (BlowUpError, DynamicsError):
             raise _Abort("diverged") from None
         if sum([v * v for v in x]) < eps * eps:
             raise _Abort("norm_floor")
-        H_end = Hhat(t_end, x).tolist()
+        H_end = Hhat(t_end, x)
         if not _residual(H_end, w) <= residual_tol:
             raise _Abort("residual")
     return np.array(ws)
@@ -359,11 +366,10 @@ def _validate_candidate(rls: ReducedLimitingSystem, u: RelaxedControl, x0: np.nd
     outputs, res = _reduced_outputs(rls, traj)
     if not res <= residual_tol:
         return None
-    for t, x, w in zip(traj.times, traj.states, traj.controls):
+    for x, w in zip(traj.states, traj.controls):
         allowed = active_index_set(x, rls.covering, tol=BOUNDARY_TOL)
-        for i in range(1, rls.N + 1):
-            if i not in allowed and w[i - 1] > 1e-12:
-                return None
+        if any(i not in allowed and w[i - 1] > 1e-12 for i in range(1, rls.N + 1)):
+            return None
     traj = replace(traj, outputs=np.array(outputs).reshape(-1, 1))
     return ZeroingCandidate(trajectory=traj, control=u, eps=float(traj.norms().min()),
                             output_sup=res, span=(0.0, horizon))
@@ -413,10 +419,9 @@ def wzsd_falsify(rls: ReducedLimitingSystem, eps: float, horizon: float,
     def proposals():
         """(u_cells, x0) per candidate, or None for a candidate that cannot be built."""
         # stage 0: constant-vertex controls from the deterministic battery
-        battery = _seed_states(rls, eps)
-        for i in range(rls.N):
-            vals = np.zeros((n_cells, rls.N))
-            vals[:, i] = 1.0
+        battery = _seed_states(rls, eps)  # also the starts of the pattern schedules
+        for vertex in np.eye(rls.N):
+            vals = np.tile(vertex, (n_cells, 1))
             for x0 in battery:
                 yield vals, x0
         # alternating stages: face-random closed loop / vertex-pattern schedules
@@ -425,7 +430,7 @@ def wzsd_falsify(rls: ReducedLimitingSystem, eps: float, horizon: float,
             rng = _candidate_rng(seed, k_cand)
             k_cand += 1
             if pattern_cs and k_cand % 2 == 0:
-                yield _pattern_candidate(rls, pattern_cs[0], rng, n_cells, du, eps)
+                yield _pattern_candidate(rls, pattern_cs[0], rng, n_cells, du, eps, battery)
             else:
                 yield _face_random_candidate(rls, integral_cs, rng, n_cells, du, eps,
                                              residual_tol)
@@ -470,8 +475,7 @@ def _face_random_candidate(rls, integral_cs, rng, n_cells, du, eps, residual_tol
     marches the cell that would have failed it.
     """
     x0 = _shell_state(rng, rls.n, eps, sparse=bool(rng.integers(0, 2)))
-    accrued = {id(c): 0.0 for c in integral_cs}
-    tile_of = {id(c): 0 for c in integral_cs}
+    quotas = [[c, 0.0, 0] for c in integral_cs]  # [constraint, accrued, tile]
 
     def unreachable(c, acc, t, tile):
         return acc + ((tile + 1) * c.T0 - t) < c.delta0 - TIE_TOL
@@ -496,28 +500,28 @@ def _face_random_candidate(rls, integral_cs, rng, n_cells, du, eps, residual_tol
             for i, v in zip(allowed, draw):
                 w[i - 1] = v * inv
         t_next = (k + 1) * du
-        for c in integral_cs:
-            tile = int(math.floor(t / c.T0 + 1e-12))
-            if tile != tile_of[id(c)]:
-                if accrued[id(c)] < c.delta0 - TIE_TOL:
+        for q in quotas:
+            c, acc, was = q
+            tile = math.floor(t / c.T0 + 1e-12)
+            if tile != was:
+                if acc < c.delta0 - TIE_TOL:
                     raise _Abort("window_quota_missed")
-                tile_of[id(c)] = tile
-                accrued[id(c)] = 0.0
+                q[2], acc = tile, 0.0
                 # the previous cell's early test covered only cells of its own tile
                 if unreachable(c, 0.0, t, tile):
                     raise _Abort("window_quota_unreachable")
-            w = _integral_steering(c, t, accrued[id(c)], w, allowed)
-            accrued[id(c)] += w[c.mode - 1] * du
-            if (k + 1 < n_cells and int(math.floor(t_next / c.T0 + 1e-12)) == tile
-                    and unreachable(c, accrued[id(c)], t_next, tile)):
+            w = _integral_steering(c, t, acc, w, allowed)
+            q[1] = acc = acc + w[c.mode - 1] * du
+            if (k + 1 < n_cells and math.floor(t_next / c.T0 + 1e-12) == tile
+                    and unreachable(c, acc, t_next, tile)):
                 raise _Abort("window_quota_unreachable")
         return w
 
     return choose, x0
 
 
-def _pattern_candidate(rls, c, rng, n_cells, du, eps):
-    """Open-loop candidate following a compliant 1-2-1 vertex schedule."""
+def _pattern_candidate(rls, c, rng, n_cells, du, eps, battery):
+    """Open-loop candidate: a compliant 1-2-1 vertex schedule from a ``battery`` or shell start."""
     gmax = min(c.dM, (c.T - 2.0 * c.dm) / 4.0)
     k_lo = math.ceil(c.dm / du - TIE_TOL)
     k_hi = max(math.floor(gmax / du + TIE_TOL), k_lo)
@@ -532,7 +536,6 @@ def _pattern_candidate(rls, c, rng, n_cells, du, eps):
             k += g
             if k >= n_cells:
                 break
-    battery = _seed_states(rls, eps)
     x0 = battery[int(rng.integers(0, len(battery)))] if rng.integers(0, 2) else \
         _shell_state(rng, rls.n, eps, sparse=True)
     return vals, x0

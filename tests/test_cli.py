@@ -597,7 +597,7 @@ def test_counterexample_outputs_are_hhat_u(tmp_path):
     from swstab import get_entry, wzsd_falsify
     from swstab.cli import DEFAULT_MANIFEST, _deep_merge, _write_falsify
     rls = replace(get_entry("motivating").reduced, constraints=())
-    lifted = replace(rls, Hhat=lambda t, x: rls.Hhat(t, x) + 1e-9)
+    lifted = replace(rls, Hhat=lambda t, x: np.asarray(rls.Hhat(t, x)) + 1e-9)
     m = manifest_file(tmp_path, {"falsify": {"budget": 150, "use_constraints": False}})
     assert run(["falsify", "--manifest", m, "--out", tmp_path / "plain"]) == 1
     verdict = wzsd_falsify(lifted, eps=0.5, horizon=5.0, budget=150)
@@ -607,7 +607,7 @@ def test_counterexample_outputs_are_hhat_u(tmp_path):
         doc = json.loads((tmp_path / out / "falsify_verdict.json").read_text())
         cx = Trajectory.from_csv(tmp_path / out / "counterexample.csv")
         want = [H[0] * w[0] + H[1] * w[1] for H, w in zip(
-            [Hhat(t, x).tolist() for t, x in zip(cx.times.tolist(), cx.states)],
+            [np.asarray(Hhat(t, x)).tolist() for t, x in zip(cx.times.tolist(), cx.states)],
             cx.controls.tolist())]
         assert cx.outputs[:, 0].tolist() == want
         assert max(want) == doc["counterexample_output_sup"]
@@ -722,7 +722,8 @@ def test_flip_dynamics_reaches_reduced_system(all_entries):
         for _ in range(20):
             t, x = float(rng.uniform(0.0, 10.0)), rng.uniform(-2.0, 2.0, entry.system.n)
             assert rls_flip.Fhat(t, x).tobytes() == (-rls.Fhat(t, x)).tobytes(), entry.name
-            assert rls_flip.Hhat(t, x).tobytes() == rls.Hhat(t, x).tobytes(), entry.name
+            assert (np.asarray(rls_flip.Hhat(t, x)).tobytes()
+                    == np.asarray(rls.Hhat(t, x)).tobytes()), entry.name
 
 
 @pytest.mark.parametrize("system", ["motivating", "example4"])

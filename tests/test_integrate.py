@@ -1112,6 +1112,32 @@ def test_mode_source_rejects_what_the_kernels_cannot_inline():
         src.kernels(1)
 
 
+@pytest.mark.parametrize("text", [
+    "g = range = 0.5 * x0\ng * x1, -x0",     # a chained target the march's loop reads
+    "(range := x0) * 1.0, x1",                # a walrus target on the last line
+    "g = (range := 0.5) * x0\ng * x1, -x0",  # a walrus target inside a binding
+    # g is time-only, so the r stage reuses it, but the last line rebinds it in each stage
+    "g = t\n-g + x1, (g := x0) * 0.0 - x0",
+])
+def test_mode_source_checks_every_name_a_text_binds(text):
+    from swstab import ParameterError
+    from swstab.integrate import ModeSource
+
+    with pytest.raises(ParameterError, match=r"^mode 2: "):
+        ModeSource(2, ("x1, -x0", text))
+
+
+def test_chained_binding_of_free_names_marches_as_called():
+    # every target of a chained binding is bound: the second reads as known, and the
+    # inline march keeps the bits of the march that calls f
+    from swstab.integrate import ModeSource, _calling_kernels
+
+    src = ModeSource(2, ("g = c = 0.5 * x0 + t\ng * x1, -c",))
+    x = [0.7, -0.3]
+    called = _calling_kernels(2)[1](lambda t, x, i: src.f(t, x, i), 0.0, x, 0.5, 7, 1e9, [], 1)
+    assert src.kernels(1)[1](src.f, 0.0, x, 0.5, 7, 1e9, [], 1) == called
+
+
 def test_switched_system_checks_text_widths():
     # a field text must list n components in every mode, an output text p,
     # when the system is built, not when a run first reaches the mode

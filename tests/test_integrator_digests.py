@@ -3,10 +3,14 @@
 Each digest covers a run's node times and states and its drive labels (modes,
 controls, the closed loop's signal), or a blow-up's time and the times, states
 and modes of its partial trajectory.  A change to how the integrators march
-keeps every one of these bits.
+keeps every one of these bits.  So does the WZSD falsifier: each of its
+digests covers a seeded search's verdict dict and its counterexample's
+control, states and outputs.
 """
 
 import hashlib
+import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +28,7 @@ from swstab import (
     simulate_with_covering,
 )
 from swstab.cli import _flip_system
-from swstab.limiting import build_reduced, simulate_reduced
+from swstab.limiting import build_reduced, simulate_reduced, wzsd_falsify
 
 DIGESTS = {
     "example1": {
@@ -120,3 +124,46 @@ def _runs(name: str) -> dict:
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_integrator_digests(name):
     assert _runs(name) == DIGESTS[name]
+
+
+# "<constraints>/<seed>": constrained searches run to a budget of 200, free ones to 100
+FALSIFIER_DIGESTS = {
+    "example1": {
+        "constrained/3": "e2fe1f43bda9fffd", "constrained/8": "4e1e685459ebd96a",
+        "free/3": "c9f9555c5f4ca9a7", "free/8": "c4caf8546bde2918",
+    },
+    "example4": {
+        "constrained/3": "abeb41db88a5825b", "constrained/8": "c61885861f8cf71b",
+        "free/3": "1e306322c3d02149", "free/8": "54fd86c178e592eb",
+    },
+    "inverter": {
+        "constrained/3": "a3261fb19ab4dd79", "constrained/8": "024f59ad48ddfea7",
+        "free/3": "541f1ee1ebff2d46", "free/8": "219c62051253133f",
+    },
+    "motivating": {
+        "constrained/3": "eb8c35b5d1e6f910", "constrained/8": "681499aa51d1583b",
+        "free/3": "6b7fcb06cbbb1f40", "free/8": "1db41c2a9f26ab57",
+    },
+}
+
+
+def _searches(name: str) -> dict:
+    rls = get_entry(name).reduced
+    horizon = 12.0 if name == "inverter" else 5.0
+    out = {}
+    for kind, constraints, budget in (("constrained", rls.constraints, 200), ("free", (), 100)):
+        for seed in (3, 8):
+            v = wzsd_falsify(replace(rls, constraints=constraints), eps=0.5, horizon=horizon,
+                             budget=budget, seed=seed)
+            cx = v.counterexample
+            h = hashlib.sha256(json.dumps(v.to_dict(), sort_keys=True).encode())
+            for a in () if cx is None else (cx.control.values, cx.trajectory.states,
+                                            cx.trajectory.outputs):
+                h.update(np.ascontiguousarray(a).tobytes())
+            out[f"{kind}/{seed}"] = h.hexdigest()[:16]
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(FALSIFIER_DIGESTS))
+def test_falsifier_digests(name):
+    assert _searches(name) == FALSIFIER_DIGESTS[name]

@@ -91,7 +91,8 @@ def test_residual_zero_state(motivating, cfg_fast):
 def test_residual_nan_at_one_node_is_nan(motivating, cfg_fast):
     # max(0.0, nan) is 0.0, so a running max alone would read a NaN output as zero
     rls = motivating.reduced
-    nan_at_one = replace(rls, Hhat=lambda t, x: rls.Hhat(t, x) * (np.nan if t == 1.0 else 1.0))
+    nan_at_one = replace(rls, Hhat=lambda t, x: np.asarray(rls.Hhat(t, x))
+                         * (np.nan if t == 1.0 else 1.0))
     u = RelaxedControl(t0=0.0, step=0.5, values=np.tile([1.0, 0.0], (4, 1)))
     traj = simulate_reduced(rls, u, 0.0, np.array([1.0, 0.0]), 2.0, cfg_fast)
     assert output_residual(rls, traj) == 0.0
@@ -268,7 +269,7 @@ def test_falsifier_face_feasibility(motivating):
     v = wzsd_falsify(rls, eps=0.5, horizon=5.0, budget=50, seed=2)
     cx = v.counterexample
     for t, x, w in zip(cx.trajectory.times, cx.trajectory.states, cx.trajectory.controls):
-        H = rls.Hhat(t, x)
+        H = np.asarray(rls.Hhat(t, x))
         assert np.all(w[H > 1e-8] <= 1e-12)
 
 
@@ -582,7 +583,8 @@ def test_hhat_of_one_output_is_exact_out_of_range(v):
 
     system = SwitchedSystem(n=1, N=2, f=lambda t, x, i: (0.0,),
                             h=lambda t, x, i: (v,) if i == 1 else (-v,))
-    assert build_reduced(system, trivial_covering(2)).Hhat(0.0, [1.0]).tolist() == [v, v]
+    H = build_reduced(system, trivial_covering(2)).Hhat(0.0, [1.0])
+    assert np.asarray(H).tolist() == [v, v]
 
 
 def test_open_loop_rollout_evaluates_hhat_once_per_node(motivating):
@@ -608,6 +610,61 @@ def test_open_loop_rollout_evaluates_hhat_once_per_node(motivating):
         assert calls[0] == n_cells + 1 + apart
         if du == 0.25:
             assert apart == 0
+
+
+def test_ndarray_hhat_screens_as_the_list(all_entries):
+    # build_reduced's Hhat returns a list of floats, but any length-N sequence will
+    # do: the same floats as an ndarray give the same verdict and counterexample bits
+    def signature(rls, horizon, seed):
+        v = wzsd_falsify(rls, eps=0.5, horizon=horizon, budget=150, seed=seed)
+        cx = v.counterexample
+        return [v.to_json()] + ([] if cx is None else [
+            a.tobytes() for a in (cx.control.values, cx.trajectory.states,
+                                  cx.trajectory.outputs)])
+
+    found = 0
+    for entry in all_entries:
+        horizon = 12.0 if entry.name == "inverter" else 5.0
+        for constraints in (entry.reduced.constraints, ()):
+            rls = replace(entry.reduced, constraints=constraints)
+            assert isinstance(rls.Hhat(0.0, [0.5] * rls.n), list)
+            arrayed = replace(rls, Hhat=lambda t, x, rls=rls: np.asarray(rls.Hhat(t, x)))
+            for seed in (1, 7):
+                want = signature(rls, horizon, seed)
+                assert signature(arrayed, horizon, seed) == want, (entry.name, seed)
+                found += len(want) > 1
+    assert found > 0
+
+
+def test_march_table_holds_the_vertices_alone(monkeypatch):
+    # with h == 0 every mode is on the face, so the face-random candidates march
+    # mixed cells; a damped field fails each candidate at the norm floor, so the
+    # search runs to its budget.  Only the vertex weights enter the march table
+    from swstab import SwitchedSystem
+    from swstab.integrate import ModeSource
+
+    fields = ModeSource(2, ("x1 - 0.5 * x0, -x0 - 0.5 * x1", "-x0, -x1")).f
+    system = SwitchedSystem(n=2, N=2, f=fields, h=lambda t, x, i: (0.0,), p=1)
+    tallies, mixed = [], [0]
+
+    class Recorded(limiting._Tally):
+        def __init__(self):
+            super().__init__()
+            tallies.append(self)
+
+    def counted(f, w):
+        rhs, arg = _mix_rhs(f, w)
+        mixed[0] += arg is None
+        return rhs, arg
+
+    monkeypatch.setattr(limiting, "_Tally", Recorded)
+    monkeypatch.setattr(limiting, "_mix_rhs", counted)
+    v = wzsd_falsify(build_reduced(system, trivial_covering(2)), eps=0.5, horizon=5.0,
+                     budget=200, seed=3)
+    assert v.verdict == "no_counterexample_found"
+    assert v.notes["aborts"]["norm_floor"] == 200
+    assert mixed[0] > 1_000  # every mixed cell built its own right-hand side
+    assert sorted(tallies[0].marches) == [(0.0, 1.0), (1.0, 0.0)]
 
 
 def test_falsifier_counts_aborts(motivating):

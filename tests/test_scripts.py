@@ -83,7 +83,7 @@ def test_bench_measures_every_row(tmp_path, capsys, monkeypatch):
              "simulate_with_covering_calling/example4",
              "simulate_reduced/motivating",
              "simulate_reduced_mixed/motivating", "envelope_trial/motivating",
-             "falsifier_cell/motivating"])
+             "falsifier_cell/motivating", "falsifier_candidate/inverter"])
     l2 = ([f"{check}{path}/{name}" for name in ("example4", "motivating")
            for check in ("check_decrease_along", "check_integral_bound")
            for path in ("", "_calling")]
@@ -98,7 +98,7 @@ def test_bench_measures_every_row(tmp_path, capsys, monkeypatch):
         rows = doc[layer][unit]
         assert sorted(rows) == sorted(expected), layer
         assert all(math.isfinite(v) and v > 0.0 for v in rows.values()), (layer, rows)
-    assert len(l1) == 19 and len(l2) == 17
+    assert len(l1) == 20 and len(l2) == 17
     # the traced record is skipped
     assert rounds == [("envelope-motivating", 4)]
     assert doc["L3"] == {"envelope-motivating": {"ops_per_s_median": 40.0, "runs": [
