@@ -17,7 +17,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .core import (BOUNDARY_TOL, BlowUpError, ParameterError, SwstabError, SwitchedSystem,
+from .core import (BlowUpError, ParameterError, SwstabError, SwitchedSystem,
                    SwitchingSignal, active_index_set)
 from .integrate import IntegratorConfig, _switched_outputs, simulate
 from .lyapunov import IntegralBoundParams, check_decrease_along, check_integral_bound, check_sandwich
@@ -208,7 +208,7 @@ def cmd_simulate(manifest: dict) -> int:
             traj, sigma = _signal_driver(entry, cfg)(t0, x0, t0 + horizon, manifest["seed"])
         else:
             # the start node alone, under the mode the class would start in
-            mode = (entry.policy(t0, x0, active_index_set(x0, entry.covering, tol=BOUNDARY_TOL))
+            mode = (entry.policy(t0, x0, active_index_set(x0, entry.covering))
                     if entry.signal_class.generator is None else 1)
             sigma = SwitchingSignal.constant(mode, t0, t0 + span)
             traj = simulate(entry.system, sigma, t0, x0, t0, cfg)

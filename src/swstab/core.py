@@ -18,7 +18,8 @@ import numpy as np
 
 SIMPLEX_TOL = 1e-12          # nonnegativity / unit-sum tolerance on simplex points
 SIMPLEX_RENORM_TOL = 1e-9    # sums off by at most this are renormalized, else rejected
-BOUNDARY_TOL = 1e-9          # covering-membership tolerance used by validators
+BOUNDARY_TOL = 1e-9          # xi is in piece i iff margin(xi, i) >= -BOUNDARY_TOL
+MAX_SAMPLES = 2**20          # most points a sample grid may hold (sandwich box, tau grid)
 
 
 class SwstabError(Exception):
@@ -249,9 +250,10 @@ class SwitchedSystem:
 class Covering:
     """Closed covering of R^n by per-mode regions, given by margin functions.
 
-    ``margin(xi, i) >= 0`` means xi belongs to the closed piece of mode i;
-    the boundary is ``margin == 0``.  For half-space pieces the margin is the
-    signed distance, which makes event detection exact.
+    The closed piece of mode i is ``margin(xi, i) >= 0``; every membership decision
+    reads it as ``margin(xi, i) >= -BOUNDARY_TOL``, a NaN margin outside, so a closed-loop
+    crossing lands beyond -BOUNDARY_TOL by at most about |dx/dt| * event_bisection_tol.
+    For half-space pieces the margin is the signed distance.
     ``xi`` is a sequence of n floats, a list or an ndarray row.  The invariance
     validator runs a ``integrate.ModeSource(..., form="margin")`` margin on the
     state columns, once per mode, and hands any other margin lists of floats.
@@ -266,10 +268,10 @@ def trivial_covering(n_modes: int) -> Covering:
     return Covering(margin=lambda xi, i: 1.0, N=n_modes, name="trivial")
 
 
-def active_index_set(xi: np.ndarray, covering: Covering, tol: float = 0.0) -> tuple[int, ...]:
-    """Indices i whose closed piece contains xi; raises CoveringError if empty."""
+def active_index_set(xi: np.ndarray, covering: Covering) -> tuple[int, ...]:
+    """Indices i whose piece contains xi, by ``Covering``'s rule; CoveringError if none."""
     margin = covering.margin
-    idx = tuple([i for i in range(1, covering.N + 1) if margin(xi, i) >= -tol])
+    idx = tuple([i for i in range(1, covering.N + 1) if margin(xi, i) >= -BOUNDARY_TOL])
     if not idx:
         raise CoveringError(f"point {xi} is not covered by any piece")
     return idx

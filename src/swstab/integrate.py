@@ -42,8 +42,8 @@ class IntegratorConfig:
     """Fixed-step RK4 settings.
 
     event_bisection_tol is a *time* tolerance: boundary crossings are located
-    to within this many seconds, so the landing state overshoots the boundary
-    by at most ~|dx/dt| * event_bisection_tol.
+    to within this many seconds, so the landing state lies beyond -BOUNDARY_TOL
+    (the membership rule of ``Covering``) by at most ~|dx/dt| * event_bisection_tol.
     """
 
     step: float = 1e-3
@@ -66,7 +66,7 @@ class IntegratorConfig:
 # segment table.  ``advance`` is the closed loop's march:
 # from (tn, xn) it takes steps of min(step, tf - tn) while tn < t_stop,
 # appending each node's time and state, and returns (tn, x, h, x_new) at the
-# first step that leaves the piece of ``mode`` (margin below -BOUNDARY_TOL), or
+# first step that leaves the piece of ``mode`` (not margin >= -BOUNDARY_TOL), or
 # (tn, x, None, None) at t_stop.  Stage sums are grouped as the float64-array
 # RK4 groups them, so both agree bit for bit, and the divergence checks sum the
 # squares in component order, as ``_check_state``.
@@ -125,7 +125,7 @@ def advance(f, tn, xn, t_stop, tf, step, bound, margin, mode, out_t, out_x, arg=
         if not {sum_sq_b} <= bb:  # NaN or beyond the bound
             check_state([{b}], tn + h, bound)
         {exit}
-        if {margin} < -boundary_tol:
+        if not {margin} >= -boundary_tol:  # outside the piece, or NaN
             return tn, [{a}], h, [{b}]
         tn = tn + h
         push_t(tn)
@@ -588,13 +588,13 @@ def simulate_with_covering(sys: SwitchedSystem, covering: Covering,
                            cfg: IntegratorConfig) -> tuple[Trajectory, SwitchingSignal]:
     """Closed-loop run keeping sigma(t) in the active index set of x(t).
 
-    The policy is queried at t0 and whenever the state leaves the active
-    piece; crossings are bisected to cfg.event_bisection_tol.  Right after a
-    switch the new mode is granted one full base step before bisection
-    re-arms, so grazing/sliding configurations make progress: the state may
-    overshoot the boundary inside such a step, but every recorded grid node
-    is labeled with a mode whose piece contains it (within tolerance).  The
-    policy and the covering's margins are handed the state as a list of floats.
+    The policy is queried at t0 and whenever the state leaves the active piece
+    (``Covering``'s rule); crossings are bisected to cfg.event_bisection_tol, a
+    landing beyond -BOUNDARY_TOL by at most ~|dx/dt| times that.  Right after a
+    switch the new mode is granted one full base step before bisection re-arms, so
+    grazing/sliding configurations make progress: the state may overshoot the
+    boundary inside such a step, but every recorded grid node is labeled with a mode
+    whose piece contains it.  The policy and margins get the state as a list of floats.
     """
     if tf <= t0:
         raise DomainError("tf must exceed t0")
@@ -605,7 +605,7 @@ def simulate_with_covering(sys: SwitchedSystem, covering: Covering,
     x = _start_state(x0, sys.n, t0, cfg)
 
     def query(t, x):
-        active = active_index_set(x, covering, tol=BOUNDARY_TOL)
+        active = active_index_set(x, covering)
         m = int(policy(t, x, active))
         if m not in active:
             raise PolicyError(f"policy returned mode {m} outside active set {active} at t={t}")
@@ -652,12 +652,12 @@ def simulate_with_covering(sys: SwitchedSystem, covering: Covering,
         # the step from t leaves the piece and ends in a re-decision: at the
         # endpoint of a grace step right after a switch, else at the bisected crossing
         if t >= suppress_until:
-            # locate the crossing: margin(mode, .) changes sign inside (0, h]
+            # locate the crossing: x leaves the piece of mode inside (0, h]
             lo = 0.0
             while h - lo > cfg.event_bisection_tol:
                 mid = 0.5 * (lo + h)
                 x_mid = rk4_step(f, t, x, mid, mode)
-                if margin(x_mid, mode) >= 0.0:
+                if margin(x_mid, mode) >= -BOUNDARY_TOL:
                     lo = mid
                 else:
                     h, x_new = mid, x_mid

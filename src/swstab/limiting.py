@@ -21,7 +21,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import (
-    BOUNDARY_TOL,
     BlowUpError,
     Covering,
     DynamicsError,
@@ -231,20 +230,10 @@ class FalsifierVerdict:
         return json.dumps(self.to_dict())
 
 
-def _candidate_rng(seed: int, k: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
-
-
 def _seed_states(rls: ReducedLimitingSystem, eps: float) -> list[np.ndarray]:
     """Deterministic start battery: +/- axis points on a shell above the floor."""
-    out = []
-    r = 2.0 * eps
-    for j in range(rls.n):
-        for s in (1.0, -1.0):
-            x = np.zeros(rls.n)
-            x[j] = s * r
-            out.append(x)
-    return out
+    axes, r = np.eye(rls.n, dtype=bool), 2.0 * eps
+    return [np.where(axis, s * r, 0.0) for axis in axes for s in (1.0, -1.0)]
 
 
 def _shell_state(rng: np.random.Generator, n: int, eps: float, sparse: bool) -> np.ndarray:
@@ -367,7 +356,7 @@ def _validate_candidate(rls: ReducedLimitingSystem, u: RelaxedControl, x0: np.nd
     if not res <= residual_tol:
         return None
     for x, w in zip(traj.states, traj.controls):
-        allowed = active_index_set(x, rls.covering, tol=BOUNDARY_TOL)
+        allowed = active_index_set(x, rls.covering)
         if any(i not in allowed and w[i - 1] > 1e-12 for i in range(1, rls.N + 1)):
             return None
     traj = replace(traj, outputs=np.array(outputs).reshape(-1, 1))
@@ -427,7 +416,7 @@ def wzsd_falsify(rls: ReducedLimitingSystem, eps: float, horizon: float,
         # alternating stages: face-random closed loop / vertex-pattern schedules
         k_cand = 0
         while True:
-            rng = _candidate_rng(seed, k_cand)
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k_cand,)))
             k_cand += 1
             if pattern_cs and k_cand % 2 == 0:
                 yield _pattern_candidate(rls, pattern_cs[0], rng, n_cells, du, eps, battery)
@@ -435,22 +424,22 @@ def wzsd_falsify(rls: ReducedLimitingSystem, eps: float, horizon: float,
                 yield _face_random_candidate(rls, integral_cs, rng, n_cells, du, eps,
                                              residual_tol)
 
+    def control(values):
+        """The cells as a control; _Abort unless it meets the constraints."""
+        u = RelaxedControl(t0=0.0, step=du, values=values)
+        if not _meets_constraints(rls, u):
+            raise _Abort("constraint")
+        return u
+
     def admit(u_cells, x0):
-        """Constraints once, rollout, validation; open-loop cells are checked first.
+        """Constraints once (open-loop cells before their rollout), rollout, validation.
 
         Returns the validated candidate or raises _Abort with the reason.
         """
-        open_loop = not callable(u_cells)
-        if open_loop:
-            u = RelaxedControl(t0=0.0, step=du, values=u_cells)
-            if not _meets_constraints(rls, u):
-                raise _Abort("constraint")
+        u = None if callable(u_cells) else control(u_cells)
         ws = _rollout(rls, u_cells, x0, horizon, du, sub, eps, residual_tol,
                       cfg.divergence_bound, tally)
-        if not open_loop:
-            u = RelaxedControl(t0=0.0, step=du, values=ws)
-            if not _meets_constraints(rls, u):
-                raise _Abort("constraint")
+        u = control(ws) if u is None else u
         cand = _validate_candidate(rls, u, x0, horizon, eps, residual_tol, cfg)
         if cand is None:
             raise _Abort("validation")
@@ -481,7 +470,7 @@ def _face_random_candidate(rls, integral_cs, rng, n_cells, du, eps, residual_tol
         return acc + ((tile + 1) * c.T0 - t) < c.delta0 - TIE_TOL
 
     def choose(k, t, x, Hv):
-        active = active_index_set(x, rls.covering, tol=BOUNDARY_TOL)
+        active = active_index_set(x, rls.covering)
         allowed = [i for i in active if Hv[i - 1] <= residual_tol]
         if not allowed:
             raise _Abort("empty_face")

@@ -18,7 +18,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import Covering, ParameterError, SwitchedSystem, SwitchingSignal, Trajectory
+from .core import (BOUNDARY_TOL, MAX_SAMPLES, Covering, ParameterError, SwitchedSystem,
+                   SwitchingSignal, Trajectory)
 from .integrate import _at_rows, _node_modes
 
 SANDWICH_TOL = 1e-9
@@ -116,6 +117,8 @@ def check_sandwich(cert: LyapunovCertificate, box_lo, box_hi, covering: Covering
     box_hi = np.asarray(box_hi, dtype=float)
     if np.any(box_lo > 0) or np.any(box_hi < 0):
         raise ParameterError("sample box must contain the origin")
+    if density ** len(box_lo) > MAX_SAMPLES:
+        raise ParameterError(f"density {density} samples over {MAX_SAMPLES} points")
     axes = [np.linspace(lo, hi, density) for lo, hi in zip(box_lo, box_hi)]
     pts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
     pts = np.vstack([pts, np.zeros(len(box_lo))])
@@ -126,7 +129,7 @@ def check_sandwich(cert: LyapunovCertificate, box_lo, box_hi, covering: Covering
     n_checked = 0
     for i in range(1, covering.N + 1):
         mode = np.full(len(pts), i)
-        on = np.flatnonzero(_at_rows(covering.margin, None, pts, mode) >= 0.0)
+        on = np.flatnonzero(_at_rows(covering.margin, None, pts, mode) >= -BOUNDARY_TOL)
         n_checked += len(on)
         v = _at_rows(cert.V, np.zeros(len(on)), pts[on], mode[on])
         # NaN if either side is, else as the builtin max(below, above) picks a tied zero

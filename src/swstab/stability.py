@@ -10,13 +10,14 @@ master seed, so envelopes are bit-identical across runs and worker counts.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import BlowUpError, ParameterError, require_finite
+from .core import MAX_SAMPLES, BlowUpError, ParameterError, require_finite
 
 MONO_RESIDUAL_TOL = 0.05  # under-sampled: regularizing moves a cell by more, row-scaled
 
@@ -89,10 +90,10 @@ def estimate_envelope(n_dim: int, traj_factory: Callable, radii: Sequence[float]
     initial norms drawn from (radii[k-1], radii[k]] (from 0 for the first
     bin).  Start times are drawn from [0, offset_max], probing
     uniformity over the anchor time.  Integration blow-up marks the remaining
-    cells +inf.  With ``workers > 1`` trials run in that many processes, so
-    ``traj_factory`` must be picklable (a module-level function or a
-    ``functools.partial`` of one); the table and ``meta["offsets"]`` are
-    reduced in trial order and do not depend on the worker count.
+    cells +inf.  Trials run in min(workers, trials of all bins, CPUs) processes,
+    serially when that is 1; in processes ``traj_factory`` must be picklable (a
+    module-level function or a ``functools.partial`` of one).  The table and
+    ``meta["offsets"]`` are reduced in trial order, whatever the worker count.
     """
     require_finite(horizon=horizon)
     radii = np.asarray(sorted(radii), dtype=float)
@@ -100,12 +101,15 @@ def estimate_envelope(n_dim: int, traj_factory: Callable, radii: Sequence[float]
         raise ParameterError("need at least one trial")
     if not 0.0 <= offset_max < np.inf:
         raise ParameterError(f"offset_max must be finite and nonnegative, got {offset_max!r}")
+    if tau_count > MAX_SAMPLES:
+        raise ParameterError(f"tau_count {tau_count} is over {MAX_SAMPLES}")
     tau_grid = np.linspace(0.0, horizon, tau_count)
     tasks = [(b, k) for b in range(len(radii)) for k in range(trials)]
     run = partial(_run_trial, n_dim, traj_factory, radii, horizon, tau_grid, offset_max,
                   master_seed)
     table = np.zeros((len(radii), tau_count))
     offsets_seen = []
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # ~18 ms to import: only here
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -318,7 +318,7 @@ def closed_loop_advance_reference(f, t, x, t_stop, tf, step, bound, margin, mode
         h = min(step, tf - t)
         x_new = rk4_step_reference(f, t, x, h, arg)
         _check_state_reference(x_new, t + h, bound)
-        if margin(x_new, mode) < -BOUNDARY_TOL:
+        if not margin(x_new, mode) >= -BOUNDARY_TOL:
             return t, x, h, x_new
         t, x = t + h, x_new
         out_t.append(t)
@@ -400,7 +400,7 @@ def face_random_candidate_reference(rls, integral_cs, rng, n_cells, du, eps, res
         return acc + ((tile + 1) * c.T0 - t) < c.delta0 - TIE_TOL
 
     def choose(k, t, x, Hv):
-        active = active_index_set(x, rls.covering, tol=BOUNDARY_TOL)
+        active = active_index_set(x, rls.covering)
         allowed = [i for i in active if Hv[i - 1] <= residual_tol]
         if not allowed:
             raise _Abort("empty_face")

@@ -15,7 +15,7 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 DIGESTS = {
     "envelope-motivating": "964e5ef3d14e374b",
     "falsify-wzsd": "b19e83172ad66acb",
-    "certify-closed-loop": "b874028dacb93b42",
+    "certify-closed-loop": "e3c1bc0e10deed69",
     "embedding-relaxed": "0041a53c16b2b91f",
 }
 

@@ -162,6 +162,27 @@ def test_bad_manifest_number_exit2(tmp_path, capsys, command, doc, key):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command, doc, message", [
+    ("certify", {"system": {"id": "inverter"}, "certify": {"density": 10000}},
+     "density 10000 samples over 1048576 points"),
+    ("envelope", {"envelope": {"tau_count": 1e12}}, "tau_count 1000000000000 is over 1048576"),
+    ("reproduce motivating", {"envelope": {"tau_count": 2**20 + 1}},
+     "tau_count 1048577 is over 1048576"),
+])
+def test_sample_count_no_array_can_hold_exit2(tmp_path, capsys, monkeypatch, command, doc,
+                                              message):
+    # refused before any sample array is built: numpy's grid builders must not run
+    def built(*args, **kwargs):
+        raise AssertionError("a sample grid was built")
+
+    for name in ("linspace", "meshgrid"):
+        monkeypatch.setattr(np, name, built)
+    m = manifest_file(tmp_path, doc)
+    assert run(command.split() + ["--manifest", m, "--out", tmp_path / "o", "--workers", 1]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command, doc", [
     ("simulate", {"simulate": {"x0": [1.0, 2.0, 3.0]}}),
     ("simulate", {"simulate": {"horizon": -1.0}}),

@@ -20,6 +20,7 @@ from swstab import (
     signal_to_control,
     trivial_covering,
 )
+from swstab.core import BOUNDARY_TOL
 
 
 def halfplane_covering():
@@ -188,12 +189,16 @@ def test_trivial_covering_full_simplex():
 
 
 def test_admissible_set_membership():
-    # the admissible controls at xi are the face co{e_i : i active}
+    # the admissible controls at xi are the face co{e_i : i active}; piece i holds
+    # xi iff margin(xi, i) >= -BOUNDARY_TOL, a NaN margin outside
     chi = halfplane_covering()
     assert active_index_set(np.array([1.0, 0.0]), chi) == (1, 2)
-    assert active_index_set(np.array([1e-10, 0.0]), chi) == (1, 2)
-    assert active_index_set(np.array([-1e-10, 0.0]), chi) == (3,)
-    assert active_index_set(np.array([-1e-10, 0.0]), chi, tol=1e-9) == (1, 2, 3)
+    assert active_index_set(np.array([2 * BOUNDARY_TOL, 0.0]), chi) == (1, 2)
+    assert active_index_set(np.array([-2 * BOUNDARY_TOL, 0.0]), chi) == (3,)
+    assert active_index_set(np.array([-0.1 * BOUNDARY_TOL, 0.0]), chi) == (1, 2, 3)
+    assert active_index_set(np.array([BOUNDARY_TOL, 0.0]), chi) == (1, 2, 3)
+    nan_first = Covering(margin=lambda x, i: np.nan if i == 1 else 1.0, N=2)
+    assert active_index_set(np.zeros(2), nan_first) == (2,)
 
 
 def test_covering_violation_error():
@@ -213,9 +218,10 @@ def test_nesting_property(x1, x2):
     chi = halfplane_covering()
     xi = np.array([x1, x2])
     base = set(active_index_set(xi, chi))
-    # radius within which active sets can only shrink: the margins are 1-Lipschitz
-    delta = min((-chi.margin(xi, i) for i in (1, 2, 3) if chi.margin(xi, i) < 0.0),
-                default=np.inf)
+    # radius within which active sets can only shrink: the margins are 1-Lipschitz,
+    # so it is measured from the tolerant boundary margin == -BOUNDARY_TOL
+    delta = min((-chi.margin(xi, i) - BOUNDARY_TOL for i in (1, 2, 3)
+                 if not chi.margin(xi, i) >= -BOUNDARY_TOL), default=np.inf)
     rng = np.random.default_rng(17)
     for _ in range(8):
         d = rng.standard_normal(2)

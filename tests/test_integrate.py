@@ -366,6 +366,58 @@ def test_policy_error_surfaces(example4, cfg_fast):
                                np.array([2.0, 0.0]), 1.0, cfg_fast)
 
 
+def _sticky():
+    """A policy that keeps its mode while that mode is active."""
+    held = []
+
+    def policy(t, x, active):
+        if not held or held[-1] not in active:
+            held.append(active[0])
+        return held[-1]
+
+    return policy
+
+
+@pytest.mark.parametrize("inline", [False, True])
+def test_closed_loop_leaves_a_piece_by_the_membership_rule(inline):
+    # the exit test, the bisection and the active set read one rule, margin >=
+    # -BOUNDARY_TOL: a sticky policy switches where the state crosses x0 = 0, not
+    # a grace step later (at 0.51) as when the bisection reads margin >= 0.0
+    from swstab import ModeSource
+    from swstab.core import BOUNDARY_TOL
+
+    f, margin = ((ModeSource(1, ("1.0,",)).f, ModeSource(1, ("-x0", "x0"), form="margin").f)
+                 if inline else (lambda t, x, i: (1.0,), lambda x, i: -x[0] if i == 1 else x[0]))
+    system = SwitchedSystem(n=1, N=2, f=f, h=lambda t, x, i: (0.0,))
+    covering = Covering(margin=margin, N=2)
+    cfg = IntegratorConfig(step=1e-2)
+    traj, sigma = simulate_with_covering(system, covering, _sticky(), 0.0, np.array([-0.5]),
+                                         1.0, cfg)
+    assert sigma.modes.tolist() == [1, 2]
+    assert 0.5 < sigma.breakpoints[1] <= 0.5 + BOUNDARY_TOL + cfg.event_bisection_tol
+    assert validate_covering_invariance(traj, sigma, covering).ok
+
+
+def test_closed_loop_leaves_a_piece_whose_margin_turns_nan():
+    # a NaN margin counts as outside: the run leaves piece 1 where its margin
+    # turns NaN (x0 >= 0.3), instead of marching on in mode 1 to tf
+    from swstab.core import BOUNDARY_TOL
+
+    def margin(x, i):
+        if i == 2:
+            return x[0] - 0.3
+        return 0.3 - x[0] if x[0] < 0.3 else math.nan
+
+    system = SwitchedSystem(n=1, N=2, f=lambda t, x, i: (1.0,), h=lambda t, x, i: (0.0,))
+    covering = Covering(margin=margin, N=2)
+    cfg = IntegratorConfig(step=1e-2)
+    traj, sigma = simulate_with_covering(system, covering, _sticky(), 0.0, np.array([0.0]),
+                                         1.0, cfg)
+    assert sigma.modes.tolist() == [1, 2]
+    assert abs(sigma.breakpoints[1] - 0.3) <= BOUNDARY_TOL + cfg.event_bisection_tol
+    assert validate_covering_invariance(traj, sigma, covering).ok
+
+
 def test_chattering_guard():
     # two coverings that exclude each other's mode force a switch per step
     sys = SwitchedSystem(n=1, N=2,

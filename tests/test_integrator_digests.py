@@ -33,15 +33,15 @@ from swstab.limiting import build_reduced, simulate_reduced, wzsd_falsify
 DIGESTS = {
     "example1": {
         "simulate": "f76a3ca77418b5e1", "relaxed": "b5bf6ba9fdeee18a",
-        "reduced": "ba49cdad73b9c583", "closed_loop": "7ef50642b922dccb",
+        "reduced": "ba49cdad73b9c583", "closed_loop": "5fb4197306512c19",
         "simulate_blow_up": "95d2f1129c7bdfc9", "relaxed_blow_up": "15466d08eb6b3e69",
         "reduced_blow_up": "97c21c07a0bbf31c", "closed_loop_blow_up": "54cc3587f7a5869f",
     },
     "example4": {
         "simulate": "8a64ff681936ac86", "relaxed": "2c62bfff428ee173",
-        "reduced": "1a46a17609c027fc", "closed_loop": "5a0b2cd787dd7e95",
+        "reduced": "1a46a17609c027fc", "closed_loop": "d7ce632965b8db43",
         "simulate_blow_up": "c4ba4ea55ff32583", "relaxed_blow_up": "57a83d26525eb6a7",
-        "reduced_blow_up": "aa31f35b4b917373", "closed_loop_blow_up": "f6214eed439025ab",
+        "reduced_blow_up": "aa31f35b4b917373", "closed_loop_blow_up": "2926519bd1662f4f",
     },
     "inverter": {
         "simulate": "3ca859299d30db38", "relaxed": "57e8633580aca08a",
@@ -51,9 +51,9 @@ DIGESTS = {
     },
     "motivating": {
         "simulate": "7d0ac44d4ccb9777", "relaxed": "d6a6a452ac5cecb3",
-        "reduced": "ecf622bcf5b3d5bf", "closed_loop": "2a004dfa5365b54a",
+        "reduced": "ecf622bcf5b3d5bf", "closed_loop": "aa3505f91a1421a4",
         "simulate_blow_up": "5ffbf05958f0954f", "relaxed_blow_up": "797122a3d0eef19e",
-        "reduced_blow_up": "1394db0618c14b91", "closed_loop_blow_up": "c4a340fa1ce3c138",
+        "reduced_blow_up": "1394db0618c14b91", "closed_loop_blow_up": "e98e7ad0a9aa7215",
     },
 }
 H, H_BLOW = 6.0, 40.0  # the horizons of the runs and of the flipped runs that blow up
@@ -80,16 +80,20 @@ def _blown(run) -> str:
     return _digest(np.float64(exc.value.time), p.times, p.states, p.modes)
 
 
-def _closed_loop(entry, system, t0, x0, tf, cfg):
-    """example4's own covering and policy; every other system a half-plane
-    covering of x0 >= 0 (modes 1 and 3) and x0 <= 0 (mode 2), the last active mode."""
+def _loop(entry, system) -> tuple:
+    """(covering, policy): example4's own; every other system a half-plane covering
+    of x0 >= 0 (modes 1 and 3) and x0 <= 0 (mode 2), the last active mode."""
     n, N = system.n, system.N
     covering, policy = entry.covering, entry.policy
     if policy is None:
         covering = Covering(margin=ModeSource(n, ("x0", "-x0", "x0")[:N], form="margin").f,
                             N=N, name="half-plane")
         policy = lambda t, x, active: active[-1]  # noqa: E731
-    return simulate_with_covering(system, covering, policy, t0, x0, tf, cfg)
+    return covering, policy
+
+
+def _closed_loop(entry, system, t0, x0, tf, cfg):
+    return simulate_with_covering(system, *_loop(entry, system), t0, x0, tf, cfg)
 
 
 def _runs(name: str) -> dict:
@@ -124,6 +128,21 @@ def _runs(name: str) -> dict:
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_integrator_digests(name):
     assert _runs(name) == DIGESTS[name]
+
+
+def test_closed_loop_steps_end_in_their_pieces():
+    # example1's pinned closed loop: every step ends inside the piece of the mode it
+    # was taken in, by the membership rule margin >= -BOUNDARY_TOL; a bisection that
+    # read margin >= 0.0 held mode 3 a base step past its piece, to -0.0122
+    from swstab.core import BOUNDARY_TOL
+
+    entry = get_entry("example1")
+    covering, _ = _loop(entry, entry.system)
+    traj, sigma = _closed_loop(entry, entry.system, 0.0, np.linspace(0.9, -0.6, 2), H, CFG)
+    ends = [covering.margin(x, i) for x, i in zip(traj.states[1:].tolist(),
+                                                  traj.modes[:-1].tolist())]
+    assert 3 in sigma.modes.tolist()
+    assert min(ends) >= -2 * BOUNDARY_TOL
 
 
 # "<constraints>/<seed>": constrained searches run to a budget of 200, free ones to 100

@@ -131,6 +131,28 @@ def test_sandwich_respects_covering_pieces(example4):
     assert rep.passed, (rep.worst_margin, rep.worst_location)
 
 
+def test_sandwich_samples_each_piece_by_the_membership_rule(motivating):
+    # piece 1 holds the points with margin >= -BOUNDARY_TOL: the column x0 = 0 and
+    # the origin, at margin -BOUNDARY_TOL / 2, are sampled under mode 1 too
+    from swstab import Covering
+    from swstab.core import BOUNDARY_TOL
+
+    assert motivating.system.N == 2
+    covering = Covering(margin=lambda x, i: x[0] - 0.5 * BOUNDARY_TOL if i == 1 else 1.0, N=2)
+    rep = check_sandwich(motivating.certificate, [-1.0, -1.0], [1.0, 1.0], covering, density=3)
+    assert rep.extra == {"points": 7 + 10}
+
+
+def test_sandwich_refuses_a_grid_over_max_samples(motivating):
+    # 1025**2 points are over MAX_SAMPLES = 2**20: refused before any is sampled
+    from swstab.core import MAX_SAMPLES
+
+    assert 1024 ** 2 == MAX_SAMPLES
+    with pytest.raises(ParameterError, match=r"^density 1025 samples over 1048576 points$"):
+        check_sandwich(motivating.certificate, [-1.0, -1.0], [1.0, 1.0], motivating.covering,
+                       density=1025)
+
+
 # --- decrease ----------------------------------------------------------------
 
 

@@ -74,6 +74,66 @@ def test_envelope_rejects_offset_max_below_min(motivating, cfg_fast):
                           trials=1, tau_count=3, offset_max=-5.0)
 
 
+def test_envelope_refuses_a_tau_count_over_max_samples(motivating, cfg_fast):
+    from swstab.core import MAX_SAMPLES
+
+    driver = make_driver(motivating, cfg_fast)
+    with pytest.raises(ParameterError, match=r"^tau_count 1048577 is over 1048576$"):
+        estimate_envelope(2, driver, radii=[1.0], horizon=2.0, trials=1,
+                          tau_count=MAX_SAMPLES + 1)
+    env = estimate_envelope(2, driver, radii=[1.0], horizon=2.0, trials=1,
+                            tau_count=MAX_SAMPLES)
+    assert env.beta_table.shape == (1, MAX_SAMPLES)
+
+
+def test_envelope_starts_at_most_one_process_per_task_and_cpu(motivating, cfg_fast,
+                                                              monkeypatch, tmp_path):
+    # processes: min(workers, tasks, CPUs), serial at 1; a fake pool records the
+    # count asked for and maps in this process, so no process is started
+    import concurrent.futures
+    import json
+    import os
+
+    from swstab.cli import main
+
+    asked = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    kw = dict(radii=[0.5, 1.0], horizon=2.0, trials=2, tau_count=5, master_seed=4)  # 4 tasks
+    driver = make_driver(motivating, cfg_fast)
+    serial = estimate_envelope(2, driver, **kw)
+    for workers, cpus, want in ((100_000, 3, [3]), (100_000, 64, [4]), (2, 64, [2]),
+                                (100_000, 1, []), (100_000, None, [])):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        asked.clear()
+        env = estimate_envelope(2, driver, workers=workers, **kw)
+        assert asked == want, (workers, cpus)
+        assert env.beta_table.tobytes() == serial.beta_table.tobytes()
+        assert env.meta == serial.meta
+    # swstab envelope --workers 100000 on 3 trials of one radius
+    m = tmp_path / "m.json"
+    m.write_text(json.dumps({"envelope": {"radii": [0.5], "horizon": 1.0, "trials": 3,
+                                          "tau_count": 2, "step": 0.1}}))
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    asked.clear()
+    assert main(["envelope", "--manifest", str(m), "--out", str(tmp_path / "o"),
+                 "--workers", "100000"]) in (0, 1)
+    assert asked == [3]
+
+
 def test_envelope_zero_radius_row(motivating, cfg_fast):
     driver = make_driver(motivating, cfg_fast)
     env = estimate_envelope(2, driver, radii=[0.0], horizon=5.0, trials=3,
